@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .elements import LinearElement, fmt_mask, join_terms, mask_bits, mask_sort_key
 from .errors import DomainError, SolveError
@@ -153,12 +154,12 @@ def ext_ad_on_mask(zg: Gen, mask: int) -> dict[int, Fraction]:
 
 def ext_k_action(z: LieElement, x: ExtElement) -> ExtElement:
     require_in_k(z)
-    out = ExtElement()
+    out: dict[int, Fraction] = {}
     for zg, zc in z.terms.items():
         for mask, c in x.terms.items():
             for m, cc in ext_ad_on_mask(zg, mask).items():
-                out = out + ExtElement({m: cc * c * zc})
-    return out
+                out[m] = out.get(m, 0) + cc * c * zc
+    return ExtElement(out)
 
 
 class CElement(LinearElement):
@@ -319,12 +320,10 @@ class CliffordAlgebra:
     # -- Chevalley map -------------------------------------------------------
 
     def _tau_monomial(self, mask: int) -> dict[int, Fraction]:
-        from .uea import _multiset_permutations
-
         bits = mask_bits(mask)
         if len(bits) <= 1:
             return {mask: Fraction(1)}
-        perms = list(_multiset_permutations(bits))
+        perms = list(permutations(bits))
         share = Fraction(1, len(perms))
         acc: dict[int, Fraction] = {}
         for w in perms:
@@ -382,10 +381,11 @@ class CliffordAlgebra:
         bare mask monomials instead shifts each value by a scalar and breaks
         that."""
         require_in_k(z)
-        out = self.zero()
+        out: dict[int, Fraction] = {}
         for g, c in z.terms.items():
-            out = out + self._alpha_gen(g).scale(c)
-        return out
+            for m, cc in self._alpha_gen(g).terms.items():
+                out[m] = out.get(m, 0) + cc * c
+        return self.element(out)
 
     def _alpha_gen(self, zg: Gen) -> CElement:
         cached = self._alpha_cache.get(zg)

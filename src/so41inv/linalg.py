@@ -119,6 +119,29 @@ def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     return ech.rank
 
 
+def sparse_rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
+    """Rank modulo the prime p of sparse integer rows, eliminated in Python
+    ints (no bound on p)."""
+    pivots: dict[int, dict[int, int]] = {}  # pivot col -> row, 1 at the pivot
+    for row in rows:
+        res = {c: v % p for c, v in row.items() if v % p}
+        while res:
+            col = min(res)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = pow(res[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in res.items()}
+                break
+            f = res[col]
+            for c, v in prow.items():
+                nv = (res.get(c, 0) - f * v) % p
+                if nv:
+                    res[c] = nv
+                else:
+                    res.pop(c, None)
+    return len(pivots)
+
+
 def sparse_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
     """Exact kernel basis of the matrix whose rows are given (as sparse dicts
     over columns 0..ncols-1). Returns one kernel vector per free column."""

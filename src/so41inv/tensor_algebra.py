@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .clifford import CliffordAlgebra, PForm, popcount
 from .elements import (
@@ -23,6 +24,7 @@ from .elements import (
     pair_sort_key,
 )
 from .errors import DomainError, InvarianceError
+from .linalg import sparse_rank, sparse_rank_mod_p
 from .lie_core import LieElement, lie_gen, require_in_k
 from .matrix_oracle import Gen, K_GENS
 from .sym_ext import SEElement, build_st_catalog, s_monomial_element, s_monomials_up_to
@@ -158,12 +160,12 @@ class TensorAlgebra:
         derivation on the C-side."""
         require_in_k(z)
         zu = self.from_u(lie_to_u(z))
-        out = self.multiply(zu, x) - self.multiply(x, zu)
+        out = dict((self.multiply(zu, x) - self.multiply(x, zu)).terms)
         for (exp, mask), c in x.terms.items():
             acted = self.cl.k_action(z, self.cl.element({mask: c}))
             for m, cc in acted.terms.items():
-                out = out + UCElement({(exp, m): cc}, self)
-        return out
+                out[(exp, m)] = out.get((exp, m), 0) + cc
+        return UCElement(out, self)
 
     def is_invariant(self, x: UCElement) -> bool:
         return all(self.ad_action(lie_gen(z), x).is_zero() for z in K_GENS)
@@ -539,20 +541,29 @@ def st_product_vectors(cat: Catalog, cap: int = 6) -> list[tuple[int, UCElement]
     return out
 
 
-def uc_rank(vectors: list[UCElement]) -> int:
-    """Rank over Q of a family of tensor elements."""
-    from .linalg import RationalEchelon
+# The prime of the full-rank certificate in uc_rank.
+CERTIFICATE_PRIME = (1 << 61) - 1
 
-    ech = RationalEchelon()
+
+def uc_rank(vectors: list[UCElement]) -> int:
+    """Rank over Q of a family of tensor elements.
+
+    Each vector is scaled to integers by the lcm of its denominators, which
+    keeps the rank. If the rank modulo CERTIFICATE_PRIME equals the number of
+    vectors, a maximal minor is nonzero mod p, hence nonzero over Q, and the
+    family is independent. Any other case is ranked exactly by the rational
+    echelon, so a rank below full never comes from modular arithmetic."""
     key_index: dict[UCKey, int] = {}
-    for v in vectors:
-        vec = {}
-        for k, c in v.terms.items():
-            if k not in key_index:
-                key_index[k] = len(key_index)
-            vec[key_index[k]] = c
-        ech.insert(vec)
-    return ech.rank
+    rows = [{key_index.setdefault(k, len(key_index)): c for k, c in v.terms.items()}
+            for v in vectors]
+    integer_rows = []
+    for row in rows:
+        scale = lcm(*(c.denominator for c in row.values()))
+        integer_rows.append({j: c.numerator * (scale // c.denominator)
+                             for j, c in row.items()})
+    if sparse_rank_mod_p(integer_rows, CERTIFICATE_PRIME) == len(rows):
+        return len(rows)
+    return sparse_rank(rows)
 
 
 def truncated_rank16_check(cat: Catalog, cap: int = 6) -> Rank16Report:

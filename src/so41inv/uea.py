@@ -3,11 +3,23 @@
 A PBW monomial is a 10-tuple of exponents in the frozen generator order
 H1 < H2 < E1 < E2 < F1 < F2 < E3 < E4 < F3 < F4. Products are straightened
 by the textbook rewriting g_a g_b -> g_b g_a + [g_a, g_b] applied at the
-first descent, with memoization on whole words.
+first descent, with memoization on whole words. The structure constants are
+integers, so straightened words and PBW pair products have int coefficients.
+
+Symmetrization averages a monomial x = x_1 ... x_n over its distinct
+orderings. Grouping the orderings by their first letter gives
+
+    P(x) = sum over g with x_g > 0 of  u_g . P(x - e_g),
+
+where P(x) is the straightened sum of all distinct orderings of x. P is a
+memoized recursion over sub-multisets in plain ints, and
+sigma(x) = P(x) / (n! / prod x_g!), so a Fraction appears only once per
+output term.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .elements import LinearElement, ZERO_EXP, exp_sort_key, fmt_exp, join_terms
 from .lie_core import LieElement, bracket_gens
@@ -37,7 +49,7 @@ def word_to_exp(word) -> Exp:
 _STRAIGHTEN: dict[tuple, dict] = {}
 
 
-def straighten_word(word: tuple[int, ...]) -> dict[Exp, Fraction]:
+def straighten_word(word: tuple[int, ...]) -> dict[Exp, int]:
     """Expand the product of generators `word` over PBW monomials.
 
     The returned dict is shared via the memo table; callers must not mutate.
@@ -51,16 +63,14 @@ def straighten_word(word: tuple[int, ...]) -> dict[Exp, Fraction]:
             pos = i
             break
     if pos < 0:
-        res = {word_to_exp(word): Fraction(1)}
+        res = {word_to_exp(word): 1}
         _STRAIGHTEN[word] = res
         return res
     a, b = word[pos], word[pos + 1]
-    acc: dict[Exp, Fraction] = {}
-    for m, c in straighten_word(word[:pos] + (b, a) + word[pos + 2:]).items():
-        acc[m] = acc.get(m, Fraction(0)) + c
+    acc = dict(straighten_word(word[:pos] + (b, a) + word[pos + 2:]))
     for g, cg in bracket_gens(Gen(a), Gen(b)):
         for m, c in straighten_word(word[:pos] + (int(g),) + word[pos + 2:]).items():
-            acc[m] = acc.get(m, Fraction(0)) + c * cg
+            acc[m] = acc.get(m, 0) + c * cg
     res = {m: c for m, c in acc.items() if c}
     _STRAIGHTEN[word] = res
     return res
@@ -69,7 +79,7 @@ def straighten_word(word: tuple[int, ...]) -> dict[Exp, Fraction]:
 _PAIR_PRODUCT: dict[tuple[Exp, Exp], dict] = {}
 
 
-def pbw_pair_product(x: Exp, y: Exp) -> dict[Exp, Fraction]:
+def pbw_pair_product(x: Exp, y: Exp) -> dict[Exp, int]:
     """Product of two PBW monomials, straightened. Shared dict; do not mutate."""
     key = (x, y)
     cached = _PAIR_PRODUCT.get(key)
@@ -153,32 +163,34 @@ def s_one() -> SElement:
 
 
 def lie_to_u(x: LieElement) -> UElement:
-    out = UElement()
-    for g, c in x.terms.items():
-        out = out + u_gen(g).scale(c)
-    return out
+    return UElement({word_to_exp((g,)): c for g, c in x.terms.items()})
 
 
-def _multiset_permutations(word: tuple[int, ...]):
-    """All distinct orderings of a multiset, as tuples."""
-    counts: dict[int, int] = {}
-    for w in word:
-        counts[w] = counts.get(w, 0) + 1
-    n = len(word)
-    acc = [0] * n
+_ORDERINGS_SUM: dict[Exp, dict] = {}
 
-    def rec(depth: int):
-        if depth == n:
-            yield tuple(acc)
-            return
-        for g in sorted(counts):
-            if counts[g]:
-                counts[g] -= 1
-                acc[depth] = g
-                yield from rec(depth + 1)
-                counts[g] += 1
 
-    yield from rec(0)
+def _orderings_sum(exp: Exp) -> dict[Exp, int]:
+    """P(exp): the straightened sum of every distinct ordering of the
+    monomial, in int coefficients (shared; do not mutate)."""
+    cached = _ORDERINGS_SUM.get(exp)
+    if cached is not None:
+        return cached
+    if not any(exp):
+        res = {exp: 1}
+    else:
+        acc: dict[Exp, int] = {}
+        rest = list(exp)
+        for g, e in enumerate(exp):
+            if not e:
+                continue
+            rest[g] -= 1
+            for m, c in _orderings_sum(tuple(rest)).items():
+                for mm, cc in straighten_word((g,) + exp_to_word(m)).items():
+                    acc[mm] = acc.get(mm, 0) + c * cc
+            rest[g] += 1
+        res = {m: c for m, c in acc.items() if c}
+    _ORDERINGS_SUM[exp] = res
+    return res
 
 
 _SYMMETRIZE: dict[Exp, dict] = {}
@@ -189,14 +201,10 @@ def symmetrize_monomial(exp: Exp) -> dict[Exp, Fraction]:
     cached = _SYMMETRIZE.get(exp)
     if cached is not None:
         return cached
-    word = exp_to_word(exp)
-    perms = list(_multiset_permutations(word))
-    share = Fraction(1, len(perms))
-    acc: dict[Exp, Fraction] = {}
-    for w in perms:
-        for m, c in straighten_word(w).items():
-            acc[m] = acc.get(m, Fraction(0)) + share * c
-    res = {m: c for m, c in acc.items() if c}
+    orderings = factorial(sum(exp))
+    for e in exp:
+        orderings //= factorial(e)
+    res = {m: Fraction(c, orderings) for m, c in _orderings_sum(exp).items()}
     _SYMMETRIZE[exp] = res
     return res
 

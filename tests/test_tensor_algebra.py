@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 from so41inv.lie_core import lie_gen
+from so41inv.linalg import RationalEchelon
 from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.sym_ext import SEElement, ad_action_se, se_gen
 from so41inv.tensor_algebra import (
+    CERTIFICATE_PRIME,
     CONVENTION_LABELS,
     NAMED_ORDER,
     RELATION_NAMES,
@@ -172,6 +174,60 @@ def test_st_products_and_rank(cat):
         per_degree[deg] = per_degree.get(deg, 0) + 1
     assert per_degree == {0: 1, 2: 4, 3: 4, 4: 13}
     assert uc_rank([v for _, v in pairs]) == len(pairs)
+
+
+def echelon_rank(vectors) -> int:
+    """Reference rank: every vector through the exact rational echelon."""
+    ech = RationalEchelon()
+    index = {}
+    for v in vectors:
+        ech.insert({index.setdefault(k, len(index)): c for k, c in v.terms.items()})
+    return ech.rank
+
+
+@pytest.fixture
+def echelon_inserts(monkeypatch):
+    """Records every row inserted into a RationalEchelon during the test."""
+    rows = []
+    insert = RationalEchelon.insert
+
+    def recorded(self, vec):
+        rows.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(RationalEchelon, "insert", recorded)
+    return rows
+
+
+def test_uc_rank_certifies_an_independent_family_mod_p(cat, echelon_inserts):
+    family = [cat.elements[name] for name in ("D", "Dk", "b", "c", "h")]
+    want = echelon_rank(family)
+    echelon_inserts.clear()
+    assert uc_rank(family) == want == len(family)
+    assert not echelon_inserts  # the certificate decided; no exact echelon ran
+
+
+def test_uc_rank_of_the_empty_family_is_zero():
+    assert uc_rank([]) == 0
+
+
+# D has coefficients +-1, so this multiple of D, scaled by 3, has every
+# coefficient +-p: zero mod p but not over Q
+ZERO_MOD_P = Fraction(CERTIFICATE_PRIME, 3)
+
+
+@pytest.mark.parametrize("build, rank", [
+    (lambda D, Dk: [D, Dk, D], 2),
+    (lambda D, Dk: [Dk, Fraction(-5, 3) * Dk, D], 2),
+    (lambda D, Dk: [ZERO_MOD_P * D], 1),
+    (lambda D, Dk: [ZERO_MOD_P * D, Dk], 2),
+], ids=["duplicate", "rational multiple", "zero mod p alone", "zero mod p among others"])
+def test_uc_rank_falls_back_to_the_exact_echelon(cat, echelon_inserts, build, rank):
+    family = build(cat.elements["D"], cat.elements["Dk"])
+    assert echelon_rank(family) == rank
+    echelon_inserts.clear()
+    assert uc_rank(family) == rank
+    assert echelon_inserts  # mod p was not full rank, so the exact echelon decided
 
 
 def test_truncated_rank16(cat):

@@ -8,6 +8,9 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+from hypothesis import given, settings, strategies as st
+
+from so41inv import uea
 from so41inv.lie_core import bracket, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.uea import (
@@ -20,6 +23,7 @@ from so41inv.uea import (
     s_one,
     straighten_word,
     symmetrize,
+    symmetrize_monomial,
     u_gen,
     u_k_invariant,
     u_one,
@@ -97,6 +101,40 @@ def test_symmetrize_monomial_matches_permutation_average():
         want = Fraction(1, len(perms)) * acc
         got = symmetrize(SElement({word_to_exp(word): 1}))
         assert got == want
+
+
+@st.composite
+def words_with_repeats(draw, max_degree: int = 5):
+    """Sorted generator words of degree 1..max_degree over at most three
+    distinct letters, so most words repeat a letter."""
+    letters = draw(st.lists(st.sampled_from(list(Gen)), min_size=1, max_size=3, unique=True))
+    extra = draw(st.lists(st.sampled_from(letters), max_size=max_degree - len(letters)))
+    return tuple(sorted(letters + extra))
+
+
+@settings(max_examples=25, deadline=None)
+@given(words_with_repeats())
+def test_symmetrize_monomial_is_the_average_over_distinct_orderings(word):
+    orderings = set(permutations(word))
+    acc = UElement({})
+    for w in orderings:
+        prod = u_one()
+        for g in w:
+            prod = prod * u_gen(g)
+        acc = acc + prod
+    want = Fraction(1, len(orderings)) * acc
+    assert UElement(symmetrize_monomial(word_to_exp(word))) == want
+
+
+def test_straightening_and_orderings_memos_hold_only_ints():
+    # sigma divides once per output term; everything below it stays integral
+    exp = word_to_exp((Gen.H1, Gen.E3, Gen.F3, Gen.F3))
+    symmetrize_monomial(exp)
+    x = u_gen(Gen.F4) * u_gen(Gen.E3)
+    assert (x * x).terms
+    for memo in (uea._STRAIGHTEN, uea._PAIR_PRODUCT, uea._ORDERINGS_SUM):
+        assert memo
+        assert all(type(c) is int for terms in memo.values() for c in terms.values())
 
 
 def test_symmetrize_is_linear():
