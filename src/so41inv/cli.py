@@ -9,8 +9,7 @@ Subcommands:
 
 All reports are line-oriented plain text, one line per check, ending in
 PASS or FAIL; the process exits 0 exactly when every check passed. Nothing
-here is randomized by default - mod-p verification derives its primes from
---seed, which defaults to 0.
+here is randomized, and every kernel and rank verdict is exact over Q.
 """
 from __future__ import annotations
 
@@ -145,18 +144,14 @@ def suite_dims(rep: Reporter, args) -> None:
     if emit_dir:
         os.makedirs(emit_dir, exist_ok=True)
     for n in range(cap + 1):
-        want_basis = bool(emit_dir) and (args.method == "exact" or
-                                         (args.method == "auto" and n <= 5))
         try:
-            r = invariant_dimension(n, method=args.method, seed=args.seed,
-                                    want_basis=want_basis)
+            r = invariant_dimension(n, want_basis=bool(emit_dir))
         except EngineError as exc:
             rep.check(f"DIM degree={n} error={exc}", False)
             continue
-        extra = f" primes={','.join(str(p) for p in r.primes)}" if r.primes else ""
         rep.check(f"DIM degree={n} dim={r.dimension} expected={r.expected} "
-                  f"method={r.method}{extra}", r.ok)
-        if want_basis and r.basis is not None:
+                  "method=exact", r.ok)
+        if r.basis is not None:
             for i, vec in enumerate(r.basis):
                 path = os.path.join(emit_dir, f"deg{n}_vec{i}.element")
                 dump_element(vec, path)
@@ -214,16 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Clifford sign convention (default: adjudicated)")
         p.add_argument("--ambient", choices=("uc", "se"), default="uc",
                        help="ambient algebra for expressions and names")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for mod-p prime selection and sampling")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=tuple(SUITES) + ("all",))
     common(pv)
     pv.add_argument("--max-degree", type=int, default=None,
                     help="degree cap for dims/independence/rank16")
-    pv.add_argument("--method", choices=("exact", "modp", "auto"),
-                    default="auto", help="kernel arithmetic for dims")
+    pv.add_argument("--method", choices=("exact", "auto"), default="auto",
+                    help="kernel arithmetic for dims; both values run the "
+                         "one exact kernel over Q")
     pv.add_argument("--emit-basis", metavar="DIR", default=None,
                     help="write exact kernel bases as element files here")
 

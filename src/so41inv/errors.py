@@ -42,7 +42,10 @@ class InvarianceError(EngineError):
 
 
 class PrimeDisagreement(EngineError):
-    """Modular ranks computed over independently chosen primes disagree."""
+    """Modular ranks computed over independently chosen primes disagree.
+
+    Kept as a public name; no computation in the package raises it, since
+    every dimension and rank verdict is exact over Q."""
 
 
 class ParseError(EngineError):

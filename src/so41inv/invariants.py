@@ -1,11 +1,9 @@
 """Graded dimensions of the K-invariants in S(g) tensor Lambda(p).
 
-The adjoint action of k preserves the grading, so the invariants can be
-computed one degree at a time as the joint kernel of the six generator
-actions. Everything here stays exact: degrees <= 5 run over Q directly,
-degrees 6 and 7 use rank computations modulo several random 30-bit primes
-(a modular rank can only drop, never grow, so agreement across independent
-primes pins the rational answer with overwhelming margin).
+The adjoint action of k preserves the grading and the Cartan weights, so
+the invariants of degree n are the weight-(0,0) vectors killed by ad E1 and
+ad E2: one exact sparse kernel over Q per degree, with no modular or
+floating-point arithmetic anywhere.
 
 The expected values come from an independent counting oracle: the invariant
 algebra is a free module over the polynomial invariants of k with a known
@@ -14,17 +12,14 @@ a short convolution.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
-from .errors import DomainError, InvarianceError, PrimeDisagreement
+from .errors import DomainError, InvarianceError
 from .lie_core import lie_gen
-from .linalg import RationalEchelon, sparse_kernel
-from .matrix_oracle import K_GENS
+from .linalg import sparse_kernel, sparse_rank
+from .matrix_oracle import Gen, K_GENS
 from .sym_ext import SEElement, ad_action_se, ad_on_key, key_weight
 
 SEKey = tuple[tuple[int, ...], int]
@@ -81,94 +76,24 @@ def zero_weight_keys(n: int) -> list[SEKey]:
     return [key for key in graded_keys(n) if key_weight(key) == (0, 0)]
 
 
+# k is sl2 + sl2 through the commuting triples (E1, F1, H1+H2) and
+# (E2, F2, H1-H2). In a finite-dimensional sl2-module a weight-0 vector
+# killed by e spans a trivial submodule, so a weight-(0,0) vector killed by
+# ad E1 and ad E2 is killed by all six generators. On the zero-weight block
+# the raising rows therefore have the same kernel as the six-generator rows,
+# hence the same row space and the same reduced echelon form, which is what
+# makes the emitted kernel bases identical to the six-generator ones.
 def _operator_rows(cols: list[SEKey]) -> list[dict[int, Fraction]]:
-    """Stacked matrices of the six k-generator actions on the span of cols.
-    Rows are indexed by (generator, target monomial), columns by position in
-    cols; the joint kernel of the stack is the invariant subspace."""
+    """Stacked matrices of ad E1 and ad E2 on the span of cols. Rows are
+    indexed by (generator, target monomial), columns by position in cols;
+    on the zero-weight block the joint kernel is the invariant subspace."""
     rows: dict[tuple[int, SEKey], dict[int, Fraction]] = {}
-    for z in K_GENS:
+    for z in (Gen.E1, Gen.E2):
         zi = int(z)
         for j, key in enumerate(cols):
             for tkey, c in ad_on_key(z, key).items():
                 rows.setdefault((zi, tkey), {})[j] = c
     return [rows[k] for k in sorted(rows)]
-
-
-# -- modular rank ----------------------------------------------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for word-sized n."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime(rng: random.Random, bits: int = 30) -> int:
-    while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_prime(cand):
-            return cand
-
-
-def rank_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> int:
-    """Row echelon rank of a sparse integer matrix modulo p, densified into
-    int64 (entries stay below p^2 < 2^60 throughout)."""
-    if not rows or ncols == 0:
-        return 0
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            a[i, j] = v % p
-    m = a.shape[0]
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv], c:] = a[[piv, r], c:]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
-        r += 1
-    return r
-
-
-def _integer_rows(rows: list[dict[int, Fraction]]) -> list[dict[int, int]]:
-    out = []
-    for row in rows:
-        ints = {}
-        for j, c in row.items():
-            if c.denominator != 1:
-                raise ValueError("operator matrix entry is not integral")
-            ints[j] = c.numerator
-        out.append(ints)
-    return out
 
 
 # -- per-degree reports ------------------------------------------------------------
@@ -178,8 +103,6 @@ class DegreeReport:
     degree: int
     dimension: int
     expected: int
-    method: str
-    primes: tuple[int, ...]
     ambient_dim: int
     block_dim: int
     basis: list[SEElement] | None = None
@@ -191,73 +114,36 @@ class DegreeReport:
 
 def invariant_dimension(
     n: int,
-    method: str = "auto",
-    seed: int = 0,
-    num_primes: int = 3,
     want_basis: bool = False,
     allow_large: bool = False,
 ) -> DegreeReport:
-    """Dimension of the degree-n K-invariants of S(g) tensor Lambda(p).
-
-    method 'exact' runs over Q, 'modp' over num_primes random 30-bit primes
-    (which must agree), 'auto' picks exact through degree 5 and modp above.
-    """
+    """Dimension of the degree-n K-invariants of S(g) tensor Lambda(p): the
+    exact kernel over Q of the raising rows on the zero-weight block. With
+    want_basis the kernel basis comes back too, each vector certified
+    against all six k-generators."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if n > 7 and not allow_large:
         raise DomainError(
             f"degree {n} kernel is large; pass allow_large=True to force it")
-    if method not in ("auto", "exact", "modp"):
-        raise ValueError(f"unknown method: {method}")
-    if method == "auto":
-        method = "exact" if n <= 5 else "modp"
-    if want_basis and method != "exact":
-        raise ValueError("want_basis requires the exact method")
 
     ambient = sum(comb(4, k) * comb(n - k + 9, 9) for k in range(min(4, n) + 1))
     cols = zero_weight_keys(n)
     rows = _operator_rows(cols)
-    expected = predicted_dimension(n)
-
-    if method == "exact":
-        if want_basis:
-            kernel = sparse_kernel(rows, len(cols))
-            basis = []
-            for vec in kernel:
-                el = SEElement({cols[j]: c for j, c in vec.items()})
-                for z in K_GENS:
-                    if not ad_action_se(lie_gen(z), el).is_zero():
-                        raise InvarianceError(f"degree-{n} kernel vector", z.name,
-                                              "kernel vector fails certification")
-                basis.append(el)
-            dim = len(basis)
-        else:
-            ech = RationalEchelon()
-            for row in rows:
-                ech.insert(row)
-            dim = len(cols) - ech.rank
-            basis = None
-        return DegreeReport(n, dim, expected, "exact", (), ambient, len(cols), basis)
-
-    int_rows = _integer_rows(rows)
-    rng = random.Random(seed)
-    primes = []
-    while len(primes) < num_primes:
-        p = random_prime(rng)
-        if p not in primes:
-            primes.append(p)
-    dims = [len(cols) - rank_mod_p(int_rows, len(cols), p) for p in primes]
-    if len(set(dims)) != 1:
-        raise PrimeDisagreement(
-            f"degree {n}: kernel dimensions {dims} disagree across primes {primes}")
-    return DegreeReport(n, dims[0], expected, "modp", tuple(primes), ambient,
-                        len(cols), None)
-
-
-def dimension_table(max_degree: int, seed: int = 0,
-                    method: str = "auto") -> list[DegreeReport]:
-    return [invariant_dimension(n, method=method, seed=seed)
-            for n in range(max_degree + 1)]
+    basis = None
+    if want_basis:
+        basis = []
+        for vec in sparse_kernel(rows, len(cols)):
+            el = SEElement({cols[j]: c for j, c in vec.items()})
+            for z in K_GENS:
+                if not ad_action_se(lie_gen(z), el).is_zero():
+                    raise InvarianceError(f"degree-{n} kernel vector", z.name,
+                                          "kernel vector fails certification")
+            basis.append(el)
+        dim = len(basis)
+    else:
+        dim = len(cols) - sparse_rank(rows)
+    return DegreeReport(n, dim, predicted_dimension(n), ambient, len(cols), basis)
 
 
 # -- independence of the spanning products ---------------------------------------

@@ -2,8 +2,7 @@
 
 One test per advertised guarantee of the package, each printing a single
 summary line even under pytest's output capture. Everything here is an exact
-check over Q (or over several independent primes where noted); there are no
-tolerances anywhere.
+check over Q; there are no tolerances anywhere.
 """
 import itertools
 import random
@@ -177,22 +176,15 @@ def test_criterion_5_generator_chain(capsys, cat):
     assert ok, [(s.name, s.residual_terms) for s in steps]
 
 
-def test_criterion_6_invariant_dimensions(capsys):
+def test_criterion_6_invariant_dimensions(capsys, character_counts):
     expected = [1, 0, 4, 4, 13, 16, 32, 40]
-    got = []
-    prime_sets = []
-    for n in range(8):
-        method = "exact" if n <= 5 else "modp"
-        rep = invariant_dimension(n, method=method, num_primes=3)
-        got.append(rep.dimension)
-        if method == "modp":
-            prime_sets.append(rep.primes)
-    ok = got == expected and all(len(set(ps)) == 3 for ps in prime_sets)
+    got = [invariant_dimension(n).dimension for n in range(8)]
+    ok = got == expected == character_counts[:8]
     report(capsys, 6,
-           f"invariant dimensions {got} (exact through 5, 3-prime for 6 and 7)", ok)
+           f"invariant dimensions {got} (exact kernels, equal to the Weyl "
+           "character count)", ok)
     assert got == expected
-    for ps in prime_sets:
-        assert len(set(ps)) == 3, ps
+    assert got == character_counts[:8]
 
 
 def test_criterion_7_basis_independence(capsys):

@@ -1,4 +1,7 @@
 """Expression parser, evaluator, element files, and the command line driver."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -292,6 +295,15 @@ def test_cli_verify_dims_exact_small(capsys):
     assert code == 0
     assert "DIM degree=3" in out
     assert "VERIFY dims" in out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is a test-only dependency: the package runs without it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, so41inv.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
 
 
 def test_cli_verify_dims_emit_basis(capsys, tmp_path):

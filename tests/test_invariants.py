@@ -1,22 +1,25 @@
-"""Invariant dimension counts: closed-form prediction, exact kernels,
-multi-prime modular confirmation, and the freeness cross-check."""
+"""Invariant dimension counts: closed-form prediction, exact kernels from
+the raising rows, the Weyl character count as an independent oracle, and
+the freeness cross-check."""
 import random
 from fractions import Fraction
 
 import pytest
 
+from so41inv import cli
 from so41inv.errors import DomainError
 from so41inv.invariants import (
-    dimension_table,
+    _operator_rows,
     independence_check,
     invariant_dimension,
     predicted_dimension,
-    random_prime,
-    rank_mod_p,
     t_count,
+    zero_weight_keys,
 )
-from so41inv.linalg import sparse_rank
-from so41inv.sym_ext import ad_action_se
+from so41inv.linalg import sparse_kernel, sparse_rank, sparse_rank_mod_p
+from so41inv.matrix_oracle import K_GENS
+from so41inv.sym_ext import SEElement, ad_action_se, ad_on_key
+from so41inv.tensor_algebra import CERTIFICATE_PRIME
 
 
 def test_t_count_values():
@@ -28,17 +31,22 @@ def test_predicted_dimensions():
     assert [predicted_dimension(n) for n in range(8)] == [1, 0, 4, 4, 13, 16, 32, 40]
 
 
+def test_character_count_matches_prediction(character_counts):
+    assert character_counts[:8] == [1, 0, 4, 4, 13, 16, 32, 40]
+    assert character_counts == [predicted_dimension(n) for n in range(21)]
+    assert character_counts[20] == 781
+
+
 @pytest.mark.parametrize("n", range(6))
-def test_exact_dimension_matches_prediction(n):
-    rep = invariant_dimension(n, method="exact")
-    assert rep.method == "exact"
-    assert rep.dimension == predicted_dimension(n)
+def test_exact_dimension_matches_prediction(n, character_counts):
+    rep = invariant_dimension(n)
+    assert rep.dimension == predicted_dimension(n) == character_counts[n]
     assert rep.ok
 
 
 def test_exact_block_sizes():
     # weight-zero block is what the kernel runs on; sizes are part of the contract
-    reps = [invariant_dimension(n, method="exact") for n in range(6)]
+    reps = [invariant_dimension(n) for n in range(6)]
     assert [r.block_dim for r in reps] == [1, 2, 13, 40, 118, 292]
     assert [r.ambient_dim for r in reps] == [1, 14, 101, 504, 1966, 6412]
 
@@ -46,44 +54,46 @@ def test_exact_block_sizes():
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_modp_agrees_with_exact(n, seed):
-    exact = invariant_dimension(n, method="exact")
-    modp = invariant_dimension(n, method="modp", seed=seed)
-    assert modp.method == "modp"
-    assert len(modp.primes) == 3
-    assert modp.dimension == exact.dimension
+    # the modular rank that certifies uc_rank, on the integral raising rows
+    # in a seeded order: rank deficient, so the certificate must not claim
+    # full rank, and it agrees with the exact rank over Q
+    cols = zero_weight_keys(n)
+    rows = _operator_rows(cols)
+    random.Random(seed).shuffle(rows)
+    assert all(c.denominator == 1 for row in rows for c in row.values())
+    int_rows = [{j: int(c) for j, c in row.items()} for row in rows]
+    exact = sparse_rank(rows)
+    assert exact < len(rows)
+    assert sparse_rank_mod_p(int_rows, CERTIFICATE_PRIME) == exact
+    assert len(cols) - exact == predicted_dimension(n)
 
 
-def test_degree_six_and_seven():
+def test_degree_six_and_seven(character_counts):
     six = invariant_dimension(6)
     seven = invariant_dimension(7)
-    assert six.method == "modp" and seven.method == "modp"
-    assert six.dimension == 32
-    assert seven.dimension == 40
+    assert six.dimension == 32 == character_counts[6]
+    assert seven.dimension == 40 == character_counts[7]
     assert six.ok and seven.ok
 
 
-def test_dimension_table():
-    table = dimension_table(5)
-    assert [r.dimension for r in table] == [1, 0, 4, 4, 13, 16]
-    assert all(r.expected == r.dimension for r in table)
+@pytest.mark.parametrize("n", range(7))
+def test_raising_kernel_equals_six_generator_kernel(n):
+    # the reference path: all six k-generators on the zero-weight block give
+    # the same kernel vectors as the E1/E2 rows, term for term
+    cols = zero_weight_keys(n)
+    rows: dict = {}
+    for z in K_GENS:
+        for j, key in enumerate(cols):
+            for tkey, c in ad_on_key(z, key).items():
+                rows.setdefault((int(z), tkey), {})[j] = c
+    reference = [SEElement({cols[j]: c for j, c in vec.items()})
+                 for vec in sparse_kernel([rows[k] for k in sorted(rows)], len(cols))]
+    assert invariant_dimension(n, want_basis=True).basis == reference
 
 
 def test_large_degree_requires_opt_in():
     with pytest.raises(DomainError):
         invariant_dimension(8)
-
-
-def test_random_prime_is_prime_and_in_range():
-    rng = random.Random(123)
-    seen = set()
-    for _ in range(20):
-        p = random_prime(rng)
-        assert 2 ** 29 < p < 2 ** 30
-        assert p % 2 == 1
-        for q in (3, 5, 7, 11, 13, 17, 19, 23):
-            assert p == q or p % q != 0
-        seen.add(p)
-    assert len(seen) > 15  # not stuck on one value
 
 
 def test_rank_mod_p_matches_exact_rank_on_random_matrices():
@@ -100,16 +110,15 @@ def test_rank_mod_p_matches_exact_rank_on_random_matrices():
             rows.append({k: 3 * v for k, v in rows[0].items()})
         exact = sparse_rank(rows)
         int_rows = [{j: int(v) for j, v in r.items()} for r in rows]
-        for p in (813847339, 999999937):
-            assert rank_mod_p(int_rows, cols, p) == exact, trial
+        for p in (813847339, 999999937, CERTIFICATE_PRIME):
+            assert sparse_rank_mod_p(int_rows, p) == exact, trial
 
 
 def test_want_basis_returns_certified_invariants():
     from so41inv.lie_core import lie_gen
-    from so41inv.matrix_oracle import K_GENS
     from so41inv.sym_ext import key_weight
 
-    rep = invariant_dimension(4, method="exact", want_basis=True)
+    rep = invariant_dimension(4, want_basis=True)
     assert rep.basis is not None
     assert len(rep.basis) == 13
     for vec in rep.basis:
@@ -119,14 +128,12 @@ def test_want_basis_returns_certified_invariants():
             assert ad_action_se(lie_gen(z), vec).is_zero()
 
 
-def test_want_basis_requires_exact_method():
-    with pytest.raises(ValueError):
-        invariant_dimension(3, method="modp", want_basis=True)
-
-
 def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        invariant_dimension(2, method="float")
+    # --method takes only values that name the one exact kernel; no --seed
+    for argv in (["--method", "modp"], ["--method", "float"], ["--seed", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["verify", "dims", *argv])
+        assert exc.value.code == 2, argv
 
 
 def test_independence_up_to_degree_six(st):
