@@ -13,12 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
-from .elements import LinearElement, fmt_mask, join_terms, mask_bits, mask_sort_key
+from .elements import (
+    LinearElement,
+    fmt_mask,
+    from_int_terms,
+    integer_view,
+    join_terms,
+    mask_bits,
+    mask_sort_key,
+)
 from .errors import DomainError, SolveError
-from .lie_core import LieElement, bracket, lie_gen, require_in_k
+from .lie_core import LieElement, bracket, bracket_gens, lie_gen, require_in_k
 from .linalg import solve_exact, sparse_rank
-from .matrix_oracle import Gen, P_GENS, trace_form_gens
+from .matrix_oracle import Gen, K_GENS, P_GENS, trace_form_gens
 
 P_INDEX = {g: i for i, g in enumerate(P_GENS)}
 TOP_MASK = 0b1111
@@ -126,8 +135,6 @@ def ext_top() -> ExtElement:
 
 def ext_ad_on_mask(zg: Gen, mask: int) -> dict[int, Fraction]:
     """Derivation action of a k-generator on a single exterior monomial."""
-    from .lie_core import bracket_gens
-
     out: dict[int, Fraction] = {}
     for b in mask_bits(mask):
         for g, c in bracket_gens(zg, P_GENS[b]):
@@ -213,10 +220,16 @@ class CliffordAlgebra:
             raise ValueError("gram matrix is degenerate")
         self.pform = pform
         self._insert_cache: dict[tuple[int, int], dict[int, Fraction]] = {}
-        self.table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for ma in range(16):
-            for mb in range(16):
-                self.table[(ma, mb)] = self._monomial_product(ma, mb)
+        # monomial products and the k-action on monomials, each as int terms
+        # over one denominator: table[(ma, mb)][m] / table_den is the
+        # coefficient of m in ma * mb, and k_table[(zg, mask)][m] / k_den that
+        # of m in ad(zg) mask
+        self.table, self.table_den = _common_denominator(
+            {(ma, mb): self._monomial_product(ma, mb)
+             for ma in range(16) for mb in range(16)})
+        self.k_table, self.k_den = _common_denominator(
+            {(zg, mask): self._k_action_monomial(zg, mask)
+             for zg in K_GENS for mask in range(16)})
         self._tau_table = {mask: self._tau_monomial(mask) for mask in range(16)}
         self._alpha_cache: dict[Gen, CElement] = {}
 
@@ -287,17 +300,16 @@ class CliffordAlgebra:
         return acc
 
     def multiply(self, x: CElement, y: CElement) -> CElement:
-        out: dict[int, Fraction] = {}
-        for ma, ca in x.terms.items():
-            for mb, cb in y.terms.items():
+        xi, xd = integer_view(x.terms)
+        yi, yd = integer_view(y.terms)
+        table = self.table
+        out: dict[int, int] = {}
+        for ma, ca in xi.items():
+            for mb, cb in yi.items():
                 f = ca * cb
-                for m, c in self.table[(ma, mb)].items():
-                    nc = out.get(m, Fraction(0)) + f * c
-                    if nc:
-                        out[m] = nc
-                    else:
-                        out.pop(m, None)
-        return CElement(out, self)
+                for m, c in table[(ma, mb)].items():
+                    out[m] = out.get(m, 0) + f * c
+        return from_int_terms(self.zero(), out, xd * yd * self.table_den)
 
     def commutator(self, x: CElement, y: CElement) -> CElement:
         return self.multiply(x, y) - self.multiply(y, x)
@@ -351,23 +363,30 @@ class CliffordAlgebra:
 
     # -- k-action and alpha ----------------------------------------------------
 
+    def _k_action_monomial(self, zg: Gen, mask: int) -> dict[int, Fraction]:
+        """ad(zg) of one monomial: the derivation puts [zg, v_b] in the place
+        of each factor v_b in turn."""
+        bits = mask_bits(mask)
+        out: dict[int, Fraction] = {}
+        for pos, b in enumerate(bits):
+            for g, c in bracket_gens(zg, P_GENS[b]):
+                word = bits[:pos] + (P_INDEX[g],) + bits[pos + 1:]
+                for m, cc in self.word_product(word).items():
+                    out[m] = out.get(m, 0) + c * cc
+        return {m: c for m, c in out.items() if c}
+
     def k_action(self, z: LieElement, x: CElement) -> CElement:
         """Derivation action of z in k on C(p)."""
         require_in_k(z)
-        out = self.zero()
-        for mask, c in x.terms.items():
-            bits = mask_bits(mask)
-            for pos, b in enumerate(bits):
-                br = bracket(z, lie_gen(P_GENS[b]))
-                if br.is_zero():
-                    continue
-                left = self.element({_mask_of(bits[:pos]): c})
-                right = self.element({_mask_of(bits[pos + 1:]): 1})
-                mid = self.zero()
-                for g, cc in br.terms.items():
-                    mid = mid + self.gen(g).scale(cc)
-                out = out + left * mid * right
-        return out
+        zi, zd = integer_view(z.terms)
+        xi, xd = integer_view(x.terms)
+        out: dict[int, int] = {}
+        for zg, zc in zi.items():
+            for mask, xc in xi.items():
+                f = zc * xc
+                for m, c in self.k_table[(zg, mask)].items():
+                    out[m] = out.get(m, 0) + f * c
+        return from_int_terms(self.zero(), out, zd * xd * self.k_den)
 
     def alpha(self, z: LieElement) -> CElement:
         """The element of the Chevalley image of the two-forms with
@@ -438,8 +457,8 @@ def _perm_sign(word: tuple[int, ...]) -> int:
     return sgn
 
 
-def _mask_of(bits) -> int:
-    m = 0
-    for b in bits:
-        m |= 1 << b
-    return m
+def _common_denominator(table: dict) -> tuple[dict, int]:
+    """A table of Fraction term dicts as int term dicts over one denominator."""
+    d = lcm(*(c.denominator for terms in table.values() for c in terms.values()))
+    return {key: {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+            for key, terms in table.items()}, d

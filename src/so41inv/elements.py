@@ -8,10 +8,25 @@ frozen so that printing and re-parsing round-trips exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .matrix_oracle import Gen
 
 ZERO_EXP = (0,) * 10
+
+
+def integer_view(terms: dict) -> tuple[dict, int]:
+    """Scale rational terms to ints: (ints, d) with terms[k] == ints[k] / d,
+    where d is the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
+
+
+def from_int_terms(el, ints: dict, d: int):
+    """Fill the empty element `el` with ints[k] / d, making one Fraction per
+    nonzero term; the product kernels accumulate in ints and end here."""
+    el.terms = {k: Fraction(c, d) for k, c in ints.items() if c}
+    return el
 
 
 class LinearElement:

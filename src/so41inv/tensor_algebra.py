@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .clifford import CliffordAlgebra, PForm, popcount
 from .elements import (
@@ -20,6 +19,8 @@ from .elements import (
     ZERO_EXP,
     fmt_exp,
     fmt_mask,
+    from_int_terms,
+    integer_view,
     join_terms,
     pair_sort_key,
 )
@@ -31,7 +32,7 @@ from .sym_ext import SEElement, build_st_catalog, s_monomial_element, s_monomial
 from .uea import (
     SElement,
     UElement,
-    lie_to_u,
+    gen_commutator,
     pbw_pair_product,
     symmetrize,
     symmetrize_monomial,
@@ -137,35 +138,41 @@ class TensorAlgebra:
     # -- product and action ----------------------------------------------------
 
     def multiply(self, x: UCElement, y: UCElement) -> UCElement:
-        out: dict[UCKey, Fraction] = {}
+        xi, xd = integer_view(x.terms)
+        yi, yd = integer_view(y.terms)
         cl_table = self.cl.table
-        for (eu, mu), cu in x.terms.items():
-            for (ev, mv), cv in y.terms.items():
+        out: dict[UCKey, int] = {}
+        for (eu, mu), cu in xi.items():
+            for (ev, mv), cv in yi.items():
                 f = cu * cv
-                uprod = pbw_pair_product(eu, ev)
                 cprod = cl_table[(mu, mv)]
-                for ee, a in uprod.items():
+                for ee, a in pbw_pair_product(eu, ev).items():
                     fa = f * a
                     for mm, bc in cprod.items():
                         k = (ee, mm)
-                        nc = out.get(k, Fraction(0)) + fa * bc
-                        if nc:
-                            out[k] = nc
-                        else:
-                            out.pop(k, None)
-        return UCElement(out, self)
+                        out[k] = out.get(k, 0) + fa * bc
+        return from_int_terms(self.zero(), out, xd * yd * self.cl.table_den)
 
     def ad_action(self, z: LieElement, x: UCElement) -> UCElement:
-        """ad(z) x for z in k: commutator on the U-side plus the Clifford
-        derivation on the C-side."""
+        """ad(z) x for z in k: z acts as z tensor 1 + 1 tensor alpha(z), that
+        is by the commutator [z, -] on the U-side and by the Clifford
+        derivation on the C-side, read from the memoized tables of both."""
         require_in_k(z)
-        zu = self.from_u(lie_to_u(z))
-        out = dict((self.multiply(zu, x) - self.multiply(x, zu)).terms)
-        for (exp, mask), c in x.terms.items():
-            acted = self.cl.k_action(z, self.cl.element({mask: c}))
-            for m, cc in acted.terms.items():
-                out[(exp, m)] = out.get((exp, m), 0) + cc
-        return UCElement(out, self)
+        zi, zd = integer_view(z.terms)
+        xi, xd = integer_view(x.terms)
+        k_table, k_den = self.cl.k_table, self.cl.k_den
+        out: dict[UCKey, int] = {}
+        for zg, zc in zi.items():
+            for (exp, mask), xc in xi.items():
+                f = zc * xc
+                fu = f * k_den
+                for ee, a in gen_commutator(zg, exp).items():
+                    k = (ee, mask)
+                    out[k] = out.get(k, 0) + fu * a
+                for m, b in k_table[(zg, mask)].items():
+                    k = (exp, m)
+                    out[k] = out.get(k, 0) + f * b
+        return from_int_terms(self.zero(), out, zd * xd * k_den)
 
     def is_invariant(self, x: UCElement) -> bool:
         return all(self.ad_action(lie_gen(z), x).is_zero() for z in K_GENS)
@@ -214,10 +221,11 @@ class TensorAlgebra:
             (self.u_gen(Gen.H1) - self.u_gen(Gen.H2), self.alpha_uc(h1 - h2)),
             (self.u_gen(Gen.H1) + self.u_gen(Gen.H2), self.alpha_uc(h1 + h2)),
         ]
-        out = self.zero()
+        out: dict[UCKey, Fraction] = {}
         for u, a in pieces:
-            out = out + u * a
-        return out
+            for k, c in (u * a).terms.items():
+                out[k] = out.get(k, 0) + c
+        return UCElement(out, self)
 
 
 @dataclass
@@ -556,11 +564,7 @@ def uc_rank(vectors: list[UCElement]) -> int:
     key_index: dict[UCKey, int] = {}
     rows = [{key_index.setdefault(k, len(key_index)): c for k, c in v.terms.items()}
             for v in vectors]
-    integer_rows = []
-    for row in rows:
-        scale = lcm(*(c.denominator for c in row.values()))
-        integer_rows.append({j: c.numerator * (scale // c.denominator)
-                             for j, c in row.items()})
+    integer_rows = [integer_view(row)[0] for row in rows]
     if sparse_rank_mod_p(integer_rows, CERTIFICATE_PRIME) == len(rows):
         return len(rows)
     return sparse_rank(rows)

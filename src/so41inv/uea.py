@@ -89,6 +89,24 @@ def pbw_pair_product(x: Exp, y: Exp) -> dict[Exp, int]:
     return cached
 
 
+_COMMUTATOR: dict[tuple[int, Exp], dict] = {}
+
+
+def gen_commutator(g: int, exp: Exp) -> dict[Exp, int]:
+    """[u_g, x^exp] = u_g x^exp - x^exp u_g over PBW monomials, in int
+    coefficients (shared via the memo table; do not mutate)."""
+    key = (g, exp)
+    cached = _COMMUTATOR.get(key)
+    if cached is None:
+        gen = word_to_exp((g,))
+        acc = dict(pbw_pair_product(gen, exp))
+        for m, c in pbw_pair_product(exp, gen).items():
+            acc[m] = acc.get(m, 0) - c
+        cached = {m: c for m, c in acc.items() if c}
+        _COMMUTATOR[key] = cached
+    return cached
+
+
 class UElement(LinearElement):
     """Element of U(g) in PBW normal form: {exponent tuple: coefficient}."""
 

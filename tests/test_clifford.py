@@ -43,6 +43,12 @@ def test_generator_relations(algebra):
             assert va * vb + vb * va == want
 
 
+def test_product_and_k_action_tables_hold_only_ints(algebra):
+    assert type(algebra.table_den) is int and type(algebra.k_den) is int
+    for table in (algebra.table, algebra.k_table):
+        assert all(type(c) is int for terms in table.values() for c in terms.values())
+
+
 def test_associativity_all_monomial_triples(algebra):
     monos = [algebra.element({m: 1}) for m in range(16)]
     for x in monos:

@@ -1,14 +1,17 @@
 """U(g) tensor C(p): catalog invariance, the identity suite under every
-candidate Clifford normalization, the generator chain, and truncated
-freeness. The residual-count tables below were computed once with this
-engine and frozen; they double as a regression oracle for the whole
-adjudication pipeline."""
+candidate Clifford normalization, the generator chain, truncated freeness,
+and the integer product and k-action kernels against Fraction oracles. The
+residual-count tables below were computed once with this engine and frozen;
+they double as a regression oracle for the whole adjudication pipeline."""
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from so41inv.lie_core import lie_gen
+from so41inv.clifford import PForm
+from so41inv.lie_core import LieElement, lie_gen
 from so41inv.linalg import RationalEchelon
 from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.sym_ext import SEElement, ad_action_se, se_gen
@@ -27,6 +30,7 @@ from so41inv.tensor_algebra import (
     uc_rank,
     verify_relations,
 )
+from so41inv.uea import lie_to_u, pbw_pair_product, word_to_exp
 
 # frozen adjudication oracle: literal residual term counts per convention
 LITERAL_RESIDUALS = {
@@ -249,3 +253,99 @@ def test_incompatible_algebras_do_not_mix(cat):
     y = other.one()
     with pytest.raises(Exception):
         _ = x + y
+
+
+# -- the integer kernels against Fraction oracles, under every convention ---------
+
+# the four candidate conventions have integral Clifford tables; the extra
+# form gives table denominator 9 and k-action denominator 3, so the scaling
+# between the integer views is exercised too
+FORMS = {label: convention_pform(label) for label in CONVENTION_LABELS}
+FORMS["gram=trace*2/3 sign=-1"] = PForm.from_trace_form(sign=-1, scale=Fraction(2, 3))
+
+
+@cache
+def algebra_for(label: str) -> TensorAlgebra:
+    return TensorAlgebra(FORMS[label])
+
+
+def fraction_multiply(alg: TensorAlgebra, x, y):
+    """The product as a plain Fraction double loop, each Clifford monomial
+    product straightened on the spot: no integer view, no shared table."""
+    out = {}
+    for (eu, mu), cu in x.terms.items():
+        for (ev, mv), cv in y.terms.items():
+            f = cu * cv
+            cprod = alg.cl._monomial_product(mu, mv)
+            for ee, a in pbw_pair_product(eu, ev).items():
+                for mm, bc in cprod.items():
+                    k = (ee, mm)
+                    nc = out.get(k, Fraction(0)) + f * a * bc
+                    if nc:
+                        out[k] = nc
+                    else:
+                        out.pop(k, None)
+    return alg.element(out)
+
+
+coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+uc_keys = st.tuples(st.lists(st.sampled_from(list(Gen)), max_size=3).map(word_to_exp),
+                    st.integers(0, 15))
+uc_terms = st.dictionaries(uc_keys, coefficients, min_size=1, max_size=4)
+k_combinations = st.dictionaries(st.sampled_from(K_GENS), coefficients,
+                                 min_size=1, max_size=3).map(LieElement)
+labels = pytest.mark.parametrize("label", FORMS)
+
+
+@labels
+@settings(max_examples=20, deadline=None)
+@given(z=k_combinations, terms=uc_terms)
+def test_ad_action_is_the_commutator_with_z_plus_alpha_z(label, z, terms):
+    alg = algebra_for(label)
+    x = alg.element(terms)
+    z_hat = alg.from_u(lie_to_u(z)) + alg.alpha_uc(z)
+    want = fraction_multiply(alg, z_hat, x) - fraction_multiply(alg, x, z_hat)
+    assume(not want.is_zero())
+    assert alg.ad_action(z, x) == want
+
+
+@labels
+@settings(max_examples=20, deadline=None)
+@given(x=uc_terms, y=uc_terms)
+def test_multiply_matches_the_fraction_double_loop(label, x, y):
+    alg = algebra_for(label)
+    x, y = alg.element(x), alg.element(y)
+    assert alg.multiply(x, y) == fraction_multiply(alg, x, y)
+
+
+@labels
+@settings(max_examples=15, deadline=None)
+@given(x=uc_terms, y=uc_terms, z=uc_terms)
+def test_multiply_is_associative(label, x, y, z):
+    alg = algebra_for(label)
+    x, y, z = alg.element(x), alg.element(y), alg.element(z)
+    assert (x * y) * z == x * (y * z)
+
+
+def test_mutating_a_returned_product_leaves_later_calls_intact(cat):
+    # both kernels read shared memo tables; their results must be fresh dicts
+    alg = cat.algebra
+    e1 = lie_gen(Gen.E1)
+    x = alg.u_gen(Gen.F1) * alg.c_gen(Gen.E3)
+    y = alg.u_gen(Gen.E3) * alg.c_gen(Gen.F3)
+    calls = [
+        lambda: alg.ad_action(e1, x),
+        lambda: alg.ad_action(e1, cat.elements["D"] * x),
+        lambda: alg.multiply(x, y),
+        lambda: alg.multiply(alg.u_gen(Gen.F3), alg.u_gen(Gen.E3)),
+        lambda: alg.cl.k_action(e1, alg.cl.gen(Gen.F3)),
+        lambda: alg.cl.multiply(alg.cl.gen(Gen.E3), alg.cl.gen(Gen.F3)),
+    ]
+    for call in calls:
+        first = call()
+        want = dict(first.terms)
+        assert want
+        for k in list(first.terms):
+            first.terms[k] += 1
+        first.terms[(None, None)] = Fraction(7)
+        assert call().terms == want

@@ -132,7 +132,9 @@ def test_straightening_and_orderings_memos_hold_only_ints():
     symmetrize_monomial(exp)
     x = u_gen(Gen.F4) * u_gen(Gen.E3)
     assert (x * x).terms
-    for memo in (uea._STRAIGHTEN, uea._PAIR_PRODUCT, uea._ORDERINGS_SUM):
+    assert uea.gen_commutator(Gen.E1, exp)
+    for memo in (uea._STRAIGHTEN, uea._PAIR_PRODUCT, uea._ORDERINGS_SUM,
+                 uea._COMMUTATOR):
         assert memo
         assert all(type(c) is int for terms in memo.values() for c in terms.values())
 
