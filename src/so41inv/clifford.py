@@ -19,14 +19,13 @@ from .elements import (
     LinearElement,
     fmt_mask,
     from_int_terms,
-    integer_view,
     join_terms,
     mask_bits,
     mask_sort_key,
 )
 from .errors import DomainError, SolveError
 from .lie_core import LieElement, bracket, bracket_gens, lie_gen, require_in_k
-from .linalg import solve_exact, sparse_rank
+from .linalg import integer_view, solve_exact, sparse_rank
 from .matrix_oracle import Gen, K_GENS, P_GENS, trace_form_gens
 
 P_INDEX = {g: i for i, g in enumerate(P_GENS)}
@@ -133,9 +132,10 @@ def ext_top() -> ExtElement:
     return ExtElement({TOP_MASK: 1})
 
 
-def ext_ad_on_mask(zg: Gen, mask: int) -> dict[int, Fraction]:
-    """Derivation action of a k-generator on a single exterior monomial."""
-    out: dict[int, Fraction] = {}
+def ext_ad_on_mask(zg: Gen, mask: int) -> dict[int, int]:
+    """Derivation action of a k-generator on a single exterior monomial, with
+    int coefficients (the structure constants are integral)."""
+    out: dict[int, int] = {}
     for b in mask_bits(mask):
         for g, c in bracket_gens(zg, P_GENS[b]):
             if g not in P_INDEX:
@@ -148,15 +148,10 @@ def ext_ad_on_mask(zg: Gen, mask: int) -> dict[int, Fraction]:
             # the replaced factor sits where b sat: moving the new generator
             # into position costs the bits of `rest` below b
             below = popcount(rest & ((1 << b) - 1))
-            coeff = Fraction(c) * sgn * (-1) ** below
             # ext_merge built (new ^ rest) with new in front; (-1)^below puts
             # it back at b's slot
-            nc = out.get(m, Fraction(0)) + coeff
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    return out
+            out[m] = out.get(m, 0) + c * sgn * (-1) ** below
+    return {m: c for m, c in out.items() if c}
 
 
 def ext_k_action(z: LieElement, x: ExtElement) -> ExtElement:

@@ -8,18 +8,10 @@ frozen so that printing and re-parsing round-trips exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .matrix_oracle import Gen
 
 ZERO_EXP = (0,) * 10
-
-
-def integer_view(terms: dict) -> tuple[dict, int]:
-    """Scale rational terms to ints: (ints, d) with terms[k] == ints[k] / d,
-    where d is the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
 
 
 def from_int_terms(el, ints: dict, d: int):

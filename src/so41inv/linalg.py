@@ -1,13 +1,17 @@
 """Small exact linear algebra helpers over the rationals.
 
 Dense routines are for tiny systems (structure constant extraction, the
-Clifford alpha solve). The sparse echelon class backs everything that works
-with graded pieces of S(g) tensor Lambda(p), where vectors are dictionaries
-keyed by column index.
+Clifford alpha solve). The sparse echelon class backs every rank and kernel
+of the package (graded pieces of S(g) tensor Lambda(p), the exact fallback
+of the independence rank, k-module spans), where vectors are dictionaries
+keyed by column index. It is fraction-free: rows are scaled to Python ints
+once, eliminated by gcd-primitive integer combinations (in the spirit of
+Bareiss, Math. Comp. 1968), and only the kernel vectors become Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import SolveError
 
@@ -50,66 +54,75 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     return x
 
 
+def integer_view(terms: dict) -> tuple[dict, int]:
+    """Scale rational terms to ints: (ints, d) with terms[k] == ints[k] / d,
+    where d is the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
+
+
+def _eliminate(res: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """res with column col cleared by prow: res is scaled by the least factor
+    that makes the step exact, and may be updated in place."""
+    g = gcd(res[col], prow[col])
+    f, fp = prow[col] // g, res[col] // g
+    if f != 1:
+        res = {c: v * f for c, v in res.items()}
+    for c, v in prow.items():
+        nv = res.get(c, 0) - fp * v
+        if nv:
+            res[c] = nv
+        else:
+            del res[c]
+    return res
+
+
 class RationalEchelon:
-    """Incrementally maintained reduced row echelon basis of a sparse row
-    space. Rows are dicts {column: Fraction}."""
+    """Incrementally maintained row echelon basis of a sparse rational row
+    space, kept fraction-free.
+
+    An inserted row is scaled to ints by the lcm of its denominators and
+    reduced against the stored rows by integer combinations, eliminating its
+    leading column each time (gcd-primitive elimination, no division). What
+    is left, if anything, is stored as a primitive int row with a positive
+    leading entry, keyed by that leading column: rows[pivot col] -> {column:
+    int}, newest last. The rows are triangular and never back-reduced;
+    sparse_kernel back-substitutes once, to the reduced echelon form."""
 
     def __init__(self):
-        self.rows: dict[int, dict[int, Fraction]] = {}  # pivot col -> row
+        self.rows: dict[int, dict[int, int]] = {}  # pivot col -> row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Fully reduce vec against the stored basis; returns the residual
-        (a new dict, never aliasing vec)."""
-        res = dict(vec)
-        # repeatedly kill the smallest reducible coordinate
-        changed = True
-        while changed:
-            changed = False
-            for col in sorted(res):
-                row = self.rows.get(col)
-                if row is None:
-                    continue
-                f = res[col]
-                for c, v in row.items():
-                    nv = res.get(c, Fraction(0)) - f * v
-                    if nv:
-                        res[c] = nv
-                    else:
-                        res.pop(c, None)
-                changed = True
+    def _residual(self, vec: dict[int, Fraction]) -> dict[int, int]:
+        """Integer multiple of vec minus a combination of the stored rows,
+        whose leading column is not a pivot; empty iff vec is in the span."""
+        res = {c: v for c, v in integer_view(vec)[0].items() if v}
+        rows = self.rows
+        while res:
+            col = min(res)
+            prow = rows.get(col)
+            if prow is None:
                 break
+            res = _eliminate(res, prow, col)
         return res
 
     def insert(self, vec: dict[int, Fraction]) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        res = self.reduce(vec)
+        res = self._residual(vec)
         if not res:
             return False
         piv = min(res)
-        inv = 1 / res[piv]
-        row = {c: v * inv for c, v in res.items()}
-        # keep the basis fully reduced
-        for pcol, prow in self.rows.items():
-            f = prow.get(piv)
-            if f:
-                for c, v in row.items():
-                    nv = prow.get(c, Fraction(0)) - f * v
-                    if nv:
-                        prow[c] = nv
-                    else:
-                        prow.pop(c, None)
-        self.rows[piv] = row
+        g = gcd(*res.values())
+        if res[piv] < 0:
+            g = -g
+        self.rows[piv] = {c: v // g for c, v in res.items()}
         return True
 
     def contains(self, vec: dict[int, Fraction]) -> bool:
-        return not self.reduce(vec)
-
-    def basis_rows(self) -> list[dict[int, Fraction]]:
-        return [dict(self.rows[c]) for c in sorted(self.rows)]
+        return not self._residual(vec)
 
 
 def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
@@ -144,19 +157,27 @@ def sparse_rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
 
 def sparse_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
     """Exact kernel basis of the matrix whose rows are given (as sparse dicts
-    over columns 0..ncols-1). Returns one kernel vector per free column."""
+    over columns 0..ncols-1). Returns one kernel vector per free column: 1
+    there, minus the reduced echelon entries of that column at the pivots."""
     ech = RationalEchelon()
     for r in rows:
         ech.insert(r)
-    pivot_cols = set(ech.rows)
+    # back-substitute from the last pivot up: a reduced row has no entry at
+    # any other pivot, so clearing one such column never brings another back
+    reduced: dict[int, dict[int, int]] = {}
+    for pcol in sorted(ech.rows, reverse=True):
+        row = dict(ech.rows[pcol])
+        for c in [c for c in row if c != pcol and c in ech.rows]:
+            row = _eliminate(row, reduced[c], c)
+        reduced[pcol] = row
     kernel = []
     for free in range(ncols):
-        if free in pivot_cols:
+        if free in ech.rows:
             continue
         vec = {free: Fraction(1)}
         for pcol, prow in ech.rows.items():
-            c = prow.get(free)
+            c = reduced[pcol].get(free)
             if c:
-                vec[pcol] = -c
+                vec[pcol] = Fraction(-c, reduced[pcol][pcol])
         kernel.append(vec)
     return kernel

@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from .clifford import ext_ad_on_mask, ext_merge, popcount
@@ -17,15 +18,17 @@ from .elements import (
     ZERO_EXP,
     fmt_exp,
     fmt_mask,
+    from_int_terms,
     join_terms,
     pair_sort_key,
 )
 from .errors import DomainError, NotStableError
 from .lie_core import GEN_WEIGHTS, LieElement, bracket_gens, lie_gen, require_in_k
-from .linalg import RationalEchelon, sparse_kernel
+from .linalg import RationalEchelon, integer_view, sparse_kernel
 from .matrix_oracle import Gen, K_GENS, P_GENS
 
 SEKey = tuple  # (exp 10-tuple, mask int)
+_GENS = tuple(Gen)
 
 
 class SEElement(LinearElement):
@@ -108,46 +111,42 @@ def se_one() -> SEElement:
     return SEElement({(ZERO_EXP, 0): 1})
 
 
-def ad_on_key(zg: Gen, key: SEKey) -> dict[SEKey, Fraction]:
-    """Derivation action of a k-generator on one monomial key."""
+# ad of each k-generator on each exterior monomial
+_EXT_AD = {(z, mask): ext_ad_on_mask(z, mask) for z in K_GENS for mask in range(16)}
+
+
+def ad_on_key(zg: Gen, key: SEKey) -> dict[SEKey, int]:
+    """Derivation action of the k-generator zg on one monomial key, with int
+    coefficients (the structure constants are integral)."""
     exp, mask = key
-    out: dict[SEKey, Fraction] = {}
-    for slot in range(10):
-        e = exp[slot]
+    out: dict[SEKey, int] = {}
+    for slot, e in enumerate(exp):
         if not e:
             continue
-        for g, c in bracket_gens(zg, Gen(slot)):
+        for g, c in bracket_gens(zg, _GENS[slot]):
             m = list(exp)
             m[slot] -= 1
-            m[int(g)] += 1
+            m[g] += 1
             k = (tuple(m), mask)
-            nc = out.get(k, Fraction(0)) + e * c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-    for m, c in ext_ad_on_mask(zg, mask).items():
+            out[k] = out.get(k, 0) + e * c
+    for m, c in _EXT_AD[zg, mask].items():
         k = (exp, m)
-        nc = out.get(k, Fraction(0)) + c
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return out
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
+    """ad z on x: both scaled to ints, int ad_on_key images summed, one
+    Fraction made per output term."""
     require_in_k(z)
-    out: dict[SEKey, Fraction] = {}
-    for zg, zc in z.terms.items():
-        for key, c in x.terms.items():
+    zi, zd = integer_view(z.terms)
+    xi, xd = integer_view(x.terms)
+    out: dict[SEKey, int] = {}
+    for zg, zc in zi.items():
+        for key, c in xi.items():
             for k, cc in ad_on_key(zg, key).items():
-                nc = out.get(k, Fraction(0)) + zc * c * cc
-                if nc:
-                    out[k] = nc
-                else:
-                    out.pop(k, None)
-    return SEElement(out)
+                out[k] = out.get(k, 0) + zc * c * cc
+    return from_int_terms(SEElement(), out, zd * xd)
 
 
 def se_k_invariant(x: SEElement) -> bool:
@@ -392,11 +391,9 @@ class KModuleLabel:
         return f"V({self.a},{self.b})"
 
 
-def _vectorize(els: list[SEElement]) -> tuple[list[dict[int, Fraction]], list[SEKey]]:
-    keys = sorted({k for el in els for k in el.terms}, key=pair_sort_key)
-    index = {k: n for n, k in enumerate(keys)}
-    rows = [{index[k]: c for k, c in el.terms.items()} for el in els]
-    return rows, keys
+def _coords(key_index: dict[SEKey, int], el: SEElement) -> dict[int, Fraction]:
+    """Coordinates of el, numbering keys in the order key_index sees them."""
+    return {key_index.setdefault(k, len(key_index)): c for k, c in el.terms.items()}
 
 
 def decompose_k_module(space: list[SEElement]) -> Counter:
@@ -408,15 +405,7 @@ def decompose_k_module(space: list[SEElement]) -> Counter:
     """
     span = RationalEchelon()
     basis: list[SEElement] = []
-    key_index: dict[SEKey, int] = {}
-
-    def coords(el: SEElement) -> dict[int, Fraction]:
-        vec = {}
-        for k, c in el.terms.items():
-            if k not in key_index:
-                key_index[k] = len(key_index)
-            vec[key_index[k]] = c
-        return vec
+    coords = partial(_coords, {})
 
     for el in space:
         if el.is_zero():
@@ -516,15 +505,7 @@ def harmonic_decomposition_check(n: int) -> HarmonicReport:
         if not ad_action_se(lie_gen(z), hw).is_zero():
             return HarmonicReport(n, space_dim, -1, -1, False)
     span = RationalEchelon()
-    key_index: dict[SEKey, int] = {}
-
-    def coords(el: SEElement) -> dict[int, Fraction]:
-        vec = {}
-        for k, c in el.terms.items():
-            if k not in key_index:
-                key_index[k] = len(key_index)
-            vec[key_index[k]] = c
-        return vec
+    coords = partial(_coords, {})
 
     frontier = [hw]
     span.insert(coords(hw))

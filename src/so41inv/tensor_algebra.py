@@ -20,12 +20,11 @@ from .elements import (
     fmt_exp,
     fmt_mask,
     from_int_terms,
-    integer_view,
     join_terms,
     pair_sort_key,
 )
 from .errors import DomainError, InvarianceError
-from .linalg import sparse_rank, sparse_rank_mod_p
+from .linalg import integer_view, sparse_rank, sparse_rank_mod_p
 from .lie_core import LieElement, lie_gen, require_in_k
 from .matrix_oracle import Gen, K_GENS
 from .sym_ext import SEElement, build_st_catalog, s_monomial_element, s_monomials_up_to

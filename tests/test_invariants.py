@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import filtered_zero_weight_keys, rref_kernel
 from so41inv import cli
 from so41inv.errors import DomainError
 from so41inv.invariants import (
@@ -16,7 +17,7 @@ from so41inv.invariants import (
     t_count,
     zero_weight_keys,
 )
-from so41inv.linalg import sparse_kernel, sparse_rank, sparse_rank_mod_p
+from so41inv.linalg import sparse_rank, sparse_rank_mod_p
 from so41inv.matrix_oracle import K_GENS
 from so41inv.sym_ext import SEElement, ad_action_se, ad_on_key
 from so41inv.tensor_algebra import CERTIFICATE_PRIME
@@ -78,17 +79,30 @@ def test_degree_six_and_seven(character_counts):
 
 @pytest.mark.parametrize("n", range(7))
 def test_raising_kernel_equals_six_generator_kernel(n):
-    # the reference path: all six k-generators on the zero-weight block give
-    # the same kernel vectors as the E1/E2 rows, term for term
-    cols = zero_weight_keys(n)
+    # the reference path: all six k-generators on the zero-weight block, with
+    # the block found by filtering every key of degree n and the kernel read
+    # off the test-only Fraction RREF, gives the same kernel vectors as the
+    # E1/E2 rows, term for term
+    cols = filtered_zero_weight_keys(n)
     rows: dict = {}
     for z in K_GENS:
         for j, key in enumerate(cols):
             for tkey, c in ad_on_key(z, key).items():
                 rows.setdefault((int(z), tkey), {})[j] = c
     reference = [SEElement({cols[j]: c for j, c in vec.items()})
-                 for vec in sparse_kernel([rows[k] for k in sorted(rows)], len(cols))]
+                 for vec in rref_kernel([rows[k] for k in sorted(rows)], len(cols))]
     assert invariant_dimension(n, want_basis=True).basis == reference
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_zero_weight_keys_equal_the_filtered_keys(n):
+    assert zero_weight_keys(n) == filtered_zero_weight_keys(n)
+
+
+def test_degree_eight(character_counts):
+    # new evidence past the default cap: h(8) = 65 from the exact kernel
+    rep = invariant_dimension(8, allow_large=True)
+    assert rep.dimension == 65 == character_counts[8] == predicted_dimension(8)
 
 
 def test_large_degree_requires_opt_in():

@@ -1,0 +1,89 @@
+"""The fraction-free echelon against an independent Fraction RREF oracle, on
+random sparse rational rows with zero rows, duplicates and rational
+multiples planted among them."""
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import FractionEchelon, rref_kernel
+from so41inv.linalg import RationalEchelon, sparse_kernel, sparse_rank
+
+MAX_COLS = 8
+
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+)
+
+
+@st.composite
+def matrices(draw):
+    """(rows, ncols): sparse rows over columns 0..ncols-1, some of them zero,
+    repeated, or rational multiples of earlier rows, in a drawn order."""
+    ncols = draw(st.integers(1, MAX_COLS))
+    row = st.dictionaries(st.integers(0, ncols - 1), coefficients, max_size=ncols)
+    rows = [{c: v for c, v in r.items() if v} for r in draw(st.lists(row, max_size=8))]
+    for _ in range(draw(st.integers(0, 4))):
+        if not rows:
+            break
+        base = draw(st.sampled_from(rows))
+        factor = draw(st.sampled_from([1, -1, Fraction(2, 3), Fraction(-7, 9), 5]))
+        rows.append({c: v * factor for c, v in base.items()})
+    if draw(st.booleans()):
+        rows.append({})
+    return draw(st.permutations(rows)), ncols
+
+
+def probes(rows, ncols):
+    """Vectors to test membership with: sums of pairs of rows (in the span)
+    and unit vectors (mostly not)."""
+    out = [{c: 1} for c in range(ncols)]
+    for a, b in zip(rows, rows[1:]):
+        s = dict(a)
+        for c, v in b.items():
+            s[c] = s.get(c, 0) + 3 * v
+        out.append({c: v for c, v in s.items() if v})
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_echelon_agrees_with_the_fraction_rref(data):
+    rows, ncols = data
+    ech, oracle = RationalEchelon(), FractionEchelon()
+    for r in rows:
+        assert ech.insert(r) == oracle.insert(r)
+    assert ech.rank == oracle.rank == sparse_rank(rows)
+    assert set(ech.rows) == set(oracle.rows)
+    for vec in probes(rows, ncols):
+        assert ech.contains(vec) == oracle.contains(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_kernel_equals_the_fraction_rref_kernel(data):
+    rows, ncols = data
+    kernel = sparse_kernel(rows, ncols)
+    assert kernel == rref_kernel(rows, ncols)
+    for vec in kernel:
+        assert all(isinstance(c, Fraction) for c in vec.values())
+        for r in rows:
+            assert sum(v * vec.get(c, 0) for c, v in r.items()) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_stored_rows_are_primitive_int_rows_newest_last(data):
+    rows, _ = data
+    ech = RationalEchelon()
+    for r in rows:
+        before = set(ech.rows)
+        if ech.insert(r):
+            (added,) = set(ech.rows) - before
+            assert next(reversed(ech.rows)) == added
+    for piv, row in ech.rows.items():
+        assert all(type(v) is int for v in row.values())
+        assert piv == min(row) and row[piv] > 0
+        assert gcd(*row.values()) == 1

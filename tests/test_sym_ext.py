@@ -4,13 +4,16 @@ import pytest
 from collections import Counter
 from itertools import combinations_with_replacement
 
+from oracles import graded_keys
+from so41inv.clifford import ext_ad_on_mask
 from so41inv.errors import NotStableError
-from so41inv.lie_core import lie_gen
+from so41inv.lie_core import bracket_gens, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
 from so41inv.sym_ext import (
     KModuleLabel,
     SEElement,
     ad_action_se,
+    ad_on_key,
     decompose_k_module,
     harmonic_decomposition_check,
     key_degree,
@@ -129,3 +132,41 @@ def test_dirac_is_the_printed_sum(st):
                     (Gen.E4, Gen.F4), (Gen.F4, Gen.E4)):
         want = want + se_gen(g) * se_ext_gen(dual)
     assert st.named["D"] == want
+
+
+LOW_DEGREE_KEYS = [key for n in range(4) for key in graded_keys(n)]
+
+
+def test_ad_on_key_and_ext_ad_on_mask_return_ints():
+    for z in K_GENS:
+        for mask in range(16):
+            assert all(type(c) is int for c in ext_ad_on_mask(z, mask).values())
+        for key in LOW_DEGREE_KEYS:
+            assert all(type(c) is int and c for c in ad_on_key(z, key).values())
+
+
+def _ad(z, vec: dict) -> dict:
+    out = {}
+    for key, c in vec.items():
+        for k, cc in ad_on_key(z, key).items():
+            out[k] = out.get(k, 0) + c * cc
+    return {k: c for k, c in out.items() if c}
+
+
+def _combine(*parts) -> dict:
+    out = {}
+    for scale, vec in parts:
+        for k, c in vec.items():
+            out[k] = out.get(k, 0) + scale * c
+    return {k: c for k, c in out.items() if c}
+
+
+def test_ad_on_key_is_a_representation_of_k():
+    # ad_z1 ad_z2 - ad_z2 ad_z1 = ad_[z1,z2] on every key of degree <= 3
+    for z1 in K_GENS:
+        for z2 in K_GENS:
+            for key in LOW_DEGREE_KEYS:
+                unit = {key: 1}
+                lhs = _combine((1, _ad(z1, _ad(z2, unit))), (-1, _ad(z2, _ad(z1, unit))))
+                rhs = _combine(*((c, _ad(g, unit)) for g, c in bracket_gens(z1, z2)))
+                assert lhs == rhs, (z1.name, z2.name, key)
