@@ -40,13 +40,13 @@ from .tensor_algebra import (
     adjudicate_convention,
     catalog_for_sign,
     generator_chain_check,
-    truncated_rank16_check,
     verify_relations,
 )
 from .invariants import (
     independence_check,
     invariant_dimension,
     predicted_dimension,
+    truncated_rank16_check,
 )
 from .parser import parse
 from .evaluator import evaluate

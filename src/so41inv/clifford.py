@@ -128,10 +128,6 @@ def ext_wedge(*gens: Gen) -> ExtElement:
     return out
 
 
-def ext_top() -> ExtElement:
-    return ExtElement({TOP_MASK: 1})
-
-
 def ext_ad_on_mask(zg: Gen, mask: int) -> dict[int, int]:
     """Derivation action of a k-generator on a single exterior monomial, with
     int coefficients (the structure constants are integral)."""

@@ -3,7 +3,7 @@
 Dense routines are for tiny systems (structure constant extraction, the
 Clifford alpha solve). The sparse echelon class backs every rank and kernel
 of the package (graded pieces of S(g) tensor Lambda(p), the exact fallback
-of the independence rank, k-module spans), where vectors are dictionaries
+of certified_rank, k-module spans), where vectors are dictionaries
 keyed by column index. It is fraction-free: rows are scaled to Python ints
 once, eliminated by gcd-primitive integer combinations (in the spirit of
 Bareiss, Math. Comp. 1968), and only the kernel vectors become Fractions.
@@ -153,6 +153,24 @@ def sparse_rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
                 else:
                     res.pop(c, None)
     return len(pivots)
+
+
+# The prime of the full-rank certificate in certified_rank.
+CERTIFICATE_PRIME = (1 << 61) - 1
+
+
+def certified_rank(rows: list[dict]) -> int:
+    """Rank over Q of sparse rational rows, over any ordered column keys.
+
+    Each row is scaled to ints by the lcm of its denominators, which keeps
+    the rank. If the rank modulo CERTIFICATE_PRIME equals the number of rows,
+    a maximal minor is nonzero mod p, hence nonzero over Q, and the rows are
+    independent. Any other case is ranked exactly by the rational echelon,
+    so a rank below full never comes from modular arithmetic."""
+    integer_rows = [integer_view(row)[0] for row in rows]
+    if sparse_rank_mod_p(integer_rows, CERTIFICATE_PRIME) == len(rows):
+        return len(rows)
+    return sparse_rank(rows)
 
 
 def sparse_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:

@@ -111,10 +111,6 @@ def _build(entries: list[tuple[int, int, GaussRational]], scale: GaussRational =
     return _freeze(m)
 
 
-def mat_add(a: Matrix5, b: Matrix5) -> Matrix5:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a: Matrix5, b: Matrix5) -> Matrix5:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

@@ -24,18 +24,11 @@ from .elements import (
     pair_sort_key,
 )
 from .errors import DomainError, InvarianceError
-from .linalg import integer_view, sparse_rank, sparse_rank_mod_p
+from .linalg import integer_view
 from .lie_core import LieElement, lie_gen, require_in_k
 from .matrix_oracle import Gen, K_GENS
-from .sym_ext import SEElement, build_st_catalog, s_monomial_element, s_monomials_up_to
-from .uea import (
-    SElement,
-    UElement,
-    gen_commutator,
-    pbw_pair_product,
-    symmetrize,
-    symmetrize_monomial,
-)
+from .sym_ext import SEElement, build_st_catalog
+from .uea import UElement, gen_commutator, pbw_pair_product, symmetrize_monomial
 
 UCKey = tuple  # (exp 10-tuple, mask int)
 
@@ -401,11 +394,6 @@ class ConventionReport:
     checks: list[RelationCheck]
 
     @property
-    def literal_pass(self) -> bool:
-        lit = [c for c in self.checks if c.variant == "literal"]
-        return self.built and bool(lit) and all(c.ok for c in lit)
-
-    @property
     def effective_pass(self) -> bool:
         """Passes with the regrouped forms standing in for h and c."""
         eff = effective_checks(self.checks)
@@ -514,66 +502,3 @@ def generator_chain_check(cat: Catalog) -> list[ChainStep]:
         diff = derived[name] - el[name]
         steps.append(ChainStep(name=name, residual_terms=len(diff), ok=diff.is_zero()))
     return steps
-
-
-@dataclass
-class Rank16Report:
-    vector_count: int
-    rank: int
-    expected: int
-    ok: bool
-
-
-def st_product_vectors(cat: Catalog, cap: int = 6) -> list[tuple[int, UCElement]]:
-    """All products sigma(s) . rho(t), s over monomials in the four polynomial
-    invariants and t over the sixteen module generators, with total degree
-    deg s + deg t <= cap. Returns (degree, element) pairs."""
-    st = build_st_catalog()
-    alg = cat.algebra
-    rho_t: dict[str, UCElement] = {
-        name: alg.rho(st.t_elements[name]) for name in st.t_elements
-    }
-    out: list[tuple[int, UCElement]] = []
-    for q in s_monomials_up_to(cap):
-        s_deg = 2 * (q[0] + q[1] + q[2]) + 4 * q[3]
-        s_el = s_monomial_element(st, q)
-        # s is a pure S(g) element; symmetrize and lift
-        s_u = symmetrize(SElement({exp: c for (exp, mask), c in s_el.terms.items()}))
-        s_uc = alg.from_u(s_u)
-        for name, t_el in rho_t.items():
-            total = s_deg + st.t_degrees[name]
-            if total > cap:
-                continue
-            out.append((total, alg.multiply(s_uc, t_el)))
-    return out
-
-
-# The prime of the full-rank certificate in uc_rank.
-CERTIFICATE_PRIME = (1 << 61) - 1
-
-
-def uc_rank(vectors: list[UCElement]) -> int:
-    """Rank over Q of a family of tensor elements.
-
-    Each vector is scaled to integers by the lcm of its denominators, which
-    keeps the rank. If the rank modulo CERTIFICATE_PRIME equals the number of
-    vectors, a maximal minor is nonzero mod p, hence nonzero over Q, and the
-    family is independent. Any other case is ranked exactly by the rational
-    echelon, so a rank below full never comes from modular arithmetic."""
-    key_index: dict[UCKey, int] = {}
-    rows = [{key_index.setdefault(k, len(key_index)): c for k, c in v.terms.items()}
-            for v in vectors]
-    integer_rows = [integer_view(row)[0] for row in rows]
-    if sparse_rank_mod_p(integer_rows, CERTIFICATE_PRIME) == len(rows):
-        return len(rows)
-    return sparse_rank(rows)
-
-
-def truncated_rank16_check(cat: Catalog, cap: int = 6) -> Rank16Report:
-    """Truncated freeness evidence: the products sigma(s) . rho(t) for s over
-    the polynomial generators and t over the sixteen module generators, with
-    deg s + deg t <= cap, must be linearly independent over Q."""
-    vectors = [v for _, v in st_product_vectors(cat, cap)]
-    rank = uc_rank(vectors)
-    count = len(vectors)
-    return Rank16Report(vector_count=count, rank=rank, expected=count, ok=rank == count)

@@ -1,9 +1,13 @@
-"""Test-only reference implementations that share no code with the engine
-paths they check: a Fraction echelon kept fully reduced on every insert,
-and the zero-weight block found by filtering every monomial key of a degree."""
+"""Test-only reference implementations. A Fraction echelon kept fully
+reduced on every insert and the zero-weight block found by filtering every
+monomial key of a degree share no code with the engine paths they check.
+The products sigma(s) rho(t) in U(g) tensor C(p) are the objects whose
+symbols the freeness checks rank in S(g) tensor Lambda(p)."""
 from fractions import Fraction
 
-from so41inv.sym_ext import key_weight
+from so41inv.linalg import certified_rank
+from so41inv.sym_ext import build_st_catalog, key_weight, s_monomial_element, s_monomials_up_to
+from so41inv.uea import SElement, symmetrize
 
 
 class FractionEchelon:
@@ -99,3 +103,30 @@ def graded_keys(n: int) -> list[tuple]:
 
 def filtered_zero_weight_keys(n: int) -> list[tuple]:
     return [key for key in graded_keys(n) if key_weight(key) == (0, 0)]
+
+
+def st_product_vectors(cat, cap: int = 6) -> list[tuple]:
+    """All products sigma(s) rho(t) in U(g) tensor C(p), s over monomials in
+    the four polynomial invariants and t over the sixteen module generators,
+    with total degree deg s + deg t <= cap. Returns (degree, s exponents,
+    t name, element) tuples."""
+    st = build_st_catalog()
+    alg = cat.algebra
+    rho_t = {name: alg.rho(el) for name, el in st.t_elements.items()}
+    out = []
+    for q in s_monomials_up_to(cap):
+        s_deg = 2 * (q[0] + q[1] + q[2]) + 4 * q[3]
+        s_el = s_monomial_element(st, q)
+        # s is a pure S(g) element; symmetrize and lift
+        s_u = symmetrize(SElement({exp: c for (exp, mask), c in s_el.terms.items()}))
+        s_uc = alg.from_u(s_u)
+        for name, t_el in rho_t.items():
+            total = s_deg + st.t_degrees[name]
+            if total <= cap:
+                out.append((total, q, name, alg.multiply(s_uc, t_el)))
+    return out
+
+
+def uc_rank(vectors) -> int:
+    """Rank over Q of a family of U(g) tensor C(p) elements."""
+    return certified_rank([v.terms for v in vectors])

@@ -9,7 +9,12 @@ import random
 from fractions import Fraction
 
 from so41inv.clifford import ExtElement, ext_k_action
-from so41inv.invariants import independence_check, invariant_dimension, predicted_dimension
+from so41inv.invariants import (
+    independence_check,
+    invariant_dimension,
+    predicted_dimension,
+    truncated_rank16_check,
+)
 from so41inv.lie_core import bracket, bracket_gens, lie_gen
 from so41inv.matrix_oracle import (
     GAMMA,
@@ -29,7 +34,6 @@ from so41inv.tensor_algebra import (
     NAMED_ORDER,
     effective_checks,
     generator_chain_check,
-    truncated_rank16_check,
 )
 from so41inv.uea import (
     SElement,
@@ -255,8 +259,8 @@ def test_criterion_8_structural_properties(capsys, cat):
     assert not failures, failures
 
 
-def test_criterion_9_truncated_rank(capsys, cat):
-    rep = truncated_rank16_check(cat, cap=6)
+def test_criterion_9_truncated_rank(capsys):
+    rep = truncated_rank16_check(cap=6)
     ok = rep.vector_count == 70 and rep.rank == 70 and rep.ok
     report(capsys, 9,
            "catalog stays rank 16 over invariant multiples through degree 6", ok)

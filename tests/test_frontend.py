@@ -11,7 +11,7 @@ from so41inv.evaluator import evaluate
 from so41inv.parser import BinOp, Call, Num, Sym, describe, parse
 from so41inv.serialization import dump_element, dumps_element, load_element, loads_element
 from so41inv.sym_ext import se_gen
-from so41inv import cli
+from so41inv import cli, tensor_algebra
 
 
 # -- parser ------------------------------------------------------------------------
@@ -380,3 +380,44 @@ def test_cli_verify_all(capsys):
     assert code == 0
     last = out.strip().splitlines()[-1]
     assert last.startswith("VERIFY all") and last.endswith("PASS")
+
+
+def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch):
+    # under --sign auto the suite reuses the checks adjudication computed
+    calls = []
+    verify = tensor_algebra.verify_relations
+
+    def counted(cat):
+        calls.append(cat.algebra.pform)
+        return verify(cat)
+
+    monkeypatch.setattr(tensor_algebra, "_ADJUDICATION", None)
+    monkeypatch.setattr(tensor_algebra, "verify_relations", counted)
+    monkeypatch.setattr(cli, "verify_relations", counted)
+    code, out, _ = run_cli(capsys, "verify", "relations")
+    assert code == 0
+    built = [r for r in tensor_algebra.adjudicate_convention().reports if r.built]
+    assert len(calls) == len(built) == 4
+    assert "RELATION c sign=-1 residual_terms=0 PASS" in out
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+# stdout and exit code of the command line, recorded before the freeness
+# checks moved from U(g) tensor C(p) to its associated graded algebra
+@pytest.mark.parametrize("argv, golden, code", [
+    (["verify", "all"], "verify_all.stdout", 0),
+    (["verify", "independence", "--max-degree", "8"],
+     "verify_independence_max_degree_8.stdout", 0),
+    (["verify", "rank16", "--sign", "+1"], "verify_rank16_sign_plus.stdout", 0),
+    (["verify", "rank16", "--sign", "-1"], "verify_rank16_sign_minus.stdout", 0),
+], ids=["all", "independence-8", "rank16+1", "rank16-1"])
+def test_cli_output_matches_the_recorded_golden(argv, golden, code):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "so41inv.cli", *argv], env=env,
+                         capture_output=True, timeout=300)
+    with open(os.path.join(DATA, golden), "rb") as fh:
+        assert run.stdout == fh.read()
+    assert run.returncode == code

@@ -1,26 +1,31 @@
 """Invariant dimension counts: closed-form prediction, exact kernels from
-the raising rows, the Weyl character count as an independent oracle, and
-the freeness cross-check."""
+the raising rows, the Weyl character count as an independent oracle, the
+kernel basis certification, and the freeness checks on symbols against the
+U(g) tensor C(p) products they stand for."""
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from oracles import filtered_zero_weight_keys, rref_kernel
-from so41inv import cli
-from so41inv.errors import DomainError
+from oracles import filtered_zero_weight_keys, rref_kernel, st_product_vectors, uc_rank
+from so41inv import cli, invariants, tensor_algebra, uea
+from so41inv.clifford import CliffordAlgebra
+from so41inv.errors import DomainError, InvarianceError
 from so41inv.invariants import (
     _operator_rows,
     independence_check,
     invariant_dimension,
     predicted_dimension,
+    symbol_ranks,
     t_count,
+    truncated_rank16_check,
     zero_weight_keys,
 )
-from so41inv.linalg import sparse_rank, sparse_rank_mod_p
+from so41inv.linalg import CERTIFICATE_PRIME, sparse_rank, sparse_rank_mod_p
 from so41inv.matrix_oracle import K_GENS
-from so41inv.sym_ext import SEElement, ad_action_se, ad_on_key
-from so41inv.tensor_algebra import CERTIFICATE_PRIME
+from so41inv.sym_ext import SEElement, ad_action_se, ad_on_key, s_monomial_element
+from so41inv.tensor_algebra import TensorAlgebra, catalog_for_sign
 
 
 def test_t_count_values():
@@ -55,7 +60,7 @@ def test_exact_block_sizes():
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_modp_agrees_with_exact(n, seed):
-    # the modular rank that certifies uc_rank, on the integral raising rows
+    # the modular rank that certifies certified_rank, on the integral raising rows
     # in a seeded order: rank deficient, so the certificate must not claim
     # full rank, and it agrees with the exact rank over Q
     cols = zero_weight_keys(n)
@@ -164,3 +169,81 @@ def test_independence_small_cap():
     assert rep.per_degree == {0: (1, 1), 1: (0, 0), 2: (4, 4), 3: (4, 4)}
     assert rep.rank == rep.total == 9
     assert rep.ok
+
+
+# -- freeness on symbols -------------------------------------------------------
+
+def degree_part(el, n: int) -> dict:
+    return {k: c for k, c in el.terms.items() if sum(k[0]) + bin(k[1]).count("1") == n}
+
+
+@pytest.mark.parametrize("sign", ["accepted", "+1"])
+def test_symbols_of_the_uc_products(cat, st, sign):
+    # gr sigma = gr rho = id: sigma(s) rho(t) has nothing above degree n and
+    # its degree-n part is s.t, under either sign of the Clifford form, so the
+    # symbol family has the rank of the U(g) tensor C(p) family
+    uc_cat = cat if sign == "accepted" else catalog_for_sign(+1)
+    products = st_product_vectors(uc_cat, 6)
+    for n, q, name, el in products:
+        assert el.degree() == n, (q, name)
+        symbol = s_monomial_element(st, q) * st.t_elements[name]
+        assert degree_part(el, n) == symbol.terms, (q, name)
+    ranks = symbol_ranks(6)
+    assert len(products) == sum(c for c, _ in ranks.values()) == 70
+    assert uc_rank([el for *_, el in products]) == sum(r for _, r in ranks.values()) == 70
+
+
+def test_independence_counts_against_the_exact_kernel(monkeypatch):
+    # the expected count per degree is the kernel dimension, not the
+    # closed-form prediction that the kernels are checked against
+    true_dimension = invariants.invariant_dimension
+
+    def off_by_one_at_four(n, **kw):
+        rep = true_dimension(n, **kw)
+        if n == 4:
+            rep.dimension += 1
+        return rep
+
+    monkeypatch.setattr(invariants, "invariant_dimension", off_by_one_at_four)
+    rep = independence_check(cap=5)
+    assert rep.per_degree[4] == (13, 14)
+    assert rep.rank == rep.total == 38
+    assert not rep.ok
+
+
+def test_freeness_checks_build_no_clifford_algebra(monkeypatch, capsys):
+    def sentinel(*args, **kwargs):
+        raise AssertionError("the freeness checks must not reach U(g) tensor C(p)")
+
+    targets = [tensor_algebra.adjudicate_convention, uea.symmetrize,
+               uea.symmetrize_monomial]
+    for mod in [m for name, m in sys.modules.items() if name.startswith("so41inv")]:
+        for var, value in list(vars(mod).items()):
+            if any(value is t for t in targets):
+                monkeypatch.setattr(mod, var, sentinel)
+    monkeypatch.setattr(CliffordAlgebra, "__init__", sentinel)
+    monkeypatch.setattr(TensorAlgebra, "rho", sentinel)
+    assert independence_check(cap=6).ok
+    assert truncated_rank16_check(cap=6).ok
+    for argv in (["verify", "independence"], ["verify", "rank16"],
+                 ["verify", "rank16", "--sign", "+1"]):
+        assert cli.main(argv) == 0, argv
+    assert "RANK16 vectors=70 rank=70 expected=70 PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_basis_certification_rejects_a_tampered_kernel_vector(monkeypatch, which):
+    # the key images are shared across the kernel vectors of a degree; a
+    # wrong coefficient in any vector must still fail certification
+    true_kernel = invariants.sparse_kernel
+
+    def tampered(rows, ncols):
+        kernel = true_kernel(rows, ncols)
+        vec = kernel[which]
+        col = min(vec)
+        vec[col] *= 2
+        return kernel
+
+    monkeypatch.setattr(invariants, "sparse_kernel", tampered)
+    with pytest.raises(InvarianceError):
+        invariant_dimension(3, want_basis=True)

@@ -1,8 +1,9 @@
 """U(g) tensor C(p): catalog invariance, the identity suite under every
-candidate Clifford normalization, the generator chain, truncated freeness,
-and the integer product and k-action kernels against Fraction oracles. The
-residual-count tables below were computed once with this engine and frozen;
-they double as a regression oracle for the whole adjudication pipeline."""
+candidate Clifford normalization, the generator chain, truncated freeness
+with its rank certificate, and the integer product and k-action kernels
+against Fraction oracles. The residual-count tables below were computed
+once with this engine and frozen; they double as a regression oracle for
+the whole adjudication pipeline."""
 import random
 from fractions import Fraction
 from functools import cache
@@ -10,13 +11,14 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import st_product_vectors, uc_rank
 from so41inv.clifford import PForm
+from so41inv.invariants import truncated_rank16_check
 from so41inv.lie_core import LieElement, lie_gen
-from so41inv.linalg import RationalEchelon
+from so41inv.linalg import CERTIFICATE_PRIME, RationalEchelon, certified_rank
 from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.sym_ext import SEElement, ad_action_se, se_gen
 from so41inv.tensor_algebra import (
-    CERTIFICATE_PRIME,
     CONVENTION_LABELS,
     NAMED_ORDER,
     RELATION_NAMES,
@@ -25,9 +27,6 @@ from so41inv.tensor_algebra import (
     effective_checks,
     generator_chain_check,
     relation_residuals,
-    st_product_vectors,
-    truncated_rank16_check,
-    uc_rank,
     verify_relations,
 )
 from so41inv.uea import lie_to_u, pbw_pair_product, word_to_exp
@@ -172,12 +171,12 @@ def test_alpha_uc_commutator_reproduces_the_p_action(cat):
 
 
 def test_st_products_and_rank(cat):
-    pairs = st_product_vectors(cat, 4)
+    products = st_product_vectors(cat, 4)
     per_degree = {}
-    for deg, _ in pairs:
+    for deg, *_ in products:
         per_degree[deg] = per_degree.get(deg, 0) + 1
     assert per_degree == {0: 1, 2: 4, 3: 4, 4: 13}
-    assert uc_rank([v for _, v in pairs]) == len(pairs)
+    assert uc_rank([v for *_, v in products]) == len(products)
 
 
 def echelon_rank(vectors) -> int:
@@ -207,12 +206,12 @@ def test_uc_rank_certifies_an_independent_family_mod_p(cat, echelon_inserts):
     family = [cat.elements[name] for name in ("D", "Dk", "b", "c", "h")]
     want = echelon_rank(family)
     echelon_inserts.clear()
-    assert uc_rank(family) == want == len(family)
+    assert certified_rank([v.terms for v in family]) == want == len(family)
     assert not echelon_inserts  # the certificate decided; no exact echelon ran
 
 
 def test_uc_rank_of_the_empty_family_is_zero():
-    assert uc_rank([]) == 0
+    assert certified_rank([]) == 0
 
 
 # D has coefficients +-1, so this multiple of D, scaled by 3, has every
@@ -230,12 +229,12 @@ def test_uc_rank_falls_back_to_the_exact_echelon(cat, echelon_inserts, build, ra
     family = build(cat.elements["D"], cat.elements["Dk"])
     assert echelon_rank(family) == rank
     echelon_inserts.clear()
-    assert uc_rank(family) == rank
+    assert certified_rank([v.terms for v in family]) == rank
     assert echelon_inserts  # mod p was not full rank, so the exact echelon decided
 
 
-def test_truncated_rank16(cat):
-    rep = truncated_rank16_check(cat, cap=6)
+def test_truncated_rank16():
+    rep = truncated_rank16_check(cap=6)
     assert rep.vector_count == 70
     assert rep.rank == 70
     assert rep.ok
