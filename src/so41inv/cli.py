@@ -31,7 +31,6 @@ from .tensor_algebra import (
     catalog_for_sign,
     effective_checks,
     generator_chain_check,
-    verify_relations,
 )
 
 
@@ -99,12 +98,8 @@ def suite_relations(rep: Reporter, args) -> None:
                         f"RELATION {ch.name}[{ch.variant},{report.label}] "
                         f"residual_terms={ch.residual_terms}", ch.ok)
             return
-        cat = adj.catalog
-        # adjudication already ran the suite under the accepted convention
-        checks = next(r.checks for r in adj.reports if r.label == adj.accepted)
-    else:
-        cat = _catalog_for(args)
-        checks = verify_relations(cat)
+    cat = _catalog_for(args)
+    checks = cat.checks  # run once per convention, shared with adjudication
     sign = cat.algebra.pform.sign
     gram = cat.algebra.pform.label
     rep.line(f"CONVENTION sign={sign:+d} gram={gram} dk_reading={cat.dk_reading}")

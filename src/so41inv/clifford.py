@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import lcm
 
@@ -34,6 +35,12 @@ TOP_MASK = 0b1111
 
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
+
+
+@cache
+def _trace_gram() -> tuple:
+    """Gram matrix of the trace form on p, computed once per process."""
+    return tuple(tuple(trace_form_gens(a, b) for b in P_GENS) for a in P_GENS)
 
 
 @dataclass(frozen=True)
@@ -61,9 +68,7 @@ class PForm:
 
     @classmethod
     def from_trace_form(cls, sign: int = 1, scale: Fraction = Fraction(1)) -> "PForm":
-        gram = tuple(
-            tuple(scale * trace_form_gens(a, b) for b in P_GENS) for a in P_GENS
-        )
+        gram = tuple(tuple(scale * v for v in row) for row in _trace_gram())
         if scale == 1:
             label = "trace"
         else:
@@ -422,7 +427,7 @@ class CliffordAlgebra:
             for r in range(4):
                 rows.append([cols[k][r] for k in range(6)])
                 rhs.append(tvec[r])
-        sol = solve_exact(rows, rhs)
+        sol, = solve_exact(rows, [rhs])
         terms = {m: sol[k] for k, m in enumerate(quads)}
         # re-gauge from mask monomials into the Chevalley image: for bits
         # i < j, tau(v_i ^ v_j) = v_i v_j - phi(i, j), so the scalar slot

@@ -13,10 +13,11 @@ on demand. Engine errors surface as EvalError with the original as cause.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .clifford import ExtElement, ext_gen, ext_k_action
 from .errors import EngineError, EvalError, ExprTypeError
-from .lie_core import LIE_ZERO, LieElement, lie_gen
+from .lie_core import LIE_ZERO, LieElement, lie_gen, require_in_k
 from .matrix_oracle import GEN_BY_NAME
 from .parser import BinOp, Call, Neg, Node, Num, Sym, parse
 from .sym_ext import SEElement, ad_action_se, build_st_catalog, se_gen
@@ -38,13 +39,18 @@ _SCALAR = "scalar"
 
 
 class EvalContext:
+    """The ambient realm and the catalogs, each resolved on first use."""
+
     def __init__(self, ambient: str = "uc", catalog: Catalog | None = None):
         if ambient not in AMBIENTS:
             raise ValueError(f"unknown ambient algebra: {ambient}")
         self.ambient = ambient
-        self.catalog = catalog if catalog is not None else accepted_catalog()
-        self.algebra = self.catalog.algebra
-        self.st = build_st_catalog()
+        if catalog is not None:
+            self.catalog = catalog
+
+    catalog = cached_property(lambda self: accepted_catalog())
+    algebra = cached_property(lambda self: self.catalog.algebra)
+    st = cached_property(lambda self: build_st_catalog())
 
 
 def evaluate(src: str | Node, ambient: str = "uc",
@@ -93,6 +99,16 @@ def _coerce(pair, realm: str, ctx: EvalContext):
         return _lift_scalar(v, realm, ctx)
     return v
 
+
+# ad(z, x) per realm; a U(g) ot C(p) or C(p) element carries its algebra
+_AD_ACTIONS = {
+    "uc": lambda z, x: x.algebra.ad_action(z, x),
+    "se": ad_action_se,
+    "u": ad_action_u,
+    "s": ad_action_s,
+    "ext": ext_k_action,
+    "c": lambda z, x: x.algebra.k_action(z, x),
+}
 
 _REALM_NOUN = {
     "uc": "the tensor algebra U(g) ot C(p)",
@@ -217,17 +233,12 @@ def _eval_call(node: Call, realm: str, ctx: EvalContext):
         z = _coerce(_eval(node.args[0], "lie", ctx), "lie", ctx)
         if not isinstance(z, LieElement):
             raise EvalError("the first argument of ad must be a Lie element")
+        if realm in ("uc", "se", "ext", "c"):  # only k acts here
+            require_in_k(z)
         xr, xv = _eval(node.args[1], realm, ctx)
         if xr == _SCALAR:
             return (_SCALAR, Fraction(0))
-        action = {
-            "uc": ctx.algebra.ad_action,
-            "se": ad_action_se,
-            "u": ad_action_u,
-            "s": ad_action_s,
-            "ext": ext_k_action,
-            "c": ctx.algebra.cl.k_action,
-        }.get(realm)
+        action = _AD_ACTIONS.get(realm)
         if action is None:
             raise EvalError(f"ad is not defined in {_REALM_NOUN[realm]}")
         return (realm, action(z, xv))

@@ -16,14 +16,16 @@ from math import gcd, lcm
 from .errors import SolveError
 
 
-def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve A x = b exactly. Returns one solution (free variables pinned to
-    zero); raises SolveError if the system is inconsistent."""
+def solve_exact(rows: list[list[Fraction]],
+                rhs: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Solve A x = b exactly for each right-hand side b in rhs, all in one
+    elimination of [A | b_1 ... b_k]. Returns one solution per b (free
+    variables pinned to zero); raises SolveError if any b is inconsistent."""
     m = len(rows)
-    if m != len(rhs):
+    if any(len(b) != m for b in rhs):
         raise ValueError("row/rhs length mismatch")
     n = len(rows[0]) if m else 0
-    aug = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(m)]
+    aug = [list(map(Fraction, rows[i])) + [Fraction(b[i]) for b in rhs] for i in range(m)]
     pivots = []  # (row, col)
     r = 0
     for c in range(n):
@@ -40,18 +42,18 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
         for i in range(m):
             if i != r and aug[i][c]:
                 f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+                aug[i] = [a - f * b if b else a for a, b in zip(aug[i], aug[r])]
         pivots.append((r, c))
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n]:
-            raise SolveError("inconsistent linear system")
-    x = [Fraction(0)] * n
+    if any(any(aug[i][n:]) for i in range(r, m)):
+        raise SolveError("inconsistent linear system")
+    sols = [[Fraction(0)] * n for _ in rhs]
     for row, col in pivots:
-        x[col] = aug[row][n]
-    return x
+        for k, x in enumerate(sols):
+            x[col] = aug[row][n + k]
+    return sols
 
 
 def integer_view(terms: dict) -> tuple[dict, int]:

@@ -236,38 +236,35 @@ def _flatten(m: Matrix5) -> list[Fraction]:
     return out
 
 
+def _expand(mats: list[Matrix5]) -> list[dict[Gen, Fraction]]:
+    """expand_over_basis of each matrix, in one elimination of the basis
+    system (full column rank, so every expansion is unique)."""
+    basis = basis_matrices()
+    # unknowns: re and im part of each of the ten coefficients
+    cols = [_flatten(basis[g]) for g in Gen]
+    cols += [_flatten(mat_scale(GRI, basis[g])) for g in Gen]
+    try:
+        sols = solve_exact(list(zip(*cols)), [_flatten(m) for m in mats])
+    except SolveError as exc:
+        raise SpanError("matrix leaves the span of the basis") from exc
+    for sol in sols:
+        for k, g in enumerate(Gen):
+            if sol[10 + k]:
+                raise SpanError(f"coefficient of {g.name} has nonzero imaginary part")
+    return [{g: sol[k] for k, g in enumerate(Gen) if sol[k]} for sol in sols]
+
+
 def expand_over_basis(m: Matrix5) -> dict[Gen, Fraction]:
     """Write m as a real-rational combination of the ten basis matrices.
 
     Raises SpanError if m leaves the span or needs non-real coefficients.
     """
-    basis = basis_matrices()
-    # unknowns: re and im part of each of the ten coefficients
-    cols = []
-    for g in Gen:
-        cols.append(_flatten(basis[g]))  # real part of coeff
-    for g in Gen:
-        b = basis[g]
-        im_flat = [-b[i][j].im for i in range(5) for j in range(5)]
-        im_flat += [b[i][j].re for i in range(5) for j in range(5)]
-        cols.append(im_flat)  # imaginary part of coeff
-    rows = [[cols[k][r] for k in range(20)] for r in range(50)]
-    try:
-        sol = solve_exact(rows, _flatten(m))
-    except SolveError as exc:
-        raise SpanError("matrix leaves the span of the basis") from exc
-    for k, g in enumerate(Gen):
-        if sol[10 + k]:
-            raise SpanError(f"coefficient of {g.name} has nonzero imaginary part")
-    return {g: sol[k] for k, g in enumerate(Gen) if sol[k]}
+    return _expand([m])[0]
 
 
 def extract_structure_constants() -> dict[tuple[Gen, Gen], dict[Gen, Fraction]]:
-    """Brackets of all 45 unordered basis pairs, expanded over the basis."""
+    """Brackets of all 45 unordered basis pairs, expanded in one elimination."""
     basis = basis_matrices()
-    out = {}
-    gens = list(Gen)
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            out[(a, b)] = expand_over_basis(matrix_bracket(basis[a], basis[b]))
-    return out
+    pairs = [(a, b) for a in Gen for b in Gen if a < b]
+    brackets = [matrix_bracket(basis[a], basis[b]) for a, b in pairs]
+    return dict(zip(pairs, _expand(brackets)))

@@ -24,19 +24,18 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
-from .clifford import PForm
 from .elements import pair_sort_key
 from .errors import ParseError
 from .matrix_oracle import Gen
 from .sym_ext import SEElement
-from .tensor_algebra import TensorAlgebra, UCElement
+from .tensor_algebra import UCElement, convention_algebra
 
 MAGIC = "so41inv-element v1"
 
 BASIS_ORDER = " ".join(g.name for g in Gen)
 P_ORDER = "E3 E4 F3 F4"
 
-_GRAM_SCALE = {"trace": Fraction(1), "trace/4": Fraction(1, 4)}
+_GRAMS = ("trace", "trace/4")
 
 
 def order_hash(algebra_id: str, sign: int, gram: str) -> str:
@@ -142,12 +141,11 @@ def loads_element(text: str):
 
     if algebra_id == "se":
         return SEElement(terms)
-    if gram not in _GRAM_SCALE:
+    if gram not in _GRAMS:
         raise ParseError(f"unknown gram label {gram!r}", 4)
     if sign not in (1, -1):
         raise ParseError(f"bad sign {sign} for a uc element", 3)
-    alg = TensorAlgebra(PForm.from_trace_form(sign=sign, scale=_GRAM_SCALE[gram]))
-    return UCElement(terms, alg)
+    return UCElement(terms, convention_algebra(f"gram={gram} sign={sign:+d}"))
 
 
 def load_element(path: str):

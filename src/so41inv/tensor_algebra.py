@@ -6,12 +6,14 @@ form invariants over via rho = sigma tensor tau and certifies K-invariance;
 verify_relations() evaluates the identity suite relating the catalog
 elements; adjudicate_convention() builds the algebra under each candidate
 normalization of the form and reports which one (if any) satisfies the whole
-suite.
+suite. convention_algebra() builds each label's algebra once per process; the
+algebra caches its catalog, and the catalog its identity checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .clifford import CliffordAlgebra, PForm, popcount
 from .elements import (
@@ -166,6 +168,10 @@ class TensorAlgebra:
                     out[k] = out.get(k, 0) + f * b
         return from_int_terms(self.zero(), out, zd * xd * k_den)
 
+    @cached_property
+    def catalog(self) -> Catalog:
+        return build_catalog(self)
+
     def is_invariant(self, x: UCElement) -> bool:
         return all(self.ad_action(lie_gen(z), x).is_zero() for z in K_GENS)
 
@@ -232,6 +238,11 @@ class Catalog:
     algebra: TensorAlgebra
     elements: dict[str, UCElement]
     dk_reading: str
+
+    @cached_property
+    def checks(self) -> list[RelationCheck]:
+        """The identity suite on this catalog, run once."""
+        return verify_relations(self)
 
 
 NAMED_ORDER = ("a1", "a2", "b", "c", "D", "d", "e", "f", "g", "h", "i", "j")
@@ -386,6 +397,16 @@ def convention_pform(label: str) -> PForm:
     return PForm.from_trace_form(sign=sign, scale=scale)
 
 
+_ALGEBRAS: dict[str, TensorAlgebra] = {}
+
+
+def convention_algebra(label: str) -> TensorAlgebra:
+    """The one TensorAlgebra of a convention label in this process."""
+    if label not in _ALGEBRAS:
+        _ALGEBRAS[label] = TensorAlgebra(convention_pform(label))
+    return _ALGEBRAS[label]
+
+
 @dataclass
 class ConventionReport:
     label: str
@@ -420,14 +441,12 @@ def adjudicate_convention() -> Adjudication:
     accepted = None
     accepted_catalog = None
     for label in CONVENTION_LABELS:
-        alg = TensorAlgebra(convention_pform(label))
         try:
-            cat = build_catalog(alg)
+            cat = convention_algebra(label).catalog
         except InvarianceError as exc:
             reports.append(ConventionReport(label, False, str(exc), []))
             continue
-        checks = verify_relations(cat)
-        report = ConventionReport(label, True, "", checks)
+        report = ConventionReport(label, True, "", cat.checks)
         reports.append(report)
         if report.effective_pass and accepted is None:
             accepted = label
@@ -447,9 +466,7 @@ def catalog_for_sign(sign: int) -> Catalog:
     """Catalog with the Clifford sign forced, keeping the adjudicated
     normalization of the form (the two options exposed on the command line
     besides 'auto')."""
-    label = f"gram=trace/4 sign={sign:+d}"
-    alg = TensorAlgebra(convention_pform(label))
-    return build_catalog(alg)
+    return convention_algebra(f"gram=trace/4 sign={sign:+d}").catalog
 
 
 # -- generator theorem -----------------------------------------------------------

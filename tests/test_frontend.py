@@ -264,6 +264,21 @@ def test_cli_verify_table(capsys):
     assert out.strip().splitlines()[-1].endswith("PASS")
 
 
+def test_cli_verify_table_names_a_tampered_entry(capsys, monkeypatch):
+    from so41inv import lie_core
+    from so41inv.matrix_oracle import Gen
+
+    # [E1, F1] = H1 + H2; drop the H2 term
+    monkeypatch.setitem(lie_core._T, (Gen.E1, Gen.F1), ((Gen.H1, 1),))
+    mismatches = lie_core.certify_against_oracle()
+    assert len(mismatches) == 1 and mismatches[0].startswith("[E1,F1]: ")
+    code, out, _ = run_cli(capsys, "verify", "table")
+    assert code == 1
+    assert [ln for ln in out.splitlines() if ln.endswith("FAIL")] == [
+        "TABLE [E1,F1] FAIL", "VERIFY table checks=55 failures=1 FAIL"]
+    assert "TABLE SUMMARY 44/45" in out
+
+
 def test_cli_verify_relations_accepted(capsys):
     code, out, _ = run_cli(capsys, "verify", "relations")
     assert code == 0
@@ -392,8 +407,8 @@ def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch):
         return verify(cat)
 
     monkeypatch.setattr(tensor_algebra, "_ADJUDICATION", None)
+    monkeypatch.setattr(tensor_algebra, "_ALGEBRAS", {})
     monkeypatch.setattr(tensor_algebra, "verify_relations", counted)
-    monkeypatch.setattr(cli, "verify_relations", counted)
     code, out, _ = run_cli(capsys, "verify", "relations")
     assert code == 0
     built = [r for r in tensor_algebra.adjudicate_convention().reports if r.built]
@@ -401,18 +416,92 @@ def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch):
     assert "RELATION c sign=-1 residual_terms=0 PASS" in out
 
 
+# -- how often each convention is built ----------------------------------------------
+
+def test_a_second_catalog_or_uc_load_builds_no_algebra(monkeypatch, tmp_path, cat):
+    built = []
+    init = tensor_algebra.TensorAlgebra.__init__
+
+    def counted(self, pform):
+        built.append(pform)
+        init(self, pform)
+
+    monkeypatch.setattr(tensor_algebra.TensorAlgebra, "__init__", counted)
+    tensor_algebra.catalog_for_sign(+1)
+    built.clear()
+    tensor_algebra.catalog_for_sign(+1)
+    assert built == []
+
+    # a load builds the algebra of its convention, and no catalog
+    monkeypatch.setattr(tensor_algebra, "_ALGEBRAS", {})
+    monkeypatch.setattr(tensor_algebra, "build_catalog", None)
+    path = tmp_path / "h.element"
+    dump_element(cat.elements["h"], str(path))
+    assert load_element(str(path)) == cat.elements["h"]
+    assert built == [cat.algebra.pform]
+    assert load_element(str(path)) == cat.elements["h"]
+    assert built == [cat.algebra.pform]
+
+
+def test_loaded_elements_equal_the_catalog_elements(cat):
+    for name, el in cat.elements.items():
+        text = dumps_element(el)
+        back = loads_element(text)
+        assert back.algebra is el.algebra, name
+        assert back == el and hash(back) == hash(el), name
+        assert dumps_element(back) == text, name
+
+
+# Runs the command line in a fresh process and reports on stderr how many
+# TensorAlgebra objects it constructed.
+COUNT_ALGEBRAS = """
+import sys
+from so41inv import cli, tensor_algebra
+built = []
+init = tensor_algebra.TensorAlgebra.__init__
+def counted(self, pform):
+    built.append(pform)
+    init(self, pform)
+tensor_algebra.TensorAlgebra.__init__ = counted
+code = cli.main(sys.argv[1:])
+print(f"ALGEBRAS {len(built)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, algebras, code", [
+    (["verify", "relations", "--sign", "+1"], 1, 1),
+    (["eval", "ad(E3, d)"], 0, 2),
+    (["eval", "--ambient", "se", "ad(E1, h)"], 0, 0),
+], ids=["relations+1", "eval-p", "eval-se"])
+def test_fresh_process_builds_only_the_conventions_it_reads(argv, algebras, code):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", COUNT_ALGEBRAS, *argv], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.stderr.splitlines()[-1] == f"ALGEBRAS {algebras}"
+    assert run.returncode == code
+
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-# stdout and exit code of the command line, recorded before the freeness
-# checks moved from U(g) tensor C(p) to its associated graded algebra
+# stdout and exit code of the command line: verify all, independence and
+# rank16 recorded before the freeness checks moved from U(g) tensor C(p) to
+# its associated graded algebra; table, relations --sign +1 and invariance
+# before the table was certified in one elimination and each convention
+# built once per process
 @pytest.mark.parametrize("argv, golden, code", [
     (["verify", "all"], "verify_all.stdout", 0),
     (["verify", "independence", "--max-degree", "8"],
      "verify_independence_max_degree_8.stdout", 0),
     (["verify", "rank16", "--sign", "+1"], "verify_rank16_sign_plus.stdout", 0),
     (["verify", "rank16", "--sign", "-1"], "verify_rank16_sign_minus.stdout", 0),
-], ids=["all", "independence-8", "rank16+1", "rank16-1"])
+    (["verify", "table"], "verify_table.stdout", 0),
+    (["verify", "relations", "--sign", "+1"], "verify_relations_sign_plus.stdout", 1),
+    (["verify", "invariance"], "verify_invariance.stdout", 0),
+], ids=["all", "independence-8", "rank16+1", "rank16-1", "table", "relations+1",
+        "invariance"])
 def test_cli_output_matches_the_recorded_golden(argv, golden, code):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)

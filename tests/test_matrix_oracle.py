@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so41inv.errors import SpanError
 from so41inv.matrix_oracle import (
@@ -15,12 +17,14 @@ from so41inv.matrix_oracle import (
     Gen,
     K_GENS,
     P_GENS,
+    _expand,
     basis_matrices,
     expand_over_basis,
     extract_structure_constants,
     is_so41_member,
     mat_mul,
     mat_scale,
+    mat_sub,
     mat_trace,
     matrix_bracket,
     trace_form_gens,
@@ -138,3 +142,50 @@ def test_trace_form_on_p_is_nondegenerate():
     # 4x4 determinant, expansion by minors is fine at this size
     m = np.array([[float(x) for x in row] for row in gram])
     assert abs(np.linalg.det(m)) > 1e-9
+
+
+def test_batched_expansion_equals_one_expansion_per_bracket():
+    mats = basis_matrices()
+    batched = extract_structure_constants()
+    assert len(batched) == 45
+    for (a, b), expansion in batched.items():
+        assert expansion == expand_over_basis(matrix_bracket(mats[a], mats[b]))
+
+
+rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+def combination(coeffs):
+    """sum over g of coeffs[g] * (basis matrix of g), entry by entry."""
+    mats = basis_matrices()
+    out = [[GaussRational(0) for _ in range(5)] for _ in range(5)]
+    for g, c in coeffs.items():
+        scaled = mat_scale(GaussRational(c), mats[g])
+        out = [[x + y for x, y in zip(ro, rs)] for ro, rs in zip(out, scaled)]
+    return tuple(tuple(row) for row in out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from(list(Gen)), rationals), min_size=1, max_size=4))
+def test_rational_combinations_are_recovered_exactly(draws):
+    want = [{g: c for g, c in coeffs.items() if c} for coeffs in draws]
+    mats = [combination(coeffs) for coeffs in draws]
+    assert _expand(mats) == want
+    assert [expand_over_basis(m) for m in mats] == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.sampled_from(list(Gen)), rationals),
+       st.sampled_from(["gamma", "imaginary"]), st.integers(0, 2))
+def test_a_column_outside_the_span_raises(coeffs, kind, position):
+    inside = combination(coeffs)
+    if kind == "gamma":  # not in so(4,1): the system is inconsistent
+        outside = mat_sub(inside, GAMMA)
+    else:  # in the complex span, with a nonreal coefficient
+        outside = mat_sub(inside, mat_scale(GaussRational(0, 1), basis_matrices()[Gen.E3]))
+    batch = [inside, inside]
+    batch.insert(position, outside)
+    with pytest.raises(SpanError):
+        _expand(batch)
+    with pytest.raises(SpanError):
+        expand_over_basis(outside)
