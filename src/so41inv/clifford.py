@@ -16,17 +16,9 @@ from functools import cache
 from itertools import permutations
 from math import lcm
 
-from .elements import (
-    LinearElement,
-    fmt_mask,
-    from_int_terms,
-    join_terms,
-    mask_bits,
-    mask_sort_key,
-)
+from .elements import BoundElement, LinearElement, fmt_mask, mask_bits, mask_sort_key
 from .errors import DomainError, SolveError
-from .lie_core import LieElement, bracket, bracket_gens, lie_gen, require_in_k
-from .linalg import integer_view, solve_exact, sparse_rank
+from .lie_core import LieElement, bracket_gens, require_in_k
 from .matrix_oracle import Gen, K_GENS, P_GENS, trace_form_gens
 
 P_INDEX = {g: i for i, g in enumerate(P_GENS)}
@@ -79,30 +71,27 @@ class PForm:
 class ExtElement(LinearElement):
     """Element of the exterior algebra Lambda(p): {mask: coefficient}."""
 
+    __slots__ = ()
+
     def _product(self, other):
-        out: dict[int, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        out: dict[int, int] = {}
+        for ma, ca in self.num.items():
+            for mb, cb in other.num.items():
                 merged = ext_merge(ma, mb)
                 if merged is None:
                     continue
                 sgn, m = merged
-                nc = out.get(m, Fraction(0)) + ca * cb * sgn
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-        return ExtElement(out)
+                out[m] = out.get(m, 0) + sgn * ca * cb
+        return ExtElement._of(out, self.den * other.den)
 
     def _one(self):
-        return ExtElement({0: 1})
+        return ExtElement._of({0: 1})
 
     def degree(self) -> int:
-        return max((popcount(m) for m in self.terms), default=0)
+        return max((popcount(m) for m in self.num), default=0)
 
     def __str__(self):
-        keys = sorted(self.terms, key=mask_sort_key)
-        return join_terms([(self.terms[k], fmt_mask(k, "^")) for k in keys])
+        return self._text(mask_sort_key, lambda m: fmt_mask(m, "^"))
 
 
 def ext_merge(ma: int, mb: int) -> tuple[int, int] | None:
@@ -123,7 +112,7 @@ def ext_merge(ma: int, mb: int) -> tuple[int, int] | None:
 def ext_gen(g: Gen) -> ExtElement:
     if g not in P_INDEX:
         raise DomainError(f"{g.name} is not a p-generator")
-    return ExtElement({1 << P_INDEX[g]: 1})
+    return ExtElement._of({1 << P_INDEX[g]: 1})
 
 
 def ext_wedge(*gens: Gen) -> ExtElement:
@@ -157,85 +146,70 @@ def ext_ad_on_mask(zg: Gen, mask: int) -> dict[int, int]:
 
 def ext_k_action(z: LieElement, x: ExtElement) -> ExtElement:
     require_in_k(z)
-    out: dict[int, Fraction] = {}
-    for zg, zc in z.terms.items():
-        for mask, c in x.terms.items():
+    out: dict[int, int] = {}
+    for zg, zc in z.num.items():
+        for mask, c in x.num.items():
             for m, cc in ext_ad_on_mask(zg, mask).items():
                 out[m] = out.get(m, 0) + cc * c * zc
-    return ExtElement(out)
+    return ExtElement._of(out, z.den * x.den)
 
 
-class CElement(LinearElement):
+class CElement(BoundElement):
     """Element of C(p), bound to the algebra that owns its product table."""
 
-    __slots__ = ("algebra",)
-
-    def __init__(self, terms=None, algebra=None):
-        super().__init__(terms)
-        if algebra is None:
-            raise ValueError("CElement requires its algebra")
-        self.algebra = algebra
-
-    def _wrap(self, terms):
-        return CElement(terms, self.algebra)
-
-    def _compatible(self, other) -> bool:
-        return isinstance(other, CElement) and other.algebra.pform == self.algebra.pform
-
-    def _product(self, other):
-        return self.algebra.multiply(self, other)
-
-    def _one(self):
-        return self.algebra.one()
+    __slots__ = ()
 
     def degree(self) -> int:
-        return max((popcount(m) for m in self.terms), default=0)
+        return max((popcount(m) for m in self.num), default=0)
 
     def __str__(self):
-        keys = sorted(self.terms, key=mask_sort_key)
-        return join_terms([(self.terms[k], fmt_mask(k, "*")) for k in keys])
-
-    def __eq__(self, other):
-        return self._compatible(other) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.algebra.pform))
+        return self._text(mask_sort_key, lambda m: fmt_mask(m, "*"))
 
 
 class CliffordAlgebra:
     """C(p) for a given PForm, with precomputed monomial products, the
-    Chevalley map, and the alpha embedding of k into degree-two elements."""
+    Chevalley map, and the alpha embedding of k into degree-two elements.
+
+    The form is held as int numerators over one denominator, phi = P / q
+    (_form and _form_den).
+    A product of n generators straightens into monomials of degree n - 2k,
+    each of which contracted k pairs and so carries k factors of phi; the
+    straightening runs with P in place of phi, in ints, and a term of degree
+    n - 2k is then put over q^top by the factor q^(top - k). The monomial
+    products, the k-action on monomials and tau of monomials are each one
+    int table over one denominator: table[(ma, mb)][m] / table_den is the
+    coefficient of m in ma * mb, k_table[(zg, mask)][m] / k_den that of m in
+    ad(zg) mask, and _tau_table[mask][m] / _tau_den that of m in tau(mask)."""
 
     def __init__(self, pform: PForm):
+        q = lcm(*(v.denominator for row in pform.gram for v in row))
+        self._form = tuple(tuple(pform.sign * v.numerator * (q // v.denominator) for v in row)
+                          for row in pform.gram)
+        self._form_den = q
         # the form must be nondegenerate for alpha to exist
-        rows = [
-            {j: Fraction(pform.gram[i][j]) for j in range(4) if pform.gram[i][j]}
-            for i in range(4)
-        ]
-        if sparse_rank(rows) != 4:
+        self._adjugate = _adjugate(self._form)
+        self._form_det = sum(self._form[0][k] * self._adjugate[k][0] for k in range(4))
+        if not self._form_det:
             raise ValueError("gram matrix is degenerate")
         self.pform = pform
-        self._insert_cache: dict[tuple[int, int], dict[int, Fraction]] = {}
-        # monomial products and the k-action on monomials, each as int terms
-        # over one denominator: table[(ma, mb)][m] / table_den is the
-        # coefficient of m in ma * mb, and k_table[(zg, mask)][m] / k_den that
-        # of m in ad(zg) mask
-        self.table, self.table_den = _common_denominator(
-            {(ma, mb): self._monomial_product(ma, mb)
-             for ma in range(16) for mb in range(16)})
-        self.k_table, self.k_den = _common_denominator(
-            {(zg, mask): self._k_action_monomial(zg, mask)
-             for zg in K_GENS for mask in range(16)})
+        self._insert_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self.table_den = q ** 4  # two masks meet in at most four contractions
+        self.table = {(ma, mb): self._word(mask_bits(ma) + mask_bits(mb), 4)
+                      for ma in range(16) for mb in range(16)}
+        self.k_den = q ** 2
+        self.k_table = {(zg, mask): self._k_action_monomial(zg, mask)
+                        for zg in K_GENS for mask in range(16)}
+        self._tau_den = 24 * q ** 2
         self._tau_table = {mask: self._tau_monomial(mask) for mask in range(16)}
         self._alpha_cache: dict[Gen, CElement] = {}
 
     # -- construction --------------------------------------------------------
 
     def zero(self) -> CElement:
-        return CElement({}, self)
+        return CElement._of({}, 1, self)
 
     def one(self) -> CElement:
-        return CElement({0: 1}, self)
+        return CElement._of({0: 1}, 1, self)
 
     def scalar(self, c) -> CElement:
         return CElement({0: c}, self)
@@ -243,146 +217,115 @@ class CliffordAlgebra:
     def gen(self, g: Gen) -> CElement:
         if g not in P_INDEX:
             raise DomainError(f"{g.name} is not a p-generator")
-        return CElement({1 << P_INDEX[g]: 1}, self)
+        return CElement._of({1 << P_INDEX[g]: 1}, 1, self)
 
     def element(self, terms: dict) -> CElement:
         return CElement(terms, self)
 
     # -- multiplication ------------------------------------------------------
 
-    def _insert_gen(self, mask: int, b: int) -> dict[int, Fraction]:
-        """(monomial mask) * (generator bit b), straightened to mask basis."""
+    def _insert_gen(self, mask: int, b: int) -> dict[int, int]:
+        """(monomial mask) * (generator bit b), straightened to mask basis,
+        with P in place of phi."""
         key = (mask, b)
         cached = self._insert_cache.get(key)
         if cached is not None:
             return cached
         bits = mask_bits(mask)
         if not bits or bits[-1] < b:
-            res = {mask | (1 << b): Fraction(1)}
+            res = {mask | (1 << b): 1}
         else:
             x = bits[-1]
             rest = mask & ~(1 << x)
             if x == b:
-                res = {rest: self.pform.phi(b, b)}
+                res = {rest: self._form[b][b]}
             else:
                 # x > b: x b = 2 phi(x, b) - b x
-                res = {}
-                two_phi = 2 * self.pform.phi(x, b)
-                if two_phi:
-                    res[rest] = two_phi
+                res = {rest: 2 * self._form[x][b]}
                 for m, c in self._insert_gen(rest, b).items():
                     # every monomial here has top bit < x, so appending x is free
                     nm = m | (1 << x)
-                    nc = res.get(nm, Fraction(0)) - c
-                    if nc:
-                        res[nm] = nc
-                    else:
-                        res.pop(nm, None)
+                    res[nm] = res.get(nm, 0) - c
         self._insert_cache[key] = res
         return res
 
-    def _monomial_product(self, ma: int, mb: int) -> dict[int, Fraction]:
-        acc = {ma: Fraction(1)}
-        for b in mask_bits(mb):
-            nxt: dict[int, Fraction] = {}
+    def _word(self, word: tuple[int, ...], top: int) -> dict[int, int]:
+        """Product of generator bits taken left to right, as ints over
+        q^top (top >= len(word) // 2)."""
+        acc = {0: 1}
+        for b in word:
+            nxt: dict[int, int] = {}
             for m, c in acc.items():
                 for m2, c2 in self._insert_gen(m, b).items():
-                    nc = nxt.get(m2, Fraction(0)) + c * c2
-                    if nc:
-                        nxt[m2] = nc
-                    else:
-                        nxt.pop(m2, None)
+                    nxt[m2] = nxt.get(m2, 0) + c * c2
             acc = nxt
-        return acc
+        q, n = self._form_den, len(word)
+        return {m: c * q ** (top - (n - popcount(m)) // 2) for m, c in acc.items() if c}
+
+    def word_product(self, word: tuple[int, ...]) -> CElement:
+        """Product of generator bits taken left to right."""
+        top = len(word) // 2
+        return CElement._of(self._word(word, top), self._form_den ** top, self)
 
     def multiply(self, x: CElement, y: CElement) -> CElement:
-        xi, xd = integer_view(x.terms)
-        yi, yd = integer_view(y.terms)
         table = self.table
         out: dict[int, int] = {}
-        for ma, ca in xi.items():
-            for mb, cb in yi.items():
+        for ma, ca in x.num.items():
+            for mb, cb in y.num.items():
                 f = ca * cb
                 for m, c in table[(ma, mb)].items():
                     out[m] = out.get(m, 0) + f * c
-        return from_int_terms(self.zero(), out, xd * yd * self.table_den)
+        return CElement._of(out, x.den * y.den * self.table_den, self)
 
     def commutator(self, x: CElement, y: CElement) -> CElement:
         return self.multiply(x, y) - self.multiply(y, x)
 
-    def word_product(self, word: tuple[int, ...]) -> dict[int, Fraction]:
-        """Product of generator bits taken left to right."""
-        acc = {0: Fraction(1)}
-        for b in word:
-            nxt: dict[int, Fraction] = {}
-            for m, c in acc.items():
-                for m2, c2 in self._insert_gen(m, b).items():
-                    nc = nxt.get(m2, Fraction(0)) + c * c2
-                    if nc:
-                        nxt[m2] = nc
-                    else:
-                        nxt.pop(m2, None)
-            acc = nxt
-        return acc
-
     # -- Chevalley map -------------------------------------------------------
 
-    def _tau_monomial(self, mask: int) -> dict[int, Fraction]:
-        bits = mask_bits(mask)
-        if len(bits) <= 1:
-            return {mask: Fraction(1)}
-        perms = list(permutations(bits))
-        share = Fraction(1, len(perms))
-        acc: dict[int, Fraction] = {}
+    def _tau_monomial(self, mask: int) -> dict[int, int]:
+        """tau of one monomial over _tau_den: the signed average of the
+        products of its bits in every order."""
+        perms = list(permutations(mask_bits(mask)))
+        share = 24 // len(perms)
+        acc: dict[int, int] = {}
         for w in perms:
-            # permutation sign relative to the sorted word
-            sgn = _perm_sign(w)
-            for m, c in self.word_product(w).items():
-                nc = acc.get(m, Fraction(0)) + share * sgn * c
-                if nc:
-                    acc[m] = nc
-                else:
-                    acc.pop(m, None)
+            f = share * _perm_sign(w)
+            for m, c in self._word(w, 2).items():
+                acc[m] = acc.get(m, 0) + f * c
         return acc
 
     def chevalley(self, x: ExtElement) -> CElement:
         """tau: Lambda(p) -> C(p), antisymmetrized products."""
-        out: dict[int, Fraction] = {}
-        for mask, c in x.terms.items():
+        out: dict[int, int] = {}
+        for mask, c in x.num.items():
             for m, cc in self._tau_table[mask].items():
-                nc = out.get(m, Fraction(0)) + c * cc
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-        return CElement(out, self)
+                out[m] = out.get(m, 0) + c * cc
+        return CElement._of(out, x.den * self._tau_den, self)
 
     # -- k-action and alpha ----------------------------------------------------
 
-    def _k_action_monomial(self, zg: Gen, mask: int) -> dict[int, Fraction]:
-        """ad(zg) of one monomial: the derivation puts [zg, v_b] in the place
-        of each factor v_b in turn."""
+    def _k_action_monomial(self, zg: Gen, mask: int) -> dict[int, int]:
+        """ad(zg) of one monomial over k_den: the derivation puts [zg, v_b]
+        in the place of each factor v_b in turn."""
         bits = mask_bits(mask)
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for pos, b in enumerate(bits):
             for g, c in bracket_gens(zg, P_GENS[b]):
                 word = bits[:pos] + (P_INDEX[g],) + bits[pos + 1:]
-                for m, cc in self.word_product(word).items():
+                for m, cc in self._word(word, 2).items():
                     out[m] = out.get(m, 0) + c * cc
-        return {m: c for m, c in out.items() if c}
+        return out
 
     def k_action(self, z: LieElement, x: CElement) -> CElement:
         """Derivation action of z in k on C(p)."""
         require_in_k(z)
-        zi, zd = integer_view(z.terms)
-        xi, xd = integer_view(x.terms)
         out: dict[int, int] = {}
-        for zg, zc in zi.items():
-            for mask, xc in xi.items():
+        for zg, zc in z.num.items():
+            for mask, xc in x.num.items():
                 f = zc * xc
                 for m, c in self.k_table[(zg, mask)].items():
                     out[m] = out.get(m, 0) + f * c
-        return from_int_terms(self.zero(), out, zd * xd * self.k_den)
+        return CElement._of(out, z.den * x.den * self.k_den, self)
 
     def alpha(self, z: LieElement) -> CElement:
         """The element of the Chevalley image of the two-forms with
@@ -396,49 +339,35 @@ class CliffordAlgebra:
         bare mask monomials instead shifts each value by a scalar and breaks
         that."""
         require_in_k(z)
-        out: dict[int, Fraction] = {}
-        for g, c in z.terms.items():
-            for m, cc in self._alpha_gen(g).terms.items():
-                out[m] = out.get(m, 0) + cc * c
-        return self.element(out)
+        out = self.zero()
+        for g, c in z.num.items():
+            out = out + c * self._alpha_gen(g)
+        return out / z.den
 
     def _alpha_gen(self, zg: Gen) -> CElement:
+        """alpha of a k-generator in closed form. From v w + w v = 2 phi(v, w),
+        [v_i v_j, v_k] = 2 (phi_jk v_i - phi_ik v_j), so sum over i < j of
+        L_ij v_i v_j, with L antisymmetric, acts on p by 2 L Phi. It equals
+        ad zg, whose matrix is A, iff L = A Phi^-1 / 2 = q A adj(P) / (2 det P),
+        which is antisymmetric iff ad zg is skew for the form. In the
+        Chevalley image, tau(v_i ^ v_j) = v_i v_j - phi_ij."""
         cached = self._alpha_cache.get(zg)
         if cached is not None:
             return cached
-        quads = [m for m in range(16) if popcount(m) == 2]
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        z = lie_gen(zg)
-        for vb in range(4):
-            v = self.gen(P_GENS[vb])
-            # commutator of each quadratic monomial with v, coordinates in p
-            cols = []
-            for m in quads:
-                comm = self.commutator(self.element({m: 1}), v)
-                for mm in comm.terms:
-                    if popcount(mm) != 1:
-                        raise SolveError("quadratic commutator left degree one")
-                cols.append([comm.terms.get(1 << b, Fraction(0)) for b in range(4)])
-            target = bracket(z, lie_gen(P_GENS[vb]))
-            tvec = [Fraction(0)] * 4
-            for g, c in target.terms.items():
-                tvec[P_INDEX[g]] = c
-            for r in range(4):
-                rows.append([cols[k][r] for k in range(6)])
-                rhs.append(tvec[r])
-        sol, = solve_exact(rows, [rhs])
-        terms = {m: sol[k] for k, m in enumerate(quads)}
-        # re-gauge from mask monomials into the Chevalley image: for bits
-        # i < j, tau(v_i ^ v_j) = v_i v_j - phi(i, j), so the scalar slot
-        # picks up -sum(lambda_m phi(m))
-        shift = Fraction(0)
-        for k, m in enumerate(quads):
-            i, j = mask_bits(m)
-            shift += sol[k] * self.pform.phi(i, j)
-        if shift:
-            terms[0] = terms.get(0, Fraction(0)) - shift
-        el = self.element(terms)
+        ad = [[0] * 4 for _ in range(4)]  # ad[i][k]: v_i in [zg, v_k]
+        for k, v in enumerate(P_GENS):
+            for g, c in bracket_gens(zg, v):
+                ad[P_INDEX[g]][k] = c
+        m = [[sum(ad[i][k] * self._adjugate[k][j] for k in range(4)) for j in range(4)]
+             for i in range(4)]
+        if any(m[i][j] != -m[j][i] for i in range(4) for j in range(i, 4)):
+            raise SolveError(f"ad {zg.name} is not skew for the form")
+        num = {0: 0}
+        for i in range(4):
+            for j in range(i + 1, 4):
+                num[1 << i | 1 << j] = self._form_den * m[i][j]
+                num[0] -= m[i][j] * self._form[i][j]
+        el = CElement._of(num, 2 * self._form_det, self)
         self._alpha_cache[zg] = el
         return el
 
@@ -453,8 +382,19 @@ def _perm_sign(word: tuple[int, ...]) -> int:
     return sgn
 
 
-def _common_denominator(table: dict) -> tuple[dict, int]:
-    """A table of Fraction term dicts as int term dicts over one denominator."""
-    d = lcm(*(c.denominator for terms in table.values() for c in terms.values()))
-    return {key: {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
-            for key, terms in table.items()}, d
+def _det(m: tuple) -> int:
+    """Determinant of a small square int matrix, by expansion along row 0."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det(tuple(row[:j] + row[j + 1:] for row in m[1:]))
+               for j in range(len(m)) if m[0][j])
+
+
+def _adjugate(m: tuple) -> list[list[int]]:
+    """adj(m), with adj(m) m = det(m) I, in ints."""
+    n = len(m)
+
+    def minor(r: int, c: int) -> tuple:
+        return tuple(row[:c] + row[c + 1:] for i, row in enumerate(m) if i != r)
+
+    return [[(-1) ** (i + j) * _det(minor(j, i)) for j in range(n)] for i in range(n)]

@@ -1,73 +1,108 @@
 """Shared machinery for sparse linear-combination elements and the canonical
 text format they print to.
 
-Every algebra element in the package is a dict {key: Fraction} wrapped in a
-thin class; subclasses choose the key type and the product. Canonical text is
-frozen so that printing and re-parsing round-trips exactly.
+Every algebra element in the package holds int numerators over one
+denominator, num: {key: int} and den: int, in normal form: den > 0, no zero
+numerator, and gcd(den, *numerators) == 1. The form is canonical, so == and
+hash compare it structurally. Products and actions sum int tables and hand
+the sums to one normalizing constructor; Fraction appears only at the edges
+(the `terms` view, canonical text, element files, parser literals).
+Subclasses choose the key type and the product. Canonical text is frozen so
+that printing and re-parsing round-trips exactly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .matrix_oracle import Gen
 
 ZERO_EXP = (0,) * 10
 
 
-def from_int_terms(el, ints: dict, d: int):
-    """Fill the empty element `el` with ints[k] / d, making one Fraction per
-    nonzero term; the product kernels accumulate in ints and end here."""
-    el.terms = {k: Fraction(c, d) for k, c in ints.items() if c}
-    return el
+def _normal_form(num: dict, den: int) -> tuple[dict, int]:
+    """num / den in normal form: zero entries dropped, den made positive and
+    coprime to the numerators. A key that cancels to 0 is simply dropped, so
+    kernels accumulate with out[k] = out.get(k, 0) + c and end here."""
+    num = {k: c for k, c in num.items() if c}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+    return num, den
 
 
 class LinearElement:
     """Base class: a finite rational combination of monomial keys."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[k] = c
-        self.terms = clean
+        """From a {key: coefficient} dict of ints, Fractions or anything
+        Fraction() reads."""
+        items = [(k, c if isinstance(c, (int, Fraction)) else Fraction(c))
+                 for k, c in terms.items()] if terms else []
+        den = lcm(*(c.denominator for _, c in items))
+        self.num, self.den = _normal_form(
+            {k: c.numerator * (den // c.denominator) for k, c in items}, den)
+
+    @classmethod
+    def _of(cls, num: dict, den: int = 1):
+        """The element num / den of this class, brought to normal form."""
+        el = object.__new__(cls)
+        el.num, el.den = _normal_form(num, den)
+        return el
+
+    def _like(self, num: dict, den: int = 1):
+        """num / den as an element of the same kind (and algebra) as self."""
+        return self._of(num, den)
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as Fractions, in a fresh dict (the I/O view)."""
+        den = self.den
+        return {k: Fraction(c, den) for k, c in self.num.items()}
 
     # -- linear structure ---------------------------------------------------
-
-    def _wrap(self, terms):
-        return type(self)(terms)
 
     def _compatible(self, other) -> bool:
         return type(other) is type(self)
 
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
+        a, b = self.den, other.den
+        if a == b:
+            out, fb = dict(self.num), sign
+        else:
+            d = lcm(a, b)
+            fa, fb = d // a, sign * (d // b)
+            out = {k: c * fa for k, c in self.num.items()}
+            a = d
+        for k, c in other.num.items():
+            out[k] = out.get(k, 0) + fb * c
+        return self._like(out, a)
+
     def __add__(self, other):
         if not self._compatible(other):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, Fraction(0)) + c
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-        return self._wrap(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not self._compatible(other):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self._wrap({k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.num.items()}, self.den)
 
     def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return self._wrap({})
-        return self._wrap({k: v * c for k, v in self.terms.items()})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        n = c.numerator
+        return self._like({k: v * n for k, v in self.num.items()}, self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -83,7 +118,11 @@ class LinearElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(1, 1) / other)
+            if not other:
+                raise ZeroDivisionError("division of an element by zero")
+            d = other.denominator
+            return self._like({k: v * d for k, v in self.num.items()},
+                              self.den * other.numerator)
         return NotImplemented
 
     def _product(self, other):
@@ -105,22 +144,62 @@ class LinearElement:
     # -- comparisons and inspection -----------------------------------------
 
     def __eq__(self, other):
-        return self._compatible(other) and self.terms == other.terms
+        return self._compatible(other) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.num)
 
     def items(self):
         return self.terms.items()
+
+    def _text(self, sort_key, body) -> str:
+        """Canonical text: terms in sort_key order, each key printed by body."""
+        terms = self.terms
+        return join_terms([(terms[k], body(k)) for k in sorted(terms, key=sort_key)])
+
+
+class BoundElement(LinearElement):
+    """An element whose product lives in an algebra object (C(p), or U(g)
+    tensor C(p)); two elements are compatible when their algebras share a
+    form."""
+
+    __slots__ = ("algebra",)
+
+    def __init__(self, terms=None, algebra=None):
+        super().__init__(terms)
+        if algebra is None:
+            raise ValueError(f"{type(self).__name__} requires its algebra")
+        self.algebra = algebra
+
+    @classmethod
+    def _of(cls, num: dict, den: int = 1, algebra=None):
+        el = super()._of(num, den)
+        el.algebra = algebra
+        return el
+
+    def _like(self, num: dict, den: int = 1):
+        return self._of(num, den, self.algebra)
+
+    def _compatible(self, other) -> bool:
+        return isinstance(other, type(self)) and other.algebra.pform == self.algebra.pform
+
+    def _product(self, other):
+        return self.algebra.multiply(self, other)
+
+    def _one(self):
+        return self.algebra.one()
+
+    def __hash__(self):
+        return hash((frozenset(self.num.items()), self.den, self.algebra.pform))
 
 
 # -- canonical text ---------------------------------------------------------

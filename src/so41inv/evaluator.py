@@ -16,12 +16,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .clifford import ExtElement, ext_gen, ext_k_action
+from .elements import ZERO_EXP
 from .errors import EngineError, EvalError, ExprTypeError
 from .lie_core import LIE_ZERO, LieElement, lie_gen, require_in_k
 from .matrix_oracle import GEN_BY_NAME
 from .parser import BinOp, Call, Neg, Node, Num, Sym, parse
 from .sym_ext import SEElement, ad_action_se, build_st_catalog, se_gen
-from .tensor_algebra import Catalog, accepted_catalog
+from .tensor_algebra import Catalog, TensorAlgebra, accepted_catalog
 from .uea import (
     SElement,
     ad_action_s,
@@ -39,25 +40,36 @@ _SCALAR = "scalar"
 
 
 class EvalContext:
-    """The ambient realm and the catalogs, each resolved on first use."""
+    """The ambient realm, the U(g) tensor C(p) algebra and the catalogs, each
+    resolved on first use. Without a catalog or an algebra, both are the
+    adjudicated ones; given an algebra, its catalog is built only when an
+    expression reads a catalog name."""
 
-    def __init__(self, ambient: str = "uc", catalog: Catalog | None = None):
+    def __init__(self, ambient: str = "uc", catalog: Catalog | None = None,
+                 algebra: TensorAlgebra | None = None):
         if ambient not in AMBIENTS:
             raise ValueError(f"unknown ambient algebra: {ambient}")
         self.ambient = ambient
+        self._algebra = algebra
         if catalog is not None:
             self.catalog = catalog
 
-    catalog = cached_property(lambda self: accepted_catalog())
-    algebra = cached_property(lambda self: self.catalog.algebra)
+    @cached_property
+    def catalog(self) -> Catalog:
+        return accepted_catalog() if self._algebra is None else self._algebra.catalog
+
+    @cached_property
+    def algebra(self) -> TensorAlgebra:
+        return self.catalog.algebra if self._algebra is None else self._algebra
+
     st = cached_property(lambda self: build_st_catalog())
 
 
 def evaluate(src: str | Node, ambient: str = "uc",
-             catalog: Catalog | None = None):
+             catalog: Catalog | None = None, algebra: TensorAlgebra | None = None):
     """Parse (if needed) and evaluate; returns a UCElement or SEElement."""
     node = parse(src) if isinstance(src, str) else src
-    ctx = EvalContext(ambient, catalog)
+    ctx = EvalContext(ambient, catalog, algebra)
     try:
         realm, value = _eval(node, ctx.ambient, ctx)
     except EvalError:
@@ -77,13 +89,13 @@ def _lift_scalar(q: Fraction, realm: str, ctx: EvalContext):
     if realm == "uc":
         return ctx.algebra.scalar(q)
     if realm == "se":
-        return SEElement({(tuple([0] * 10), 0): Fraction(q)}) if q else SEElement({})
+        return SEElement({(ZERO_EXP, 0): q})
     if realm == "u":
         return q * u_one()
     if realm == "s":
         return q * s_one()
     if realm == "ext":
-        return ExtElement({0: Fraction(q)}) if q else ExtElement({})
+        return ExtElement({0: q})
     if realm == "c":
         return ctx.algebra.cl.scalar(q)
     if realm == "lie":
@@ -179,10 +191,20 @@ def _eval_binop(node: BinOp, realm: str, ctx: EvalContext):
         if realm == "se":
             left = _coerce(_eval(node.left, "s", ctx), "s", ctx)
             right = _coerce(_eval(node.right, "ext", ctx), "ext", ctx)
-            lse = SEElement({(exp, 0): c for exp, c in left.terms.items()})
-            rse = SEElement({(tuple([0] * 10), m): c for m, c in right.terms.items()})
+            lse = SEElement._of({(exp, 0): c for exp, c in left.num.items()}, left.den)
+            rse = SEElement._of({(ZERO_EXP, m): c for m, c in right.num.items()}, right.den)
             return (realm, lse * rse)
         raise EvalError(f"'ot' cannot appear inside {_REALM_NOUN[realm]}")
+
+    if op == "^" and isinstance(node.right, Num):
+        n = node.right.value
+        if n.denominator != 1 or n < 0:
+            raise EvalError(f"exponent {n} is not a nonnegative integer")
+        r, v = _eval(node.left, realm, ctx)
+        if r != _SCALAR and realm == "lie":
+            raise EvalError("the Lie algebra has no associative product; "
+                            "use ad(z, x) for brackets")
+        return (r, v ** int(n))
 
     if op == "^":
         if realm == "ext":
@@ -193,8 +215,8 @@ def _eval_binop(node: BinOp, realm: str, ctx: EvalContext):
             left = _coerce(_eval(node.left, "ext", ctx), "ext", ctx)
             right = _coerce(_eval(node.right, "ext", ctx), "ext", ctx)
             wedge = left * right
-            return (realm, SEElement(
-                {(tuple([0] * 10), m): c for m, c in wedge.terms.items()}))
+            return (realm, SEElement._of(
+                {(ZERO_EXP, m): c for m, c in wedge.num.items()}, wedge.den))
         raise EvalError(
             f"a wedge lives in the exterior algebra, not {_REALM_NOUN[realm]}; "
             "wrap it in tau(...) for the Clifford side")

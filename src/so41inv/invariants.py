@@ -27,7 +27,7 @@ from .clifford import popcount
 from .elements import ZERO_EXP
 from .errors import DomainError, InvarianceError
 from .lie_core import GEN_WEIGHTS
-from .linalg import certified_rank, integer_view, sparse_kernel, sparse_rank
+from .linalg import certified_rank, sparse_kernel, sparse_rank
 from .matrix_oracle import Gen, K_GENS
 from .sym_ext import (
     SEElement,
@@ -154,19 +154,18 @@ def invariant_dimension(
     rows = _operator_rows(cols)
     basis = None
     if want_basis:
-        kernel = sparse_kernel(rows, len(cols))
-        int_kernel = [integer_view(vec)[0] for vec in kernel]
+        basis = [SEElement({cols[j]: c for j, c in vec.items()})
+                 for vec in sparse_kernel(rows, len(cols))]
         for z in K_GENS:
             image = cache(partial(ad_on_key, z))  # one image per key and generator
-            for vec in int_kernel:
+            for el in basis:
                 out: dict[SEKey, int] = {}
-                for j, c in vec.items():
-                    for k, cc in image(cols[j]).items():
+                for key, c in el.num.items():
+                    for k, cc in image(key).items():
                         out[k] = out.get(k, 0) + c * cc
                 if any(out.values()):
                     raise InvarianceError(f"degree-{n} kernel vector", z.name,
                                           "kernel vector fails certification")
-        basis = [SEElement({cols[j]: c for j, c in vec.items()}) for vec in kernel]
         dim = len(basis)
     else:
         dim = len(cols) - sparse_rank(rows)
@@ -194,7 +193,7 @@ def symbol_ranks(cap: int) -> dict[int, tuple[int, int]]:
             n = s_deg + st.t_degrees[name]
             if n <= cap:
                 families[n].append(s_el * t_el)
-    return {n: (len(family), certified_rank([el.terms for el in family]))
+    return {n: (len(family), certified_rank([el.num for el in family]))
             for n, family in families.items()}
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrix_oracle
+from .elements import LinearElement
 from .errors import DomainError
 from .matrix_oracle import Gen, K_GENS, P_GENS
 
@@ -74,94 +75,45 @@ def bracket_gens(a: Gen, b: Gen) -> tuple[tuple[Gen, int], ...]:
     return tuple((g, -c) for g, c in _T[(b, a)])
 
 
-class LieElement:
+class LieElement(LinearElement):
     """A g-element: sparse rational combination of the ten generators."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for g, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[Gen(g)] = c
-        self.terms = clean
-
-    def __add__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            nc = out.get(g, Fraction(0)) + c
-            if nc:
-                out[g] = nc
-            else:
-                out.pop(g, None)
-        return LieElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LieElement({g: -c for g, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LieElement({g: c * other for g, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, LieElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        super().__init__({Gen(g): c for g, c in terms.items()} if terms else None)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
-        bits = []
-        for g in sorted(self.terms):
-            c = self.terms[g]
-            bits.append(f"{c}*{g.name}" if c != 1 else g.name)
-        return " + ".join(bits)
+        terms = self.terms
+        return " + ".join(f"{terms[g]}*{g.name}" if terms[g] != 1 else g.name
+                          for g in sorted(terms))
 
 
 def lie_gen(g: Gen) -> LieElement:
-    return LieElement({g: 1})
+    return LieElement._of({g: 1})
 
 
 LIE_ZERO = LieElement()
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
-    out: dict[Gen, Fraction] = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
+    out: dict[Gen, int] = {}
+    for a, ca in x.num.items():
+        for b, cb in y.num.items():
             f = ca * cb
             for g, c in bracket_gens(a, b):
-                nc = out.get(g, Fraction(0)) + f * c
-                if nc:
-                    out[g] = nc
-                else:
-                    out.pop(g, None)
-    return LieElement(out)
+                out[g] = out.get(g, 0) + f * c
+    return LieElement._of(out, x.den * y.den)
 
 
 def is_in_k(x: LieElement) -> bool:
-    return all(g in K_GENS for g in x.terms)
+    return all(g in K_GENS for g in x.num)
 
 
 def is_in_p(x: LieElement) -> bool:
-    return all(g in P_GENS for g in x.terms)
+    return all(g in P_GENS for g in x.num)
 
 
 def require_in_k(x: LieElement) -> None:

@@ -56,11 +56,11 @@ def solve_exact(rows: list[list[Fraction]],
     return sols
 
 
-def integer_view(terms: dict) -> tuple[dict, int]:
-    """Scale rational terms to ints: (ints, d) with terms[k] == ints[k] / d,
-    where d is the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
+def _int_row(vec: dict) -> dict:
+    """A sparse rational row times the lcm of its denominators: int entries,
+    no zeros, and the same span."""
+    d = lcm(*(v.denominator for v in vec.values()))
+    return {c: v.numerator * (d // v.denominator) for c, v in vec.items() if v}
 
 
 def _eliminate(res: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
@@ -101,7 +101,7 @@ class RationalEchelon:
     def _residual(self, vec: dict[int, Fraction]) -> dict[int, int]:
         """Integer multiple of vec minus a combination of the stored rows,
         whose leading column is not a pivot; empty iff vec is in the span."""
-        res = {c: v for c, v in integer_view(vec)[0].items() if v}
+        res = _int_row(vec)
         rows = self.rows
         while res:
             col = min(res)
@@ -169,8 +169,7 @@ def certified_rank(rows: list[dict]) -> int:
     a maximal minor is nonzero mod p, hence nonzero over Q, and the rows are
     independent. Any other case is ranked exactly by the rational echelon,
     so a rank below full never comes from modular arithmetic."""
-    integer_rows = [integer_view(row)[0] for row in rows]
-    if sparse_rank_mod_p(integer_rows, CERTIFICATE_PRIME) == len(rows):
+    if sparse_rank_mod_p([_int_row(row) for row in rows], CERTIFICATE_PRIME) == len(rows):
         return len(rows)
     return sparse_rank(rows)
 

@@ -217,8 +217,13 @@ def is_so41_member(m: Matrix5) -> bool:
 
 
 def trace_form(x: Matrix5, y: Matrix5) -> GaussRational:
-    """B(x, y) = tr(xy)."""
-    return mat_trace(mat_mul(x, y))
+    """B(x, y) = tr(xy), summing only the diagonal of the product."""
+    t = GR0
+    for i in range(5):
+        for k in range(5):
+            if x[i][k] and y[k][i]:
+                t = t + x[i][k] * y[k][i]
+    return t
 
 
 def trace_form_gens(a: Gen, b: Gen) -> Fraction:

@@ -9,8 +9,9 @@ Grammar (EBNF):
     call   := ('ad' | 'sigma' | 'tau' | 'rho') '(' expr (',' expr)* ')'
 
 'ot' is the tensor marker and '^' the wedge; both bind tighter than '*'.
-Unary minus on a factor is accepted as a convenience. Rationals are integer
-literals or integer/integer pairs like 3/4.
+'^' followed by a number is a power instead (H1^2, as canonical text prints
+it). Unary minus on a factor is accepted as a convenience. Rationals are
+integer literals or integer/integer pairs like 3/4.
 """
 from __future__ import annotations
 
@@ -230,9 +231,10 @@ def _p_flavored(node: Node) -> bool:
 
 def _lint_wedges(node: Node) -> None:
     """Wedge is only defined on the p-part; reject things like H1 ^ E3 at
-    parse time so the error carries the offending subexpression."""
+    parse time so the error carries the offending subexpression. A '^'
+    whose right side is a number is a power, not a wedge."""
     if isinstance(node, BinOp):
-        if node.op == "^":
+        if node.op == "^" and not isinstance(node.right, Num):
             for side in (node.left, node.right):
                 if not _p_flavored(side):
                     raise ExprTypeError(

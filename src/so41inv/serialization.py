@@ -70,11 +70,12 @@ def dumps_element(el) -> str:
         f"sign: {sign}",
         f"gram: {gram}",
         f"order-hash: {order_hash(algebra_id, sign, gram)}",
-        f"terms: {len(el.terms)}",
+        f"terms: {len(el)}",
     ]
-    for key in sorted(el.terms, key=pair_sort_key):
+    terms = el.terms
+    for key in sorted(terms, key=pair_sort_key):
         exp, mask = key
-        coeff = el.terms[key]
+        coeff = terms[key]
         lines.append(
             f"{coeff} | {' '.join(str(e) for e in exp)} | {_mask_str(mask)}")
     return "\n".join(lines) + "\n"

@@ -13,18 +13,10 @@ from functools import partial
 from math import comb
 
 from .clifford import ext_ad_on_mask, ext_merge, popcount
-from .elements import (
-    LinearElement,
-    ZERO_EXP,
-    fmt_exp,
-    fmt_mask,
-    from_int_terms,
-    join_terms,
-    pair_sort_key,
-)
+from .elements import LinearElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key
 from .errors import DomainError, NotStableError
 from .lie_core import GEN_WEIGHTS, LieElement, bracket_gens, lie_gen, require_in_k
-from .linalg import RationalEchelon, integer_view, sparse_kernel
+from .linalg import RationalEchelon, sparse_kernel
 from .matrix_oracle import Gen, K_GENS, P_GENS
 
 SEKey = tuple  # (exp 10-tuple, mask int)
@@ -34,36 +26,29 @@ _GENS = tuple(Gen)
 class SEElement(LinearElement):
     """Element of S(g) tensor Lambda(p)."""
 
+    __slots__ = ()
+
     def _product(self, other):
-        out: dict[SEKey, Fraction] = {}
-        for (ea, ma), ca in self.terms.items():
-            for (eb, mb), cb in other.terms.items():
+        out: dict[SEKey, int] = {}
+        for (ea, ma), ca in self.num.items():
+            for (eb, mb), cb in other.num.items():
                 merged = ext_merge(ma, mb)
                 if merged is None:
                     continue
                 sgn, m = merged
                 k = (tuple(x + y for x, y in zip(ea, eb)), m)
-                nc = out.get(k, Fraction(0)) + ca * cb * sgn
-                if nc:
-                    out[k] = nc
-                else:
-                    out.pop(k, None)
-        return SEElement(out)
+                out[k] = out.get(k, 0) + sgn * ca * cb
+        return SEElement._of(out, self.den * other.den)
 
     def _one(self):
         return se_one()
 
     def degree(self) -> int:
-        return max((key_degree(k) for k in self.terms), default=0)
+        return max((key_degree(k) for k in self.num), default=0)
 
     def __str__(self):
-        keys = sorted(self.terms, key=pair_sort_key)
-        pairs = []
-        for k in keys:
-            exp, mask = k
-            body = f"({fmt_exp(exp)}) ot ({fmt_mask(mask, '^')})"
-            pairs.append((self.terms[k], body))
-        return join_terms(pairs)
+        return self._text(pair_sort_key,
+                          lambda k: f"({fmt_exp(k[0])}) ot ({fmt_mask(k[1], '^')})")
 
 
 def key_degree(key: SEKey) -> int:
@@ -90,14 +75,14 @@ def key_weight(key: SEKey) -> tuple[int, int]:
 def se_gen(g: Gen) -> SEElement:
     exp = [0] * 10
     exp[g] = 1
-    return SEElement({(tuple(exp), 0): 1})
+    return SEElement._of({(tuple(exp), 0): 1})
 
 
 def se_ext_gen(g: Gen) -> SEElement:
     if g not in P_GENS:
         raise DomainError(f"{g.name} is not a p-generator")
     bit = P_GENS.index(g)
-    return SEElement({(ZERO_EXP, 1 << bit): 1})
+    return SEElement._of({(ZERO_EXP, 1 << bit): 1})
 
 
 def se_wedge(*gens: Gen) -> SEElement:
@@ -108,7 +93,7 @@ def se_wedge(*gens: Gen) -> SEElement:
 
 
 def se_one() -> SEElement:
-    return SEElement({(ZERO_EXP, 0): 1})
+    return SEElement._of({(ZERO_EXP, 0): 1})
 
 
 # ad of each k-generator on each exterior monomial
@@ -136,17 +121,15 @@ def ad_on_key(zg: Gen, key: SEKey) -> dict[SEKey, int]:
 
 
 def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
-    """ad z on x: both scaled to ints, int ad_on_key images summed, one
-    Fraction made per output term."""
+    """ad z on x: the int ad_on_key images summed over z.den * x.den."""
     require_in_k(z)
-    zi, zd = integer_view(z.terms)
-    xi, xd = integer_view(x.terms)
     out: dict[SEKey, int] = {}
-    for zg, zc in zi.items():
-        for key, c in xi.items():
+    for zg, zc in z.num.items():
+        for key, c in x.num.items():
+            f = zc * c
             for k, cc in ad_on_key(zg, key).items():
-                out[k] = out.get(k, 0) + zc * c * cc
-    return from_int_terms(SEElement(), out, zd * xd)
+                out[k] = out.get(k, 0) + f * cc
+    return SEElement._of(out, z.den * x.den)
 
 
 def se_k_invariant(x: SEElement) -> bool:
@@ -391,9 +374,10 @@ class KModuleLabel:
         return f"V({self.a},{self.b})"
 
 
-def _coords(key_index: dict[SEKey, int], el: SEElement) -> dict[int, Fraction]:
-    """Coordinates of el, numbering keys in the order key_index sees them."""
-    return {key_index.setdefault(k, len(key_index)): c for k, c in el.terms.items()}
+def _coords(key_index: dict[SEKey, int], el: SEElement) -> dict[int, int]:
+    """Coordinates of el times el.den, which no span sees, numbering keys in
+    the order key_index sees them."""
+    return {key_index.setdefault(k, len(key_index)): c for k, c in el.num.items()}
 
 
 def decompose_k_module(space: list[SEElement]) -> Counter:
@@ -427,11 +411,11 @@ def decompose_k_module(space: list[SEElement]) -> Counter:
     by_weight: dict[tuple[int, int], RationalEchelon] = {}
     weight_vecs: dict[tuple[int, int], list[SEElement]] = {}
     for el in basis:
-        buckets: dict[tuple[int, int], dict[SEKey, Fraction]] = {}
-        for k, c in el.terms.items():
+        buckets: dict[tuple[int, int], dict[SEKey, int]] = {}
+        for k, c in el.num.items():
             buckets.setdefault(key_weight(k), {})[k] = c
-        for w, terms in buckets.items():
-            piece = SEElement(terms)
+        for w, num in buckets.items():
+            piece = SEElement._of(num, el.den)
             ech = by_weight.setdefault(w, RationalEchelon())
             if ech.insert(coords(piece)):
                 weight_vecs.setdefault(w, []).append(piece)
@@ -441,20 +425,23 @@ def decompose_k_module(space: list[SEElement]) -> Counter:
     for w in sorted(weight_vecs, reverse=True):
         vecs = weight_vecs[w]
         img_keys: dict[SEKey, int] = {}
-        rows_t: list[dict[int, Fraction]] = []  # columns = vecs
+        # column vi holds both images of v times v.den (img.den divides it),
+        # a column scaling that leaves the kernel dimension alone
+        rows_t: list[dict[int, int]] = []
         for vi, v in enumerate(vecs):
-            col: dict[int, Fraction] = {}
+            col: dict[int, int] = {}
             for z in (Gen.E1, Gen.E2):
                 img = ad_action_se(lie_gen(z), v)
-                for k, c in img.terms.items():
+                f = v.den // img.den
+                for k, c in img.num.items():
                     kk = (z, k)
                     if kk not in img_keys:
                         img_keys[kk] = len(img_keys)
-                    col[img_keys[kk]] = c
+                    col[img_keys[kk]] = c * f
             rows_t.append(col)
         # kernel of the map (coefficients on vecs) -> images
         nv = len(vecs)
-        mat_rows: list[dict[int, Fraction]] = [dict() for _ in range(len(img_keys))]
+        mat_rows: list[dict[int, int]] = [dict() for _ in range(len(img_keys))]
         for vi, col in enumerate(rows_t):
             for r, c in col.items():
                 mat_rows[r][vi] = c

@@ -13,15 +13,13 @@ orderings. Grouping the orderings by their first letter gives
 
 where P(x) is the straightened sum of all distinct orderings of x. P is a
 memoized recursion over sub-multisets in plain ints, and
-sigma(x) = P(x) / (n! / prod x_g!), so a Fraction appears only once per
-output term.
+sigma(x) = P(x) / (n! / prod x_g!) is P(x) over one denominator.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from .elements import LinearElement, ZERO_EXP, exp_sort_key, fmt_exp, join_terms
+from .elements import LinearElement, ZERO_EXP, exp_sort_key, fmt_exp
 from .lie_core import LieElement, bracket_gens
 from .matrix_oracle import Gen
 
@@ -110,78 +108,68 @@ def gen_commutator(g: int, exp: Exp) -> dict[Exp, int]:
 class UElement(LinearElement):
     """Element of U(g) in PBW normal form: {exponent tuple: coefficient}."""
 
+    __slots__ = ()
+
     def _product(self, other):
-        out: dict[Exp, Fraction] = {}
-        for mx, cx in self.terms.items():
-            for my, cy in other.terms.items():
+        out: dict[Exp, int] = {}
+        for mx, cx in self.num.items():
+            for my, cy in other.num.items():
                 f = cx * cy
                 for m, c in pbw_pair_product(mx, my).items():
-                    nc = out.get(m, Fraction(0)) + f * c
-                    if nc:
-                        out[m] = nc
-                    else:
-                        out.pop(m, None)
-        return UElement(out)
+                    out[m] = out.get(m, 0) + f * c
+        return UElement._of(out, self.den * other.den)
 
     def _one(self):
         return u_one()
 
     def degree(self) -> int:
-        return max((exp_degree(m) for m in self.terms), default=0)
+        return max((exp_degree(m) for m in self.num), default=0)
 
     def __str__(self):
-        keys = sorted(self.terms, key=exp_sort_key)
-        return join_terms([(self.terms[k], fmt_exp(k)) for k in keys])
+        return self._text(exp_sort_key, fmt_exp)
 
 
 class SElement(LinearElement):
     """Element of the polynomial algebra S(g), same key shape as UElement."""
 
+    __slots__ = ()
+
     def _product(self, other):
-        out: dict[Exp, Fraction] = {}
-        for mx, cx in self.terms.items():
-            for my, cy in other.terms.items():
+        out: dict[Exp, int] = {}
+        for mx, cx in self.num.items():
+            for my, cy in other.num.items():
                 m = tuple(a + b for a, b in zip(mx, my))
-                nc = out.get(m, Fraction(0)) + cx * cy
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-        return SElement(out)
+                out[m] = out.get(m, 0) + cx * cy
+        return SElement._of(out, self.den * other.den)
 
     def _one(self):
         return s_one()
 
     def degree(self) -> int:
-        return max((exp_degree(m) for m in self.terms), default=0)
+        return max((exp_degree(m) for m in self.num), default=0)
 
     def __str__(self):
-        keys = sorted(self.terms, key=exp_sort_key)
-        return join_terms([(self.terms[k], fmt_exp(k)) for k in keys])
+        return self._text(exp_sort_key, fmt_exp)
 
 
 def u_gen(g: Gen) -> UElement:
-    exp = [0] * 10
-    exp[g] = 1
-    return UElement({tuple(exp): 1})
+    return UElement._of({word_to_exp((g,)): 1})
 
 
 def s_gen(g: Gen) -> SElement:
-    exp = [0] * 10
-    exp[g] = 1
-    return SElement({tuple(exp): 1})
+    return SElement._of({word_to_exp((g,)): 1})
 
 
 def u_one() -> UElement:
-    return UElement({ZERO_EXP: 1})
+    return UElement._of({ZERO_EXP: 1})
 
 
 def s_one() -> SElement:
-    return SElement({ZERO_EXP: 1})
+    return SElement._of({ZERO_EXP: 1})
 
 
 def lie_to_u(x: LieElement) -> UElement:
-    return UElement({word_to_exp((g,)): c for g, c in x.terms.items()})
+    return UElement._of({word_to_exp((g,)): c for g, c in x.num.items()}, x.den)
 
 
 _ORDERINGS_SUM: dict[Exp, dict] = {}
@@ -211,33 +199,32 @@ def _orderings_sum(exp: Exp) -> dict[Exp, int]:
     return res
 
 
-_SYMMETRIZE: dict[Exp, dict] = {}
+_SYMMETRIZE: dict[Exp, UElement] = {}
 
 
-def symmetrize_monomial(exp: Exp) -> dict[Exp, Fraction]:
-    """sigma of a single symmetric monomial, as a PBW term dict (shared)."""
+def symmetrize_monomial(exp: Exp) -> UElement:
+    """sigma of a single symmetric monomial: P(exp) over the number of
+    distinct orderings (shared via the memo table)."""
     cached = _SYMMETRIZE.get(exp)
-    if cached is not None:
-        return cached
-    orderings = factorial(sum(exp))
-    for e in exp:
-        orderings //= factorial(e)
-    res = {m: Fraction(c, orderings) for m, c in _orderings_sum(exp).items()}
-    _SYMMETRIZE[exp] = res
-    return res
+    if cached is None:
+        orderings = factorial(sum(exp))
+        for e in exp:
+            orderings //= factorial(e)
+        cached = UElement._of(_orderings_sum(exp), orderings)
+        _SYMMETRIZE[exp] = cached
+    return cached
 
 
 def symmetrize(x: SElement) -> UElement:
     """The symmetrization map sigma: S(g) -> U(g)."""
-    out: dict[Exp, Fraction] = {}
-    for exp, c in x.terms.items():
-        for m, cc in symmetrize_monomial(exp).items():
-            nc = out.get(m, Fraction(0)) + c * cc
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    return UElement(out)
+    images = [(c, symmetrize_monomial(exp)) for exp, c in x.num.items()]
+    den = lcm(*(s.den for _, s in images))
+    out: dict[Exp, int] = {}
+    for c, s in images:
+        f = c * (den // s.den)
+        for m, cc in s.num.items():
+            out[m] = out.get(m, 0) + f * cc
+    return UElement._of(out, x.den * den)
 
 
 def ad_action_u(z: LieElement, x: UElement) -> UElement:
@@ -248,24 +235,19 @@ def ad_action_u(z: LieElement, x: UElement) -> UElement:
 
 def ad_action_s(z: LieElement, x: SElement) -> SElement:
     """The derivation extending ad(z) to the polynomial algebra."""
-    out: dict[Exp, Fraction] = {}
-    for exp, c in x.terms.items():
-        for slot in range(10):
-            e = exp[slot]
+    out: dict[Exp, int] = {}
+    for exp, c in x.num.items():
+        for slot, e in enumerate(exp):
             if not e:
                 continue
-            for zg, zc in z.terms.items():
+            for zg, zc in z.num.items():
                 for g, bc in bracket_gens(zg, Gen(slot)):
                     m = list(exp)
                     m[slot] -= 1
-                    m[int(g)] += 1
+                    m[g] += 1
                     m = tuple(m)
-                    nc = out.get(m, Fraction(0)) + c * e * zc * bc
-                    if nc:
-                        out[m] = nc
-                    else:
-                        out.pop(m, None)
-    return SElement(out)
+                    out[m] = out.get(m, 0) + c * e * zc * bc
+    return SElement._of(out, x.den * z.den)
 
 
 def u_k_invariant(x: UElement) -> bool:

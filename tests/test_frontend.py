@@ -8,6 +8,7 @@ import pytest
 
 from so41inv.errors import EvalError, ExprTypeError, ParseError
 from so41inv.evaluator import evaluate
+from so41inv.matrix_oracle import Gen
 from so41inv.parser import BinOp, Call, Num, Sym, describe, parse
 from so41inv.serialization import dump_element, dumps_element, load_element, loads_element
 from so41inv.sym_ext import se_gen
@@ -183,7 +184,21 @@ def test_eval_tau_matches_clifford_product_minus_pairing(cat):
 
 # -- element files -------------------------------------------------------------------
 
+def test_caret_with_a_number_is_a_power():
+    # canonical text prints powers as H1^2, so they must read back
+    assert evaluate("(H1^2 * E3) ot (E3 ^ F3)", ambient="se") == \
+        evaluate("H1 * H1 * E3 * (E3 ^ F3)", ambient="se")
+    assert evaluate("(E3 + F3)^0", ambient="se") == evaluate("1", ambient="se")
+    with pytest.raises(EvalError):
+        evaluate("H1^1/2", ambient="se")
+    with pytest.raises(ExprTypeError):
+        parse("H1 ^ E3")
+
+
 def test_round_trip_every_uc_catalog_element(cat):
+    # canonical text, then the element file
+    for name, el in cat.elements.items():
+        assert evaluate(str(el), catalog=cat) == el, name
     for name, el in cat.elements.items():
         text = dumps_element(el)
         back = loads_element(text)
@@ -192,6 +207,8 @@ def test_round_trip_every_uc_catalog_element(cat):
 
 
 def test_round_trip_every_se_catalog_element(st):
+    for name, el in st.named.items():
+        assert evaluate(str(el), ambient="se") == el, name
     for name, el in st.named.items():
         text = dumps_element(el)
         back = loads_element(text)
@@ -414,6 +431,33 @@ def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch):
     built = [r for r in tensor_algebra.adjudicate_convention().reports if r.built]
     assert len(calls) == len(built) == 4
     assert "RELATION c sign=-1 residual_terms=0 PASS" in out
+
+
+def test_eval_with_a_forced_sign_builds_its_catalog_only_when_read(capsys, monkeypatch):
+    built = []
+    build = tensor_algebra.build_catalog
+
+    def counted(alg):
+        built.append(alg.pform)
+        return build(alg)
+
+    monkeypatch.setattr(tensor_algebra, "_ALGEBRAS", {})
+    monkeypatch.setattr(tensor_algebra, "build_catalog", counted)
+    code, out, _ = run_cli(capsys, "eval", "--sign", "+1", "E1")
+    assert (code, out, built) == (0, "(E1) ot (1)\n", [])
+    code, out, _ = run_cli(capsys, "eval", "--sign", "+1", "b - b")
+    assert (code, out) == (0, "0\n")
+    assert [p.describe() for p in built] == ["gram=trace/4 sign=+1"]
+
+
+def test_verify_invariance_prints_the_certificate_of_build_catalog(capsys, monkeypatch, cat):
+    calls = []
+    monkeypatch.setattr(tensor_algebra.TensorAlgebra, "ad_action",
+                        lambda self, z, x: calls.append(z))
+    code, out, _ = run_cli(capsys, "verify", "invariance")
+    assert (code, calls) == (0, [])
+    assert out.count(" residual_terms=0 PASS") == 78
+    assert cat.invariance[("Dk", Gen.F2)] == 0 and len(cat.invariance) == 78
 
 
 # -- how often each convention is built ----------------------------------------------
