@@ -19,7 +19,7 @@ from math import lcm
 from .elements import BoundElement, LinearElement, fmt_mask, mask_bits, mask_sort_key
 from .errors import DomainError, SolveError
 from .lie_core import LieElement, bracket_gens, require_in_k
-from .matrix_oracle import Gen, K_GENS, P_GENS, trace_form_gens
+from .matrix_oracle import Gen, P_GENS, trace_form_gens
 
 P_INDEX = {g: i for i, g in enumerate(P_GENS)}
 TOP_MASK = 0b1111
@@ -179,7 +179,9 @@ class CliffordAlgebra:
     products, the k-action on monomials and tau of monomials are each one
     int table over one denominator: table[(ma, mb)][m] / table_den is the
     coefficient of m in ma * mb, k_table[(zg, mask)][m] / k_den that of m in
-    ad(zg) mask, and _tau_table[mask][m] / _tau_den that of m in tau(mask)."""
+    ad(zg) mask, and _tau_table[mask][m] / _tau_den that of m in tau(mask).
+    Each entry is straightened on first read, so a convention that is read
+    only in a few products pays only for those."""
 
     def __init__(self, pform: PForm):
         q = lcm(*(v.denominator for row in pform.gram for v in row))
@@ -194,13 +196,11 @@ class CliffordAlgebra:
         self.pform = pform
         self._insert_cache: dict[tuple[int, int], dict[int, int]] = {}
         self.table_den = q ** 4  # two masks meet in at most four contractions
-        self.table = {(ma, mb): self._word(mask_bits(ma) + mask_bits(mb), 4)
-                      for ma in range(16) for mb in range(16)}
+        self.table = _OnDemand(lambda key: self._word(mask_bits(key[0]) + mask_bits(key[1]), 4))
         self.k_den = q ** 2
-        self.k_table = {(zg, mask): self._k_action_monomial(zg, mask)
-                        for zg in K_GENS for mask in range(16)}
+        self.k_table = _OnDemand(lambda key: self._k_action_monomial(*key))
         self._tau_den = 24 * q ** 2
-        self._tau_table = {mask: self._tau_monomial(mask) for mask in range(16)}
+        self._tau_table = _OnDemand(self._tau_monomial)
         self._alpha_cache: dict[Gen, CElement] = {}
 
     # -- construction --------------------------------------------------------
@@ -370,6 +370,18 @@ class CliffordAlgebra:
         el = CElement._of(num, 2 * self._form_det, self)
         self._alpha_cache[zg] = el
         return el
+
+
+class _OnDemand(dict):
+    """A table whose entry for a key is computed by fill(key) on first read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
 
 
 def _perm_sign(word: tuple[int, ...]) -> int:

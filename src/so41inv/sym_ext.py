@@ -14,7 +14,7 @@ from math import comb
 
 from .clifford import ext_ad_on_mask, ext_merge, popcount
 from .elements import LinearElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key
-from .errors import DomainError, NotStableError
+from .errors import DomainError, InvarianceError, NotStableError
 from .lie_core import GEN_WEIGHTS, LieElement, bracket_gens, lie_gen, require_in_k
 from .linalg import RationalEchelon, sparse_kernel
 from .matrix_oracle import Gen, K_GENS, P_GENS
@@ -308,24 +308,16 @@ def build_st_catalog() -> STCatalog:
         "i": build_i(),
         "j": build_j(),
     }
-    base = dict(named)
     t: dict[str, SEElement] = {"1": se_one()}
     for name in T_ORDER[1:]:
-        if name in base:
-            t[name] = base[name]
-        else:
-            left, right = name[0], name[1]
-            t[name] = base[left] * base[right]
-    from .errors import InvarianceError
-    from .lie_core import lie_gen as _lg
-
-    for name, el in list(named.items()) + list(t.items()):
+        t[name] = named[name] if name in named else named[name[0]] * named[name[1]]
+    # the t that are named elements are the same objects: certify each once
+    for name, el in {**named, **t}.items():
         for z in K_GENS:
-            res = ad_action_se(_lg(z), el)
+            res = ad_action_se(lie_gen(z), el)
             if not res.is_zero():
                 raise InvarianceError(name, z.name, f"{len(res)} residual terms")
     degrees = {name: el.degree() for name, el in t.items()}
-    degrees["1"] = 0
     _ST_CACHE = STCatalog(named=named, t_elements=t, t_degrees=degrees)
     return _ST_CACHE
 

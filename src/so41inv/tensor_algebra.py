@@ -3,10 +3,11 @@
 Everything downstream of the Clifford normalization question lives here. A
 TensorAlgebra is parametrized by a PForm; build_catalog() maps the closed
 form invariants over via rho = sigma tensor tau and certifies K-invariance;
-verify_relations() evaluates the identity suite relating the catalog
-elements; adjudicate_convention() builds the algebra under each candidate
-normalization of the form and reports which one (if any) satisfies the whole
-suite. convention_algebra() builds each label's algebra once per process; the
+verify_relations() evaluates the identity table IDENTITIES relating the
+catalog elements; adjudicate_convention() accepts the first candidate
+normalization of the form that satisfies the whole suite, after ruling out
+each one the j identity refutes without building its catalog.
+convention_algebra() builds each label's algebra once per process; the
 algebra caches its catalog, and the catalog its identity checks.
 """
 from __future__ import annotations
@@ -260,59 +261,69 @@ RELATION_NAMES = ("b", "d", "e", "j", "f", "g", "h", "c")
 RELATION_VARIANTS = ("literal", "regrouped")
 
 
+_HALF, _QUARTER, _THREEHALF = Fraction(1, 2), Fraction(1, 4), Fraction(3, 2)
+
+
+class _Terms:
+    """Named elements as attributes, and the parts that several identities
+    share, each computed once on first read."""
+
+    def __init__(self, elements: dict[str, UCElement]):
+        self.__dict__.update(elements)
+
+    @cached_property
+    def anti(self) -> UCElement:  # d and e
+        return _HALF * (self.Dk * self.i + self.i * self.Dk)
+
+    @cached_property
+    def h_products(self) -> UCElement:  # both forms of h
+        return self.d * (self.g + _THREEHALF * self.D) + self.e * (self.f - _THREEHALF * self.D)
+
+    @cached_property
+    def c_products(self) -> UCElement:  # both forms of c
+        D, d, e, f, g = self.D, self.d, self.e, self.f, self.g
+        fm, gp = f - _THREEHALF * D, g + _THREEHALF * D
+        return (fm * gp + gp * fm
+                - (self.a2 * d + d * self.a2)
+                + (self.a1 * e + e * self.a1)
+                - _HALF * (g * D - D * g)
+                + _HALF * (f * D - D * f)
+                + (4 * self.b + 5) * (d - e))
+
+
+# The right-hand side of each identity, by (name, variant): the literal forms
+# of all eight, then the regrouped forms of h and c (the only two where the
+# variants differ). An identity holds when its name equals its right side.
+IDENTITIES = {
+    ("b", "literal"): lambda t: -_HALF * (t.D * t.D) + t.Dk,
+    ("d", "literal"): lambda t: t.Dk - t.anti,
+    ("e", "literal"): lambda t: -1 * t.Dk - t.anti,
+    ("j", "literal"): lambda t: _HALF * (t.i * t.D - t.D * t.i),
+    ("f", "literal"): lambda t: _HALF * (t.d * t.D - t.D * t.d - 3 * t.j),
+    ("g", "literal"): lambda t: _HALF * (t.e * t.D - t.D * t.e - 3 * t.j),
+    ("h", "literal"): lambda t: _QUARTER * (t.h_products - Fraction(3, 4) * (t.f - t.g - t.D)),
+    ("c", "literal"): lambda t: _QUARTER * (t.c_products + 6 * t.b - 8 * t.a1 - 8 * t.a2),
+    ("h", "regrouped"): lambda t: _QUARTER * t.h_products - Fraction(3, 4) * (t.f - t.g - t.D),
+    ("c", "regrouped"): lambda t: _QUARTER * (t.c_products - 4 * t.a1 - 4 * t.a2),
+}
+
+
+def _effective_variant(name: str) -> str:
+    return "regrouped" if (name, "regrouped") in IDENTITIES else "literal"
+
+
+def _residual(t: _Terms, name: str, variant: str) -> UCElement:
+    return getattr(t, name) - IDENTITIES[name, variant](t)
+
+
 def relation_residuals(cat: Catalog, variant: str = "literal") -> dict[str, UCElement]:
-    """Left minus right side of each identity in the suite."""
+    """Left minus right side of each identity in the suite; the six
+    identities with one form read the literal one under either variant."""
     if variant not in RELATION_VARIANTS:
         raise ValueError(f"unknown relation variant: {variant}")
-    el = cat.elements
-    D, Dk = el["D"], el["Dk"]
-    a1, a2, b, c = el["a1"], el["a2"], el["b"], el["c"]
-    d, e, f, g, h, i, j = (el[k] for k in ("d", "e", "f", "g", "h", "i", "j"))
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    threehalf = Fraction(3, 2)
-    res = {}
-    res["b"] = b - (-half * (D * D) + Dk)
-    res["d"] = d - (Dk - half * (Dk * i + i * Dk))
-    res["e"] = e - (-1 * Dk - half * (Dk * i + i * Dk))
-    res["j"] = j - half * (i * D - D * i)
-    res["f"] = f - half * (d * D - D * d - 3 * j)
-    res["g"] = g - half * (e * D - D * e - 3 * j)
-    if variant == "literal":
-        res["h"] = h - quarter * (
-            d * (g + threehalf * D)
-            + e * (f - threehalf * D)
-            - Fraction(3, 4) * (f - g - D)
-        )
-        res["c"] = c - quarter * (
-            (f - threehalf * D) * (g + threehalf * D)
-            + (g + threehalf * D) * (f - threehalf * D)
-            - (a2 * d + d * a2)
-            + (a1 * e + e * a1)
-            - half * (g * D - D * g)
-            + half * (f * D - D * f)
-            + (4 * b + 5) * (d - e)
-            + 6 * b
-            - 8 * a1
-            - 8 * a2
-        )
-    else:
-        res["h"] = h - (
-            quarter * (d * (g + threehalf * D) + e * (f - threehalf * D))
-            - Fraction(3, 4) * (f - g - D)
-        )
-        res["c"] = c - quarter * (
-            (f - threehalf * D) * (g + threehalf * D)
-            + (g + threehalf * D) * (f - threehalf * D)
-            - (a2 * d + d * a2)
-            + (a1 * e + e * a1)
-            - half * (g * D - D * g)
-            + half * (f * D - D * f)
-            + (4 * b + 5) * (d - e)
-            - 4 * a1
-            - 4 * a2
-        )
-    return res
+    t = _Terms(cat.elements)
+    return {name: _residual(t, name, variant if (name, variant) in IDENTITIES else "literal")
+            for name in RELATION_NAMES}
 
 
 @dataclass
@@ -324,30 +335,17 @@ class RelationCheck:
 
 
 def verify_relations(cat: Catalog) -> list[RelationCheck]:
-    """All identity checks: the eight literal forms plus the regrouped forms
-    of h and c (the only two where the variants differ)."""
-    out = []
-    for variant in RELATION_VARIANTS:
-        residuals = relation_residuals(cat, variant)
-        for name in RELATION_NAMES:
-            if variant == "regrouped" and name not in ("h", "c"):
-                continue
-            r = residuals[name]
-            out.append(
-                RelationCheck(name=name, variant=variant,
-                              residual_terms=len(r), ok=r.is_zero())
-            )
-    return out
+    """Every identity of the table, in its order, each product computed once."""
+    t = _Terms(cat.elements)
+    residuals = {key: _residual(t, *key) for key in IDENTITIES}
+    return [RelationCheck(name=name, variant=variant, residual_terms=len(r), ok=r.is_zero())
+            for (name, variant), r in residuals.items()]
 
 
 def effective_checks(checks: list[RelationCheck]) -> list[RelationCheck]:
     """One check per relation: the literal form for the six unambiguous
     identities, the regrouped form for h and c."""
-    pick = {}
-    for ch in checks:
-        want = "regrouped" if ch.name in ("h", "c") else "literal"
-        if ch.variant == want:
-            pick[ch.name] = ch
+    pick = {ch.name: ch for ch in checks if ch.variant == _effective_variant(ch.name)}
     return [pick[name] for name in RELATION_NAMES if name in pick]
 
 
@@ -379,10 +377,23 @@ def convention_algebra(label: str) -> TensorAlgebra:
 
 @dataclass
 class ConventionReport:
+    """One convention's outcome: whether its catalog built, why not, and its
+    identity checks. Read from convention_algebra(label).catalog on first
+    use, so a convention that adjudication refuted is built only if asked."""
+
     label: str
-    built: bool
-    failure: str
-    checks: list[RelationCheck]
+
+    @cached_property
+    def _outcome(self) -> tuple[bool, str, list[RelationCheck]]:
+        try:
+            cat = convention_algebra(self.label).catalog
+        except InvarianceError as exc:
+            return False, str(exc), []
+        return True, "", cat.checks
+
+    built = property(lambda self: self._outcome[0])
+    failure = property(lambda self: self._outcome[1])
+    checks = property(lambda self: self._outcome[2])
 
     @property
     def effective_pass(self) -> bool:
@@ -401,27 +412,30 @@ class Adjudication:
 _ADJUDICATION: Adjudication | None = None
 
 
+def refuted_by_j(label: str) -> bool:
+    """Whether the literal j identity fails under the convention: evaluated
+    on the uncertified rho images of i, D and j alone, two products and no
+    catalog. Its residual is the one the whole suite would report for j, so
+    a nonzero one rules the convention out."""
+    alg = convention_algebra(label)
+    named = build_st_catalog().named
+    t = _Terms({name: alg.rho(named[name]) for name in ("i", "D", "j")})
+    return not _residual(t, "j", "literal").is_zero()
+
+
 def adjudicate_convention() -> Adjudication:
-    """Build the catalog and run the identity suite under each candidate
-    Clifford normalization; accept the one where the whole suite passes."""
+    """Accept the first candidate Clifford normalization where the whole
+    identity suite passes. A convention the j identity refutes is not
+    built; its report is filled in when read."""
     global _ADJUDICATION
     if _ADJUDICATION is not None:
         return _ADJUDICATION
-    reports = []
-    accepted = None
-    accepted_catalog = None
-    for label in CONVENTION_LABELS:
-        try:
-            cat = convention_algebra(label).catalog
-        except InvarianceError as exc:
-            reports.append(ConventionReport(label, False, str(exc), []))
-            continue
-        report = ConventionReport(label, True, "", cat.checks)
-        reports.append(report)
-        if report.effective_pass and accepted is None:
-            accepted = label
-            accepted_catalog = cat
-    _ADJUDICATION = Adjudication(reports=reports, accepted=accepted, catalog=accepted_catalog)
+    reports = [ConventionReport(label) for label in CONVENTION_LABELS]
+    accepted = next((r.label for r in reports
+                     if not refuted_by_j(r.label) and r.effective_pass), None)
+    _ADJUDICATION = Adjudication(
+        reports=reports, accepted=accepted,
+        catalog=None if accepted is None else convention_algebra(accepted).catalog)
     return _ADJUDICATION
 
 
@@ -455,39 +469,15 @@ class ChainStep:
 
 def derive_chain(cat: Catalog) -> dict[str, UCElement]:
     """rho(b), rho(d), ..., rho(c) rebuilt from the five claimed generators
-    rho(a1), rho(a2), rho(i), D, Dk alone. Later steps consume the derived
-    elements, not the catalog ones."""
-    el = cat.elements
-    D, Dk, i = el["D"], el["Dk"], el["i"]
-    a1, a2 = el["a1"], el["a2"]
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    threehalf = Fraction(3, 2)
-
+    rho(a1), rho(a2), rho(i), D, Dk alone, each as the right side of its
+    identity in IDENTITIES (the regrouped forms for h and c, the ones that
+    hold exactly). Later steps consume the derived elements, not the catalog
+    ones."""
+    t = _Terms({k: cat.elements[k] for k in ("a1", "a2", "i", "D", "Dk")})
     derived: dict[str, UCElement] = {}
-    derived["b"] = -half * (D * D) + Dk
-    anti = half * (Dk * i + i * Dk)
-    derived["d"] = Dk - anti
-    derived["e"] = -1 * Dk - anti
-    derived["j"] = half * (i * D - D * i)
-    derived["f"] = half * (derived["d"] * D - D * derived["d"] - 3 * derived["j"])
-    derived["g"] = half * (derived["e"] * D - D * derived["e"] - 3 * derived["j"])
-    # h and c use the regrouped identity forms, the ones that hold exactly
-    derived["h"] = quarter * (
-        derived["d"] * (derived["g"] + threehalf * D)
-        + derived["e"] * (derived["f"] - threehalf * D)
-    ) - Fraction(3, 4) * (derived["f"] - derived["g"] - D)
-    derived["c"] = quarter * (
-        (derived["f"] - threehalf * D) * (derived["g"] + threehalf * D)
-        + (derived["g"] + threehalf * D) * (derived["f"] - threehalf * D)
-        - (a2 * derived["d"] + derived["d"] * a2)
-        + (a1 * derived["e"] + derived["e"] * a1)
-        - half * (derived["g"] * D - D * derived["g"])
-        + half * (derived["f"] * D - D * derived["f"])
-        + (4 * derived["b"] + 5) * (derived["d"] - derived["e"])
-        - 4 * a1
-        - 4 * a2
-    )
+    for name in RELATION_NAMES:
+        derived[name] = IDENTITIES[name, _effective_variant(name)](t)
+        setattr(t, name, derived[name])
     return derived
 
 

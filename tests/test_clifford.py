@@ -44,9 +44,21 @@ def test_generator_relations(algebra):
 
 
 def test_product_and_k_action_tables_hold_only_ints(algebra):
+    # the tables fill on first read: read every entry
     assert type(algebra.table_den) is int and type(algebra.k_den) is int
-    for table in (algebra.table, algebra.k_table):
-        assert all(type(c) is int for terms in table.values() for c in terms.values())
+    for table, keys in ((algebra.table, [(ma, mb) for ma in range(16) for mb in range(16)]),
+                        (algebra.k_table, [(zg, m) for zg in K_GENS for m in range(16)])):
+        entries = [table[key] for key in keys]
+        assert len(table) == len(keys)
+        assert all(type(c) is int for terms in entries for c in terms.values())
+
+
+def test_tables_fill_only_the_entries_read():
+    alg = CliffordAlgebra(PForm.from_trace_form(sign=-1, scale=Fraction(1, 4)))
+    assert (len(alg.table), len(alg.k_table), len(alg._tau_table)) == (0, 0, 0)
+    v = alg.gen(P_GENS[0])
+    assert v * v == alg.scalar(alg.pform.phi(0, 0))
+    assert list(alg.table) == [(1, 1)]
 
 
 def test_associativity_all_monomial_triples(algebra):

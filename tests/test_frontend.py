@@ -415,22 +415,55 @@ def test_cli_verify_all(capsys):
 
 
 def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch):
-    # under --sign auto the suite reuses the checks adjudication computed
-    calls = []
-    verify = tensor_algebra.verify_relations
+    # a fresh --sign auto process refutes the other conventions by j alone:
+    # it builds and checks only the accepted catalog, and verify relations
+    # reuses the checks adjudication computed; the reports of the refuted
+    # conventions build theirs when read
+    calls, built = [], []
+    verify, build = tensor_algebra.verify_relations, tensor_algebra.build_catalog
 
-    def counted(cat):
+    def counted_verify(cat):
         calls.append(cat.algebra.pform)
         return verify(cat)
 
+    def counted_build(alg):
+        built.append(alg.pform)
+        return build(alg)
+
     monkeypatch.setattr(tensor_algebra, "_ADJUDICATION", None)
     monkeypatch.setattr(tensor_algebra, "_ALGEBRAS", {})
-    monkeypatch.setattr(tensor_algebra, "verify_relations", counted)
+    monkeypatch.setattr(tensor_algebra, "verify_relations", counted_verify)
+    monkeypatch.setattr(tensor_algebra, "build_catalog", counted_build)
     code, out, _ = run_cli(capsys, "verify", "relations")
     assert code == 0
-    built = [r for r in tensor_algebra.adjudicate_convention().reports if r.built]
-    assert len(calls) == len(built) == 4
     assert "RELATION c sign=-1 residual_terms=0 PASS" in out
+    assert len(calls) == len(built) == 1
+    reports = tensor_algebra.adjudicate_convention().reports
+    assert [r.label for r in reports if r.built] == list(tensor_algebra.CONVENTION_LABELS)
+    assert len(calls) == len(built) == 4
+
+
+def test_cli_relations_without_an_accepted_convention_reports_every_residual(
+        capsys, monkeypatch):
+    from test_tensor_algebra import ACCEPTED, LITERAL_RESIDUALS, REGROUPED_RESIDUALS
+
+    rejected = tuple(label for label in tensor_algebra.CONVENTION_LABELS
+                     if label != ACCEPTED)
+    monkeypatch.setattr(tensor_algebra, "_ADJUDICATION", None)
+    monkeypatch.setattr(tensor_algebra, "CONVENTION_LABELS", rejected)
+    code, out, _ = run_cli(capsys, "verify", "relations")
+    assert code == 1
+    want = []
+    for label in rejected:
+        for variant, table in (("literal", LITERAL_RESIDUALS),
+                               ("regrouped", REGROUPED_RESIDUALS)):
+            for name, terms in table[label].items():
+                verdict = "PASS" if terms == 0 else "FAIL"
+                want.append(f"RELATION {name}[{variant},{label}] "
+                            f"residual_terms={terms} {verdict}")
+    lines = out.splitlines()
+    assert lines[:-1] == want and len(want) == 30
+    assert lines[-1] == "VERIFY relations checks=30 failures=30 FAIL"
 
 
 def test_eval_with_a_forced_sign_builds_its_catalog_only_when_read(capsys, monkeypatch):
@@ -554,3 +587,46 @@ def test_cli_output_matches_the_recorded_golden(argv, golden, code):
     with open(os.path.join(DATA, golden), "rb") as fh:
         assert run.stdout == fh.read()
     assert run.returncode == code
+
+
+
+# Dumps every catalog name under one ambient and loads it back, each through
+# the command line in one fresh process, and prints per name the sha256 of
+# the element file and of the element text that load printed.
+DUMP_AND_LOAD = """
+import contextlib, hashlib, io, os, sys
+from so41inv import cli
+ambient, out = sys.argv[1:]
+for name in ("a1", "a2", "b", "c", "D", "Dk", "d", "e", "f", "g", "h", "i", "j"):
+    path = os.path.join(out, f"{ambient}.{name}.element")
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["dump", name, "--ambient", ambient, "--out", path])
+    if code:
+        print(ambient, name, "exit", code)
+        continue
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert cli.main(["load", path]) == 0
+    with open(path, "rb") as fh:
+        element = hashlib.sha256(fh.read()).hexdigest()
+    printed = hashlib.sha256(text.getvalue().split("\\n", 1)[1].encode()).hexdigest()
+    print(ambient, name, element, printed)
+"""
+
+
+# element files and load output of every named element, recorded before
+# adjudication refuted conventions by the j identity; S(g) tensor Lambda(p)
+# has no Dk
+@pytest.mark.parametrize("ambient", ["uc", "se"])
+def test_dumped_elements_match_the_recorded_golden(ambient, tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", DUMP_AND_LOAD, ambient, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    with open(os.path.join(DATA, "dump_sha256.txt")) as fh:
+        want = [ln for ln in fh.read().splitlines() if ln.startswith(ambient + " ")]
+    if ambient == "se":
+        want.insert(5, "se Dk exit 2")
+    assert run.stdout.splitlines() == want

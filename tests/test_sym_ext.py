@@ -31,6 +31,25 @@ def test_catalog_builds_and_certifies(st):
     assert len(st.t_elements) == 16
 
 
+def test_catalog_certifies_each_distinct_element_once(monkeypatch):
+    # 12 named elements and 16 t, of which 8 are named and "1" is new: 20
+    from so41inv import sym_ext
+
+    calls = []
+    ad = sym_ext.ad_action_se
+
+    def counted(z, x):
+        calls.append(x)
+        return ad(z, x)
+
+    monkeypatch.setattr(sym_ext, "_ST_CACHE", None)
+    monkeypatch.setattr(sym_ext, "ad_action_se", counted)
+    cat = sym_ext.build_st_catalog()
+    assert len(calls) == 120 == 6 * len({id(x) for x in calls})
+    assert {id(x) for x in calls} == \
+        {id(x) for x in list(cat.named.values()) + list(cat.t_elements.values())}
+
+
 def test_catalog_elements_all_invariant(st):
     for name, el in st.named.items():
         assert se_k_invariant(el), name

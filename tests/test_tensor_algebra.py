@@ -27,6 +27,7 @@ from so41inv.tensor_algebra import (
     convention_pform,
     effective_checks,
     generator_chain_check,
+    refuted_by_j,
     relation_residuals,
     verify_relations,
 )
@@ -97,6 +98,39 @@ def test_effective_suite_all_zero(cat):
     assert [c.name for c in checks] == list(RELATION_NAMES)
     for c in checks:
         assert c.ok and c.residual_terms == 0, c
+
+
+def _count_products(monkeypatch) -> list:
+    calls = []
+    multiply = TensorAlgebra.multiply
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(TensorAlgebra, "multiply", counted)
+    return calls
+
+
+def test_verify_relations_computes_each_distinct_product_once(cat, monkeypatch):
+    # 24 products per variant, 48 in all; the two variants of h and c share
+    # theirs, and d and e share Dk i + i Dk: 22 distinct
+    calls = _count_products(monkeypatch)
+    checks = verify_relations(cat)
+    assert len(calls) == 22
+    assert len(set(calls)) == 22
+    assert [(c.name, c.variant) for c in checks] == \
+        [(n, "literal") for n in RELATION_NAMES] + [("h", "regrouped"), ("c", "regrouped")]
+
+
+@pytest.mark.parametrize("label", CONVENTION_LABELS)
+def test_j_refutes_exactly_the_conventions_the_full_suite_rejects(label, monkeypatch):
+    # sound: a refuted convention has a nonzero j residual in the full suite,
+    # and j alone rules out every rejected convention in two products
+    calls = _count_products(monkeypatch)
+    refuted = refuted_by_j(label)
+    assert len(calls) == 2
+    assert refuted == (LITERAL_RESIDUALS[label]["j"] != 0) == (label != ACCEPTED)
 
 
 def test_literal_h_and_c_residuals_decode_to_the_regrouping(cat):
