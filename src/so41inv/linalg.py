@@ -127,6 +127,16 @@ class RationalEchelon:
         return not self._residual(vec)
 
 
+def transpose(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
+    """The sparse matrix with rows given over columns 0..ncols-1, read
+    column by column: one row per column, over the row positions."""
+    out: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][i] = v
+    return out
+
+
 def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     ech = RationalEchelon()
     for r in rows:
@@ -189,14 +199,9 @@ def sparse_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int,
         for c in [c for c in row if c != pcol and c in ech.rows]:
             row = _eliminate(row, reduced[c], c)
         reduced[pcol] = row
-    kernel = []
-    for free in range(ncols):
-        if free in ech.rows:
-            continue
-        vec = {free: Fraction(1)}
-        for pcol, prow in ech.rows.items():
-            c = reduced[pcol].get(free)
-            if c:
-                vec[pcol] = Fraction(-c, reduced[pcol][pcol])
-        kernel.append(vec)
-    return kernel
+    kernel = {free: {free: Fraction(1)} for free in range(ncols) if free not in ech.rows}
+    for pcol, row in reduced.items():
+        for c, v in row.items():
+            if c in kernel:
+                kernel[c][pcol] = Fraction(-v, row[pcol])
+    return list(kernel.values())

@@ -16,7 +16,7 @@ from .clifford import ext_ad_on_mask, ext_merge, popcount
 from .elements import LinearElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key
 from .errors import DomainError, InvarianceError, NotStableError
 from .lie_core import GEN_WEIGHTS, LieElement, bracket_gens, lie_gen, require_in_k
-from .linalg import RationalEchelon, sparse_kernel
+from .linalg import RationalEchelon, sparse_rank
 from .matrix_oracle import Gen, K_GENS, P_GENS
 
 SEKey = tuple  # (exp 10-tuple, mask int)
@@ -96,8 +96,13 @@ def se_one() -> SEElement:
     return SEElement._of({(ZERO_EXP, 0): 1})
 
 
-# ad of each k-generator on each exterior monomial
+# ad of each k-generator on each exterior monomial, and on the symmetric
+# generators it does not commute with: (slot, (target slot, int coefficient)
+# pairs)
 _EXT_AD = {(z, mask): ext_ad_on_mask(z, mask) for z in K_GENS for mask in range(16)}
+_SLOT_AD = {z: tuple((slot, tuple((int(g), c) for g, c in bracket_gens(z, x)))
+                     for slot, x in enumerate(_GENS) if bracket_gens(z, x))
+            for z in K_GENS}
 
 
 def ad_on_key(zg: Gen, key: SEKey) -> dict[SEKey, int]:
@@ -105,10 +110,11 @@ def ad_on_key(zg: Gen, key: SEKey) -> dict[SEKey, int]:
     coefficients (the structure constants are integral)."""
     exp, mask = key
     out: dict[SEKey, int] = {}
-    for slot, e in enumerate(exp):
+    for slot, pairs in _SLOT_AD[zg]:
+        e = exp[slot]
         if not e:
             continue
-        for g, c in bracket_gens(zg, _GENS[slot]):
+        for g, c in pairs:
             m = list(exp)
             m[slot] -= 1
             m[g] += 1
@@ -417,10 +423,10 @@ def decompose_k_module(space: list[SEElement]) -> Counter:
     for w in sorted(weight_vecs, reverse=True):
         vecs = weight_vecs[w]
         img_keys: dict[SEKey, int] = {}
-        # column vi holds both images of v times v.den (img.den divides it),
-        # a column scaling that leaves the kernel dimension alone
+        # the row of v holds both images of v times v.den (img.den divides
+        # it), a scaling that leaves the kernel dimension alone
         rows_t: list[dict[int, int]] = []
-        for vi, v in enumerate(vecs):
+        for v in vecs:
             col: dict[int, int] = {}
             for z in (Gen.E1, Gen.E2):
                 img = ad_action_se(lie_gen(z), v)
@@ -431,13 +437,9 @@ def decompose_k_module(space: list[SEElement]) -> Counter:
                         img_keys[kk] = len(img_keys)
                     col[img_keys[kk]] = c * f
             rows_t.append(col)
-        # kernel of the map (coefficients on vecs) -> images
-        nv = len(vecs)
-        mat_rows: list[dict[int, int]] = [dict() for _ in range(len(img_keys))]
-        for vi, col in enumerate(rows_t):
-            for r, c in col.items():
-                mat_rows[r][vi] = c
-        hw_count = len(sparse_kernel(mat_rows, nv))
+        # kernel dimension of the map (coefficients on vecs) -> images,
+        # ranked through its transpose rows_t
+        hw_count = len(vecs) - sparse_rank(rows_t)
         if hw_count:
             label = KModuleLabel(*w)
             result[label] += hw_count

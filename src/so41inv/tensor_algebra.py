@@ -69,6 +69,7 @@ class TensorAlgebra:
     def __init__(self, pform: PForm):
         self.pform = pform
         self.cl = CliffordAlgebra(pform)
+        self._named: dict[str, UCElement] = {}  # at most one entry per catalog name
 
     # -- constructors ---------------------------------------------------------
 
@@ -158,6 +159,13 @@ class TensorAlgebra:
                     out[k] = out.get(k, 0) + fa * bc
         return UCElement._of(out, x.den * den * self.cl._tau_den, self)
 
+    def rho_named(self, name: str) -> UCElement:
+        """rho of the named closed-form invariant, computed once per algebra:
+        the j refutation and build_catalog read the same images."""
+        if name not in self._named:
+            self._named[name] = self.rho(build_st_catalog().named[name])
+        return self._named[name]
+
     def alpha_uc(self, z: LieElement) -> UCElement:
         return self.from_c(self.cl.alpha(z))
 
@@ -222,11 +230,10 @@ def build_catalog(alg: TensorAlgebra) -> Catalog:
     whichever is invariant wins (they never both are). InvarianceError if any
     catalog element fails certification.
     """
-    st = build_st_catalog()
     elements: dict[str, UCElement] = {}
     invariance: dict[tuple[str, Gen], int] = {}
     for name in NAMED_ORDER:
-        el = alg.rho(st.named[name])
+        el = alg.rho_named(name)
         for z in K_GENS:
             res = alg.ad_action(lie_gen(z), el)
             invariance[name, z] = len(res)
@@ -418,8 +425,7 @@ def refuted_by_j(label: str) -> bool:
     catalog. Its residual is the one the whole suite would report for j, so
     a nonzero one rules the convention out."""
     alg = convention_algebra(label)
-    named = build_st_catalog().named
-    t = _Terms({name: alg.rho(named[name]) for name in ("i", "D", "j")})
+    t = _Terms({name: alg.rho_named(name) for name in ("i", "D", "j")})
     return not _residual(t, "j", "literal").is_zero()
 
 

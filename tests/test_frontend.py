@@ -1,4 +1,5 @@
 """Expression parser, evaluator, element files, and the command line driver."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from so41inv.parser import BinOp, Call, Num, Sym, describe, parse
 from so41inv.serialization import dump_element, dumps_element, load_element, loads_element
 from so41inv.sym_ext import se_gen
 from so41inv import cli, tensor_algebra
+from so41inv.tensor_algebra import TensorAlgebra
 
 
 # -- parser ------------------------------------------------------------------------
@@ -443,6 +445,26 @@ def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch):
     assert len(calls) == len(built) == 4
 
 
+def test_cli_relations_reuse_the_refutation_images(capsys, monkeypatch):
+    # a fresh --sign auto process forms rho(i), rho(D) and rho(j) once per
+    # convention for the j refutation; the accepted catalog reuses its three
+    # and maps only the other nine names: 4 * 3 + 9 calls, not 4 * 3 + 12
+    calls = []
+    rho = TensorAlgebra.rho
+
+    def counted_rho(alg, x):
+        calls.append(alg.pform)
+        return rho(alg, x)
+
+    monkeypatch.setattr(tensor_algebra, "_ADJUDICATION", None)
+    monkeypatch.setattr(tensor_algebra, "_ALGEBRAS", {})
+    monkeypatch.setattr(TensorAlgebra, "rho", counted_rho)
+    code, out, _ = run_cli(capsys, "verify", "relations")
+    assert code == 0
+    assert len(calls) == 21
+    assert len(tensor_algebra.accepted_catalog().algebra._named) == 12
+
+
 def test_cli_relations_without_an_accepted_convention_reports_every_residual(
         capsys, monkeypatch):
     from test_tensor_algebra import ACCEPTED, LITERAL_RESIDUALS, REGROUPED_RESIDUALS
@@ -630,3 +652,21 @@ def test_dumped_elements_match_the_recorded_golden(ambient, tmp_path):
     if ambient == "se":
         want.insert(5, "se Dk exit 2")
     assert run.stdout.splitlines() == want
+
+
+# every kernel basis file of degrees 0-7 and the stdout that announced them,
+# recorded before the zero-weight block was ranked through its transpose
+def test_emitted_bases_match_the_recorded_golden(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "so41inv.cli", "verify", "dims",
+                          "--max-degree", "7", "--emit-basis", "basis"],
+                         env=env, cwd=tmp_path, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = {"stdout": hashlib.sha256(run.stdout).hexdigest()}
+    for path in (tmp_path / "basis").iterdir():
+        got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    with open(os.path.join(DATA, "emit_sha256.txt")) as fh:
+        want = dict(ln.split() for ln in fh.read().splitlines() if not ln.startswith("#"))
+    assert len(want) == 111
+    assert got == want

@@ -1,7 +1,7 @@
 """Invariant dimension counts: closed-form prediction, exact kernels from
-the raising rows, the Weyl character count as an independent oracle, the
-kernel basis certification, and the freeness checks on symbols against the
-U(g) tensor C(p) products they stand for."""
+the image table of the raising operators, the Weyl character count as an
+independent oracle, the kernel basis certification, and the freeness checks
+on symbols against the U(g) tensor C(p) products they stand for."""
 import random
 import sys
 from fractions import Fraction
@@ -13,7 +13,7 @@ from so41inv import cli, invariants, tensor_algebra, uea
 from so41inv.clifford import CliffordAlgebra
 from so41inv.errors import DomainError, InvarianceError
 from so41inv.invariants import (
-    _operator_rows,
+    image_table,
     independence_check,
     invariant_dimension,
     predicted_dimension,
@@ -22,8 +22,14 @@ from so41inv.invariants import (
     truncated_rank16_check,
     zero_weight_keys,
 )
-from so41inv.linalg import CERTIFICATE_PRIME, sparse_rank, sparse_rank_mod_p
-from so41inv.matrix_oracle import K_GENS
+from so41inv.linalg import (
+    CERTIFICATE_PRIME,
+    RationalEchelon,
+    sparse_rank,
+    sparse_rank_mod_p,
+    transpose,
+)
+from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.sym_ext import SEElement, ad_action_se, ad_on_key, s_monomial_element
 from so41inv.tensor_algebra import TensorAlgebra, catalog_for_sign
 
@@ -61,10 +67,12 @@ def test_exact_block_sizes():
 @pytest.mark.parametrize("seed", [0, 7])
 def test_modp_agrees_with_exact(n, seed):
     # the modular rank that certifies certified_rank, on the integral raising rows
-    # in a seeded order: rank deficient, so the certificate must not claim
-    # full rank, and it agrees with the exact rank over Q
+    # (the image table read column-wise) in a seeded order: rank deficient, so
+    # the certificate must not claim full rank, and it agrees with the exact
+    # rank over Q
     cols = zero_weight_keys(n)
-    rows = _operator_rows(cols)
+    table, gens = image_table(cols)
+    rows = transpose(table, len(gens))
     random.Random(seed).shuffle(rows)
     assert all(c.denominator == 1 for row in rows for c in row.values())
     int_rows = [{j: int(c) for j, c in row.items()} for row in rows]
@@ -108,6 +116,45 @@ def test_degree_eight(character_counts):
     # new evidence past the default cap: h(8) = 65 from the exact kernel
     rep = invariant_dimension(8, allow_large=True)
     assert rep.dimension == 65 == character_counts[8] == predicted_dimension(8)
+
+
+def test_degree_nine(character_counts):
+    rep = invariant_dimension(9, allow_large=True)
+    assert rep.dimension == 80 == character_counts[9]
+
+
+def test_dims_ranks_each_block_through_its_transpose(monkeypatch, capsys):
+    # one insert per block key, and only the h(n) dependent ones reduce to
+    # zero: sum of the block sizes and of h(n) over degrees 0-7
+    inserted = []
+    insert = RationalEchelon.insert
+
+    def counted(self, vec):
+        inserted.append(insert(self, vec))
+        return inserted[-1]
+
+    monkeypatch.setattr(RationalEchelon, "insert", counted)
+    assert cli.main(["verify", "dims", "--max-degree", "7"]) == 0
+    capsys.readouterr()
+    assert len(inserted) == 2496 == sum(len(zero_weight_keys(n)) for n in range(8))
+    assert inserted.count(False) == 110 == sum(predicted_dimension(n) for n in range(8))
+
+
+def test_dropping_the_e2_images_fails_the_count_and_the_certificate(monkeypatch):
+    # with ad E2 gone from the table the kernel is that of ad E1 alone: the
+    # count exceeds h(4), and the six-generator certificate rejects the
+    # basis, through the four generators it does not read from the table
+    true_table = invariants.image_table
+
+    def without_e2(keys):
+        rows, gens = true_table(keys)
+        return [{r: c for r, c in row.items() if gens[r] != Gen.E2} for row in rows], gens
+
+    monkeypatch.setattr(invariants, "image_table", without_e2)
+    assert not invariant_dimension(4).ok
+    with pytest.raises(InvarianceError) as exc:
+        invariant_dimension(4, want_basis=True)
+    assert exc.value.generator == "F2"
 
 
 def test_large_degree_requires_opt_in():

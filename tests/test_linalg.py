@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import FractionEchelon, rref_kernel
 from so41inv.errors import SolveError
-from so41inv.linalg import RationalEchelon, solve_exact, sparse_kernel, sparse_rank
+from so41inv.linalg import RationalEchelon, solve_exact, sparse_kernel, sparse_rank, transpose
 
 MAX_COLS = 8
 
@@ -89,6 +89,35 @@ def test_stored_rows_are_primitive_int_rows_newest_last(data):
         assert all(type(v) is int for v in row.values())
         assert piv == min(row) and row[piv] > 0
         assert gcd(*row.values()) == 1
+
+
+@st.composite
+def int_matrices(draw):
+    """(rows, ncols): sparse int rows over columns 0..ncols-1, with sums of
+    two drawn rows planted among them, so that rank deficiency occurs."""
+    ncols = draw(st.integers(1, MAX_COLS))
+    row = st.dictionaries(st.integers(0, ncols - 1), st.integers(-9, 9).filter(bool),
+                          max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s = {c: a.get(c, 0) + b.get(c, 0) for c in {*a, *b}}
+        rows.append({c: v for c, v in s.items() if v})
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_rank_and_kernel_through_the_transpose(data):
+    # rank M = rank of its transpose: the identity by which the invariant
+    # dimensions rank the zero-weight block
+    rows, ncols = data
+    rank_t = sparse_rank(transpose(rows, ncols))
+    assert sparse_rank(rows) == rank_t
+    assert len(sparse_kernel(rows, ncols)) == ncols - rank_t
+    assert transpose(transpose(rows, ncols), len(rows)) == rows
 
 
 @st.composite
