@@ -181,7 +181,10 @@ class CliffordAlgebra:
     coefficient of m in ma * mb, k_table[(zg, mask)][m] / k_den that of m in
     ad(zg) mask, and _tau_table[mask][m] / _tau_den that of m in tau(mask).
     Each entry is straightened on first read, so a convention that is read
-    only in a few products pays only for those."""
+    only in a few products pays only for those. The insertion of one
+    generator into a monomial (_insert_table) and alpha of each k-generator
+    (_alpha_table) are kept the same way. Every table is an _OnDemand dict
+    of the algebra, so it lives exactly as long as the algebra."""
 
     def __init__(self, pform: PForm):
         q = lcm(*(v.denominator for row in pform.gram for v in row))
@@ -194,14 +197,14 @@ class CliffordAlgebra:
         if not self._form_det:
             raise ValueError("gram matrix is degenerate")
         self.pform = pform
-        self._insert_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self._insert_table = _OnDemand(lambda key: self._insert_gen(*key))
         self.table_den = q ** 4  # two masks meet in at most four contractions
         self.table = _OnDemand(lambda key: self._word(mask_bits(key[0]) + mask_bits(key[1]), 4))
         self.k_den = q ** 2
         self.k_table = _OnDemand(lambda key: self._k_action_monomial(*key))
         self._tau_den = 24 * q ** 2
         self._tau_table = _OnDemand(self._tau_monomial)
-        self._alpha_cache: dict[Gen, CElement] = {}
+        self._alpha_table = _OnDemand(self._alpha_gen)
 
     # -- construction --------------------------------------------------------
 
@@ -226,37 +229,31 @@ class CliffordAlgebra:
 
     def _insert_gen(self, mask: int, b: int) -> dict[int, int]:
         """(monomial mask) * (generator bit b), straightened to mask basis,
-        with P in place of phi."""
-        key = (mask, b)
-        cached = self._insert_cache.get(key)
-        if cached is not None:
-            return cached
+        with P in place of phi; read through _insert_table[mask, b]."""
         bits = mask_bits(mask)
         if not bits or bits[-1] < b:
-            res = {mask | (1 << b): 1}
-        else:
-            x = bits[-1]
-            rest = mask & ~(1 << x)
-            if x == b:
-                res = {rest: self._form[b][b]}
-            else:
-                # x > b: x b = 2 phi(x, b) - b x
-                res = {rest: 2 * self._form[x][b]}
-                for m, c in self._insert_gen(rest, b).items():
-                    # every monomial here has top bit < x, so appending x is free
-                    nm = m | (1 << x)
-                    res[nm] = res.get(nm, 0) - c
-        self._insert_cache[key] = res
+            return {mask | (1 << b): 1}
+        x = bits[-1]
+        rest = mask & ~(1 << x)
+        if x == b:
+            return {rest: self._form[b][b]}
+        # x > b: x b = 2 phi(x, b) - b x
+        res = {rest: 2 * self._form[x][b]}
+        for m, c in self._insert_table[rest, b].items():
+            # every monomial here has top bit < x, so appending x is free
+            nm = m | (1 << x)
+            res[nm] = res.get(nm, 0) - c
         return res
 
     def _word(self, word: tuple[int, ...], top: int) -> dict[int, int]:
         """Product of generator bits taken left to right, as ints over
         q^top (top >= len(word) // 2)."""
+        inserts = self._insert_table
         acc = {0: 1}
         for b in word:
             nxt: dict[int, int] = {}
             for m, c in acc.items():
-                for m2, c2 in self._insert_gen(m, b).items():
+                for m2, c2 in inserts[m, b].items():
                     nxt[m2] = nxt.get(m2, 0) + c * c2
             acc = nxt
         q, n = self._form_den, len(word)
@@ -341,7 +338,7 @@ class CliffordAlgebra:
         require_in_k(z)
         out = self.zero()
         for g, c in z.num.items():
-            out = out + c * self._alpha_gen(g)
+            out = out + c * self._alpha_table[g]
         return out / z.den
 
     def _alpha_gen(self, zg: Gen) -> CElement:
@@ -350,10 +347,8 @@ class CliffordAlgebra:
         L_ij v_i v_j, with L antisymmetric, acts on p by 2 L Phi. It equals
         ad zg, whose matrix is A, iff L = A Phi^-1 / 2 = q A adj(P) / (2 det P),
         which is antisymmetric iff ad zg is skew for the form. In the
-        Chevalley image, tau(v_i ^ v_j) = v_i v_j - phi_ij."""
-        cached = self._alpha_cache.get(zg)
-        if cached is not None:
-            return cached
+        Chevalley image, tau(v_i ^ v_j) = v_i v_j - phi_ij. Read through
+        _alpha_table[zg]."""
         ad = [[0] * 4 for _ in range(4)]  # ad[i][k]: v_i in [zg, v_k]
         for k, v in enumerate(P_GENS):
             for g, c in bracket_gens(zg, v):
@@ -367,9 +362,7 @@ class CliffordAlgebra:
             for j in range(i + 1, 4):
                 num[1 << i | 1 << j] = self._form_den * m[i][j]
                 num[0] -= m[i][j] * self._form[i][j]
-        el = CElement._of(num, 2 * self._form_det, self)
-        self._alpha_cache[zg] = el
-        return el
+        return CElement._of(num, 2 * self._form_det, self)
 
 
 class _OnDemand(dict):

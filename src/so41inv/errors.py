@@ -26,7 +26,10 @@ class SolveError(EngineError):
 
 class NotStableError(EngineError):
     """A subspace handed to a module decomposition is not closed under the
-    k-action."""
+    k-action.
+
+    Kept as a public name; no verify path raises it. Only the test-side
+    k-module decomposition does."""
 
 
 class InvarianceError(EngineError):

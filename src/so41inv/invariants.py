@@ -18,7 +18,8 @@ a short convolution.
 
 Truncated freeness is checked on symbols: the products s.t of the
 polynomial invariants and the module generators, ranked degree by degree
-in S(g) tensor Lambda(p), must be independent and exactly h(n) in number.
+in S(g) tensor Lambda(p) by the same exact echelon, must be independent and
+exactly h(n) in number.
 """
 from __future__ import annotations
 
@@ -28,9 +29,9 @@ from math import comb
 
 from .clifford import popcount
 from .elements import ZERO_EXP
-from .errors import DomainError, InvarianceError
+from .errors import InvarianceError
 from .lie_core import GEN_WEIGHTS
-from .linalg import certified_rank, sparse_kernel, sparse_rank, transpose
+from .linalg import sparse_kernel, sparse_rank, transpose
 from .matrix_oracle import Gen, K_GENS
 from .sym_ext import (
     SEElement,
@@ -150,12 +151,10 @@ def invariant_dimension(
     block size minus the rank of M, both read from one image table. With
     want_basis the kernel basis of M comes back too, each vector certified
     against all six k-generators in ints: E1 and E2 from the table, the
-    other four from the image of each block key, computed once per degree."""
+    other four from the image of each block key, computed once per degree.
+    allow_large is accepted and ignored: every degree is computed."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if n > 7 and not allow_large:
-        raise DomainError(
-            f"degree {n} kernel is large; pass allow_large=True to force it")
 
     ambient = sum(comb(4, k) * comb(n - k + 9, 9) for k in range(min(4, n) + 1))
     cols = zero_weight_keys(n)
@@ -213,7 +212,7 @@ def symbol_ranks(cap: int) -> dict[int, tuple[int, int]]:
             n = s_deg + st.t_degrees[name]
             if n <= cap:
                 families[n].append(s_el * t_el)
-    return {n: (len(family), certified_rank([el.num for el in family]))
+    return {n: (len(family), sparse_rank([el.num for el in family]))
             for n, family in families.items()}
 
 
@@ -236,7 +235,7 @@ def independence_check(cap: int = 6) -> IndependenceReport:
     the exact kernel dimension h(n): they are a basis of the invariants of
     each degree."""
     ranks = symbol_ranks(cap)
-    per_degree = {n: (count, invariant_dimension(n, allow_large=True).dimension)
+    per_degree = {n: (count, invariant_dimension(n).dimension)
                   for n, (count, _) in ranks.items()}
     return IndependenceReport(cap=cap, per_degree=per_degree,
                               total=sum(c for c, _ in ranks.values()),

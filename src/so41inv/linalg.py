@@ -1,10 +1,9 @@
 """Small exact linear algebra helpers over the rationals.
 
-Dense routines are for tiny systems (structure constant extraction, the
-Clifford alpha solve). The sparse echelon class backs every rank and kernel
-of the package (graded pieces of S(g) tensor Lambda(p), the exact fallback
-of certified_rank, k-module spans), where vectors are dictionaries
-keyed by column index. It is fraction-free: rows are scaled to Python ints
+Dense routines are for tiny systems (structure constant extraction). The
+sparse echelon class backs every rank and kernel of the package (graded
+pieces of S(g) tensor Lambda(p) and the symbols of the freeness checks),
+where vectors are dictionaries keyed by ordered column keys. It is fraction-free: rows are scaled to Python ints
 once, eliminated by gcd-primitive integer combinations (in the spirit of
 Bareiss, Math. Comp. 1968), and only the kernel vectors become Fractions.
 """
@@ -142,46 +141,6 @@ def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     for r in rows:
         ech.insert(r)
     return ech.rank
-
-
-def sparse_rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
-    """Rank modulo the prime p of sparse integer rows, eliminated in Python
-    ints (no bound on p)."""
-    pivots: dict[int, dict[int, int]] = {}  # pivot col -> row, 1 at the pivot
-    for row in rows:
-        res = {c: v % p for c, v in row.items() if v % p}
-        while res:
-            col = min(res)
-            prow = pivots.get(col)
-            if prow is None:
-                inv = pow(res[col], -1, p)
-                pivots[col] = {c: v * inv % p for c, v in res.items()}
-                break
-            f = res[col]
-            for c, v in prow.items():
-                nv = (res.get(c, 0) - f * v) % p
-                if nv:
-                    res[c] = nv
-                else:
-                    res.pop(c, None)
-    return len(pivots)
-
-
-# The prime of the full-rank certificate in certified_rank.
-CERTIFICATE_PRIME = (1 << 61) - 1
-
-
-def certified_rank(rows: list[dict]) -> int:
-    """Rank over Q of sparse rational rows, over any ordered column keys.
-
-    Each row is scaled to ints by the lcm of its denominators, which keeps
-    the rank. If the rank modulo CERTIFICATE_PRIME equals the number of rows,
-    a maximal minor is nonzero mod p, hence nonzero over Q, and the rows are
-    independent. Any other case is ranked exactly by the rational echelon,
-    so a rank below full never comes from modular arithmetic."""
-    if sparse_rank_mod_p([_int_row(row) for row in rows], CERTIFICATE_PRIME) == len(rows):
-        return len(rows)
-    return sparse_rank(rows)
 
 
 def sparse_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
+from functools import cache
 
 from .errors import SpanError, SolveError
 from .linalg import solve_exact
@@ -156,8 +157,10 @@ HALF = GaussRational(Fraction(1, 2))
 IHALF = GaussRational(0, Fraction(1, 2))
 
 
-def build_basis_matrices() -> dict[Gen, Matrix5]:
-    """The ten frozen basis matrices."""
+@cache
+def basis_matrices() -> dict[Gen, Matrix5]:
+    """The ten frozen basis matrices, built once per process (shared; do not
+    mutate)."""
     m = {
         Gen.H1: _build([(1, 2, GRI), (2, 1, -GRI)]),
         Gen.H2: _build([(3, 4, GRI), (4, 3, -GRI)]),
@@ -195,16 +198,6 @@ def build_basis_matrices() -> dict[Gen, Matrix5]:
         Gen.F4: _build([(3, 5, GR1), (4, 5, GRI), (5, 3, GR1), (5, 4, GRI)]),
     }
     return m
-
-
-_BASIS_CACHE: dict[Gen, Matrix5] | None = None
-
-
-def basis_matrices() -> dict[Gen, Matrix5]:
-    global _BASIS_CACHE
-    if _BASIS_CACHE is None:
-        _BASIS_CACHE = build_basis_matrices()
-    return _BASIS_CACHE
 
 
 def is_so41_member(m: Matrix5) -> bool:

@@ -2,21 +2,18 @@
 
 Keys are pairs (exponent 10-tuple, p-mask). This is where the invariant
 catalog lives in closed form, where the S.T basis data is assembled, and
-where k-module decompositions (weights plus highest weight counting) run.
+where the k-action on monomial keys is tabulated.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import comb
+from functools import cache
 
 from .clifford import ext_ad_on_mask, ext_merge, popcount
 from .elements import LinearElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key
-from .errors import DomainError, InvarianceError, NotStableError
+from .errors import DomainError, InvarianceError
 from .lie_core import GEN_WEIGHTS, LieElement, bracket_gens, lie_gen, require_in_k
-from .linalg import RationalEchelon, sparse_rank
 from .matrix_oracle import Gen, K_GENS, P_GENS
 
 SEKey = tuple  # (exp 10-tuple, mask int)
@@ -136,10 +133,6 @@ def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
             for k, cc in ad_on_key(zg, key).items():
                 out[k] = out.get(k, 0) + f * cc
     return SEElement._of(out, z.den * x.den)
-
-
-def se_k_invariant(x: SEElement) -> bool:
-    return all(ad_action_se(lie_gen(z), x).is_zero() for z in K_GENS)
 
 
 # -- the invariant catalog ---------------------------------------------------
@@ -292,14 +285,10 @@ class STCatalog:
     t_degrees: dict[str, int]
 
 
-_ST_CACHE: STCatalog | None = None
-
-
+@cache
 def build_st_catalog() -> STCatalog:
-    """Build and certify the catalog; every element must be K-invariant."""
-    global _ST_CACHE
-    if _ST_CACHE is not None:
-        return _ST_CACHE
+    """Build and certify the catalog, once per process; every element must be
+    K-invariant."""
     named = {
         "a1": build_a1(),
         "a2": build_a2(),
@@ -324,8 +313,7 @@ def build_st_catalog() -> STCatalog:
             if not res.is_zero():
                 raise InvarianceError(name, z.name, f"{len(res)} residual terms")
     degrees = {name: el.degree() for name, el in t.items()}
-    _ST_CACHE = STCatalog(named=named, t_elements=t, t_degrees=degrees)
-    return _ST_CACHE
+    return STCatalog(named=named, t_elements=t, t_degrees=degrees)
 
 
 def s_monomials_up_to(cap: int) -> list[tuple[int, int, int, int]]:
@@ -350,164 +338,3 @@ def s_monomial_element(cat: STCatalog, q: tuple[int, int, int, int]) -> SEElemen
             out = out * cat.named[name]
     return out
 
-
-# -- k-module decomposition ----------------------------------------------------
-
-@dataclass(frozen=True)
-class KModuleLabel:
-    """Label (a, b) of the simple k-module with highest weight a on H1 and b
-    on H2; necessarily a >= |b|."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < abs(self.b):
-            raise ValueError(f"({self.a},{self.b}) is not a dominant label")
-
-    def dim(self) -> int:
-        return (self.a + self.b + 1) * (self.a - self.b + 1)
-
-    def __repr__(self):
-        return f"V({self.a},{self.b})"
-
-
-def _coords(key_index: dict[SEKey, int], el: SEElement) -> dict[int, int]:
-    """Coordinates of el times el.den, which no span sees, numbering keys in
-    the order key_index sees them."""
-    return {key_index.setdefault(k, len(key_index)): c for k, c in el.num.items()}
-
-
-def decompose_k_module(space: list[SEElement]) -> Counter:
-    """Decompose the span of `space` into simple k-modules.
-
-    Checks stability under the k-action first (NotStableError otherwise),
-    then counts highest weight vectors per dominant weight. Returns a Counter
-    {KModuleLabel: multiplicity}.
-    """
-    span = RationalEchelon()
-    basis: list[SEElement] = []
-    coords = partial(_coords, {})
-
-    for el in space:
-        if el.is_zero():
-            continue
-        if span.insert(coords(el)):
-            basis.append(el)
-    if not basis:
-        return Counter()
-    for z in K_GENS:
-        zel = lie_gen(z)
-        for el in basis:
-            img = ad_action_se(zel, el)
-            if img.is_zero():
-                continue
-            if not span.contains(coords(img)):
-                raise NotStableError(f"span not closed under ad({z.name})")
-    # split the span basis into weight components; each basis vector may mix
-    # weights, so project and re-collect
-    by_weight: dict[tuple[int, int], RationalEchelon] = {}
-    weight_vecs: dict[tuple[int, int], list[SEElement]] = {}
-    for el in basis:
-        buckets: dict[tuple[int, int], dict[SEKey, int]] = {}
-        for k, c in el.num.items():
-            buckets.setdefault(key_weight(k), {})[k] = c
-        for w, num in buckets.items():
-            piece = SEElement._of(num, el.den)
-            ech = by_weight.setdefault(w, RationalEchelon())
-            if ech.insert(coords(piece)):
-                weight_vecs.setdefault(w, []).append(piece)
-    # count highest weight vectors per weight: kernel of stacked ad(E1), ad(E2)
-    result: Counter = Counter()
-    total_dim = 0
-    for w in sorted(weight_vecs, reverse=True):
-        vecs = weight_vecs[w]
-        img_keys: dict[SEKey, int] = {}
-        # the row of v holds both images of v times v.den (img.den divides
-        # it), a scaling that leaves the kernel dimension alone
-        rows_t: list[dict[int, int]] = []
-        for v in vecs:
-            col: dict[int, int] = {}
-            for z in (Gen.E1, Gen.E2):
-                img = ad_action_se(lie_gen(z), v)
-                f = v.den // img.den
-                for k, c in img.num.items():
-                    kk = (z, k)
-                    if kk not in img_keys:
-                        img_keys[kk] = len(img_keys)
-                    col[img_keys[kk]] = c * f
-            rows_t.append(col)
-        # kernel dimension of the map (coefficients on vecs) -> images,
-        # ranked through its transpose rows_t
-        hw_count = len(vecs) - sparse_rank(rows_t)
-        if hw_count:
-            label = KModuleLabel(*w)
-            result[label] += hw_count
-            total_dim += hw_count * label.dim()
-    span_dim = span.rank
-    if total_dim != span_dim:
-        raise NotStableError(
-            f"module dimensions do not add up: {total_dim} != {span_dim}"
-        )
-    return result
-
-
-@dataclass
-class HarmonicReport:
-    degree: int
-    space_dim: int
-    top_dim: int
-    lower_dim: int
-    ok: bool
-
-
-def harmonic_decomposition_check(n: int) -> HarmonicReport:
-    """Check S^n(p) = V(n,0) + b . S^(n-2)(p) with V(n,0) generated by E3^n."""
-    from itertools import combinations_with_replacement
-
-    def p_monomials(deg: int) -> list[SEElement]:
-        out = []
-        for combo in combinations_with_replacement(P_GENS, deg):
-            exp = [0] * 10
-            for g in combo:
-                exp[g] += 1
-            out.append(SEElement({(tuple(exp), 0): 1}))
-        return out
-
-    space = p_monomials(n)
-    space_dim = comb(n + 3, 3)
-    assert len(space) == space_dim
-
-    # orbit of the highest weight vector E3^n under repeated lowering
-    exp = [0] * 10
-    exp[Gen.E3] = n
-    hw = SEElement({(tuple(exp), 0): 1})
-    for z in (Gen.E1, Gen.E2):
-        if not ad_action_se(lie_gen(z), hw).is_zero():
-            return HarmonicReport(n, space_dim, -1, -1, False)
-    span = RationalEchelon()
-    coords = partial(_coords, {})
-
-    frontier = [hw]
-    span.insert(coords(hw))
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for z in (Gen.F1, Gen.F2, Gen.E1, Gen.E2):
-                img = ad_action_se(lie_gen(z), v)
-                if not img.is_zero() and span.insert(coords(img)):
-                    nxt.append(img)
-        frontier = nxt
-    top_dim = span.rank
-    # now add b * S^(n-2)(p) and check the sum fills the space
-    b = build_b()
-    lower = [b * m for m in p_monomials(n - 2)] if n >= 2 else []
-    lower_dim = comb(n + 1, 3) if n >= 2 else 0
-    for el in lower:
-        span.insert(coords(el))
-    ok = (
-        top_dim == (n + 1) ** 2
-        and span.rank == space_dim
-        and top_dim + lower_dim == space_dim
-    )
-    return HarmonicReport(n, space_dim, top_dim, lower_dim, ok)

@@ -7,17 +7,19 @@ verify_relations() evaluates the identity table IDENTITIES relating the
 catalog elements; adjudicate_convention() accepts the first candidate
 normalization of the form that satisfies the whole suite, after ruling out
 each one the j identity refutes without building its catalog.
-convention_algebra() builds each label's algebra once per process; the
-algebra caches its catalog, and the catalog its identity checks.
+convention_algebra() builds each label's algebra once per process, and
+adjudicate_convention() runs once (both through functools.cache); the
+algebra keeps its catalog and the rho image of each named element, and the
+catalog its identity checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 
-from .clifford import CliffordAlgebra, PForm, popcount
+from .clifford import CliffordAlgebra, PForm, _OnDemand, popcount
 from .elements import BoundElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key
 from .errors import DomainError, InvarianceError
 from .lie_core import LieElement, lie_gen, require_in_k
@@ -69,7 +71,7 @@ class TensorAlgebra:
     def __init__(self, pform: PForm):
         self.pform = pform
         self.cl = CliffordAlgebra(pform)
-        self._named: dict[str, UCElement] = {}  # at most one entry per catalog name
+        self._named = _OnDemand(lambda name: self.rho(build_st_catalog().named[name]))
 
     # -- constructors ---------------------------------------------------------
 
@@ -162,8 +164,6 @@ class TensorAlgebra:
     def rho_named(self, name: str) -> UCElement:
         """rho of the named closed-form invariant, computed once per algebra:
         the j refutation and build_catalog read the same images."""
-        if name not in self._named:
-            self._named[name] = self.rho(build_st_catalog().named[name])
         return self._named[name]
 
     def alpha_uc(self, z: LieElement) -> UCElement:
@@ -372,14 +372,10 @@ def convention_pform(label: str) -> PForm:
     return PForm.from_trace_form(sign=sign, scale=scale)
 
 
-_ALGEBRAS: dict[str, TensorAlgebra] = {}
-
-
+@cache
 def convention_algebra(label: str) -> TensorAlgebra:
     """The one TensorAlgebra of a convention label in this process."""
-    if label not in _ALGEBRAS:
-        _ALGEBRAS[label] = TensorAlgebra(convention_pform(label))
-    return _ALGEBRAS[label]
+    return TensorAlgebra(convention_pform(label))
 
 
 @dataclass
@@ -416,9 +412,6 @@ class Adjudication:
     catalog: Catalog | None  # catalog under the accepted convention
 
 
-_ADJUDICATION: Adjudication | None = None
-
-
 def refuted_by_j(label: str) -> bool:
     """Whether the literal j identity fails under the convention: evaluated
     on the uncertified rho images of i, D and j alone, two products and no
@@ -429,20 +422,17 @@ def refuted_by_j(label: str) -> bool:
     return not _residual(t, "j", "literal").is_zero()
 
 
+@cache
 def adjudicate_convention() -> Adjudication:
     """Accept the first candidate Clifford normalization where the whole
     identity suite passes. A convention the j identity refutes is not
-    built; its report is filled in when read."""
-    global _ADJUDICATION
-    if _ADJUDICATION is not None:
-        return _ADJUDICATION
+    built; its report is filled in when read. Run once per process."""
     reports = [ConventionReport(label) for label in CONVENTION_LABELS]
     accepted = next((r.label for r in reports
                      if not refuted_by_j(r.label) and r.effective_pass), None)
-    _ADJUDICATION = Adjudication(
+    return Adjudication(
         reports=reports, accepted=accepted,
         catalog=None if accepted is None else convention_algebra(accepted).catalog)
-    return _ADJUDICATION
 
 
 def accepted_catalog() -> Catalog:

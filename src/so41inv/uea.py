@@ -3,8 +3,8 @@
 A PBW monomial is a 10-tuple of exponents in the frozen generator order
 H1 < H2 < E1 < E2 < F1 < F2 < E3 < E4 < F3 < F4. Products are straightened
 by the textbook rewriting g_a g_b -> g_b g_a + [g_a, g_b] applied at the
-first descent, with memoization on whole words. The structure constants are
-integers, so straightened words and PBW pair products have int coefficients.
+first descent. The structure constants are integers, so straightened words
+and PBW pair products have int coefficients.
 
 Symmetrization averages a monomial x = x_1 ... x_n over its distinct
 orderings. Grouping the orderings by their first letter gives
@@ -12,11 +12,17 @@ orderings. Grouping the orderings by their first letter gives
     P(x) = sum over g with x_g > 0 of  u_g . P(x - e_g),
 
 where P(x) is the straightened sum of all distinct orderings of x. P is a
-memoized recursion over sub-multisets in plain ints, and
+recursion over sub-multisets in plain ints, and
 sigma(x) = P(x) / (n! / prod x_g!) is P(x) over one denominator.
+
+Straightened words, pair products, generator commutators, P and sigma of a
+monomial are pure functions of their arguments, each kept for the life of
+the process by functools.cache: cache_info() reports a table's size and
+hits, and cache_clear() empties it. A cached dict is shared; do not mutate.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import factorial, lcm
 
 from .elements import LinearElement, ZERO_EXP, exp_sort_key, fmt_exp
@@ -44,65 +50,41 @@ def word_to_exp(word) -> Exp:
     return tuple(exp)
 
 
-_STRAIGHTEN: dict[tuple, dict] = {}
-
-
+@cache
 def straighten_word(word: tuple[int, ...]) -> dict[Exp, int]:
     """Expand the product of generators `word` over PBW monomials.
 
-    The returned dict is shared via the memo table; callers must not mutate.
-    """
-    cached = _STRAIGHTEN.get(word)
-    if cached is not None:
-        return cached
+    The returned dict is shared through the cache; callers must not mutate."""
     pos = -1
     for i in range(len(word) - 1):
         if word[i] > word[i + 1]:
             pos = i
             break
     if pos < 0:
-        res = {word_to_exp(word): 1}
-        _STRAIGHTEN[word] = res
-        return res
+        return {word_to_exp(word): 1}
     a, b = word[pos], word[pos + 1]
     acc = dict(straighten_word(word[:pos] + (b, a) + word[pos + 2:]))
     for g, cg in bracket_gens(Gen(a), Gen(b)):
         for m, c in straighten_word(word[:pos] + (int(g),) + word[pos + 2:]).items():
             acc[m] = acc.get(m, 0) + c * cg
-    res = {m: c for m, c in acc.items() if c}
-    _STRAIGHTEN[word] = res
-    return res
+    return {m: c for m, c in acc.items() if c}
 
 
-_PAIR_PRODUCT: dict[tuple[Exp, Exp], dict] = {}
-
-
+@cache
 def pbw_pair_product(x: Exp, y: Exp) -> dict[Exp, int]:
     """Product of two PBW monomials, straightened. Shared dict; do not mutate."""
-    key = (x, y)
-    cached = _PAIR_PRODUCT.get(key)
-    if cached is None:
-        cached = straighten_word(exp_to_word(x) + exp_to_word(y))
-        _PAIR_PRODUCT[key] = cached
-    return cached
+    return straighten_word(exp_to_word(x) + exp_to_word(y))
 
 
-_COMMUTATOR: dict[tuple[int, Exp], dict] = {}
-
-
+@cache
 def gen_commutator(g: int, exp: Exp) -> dict[Exp, int]:
     """[u_g, x^exp] = u_g x^exp - x^exp u_g over PBW monomials, in int
-    coefficients (shared via the memo table; do not mutate)."""
-    key = (g, exp)
-    cached = _COMMUTATOR.get(key)
-    if cached is None:
-        gen = word_to_exp((g,))
-        acc = dict(pbw_pair_product(gen, exp))
-        for m, c in pbw_pair_product(exp, gen).items():
-            acc[m] = acc.get(m, 0) - c
-        cached = {m: c for m, c in acc.items() if c}
-        _COMMUTATOR[key] = cached
-    return cached
+    coefficients (shared through the cache; do not mutate)."""
+    gen = word_to_exp((g,))
+    acc = dict(pbw_pair_product(gen, exp))
+    for m, c in pbw_pair_product(exp, gen).items():
+        acc[m] = acc.get(m, 0) - c
+    return {m: c for m, c in acc.items() if c}
 
 
 class UElement(LinearElement):
@@ -172,47 +154,33 @@ def lie_to_u(x: LieElement) -> UElement:
     return UElement._of({word_to_exp((g,)): c for g, c in x.num.items()}, x.den)
 
 
-_ORDERINGS_SUM: dict[Exp, dict] = {}
-
-
+@cache
 def _orderings_sum(exp: Exp) -> dict[Exp, int]:
     """P(exp): the straightened sum of every distinct ordering of the
     monomial, in int coefficients (shared; do not mutate)."""
-    cached = _ORDERINGS_SUM.get(exp)
-    if cached is not None:
-        return cached
     if not any(exp):
-        res = {exp: 1}
-    else:
-        acc: dict[Exp, int] = {}
-        rest = list(exp)
-        for g, e in enumerate(exp):
-            if not e:
-                continue
-            rest[g] -= 1
-            for m, c in _orderings_sum(tuple(rest)).items():
-                for mm, cc in straighten_word((g,) + exp_to_word(m)).items():
-                    acc[mm] = acc.get(mm, 0) + c * cc
-            rest[g] += 1
-        res = {m: c for m, c in acc.items() if c}
-    _ORDERINGS_SUM[exp] = res
-    return res
+        return {exp: 1}
+    acc: dict[Exp, int] = {}
+    rest = list(exp)
+    for g, e in enumerate(exp):
+        if not e:
+            continue
+        rest[g] -= 1
+        for m, c in _orderings_sum(tuple(rest)).items():
+            for mm, cc in straighten_word((g,) + exp_to_word(m)).items():
+                acc[mm] = acc.get(mm, 0) + c * cc
+        rest[g] += 1
+    return {m: c for m, c in acc.items() if c}
 
 
-_SYMMETRIZE: dict[Exp, UElement] = {}
-
-
+@cache
 def symmetrize_monomial(exp: Exp) -> UElement:
     """sigma of a single symmetric monomial: P(exp) over the number of
-    distinct orderings (shared via the memo table)."""
-    cached = _SYMMETRIZE.get(exp)
-    if cached is None:
-        orderings = factorial(sum(exp))
-        for e in exp:
-            orderings //= factorial(e)
-        cached = UElement._of(_orderings_sum(exp), orderings)
-        _SYMMETRIZE[exp] = cached
-    return cached
+    distinct orderings (shared through the cache)."""
+    orderings = factorial(sum(exp))
+    for e in exp:
+        orderings //= factorial(e)
+    return UElement._of(_orderings_sum(exp), orderings)
 
 
 def symmetrize(x: SElement) -> UElement:
@@ -248,10 +216,3 @@ def ad_action_s(z: LieElement, x: SElement) -> SElement:
                     m = tuple(m)
                     out[m] = out.get(m, 0) + c * e * zc * bc
     return SElement._of(out, x.den * z.den)
-
-
-def u_k_invariant(x: UElement) -> bool:
-    from .lie_core import lie_gen
-    from .matrix_oracle import K_GENS
-
-    return all(ad_action_u(lie_gen(z), x).is_zero() for z in K_GENS)

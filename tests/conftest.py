@@ -1,26 +1,59 @@
-"""Shared fixtures. The engine caches its heavyweight objects at module
-level, so these are thin handles that also make test dependencies explicit."""
+"""Shared fixtures. The engine keeps its process-wide results in functools
+caches (module functions) and its per-algebra results in tables of each
+algebra; the catalog fixtures are thin handles that read through the cached
+functions, so they always return what the command line would see, also
+after a test empties the caches."""
+import importlib
+import pkgutil
 from collections import Counter
 
 import pytest
 
+import so41inv
 from so41inv.lie_core import GEN_WEIGHTS
 from so41inv.matrix_oracle import Gen, P_GENS
 from so41inv.sym_ext import build_st_catalog
 from so41inv.tensor_algebra import accepted_catalog, adjudicate_convention
 
 
-@pytest.fixture(scope="session")
+def package_caches() -> dict[str, object]:
+    """Every function of the package under functools.cache, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(so41inv.__path__):
+        module = importlib.import_module(f"so41inv.{info.name}")
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear") and fn.__module__ == module.__name__:
+                found[f"{info.name}.{fn.__name__}"] = fn
+    return found
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every package cache before and after the test, as in a fresh
+    process. The test may call the returned function to empty them again.
+    The caches are found before the test, so one it patches is still cleared."""
+    caches = list(package_caches().values())
+
+    def clear():
+        for fn in caches:
+            fn.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+@pytest.fixture
 def adjudication():
     return adjudicate_convention()
 
 
-@pytest.fixture(scope="session")
-def cat(adjudication):
+@pytest.fixture
+def cat():
     return accepted_catalog()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def st():
     return build_st_catalog()
 

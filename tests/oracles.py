@@ -2,12 +2,31 @@
 reduced on every insert and the zero-weight block found by filtering every
 monomial key of a degree share no code with the engine paths they check.
 The products sigma(s) rho(t) in U(g) tensor C(p) are the objects whose
-symbols the freeness checks rank in S(g) tensor Lambda(p)."""
+symbols the freeness checks rank in S(g) tensor Lambda(p). The k-module
+decomposition (weights plus highest weight counting) and the invariance
+predicates by all six k-generators back the tests of the closed-form
+catalog; no verify path uses them."""
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement
+from math import comb
 
-from so41inv.linalg import certified_rank
-from so41inv.sym_ext import build_st_catalog, key_weight, s_monomial_element, s_monomials_up_to
-from so41inv.uea import SElement, symmetrize
+from so41inv.errors import NotStableError
+from so41inv.lie_core import lie_gen
+from so41inv.linalg import RationalEchelon, sparse_rank
+from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
+from so41inv.sym_ext import (
+    SEElement,
+    ad_action_se,
+    build_b,
+    build_st_catalog,
+    key_weight,
+    s_monomial_element,
+    s_monomials_up_to,
+)
+from so41inv.uea import SElement, UElement, ad_action_u, symmetrize
 
 
 class FractionEchelon:
@@ -129,4 +148,172 @@ def st_product_vectors(cat, cap: int = 6) -> list[tuple]:
 
 def uc_rank(vectors) -> int:
     """Rank over Q of a family of U(g) tensor C(p) elements."""
-    return certified_rank([v.terms for v in vectors])
+    return sparse_rank([v.terms for v in vectors])
+
+
+def se_k_invariant(x: SEElement) -> bool:
+    return all(ad_action_se(lie_gen(z), x).is_zero() for z in K_GENS)
+
+
+def u_k_invariant(x: UElement) -> bool:
+    return all(ad_action_u(lie_gen(z), x).is_zero() for z in K_GENS)
+
+
+# -- k-module decomposition ----------------------------------------------------
+
+@dataclass(frozen=True)
+class KModuleLabel:
+    """Label (a, b) of the simple k-module with highest weight a on H1 and b
+    on H2; necessarily a >= |b|."""
+
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if self.a < abs(self.b):
+            raise ValueError(f"({self.a},{self.b}) is not a dominant label")
+
+    def dim(self) -> int:
+        return (self.a + self.b + 1) * (self.a - self.b + 1)
+
+    def __repr__(self):
+        return f"V({self.a},{self.b})"
+
+
+def _coords(key_index: dict[tuple, int], el: SEElement) -> dict[int, int]:
+    """Coordinates of el times el.den, which no span sees, numbering keys in
+    the order key_index sees them."""
+    return {key_index.setdefault(k, len(key_index)): c for k, c in el.num.items()}
+
+
+def decompose_k_module(space: list[SEElement]) -> Counter:
+    """Decompose the span of `space` into simple k-modules.
+
+    Checks stability under the k-action first (NotStableError otherwise),
+    then counts highest weight vectors per dominant weight. Returns a Counter
+    {KModuleLabel: multiplicity}.
+    """
+    span = RationalEchelon()
+    basis: list[SEElement] = []
+    coords = partial(_coords, {})
+
+    for el in space:
+        if el.is_zero():
+            continue
+        if span.insert(coords(el)):
+            basis.append(el)
+    if not basis:
+        return Counter()
+    for z in K_GENS:
+        zel = lie_gen(z)
+        for el in basis:
+            img = ad_action_se(zel, el)
+            if img.is_zero():
+                continue
+            if not span.contains(coords(img)):
+                raise NotStableError(f"span not closed under ad({z.name})")
+    # split the span basis into weight components; each basis vector may mix
+    # weights, so project and re-collect
+    by_weight: dict[tuple[int, int], RationalEchelon] = {}
+    weight_vecs: dict[tuple[int, int], list[SEElement]] = {}
+    for el in basis:
+        buckets: dict[tuple[int, int], dict[tuple, int]] = {}
+        for k, c in el.num.items():
+            buckets.setdefault(key_weight(k), {})[k] = c
+        for w, num in buckets.items():
+            piece = SEElement._of(num, el.den)
+            ech = by_weight.setdefault(w, RationalEchelon())
+            if ech.insert(coords(piece)):
+                weight_vecs.setdefault(w, []).append(piece)
+    # count highest weight vectors per weight: kernel of stacked ad(E1), ad(E2)
+    result: Counter = Counter()
+    total_dim = 0
+    for w in sorted(weight_vecs, reverse=True):
+        vecs = weight_vecs[w]
+        img_keys: dict[tuple, int] = {}
+        # the row of v holds both images of v times v.den (img.den divides
+        # it), a scaling that leaves the kernel dimension alone
+        rows_t: list[dict[int, int]] = []
+        for v in vecs:
+            col: dict[int, int] = {}
+            for z in (Gen.E1, Gen.E2):
+                img = ad_action_se(lie_gen(z), v)
+                f = v.den // img.den
+                for k, c in img.num.items():
+                    kk = (z, k)
+                    if kk not in img_keys:
+                        img_keys[kk] = len(img_keys)
+                    col[img_keys[kk]] = c * f
+            rows_t.append(col)
+        # kernel dimension of the map (coefficients on vecs) -> images,
+        # ranked through its transpose rows_t
+        hw_count = len(vecs) - sparse_rank(rows_t)
+        if hw_count:
+            label = KModuleLabel(*w)
+            result[label] += hw_count
+            total_dim += hw_count * label.dim()
+    span_dim = span.rank
+    if total_dim != span_dim:
+        raise NotStableError(
+            f"module dimensions do not add up: {total_dim} != {span_dim}"
+        )
+    return result
+
+
+@dataclass
+class HarmonicReport:
+    degree: int
+    space_dim: int
+    top_dim: int
+    lower_dim: int
+    ok: bool
+
+
+def harmonic_decomposition_check(n: int) -> HarmonicReport:
+    """Check S^n(p) = V(n,0) + b . S^(n-2)(p) with V(n,0) generated by E3^n."""
+    def p_monomials(deg: int) -> list[SEElement]:
+        out = []
+        for combo in combinations_with_replacement(P_GENS, deg):
+            exp = [0] * 10
+            for g in combo:
+                exp[g] += 1
+            out.append(SEElement({(tuple(exp), 0): 1}))
+        return out
+
+    space = p_monomials(n)
+    space_dim = comb(n + 3, 3)
+    assert len(space) == space_dim
+
+    # orbit of the highest weight vector E3^n under repeated lowering
+    exp = [0] * 10
+    exp[Gen.E3] = n
+    hw = SEElement({(tuple(exp), 0): 1})
+    for z in (Gen.E1, Gen.E2):
+        if not ad_action_se(lie_gen(z), hw).is_zero():
+            return HarmonicReport(n, space_dim, -1, -1, False)
+    span = RationalEchelon()
+    coords = partial(_coords, {})
+
+    frontier = [hw]
+    span.insert(coords(hw))
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for z in (Gen.F1, Gen.F2, Gen.E1, Gen.E2):
+                img = ad_action_se(lie_gen(z), v)
+                if not img.is_zero() and span.insert(coords(img)):
+                    nxt.append(img)
+        frontier = nxt
+    top_dim = span.rank
+    # now add b * S^(n-2)(p) and check the sum fills the space
+    b = build_b()
+    lower = [b * m for m in p_monomials(n - 2)] if n >= 2 else []
+    lower_dim = comb(n + 1, 3) if n >= 2 else 0
+    for el in lower:
+        span.insert(coords(el))
+    ok = (
+        top_dim == (n + 1) ** 2
+        and span.rank == space_dim
+        and top_dim + lower_dim == space_dim
+    )
+    return HarmonicReport(n, space_dim, top_dim, lower_dim, ok)

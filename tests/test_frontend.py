@@ -1,4 +1,5 @@
 """Expression parser, evaluator, element files, and the command line driver."""
+import ast
 import hashlib
 import os
 import subprocess
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import package_caches
 from so41inv.errors import EvalError, ExprTypeError, ParseError
 from so41inv.evaluator import evaluate
 from so41inv.matrix_oracle import Gen
@@ -416,7 +418,7 @@ def test_cli_verify_all(capsys):
     assert last.startswith("VERIFY all") and last.endswith("PASS")
 
 
-def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch):
+def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch, cold_caches):
     # a fresh --sign auto process refutes the other conventions by j alone:
     # it builds and checks only the accepted catalog, and verify relations
     # reuses the checks adjudication computed; the reports of the refuted
@@ -432,8 +434,6 @@ def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch):
         built.append(alg.pform)
         return build(alg)
 
-    monkeypatch.setattr(tensor_algebra, "_ADJUDICATION", None)
-    monkeypatch.setattr(tensor_algebra, "_ALGEBRAS", {})
     monkeypatch.setattr(tensor_algebra, "verify_relations", counted_verify)
     monkeypatch.setattr(tensor_algebra, "build_catalog", counted_build)
     code, out, _ = run_cli(capsys, "verify", "relations")
@@ -445,7 +445,7 @@ def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch):
     assert len(calls) == len(built) == 4
 
 
-def test_cli_relations_reuse_the_refutation_images(capsys, monkeypatch):
+def test_cli_relations_reuse_the_refutation_images(capsys, monkeypatch, cold_caches):
     # a fresh --sign auto process forms rho(i), rho(D) and rho(j) once per
     # convention for the j refutation; the accepted catalog reuses its three
     # and maps only the other nine names: 4 * 3 + 9 calls, not 4 * 3 + 12
@@ -456,8 +456,6 @@ def test_cli_relations_reuse_the_refutation_images(capsys, monkeypatch):
         calls.append(alg.pform)
         return rho(alg, x)
 
-    monkeypatch.setattr(tensor_algebra, "_ADJUDICATION", None)
-    monkeypatch.setattr(tensor_algebra, "_ALGEBRAS", {})
     monkeypatch.setattr(TensorAlgebra, "rho", counted_rho)
     code, out, _ = run_cli(capsys, "verify", "relations")
     assert code == 0
@@ -466,12 +464,11 @@ def test_cli_relations_reuse_the_refutation_images(capsys, monkeypatch):
 
 
 def test_cli_relations_without_an_accepted_convention_reports_every_residual(
-        capsys, monkeypatch):
+        capsys, monkeypatch, cold_caches):
     from test_tensor_algebra import ACCEPTED, LITERAL_RESIDUALS, REGROUPED_RESIDUALS
 
     rejected = tuple(label for label in tensor_algebra.CONVENTION_LABELS
                      if label != ACCEPTED)
-    monkeypatch.setattr(tensor_algebra, "_ADJUDICATION", None)
     monkeypatch.setattr(tensor_algebra, "CONVENTION_LABELS", rejected)
     code, out, _ = run_cli(capsys, "verify", "relations")
     assert code == 1
@@ -488,7 +485,8 @@ def test_cli_relations_without_an_accepted_convention_reports_every_residual(
     assert lines[-1] == "VERIFY relations checks=30 failures=30 FAIL"
 
 
-def test_eval_with_a_forced_sign_builds_its_catalog_only_when_read(capsys, monkeypatch):
+def test_eval_with_a_forced_sign_builds_its_catalog_only_when_read(capsys, monkeypatch,
+                                                                 cold_caches):
     built = []
     build = tensor_algebra.build_catalog
 
@@ -496,7 +494,6 @@ def test_eval_with_a_forced_sign_builds_its_catalog_only_when_read(capsys, monke
         built.append(alg.pform)
         return build(alg)
 
-    monkeypatch.setattr(tensor_algebra, "_ALGEBRAS", {})
     monkeypatch.setattr(tensor_algebra, "build_catalog", counted)
     code, out, _ = run_cli(capsys, "eval", "--sign", "+1", "E1")
     assert (code, out, built) == (0, "(E1) ot (1)\n", [])
@@ -517,7 +514,8 @@ def test_verify_invariance_prints_the_certificate_of_build_catalog(capsys, monke
 
 # -- how often each convention is built ----------------------------------------------
 
-def test_a_second_catalog_or_uc_load_builds_no_algebra(monkeypatch, tmp_path, cat):
+def test_a_second_catalog_or_uc_load_builds_no_algebra(monkeypatch, tmp_path, cat,
+                                                       cold_caches):
     built = []
     init = tensor_algebra.TensorAlgebra.__init__
 
@@ -532,7 +530,7 @@ def test_a_second_catalog_or_uc_load_builds_no_algebra(monkeypatch, tmp_path, ca
     assert built == []
 
     # a load builds the algebra of its convention, and no catalog
-    monkeypatch.setattr(tensor_algebra, "_ALGEBRAS", {})
+    cold_caches()
     monkeypatch.setattr(tensor_algebra, "build_catalog", None)
     path = tmp_path / "h.element"
     dump_element(cat.elements["h"], str(path))
@@ -549,6 +547,53 @@ def test_loaded_elements_equal_the_catalog_elements(cat):
         assert back.algebra is el.algebra, name
         assert back == el and hash(back) == hash(el), name
         assert dumps_element(back) == text, name
+
+
+# -- the process caches ----------------------------------------------------------------
+
+PROCESS_CACHES = {
+    "clifford._trace_gram",
+    "matrix_oracle.basis_matrices",
+    "sym_ext.build_st_catalog",
+    "tensor_algebra.adjudicate_convention",
+    "tensor_algebra.convention_algebra",
+    "uea._orderings_sum",
+    "uea.gen_commutator",
+    "uea.pbw_pair_product",
+    "uea.straighten_word",
+    "uea.symmetrize_monomial",
+}
+
+
+def test_every_process_memo_is_a_functools_cache():
+    # the memos that outlive an algebra are exactly these caches, and no
+    # module rebinds a global of its own
+    assert set(package_caches()) == PROCESS_CACHES
+    src = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), name
+
+
+def test_clearing_the_caches_never_changes_a_result(capsys, tmp_path, cold_caches):
+    path = tmp_path / "h.element"
+    argvs = (["verify", "relations"], ["verify", "chain"], ["dump", "h", "--out", str(path)],
+             ["verify", "independence", "--max-degree", "6"])
+
+    def run_all():
+        runs = [run_cli(capsys, *argv) for argv in argvs]
+        return runs, path.read_bytes()
+
+    cold = run_all()
+    warm = run_all()
+    cold_caches()
+    assert not any(fn.cache_info().currsize for fn in package_caches().values())
+    again = run_all()
+    assert all(fn.cache_info().currsize for fn in package_caches().values())
+    assert cold == warm == again
+    assert [code for code, _, _ in again[0]] == [0, 0, 0, 0]
 
 
 # Runs the command line in a fresh process and reports on stderr how many

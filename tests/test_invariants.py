@@ -2,16 +2,24 @@
 the image table of the raising operators, the Weyl character count as an
 independent oracle, the kernel basis certification, and the freeness checks
 on symbols against the U(g) tensor C(p) products they stand for."""
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from oracles import filtered_zero_weight_keys, rref_kernel, st_product_vectors, uc_rank
+from oracles import (
+    FractionEchelon,
+    filtered_zero_weight_keys,
+    rref_kernel,
+    st_product_vectors,
+    uc_rank,
+)
 from so41inv import cli, invariants, tensor_algebra, uea
 from so41inv.clifford import CliffordAlgebra
-from so41inv.errors import DomainError, InvarianceError
+from so41inv.errors import InvarianceError
 from so41inv.invariants import (
     image_table,
     independence_check,
@@ -22,13 +30,7 @@ from so41inv.invariants import (
     truncated_rank16_check,
     zero_weight_keys,
 )
-from so41inv.linalg import (
-    CERTIFICATE_PRIME,
-    RationalEchelon,
-    sparse_rank,
-    sparse_rank_mod_p,
-    transpose,
-)
+from so41inv.linalg import RationalEchelon, sparse_rank, transpose
 from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.sym_ext import SEElement, ad_action_se, ad_on_key, s_monomial_element
 from so41inv.tensor_algebra import TensorAlgebra, catalog_for_sign
@@ -66,19 +68,16 @@ def test_exact_block_sizes():
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_modp_agrees_with_exact(n, seed):
-    # the modular rank that certifies certified_rank, on the integral raising rows
-    # (the image table read column-wise) in a seeded order: rank deficient, so
-    # the certificate must not claim full rank, and it agrees with the exact
-    # rank over Q
+    # the exact rank of the integral raising rows (the image table read
+    # column-wise) in a seeded order: rank deficient, and the block size
+    # minus that rank is the predicted dimension
     cols = zero_weight_keys(n)
     table, gens = image_table(cols)
     rows = transpose(table, len(gens))
     random.Random(seed).shuffle(rows)
     assert all(c.denominator == 1 for row in rows for c in row.values())
-    int_rows = [{j: int(c) for j, c in row.items()} for row in rows]
     exact = sparse_rank(rows)
     assert exact < len(rows)
-    assert sparse_rank_mod_p(int_rows, CERTIFICATE_PRIME) == exact
     assert len(cols) - exact == predicted_dimension(n)
 
 
@@ -119,7 +118,7 @@ def test_degree_eight(character_counts):
 
 
 def test_degree_nine(character_counts):
-    rep = invariant_dimension(9, allow_large=True)
+    rep = invariant_dimension(9)
     assert rep.dimension == 80 == character_counts[9]
 
 
@@ -157,12 +156,18 @@ def test_dropping_the_e2_images_fails_the_count_and_the_certificate(monkeypatch)
     assert exc.value.generator == "F2"
 
 
-def test_large_degree_requires_opt_in():
-    with pytest.raises(DomainError):
-        invariant_dimension(8)
+def test_verify_dims_passes_past_degree_seven_in_a_fresh_process():
+    # no degree gate: the command line computes h(8) like every lower degree
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "so41inv.cli", "verify", "dims",
+                          "--max-degree", "8"], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "DIM degree=8 dim=65 expected=65 method=exact PASS" in run.stdout.splitlines()
 
 
-def test_rank_mod_p_matches_exact_rank_on_random_matrices():
+def test_sparse_rank_matches_the_fraction_echelon_on_random_matrices():
     rng = random.Random(2026)
     for trial in range(6):
         rows_n = rng.randint(3, 8)
@@ -174,10 +179,10 @@ def test_rank_mod_p_matches_exact_rank_on_random_matrices():
         # plant a dependent row so rank deficiency actually occurs
         if rows[0]:
             rows.append({k: 3 * v for k, v in rows[0].items()})
-        exact = sparse_rank(rows)
-        int_rows = [{j: int(v) for j, v in r.items()} for r in rows]
-        for p in (813847339, 999999937, CERTIFICATE_PRIME):
-            assert sparse_rank_mod_p(int_rows, p) == exact, trial
+        reference = FractionEchelon()
+        for r in rows:
+            reference.insert(r)
+        assert sparse_rank(rows) == reference.rank, trial
 
 
 def test_want_basis_returns_certified_invariants():

@@ -4,23 +4,25 @@ import pytest
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from oracles import graded_keys
+from oracles import (
+    KModuleLabel,
+    decompose_k_module,
+    graded_keys,
+    harmonic_decomposition_check,
+    se_k_invariant,
+)
 from so41inv.clifford import ext_ad_on_mask
 from so41inv.errors import NotStableError
 from so41inv.lie_core import bracket_gens, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
 from so41inv.sym_ext import (
-    KModuleLabel,
     SEElement,
     ad_action_se,
     ad_on_key,
-    decompose_k_module,
-    harmonic_decomposition_check,
     key_degree,
     key_weight,
     se_ext_gen,
     se_gen,
-    se_k_invariant,
     se_wedge,
     T_ORDER,
 )
@@ -31,7 +33,7 @@ def test_catalog_builds_and_certifies(st):
     assert len(st.t_elements) == 16
 
 
-def test_catalog_certifies_each_distinct_element_once(monkeypatch):
+def test_catalog_certifies_each_distinct_element_once(monkeypatch, cold_caches):
     # 12 named elements and 16 t, of which 8 are named and "1" is new: 20
     from so41inv import sym_ext
 
@@ -42,7 +44,6 @@ def test_catalog_certifies_each_distinct_element_once(monkeypatch):
         calls.append(x)
         return ad(z, x)
 
-    monkeypatch.setattr(sym_ext, "_ST_CACHE", None)
     monkeypatch.setattr(sym_ext, "ad_action_se", counted)
     cat = sym_ext.build_st_catalog()
     assert len(calls) == 120 == 6 * len({id(x) for x in calls})

@@ -1,6 +1,6 @@
 """U(g) tensor C(p): catalog invariance, the identity suite under every
 candidate Clifford normalization, the generator chain, truncated freeness
-with its rank certificate, and the integer product and k-action kernels
+with its exact rank, and the integer product and k-action kernels
 against Fraction oracles. The residual-count tables below were computed
 once with this engine and frozen; they double as a regression oracle for
 the whole adjudication pipeline."""
@@ -11,12 +11,11 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import st_product_vectors, uc_rank
+from oracles import FractionEchelon, st_product_vectors, uc_rank
 from so41inv.clifford import PForm
 from so41inv.elements import mask_bits
 from so41inv.invariants import truncated_rank16_check
 from so41inv.lie_core import LieElement, lie_gen
-from so41inv.linalg import CERTIFICATE_PRIME, RationalEchelon, certified_rank
 from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.sym_ext import SEElement, ad_action_se, se_gen
 from so41inv.tensor_algebra import (
@@ -215,43 +214,26 @@ def test_st_products_and_rank(cat):
 
 
 def echelon_rank(vectors) -> int:
-    """Reference rank: every vector through the exact rational echelon."""
-    ech = RationalEchelon()
+    """Reference rank: every vector through the test-only Fraction echelon."""
+    ech = FractionEchelon()
     index = {}
     for v in vectors:
         ech.insert({index.setdefault(k, len(index)): c for k, c in v.terms.items()})
     return ech.rank
 
 
-@pytest.fixture
-def echelon_inserts(monkeypatch):
-    """Records every row inserted into a RationalEchelon during the test."""
-    rows = []
-    insert = RationalEchelon.insert
-
-    def recorded(self, vec):
-        rows.append(vec)
-        return insert(self, vec)
-
-    monkeypatch.setattr(RationalEchelon, "insert", recorded)
-    return rows
-
-
-def test_uc_rank_certifies_an_independent_family_mod_p(cat, echelon_inserts):
+def test_uc_rank_of_an_independent_family_is_its_size(cat):
     family = [cat.elements[name] for name in ("D", "Dk", "b", "c", "h")]
-    want = echelon_rank(family)
-    echelon_inserts.clear()
-    assert certified_rank([v.terms for v in family]) == want == len(family)
-    assert not echelon_inserts  # the certificate decided; no exact echelon ran
+    assert uc_rank(family) == echelon_rank(family) == len(family)
 
 
 def test_uc_rank_of_the_empty_family_is_zero():
-    assert certified_rank([]) == 0
+    assert uc_rank([]) == 0
 
 
 # D has coefficients +-1, so this multiple of D, scaled by 3, has every
-# coefficient +-p: zero mod p but not over Q
-ZERO_MOD_P = Fraction(CERTIFICATE_PRIME, 3)
+# coefficient +-p for the prime p = 2^61 - 1: zero mod p but not over Q
+ZERO_MOD_P = Fraction((1 << 61) - 1, 3)
 
 
 @pytest.mark.parametrize("build, rank", [
@@ -260,12 +242,9 @@ ZERO_MOD_P = Fraction(CERTIFICATE_PRIME, 3)
     (lambda D, Dk: [ZERO_MOD_P * D], 1),
     (lambda D, Dk: [ZERO_MOD_P * D, Dk], 2),
 ], ids=["duplicate", "rational multiple", "zero mod p alone", "zero mod p among others"])
-def test_uc_rank_falls_back_to_the_exact_echelon(cat, echelon_inserts, build, rank):
+def test_uc_rank_falls_back_to_the_exact_echelon(cat, build, rank):
     family = build(cat.elements["D"], cat.elements["Dk"])
-    assert echelon_rank(family) == rank
-    echelon_inserts.clear()
-    assert certified_rank([v.terms for v in family]) == rank
-    assert echelon_inserts  # mod p was not full rank, so the exact echelon decided
+    assert uc_rank(family) == echelon_rank(family) == rank
 
 
 def test_truncated_rank16():

@@ -6,10 +6,11 @@ nothing from the memoized implementation path.
 """
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import u_k_invariant
 from so41inv import uea
 from so41inv.lie_core import bracket, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS
@@ -25,7 +26,6 @@ from so41inv.uea import (
     symmetrize,
     symmetrize_monomial,
     u_gen,
-    u_k_invariant,
     u_one,
     word_to_exp,
 )
@@ -127,16 +127,19 @@ def test_symmetrize_monomial_is_the_average_over_distinct_orderings(word):
 
 
 def test_straightening_and_orderings_memos_hold_only_ints():
-    # sigma divides once per output term; everything below it stays integral
+    # sigma divides once per output term; everything below it stays integral:
+    # P of every sub-multiset that sigma of exp recurses through, the pair
+    # products of a square, a generator commutator, and every word of
+    # length at most 3
     exp = word_to_exp((Gen.H1, Gen.E3, Gen.F3, Gen.F3))
-    symmetrize_monomial(exp)
     x = u_gen(Gen.F4) * u_gen(Gen.E3)
-    assert (x * x).terms
-    assert uea.gen_commutator(Gen.E1, exp)
-    for memo in (uea._STRAIGHTEN, uea._PAIR_PRODUCT, uea._ORDERINGS_SUM,
-                 uea._COMMUTATOR):
-        assert memo
-        assert all(type(c) is int for terms in memo.values() for c in terms.values())
+    assert symmetrize_monomial(exp).terms and (x * x).terms
+    values = [uea._orderings_sum(sub) for sub in product(*(range(e + 1) for e in exp))]
+    values += [uea.pbw_pair_product(a, b) for a in x.num for b in x.num]
+    values.append(uea.gen_commutator(Gen.E1, exp))
+    values += [straighten_word(w) for n in range(4) for w in product(range(10), repeat=n)]
+    for terms in values:
+        assert terms and all(type(c) is int for c in terms.values())
 
 
 def test_symmetrize_is_linear():
