@@ -8,49 +8,40 @@ table, K-invariance, the identity suite, the generator theorem, graded
 invariant dimensions, and truncated freeness - all in exact arithmetic.
 """
 
-from .errors import (
-    DomainError,
-    EngineError,
-    EvalError,
-    ExprTypeError,
-    InvarianceError,
-    NotStableError,
-    ParseError,
-    PrimeDisagreement,
-    SolveError,
-    SpanError,
-)
-from .matrix_oracle import Gen, K_GENS, P_GENS
-from .lie_core import (
-    LieElement,
-    bracket,
-    certify_against_oracle,
-    default_cartan_split,
-    jacobi_check,
-    lie_gen,
-)
-from .uea import SElement, UElement, s_gen, symmetrize, u_gen
-from .clifford import CliffordAlgebra, ExtElement, PForm, ext_gen, ext_wedge
-from .sym_ext import SEElement, build_st_catalog, se_gen, se_wedge
-from .tensor_algebra import (
-    Catalog,
-    TensorAlgebra,
-    UCElement,
-    accepted_catalog,
-    adjudicate_convention,
-    catalog_for_sign,
-    generator_chain_check,
-    verify_relations,
-)
-from .invariants import (
-    independence_check,
-    invariant_dimension,
-    predicted_dimension,
-    truncated_rank16_check,
-)
-from .parser import parse
-from .evaluator import evaluate
-from .serialization import dump_element, dumps_element, load_element, loads_element
+# Public name -> the module that defines it. A name is imported on first
+# use, so a command loads only the modules it runs.
+_MODULE_OF = {name: module for module, names in (
+    ("errors", "DomainError EngineError EvalError ExprTypeError InvarianceError "
+               "NotStableError ParseError PrimeDisagreement SolveError SpanError"),
+    ("matrix_oracle", "Gen K_GENS P_GENS"),
+    ("lie_core", "LieElement bracket certify_against_oracle default_cartan_split "
+                 "jacobi_check lie_gen"),
+    ("uea", "SElement UElement s_gen symmetrize u_gen"),
+    ("clifford", "CliffordAlgebra ExtElement PForm ext_gen ext_wedge"),
+    ("sym_ext", "SEElement build_st_catalog se_gen se_wedge"),
+    ("tensor_algebra", "Catalog TensorAlgebra UCElement accepted_catalog adjudicate_convention "
+                       "catalog_for_sign generator_chain_check verify_relations"),
+    ("invariants", "independence_check invariant_dimension predicted_dimension "
+                   "truncated_rank16_check"),
+    ("parser", "parse"),
+    ("evaluator", "evaluate"),
+    ("serialization", "dump_element dumps_element load_element loads_element"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __version__ = "1.0.0"
 

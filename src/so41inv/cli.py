@@ -18,20 +18,9 @@ import os
 import sys
 
 from .errors import EngineError
-from .evaluator import evaluate
-from .invariants import independence_check, invariant_dimension, truncated_rank16_check
-from .lie_core import certify_against_oracle
-from .matrix_oracle import Gen, basis_matrices, is_so41_member, mat_trace
-from .serialization import dump_element, load_element
-from .sym_ext import build_st_catalog
-from .tensor_algebra import (
-    accepted_catalog,
-    adjudicate_convention,
-    algebra_for_sign,
-    catalog_for_sign,
-    effective_checks,
-    generator_chain_check,
-)
+
+# Each suite and command imports the modules it runs when it runs, so a cold
+# process loads no more of the package than its command needs.
 
 
 class Reporter:
@@ -56,6 +45,7 @@ class Reporter:
 
 
 def _catalog_for(args):
+    from .tensor_algebra import accepted_catalog, catalog_for_sign
     if args.sign == "auto":
         return accepted_catalog()
     return catalog_for_sign(int(args.sign))
@@ -64,6 +54,8 @@ def _catalog_for(args):
 # -- suites ----------------------------------------------------------------------
 
 def suite_table(rep: Reporter, args) -> None:
+    from .lie_core import certify_against_oracle
+    from .matrix_oracle import Gen, basis_matrices, is_so41_member, mat_trace
     mats = basis_matrices()
     for g in Gen:
         m = mats[g]
@@ -88,6 +80,7 @@ def suite_table(rep: Reporter, args) -> None:
 
 
 def suite_relations(rep: Reporter, args) -> None:
+    from .tensor_algebra import adjudicate_convention, effective_checks
     if args.sign == "auto":
         adj = adjudicate_convention()
         if adj.accepted is None:
@@ -131,9 +124,11 @@ def suite_invariance(rep: Reporter, args) -> None:
 
 
 def suite_dims(rep: Reporter, args) -> None:
+    from .invariants import invariant_dimension
     cap = args.max_degree if args.max_degree is not None else 7
     emit_dir = args.emit_basis
     if emit_dir:
+        from .serialization import dump_element
         os.makedirs(emit_dir, exist_ok=True)
     for n in range(cap + 1):
         try:
@@ -151,6 +146,7 @@ def suite_dims(rep: Reporter, args) -> None:
 
 
 def suite_independence(rep: Reporter, args) -> None:
+    from .invariants import independence_check
     cap = args.max_degree if args.max_degree is not None else 6
     r = independence_check(cap)
     for n in sorted(r.per_degree):
@@ -162,6 +158,7 @@ def suite_independence(rep: Reporter, args) -> None:
 
 
 def suite_chain(rep: Reporter, args) -> None:
+    from .tensor_algebra import generator_chain_check
     cat = _catalog_for(args)
     for step in generator_chain_check(cat):
         rep.check(f"CHAIN {step.name} residual_terms={step.residual_terms}",
@@ -169,6 +166,7 @@ def suite_chain(rep: Reporter, args) -> None:
 
 
 def suite_rank16(rep: Reporter, args) -> None:
+    from .invariants import truncated_rank16_check
     cap = args.max_degree if args.max_degree is not None else 6
     r = truncated_rank16_check(cap)
     rep.check(f"RANK16 vectors={r.vector_count} rank={r.rank} "
@@ -237,6 +235,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluator import evaluate
+    from .tensor_algebra import algebra_for_sign
     # a forced sign fixes the algebra; its catalog is built only if read
     algebra = None if args.ambient == "se" or args.sign == "auto" \
         else algebra_for_sign(int(args.sign))
@@ -246,7 +246,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    from .serialization import dump_element
     if args.ambient == "se":
+        from .sym_ext import build_st_catalog
         named = build_st_catalog().named
     else:
         named = _catalog_for(args).elements
@@ -260,6 +262,7 @@ def cmd_dump(args) -> int:
 
 
 def cmd_load(args) -> int:
+    from .serialization import load_element
     el = load_element(args.path)
     kind = type(el).__name__
     print(f"LOAD {args.path} kind={kind} terms={len(el)}")

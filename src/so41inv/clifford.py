@@ -10,12 +10,12 @@ identity suite adjudicates between normalization conventions at run time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import lcm
 
+from ._record import record
 from .elements import BoundElement, LinearElement, fmt_mask, mask_bits, mask_sort_key
 from .errors import DomainError, SolveError
 from .lie_core import LieElement, bracket_gens, require_in_k
@@ -35,7 +35,7 @@ def _trace_gram() -> tuple:
     return tuple(tuple(trace_form_gens(a, b) for b in P_GENS) for a in P_GENS)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PForm:
     """Symmetric bilinear form on p together with the Clifford sign."""
 

@@ -23,10 +23,10 @@ exactly h(n) in number.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
 
+from ._record import record
 from .clifford import popcount
 from .elements import ZERO_EXP
 from .errors import InvarianceError
@@ -128,7 +128,7 @@ def image_table(keys: list[SEKey]) -> tuple[list[dict[int, int]], list[int]]:
 
 # -- per-degree reports ------------------------------------------------------------
 
-@dataclass
+@record
 class DegreeReport:
     degree: int
     dimension: int
@@ -216,7 +216,7 @@ def symbol_ranks(cap: int) -> dict[int, tuple[int, int]]:
             for n, family in families.items()}
 
 
-@dataclass
+@record
 class IndependenceReport:
     cap: int
     per_degree: dict[int, tuple[int, int]]  # degree -> (product count, h(n))
@@ -242,7 +242,7 @@ def independence_check(cap: int = 6) -> IndependenceReport:
                               rank=sum(r for _, r in ranks.values()))
 
 
-@dataclass
+@record
 class Rank16Report:
     vector_count: int
     rank: int

@@ -7,10 +7,10 @@ which act diagonally on the basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import matrix_oracle
+from ._record import record
 from .elements import LinearElement
 from .errors import DomainError
 from .matrix_oracle import Gen, K_GENS, P_GENS
@@ -144,7 +144,7 @@ def gen_weight(g: Gen) -> tuple[int, int]:
     return GEN_WEIGHTS[g]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CartanSplit:
     """The splitting g = (k1 + k2) + p with both k_i isomorphic to sl2."""
 

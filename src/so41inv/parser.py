@@ -16,9 +16,9 @@ integer literals or integer/integer pairs like 3/4.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import ExprTypeError, ParseError
 
 CALL_NAMES = ("ad", "sigma", "tau", "rho")
@@ -29,29 +29,29 @@ P_GEN_NAMES = ("E3", "E4", "F3", "F4")
 
 # -- AST -------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Num:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sym:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Neg:
     operand: "Node"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinOp:
     op: str  # one of + - * ot ^
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call:
     fn: str
     args: tuple["Node", ...]
@@ -68,7 +68,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # number | name | punct | end
     text: str

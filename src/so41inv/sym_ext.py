@@ -6,10 +6,10 @@ where the k-action on monomial keys is tabulated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from ._record import record
 from .clifford import ext_ad_on_mask, ext_merge, popcount
 from .elements import LinearElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key
 from .errors import DomainError, InvarianceError
@@ -276,7 +276,7 @@ T_ORDER = ("1", "D", "d", "e", "f", "g", "h", "i", "j",
            "Dd", "De", "Df", "Dg", "fg", "Dh", "dg")
 
 
-@dataclass
+@record
 class STCatalog:
     """The named invariants, the sixteen T-elements, and their degrees."""
 

@@ -14,11 +14,11 @@ catalog its identity checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
 
+from ._record import record
 from .clifford import CliffordAlgebra, PForm, _OnDemand, popcount
 from .elements import BoundElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key
 from .errors import DomainError, InvarianceError
@@ -198,7 +198,7 @@ class TensorAlgebra:
         return out
 
 
-@dataclass
+@record
 class Catalog:
     """The invariant catalog mapped into one TensorAlgebra.
 
@@ -333,7 +333,7 @@ def relation_residuals(cat: Catalog, variant: str = "literal") -> dict[str, UCEl
             for name in RELATION_NAMES}
 
 
-@dataclass
+@record
 class RelationCheck:
     name: str
     variant: str
@@ -378,7 +378,7 @@ def convention_algebra(label: str) -> TensorAlgebra:
     return TensorAlgebra(convention_pform(label))
 
 
-@dataclass
+@record
 class ConventionReport:
     """One convention's outcome: whether its catalog built, why not, and its
     identity checks. Read from convention_algebra(label).catalog on first
@@ -405,7 +405,7 @@ class ConventionReport:
         return self.built and len(eff) == len(RELATION_NAMES) and all(c.ok for c in eff)
 
 
-@dataclass
+@record
 class Adjudication:
     reports: list[ConventionReport]
     accepted: str | None
@@ -456,7 +456,7 @@ def catalog_for_sign(sign: int) -> Catalog:
 
 # -- generator theorem -----------------------------------------------------------
 
-@dataclass
+@record
 class ChainStep:
     name: str
     residual_terms: int

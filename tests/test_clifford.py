@@ -200,3 +200,28 @@ def test_degenerate_form_is_rejected():
     zero_gram = tuple(tuple(Fraction(0) for _ in range(4)) for _ in range(4))
     with pytest.raises(ValueError):
         CliffordAlgebra(PForm(gram=zero_gram, sign=1, label="zero"))
+
+
+def test_pform_is_a_validated_immutable_value():
+    gram = PForm.from_trace_form().gram
+    form = PForm(gram)
+    assert (form.sign, form.label) == (1, "custom")
+    with pytest.raises(ValueError):
+        PForm(gram=gram, sign=0)
+    skew = tuple(tuple(Fraction(i - j) for j in range(4)) for i in range(4))
+    with pytest.raises(ValueError):
+        PForm(skew)
+    with pytest.raises(TypeError):
+        PForm(gram, 1, "trace", "extra")
+    with pytest.raises(TypeError):
+        PForm(gram, sign=1, scale=2)
+    with pytest.raises(AttributeError):
+        form.sign = -1
+    with pytest.raises(AttributeError):
+        del form.label
+    same = PForm(gram=tuple(map(tuple, gram)), sign=1, label="custom")
+    assert same == form and hash(same) == hash(form) and same is not form
+    assert PForm(gram, -1) != form and PForm(gram, label="trace") != form
+    assert form != (gram, 1, "custom")
+    assert repr(form).startswith("PForm(gram=((Fraction(")
+    assert repr(form).endswith(", sign=1, label='custom')")

@@ -342,6 +342,95 @@ def test_cli_import_leaves_numpy_unloaded():
                           timeout=60).returncode == 0
 
 
+# Imports the command line in a fresh process, runs it on the arguments, if
+# any, and prints the modules it loaded that the interpreter had not.
+FRESH_IMPORTS = """
+import contextlib, io, sys
+before = set(sys.modules)
+from so41inv import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+def fresh_imports(*argv: str) -> set[str]:
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", FRESH_IMPORTS, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_importing_the_command_line_loads_only_its_front_end():
+    loaded = fresh_imports()
+    assert {m for m in loaded if m.startswith("so41inv")} == {
+        "so41inv", "so41inv.cli", "so41inv.errors"}
+    assert not loaded & {"dataclasses", "inspect", "hashlib"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["verify", "table"], {"so41inv.tensor_algebra", "so41inv.clifford", "so41inv.uea",
+                           "so41inv.sym_ext", "so41inv.invariants", "so41inv.parser",
+                           "so41inv.serialization"}),
+    (["verify", "relations"], {"so41inv.parser", "so41inv.evaluator", "so41inv.invariants",
+                               "so41inv.serialization", "dataclasses", "hashlib"}),
+], ids=["table", "relations"])
+def test_a_cold_command_loads_only_the_modules_it_runs(argv, unloaded):
+    loaded = fresh_imports(*argv)
+    assert "so41inv.lie_core" in loaded
+    assert not loaded & unloaded
+
+
+def test_the_command_line_reads_each_function_when_it_runs(capsys, monkeypatch, cat):
+    # a function rebound in its module after the command line was imported
+    # (as the benchmark tracer does) is the one a command calls
+    calls = []
+    check = tensor_algebra.generator_chain_check
+
+    def counted(catalog):
+        calls.append(catalog)
+        return check(catalog)
+
+    monkeypatch.setattr(tensor_algebra, "generator_chain_check", counted)
+    assert run_cli(capsys, "verify", "chain")[0] == 0
+    assert calls == [cat]
+
+
+# Checks the package's public names in a fresh process, where no module of
+# the package is loaded until a name is read.
+PUBLIC_SURFACE = """
+import importlib, sys
+import so41inv
+assert sorted(m for m in sys.modules if m.startswith("so41inv")) == ["so41inv"]
+assert set(so41inv.__all__) <= set(dir(so41inv))
+star = {}
+exec("from so41inv import *", star)
+assert set(so41inv.__all__) <= set(star), set(so41inv.__all__) - set(star)
+for name in so41inv.__all__:
+    module = importlib.import_module(f"so41inv.{so41inv._MODULE_OF[name]}")
+    assert star[name] is getattr(so41inv, name) is getattr(module, name), name
+for name in ("nonexistent", "record", "dataclass", "import_module"):
+    try:
+        getattr(so41inv, name)
+    except AttributeError:
+        continue
+    raise AssertionError(name)
+print(len(so41inv.__all__))
+"""
+
+
+def test_the_lazy_package_binds_every_public_name():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", PUBLIC_SURFACE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["51"]
+
+
 def test_cli_verify_dims_emit_basis(capsys, tmp_path):
     out_dir = tmp_path / "basis"
     code, out, _ = run_cli(capsys, "verify", "dims", "--max-degree", "2",

@@ -67,7 +67,7 @@ def test_exact_block_sizes():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_modp_agrees_with_exact(n, seed):
+def test_shuffled_raising_rows_have_the_predicted_corank(n, seed):
     # the exact rank of the integral raising rows (the image table read
     # column-wise) in a seeded order: rank deficient, and the block size
     # minus that rank is the predicted dimension

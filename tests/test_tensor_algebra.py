@@ -97,6 +97,10 @@ def test_effective_suite_all_zero(cat):
     assert [c.name for c in checks] == list(RELATION_NAMES)
     for c in checks:
         assert c.ok and c.residual_terms == 0, c
+    # the report records compare field by field, and a mutable one has no hash
+    assert verify_relations(cat) == cat.checks
+    with pytest.raises(TypeError):
+        hash(checks[0])
 
 
 def _count_products(monkeypatch) -> list:
@@ -232,7 +236,8 @@ def test_uc_rank_of_the_empty_family_is_zero():
 
 
 # D has coefficients +-1, so this multiple of D, scaled by 3, has every
-# coefficient +-p for the prime p = 2^61 - 1: zero mod p but not over Q
+# coefficient +-(2^61 - 1): it vanishes modulo that prime but not over Q,
+# and the exact rank over Q must count it
 ZERO_MOD_P = Fraction((1 << 61) - 1, 3)
 
 
@@ -242,7 +247,7 @@ ZERO_MOD_P = Fraction((1 << 61) - 1, 3)
     (lambda D, Dk: [ZERO_MOD_P * D], 1),
     (lambda D, Dk: [ZERO_MOD_P * D, Dk], 2),
 ], ids=["duplicate", "rational multiple", "zero mod p alone", "zero mod p among others"])
-def test_uc_rank_falls_back_to_the_exact_echelon(cat, build, rank):
+def test_uc_rank_is_the_exact_rank_over_q(cat, build, rank):
     family = build(cat.elements["D"], cat.elements["Dk"])
     assert uc_rank(family) == echelon_rank(family) == rank
 
