@@ -142,17 +142,12 @@ class DegreeReport:
         return self.dimension == self.expected
 
 
-def invariant_dimension(
-    n: int,
-    want_basis: bool = False,
-    allow_large: bool = False,
-) -> DegreeReport:
+def invariant_dimension(n: int, want_basis: bool = False) -> DegreeReport:
     """Dimension of the degree-n K-invariants of S(g) tensor Lambda(p): the
     block size minus the rank of M, both read from one image table. With
     want_basis the kernel basis of M comes back too, each vector certified
     against all six k-generators in ints: E1 and E2 from the table, the
-    other four from the image of each block key, computed once per degree.
-    allow_large is accepted and ignored: every degree is computed."""
+    other four from the image of each block key, computed once per degree."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
 

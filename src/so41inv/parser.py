@@ -164,7 +164,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(Fraction(tok.text.replace(" ", "")))
+            text = tok.text.replace(" ", "")
+            _, slash, den = text.partition("/")
+            if slash and not int(den):
+                raise ParseError(f"zero denominator in {tok.text!r}", tok.pos)
+            return Num(Fraction(text))
         if tok.kind == "name":
             if tok.text == "ot":
                 raise ParseError("'ot' is an operator, not a value", tok.pos)

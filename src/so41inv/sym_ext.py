@@ -7,7 +7,7 @@ where the k-action on monomial keys is tabulated.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from ._record import record
 from .clifford import ext_ad_on_mask, ext_merge, popcount
@@ -276,19 +276,42 @@ T_ORDER = ("1", "D", "d", "e", "f", "g", "h", "i", "j",
            "Dd", "De", "Df", "Dg", "fg", "Dh", "dg")
 
 
+def _certify(elements: dict[str, SEElement]) -> None:
+    """Raise InvarianceError unless every k-generator kills every element."""
+    for name, el in elements.items():
+        for z in K_GENS:
+            res = ad_action_se(lie_gen(z), el)
+            if not res.is_zero():
+                raise InvarianceError(name, z.name, f"{len(res)} residual terms")
+
+
 @record
 class STCatalog:
-    """The named invariants, the sixteen T-elements, and their degrees."""
+    """The named invariants, certified when the catalog is built. The
+    sixteen T-elements and their degrees are built on first read, and only
+    the ones that are not named elements ("1" and the seven products) are
+    certified then; only the freeness checks read them."""
 
     named: dict[str, SEElement]
-    t_elements: dict[str, SEElement]
-    t_degrees: dict[str, int]
+
+    @cached_property
+    def t_elements(self) -> dict[str, SEElement]:
+        named = self.named
+        t: dict[str, SEElement] = {"1": se_one()}
+        for name in T_ORDER[1:]:
+            t[name] = named[name] if name in named else named[name[0]] * named[name[1]]
+        _certify({name: el for name, el in t.items() if name not in named})
+        return t
+
+    @cached_property
+    def t_degrees(self) -> dict[str, int]:
+        return {name: el.degree() for name, el in self.t_elements.items()}
 
 
 @cache
 def build_st_catalog() -> STCatalog:
-    """Build and certify the catalog, once per process; every element must be
-    K-invariant."""
+    """Build and certify the named elements, once per process; every one
+    must be K-invariant."""
     named = {
         "a1": build_a1(),
         "a2": build_a2(),
@@ -303,17 +326,8 @@ def build_st_catalog() -> STCatalog:
         "i": build_i(),
         "j": build_j(),
     }
-    t: dict[str, SEElement] = {"1": se_one()}
-    for name in T_ORDER[1:]:
-        t[name] = named[name] if name in named else named[name[0]] * named[name[1]]
-    # the t that are named elements are the same objects: certify each once
-    for name, el in {**named, **t}.items():
-        for z in K_GENS:
-            res = ad_action_se(lie_gen(z), el)
-            if not res.is_zero():
-                raise InvarianceError(name, z.name, f"{len(res)} residual terms")
-    degrees = {name: el.degree() for name, el in t.items()}
-    return STCatalog(named=named, t_elements=t, t_degrees=degrees)
+    _certify(named)
+    return STCatalog(named=named)
 
 
 def s_monomials_up_to(cap: int) -> list[tuple[int, int, int, int]]:

@@ -1,10 +1,23 @@
 """U(g) in PBW normal form, S(g), and the symmetrization map between them.
 
 A PBW monomial is a 10-tuple of exponents in the frozen generator order
-H1 < H2 < E1 < E2 < F1 < F2 < E3 < E4 < F3 < F4. Products are straightened
-by the textbook rewriting g_a g_b -> g_b g_a + [g_a, g_b] applied at the
-first descent. The structure constants are integers, so straightened words
-and PBW pair products have int coefficients.
+H1 < H2 < E1 < E2 < F1 < F2 < E3 < E4 < F3 < F4. Every product is built by
+inserting one generator at a time into a PBW monomial. Write x^e = x_s y
+with s the leading slot of e (its first nonzero exponent). Then
+
+    u_g x^e = x^(e + e_g)                    if g <= s,
+    u_g x_s y = x_s (u_g y) + [u_g, x_s] y   otherwise.
+
+Every insertion on the right has lower total degree, except x_s into the
+top-degree term of u_g y, whose leading slot is at least s, so that one
+is a plain raise and the recursion ends. A pair product x^a x^b inserts
+the letters of x^a into x^b, right to left. The commutator with a
+generator is the derivation rule on the leading letter,
+
+    [u_g, x_s y] = [u_g, x_s] y + x_s [u_g, y],
+
+so it needs insertions only, no pair products. The structure constants are
+integers, so every straightened product has int coefficients.
 
 Symmetrization averages a monomial x = x_1 ... x_n over its distinct
 orderings. Grouping the orderings by their first letter gives
@@ -15,10 +28,10 @@ where P(x) is the straightened sum of all distinct orderings of x. P is a
 recursion over sub-multisets in plain ints, and
 sigma(x) = P(x) / (n! / prod x_g!) is P(x) over one denominator.
 
-Straightened words, pair products, generator commutators, P and sigma of a
-monomial are pure functions of their arguments, each kept for the life of
-the process by functools.cache: cache_info() reports a table's size and
-hits, and cache_clear() empties it. A cached dict is shared; do not mutate.
+Generator insertions, pair products, generator commutators, P and sigma
+of a monomial are pure functions of their arguments, each kept for the
+life of the process by functools.cache: cache_info() reports a table's
+size and hits, and cache_clear() empties it. A cached dict is shared; do not mutate.
 """
 from __future__ import annotations
 
@@ -50,41 +63,83 @@ def word_to_exp(word) -> Exp:
     return tuple(exp)
 
 
-@cache
-def straighten_word(word: tuple[int, ...]) -> dict[Exp, int]:
-    """Expand the product of generators `word` over PBW monomials.
+def _leading_slot(exp: Exp) -> int:
+    """The first generator with a nonzero exponent; 10 for the monomial 1."""
+    for g, e in enumerate(exp):
+        if e:
+            return g
+    return 10
 
-    The returned dict is shared through the cache; callers must not mutate."""
-    pos = -1
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            pos = i
-            break
-    if pos < 0:
-        return {word_to_exp(word): 1}
-    a, b = word[pos], word[pos + 1]
-    acc = dict(straighten_word(word[:pos] + (b, a) + word[pos + 2:]))
-    for g, cg in bracket_gens(Gen(a), Gen(b)):
-        for m, c in straighten_word(word[:pos] + (int(g),) + word[pos + 2:]).items():
-            acc[m] = acc.get(m, 0) + c * cg
+
+def _lowered(exp: Exp, s: int) -> Exp:
+    m = list(exp)
+    m[s] -= 1
+    return tuple(m)
+
+
+def _add_inserted(acc: dict[Exp, int], g: int, terms: dict[Exp, int], f: int = 1) -> None:
+    """acc += f * u_g * terms, in place."""
+    for m, c in terms.items():
+        for mm, cc in insert_gen(g, m).items():
+            acc[mm] = acc.get(mm, 0) + f * c * cc
+
+
+def _nonzero(acc: dict[Exp, int]) -> dict[Exp, int]:
     return {m: c for m, c in acc.items() if c}
+
+
+@cache
+def insert_gen(g: int, exp: Exp) -> dict[Exp, int]:
+    """u_g x^exp over PBW monomials, in int coefficients (shared through the
+    cache; do not mutate)."""
+    s = _leading_slot(exp)
+    if g <= s:
+        m = list(exp)
+        m[g] += 1
+        return {tuple(m): 1}
+    rest = _lowered(exp, s)
+    acc: dict[Exp, int] = {}
+    _add_inserted(acc, s, insert_gen(g, rest))
+    for h, c in bracket_gens(g, s):
+        _add_inserted(acc, int(h), {rest: 1}, c)
+    return _nonzero(acc)
+
+
+def _fold(word, exp: Exp) -> dict[Exp, int]:
+    """The product of the generators `word` times x^exp, inserting the
+    letters right to left."""
+    acc = {exp: 1}
+    for g in reversed(word):
+        nxt: dict[Exp, int] = {}
+        _add_inserted(nxt, int(g), acc)
+        acc = _nonzero(nxt)
+    return acc
+
+
+def straighten_word(word) -> dict[Exp, int]:
+    """Expand the product of generators `word` over PBW monomials."""
+    return _fold(word, ZERO_EXP)
 
 
 @cache
 def pbw_pair_product(x: Exp, y: Exp) -> dict[Exp, int]:
     """Product of two PBW monomials, straightened. Shared dict; do not mutate."""
-    return straighten_word(exp_to_word(x) + exp_to_word(y))
+    return _fold(exp_to_word(x), y)
 
 
 @cache
 def gen_commutator(g: int, exp: Exp) -> dict[Exp, int]:
     """[u_g, x^exp] = u_g x^exp - x^exp u_g over PBW monomials, in int
     coefficients (shared through the cache; do not mutate)."""
-    gen = word_to_exp((g,))
-    acc = dict(pbw_pair_product(gen, exp))
-    for m, c in pbw_pair_product(exp, gen).items():
-        acc[m] = acc.get(m, 0) - c
-    return {m: c for m, c in acc.items() if c}
+    if not any(exp):
+        return {}
+    s = _leading_slot(exp)
+    rest = _lowered(exp, s)
+    acc: dict[Exp, int] = {}
+    for h, c in bracket_gens(g, s):
+        _add_inserted(acc, int(h), {rest: 1}, c)
+    _add_inserted(acc, s, gen_commutator(g, rest))
+    return _nonzero(acc)
 
 
 class UElement(LinearElement):
@@ -166,11 +221,9 @@ def _orderings_sum(exp: Exp) -> dict[Exp, int]:
         if not e:
             continue
         rest[g] -= 1
-        for m, c in _orderings_sum(tuple(rest)).items():
-            for mm, cc in straighten_word((g,) + exp_to_word(m)).items():
-                acc[mm] = acc.get(mm, 0) + c * cc
+        _add_inserted(acc, g, _orderings_sum(tuple(rest)))
         rest[g] += 1
-    return {m: c for m, c in acc.items() if c}
+    return _nonzero(acc)
 
 
 @cache

@@ -4,16 +4,23 @@ algebra; the catalog fixtures are thin handles that read through the cached
 functions, so they always return what the command line would see, also
 after a test empties the caches."""
 import importlib
+import os
 import pkgutil
 from collections import Counter
 
 import pytest
+from hypothesis import settings
 
 import so41inv
 from so41inv.lie_core import GEN_WEIGHTS
 from so41inv.matrix_oracle import Gen, P_GENS
 from so41inv.sym_ext import build_st_catalog
 from so41inv.tensor_algebra import accepted_catalog, adjudicate_convention
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and Python
+# version; the default profile draws fresh ones.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def package_caches() -> dict[str, object]:

@@ -1,7 +1,9 @@
 """Test-only reference implementations. A Fraction echelon kept fully
 reduced on every insert and the zero-weight block found by filtering every
 monomial key of a degree share no code with the engine paths they check.
-The products sigma(s) rho(t) in U(g) tensor C(p) are the objects whose
+The textbook first-descent rewriting of a generator word checks the
+straightening by generator insertion. The products sigma(s) rho(t) in
+U(g) tensor C(p) are the objects whose
 symbols the freeness checks rank in S(g) tensor Lambda(p). The k-module
 decomposition (weights plus highest weight counting) and the invariance
 predicates by all six k-generators back the tests of the closed-form
@@ -14,7 +16,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from so41inv.errors import NotStableError
-from so41inv.lie_core import lie_gen
+from so41inv.lie_core import bracket_gens, lie_gen
 from so41inv.linalg import RationalEchelon, sparse_rank
 from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
 from so41inv.sym_ext import (
@@ -26,7 +28,7 @@ from so41inv.sym_ext import (
     s_monomial_element,
     s_monomials_up_to,
 )
-from so41inv.uea import SElement, UElement, ad_action_u, symmetrize
+from so41inv.uea import SElement, UElement, ad_action_u, symmetrize, word_to_exp
 
 
 class FractionEchelon:
@@ -117,6 +119,27 @@ def graded_keys(n: int) -> list[tuple]:
         for exp in _compositions(n - k, 10):
             out.append((exp, mask))
     out.sort()
+    return out
+
+
+def first_descent_straighten(word: tuple[int, ...], memo: dict) -> dict[tuple, int]:
+    """The product of the generators `word` over PBW monomials, by the
+    textbook rewriting g_a g_b -> g_b g_a + [g_a, g_b] at the first descent.
+    `memo` maps words to their results and is filled as it goes."""
+    word = tuple(int(g) for g in word)
+    if word in memo:
+        return memo[word]
+    pos = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+    if pos is None:
+        out = {word_to_exp(word): 1}
+    else:
+        a, b = word[pos], word[pos + 1]
+        out = dict(first_descent_straighten(word[:pos] + (b, a) + word[pos + 2:], memo))
+        for g, cg in bracket_gens(a, b):
+            for m, c in first_descent_straighten(word[:pos] + (g,) + word[pos + 2:], memo).items():
+                out[m] = out.get(m, 0) + c * cg
+        out = {m: c for m, c in out.items() if c}
+    memo[word] = out
     return out
 
 

@@ -98,6 +98,13 @@ def test_parse_error_positions():
     assert exc.value.position == 3
 
 
+def test_a_zero_denominator_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse("a1 + 3 / 00")
+    assert exc.value.position == 5 and "zero denominator" in str(exc.value)
+    assert parse("0/7") == Num(Fraction(0))
+
+
 def test_unbalanced_parens():
     with pytest.raises(ParseError):
         parse("(a1 + a2")
@@ -463,6 +470,15 @@ def test_cli_eval_parse_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_fresh_eval_of_a_zero_denominator_exits_two():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "so41inv.cli", "eval", "1/0"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+
+
 def test_cli_dump_load_round_trip(capsys, tmp_path, cat):
     path = tmp_path / "d.element"
     code, out, _ = run_cli(capsys, "dump", "D", "--out", str(path))
@@ -648,8 +664,8 @@ PROCESS_CACHES = {
     "tensor_algebra.convention_algebra",
     "uea._orderings_sum",
     "uea.gen_commutator",
+    "uea.insert_gen",
     "uea.pbw_pair_product",
-    "uea.straighten_word",
     "uea.symmetrize_monomial",
 }
 

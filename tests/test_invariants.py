@@ -113,7 +113,7 @@ def test_zero_weight_keys_equal_the_filtered_keys(n):
 
 def test_degree_eight(character_counts):
     # new evidence past the default cap: h(8) = 65 from the exact kernel
-    rep = invariant_dimension(8, allow_large=True)
+    rep = invariant_dimension(8)
     assert rep.dimension == 65 == character_counts[8] == predicted_dimension(8)
 
 

@@ -34,7 +34,8 @@ def test_catalog_builds_and_certifies(st):
 
 
 def test_catalog_certifies_each_distinct_element_once(monkeypatch, cold_caches):
-    # 12 named elements and 16 t, of which 8 are named and "1" is new: 20
+    # 12 named elements at build; on the first read of the t, "1" and the
+    # seven products: 20 distinct elements, 120 certificates in all
     from so41inv import sym_ext
 
     calls = []
@@ -46,9 +47,43 @@ def test_catalog_certifies_each_distinct_element_once(monkeypatch, cold_caches):
 
     monkeypatch.setattr(sym_ext, "ad_action_se", counted)
     cat = sym_ext.build_st_catalog()
+    assert len(calls) == 72 == 6 * len({id(x) for x in calls})
+    assert {id(x) for x in calls} == {id(x) for x in cat.named.values()}
+    t = cat.t_elements
+    assert cat.t_elements is t and cat.t_degrees and sym_ext.build_st_catalog() is cat
     assert len(calls) == 120 == 6 * len({id(x) for x in calls})
     assert {id(x) for x in calls} == \
-        {id(x) for x in list(cat.named.values()) + list(cat.t_elements.values())}
+        {id(x) for x in list(cat.named.values()) + list(t.values())}
+
+
+def test_cold_verify_relations_never_reads_the_t_elements(monkeypatch, capsys, cold_caches):
+    from so41inv import cli, sym_ext
+
+    calls = []
+    ad = sym_ext.ad_action_se
+
+    def counted(z, x):
+        calls.append(x)
+        return ad(z, x)
+
+    monkeypatch.setattr(sym_ext, "ad_action_se", counted)
+    assert cli.main(["verify", "relations"]) == 0
+    capsys.readouterr()
+    cat = sym_ext.build_st_catalog()
+    assert "t_elements" not in vars(cat) and "t_degrees" not in vars(cat)
+    assert len(calls) == 72
+
+
+def test_a_failed_t_certificate_names_the_product(monkeypatch, cold_caches):
+    # the products are certified on first read, so a non-invariant product
+    # still raises, and names itself
+    from so41inv import sym_ext
+    from so41inv.errors import InvarianceError
+
+    cat = sym_ext.build_st_catalog()
+    monkeypatch.setitem(cat.named, "g", cat.named["g"] + se_gen(Gen.E3))
+    with pytest.raises(InvarianceError, match="Dg"):
+        cat.t_elements
 
 
 def test_catalog_elements_all_invariant(st):

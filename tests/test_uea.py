@@ -2,7 +2,10 @@
 
 The independent oracle for sigma is the literal definition: average the
 product over every permutation of the word, computed with itertools and
-nothing from the memoized implementation path.
+nothing from the memoized implementation path. The oracles for the
+straightening are the 5x5 matrices of the defining representation, a
+product of which needs no normal form, and the textbook first-descent
+rewriting in tests/oracles.py.
 """
 import random
 from fractions import Fraction
@@ -10,10 +13,20 @@ from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import u_k_invariant
+from oracles import first_descent_straighten, u_k_invariant
 from so41inv import uea
-from so41inv.lie_core import bracket, lie_gen
-from so41inv.matrix_oracle import Gen, K_GENS
+from so41inv.lie_core import GEN_WEIGHTS, bracket, lie_gen
+from so41inv.matrix_oracle import (
+    GR0,
+    GR1,
+    GaussRational,
+    Gen,
+    K_GENS,
+    basis_matrices,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+)
 from so41inv.uea import (
     SElement,
     UElement,
@@ -22,6 +35,9 @@ from so41inv.uea import (
     lie_to_u,
     s_gen,
     s_one,
+    exp_to_word,
+    gen_commutator,
+    pbw_pair_product,
     straighten_word,
     symmetrize,
     symmetrize_monomial,
@@ -69,6 +85,53 @@ def test_straighten_swap_lowers_degree_by_bracket():
     want = {word_to_exp((Gen.E3, Gen.F3)): Fraction(1),
             word_to_exp((Gen.H1,)): Fraction(-2)}
     assert got == want
+
+
+IDENTITY5 = tuple(tuple(GR1 if i == j else GR0 for j in range(5)) for i in range(5))
+
+
+def word_matrix(word):
+    out = IDENTITY5
+    for g in word:
+        out = mat_mul(out, basis_matrices()[Gen(g)])
+    return out
+
+
+gen_words = st.lists(st.sampled_from(list(Gen)), max_size=5).map(tuple)
+pbw_monomials = st.lists(st.sampled_from(list(Gen)), max_size=5).map(word_to_exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen_words)
+def test_straightened_word_acts_as_the_product_of_its_matrices(word):
+    # u_g -> M_g is a representation of U(g), so a PBW expansion of a word
+    # maps to the product of the word's matrices
+    got = mat_sub(IDENTITY5, IDENTITY5)
+    for exp, c in straighten_word(word).items():
+        got = mat_sub(got, mat_scale(GaussRational(-c), word_matrix(exp_to_word(exp))))
+    assert got == word_matrix(word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pbw_monomials)
+def test_gen_commutator_is_the_difference_of_the_pair_products(exp):
+    for g in K_GENS:
+        gen = word_to_exp((g,))
+        want = dict(pbw_pair_product(gen, exp))
+        for m, c in pbw_pair_product(exp, gen).items():
+            want[m] = want.get(m, 0) - c
+        assert gen_commutator(g, exp) == {m: c for m, c in want.items() if c}
+    for i, h in enumerate((Gen.H1, Gen.H2)):
+        weight = sum(e * GEN_WEIGHTS[g][i] for g, e in zip(Gen, exp))
+        assert gen_commutator(h, exp) == ({exp: weight} if weight else {})
+
+
+def test_insertion_agrees_with_first_descent_on_every_short_word():
+    memo = {}
+    words = [w for n in range(5) for w in product(range(10), repeat=n)]
+    assert len(words) == 11111
+    for w in words:
+        assert straighten_word(w) == first_descent_straighten(w, memo), w
 
 
 def test_associativity_seeded_random():
