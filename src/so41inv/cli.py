@@ -186,6 +186,17 @@ SUITES = {
 
 # -- argument plumbing --------------------------------------------------------------
 
+def _degree_cap(text: str) -> int:
+    """A --max-degree value: a nonnegative int (a negative cap checks nothing)."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="so41inv",
@@ -202,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=tuple(SUITES) + ("all",))
     common(pv)
-    pv.add_argument("--max-degree", type=int, default=None,
+    pv.add_argument("--max-degree", type=_degree_cap, default=None,
                     help="degree cap for dims/independence/rank16")
     pv.add_argument("--method", choices=("exact", "auto"), default="auto",
                     help="kernel arithmetic for dims; both values run the "

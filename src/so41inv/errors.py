@@ -11,8 +11,8 @@ class EngineError(Exception):
 
 
 class SpanError(EngineError):
-    """A matrix failed to decompose over the fixed basis with real rational
-    coefficients."""
+    """The matrix realization gave a nonreal value where the basis needs a
+    real one (the trace form of two basis matrices)."""
 
 
 class DomainError(EngineError):

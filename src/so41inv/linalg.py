@@ -1,58 +1,16 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Exact sparse linear algebra over the rationals: one elimination engine.
 
-Dense routines are for tiny systems (structure constant extraction). The
-sparse echelon class backs every rank and kernel of the package (graded
-pieces of S(g) tensor Lambda(p) and the symbols of the freeness checks),
-where vectors are dictionaries keyed by ordered column keys. It is fraction-free: rows are scaled to Python ints
-once, eliminated by gcd-primitive integer combinations (in the spirit of
+The sparse echelon class backs every rank and kernel of the package (graded
+pieces of S(g) tensor Lambda(p), the symbols of the freeness checks and the
+independence of the 5x5 basis matrices), where vectors are dictionaries
+keyed by ordered column keys. It is fraction-free: rows are scaled to Python
+ints once, eliminated by gcd-primitive integer combinations (in the spirit of
 Bareiss, Math. Comp. 1968), and only the kernel vectors become Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-from .errors import SolveError
-
-
-def solve_exact(rows: list[list[Fraction]],
-                rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A x = b exactly for each right-hand side b in rhs, all in one
-    elimination of [A | b_1 ... b_k]. Returns one solution per b (free
-    variables pinned to zero); raises SolveError if any b is inconsistent."""
-    m = len(rows)
-    if any(len(b) != m for b in rhs):
-        raise ValueError("row/rhs length mismatch")
-    n = len(rows[0]) if m else 0
-    aug = [list(map(Fraction, rows[i])) + [Fraction(b[i]) for b in rhs] for i in range(m)]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if aug[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b if b else a for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    if any(any(aug[i][n:]) for i in range(r, m)):
-        raise SolveError("inconsistent linear system")
-    sols = [[Fraction(0)] * n for _ in rhs]
-    for row, col in pivots:
-        for k, x in enumerate(sols):
-            x[col] = aug[row][n + k]
-    return sols
 
 
 def _int_row(vec: dict) -> dict:

@@ -3,8 +3,10 @@
 All arithmetic is exact over the Gaussian rationals. The matrices realize
 so(4,1) inside gl(5): X is a member iff X^T = -gamma X gamma with
 gamma = diag(1,1,1,1,-1), and every basis matrix is traceless. The abstract
-commutator table used everywhere else in the package is certified against
-brackets computed here entry by entry.
+commutator table used everywhere else in the package is certified by
+evaluating each entry here: the matrix bracket of two basis matrices must
+equal the table's combination of basis matrices, which settles the entry
+because real_rank proves the ten matrices linearly independent over C.
 """
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from enum import IntEnum
 from fractions import Fraction
 from functools import cache
 
-from .errors import SpanError, SolveError
-from .linalg import solve_exact
+from .errors import SpanError
+from .linalg import sparse_rank
 
 
 class Gen(IntEnum):
@@ -58,15 +60,6 @@ class GaussRational:
         return GaussRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other):
-        d = other.re * other.re + other.im * other.im
-        if not d:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
         )
 
     def __eq__(self, other):
@@ -154,7 +147,6 @@ def matrix_bracket(a: Matrix5, b: Matrix5) -> Matrix5:
 GAMMA: Matrix5 = _build([(1, 1, GR1), (2, 2, GR1), (3, 3, GR1), (4, 4, GR1), (5, 5, -GR1)])
 
 HALF = GaussRational(Fraction(1, 2))
-IHALF = GaussRational(0, Fraction(1, 2))
 
 
 @cache
@@ -227,42 +219,32 @@ def trace_form_gens(a: Gen, b: Gen) -> Fraction:
     return v.re
 
 
-def _flatten(m: Matrix5) -> list[Fraction]:
-    """Flatten to 50 rational coordinates (real parts then imaginary parts)."""
-    out = [m[i][j].re for i in range(5) for j in range(5)]
-    out += [m[i][j].im for i in range(5) for j in range(5)]
-    return out
+def mat_combination(mats: dict[Gen, Matrix5], coeffs) -> Matrix5:
+    """The sum of c * mats[g] over the (g, c) pairs of coeffs."""
+    out = _zero()
+    for g, c in coeffs:
+        c = GaussRational(c)
+        for ro, row in zip(out, mats[g]):
+            for j, x in enumerate(row):
+                if x:
+                    ro[j] = ro[j] + c * x
+    return _freeze(out)
 
 
-def _expand(mats: list[Matrix5]) -> list[dict[Gen, Fraction]]:
-    """expand_over_basis of each matrix, in one elimination of the basis
-    system (full column rank, so every expansion is unique)."""
-    basis = basis_matrices()
-    # unknowns: re and im part of each of the ten coefficients
-    cols = [_flatten(basis[g]) for g in Gen]
-    cols += [_flatten(mat_scale(GRI, basis[g])) for g in Gen]
-    try:
-        sols = solve_exact(list(zip(*cols)), [_flatten(m) for m in mats])
-    except SolveError as exc:
-        raise SpanError("matrix leaves the span of the basis") from exc
-    for sol in sols:
-        for k, g in enumerate(Gen):
-            if sol[10 + k]:
-                raise SpanError(f"coefficient of {g.name} has nonzero imaginary part")
-    return [{g: sol[k] for k, g in enumerate(Gen) if sol[k]} for sol in sols]
+def _coordinates(m: Matrix5) -> dict[int, Fraction]:
+    """The rational coordinates of m as a sparse row: the real part of entry
+    k (row-major) at k, its imaginary part at 25 + k."""
+    row = {}
+    for k, z in enumerate(z for r in m for z in r):
+        if z.re:
+            row[k] = z.re
+        if z.im:
+            row[25 + k] = z.im
+    return row
 
 
-def expand_over_basis(m: Matrix5) -> dict[Gen, Fraction]:
-    """Write m as a real-rational combination of the ten basis matrices.
-
-    Raises SpanError if m leaves the span or needs non-real coefficients.
-    """
-    return _expand([m])[0]
-
-
-def extract_structure_constants() -> dict[tuple[Gen, Gen], dict[Gen, Fraction]]:
-    """Brackets of all 45 unordered basis pairs, expanded in one elimination."""
-    basis = basis_matrices()
-    pairs = [(a, b) for a in Gen for b in Gen if a < b]
-    brackets = [matrix_bracket(basis[a], basis[b]) for a, b in pairs]
-    return dict(zip(pairs, _expand(brackets)))
+def real_rank(mats) -> int:
+    """Rank over Q of the coordinates of each matrix and of i times it. That
+    is twice the rank of the matrices over C, so 20 for the ten basis
+    matrices exactly when they are linearly independent over C."""
+    return sparse_rank([_coordinates(x) for m in mats for x in (m, mat_scale(GRI, m))])

@@ -109,6 +109,10 @@ def loads_element(text: str):
         count = int(count_text)
     except ValueError as exc:
         raise ParseError(f"bad header number: {exc}", 3) from exc
+    if count < 0:
+        raise ParseError(f"negative term count {count}", 6)
+    if len(lines) > 6 + count:
+        raise ParseError(f"expected {count} terms, file has more lines", 7 + count)
     if algebra_id not in ("uc", "se"):
         raise ParseError(f"unknown algebra id {algebra_id!r}", 2)
     if stored_hash != order_hash(algebra_id, sign, gram):
@@ -128,7 +132,7 @@ def loads_element(text: str):
         try:
             coeff = Fraction(parts[0])
             exp = tuple(int(tok) for tok in parts[1].split())
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad term field: {exc}", lineno + 1) from exc
         if len(exp) != 10 or any(e < 0 for e in exp):
             raise ParseError("exponent field needs ten nonnegative integers",

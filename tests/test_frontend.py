@@ -270,6 +270,41 @@ def test_bad_coefficient_rejected(cat):
         loads_element(bad)
 
 
+def bad_element_files(text: str) -> dict[str, tuple[str, str]]:
+    """Broken copies of an element file, each with the ParseError text it
+    must raise: a zero denominator, a negative term count, and term lines
+    past the count (one more line, or a count lowered to 0)."""
+    lines = text.splitlines()
+    count = next(i for i, ln in enumerate(lines) if ln.startswith("terms:"))
+
+    def edit(idx, line):
+        return "\n".join(lines[:idx] + [line] + lines[idx + 1:]) + "\n"
+
+    return {
+        "zero": (edit(count + 1, "1/0 |" + lines[count + 1].split("|", 1)[1]),
+                 f"position {count + 2}"),
+        "negative": (edit(count, "terms: -3"), "negative term count -3"),
+        "one-extra": (text + lines[-1] + "\n", "has more lines"),
+        "count-zero": (edit(count, "terms: 0"), "expected 0 terms, file has more lines"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["zero", "negative", "one-extra", "count-zero"])
+def test_a_bad_term_block_is_a_parse_error(cat, kind):
+    body, message = bad_element_files(dumps_element(cat.elements["h"]))[kind]
+    with pytest.raises(ParseError, match=message):
+        loads_element(body)
+
+
+def test_cli_load_reports_a_bad_file_as_an_error(capsys, tmp_path, cat):
+    for kind, (body, message) in bad_element_files(dumps_element(cat.elements["h"])).items():
+        path = tmp_path / f"{kind}.element"
+        path.write_text(body)
+        code, out, err = run_cli(capsys, "load", str(path))
+        assert (code, out) == (2, ""), kind
+        assert err.startswith("error: ") and message in err, kind
+
+
 def test_se_element_round_trip():
     from so41inv.matrix_oracle import Gen
     el = se_gen(Gen.E3) * se_gen(Gen.F3) + Fraction(5, 3) * se_gen(Gen.H1)
@@ -330,6 +365,17 @@ def test_cli_verify_chain_and_rank16(capsys):
     code, out, _ = run_cli(capsys, "verify", "rank16", "--max-degree", "4")
     assert code == 0
     assert "rank=22" in out or "rank" in out
+
+
+@pytest.mark.parametrize("suite", ["dims", "independence", "rank16", "all"])
+@pytest.mark.parametrize("cap", ["-1", "-2"])
+def test_cli_rejects_a_negative_degree_cap(capsys, suite, cap):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", suite, "--max-degree", cap])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --max-degree: must be nonnegative, got {cap}" in out.err
 
 
 def test_cli_verify_dims_exact_small(capsys):

@@ -2,6 +2,10 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from so41inv import cli, lie_core, matrix_oracle
 from so41inv.errors import DomainError
 from so41inv.lie_core import (
     GEN_WEIGHTS,
@@ -23,6 +27,41 @@ from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
 
 def test_table_certifies_against_matrix_oracle():
     assert certify_against_oracle() == []
+
+
+PAIRS = [(a, b) for a in Gen for b in Gen if a < b]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PAIRS), st.sampled_from(list(Gen)),
+       st.integers(-5, 5).filter(bool))
+def test_a_tampered_table_entry_is_the_one_mismatch(pair, g, c):
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(lie_core._T, pair, lie_core._T[pair] + ((g, c),))
+        mismatches = certify_against_oracle()
+    assert len(mismatches) == 1
+    assert mismatches[0].startswith(f"[{a.name},{b.name}]: ")
+    assert "nonzero at (" in mismatches[0]
+
+
+def test_a_dependent_basis_certifies_no_bracket(monkeypatch, capsys):
+    # F4 replaced by 3/2 E3 - H1: still in so(4,1), but the ten matrices
+    # span only nine complex dimensions, so no table entry is settled
+    mats = dict(matrix_oracle.basis_matrices())
+    mats[Gen.F4] = matrix_oracle.mat_combination(
+        mats, ((Gen.E3, Fraction(3, 2)), (Gen.H1, -1)))
+    monkeypatch.setattr(matrix_oracle, "basis_matrices", lambda: mats)
+    mismatches = certify_against_oracle()
+    assert [m.split(":", 1)[0] for m in mismatches] == [
+        f"[{a.name},{b.name}]" for a, b in PAIRS]
+    assert all("rank 18, not 20" in m for m in mismatches)
+    assert cli.main(["verify", "table"]) == 1
+    out = capsys.readouterr().out
+    fails = [ln for ln in out.splitlines() if ln.endswith("FAIL")]
+    assert fails == [f"TABLE [{a.name},{b.name}] FAIL" for a, b in PAIRS] + [
+        "VERIFY table checks=55 failures=45 FAIL"]
+    assert "TABLE SUMMARY 0/45" in out
 
 
 def test_jacobi_all_triples():

@@ -4,13 +4,11 @@ multiples planted among them."""
 from fractions import Fraction
 from math import gcd
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import FractionEchelon, rref_kernel
-from so41inv.errors import SolveError
-from so41inv.linalg import RationalEchelon, solve_exact, sparse_kernel, sparse_rank, transpose
+from so41inv.linalg import RationalEchelon, sparse_kernel, sparse_rank, transpose
 
 MAX_COLS = 8
 
@@ -119,34 +117,3 @@ def test_rank_and_kernel_through_the_transpose(data):
     assert len(sparse_kernel(rows, ncols)) == ncols - rank_t
     assert transpose(transpose(rows, ncols), len(rows)) == rows
 
-
-@st.composite
-def dense_systems(draw):
-    """(rows, rhs): a dense m x n matrix and right-hand sides A x for drawn x,
-    so that every system is consistent."""
-    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
-    rows = [draw(st.lists(coefficients, min_size=n, max_size=n)) for _ in range(m)]
-    xs = draw(st.lists(st.lists(coefficients, min_size=n, max_size=n), min_size=1, max_size=4))
-    return rows, [[sum(a * x for a, x in zip(row, xv)) for row in rows] for xv in xs]
-
-
-@settings(max_examples=150, deadline=None)
-@given(dense_systems())
-def test_one_elimination_solves_each_right_hand_side(data):
-    rows, rhs = data
-    sols = solve_exact(rows, rhs)
-    assert sols == [solve_exact(rows, [b])[0] for b in rhs]
-    for b, x in zip(rhs, sols):
-        assert all(isinstance(v, Fraction) for v in x)
-        assert [sum(a * v for a, v in zip(row, x)) for row in rows] == b
-
-
-GOOD, BAD = [1, 2, 3], [1, 2, 4]  # b3 = b1 + b2 holds for GOOD only
-
-
-@pytest.mark.parametrize("rhs", [[BAD], [GOOD, BAD], [BAD, GOOD]])
-def test_an_inconsistent_right_hand_side_fails_the_whole_solve(rhs):
-    rows = [[1, 0], [0, 1], [1, 1]]
-    assert solve_exact(rows, [GOOD]) == [[1, 2]]
-    with pytest.raises(SolveError):
-        solve_exact(rows, rhs)

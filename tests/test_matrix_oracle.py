@@ -1,32 +1,29 @@
 """The 5x5 matrix realization is the ground truth everything else is
 checked against, so it gets its own independent float cross-check: the same
 matrices rebuilt as numpy complex arrays, brackets expanded numerically by
-least squares, compared entry by entry to the exact structure constants."""
+least squares, compared entry by entry to the commutator table."""
 import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so41inv.errors import SpanError
+from so41inv.lie_core import bracket_gens
 from so41inv.matrix_oracle import (
     GAMMA,
     GaussRational,
     Gen,
     K_GENS,
     P_GENS,
-    _expand,
     basis_matrices,
-    expand_over_basis,
-    extract_structure_constants,
     is_so41_member,
+    mat_combination,
     mat_mul,
     mat_scale,
-    mat_sub,
     mat_trace,
     matrix_bracket,
+    real_rank,
     trace_form_gens,
 )
 
@@ -57,41 +54,20 @@ def test_membership_is_the_gamma_condition():
 
 
 def test_brackets_close_in_the_span():
+    # without the table: no bracket of two basis matrices adds to the rank
     mats = basis_matrices()
     for a in Gen:
         for b in Gen:
-            if a >= b:
-                continue
-            expand_over_basis(matrix_bracket(mats[a], mats[b]))  # no SpanError
-
-
-def test_expand_rejects_outside_span():
-    mats = basis_matrices()
-    # gamma itself is not in so(4,1)
-    with pytest.raises(SpanError):
-        expand_over_basis(GAMMA)
-    # and neither is i * H1 (imaginary coefficient)
-    bad = mat_scale(GaussRational(0, 1), mats[Gen.H1])
-    with pytest.raises(SpanError):
-        expand_over_basis(bad)
-
-
-def test_structure_constants_cover_all_pairs():
-    sc = extract_structure_constants()
-    assert len(sc) == 45
-    for (a, b), expansion in sc.items():
-        assert a < b
-        for g, c in expansion.items():
-            assert isinstance(g, Gen)
-            assert isinstance(c, Fraction)
+            if a < b:
+                assert real_rank([*mats.values(), matrix_bracket(mats[a], mats[b])]) == 20
 
 
 def test_float_oracle_agrees_with_exact_extraction():
-    """Independent numerics: numpy complex brackets + least squares."""
+    """Independent numerics: numpy complex brackets + least squares, against
+    the exact structure constants of the commutator table."""
     mats = basis_matrices()
     flat = {g: to_numpy(mats[g]).reshape(-1) for g in Gen}
     basis = np.stack([flat[g] for g in Gen], axis=1)  # 25 x 10
-    exact = extract_structure_constants()
     for a in Gen:
         for b in Gen:
             if a >= b:
@@ -101,7 +77,7 @@ def test_float_oracle_agrees_with_exact_extraction():
             coeffs, residuals, rank, _ = np.linalg.lstsq(basis, br, rcond=None)
             resid = np.linalg.norm(basis @ coeffs - br)
             assert resid < 1e-9
-            want = exact[(a, b)]
+            want = dict(bracket_gens(a, b))
             for gi, g in enumerate(Gen):
                 c = complex(coeffs[gi])
                 assert abs(c.imag) < 1e-9
@@ -123,9 +99,6 @@ def test_gauss_rational_field_ops_match_complex():
             (a * b, ca * cb),
         ):
             assert abs(complex(float(got.re), float(got.im)) - want) < 1e-9
-        if cb != 0:
-            q = a / b
-            assert abs(complex(float(q.re), float(q.im)) - ca / cb) < 1e-9
 
 
 def test_trace_form_is_symmetric_and_splits_k_from_p():
@@ -144,14 +117,6 @@ def test_trace_form_on_p_is_nondegenerate():
     assert abs(np.linalg.det(m)) > 1e-9
 
 
-def test_batched_expansion_equals_one_expansion_per_bracket():
-    mats = basis_matrices()
-    batched = extract_structure_constants()
-    assert len(batched) == 45
-    for (a, b), expansion in batched.items():
-        assert expansion == expand_over_basis(matrix_bracket(mats[a], mats[b]))
-
-
 rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 
 
@@ -165,27 +130,24 @@ def combination(coeffs):
     return tuple(tuple(row) for row in out)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.dictionaries(st.sampled_from(list(Gen)), rationals), min_size=1, max_size=4))
-def test_rational_combinations_are_recovered_exactly(draws):
-    want = [{g: c for g, c in coeffs.items() if c} for coeffs in draws]
-    mats = [combination(coeffs) for coeffs in draws]
-    assert _expand(mats) == want
-    assert [expand_over_basis(m) for m in mats] == want
+
+
+def test_the_basis_matrices_are_independent_over_c():
+    mats = basis_matrices()
+    assert real_rank(mats.values()) == 20
+    # gamma is not in so(4,1), so it enlarges the span; i * H1 lies in the
+    # complex span of the basis
+    assert real_rank([*mats.values(), GAMMA]) == 22
+    assert real_rank([*mats.values(), mat_scale(GaussRational(0, 1), mats[Gen.H1])]) == 20
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.dictionaries(st.sampled_from(list(Gen)), rationals),
-       st.sampled_from(["gamma", "imaginary"]), st.integers(0, 2))
-def test_a_column_outside_the_span_raises(coeffs, kind, position):
-    inside = combination(coeffs)
-    if kind == "gamma":  # not in so(4,1): the system is inconsistent
-        outside = mat_sub(inside, GAMMA)
-    else:  # in the complex span, with a nonreal coefficient
-        outside = mat_sub(inside, mat_scale(GaussRational(0, 1), basis_matrices()[Gen.E3]))
-    batch = [inside, inside]
-    batch.insert(position, outside)
-    with pytest.raises(SpanError):
-        _expand(batch)
-    with pytest.raises(SpanError):
-        expand_over_basis(outside)
+@given(st.dictionaries(st.sampled_from(list(Gen)), rationals), st.sampled_from(list(Gen)))
+def test_a_rational_combination_lies_in_the_span_and_cannot_replace_a_matrix(coeffs, g):
+    mats = basis_matrices()
+    combo = mat_combination(mats, coeffs.items())
+    assert combo == combination(coeffs)
+    assert real_rank([*mats.values(), combo]) == 20
+    # g replaced by a combination of the other nine: the complex rank is 9
+    others = {h: c for h, c in coeffs.items() if h != g}
+    assert real_rank([combination(others) if h == g else m for h, m in mats.items()]) == 18
