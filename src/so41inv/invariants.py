@@ -16,15 +16,16 @@ algebra is a free module over the polynomial invariants of k with a known
 count of module generators per degree, which turns the dimension h(n) into
 a short convolution.
 
-Truncated freeness is checked on symbols: the products s.t of the
-polynomial invariants and the module generators, ranked degree by degree
-in S(g) tensor Lambda(p) by the same exact echelon, must be independent and
-exactly h(n) in number.
+Freeness is proved on symbols for every degree by two point certificates,
+each one rank under the same exact echelon: the sixteen module generators
+are independent over S(g), and the polynomial invariants a1, a2, b, c are
+algebraically independent. The products s.t are then independent in every
+degree; up to a cap, their count per degree must be the exact h(n).
 """
 from __future__ import annotations
 
 from functools import cache, partial
-from math import comb
+from math import comb, prod
 
 from ._record import record
 from .clifford import popcount
@@ -34,11 +35,11 @@ from .lie_core import GEN_WEIGHTS
 from .linalg import sparse_kernel, sparse_rank, transpose
 from .matrix_oracle import Gen, K_GENS
 from .sym_ext import (
+    T_ORDER,
     SEElement,
     ad_on_key,
     build_st_catalog,
     key_weight,
-    s_monomial_element,
     s_monomials_up_to,
 )
 
@@ -186,29 +187,94 @@ def _residual(el: SEElement, image) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-# -- freeness through the associated graded ----------------------------------------
+# -- freeness in every degree, from two point certificates ---------------------------
 
 # Filter U(g) tensor C(p) by PBW degree plus Clifford degree: the associated
 # graded algebra is S(g) tensor Lambda(p) under every nondegenerate form, and
 # gr sigma = gr rho = id, so sigma(s) rho(t) with deg s + deg t = n has the
 # degree-n symbol s.t. Independent symbols in each degree make the family
-# independent over Q, so both checks below rank s.t degree by degree (a
-# deficit in the symbols fails them, conservatively).
-def symbol_ranks(cap: int) -> dict[int, tuple[int, int]]:
-    """For each degree n <= cap: the number of products s.t of degree n, s a
-    monomial in a1, a2, b, c and t one of the sixteen module generators, and
-    the rank over Q of those products in S(g) tensor Lambda(p)."""
+# independent over Q. The symbols are independent in every degree when
+#   A. the sixteen t are independent over S(g): S(g) tensor Lambda(p) is free
+#      over S(g) on the sixteen exterior masks, so the t form a 16 x 16
+#      matrix over S(g), and its determinant, a polynomial, is nonzero once
+#      it is nonzero at one point;
+#   B. a1, a2, b and c are algebraically independent: by the Jacobian
+#      criterion (characteristic 0) it suffices that their Jacobian has
+#      rank 4 at one point.
+# Then a relation sum r_t(a1, a2, b, c) t = 0 forces every r_t to vanish in
+# S(g) (A) and then as a polynomial (B). Each is one rank at an integer point
+# fixed here, in slot order H1..F4, under the fraction-free echelon.
+T_POINT = (-5, 9, -7, -1, -6, 6, 5, 6, 3, -3)
+JACOBIAN_POINT = (-8, -7, -7, 2, -4, 0, -1, -3, -8, 9)
+S_NAMES = ("a1", "a2", "b", "c")
+
+
+def _partials_at(el: SEElement, point: tuple[int, ...]) -> dict[int, int]:
+    """The partial derivative of a polynomial (mask 0) by each slot, at point,
+    times el.den."""
+    row: dict[int, int] = {}
+    for (exp, _), c in el.num.items():
+        for slot, e in enumerate(exp):
+            if e:
+                lowered = exp[:slot] + (e - 1,) + exp[slot + 1:]
+                row[slot] = row.get(slot, 0) + c * e * prod(map(pow, point, lowered))
+    return row
+
+
+def _masks_at(el: SEElement, point: tuple[int, ...]) -> dict[int, int]:
+    """The coefficient of each exterior mask, at point, times el.den."""
+    row: dict[int, int] = {}
+    for (exp, mask), c in el.num.items():
+        row[mask] = row.get(mask, 0) + c * prod(map(pow, point, exp))
+    return row
+
+
+@record
+class FreenessCertificate:
+    t_rank: int  # rank of the 16 x 16 mask coefficients of the t at T_POINT
+    jacobian_rank: int  # rank of the 4 x 10 Jacobian of a1, a2, b, c at JACOBIAN_POINT
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures()
+
+    def failures(self) -> list[str]:
+        """One line for each certificate short of full rank."""
+        out = []
+        if self.t_rank != len(T_ORDER):
+            out.append(f"freeness certificate A: the mask coefficients of the "
+                       f"{len(T_ORDER)} module generators at {T_POINT} have rank "
+                       f"{self.t_rank}, not {len(T_ORDER)}")
+        if self.jacobian_rank != len(S_NAMES):
+            out.append(f"freeness certificate B: the Jacobian of {', '.join(S_NAMES)} "
+                       f"at {JACOBIAN_POINT} has rank {self.jacobian_rank}, "
+                       f"not {len(S_NAMES)}")
+        return out
+
+
+@cache
+def freeness_certificate() -> FreenessCertificate:
+    """Certificates A and B, once per process: with both ranks full, the
+    products s.t are independent in every degree."""
     st = build_st_catalog()
-    families: dict[int, list[SEElement]] = {n: [] for n in range(cap + 1)}
+    t_rows = [_masks_at(st.t_elements[name], T_POINT) for name in T_ORDER]
+    jacobian = [_partials_at(st.named[name], JACOBIAN_POINT) for name in S_NAMES]
+    return FreenessCertificate(t_rank=sparse_rank(t_rows),
+                               jacobian_rank=sparse_rank(jacobian))
+
+
+def product_counts(cap: int) -> dict[int, int]:
+    """For each degree n <= cap, the number of pairs (s, t) of degree n, s a
+    monomial in a1, a2, b, c and t one of the sixteen module generators:
+    the products s.t are counted by degree, not formed."""
+    t_degrees = build_st_catalog().t_degrees.values()
+    counts = dict.fromkeys(range(cap + 1), 0)
     for q in s_monomials_up_to(cap):
         s_deg = 2 * (q[0] + q[1] + q[2]) + 4 * q[3]
-        s_el = s_monomial_element(st, q)
-        for name, t_el in st.t_elements.items():
-            n = s_deg + st.t_degrees[name]
-            if n <= cap:
-                families[n].append(s_el * t_el)
-    return {n: (len(family), sparse_rank([el.num for el in family]))
-            for n, family in families.items()}
+        for t_deg in t_degrees:
+            if s_deg + t_deg <= cap:
+                counts[s_deg + t_deg] += 1
+    return counts
 
 
 @record
@@ -216,7 +282,8 @@ class IndependenceReport:
     cap: int
     per_degree: dict[int, tuple[int, int]]  # degree -> (product count, h(n))
     total: int
-    rank: int
+    rank: int | None  # total when the certificate holds, else None (unproven)
+    certificate: FreenessCertificate
 
     @property
     def ok(self) -> bool:
@@ -226,30 +293,34 @@ class IndependenceReport:
 
 def independence_check(cap: int = 6) -> IndependenceReport:
     """The products sigma(s) rho(t) of total degree <= cap are linearly
-    independent, and in each degree there are exactly as many of them as
-    the exact kernel dimension h(n): they are a basis of the invariants of
-    each degree."""
-    ranks = symbol_ranks(cap)
+    independent (by the freeness certificate, in every degree), and in each
+    degree there are exactly as many of them as the exact kernel dimension
+    h(n): they are a basis of the invariants of each degree up to cap."""
+    counts = product_counts(cap)
+    cert = freeness_certificate()
+    total = sum(counts.values())
     per_degree = {n: (count, invariant_dimension(n).dimension)
-                  for n, (count, _) in ranks.items()}
-    return IndependenceReport(cap=cap, per_degree=per_degree,
-                              total=sum(c for c, _ in ranks.values()),
-                              rank=sum(r for _, r in ranks.values()))
+                  for n, count in counts.items()}
+    return IndependenceReport(cap=cap, per_degree=per_degree, total=total,
+                              rank=total if cert.ok else None, certificate=cert)
 
 
 @record
 class Rank16Report:
     vector_count: int
-    rank: int
+    rank: int | None  # vector_count when the certificate holds, else None
     expected: int
     ok: bool
+    certificate: FreenessCertificate
 
 
 def truncated_rank16_check(cap: int = 6) -> Rank16Report:
-    """Truncated freeness evidence: the products sigma(s) rho(t) for s over
-    the polynomial generators and t over the sixteen module generators, with
-    deg s + deg t <= cap, must be linearly independent over Q."""
-    ranks = symbol_ranks(cap)
-    count = sum(c for c, _ in ranks.values())
-    rank = sum(r for _, r in ranks.values())
-    return Rank16Report(vector_count=count, rank=rank, expected=count, ok=rank == count)
+    """Freeness evidence at a degree cap: the products sigma(s) rho(t) for s
+    over the polynomial generators and t over the sixteen module generators,
+    with deg s + deg t <= cap, are linearly independent over Q when the
+    freeness certificate holds."""
+    count = sum(product_counts(cap).values())
+    cert = freeness_certificate()
+    rank = count if cert.ok else None
+    return Rank16Report(vector_count=count, rank=rank, expected=count,
+                        ok=rank == count, certificate=cert)

@@ -95,6 +95,13 @@ def _expect(lines: list[str], lineno: int, prefix: str) -> str:
     return line[len(prefix):].strip()
 
 
+def _header_int(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad header number: {exc}", lineno) from exc
+
+
 def loads_element(text: str):
     lines = text.splitlines()
     if not lines or lines[0].strip() != MAGIC:
@@ -104,11 +111,8 @@ def loads_element(text: str):
     gram = _expect(lines, 3, "gram:")
     stored_hash = _expect(lines, 4, "order-hash:")
     count_text = _expect(lines, 5, "terms:")
-    try:
-        sign = int(sign_text)
-        count = int(count_text)
-    except ValueError as exc:
-        raise ParseError(f"bad header number: {exc}", 3) from exc
+    sign = _header_int(sign_text, 3)
+    count = _header_int(count_text, 6)
     if count < 0:
         raise ParseError(f"negative term count {count}", 6)
     if len(lines) > 6 + count:

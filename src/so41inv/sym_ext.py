@@ -343,12 +343,3 @@ def s_monomials_up_to(cap: int) -> list[tuple[int, int, int, int]]:
     out.sort(key=lambda q: (2 * (q[0] + q[1] + q[2]) + 4 * q[3], q))
     return out
 
-
-def s_monomial_element(cat: STCatalog, q: tuple[int, int, int, int]) -> SEElement:
-    n1, n2, n3, n4 = q
-    out = se_one()
-    for name, n in (("a1", n1), ("a2", n2), ("b", n3), ("c", n4)):
-        for _ in range(n):
-            out = out * cat.named[name]
-    return out
-

@@ -3,11 +3,12 @@ reduced on every insert and the zero-weight block found by filtering every
 monomial key of a degree share no code with the engine paths they check.
 The textbook first-descent rewriting of a generator word checks the
 straightening by generator insertion. The products sigma(s) rho(t) in
-U(g) tensor C(p) are the objects whose
-symbols the freeness checks rank in S(g) tensor Lambda(p). The k-module
-decomposition (weights plus highest weight counting) and the invariance
-predicates by all six k-generators back the tests of the closed-form
-catalog; no verify path uses them."""
+U(g) tensor C(p) are the objects whose symbols the freeness certificate
+proves independent; the symbols themselves are formed and ranked degree by
+degree as its cross-check, and a Fraction determinant checks the rank of
+its certificate A. The k-module decomposition (weights plus highest weight
+counting) and the invariance predicates by all six k-generators back the
+tests of the closed-form catalog; no verify path uses them."""
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,8 +26,8 @@ from so41inv.sym_ext import (
     build_b,
     build_st_catalog,
     key_weight,
-    s_monomial_element,
     s_monomials_up_to,
+    se_one,
 )
 from so41inv.uea import SElement, UElement, ad_action_u, symmetrize, word_to_exp
 
@@ -145,6 +146,55 @@ def first_descent_straighten(word: tuple[int, ...], memo: dict) -> dict[tuple, i
 
 def filtered_zero_weight_keys(n: int) -> list[tuple]:
     return [key for key in graded_keys(n) if key_weight(key) == (0, 0)]
+
+
+def s_monomial_element(cat, q: tuple[int, int, int, int]) -> SEElement:
+    """a1^n1 a2^n2 b^n3 c^n4 in S(g) tensor Lambda(p), for q = (n1, n2, n3, n4)."""
+    n1, n2, n3, n4 = q
+    out = se_one()
+    for name, n in (("a1", n1), ("a2", n2), ("b", n3), ("c", n4)):
+        for _ in range(n):
+            out = out * cat.named[name]
+    return out
+
+
+def symbol_ranks(cap: int) -> dict[int, tuple[int, int]]:
+    """For each degree n <= cap: the number of products s.t of degree n, s a
+    monomial in a1, a2, b, c and t one of the sixteen module generators, and
+    the rank over Q of those products in S(g) tensor Lambda(p), formed and
+    ranked degree by degree: the direct check of what the freeness
+    certificate proves for every degree."""
+    st = build_st_catalog()
+    families: dict[int, list[SEElement]] = {n: [] for n in range(cap + 1)}
+    for q in s_monomials_up_to(cap):
+        s_deg = 2 * (q[0] + q[1] + q[2]) + 4 * q[3]
+        s_el = s_monomial_element(st, q)
+        for name, t_el in st.t_elements.items():
+            n = s_deg + st.t_degrees[name]
+            if n <= cap:
+                families[n].append(s_el * t_el)
+    return {n: (len(family), sparse_rank([el.num for el in family]))
+            for n, family in families.items()}
+
+
+def fraction_det(matrix: list[list]) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination in Fractions."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            if f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
 
 
 def st_product_vectors(cat, cap: int = 6) -> list[tuple]:

@@ -296,6 +296,17 @@ def test_a_bad_term_block_is_a_parse_error(cat, kind):
         loads_element(body)
 
 
+@pytest.mark.parametrize("field, lineno", [("sign", 3), ("terms", 6)])
+def test_a_bad_header_number_names_its_own_line(cat, field, lineno):
+    lines = dumps_element(cat.elements["h"]).splitlines()
+    assert lines[lineno - 1].startswith(f"{field}:")
+    lines[lineno - 1] = f"{field}: x"
+    with pytest.raises(ParseError, match=rf"bad header number: .*'x' \(at position {lineno}\)$") \
+            as exc:
+        loads_element("\n".join(lines) + "\n")
+    assert exc.value.position == lineno
+
+
 def test_cli_load_reports_a_bad_file_as_an_error(capsys, tmp_path, cat):
     for kind, (body, message) in bad_element_files(dumps_element(cat.elements["h"])).items():
         path = tmp_path / f"{kind}.element"
@@ -704,6 +715,7 @@ def test_loaded_elements_equal_the_catalog_elements(cat):
 
 PROCESS_CACHES = {
     "clifford._trace_gram",
+    "invariants.freeness_certificate",
     "matrix_oracle.basis_matrices",
     "sym_ext.build_st_catalog",
     "tensor_algebra.adjudicate_convention",

@@ -1,7 +1,8 @@
 """Invariant dimension counts: closed-form prediction, exact kernels from
 the image table of the raising operators, the Weyl character count as an
-independent oracle, the kernel basis certification, and the freeness checks
-on symbols against the U(g) tensor C(p) products they stand for."""
+independent oracle, the kernel basis certification, and the freeness
+certificate, with the symbols it proves independent formed and ranked
+directly and compared with the U(g) tensor C(p) products they stand for."""
 import os
 import random
 import subprocess
@@ -13,26 +14,32 @@ import pytest
 from oracles import (
     FractionEchelon,
     filtered_zero_weight_keys,
+    fraction_det,
     rref_kernel,
+    s_monomial_element,
     st_product_vectors,
+    symbol_ranks,
     uc_rank,
 )
 from so41inv import cli, invariants, tensor_algebra, uea
 from so41inv.clifford import CliffordAlgebra
 from so41inv.errors import InvarianceError
 from so41inv.invariants import (
+    JACOBIAN_POINT,
+    T_POINT,
+    freeness_certificate,
     image_table,
     independence_check,
     invariant_dimension,
     predicted_dimension,
-    symbol_ranks,
+    product_counts,
     t_count,
     truncated_rank16_check,
     zero_weight_keys,
 )
 from so41inv.linalg import RationalEchelon, sparse_rank, transpose
 from so41inv.matrix_oracle import Gen, K_GENS
-from so41inv.sym_ext import SEElement, ad_action_se, ad_on_key, s_monomial_element
+from so41inv.sym_ext import T_ORDER, SEElement, ad_action_se, ad_on_key, build_st_catalog
 from so41inv.tensor_algebra import TensorAlgebra, catalog_for_sign
 
 
@@ -281,6 +288,121 @@ def test_freeness_checks_build_no_clifford_algebra(monkeypatch, capsys):
                  ["verify", "rank16", "--sign", "+1"]):
         assert cli.main(argv) == 0, argv
     assert "RANK16 vectors=70 rank=70 expected=70 PASS" in capsys.readouterr().out
+
+
+# -- the freeness certificate --------------------------------------------------
+
+def test_the_freeness_certificate_has_full_ranks_once_per_process():
+    cert = freeness_certificate()
+    assert (cert.t_rank, cert.jacobian_rank) == (16, 4)
+    assert cert.ok and cert.failures() == []
+    assert freeness_certificate() is cert
+
+
+def test_certificate_a_against_the_fraction_echelon_and_determinant(st):
+    # the mask coefficients of the t at the fixed point, as Fractions: the
+    # test-only Fraction echelon finds rank 16, and the determinant (rows in
+    # T_ORDER, columns by ascending mask) is the value recorded for the point
+    rows = []
+    for name in T_ORDER:
+        row = [Fraction(0)] * 16
+        for (exp, mask), c in st.t_elements[name].terms.items():
+            value = Fraction(c)
+            for x, e in zip(T_POINT, exp):
+                value *= x ** e
+            row[mask] += value
+        rows.append(row)
+    ech = FractionEchelon()
+    for row in rows:
+        ech.insert(dict(enumerate(row)))
+    assert ech.rank == 16
+    assert fraction_det(rows) == 8338896329091743371954765824
+
+
+def test_certificate_b_is_the_jacobian_of_the_four_polynomial_invariants(st):
+    # the Jacobian read off the terms by hand, in Fractions, has rank 4
+    ech = FractionEchelon()
+    for name in ("a1", "a2", "b", "c"):
+        row: dict = {}
+        for (exp, mask), c in st.named[name].terms.items():
+            assert mask == 0
+            for slot, e in enumerate(exp):
+                if e:
+                    lowered = exp[:slot] + (e - 1,) + exp[slot + 1:]
+                    value = Fraction(c * e)
+                    for x, k in zip(JACOBIAN_POINT, lowered):
+                        value *= x ** k
+                    row[slot] = row.get(slot, 0) + value
+        ech.insert(row)
+    assert ech.rank == 4
+
+
+def test_the_formed_symbols_have_the_certified_rank_at_cap_eight():
+    # the direct cross-check of what the certificate proves: the products
+    # s.t formed and ranked degree by degree have rank = count, 175 in all,
+    # and the counts are the pairs the checks count without forming them
+    ranks = symbol_ranks(8)
+    assert all(count == rank for count, rank in ranks.values())
+    assert sum(count for count, _ in ranks.values()) == 175
+    assert {n: count for n, (count, _) in ranks.items()} == product_counts(8)
+
+
+def duplicate_a_t(st, monkeypatch):
+    # fg becomes a copy of dg, a product of the same degree already in the list
+    t = dict(st.t_elements)
+    t["fg"] = t["dg"]
+    monkeypatch.setitem(vars(st), "t_elements", t)
+
+
+def c_as_a1_squared(st, monkeypatch):
+    monkeypatch.setitem(st.named, "c", st.named["a1"] * st.named["a1"])
+
+
+@pytest.mark.parametrize("mutate, ranks, message", [
+    (duplicate_a_t, (15, 4),
+     "# freeness certificate A: the mask coefficients of the 16 module generators "
+     "at (-5, 9, -7, -1, -6, 6, 5, 6, 3, -3) have rank 15, not 16"),
+    (c_as_a1_squared, (16, 3),
+     "# freeness certificate B: the Jacobian of a1, a2, b, c "
+     "at (-8, -7, -7, 2, -4, 0, -1, -3, -8, 9) has rank 3, not 4"),
+], ids=["t-duplicate", "c-is-a1-squared"])
+def test_a_failed_certificate_fails_both_freeness_checks(monkeypatch, cold_caches, capsys,
+                                                         mutate, ranks, message):
+    # the mutations keep every degree, so the per-degree counts still equal
+    # h(n): only the certificate can fail the rank
+    mutate(build_st_catalog(), monkeypatch)
+    cert = freeness_certificate()
+    assert (cert.t_rank, cert.jacobian_rank) == ranks
+    assert cert.failures() == [message[2:]]
+    ind = independence_check(6)
+    assert all(got == want for got, want in ind.per_degree.values())
+    assert ind.rank is None and not ind.ok
+    r16 = truncated_rank16_check(6)
+    assert r16.rank is None and not r16.ok
+    assert cli.main(["verify", "independence"]) == 1
+    assert cli.main(["verify", "rank16"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count(message) == 2
+    assert "INDEPENDENCE rank=unproven vectors=70 FAIL" in lines
+    assert "RANK16 vectors=70 rank=unproven expected=70 FAIL" in lines
+    assert "VERIFY independence checks=8 failures=1 FAIL" in lines
+    assert "VERIFY rank16 checks=1 failures=1 FAIL" in lines
+
+
+def test_the_freeness_checks_form_no_product(monkeypatch, cold_caches, capsys):
+    # after the catalog has built its sixteen t, neither check nor suite
+    # multiplies two elements of S(g) tensor Lambda(p), certificate included
+    build_st_catalog().t_elements
+
+    def sentinel(self, other):
+        raise AssertionError("the freeness checks must not form a product")
+
+    monkeypatch.setattr(SEElement, "_product", sentinel)
+    assert independence_check(8).ok
+    assert truncated_rank16_check(8).ok
+    for argv in (["verify", "independence"], ["verify", "rank16"]):
+        assert cli.main(argv) == 0, argv
+    assert "INDEPENDENCE rank=70 vectors=70 PASS" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("which", [0, -1])
