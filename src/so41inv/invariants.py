@@ -9,7 +9,10 @@ of each key with int entries: the transpose of the raising matrix M. The
 dimension is the number of keys minus the rank of the table, ranked by the
 fraction-free echelon in ints; a kernel basis is read off M, taken
 column-wise from the same table, and certified against all six
-k-generators, also in ints.
+k-generators, also in ints. Each degree's result is memoized once per
+process and path (a rank, or a kernel with its certified basis) by one
+functools.cache holding only immutable values, and every call builds a
+fresh report from it; cache_clear() puts the process back in its cold state.
 
 The expected values come from an independent counting oracle: the invariant
 algebra is a free module over the polynomial invariants of k with a known
@@ -33,7 +36,7 @@ from .elements import ZERO_EXP
 from .errors import InvarianceError
 from .lie_core import GEN_WEIGHTS
 from .linalg import sparse_kernel, sparse_rank, transpose
-from .matrix_oracle import Gen, K_GENS
+from .matrix_oracle import Gen, K_GENS, P_GENS
 from .sym_ext import (
     T_ORDER,
     SEElement,
@@ -72,6 +75,10 @@ _WEIGHTS = [GEN_WEIGHTS[g] for g in Gen]
 _MASKS: dict[tuple[int, tuple[int, int]], list[int]] = {}
 for _mask in range(16):
     _MASKS.setdefault((popcount(_mask), key_weight((ZERO_EXP, _mask))), []).append(_mask)
+# the most one unit of degree moves |w1| + |w2| from each slot on, the
+# exterior masks (slot 10) included: 2 while a k-root is left, then 1
+_REACH = [max(abs(a) + abs(b) for a, b in _WEIGHTS[slot:] + [GEN_WEIGHTS[v] for v in P_GENS])
+          for slot in range(11)]
 
 
 def zero_weight_keys(n: int) -> list[SEKey]:
@@ -79,13 +86,13 @@ def zero_weight_keys(n: int) -> list[SEKey]:
     kernel computation is restricted to this block, where invariants live.
     Exponents are chosen slot by slot in ascending order (the sorted order),
     a branch ends once the degree left cannot bring the weight back to zero
-    (a unit of degree moves |w1| + |w2| by at most 2), and the ascending
-    masks of the degree and weight left close each exponent."""
+    (a unit of degree moves |w1| + |w2| by at most _REACH of its slot), and
+    the ascending masks of the degree and weight left close each exponent."""
     out: list[SEKey] = []
     exp = [0] * 10
 
     def walk(slot: int, left: int, w1: int, w2: int) -> None:
-        if abs(w1) + abs(w2) > 2 * left:
+        if abs(w1) + abs(w2) > _REACH[slot] * left:
             return
         if slot == 10:
             for mask in _MASKS.get((left, (-w1, -w2)), ()):
@@ -147,35 +154,44 @@ def invariant_dimension(n: int, want_basis: bool = False) -> DegreeReport:
     """Dimension of the degree-n K-invariants of S(g) tensor Lambda(p): the
     block size minus the rank of M, both read from one image table. With
     want_basis the kernel basis of M comes back too, each vector certified
-    against all six k-generators in ints: E1 and E2 from the table, the
-    other four from the image of each block key, computed once per degree."""
+    against all six k-generators in ints. The elimination runs once per
+    process for each degree and path (eliminated_degree); every call gets a
+    fresh report, with the basis as a new list."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-
+    dim, block, basis = eliminated_degree(n, bool(want_basis))
     ambient = sum(comb(4, k) * comb(n - k + 9, 9) for k in range(min(4, n) + 1))
+    return DegreeReport(n, dim, predicted_dimension(n), ambient, block,
+                        None if basis is None else list(basis))
+
+
+@cache
+def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEElement, ...] | None]:
+    """The exact elimination of degree n >= 0, once per process and path:
+    (dimension, block size, certified kernel basis or None). With want_basis
+    the basis vectors are certified against E1 and E2 from the table and
+    the other four generators from the image of each block key, computed
+    once per degree; an InvarianceError propagates and nothing is cached."""
     cols = zero_weight_keys(n)
     table, gens = image_table(cols)
-    basis = None
-    if want_basis:
-        kernel = sparse_kernel(transpose(table, len(gens))[::-1], len(cols))
-        basis = [SEElement({cols[j]: c for j, c in vec.items()}) for vec in kernel]
-        index = {key: j for j, key in enumerate(cols)}
-        # E1 and E2 read the table (residual keys are its columns), the other
-        # four generators one image per block key
-        images = [(None, lambda key: table[index[key]])]
-        images += [(z, cache(partial(ad_on_key, z))) for z in K_GENS if z not in RAISING]
-        for i, el in enumerate(basis):
-            for z, image in images:
-                res = _residual(el, image)
-                if res:
-                    name = (Gen(gens[min(res)]) if z is None else z).name
-                    raise InvarianceError(f"degree-{n} kernel vector {i}", name,
-                                          f"{len(res)} residual terms")
-        dim = len(basis)
-    else:
+    if not want_basis:
         # rank M = rank of the table; last key first runs ~3x faster than first key first at n=8
-        dim = len(cols) - sparse_rank(table[::-1])
-    return DegreeReport(n, dim, predicted_dimension(n), ambient, len(cols), basis)
+        return len(cols) - sparse_rank(table[::-1]), len(cols), None
+    kernel = sparse_kernel(transpose(table, len(gens))[::-1], len(cols))
+    basis = tuple(SEElement({cols[j]: c for j, c in vec.items()}) for vec in kernel)
+    index = {key: j for j, key in enumerate(cols)}
+    # E1 and E2 read the table (residual keys are its columns), the other
+    # four generators one image per block key
+    images = [(None, lambda key: table[index[key]])]
+    images += [(z, cache(partial(ad_on_key, z))) for z in K_GENS if z not in RAISING]
+    for i, el in enumerate(basis):
+        for z, image in images:
+            res = _residual(el, image)
+            if res:
+                name = (Gen(gens[min(res)]) if z is None else z).name
+                raise InvarianceError(f"degree-{n} kernel vector {i}", name,
+                                      f"{len(res)} residual terms")
+    return len(basis), len(cols), basis
 
 
 def _residual(el: SEElement, image) -> dict:
@@ -229,7 +245,7 @@ def _masks_at(el: SEElement, point: tuple[int, ...]) -> dict[int, int]:
     return row
 
 
-@record
+@record(frozen=True)
 class FreenessCertificate:
     t_rank: int  # rank of the 16 x 16 mask coefficients of the t at T_POINT
     jacobian_rank: int  # rank of the 4 x 10 Jacobian of a1, a2, b, c at JACOBIAN_POINT

@@ -2,6 +2,7 @@
 import ast
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -715,6 +716,7 @@ def test_loaded_elements_equal_the_catalog_elements(cat):
 
 PROCESS_CACHES = {
     "clifford._trace_gram",
+    "invariants.eliminated_degree",
     "invariants.freeness_certificate",
     "matrix_oracle.basis_matrices",
     "sym_ext.build_st_catalog",
@@ -878,3 +880,21 @@ def test_emitted_bases_match_the_recorded_golden(tmp_path):
         want = dict(ln.split() for ln in fh.read().splitlines() if not ln.startswith("#"))
     assert len(want) == 111
     assert got == want
+
+
+def test_a_warm_process_emits_the_recorded_bases(capsys, monkeypatch, tmp_path, cold_caches):
+    # the second emission in one process reads the memoized bases and must
+    # write the same 110 files and the same stdout as a fresh process
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "dims", "--max-degree", "7", "--emit-basis", "basis"]
+    with open(os.path.join(DATA, "emit_sha256.txt")) as fh:
+        want = dict(ln.split() for ln in fh.read().splitlines() if not ln.startswith("#"))
+    for _ in range(2):
+        shutil.rmtree(tmp_path / "basis", ignore_errors=True)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+        for path in (tmp_path / "basis").iterdir():
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert len(got) == 111
+        assert got == want

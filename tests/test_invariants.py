@@ -27,6 +27,7 @@ from so41inv.errors import InvarianceError
 from so41inv.invariants import (
     JACOBIAN_POINT,
     T_POINT,
+    eliminated_degree,
     freeness_certificate,
     image_table,
     independence_check,
@@ -129,7 +130,7 @@ def test_degree_nine(character_counts):
     assert rep.dimension == 80 == character_counts[9]
 
 
-def test_dims_ranks_each_block_through_its_transpose(monkeypatch, capsys):
+def test_dims_ranks_each_block_through_its_transpose(monkeypatch, capsys, cold_caches):
     # one insert per block key, and only the h(n) dependent ones reduce to
     # zero: sum of the block sizes and of h(n) over degrees 0-7
     inserted = []
@@ -146,7 +147,7 @@ def test_dims_ranks_each_block_through_its_transpose(monkeypatch, capsys):
     assert inserted.count(False) == 110 == sum(predicted_dimension(n) for n in range(8))
 
 
-def test_dropping_the_e2_images_fails_the_count_and_the_certificate(monkeypatch):
+def test_dropping_the_e2_images_fails_the_count_and_the_certificate(monkeypatch, cold_caches):
     # with ad E2 gone from the table the kernel is that of ad E1 alone: the
     # count exceeds h(4), and the six-generator certificate rejects the
     # basis, through the four generators it does not read from the table
@@ -161,6 +162,66 @@ def test_dropping_the_e2_images_fails_the_count_and_the_certificate(monkeypatch)
     with pytest.raises(InvarianceError) as exc:
         invariant_dimension(4, want_basis=True)
     assert exc.value.generator == "F2"
+
+
+# -- one elimination per degree per process -----------------------------------------
+
+def test_independence_after_dims_eliminates_no_degree_again(monkeypatch, capsys, cold_caches):
+    # verify independence reads the dimensions of degrees 0-6 that verify dims
+    # computed: once the certificate's own 16 + 4 rows are ranked, the suite
+    # inserts no row into an echelon
+    inserted = []
+    insert = RationalEchelon.insert
+
+    def counted(self, vec):
+        inserted.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(RationalEchelon, "insert", counted)
+    assert cli.main(["verify", "dims", "--max-degree", "7"]) == 0
+    assert len(inserted) == 2496
+    inserted.clear()
+    freeness_certificate()
+    assert len(inserted) == 16 + 4
+    inserted.clear()
+    assert cli.main(["verify", "independence"]) == 0
+    capsys.readouterr()
+    assert inserted == []
+
+
+@pytest.mark.parametrize("want_basis", [False, True])
+def test_a_changed_report_leaves_the_next_answer_as_it_was(cold_caches, want_basis):
+    first = invariant_dimension(4, want_basis=want_basis)
+    basis = None if first.basis is None else list(first.basis)
+    first.dimension += 1
+    if want_basis:
+        first.basis.pop()
+        first.basis[0] = first.basis[1]
+    first.basis = []
+    again = invariant_dimension(4, want_basis=want_basis)
+    assert (again.dimension, again.block_dim, again.basis) == (13, 118, basis)
+    assert again.ok
+
+
+def test_the_degree_memo_holds_no_error(monkeypatch, cold_caches):
+    # a negative degree is refused before the memo, and a failed
+    # certification raises without leaving an entry behind
+    with pytest.raises(ValueError):
+        invariant_dimension(-1)
+    true_kernel = invariants.sparse_kernel
+
+    def tampered(rows, ncols):
+        kernel = true_kernel(rows, ncols)
+        kernel[0][min(kernel[0])] *= 2
+        return kernel
+
+    monkeypatch.setattr(invariants, "sparse_kernel", tampered)
+    for _ in range(2):
+        with pytest.raises(InvarianceError):
+            invariant_dimension(3, want_basis=True)
+    assert eliminated_degree.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert len(invariant_dimension(3, want_basis=True).basis) == 4
 
 
 def test_verify_dims_passes_past_degree_seven_in_a_fresh_process():
@@ -299,6 +360,16 @@ def test_the_freeness_certificate_has_full_ranks_once_per_process():
     assert freeness_certificate() is cert
 
 
+def test_the_freeness_certificate_is_frozen():
+    cert = freeness_certificate()
+    with pytest.raises(AttributeError):
+        cert.t_rank = 15
+    with pytest.raises(AttributeError):
+        del cert.jacobian_rank
+    again = freeness_certificate()
+    assert (again.t_rank, again.jacobian_rank) == (16, 4)
+
+
 def test_certificate_a_against_the_fraction_echelon_and_determinant(st):
     # the mask coefficients of the t at the fixed point, as Fractions: the
     # test-only Fraction echelon finds rank 16, and the determinant (rows in
@@ -406,7 +477,7 @@ def test_the_freeness_checks_form_no_product(monkeypatch, cold_caches, capsys):
 
 
 @pytest.mark.parametrize("which", [0, -1])
-def test_basis_certification_rejects_a_tampered_kernel_vector(monkeypatch, which):
+def test_basis_certification_rejects_a_tampered_kernel_vector(monkeypatch, which, cold_caches):
     # the key images are shared across the kernel vectors of a degree; a
     # wrong coefficient in any vector must still fail certification
     true_kernel = invariants.sparse_kernel
