@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .errors import EngineError
 
@@ -59,8 +60,8 @@ def suite_table(rep: Reporter, args) -> None:
     mats = basis_matrices()
     for g in Gen:
         m = mats[g]
-        rep.check(f"MATRIX {g.name} membership trace={mat_trace(m)}",
-                  is_so41_member(m) and not mat_trace(m))
+        trace = mat_trace(m)
+        rep.check(f"MATRIX {g.name} membership trace={trace}", is_so41_member(m) and not trace)
     mismatches = certify_against_oracle()
     bad_pairs = set()
     for msg in mismatches:
@@ -201,7 +202,10 @@ def _degree_cap(text: str) -> int:
     return cap
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line grammar, built once per process (parse_args leaves
+    the parser as it is)."""
     top = argparse.ArgumentParser(
         prog="so41inv",
         description="Exact verification engine for the invariant catalog of "

@@ -15,9 +15,13 @@ from math import gcd, lcm
 
 def _int_row(vec: dict) -> dict:
     """A sparse rational row times the lcm of its denominators: int entries,
-    no zeros, and the same span."""
-    d = lcm(*(v.denominator for v in vec.values()))
-    return {c: v.numerator * (d // v.denominator) for c, v in vec.items() if v}
+    no zeros, and the same span. A row of ints is only copied without its
+    zeros."""
+    row = {c: v for c, v in vec.items() if v}
+    if all(type(v) is int for v in row.values()):
+        return row
+    d = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (d // v.denominator) for c, v in row.items()}
 
 
 def _eliminate(res: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:

@@ -2,17 +2,23 @@
 
 All arithmetic is exact over the Gaussian rationals. The matrices realize
 so(4,1) inside gl(5): X is a member iff X^T = -gamma X gamma with
-gamma = diag(1,1,1,1,-1), and every basis matrix is traceless. The abstract
-commutator table used everywhere else in the package is certified by
-evaluating each entry here: the matrix bracket of two basis matrices must
-equal the table's combination of basis matrices, which settles the entry
-because real_rank proves the ten matrices linearly independent over C.
+gamma = diag(1,1,1,1,-1), that is x_ji = -gamma_i gamma_j x_ij entry by
+entry, and every basis matrix is traceless. The abstract commutator table
+used everywhere else in the package is certified by evaluating each entry
+here (lie_core.certify_against_oracle), in Gaussian integers: the matrices
+are scaled by the lcm D of their entry denominators (D = 2 for the basis) to
+sparse maps (i, j) -> (re, im) of ints, and the bracket of two scaled basis
+matrices, D^2 times theirs, must equal D^2 times the table's combination of
+basis matrices. That settles the entry because the rank of the same int
+coordinates proves the ten matrices linearly independent over C
+(integer_real_rank).
 """
 from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .errors import SpanError
 from .linalg import sparse_rank
@@ -106,34 +112,6 @@ def _build(entries: list[tuple[int, int, GaussRational]], scale: GaussRational =
     return _freeze(m)
 
 
-def mat_sub(a: Matrix5, b: Matrix5) -> Matrix5:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_mul(a: Matrix5, b: Matrix5) -> Matrix5:
-    out = _zero()
-    for i in range(5):
-        ra = a[i]
-        for k in range(5):
-            f = ra[k]
-            if not f:
-                continue
-            rb = b[k]
-            ro = out[i]
-            for j in range(5):
-                if rb[j]:
-                    ro[j] = ro[j] + f * rb[j]
-    return _freeze(out)
-
-
-def mat_scale(c: GaussRational, a: Matrix5) -> Matrix5:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_transpose(a: Matrix5) -> Matrix5:
-    return tuple(tuple(a[j][i] for j in range(5)) for i in range(5))
-
-
 def mat_trace(a: Matrix5) -> GaussRational:
     t = GR0
     for i in range(5):
@@ -141,11 +119,7 @@ def mat_trace(a: Matrix5) -> GaussRational:
     return t
 
 
-def matrix_bracket(a: Matrix5, b: Matrix5) -> Matrix5:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-GAMMA: Matrix5 = _build([(1, 1, GR1), (2, 2, GR1), (3, 3, GR1), (4, 4, GR1), (5, 5, -GR1)])
+GAMMA_SIGNS = (1, 1, 1, 1, -1)  # the diagonal of gamma
 
 HALF = GaussRational(Fraction(1, 2))
 
@@ -194,12 +168,16 @@ def basis_matrices() -> dict[Gen, Matrix5]:
 
 
 def is_so41_member(m: Matrix5) -> bool:
-    """Membership test: m^T = -gamma m gamma and tr(m) = 0."""
+    """Membership test: m^T = -gamma m gamma and tr(m) = 0. As gamma is
+    diagonal, the first is m_ji = -gamma_i gamma_j m_ij for each i <= j."""
     if mat_trace(m):
         return False
-    lhs = mat_transpose(m)
-    rhs = mat_scale(-GR1, mat_mul(GAMMA, mat_mul(m, GAMMA)))
-    return lhs == rhs
+    for i, gi in enumerate(GAMMA_SIGNS):
+        for j in range(i, 5):
+            want = m[i][j] if gi != GAMMA_SIGNS[j] else -m[i][j]
+            if m[j][i] != want:
+                return False
+    return True
 
 
 def trace_form(x: Matrix5, y: Matrix5) -> GaussRational:
@@ -220,32 +198,68 @@ def trace_form_gens(a: Gen, b: Gen) -> Fraction:
     return v.re
 
 
-def mat_combination(mats: dict[Gen, Matrix5], coeffs) -> Matrix5:
-    """The sum of c * mats[g] over the (g, c) pairs of coeffs."""
-    out = _zero()
-    for g, c in coeffs:
-        c = GaussRational(c)
-        for ro, row in zip(out, mats[g]):
-            for j, x in enumerate(row):
-                if x:
-                    ro[j] = ro[j] + c * x
-    return _freeze(out)
+# -- Gaussian integer matrices --------------------------------------------------
+
+IntMatrix = dict  # sparse (i, j) -> (re, im) of ints, 0-indexed, no zero entries
 
 
-def _coordinates(m: Matrix5) -> dict[int, Fraction]:
-    """The rational coordinates of m as a sparse row: the real part of entry
-    k (row-major) at k, its imaginary part at 25 + k."""
-    row = {}
-    for k, z in enumerate(z for r in m for z in r):
-        if z.re:
-            row[k] = z.re
-        if z.im:
-            row[25 + k] = z.im
-    return row
+def gaussian_integer_matrices(mats) -> tuple[list[IntMatrix], int]:
+    """Each matrix times D as an IntMatrix, and D: the lcm of the
+    denominators of all their entries, so every scaled entry is an int."""
+    mats = list(mats)
+    d = lcm(*(x.denominator for m in mats for row in m for z in row for x in (z.re, z.im)))
+    return [{(i, j): (int(z.re * d), int(z.im * d))
+             for i, row in enumerate(m) for j, z in enumerate(row) if z}
+            for m in mats], d
+
+
+def int_combination(terms) -> IntMatrix:
+    """The sum of c * m over the (m, c) pairs of terms, IntMatrix m and int c."""
+    out: dict = {}
+    for m, c in terms:
+        for ij, (re, im) in m.items():
+            out_re, out_im = out.get(ij, (0, 0))
+            out[ij] = (out_re + c * re, out_im + c * im)
+    return {ij: z for ij, z in out.items() if z != (0, 0)}
+
+
+def _int_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """ab, possibly with zero entries."""
+    out: dict = {}
+    for (i, k), (ar, ai) in a.items():
+        for (l, j), (br, bi) in b.items():
+            if k == l:
+                r, m = out.get((i, j), (0, 0))
+                out[i, j] = (r + ar * br - ai * bi, m + ar * bi + ai * br)
+    return out
+
+
+def int_bracket(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """ab - ba, without zero entries."""
+    return int_combination(((_int_product(a, b), 1), (_int_product(b, a), -1)))
+
+
+def _coordinates(m: IntMatrix) -> tuple[dict[int, int], dict[int, int]]:
+    """The rational coordinates of m and of i m, as sparse int rows: the real
+    part of entry (i, j) at 5i + j, its imaginary part at 25 + 5i + j."""
+    row, irow = {}, {}
+    for (i, j), (re, im) in m.items():
+        k = 5 * i + j
+        if re:
+            row[k] = irow[25 + k] = re
+        if im:
+            row[25 + k], irow[k] = im, -im
+    return row, irow
+
+
+def integer_real_rank(mats) -> int:
+    """Rank over Q of the coordinates of each IntMatrix and of i times it.
+    That is twice the rank of the matrices over C, so 20 for the ten scaled
+    basis matrices exactly when they are linearly independent over C."""
+    return sparse_rank([r for m in mats for r in _coordinates(m)])
 
 
 def real_rank(mats) -> int:
-    """Rank over Q of the coordinates of each matrix and of i times it. That
-    is twice the rank of the matrices over C, so 20 for the ten basis
-    matrices exactly when they are linearly independent over C."""
-    return sparse_rank([_coordinates(x) for m in mats for x in (m, mat_scale(GRI, m))])
+    """integer_real_rank of the matrices scaled to Gaussian integers (which
+    leaves the rank as it is)."""
+    return integer_real_rank(gaussian_integer_matrices(mats)[0])

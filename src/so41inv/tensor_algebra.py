@@ -10,7 +10,7 @@ each one the j identity refutes without building its catalog.
 convention_algebra() builds each label's algebra once per process, and
 adjudicate_convention() runs once (both through functools.cache); the
 algebra keeps its catalog and the rho image of each named element, and the
-catalog its identity checks.
+catalog its identity checks and its generator chain.
 """
 from __future__ import annotations
 
@@ -218,6 +218,17 @@ class Catalog:
     def checks(self) -> list[RelationCheck]:
         """The identity suite on this catalog, run once."""
         return verify_relations(self)
+
+    @cached_property
+    def chain(self) -> tuple[ChainStep, ...]:
+        """The generator chain on this catalog, derived and compared once:
+        each element derive_chain rebuilds against the catalog's."""
+        derived = derive_chain(self)
+        steps = []
+        for name in RELATION_NAMES:
+            diff = derived[name] - self.elements[name]
+            steps.append(ChainStep(name=name, residual_terms=len(diff), ok=diff.is_zero()))
+        return tuple(steps)
 
 
 NAMED_ORDER = ("a1", "a2", "b", "c", "D", "d", "e", "f", "g", "h", "i", "j")
@@ -456,7 +467,7 @@ def catalog_for_sign(sign: int) -> Catalog:
 
 # -- generator theorem -----------------------------------------------------------
 
-@record
+@record(frozen=True)
 class ChainStep:
     name: str
     residual_terms: int
@@ -478,11 +489,7 @@ def derive_chain(cat: Catalog) -> dict[str, UCElement]:
 
 
 def generator_chain_check(cat: Catalog) -> list[ChainStep]:
-    """Compare each element derive_chain rebuilds with the catalog; a pass
-    certifies the whole generation chain."""
-    derived = derive_chain(cat)
-    steps = []
-    for name in RELATION_NAMES:
-        diff = derived[name] - cat.elements[name]
-        steps.append(ChainStep(name=name, residual_terms=len(diff), ok=diff.is_zero()))
-    return steps
+    """The steps of cat.chain, each comparing an element derive_chain
+    rebuilds with the catalog's; a pass certifies the whole generation
+    chain."""
+    return list(cat.chain)

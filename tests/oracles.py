@@ -8,7 +8,10 @@ proves independent; the symbols themselves are formed and ranked degree by
 degree as its cross-check, and a Fraction determinant checks the rank of
 its certificate A. The k-module decomposition (weights plus highest weight
 counting) and the invariance predicates by all six k-generators back the
-tests of the closed-form catalog; no verify path uses them."""
+tests of the closed-form catalog; no verify path uses them. The 5x5
+matrix products, brackets and combinations over Q(i), entry by entry in
+GaussRational, check the Gaussian integer evaluation of the commutator
+table."""
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +22,7 @@ from math import comb
 from so41inv.errors import NotStableError
 from so41inv.lie_core import bracket_gens, lie_gen
 from so41inv.linalg import RationalEchelon, sparse_rank
-from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
+from so41inv.matrix_oracle import GR0, GaussRational, Gen, K_GENS, P_GENS
 from so41inv.sym_ext import (
     SEElement,
     ad_action_se,
@@ -79,6 +82,41 @@ class FractionEchelon:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
+
+
+# -- 5x5 matrices over Q(i), as tuples of GaussRational rows -------------------
+
+GAMMA = tuple(tuple(GaussRational(d if i == j else 0) for j in range(5))
+              for i, d in enumerate((1, 1, 1, 1, -1)))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(5)), GR0)
+                       for j in range(5)) for i in range(5))
+
+
+def mat_scale(c: GaussRational, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def mat_transpose(a):
+    return tuple(tuple(a[j][i] for j in range(5)) for i in range(5))
+
+
+def matrix_bracket(a, b):
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def mat_combination(mats, coeffs):
+    """The sum of c * mats[g] over the (g, c) pairs of coeffs."""
+    out = tuple(tuple(GR0 for _ in range(5)) for _ in range(5))
+    for g, c in coeffs:
+        out = mat_sub(out, mat_scale(GaussRational(-c), mats[g]))
+    return out
 
 
 def rref_kernel(rows: list[dict], ncols: int) -> list[dict[int, Fraction]]:

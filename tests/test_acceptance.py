@@ -8,6 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from oracles import GAMMA, mat_mul, mat_scale, mat_sub, mat_transpose, matrix_bracket
 from so41inv.clifford import ExtElement, ext_k_action
 from so41inv.invariants import (
     independence_check,
@@ -17,18 +18,12 @@ from so41inv.invariants import (
 )
 from so41inv.lie_core import bracket, bracket_gens, lie_gen
 from so41inv.matrix_oracle import (
-    GAMMA,
     GaussRational,
     Gen,
     K_GENS,
     P_GENS,
     basis_matrices,
-    mat_mul,
-    mat_scale,
-    mat_sub,
     mat_trace,
-    mat_transpose,
-    matrix_bracket,
     real_rank,
 )
 from so41inv.tensor_algebra import (

@@ -715,6 +715,7 @@ def test_loaded_elements_equal_the_catalog_elements(cat):
 # -- the process caches ----------------------------------------------------------------
 
 PROCESS_CACHES = {
+    "cli.build_parser",
     "clifford._trace_gram",
     "invariants.eliminated_degree",
     "invariants.freeness_certificate",
@@ -759,6 +760,49 @@ def test_clearing_the_caches_never_changes_a_result(capsys, tmp_path, cold_cache
     assert all(fn.cache_info().currsize for fn in package_caches().values())
     assert cold == warm == again
     assert [code for code, _, _ in again[0]] == [0, 0, 0, 0]
+
+
+def test_warm_table_and_chain_runs_print_what_the_first_run_printed(capsys, cold_caches):
+    with open(os.path.join(DATA, "verify_table.stdout")) as fh:
+        table = fh.read()
+    for argv in (["verify", "table"], ["verify", "chain"]):
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == first
+        assert first[0] == 0
+    assert first[1].count("CHAIN ") == 8
+    assert run_cli(capsys, "verify", "table") == (0, table, "")
+
+
+def test_the_chain_is_derived_once_per_catalog(capsys, monkeypatch, cold_caches):
+    derived = []
+    derive = tensor_algebra.derive_chain
+
+    def counted(catalog):
+        derived.append(catalog)
+        return derive(catalog)
+
+    monkeypatch.setattr(tensor_algebra, "derive_chain", counted)
+    for argv in (["verify", "chain"], ["verify", "chain"], ["verify", "chain", "--sign", "-1"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    cat = tensor_algebra.accepted_catalog()
+    assert cat is tensor_algebra.catalog_for_sign(-1)
+    assert derived == [cat]
+    # each call hands out a fresh list of frozen steps
+    steps = tensor_algebra.generator_chain_check(cat)
+    steps.clear()
+    assert tensor_algebra.generator_chain_check(cat) == list(cat.chain)
+    assert len(cat.chain) == 8 and derived == [cat]
+    with pytest.raises(AttributeError):
+        cat.chain[0].ok = False
+
+
+def test_the_parser_is_built_once_per_process(capsys, tmp_path, cold_caches):
+    for argv in (["verify", "table"], ["eval", "E1"], ["load", str(tmp_path / "missing")],
+                 ["verify", "dims", "--max-degree", "1"]):
+        run_cli(capsys, *argv)
+    assert cli.build_parser.cache_info().misses == 1
+    # a parse leaves no value behind for the next one
+    assert cli.build_parser().parse_args(["verify", "dims"]).max_degree is None
 
 
 # Runs the command line in a fresh process and reports on stderr how many

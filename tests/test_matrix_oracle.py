@@ -9,20 +9,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import GAMMA, mat_combination, mat_mul, mat_scale, mat_transpose, matrix_bracket
 from so41inv.lie_core import bracket_gens
 from so41inv.matrix_oracle import (
-    GAMMA,
     GaussRational,
     Gen,
     K_GENS,
     P_GENS,
     basis_matrices,
     is_so41_member,
-    mat_combination,
-    mat_mul,
-    mat_scale,
     mat_trace,
-    matrix_bracket,
     real_rank,
     trace_form_gens,
 )
@@ -51,6 +47,26 @@ def test_membership_is_the_gamma_condition():
     lhs = tuple(tuple(m[j][i] for j in range(5)) for i in range(5))
     rhs = mat_scale(GaussRational(-1, 0), mat_mul(GAMMA, mat_mul(m, GAMMA)))
     assert lhs == rhs
+
+
+gauss_rationals = st.builds(GaussRational, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(Gen)), st.integers(0, 4), st.integers(0, 4), gauss_rationals,
+       st.booleans())
+def test_membership_agrees_with_the_gamma_condition_off_the_basis(g, i, j, z, paired):
+    # z added at (i, j), and when paired the entry at (j, i) that keeps
+    # x^T = -gamma x gamma, so both verdicts are drawn
+    m = [list(row) for row in basis_matrices()[g]]
+    m[i][j] = m[i][j] + z
+    if paired and i != j:
+        m[j][i] = m[j][i] + (z if (i == 4) != (j == 4) else -z)
+    m = tuple(map(tuple, m))
+    want = (mat_transpose(m) == mat_scale(GaussRational(-1), mat_mul(GAMMA, mat_mul(m, GAMMA)))
+            and not mat_trace(m))
+    assert is_so41_member(m) == want
+    assert want == (paired and i != j)
 
 
 def test_brackets_close_in_the_span():

@@ -13,7 +13,7 @@ from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import first_descent_straighten, u_k_invariant
+from oracles import first_descent_straighten, mat_mul, mat_scale, mat_sub, u_k_invariant
 from so41inv import uea
 from so41inv.lie_core import GEN_WEIGHTS, bracket, lie_gen
 from so41inv.matrix_oracle import (
@@ -23,9 +23,6 @@ from so41inv.matrix_oracle import (
     Gen,
     K_GENS,
     basis_matrices,
-    mat_mul,
-    mat_scale,
-    mat_sub,
 )
 from so41inv.uea import (
     SElement,
