@@ -4,12 +4,13 @@ The adjoint action of k preserves the grading and the Cartan weights, so
 the invariants of degree n are the weight-(0,0) vectors killed by ad E1 and
 ad E2: one exact sparse kernel over Q per degree, with no modular or
 floating-point arithmetic anywhere. The weight-(0,0) keys are enumerated
-directly, and one image table per degree holds the ad E1 and ad E2 images
-of each key with int entries: the transpose of the raising matrix M. The
-dimension is the number of keys minus the rank of the table, ranked by the
-fraction-free echelon in ints; a kernel basis is read off M, taken
-column-wise from the same table, and certified against all six
-k-generators, also in ints. Each degree's result is memoized once per
+directly, packed into one int each, and one image table per degree holds
+the ad E1 and ad E2 images of each key with int entries: the transpose of
+the raising matrix M. The dimension is the number of keys minus the rank
+of the table, ranked by the fraction-free echelon in ints; a kernel basis
+is the dependencies among the table rows, certified against all six
+k-generators on packed keys, also in ints, before its keys are unpacked
+into elements. Each degree's result is memoized once per
 process and path (a rank, or a kernel with its certified basis) by one
 functools.cache holding only immutable values, and every call builds a
 fresh report from it; cache_clear() puts the process back in its cold state.
@@ -27,7 +28,7 @@ degree; up to a cap, their count per degree must be the exact h(n).
 """
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from math import comb, prod
 
 from ._record import record
@@ -35,12 +36,13 @@ from .clifford import popcount
 from .elements import ZERO_EXP
 from .errors import InvarianceError
 from .lie_core import GEN_WEIGHTS
-from .linalg import sparse_kernel, sparse_rank, transpose
+from .linalg import dependency_kernel, sparse_rank
 from .matrix_oracle import Gen, K_GENS, P_GENS
 from .sym_ext import (
+    _EXT_AD,
+    _SLOT_AD,
     T_ORDER,
     SEElement,
-    ad_on_key,
     build_st_catalog,
     key_weight,
     s_monomials_up_to,
@@ -68,44 +70,99 @@ def predicted_dimension(n: int) -> int:
     return sum(comb(m + 2, 2) * t_count(n - 2 * m) for m in range(n // 2 + 1))
 
 
-# -- the zero-weight block -------------------------------------------------------
+# -- the zero-weight block, on packed keys -------------------------------------
+
+# Inside this module a key (exp, mask) is one int: the ten exponents as
+# bytes, H1 most significant, over the mask in the low 4 bits. An exponent
+# is at most the degree, so up to degree 255 the int order is the sorted
+# (exp, mask) order, and the ad image of a key is the key plus a fixed delta
+# per move, times the exponent read off its byte.
+MAX_PACKED_DEGREE = 255
+
+
+def _shift(slot: int) -> int:
+    return 4 + 8 * (9 - slot)
+
+
+def unpack(key: int) -> SEKey:
+    """The (exp, mask) key of a packed key."""
+    return tuple((key >> 4).to_bytes(10, "big")), key & 15
+
 
 _WEIGHTS = [GEN_WEIGHTS[g] for g in Gen]
-# exterior monomials by (degree, weight), each list ascending
-_MASKS: dict[tuple[int, tuple[int, int]], list[int]] = {}
+# the (degree, mask) of the exterior monomials of each weight, masks ascending
+_MASKS: dict[tuple[int, int], list[tuple[int, int]]] = {}
 for _mask in range(16):
-    _MASKS.setdefault((popcount(_mask), key_weight((ZERO_EXP, _mask))), []).append(_mask)
+    _MASKS.setdefault(key_weight((ZERO_EXP, _mask)), []).append((popcount(_mask), _mask))
 # the most one unit of degree moves |w1| + |w2| from each slot on, the
 # exterior masks (slot 10) included: 2 while a k-root is left, then 1
 _REACH = [max(abs(a) + abs(b) for a, b in _WEIGHTS[slot:] + [GEN_WEIGHTS[v] for v in P_GENS])
           for slot in range(11)]
 
 
-def zero_weight_keys(n: int) -> list[SEKey]:
-    """The monomial keys of degree n and weight (0, 0), in sorted order; the
+def zero_weight_keys(n: int) -> list[int]:
+    """The packed keys of degree n and weight (0, 0), in ascending order; the
     kernel computation is restricted to this block, where invariants live.
-    Exponents are chosen slot by slot in ascending order (the sorted order),
-    a branch ends once the degree left cannot bring the weight back to zero
-    (a unit of degree moves |w1| + |w2| by at most _REACH of its slot), and
-    the ascending masks of the degree and weight left close each exponent."""
-    out: list[SEKey] = []
-    exp = [0] * 10
+    H1 and H2 have weight zero, so each key is H1^a H2^b times a
+    zero-weight tail of degree n - a - b over the slots from E1 on, and one
+    walk finds the tails of every degree up to n. Exponents are chosen slot
+    by slot in ascending order (the sorted order), a branch ends once the
+    degree left cannot bring the weight back to zero (a unit of degree moves
+    |w1| + |w2| by at most _REACH of its slot), and the ascending masks of
+    the weight left, of at most the degree left, close each exponent."""
+    if n > MAX_PACKED_DEGREE:
+        raise ValueError(f"packed keys hold degrees up to {MAX_PACKED_DEGREE}")
+    tails: list[list[int]] = [[] for _ in range(n + 1)]  # by degree
 
-    def walk(slot: int, left: int, w1: int, w2: int) -> None:
+    def walk(slot: int, left: int, w1: int, w2: int, key: int) -> None:
         if abs(w1) + abs(w2) > _REACH[slot] * left:
             return
         if slot == 10:
-            for mask in _MASKS.get((left, (-w1, -w2)), ()):
-                out.append((tuple(exp), mask))
+            for degree, mask in _MASKS.get((-w1, -w2), ()):
+                if degree <= left:
+                    tails[n - left + degree].append(key | mask)
             return
         a, b = _WEIGHTS[slot]
+        step = 1 << _shift(slot)
         for e in range(left + 1):
-            exp[slot] = e
-            walk(slot + 1, left - e, w1 + a * e, w2 + b * e)
-        exp[slot] = 0
+            walk(slot + 1, left - e, w1 + a * e, w2 + b * e, key + e * step)
 
-    walk(0, n, 0, 0)
+    walk(2, n, 0, 0, 0)
+    out: list[int] = []
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            head = a << _shift(0) | b << _shift(1)
+            out.extend([head + t for t in tails[n - a - b]])
     return out
+
+
+# The ad action of each k-generator on packed keys, from sym_ext's int
+# tables: for each slot it moves, (shift, ((delta, coefficient), ...)), an
+# exponent e there sending the key to e * coefficient times key + delta;
+# and for each mask the (delta, coefficient) pairs of its exterior image.
+def _moves(z: Gen) -> tuple[tuple, tuple]:
+    slots = tuple((_shift(slot), tuple(((1 << _shift(g)) - (1 << _shift(slot)), c)
+                                       for g, c in pairs))
+                  for slot, pairs in _SLOT_AD[z])
+    ext = tuple(tuple((m - mask, c) for m, c in _EXT_AD[z, mask].items()) for mask in range(16))
+    return slots, ext
+
+
+_MOVES = {z: _moves(z) for z in K_GENS}
+
+
+def packed_image(z: Gen, key: int) -> dict[int, int]:
+    """ad z on one packed key, with int coefficients: ad_on_key, packed."""
+    slots, ext = _MOVES[z]
+    out: dict[int, int] = {}
+    for shift, pairs in slots:
+        e = key >> shift & 255
+        if e:
+            for delta, c in pairs:
+                out[key + delta] = out.get(key + delta, 0) + e * c
+    for delta, c in ext[key & 15]:
+        out[key + delta] = out.get(key + delta, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 # k is sl2 + sl2 through the commuting triples (E1, F1, H1+H2) and
@@ -118,20 +175,40 @@ def zero_weight_keys(n: int) -> list[SEKey]:
 # emitted kernel bases identical to the six-generator ones.
 RAISING = (Gen.E1, Gen.E2)
 
+# The moves of ad E1 and ad E2 together, onto the targets (target key,
+# generator) packed as 2 * target key + (generator is E2). Both move each
+# weight by a nonzero root, so no move maps a slot or a mask to itself, and
+# the moves of one key land on distinct targets.
+_RAISING_SLOTS: dict[int, list[tuple[int, int]]] = {}
+_RAISING_EXT: list[list[tuple[int, int]]] = [[] for _ in range(16)]
+for _bit, _z in enumerate(RAISING):
+    for _s, _pairs in _MOVES[_z][0]:
+        _RAISING_SLOTS.setdefault(_s, []).extend((2 * d + _bit, c) for d, c in _pairs)
+    for _mask, _pairs in enumerate(_MOVES[_z][1]):
+        _RAISING_EXT[_mask].extend((2 * d + _bit, c) for d, c in _pairs)
 
-def image_table(keys: list[SEKey]) -> tuple[list[dict[int, int]], list[int]]:
-    """The transpose of M on the span of keys: one row per key, holding its
-    ad E1 and ad E2 images with int coefficients. The columns number the
-    targets (target key, generator) in ascending order; returns the rows
-    and the generator of each column."""
-    seen: dict[tuple[SEKey, int], int] = {}  # target -> number in order of first sight
-    rows = [{seen.setdefault((tkey, int(z)), len(seen)): c
-             for z in RAISING for tkey, c in ad_on_key(z, key).items()} for key in keys]
-    targets = sorted(seen)
-    column = [0] * len(targets)
-    for r, t in enumerate(targets):
-        column[seen[t]] = r
-    return [{column[i]: c for i, c in row.items()} for row in rows], [z for _, z in targets]
+
+def image_table(keys: list[int]) -> tuple[list[dict[int, int]], list[Gen]]:
+    """The transpose of M on the span of the packed keys: one row per key,
+    holding its ad E1 and ad E2 images with int coefficients. The columns
+    number the targets in ascending order, which is the order of the pairs
+    (target key, generator); returns the rows and the generator of each
+    column."""
+    slots = list(_RAISING_SLOTS.items())
+    images = []
+    for key in keys:
+        key2 = 2 * key
+        row = {key2 + d: c for d, c in _RAISING_EXT[key & 15]}
+        for shift, pairs in slots:
+            e = key >> shift & 255
+            if e:
+                for d, c in pairs:
+                    row[key2 + d] = e * c
+        images.append(row)
+    targets = sorted(set().union(*images))
+    number = {t: i for i, t in enumerate(targets)}
+    return ([{number[t]: c for t, c in row.items()} for row in images],
+            [RAISING[t & 1] for t in targets])
 
 
 # -- per-degree reports ------------------------------------------------------------
@@ -168,38 +245,47 @@ def invariant_dimension(n: int, want_basis: bool = False) -> DegreeReport:
 @cache
 def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEElement, ...] | None]:
     """The exact elimination of degree n >= 0, once per process and path:
-    (dimension, block size, certified kernel basis or None). With want_basis
-    the basis vectors are certified against E1 and E2 from the table and
-    the other four generators from the image of each block key, computed
-    once per degree; an InvarianceError propagates and nothing is cached."""
+    (dimension, block size, certified kernel basis or None). The kernel of M
+    is the dependencies among the table rows, inserted last key first like
+    the rank. The basis vectors are certified against E1 and E2 from the
+    table and the other four generators from the packed image of each key
+    in a kernel vector, computed once per degree; an InvarianceError
+    propagates and nothing is cached."""
     cols = zero_weight_keys(n)
     table, gens = image_table(cols)
     if not want_basis:
         # rank M = rank of the table; last key first runs ~3x faster than first key first at n=8
         return len(cols) - sparse_rank(table[::-1]), len(cols), None
-    kernel = sparse_kernel(transpose(table, len(gens))[::-1], len(cols))
-    basis = tuple(SEElement({cols[j]: c for j, c in vec.items()}) for vec in kernel)
-    index = {key: j for j, key in enumerate(cols)}
+    kernel = dependency_kernel({j: table[j] for j in range(len(cols) - 1, -1, -1)})
     # E1 and E2 read the table (residual keys are its columns), the other
-    # four generators one image per block key
-    images = [(None, lambda key: table[index[key]])]
-    images += [(z, cache(partial(ad_on_key, z))) for z in K_GENS if z not in RAISING]
-    for i, el in enumerate(basis):
-        for z, image in images:
-            res = _residual(el, image)
+    # four generators the packed image of each key in a kernel vector
+    support = set().union(*(num for num, _ in kernel))
+    images = [(None, table)]
+    images += [(z, {j: packed_image(z, cols[j]) for j in support})
+               for z in K_GENS if z not in RAISING]
+    for i, (num, _) in enumerate(kernel):
+        for z, rows in images:
+            res = _residual(num, rows)
             if res:
-                name = (Gen(gens[min(res)]) if z is None else z).name
+                name = (gens[min(res)] if z is None else z).name
                 raise InvarianceError(f"degree-{n} kernel vector {i}", name,
                                       f"{len(res)} residual terms")
+    # one key object per monomial, and the terms of each vector in key
+    # order, which the element file's sort then finds as one run
+    keys = {j: unpack(cols[j]) for j in support}
+    basis = tuple(SEElement._of({keys[j]: c for j, c in sorted(num.items())}, den)
+                  for num, den in kernel)
     return len(basis), len(cols), basis
 
 
-def _residual(el: SEElement, image) -> dict:
-    """The nonzero terms of el.num pushed through image, key by key, in ints."""
+def _residual(num: dict[int, int], rows) -> dict:
+    """The nonzero terms of the sum of c * rows[j] over the items (j, c) of
+    num, in ints."""
     out: dict = {}
-    for key, c in el.num.items():
-        for k, cc in image(key).items():
-            out[k] = out.get(k, 0) + c * cc
+    get = out.get
+    for j, c in num.items():
+        for k, cc in rows[j].items():
+            out[k] = get(k, 0) + c * cc
     return {k: c for k, c in out.items() if c}
 
 

@@ -6,6 +6,9 @@ independence of the 5x5 basis matrices), where vectors are dictionaries
 keyed by ordered column keys. It is fraction-free: rows are scaled to Python
 ints once, eliminated by gcd-primitive integer combinations (in the spirit of
 Bareiss, Math. Comp. 1968), and only the kernel vectors become Fractions.
+A kernel is read from the linear dependencies among rows: each row carries a
+tag column of its own, so the tags left on a row whose own columns reduce to
+zero are a dependency.
 """
 from __future__ import annotations
 
@@ -15,11 +18,12 @@ from math import gcd, lcm
 
 def _int_row(vec: dict) -> dict:
     """A sparse rational row times the lcm of its denominators: int entries,
-    no zeros, and the same span. A row of ints is only copied without its
-    zeros."""
+    no zeros, and the same span, in a new dict. A row of nonzero ints is
+    copied as it is."""
+    values = vec.values()
+    if set(map(type, values)) <= {int} and 0 not in values:
+        return dict(vec)
     row = {c: v for c, v in vec.items() if v}
-    if all(type(v) is int for v in row.values()):
-        return row
     d = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (d // v.denominator) for c, v in row.items()}
 
@@ -50,7 +54,7 @@ class RationalEchelon:
     is left, if anything, is stored as a primitive int row with a positive
     leading entry, keyed by that leading column: rows[pivot col] -> {column:
     int}, newest last. The rows are triangular and never back-reduced;
-    sparse_kernel back-substitutes once, to the reduced echelon form."""
+    dependency_kernel back-substitutes once, to the reduced echelon form."""
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}  # pivot col -> row
@@ -61,15 +65,31 @@ class RationalEchelon:
 
     def _residual(self, vec: dict[int, Fraction]) -> dict[int, int]:
         """Integer multiple of vec minus a combination of the stored rows,
-        whose leading column is not a pivot; empty iff vec is in the span."""
+        whose leading column is not a pivot; empty iff vec is in the span.
+        The elimination step of _eliminate, inlined: this loop is where the
+        graded dimensions spend their time."""
         res = _int_row(vec)
         rows = self.rows
+        get = res.get
         while res:
             col = min(res)
             prow = rows.get(col)
             if prow is None:
                 break
-            res = _eliminate(res, prow, col)
+            a, b = res[col], prow[col]
+            if b != 1:
+                g = gcd(a, b)
+                if g != b:
+                    f = b // g
+                    res = {c: v * f for c, v in res.items()}
+                    get = res.get
+                a //= g
+            for c, v in prow.items():
+                nv = get(c, 0) - a * v
+                if nv:
+                    res[c] = nv
+                else:
+                    del res[c]
         return res
 
     def insert(self, vec: dict[int, Fraction]) -> bool:
@@ -81,7 +101,7 @@ class RationalEchelon:
         g = gcd(*res.values())
         if res[piv] < 0:
             g = -g
-        self.rows[piv] = {c: v // g for c, v in res.items()}
+        self.rows[piv] = res if g == 1 else {c: v // g for c, v in res.items()}
         return True
 
     def contains(self, vec: dict[int, Fraction]) -> bool:
@@ -105,24 +125,41 @@ def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     return ech.rank
 
 
-def sparse_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
-    """Exact kernel basis of the matrix whose rows are given (as sparse dicts
-    over columns 0..ncols-1). Returns one kernel vector per free column: 1
-    there, minus the reduced echelon entries of that column at the pivots."""
+def dependency_kernel(rows: dict[int, dict[int, Fraction]]) -> list[tuple[dict[int, int], int]]:
+    """The linear dependencies among rows, given as {tag: row} with int tags
+    >= 0: the kernel of the matrix whose columns are the rows, as vectors
+    over the tags. Returns the unique basis whose last nonzero tags are
+    distinct, each vector 1 at its last tag and 0 at the others' (the
+    reduced echelon form of the dependencies, last tag leading), ordered by
+    last tag, each as int numerators over a positive denominator. For a
+    matrix read column by column that is the basis of one vector per free
+    column of its reduced echelon form. The rows are inserted in the order
+    given; the basis does not depend on it.
+
+    Each row is extended by a tag column of its own, after every column of
+    the rows and in decreasing tag order, so a row that reduces to zero
+    leaves a dependency led by the tag column of its last tag."""
+    top = 1 + max((max(r) for r in rows.values() if r), default=-1)
+    last = top + max(rows, default=0)  # tag t sits in column last - t
     ech = RationalEchelon()
-    for r in rows:
-        ech.insert(r)
+    for t, row in rows.items():
+        ech.insert({**row, last - t: 1})
+    deps = {p: row for p, row in ech.rows.items() if p >= top}
     # back-substitute from the last pivot up: a reduced row has no entry at
     # any other pivot, so clearing one such column never brings another back
     reduced: dict[int, dict[int, int]] = {}
-    for pcol in sorted(ech.rows, reverse=True):
-        row = dict(ech.rows[pcol])
-        for c in [c for c in row if c != pcol and c in ech.rows]:
+    for p in sorted(deps, reverse=True):
+        row = deps[p]
+        for c in [c for c in row if c != p and c in deps]:
             row = _eliminate(row, reduced[c], c)
-        reduced[pcol] = row
-    kernel = {free: {free: Fraction(1)} for free in range(ncols) if free not in ech.rows}
-    for pcol, row in reduced.items():
-        for c, v in row.items():
-            if c in kernel:
-                kernel[c][pcol] = Fraction(-v, row[pcol])
-    return list(kernel.values())
+        reduced[p] = row
+    return [({last - c: v for c, v in row.items()}, row[p]) for p, row in reduced.items()]
+
+
+def sparse_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
+    """Exact kernel basis of the matrix whose rows are given (as sparse dicts
+    over columns 0..ncols-1), as Fractions: the dependencies among its
+    columns, one kernel vector per free column, 1 there and 0 at the other
+    free columns."""
+    return [{c: Fraction(v, den) for c, v in num.items()}
+            for num, den in dependency_kernel(dict(enumerate(transpose(rows, ncols))))]

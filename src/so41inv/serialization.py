@@ -28,7 +28,6 @@ from .elements import pair_sort_key
 from .errors import ParseError
 from .matrix_oracle import Gen
 from .sym_ext import SEElement
-from .tensor_algebra import UCElement, convention_algebra
 
 MAGIC = "so41inv-element v1"
 
@@ -44,11 +43,14 @@ def order_hash(algebra_id: str, sign: int, gram: str) -> str:
 
 
 def _header_of(el) -> tuple[str, int, str]:
+    if isinstance(el, SEElement):
+        return "se", 0, "none"
+    # U(g) tensor C(p) is imported for its elements only, so se files are
+    # written and read without it
+    from .tensor_algebra import UCElement
     if isinstance(el, UCElement):
         pform = el.algebra.pform
         return "uc", pform.sign, pform.label
-    if isinstance(el, SEElement):
-        return "se", 0, "none"
     raise TypeError(f"cannot serialize {type(el).__name__}")
 
 
@@ -154,6 +156,7 @@ def loads_element(text: str):
         raise ParseError(f"unknown gram label {gram!r}", 4)
     if sign not in (1, -1):
         raise ParseError(f"bad sign {sign} for a uc element", 3)
+    from .tensor_algebra import UCElement, convention_algebra
     return UCElement(terms, convention_algebra(f"gram={gram} sign={sign:+d}"))
 
 

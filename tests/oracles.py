@@ -1,6 +1,7 @@
 """Test-only reference implementations. A Fraction echelon kept fully
-reduced on every insert and the zero-weight block found by filtering every
-monomial key of a degree share no code with the engine paths they check.
+reduced on every insert, the zero-weight block found by filtering every
+monomial key of a degree and keys packed digit by digit share no code with
+the engine paths they check.
 The textbook first-descent rewriting of a generator word checks the
 straightening by generator insertion. The products sigma(s) rho(t) in
 U(g) tensor C(p) are the objects whose symbols the freeness certificate
@@ -184,6 +185,17 @@ def first_descent_straighten(word: tuple[int, ...], memo: dict) -> dict[tuple, i
 
 def filtered_zero_weight_keys(n: int) -> list[tuple]:
     return [key for key in graded_keys(n) if key_weight(key) == (0, 0)]
+
+
+def pack(key: tuple) -> int:
+    """The packed key that invariants.unpack reads: the ten exponents as
+    base-256 digits, H1 most significant, then the mask as the low 4 bits."""
+    exp, mask = key
+    out = 0
+    for e in exp:
+        assert 0 <= e < 256
+        out = out * 256 + e
+    return out * 16 + mask
 
 
 def s_monomial_element(cat, q: tuple[int, int, int, int]) -> SEElement:

@@ -442,8 +442,13 @@ def test_importing_the_command_line_loads_only_its_front_end():
                            "so41inv.serialization"}),
     (["verify", "relations"], {"so41inv.parser", "so41inv.evaluator", "so41inv.invariants",
                                "so41inv.serialization", "dataclasses", "hashlib"}),
-], ids=["table", "relations"])
-def test_a_cold_command_loads_only_the_modules_it_runs(argv, unloaded):
+    (["verify", "dims", "--max-degree", "3", "--emit-basis", "basis"],
+     {"so41inv.tensor_algebra", "so41inv.uea"}),
+    (["dump", "b", "--ambient", "se", "--out", "b.element"],
+     {"so41inv.tensor_algebra", "so41inv.uea"}),
+], ids=["table", "relations", "dims-emit", "dump-se"])
+def test_a_cold_command_loads_only_the_modules_it_runs(argv, unloaded, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     loaded = fresh_imports(*argv)
     assert "so41inv.lie_core" in loaded
     assert not loaded & unloaded

@@ -15,6 +15,7 @@ from oracles import (
     FractionEchelon,
     filtered_zero_weight_keys,
     fraction_det,
+    pack,
     rref_kernel,
     s_monomial_element,
     st_product_vectors,
@@ -32,10 +33,12 @@ from so41inv.invariants import (
     image_table,
     independence_check,
     invariant_dimension,
+    packed_image,
     predicted_dimension,
     product_counts,
     t_count,
     truncated_rank16_check,
+    unpack,
     zero_weight_keys,
 )
 from so41inv.linalg import RationalEchelon, sparse_rank, transpose
@@ -116,7 +119,37 @@ def test_raising_kernel_equals_six_generator_kernel(n):
 
 @pytest.mark.parametrize("n", range(9))
 def test_zero_weight_keys_equal_the_filtered_keys(n):
-    assert zero_weight_keys(n) == filtered_zero_weight_keys(n)
+    # the packed walk finds the filtered keys, packing round-trips each of
+    # them, and the int order of the packed keys is their sorted order
+    keys = filtered_zero_weight_keys(n)
+    packed = zero_weight_keys(n)
+    assert [unpack(key) for key in packed] == keys
+    assert [pack(key) for key in keys] == packed == sorted(packed)
+    assert len(set(packed)) == len(packed)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_packed_images_equal_ad_on_key(n):
+    # every k-generator on every zero-weight key, and the image table built
+    # from ad_on_key: targets (packed target key, generator) numbered in
+    # sorted order
+    keys = zero_weight_keys(n)
+    for key in keys:
+        for z in K_GENS:
+            image = {unpack(k): c for k, c in packed_image(z, key).items()}
+            assert image == ad_on_key(z, unpack(key)), (z, unpack(key))
+    images = [{(pack(t), int(z)): c for z in invariants.RAISING
+               for t, c in ad_on_key(z, unpack(key)).items()} for key in keys]
+    targets = sorted(set().union(*images))
+    number = {t: i for i, t in enumerate(targets)}
+    want = [{number[t]: c for t, c in row.items()} for row in images]
+    assert image_table(keys) == (want, [z for _, z in targets])
+
+
+def test_packed_keys_hold_degrees_up_to_255():
+    assert unpack(pack(((255,) * 10, 15))) == ((255,) * 10, 15)
+    with pytest.raises(ValueError):
+        zero_weight_keys(256)
 
 
 def test_degree_eight(character_counts):
@@ -208,14 +241,15 @@ def test_the_degree_memo_holds_no_error(monkeypatch, cold_caches):
     # certification raises without leaving an entry behind
     with pytest.raises(ValueError):
         invariant_dimension(-1)
-    true_kernel = invariants.sparse_kernel
+    true_kernel = invariants.dependency_kernel
 
-    def tampered(rows, ncols):
-        kernel = true_kernel(rows, ncols)
-        kernel[0][min(kernel[0])] *= 2
+    def tampered(rows):
+        kernel = true_kernel(rows)
+        num, _ = kernel[0]
+        num[min(num)] *= 2
         return kernel
 
-    monkeypatch.setattr(invariants, "sparse_kernel", tampered)
+    monkeypatch.setattr(invariants, "dependency_kernel", tampered)
     for _ in range(2):
         with pytest.raises(InvarianceError):
             invariant_dimension(3, want_basis=True)
@@ -480,15 +514,15 @@ def test_the_freeness_checks_form_no_product(monkeypatch, cold_caches, capsys):
 def test_basis_certification_rejects_a_tampered_kernel_vector(monkeypatch, which, cold_caches):
     # the key images are shared across the kernel vectors of a degree; a
     # wrong coefficient in any vector must still fail certification
-    true_kernel = invariants.sparse_kernel
+    true_kernel = invariants.dependency_kernel
 
-    def tampered(rows, ncols):
-        kernel = true_kernel(rows, ncols)
-        vec = kernel[which]
-        col = min(vec)
-        vec[col] *= 2
+    def tampered(rows):
+        kernel = true_kernel(rows)
+        num, _ = kernel[which]
+        col = min(num)
+        num[col] *= 2
         return kernel
 
-    monkeypatch.setattr(invariants, "sparse_kernel", tampered)
+    monkeypatch.setattr(invariants, "dependency_kernel", tampered)
     with pytest.raises(InvarianceError):
         invariant_dimension(3, want_basis=True)

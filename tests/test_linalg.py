@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import FractionEchelon, rref_kernel
-from so41inv.linalg import RationalEchelon, sparse_kernel, sparse_rank, transpose
+from so41inv.linalg import (
+    RationalEchelon,
+    dependency_kernel,
+    sparse_kernel,
+    sparse_rank,
+    transpose,
+)
 
 MAX_COLS = 8
 
@@ -62,8 +68,8 @@ def test_echelon_agrees_with_the_fraction_rref(data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_kernel_equals_the_fraction_rref_kernel(data):
+@given(matrices(), st.data())
+def test_kernel_equals_the_fraction_rref_kernel(data, draw):
     rows, ncols = data
     kernel = sparse_kernel(rows, ncols)
     assert kernel == rref_kernel(rows, ncols)
@@ -71,6 +77,14 @@ def test_kernel_equals_the_fraction_rref_kernel(data):
         assert all(isinstance(c, Fraction) for c in vec.values())
         for r in rows:
             assert sum(v * vec.get(c, 0) for c, v in r.items()) == 0
+    # the dependencies among the rows are the kernel of the transpose, in
+    # int numerators over a positive denominator, whatever the order in
+    # which the rows are inserted
+    want = rref_kernel(transpose(rows, ncols), len(rows))
+    for order in (range(len(rows)), draw.draw(st.permutations(range(len(rows))))):
+        deps = dependency_kernel({t: rows[t] for t in order})
+        assert all(den > 0 and all(type(v) is int for v in num.values()) for num, den in deps)
+        assert [{t: Fraction(v, den) for t, v in num.items()} for num, den in deps] == want
 
 
 @settings(max_examples=100, deadline=None)
