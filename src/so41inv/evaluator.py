@@ -7,24 +7,30 @@ in S(g), tau in Lambda(p), rho in the graded ambient, ad's first slot in the
 Lie algebra. Bare generator names mean the enveloping (or symmetric) slot;
 the Clifford/exterior slot is reached through 'ot', tau, or a wedge.
 
-Scalars float through every realm and are lifted to the appropriate identity
-on demand. Engine errors surface as EvalError with the original as cause.
+Each realm is one Realm record in _REALMS: the noun its errors name, its
+generators, its identity for lifting scalars, and its ad action - the
+bracket in the Lie algebra, the adjoint action of g in U(g) and S(g), and
+of k alone in the other four realms. Scalars float through every realm and
+are lifted on demand. Engine errors surface as EvalError with the original
+as cause.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import record
 from .clifford import ExtElement, ext_gen, ext_k_action
 from .elements import ZERO_EXP
 from .errors import EngineError, EvalError, ExprTypeError
-from .lie_core import LIE_ZERO, LieElement, lie_gen, require_in_k
-from .matrix_oracle import GEN_BY_NAME
+from .lie_core import LIE_ZERO, LieElement, bracket, lie_gen, require_in_k
+from .matrix_oracle import GEN_BY_NAME, Gen
 from .parser import BinOp, Call, Neg, Node, Num, Sym, parse
 from .sym_ext import SEElement, ad_action_se, build_st_catalog, se_gen
 from .tensor_algebra import Catalog, TensorAlgebra, accepted_catalog
 from .uea import (
-    SElement,
     ad_action_s,
     ad_action_u,
     s_gen,
@@ -71,90 +77,77 @@ def evaluate(src: str | Node, ambient: str = "uc",
     node = parse(src) if isinstance(src, str) else src
     ctx = EvalContext(ambient, catalog, algebra)
     try:
-        realm, value = _eval(node, ctx.ambient, ctx)
-    except EvalError:
-        raise
-    except ExprTypeError:
+        pair = _eval(node, ctx.ambient, ctx)
+    except (EvalError, ExprTypeError):
         raise
     except EngineError as exc:
         raise EvalError(f"evaluation failed: {exc}") from exc
-    if realm == _SCALAR:
-        return _lift_scalar(value, ctx.ambient, ctx)
-    return value
+    return _coerce(pair, ctx.ambient, ctx)
 
 
 # -- realm plumbing ----------------------------------------------------------------
 
-def _lift_scalar(q: Fraction, realm: str, ctx: EvalContext):
-    if realm == "uc":
-        return ctx.algebra.scalar(q)
-    if realm == "se":
-        return SEElement({(ZERO_EXP, 0): q})
-    if realm == "u":
-        return q * u_one()
-    if realm == "s":
-        return q * s_one()
-    if realm == "ext":
-        return ExtElement({0: q})
-    if realm == "c":
-        return ctx.algebra.cl.scalar(q)
-    if realm == "lie":
-        if q == 0:
-            return LIE_ZERO
-        raise EvalError("a nonzero scalar is not a Lie algebra element")
-    raise EvalError(f"cannot lift a scalar into realm {realm!r}")
+@record(frozen=True)
+class Realm:
+    """One realm: its noun in error messages, its element for a generator,
+    its multiple of the identity for a scalar, ad z on its elements (only z
+    in k unless k_only is false), and the names it reads beyond the
+    generators."""
+    noun: str
+    gen: Callable[[EvalContext, Gen], object]
+    lift: Callable[[EvalContext, Fraction], object]
+    ad: Callable[[LieElement, object], object]
+    k_only: bool = True
+    names: Callable[[EvalContext], dict] = lambda ctx: {}
+
+
+def _lie_scalar(ctx: EvalContext, q: Fraction) -> LieElement:
+    if q == 0:
+        return LIE_ZERO
+    raise EvalError("a nonzero scalar is not a Lie algebra element")
+
+
+# a U(g) ot C(p) or C(p) element carries its algebra
+_REALMS = {
+    "uc": Realm("the tensor algebra U(g) ot C(p)", lambda ctx, g: ctx.algebra.u_gen(g),
+                lambda ctx, q: ctx.algebra.scalar(q), lambda z, x: x.algebra.ad_action(z, x),
+                names=lambda ctx: ctx.catalog.elements),
+    "se": Realm("the graded algebra S(g) ot Lambda(p)", lambda ctx, g: se_gen(g),
+                lambda ctx, q: SEElement({(ZERO_EXP, 0): q}), ad_action_se,
+                names=lambda ctx: ctx.st.named),
+    "u": Realm("the enveloping algebra", lambda ctx, g: u_gen(g),
+               lambda ctx, q: q * u_one(), ad_action_u, k_only=False),
+    "s": Realm("the symmetric algebra", lambda ctx, g: s_gen(g),
+               lambda ctx, q: q * s_one(), ad_action_s, k_only=False),
+    # ext_gen raises DomainError off p
+    "ext": Realm("the exterior algebra on p", lambda ctx, g: ext_gen(g),
+                 lambda ctx, q: ExtElement({0: q}), ext_k_action),
+    "c": Realm("the Clifford algebra", lambda ctx, g: ctx.algebra.cl.gen(g),
+               lambda ctx, q: ctx.algebra.cl.scalar(q), lambda z, x: x.algebra.k_action(z, x)),
+    "lie": Realm("the Lie algebra", lambda ctx, g: lie_gen(g), _lie_scalar, bracket,
+                 k_only=False),
+}
 
 
 def _coerce(pair, realm: str, ctx: EvalContext):
     r, v = pair
-    if r == _SCALAR:
-        return _lift_scalar(v, realm, ctx)
-    return v
+    return _REALMS[realm].lift(ctx, v) if r == _SCALAR else v
 
 
-# ad(z, x) per realm; a U(g) ot C(p) or C(p) element carries its algebra
-_AD_ACTIONS = {
-    "uc": lambda z, x: x.algebra.ad_action(z, x),
-    "se": ad_action_se,
-    "u": ad_action_u,
-    "s": ad_action_s,
-    "ext": ext_k_action,
-    "c": lambda z, x: x.algebra.k_action(z, x),
-}
-
-_REALM_NOUN = {
-    "uc": "the tensor algebra U(g) ot C(p)",
-    "se": "the graded algebra S(g) ot Lambda(p)",
-    "u": "the enveloping algebra",
-    "s": "the symmetric algebra",
-    "ext": "the exterior algebra on p",
-    "c": "the Clifford algebra",
-    "lie": "the Lie algebra",
-}
+def _eval_in(node: Node, realm: str, ctx: EvalContext):
+    """The value of node as an element of realm, a scalar lifted into it."""
+    return _coerce(_eval(node, realm, ctx), realm, ctx)
 
 
 def _resolve_name(name: str, realm: str, ctx: EvalContext):
+    spec = _REALMS[realm]
     g = GEN_BY_NAME.get(name)
     if g is not None:
-        if realm == "uc":
-            return ctx.algebra.u_gen(g)
-        if realm == "se":
-            return se_gen(g)
-        if realm == "u":
-            return u_gen(g)
-        if realm == "s":
-            return s_gen(g)
-        if realm == "ext":
-            return ext_gen(g)  # raises DomainError off p
-        if realm == "c":
-            return ctx.algebra.cl.gen(g)
-        if realm == "lie":
-            return lie_gen(g)
-    if realm == "uc" and name in ctx.catalog.elements:
-        return ctx.catalog.elements[name]
-    if realm == "se" and name in ctx.st.named:
-        return ctx.st.named[name]
-    raise EvalError(f"unknown name {name!r} in {_REALM_NOUN[realm]}")
+        return spec.gen(ctx, g)
+    named = spec.names(ctx)
+    if name in named:
+        return named[name]
+    raise EvalError(f"unknown name {name!r} in {spec.noun}")
 
 
 # -- node dispatch -----------------------------------------------------------------
@@ -179,22 +172,25 @@ def _eval(node: Node, realm: str, ctx: EvalContext):
     raise EvalError(f"cannot evaluate node {node!r}")
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def _eval_binop(node: BinOp, realm: str, ctx: EvalContext):
     op = node.op
 
     if op == "ot":
         if realm == "uc":
-            left = _coerce(_eval(node.left, "u", ctx), "u", ctx)
-            right = _coerce(_eval(node.right, "c", ctx), "c", ctx)
+            left = _eval_in(node.left, "u", ctx)
+            right = _eval_in(node.right, "c", ctx)
             return (realm, ctx.algebra.multiply(
                 ctx.algebra.from_u(left), ctx.algebra.from_c(right)))
         if realm == "se":
-            left = _coerce(_eval(node.left, "s", ctx), "s", ctx)
-            right = _coerce(_eval(node.right, "ext", ctx), "ext", ctx)
+            left = _eval_in(node.left, "s", ctx)
+            right = _eval_in(node.right, "ext", ctx)
             lse = SEElement._of({(exp, 0): c for exp, c in left.num.items()}, left.den)
             rse = SEElement._of({(ZERO_EXP, m): c for m, c in right.num.items()}, right.den)
             return (realm, lse * rse)
-        raise EvalError(f"'ot' cannot appear inside {_REALM_NOUN[realm]}")
+        raise EvalError(f"'ot' cannot appear inside {_REALMS[realm].noun}")
 
     if op == "^" and isinstance(node.right, Num):
         n = node.right.value
@@ -208,29 +204,24 @@ def _eval_binop(node: BinOp, realm: str, ctx: EvalContext):
 
     if op == "^":
         if realm == "ext":
-            left = _coerce(_eval(node.left, "ext", ctx), "ext", ctx)
-            right = _coerce(_eval(node.right, "ext", ctx), "ext", ctx)
+            left = _eval_in(node.left, "ext", ctx)
+            right = _eval_in(node.right, "ext", ctx)
             return (realm, left * right)
         if realm == "se":
-            left = _coerce(_eval(node.left, "ext", ctx), "ext", ctx)
-            right = _coerce(_eval(node.right, "ext", ctx), "ext", ctx)
+            left = _eval_in(node.left, "ext", ctx)
+            right = _eval_in(node.right, "ext", ctx)
             wedge = left * right
             return (realm, SEElement._of(
                 {(ZERO_EXP, m): c for m, c in wedge.num.items()}, wedge.den))
         raise EvalError(
-            f"a wedge lives in the exterior algebra, not {_REALM_NOUN[realm]}; "
+            f"a wedge lives in the exterior algebra, not {_REALMS[realm].noun}; "
             "wrap it in tau(...) for the Clifford side")
 
     lp = _eval(node.left, realm, ctx)
     rp = _eval(node.right, realm, ctx)
 
     if lp[0] == _SCALAR and rp[0] == _SCALAR:
-        a, b = lp[1], rp[1]
-        if op == "+":
-            return (_SCALAR, a + b)
-        if op == "-":
-            return (_SCALAR, a - b)
-        return (_SCALAR, a * b)
+        return (_SCALAR, _ARITHMETIC[op](lp[1], rp[1]))
 
     if op == "*":
         # scalar times element stays a plain scaling in any realm
@@ -245,33 +236,27 @@ def _eval_binop(node: BinOp, realm: str, ctx: EvalContext):
 
     left = _coerce(lp, realm, ctx)
     right = _coerce(rp, realm, ctx)
-    return (realm, left + right if op == "+" else left - right)
+    return (realm, _ARITHMETIC[op](left, right))
 
 
 def _eval_call(node: Call, realm: str, ctx: EvalContext):
     fn = node.fn
 
     if fn == "ad":
-        z = _coerce(_eval(node.args[0], "lie", ctx), "lie", ctx)
-        if not isinstance(z, LieElement):
-            raise EvalError("the first argument of ad must be a Lie element")
-        if realm in ("uc", "se", "ext", "c"):  # only k acts here
+        z = _eval_in(node.args[0], "lie", ctx)  # a LieElement: see _REALMS["lie"]
+        spec = _REALMS[realm]
+        if spec.k_only:
             require_in_k(z)
         xr, xv = _eval(node.args[1], realm, ctx)
         if xr == _SCALAR:
             return (_SCALAR, Fraction(0))
-        action = _AD_ACTIONS.get(realm)
-        if action is None:
-            raise EvalError(f"ad is not defined in {_REALM_NOUN[realm]}")
-        return (realm, action(z, xv))
+        return (realm, spec.ad(z, xv))
 
     if fn == "sigma":
         if realm not in ("uc", "u"):
             raise EvalError("sigma produces an enveloping algebra element; "
                             "it needs the uc ambient")
-        arg = _coerce(_eval(node.args[0], "s", ctx), "s", ctx)
-        if not isinstance(arg, SElement):
-            raise EvalError("sigma expects a symmetric algebra element")
+        arg = _eval_in(node.args[0], "s", ctx)
         out = symmetrize(arg)
         if realm == "uc":
             return (realm, ctx.algebra.from_u(out))
@@ -281,7 +266,7 @@ def _eval_call(node: Call, realm: str, ctx: EvalContext):
         if realm not in ("uc", "c"):
             raise EvalError("tau produces a Clifford element; "
                             "it needs the uc ambient")
-        arg = _coerce(_eval(node.args[0], "ext", ctx), "ext", ctx)
+        arg = _eval_in(node.args[0], "ext", ctx)
         out = ctx.algebra.cl.chevalley(arg)
         if realm == "uc":
             return (realm, ctx.algebra.from_c(out))
@@ -291,9 +276,7 @@ def _eval_call(node: Call, realm: str, ctx: EvalContext):
         if realm != "uc":
             raise EvalError("rho lands in the tensor algebra; "
                             "it needs the uc ambient")
-        arg = _coerce(_eval(node.args[0], "se", ctx), "se", ctx)
-        if not isinstance(arg, SEElement):
-            raise EvalError("rho expects a graded S(g) ot Lambda(p) element")
+        arg = _eval_in(node.args[0], "se", ctx)
         return (realm, ctx.algebra.rho(arg))
 
     raise EvalError(f"unknown function {fn!r}")

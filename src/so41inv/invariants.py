@@ -24,11 +24,13 @@ Freeness is proved on symbols for every degree by two point certificates,
 each one rank under the same exact echelon: the sixteen module generators
 are independent over S(g), and the polynomial invariants a1, a2, b, c are
 algebraically independent. The products s.t are then independent in every
-degree; up to a cap, their count per degree must be the exact h(n).
+degree; up to a cap, their count per degree must be the exact h(n). One
+FreenessReport holds both checks; only its per-degree comparison, computed
+when first read, eliminates degrees.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from math import comb, prod
 
 from ._record import record
@@ -380,12 +382,26 @@ def product_counts(cap: int) -> dict[int, int]:
 
 
 @record
-class IndependenceReport:
+class FreenessReport:
     cap: int
-    per_degree: dict[int, tuple[int, int]]  # degree -> (product count, h(n))
-    total: int
-    rank: int | None  # total when the certificate holds, else None (unproven)
+    counts: dict[int, int]  # degree -> number of products s.t
     certificate: FreenessCertificate
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def rank(self) -> int | None:
+        """total when the certificate holds, else None (unproven)."""
+        return self.total if self.certificate.ok else None
+
+    @cached_property
+    def per_degree(self) -> dict[int, tuple[int, int]]:
+        """degree -> (product count, h(n)): the exact kernel dimensions,
+        eliminated on first read."""
+        return {n: (count, invariant_dimension(n).dimension)
+                for n, count in self.counts.items()}
 
     @property
     def ok(self) -> bool:
@@ -393,36 +409,12 @@ class IndependenceReport:
             got == want for got, want in self.per_degree.values())
 
 
-def independence_check(cap: int = 6) -> IndependenceReport:
+def independence_check(cap: int = 6) -> FreenessReport:
     """The products sigma(s) rho(t) of total degree <= cap are linearly
     independent (by the freeness certificate, in every degree), and in each
     degree there are exactly as many of them as the exact kernel dimension
     h(n): they are a basis of the invariants of each degree up to cap."""
-    counts = product_counts(cap)
-    cert = freeness_certificate()
-    total = sum(counts.values())
-    per_degree = {n: (count, invariant_dimension(n).dimension)
-                  for n, count in counts.items()}
-    return IndependenceReport(cap=cap, per_degree=per_degree, total=total,
-                              rank=total if cert.ok else None, certificate=cert)
+    return FreenessReport(cap, product_counts(cap), freeness_certificate())
 
 
-@record
-class Rank16Report:
-    vector_count: int
-    rank: int | None  # vector_count when the certificate holds, else None
-    expected: int
-    ok: bool
-    certificate: FreenessCertificate
-
-
-def truncated_rank16_check(cap: int = 6) -> Rank16Report:
-    """Freeness evidence at a degree cap: the products sigma(s) rho(t) for s
-    over the polynomial generators and t over the sixteen module generators,
-    with deg s + deg t <= cap, are linearly independent over Q when the
-    freeness certificate holds."""
-    count = sum(product_counts(cap).values())
-    cert = freeness_certificate()
-    rank = count if cert.ok else None
-    return Rank16Report(vector_count=count, rank=rank, expected=count,
-                        ok=rank == count, certificate=cert)
+truncated_rank16_check = independence_check

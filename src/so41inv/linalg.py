@@ -5,10 +5,13 @@ pieces of S(g) tensor Lambda(p), the symbols of the freeness checks and the
 independence of the 5x5 basis matrices), where vectors are dictionaries
 keyed by ordered column keys. It is fraction-free: rows are scaled to Python
 ints once, eliminated by gcd-primitive integer combinations (in the spirit of
-Bareiss, Math. Comp. 1968), and only the kernel vectors become Fractions.
-A kernel is read from the linear dependencies among rows: each row carries a
-tag column of its own, so the tags left on a row whose own columns reduce to
-zero are a dependency.
+Bareiss, Math. Comp. 1968), and each kernel vector comes back as int
+numerators over one denominator. The one kernel, dependency_kernel, is read
+from the linear dependencies among rows: each row carries a tag column of
+its own, so the tags left on a row whose own columns reduce to zero are a
+dependency. The kernel of a matrix is the dependencies among its columns,
+so a caller holding the columns (as the invariant dimensions do) passes
+them as the rows.
 """
 from __future__ import annotations
 
@@ -108,16 +111,6 @@ class RationalEchelon:
         return not self._residual(vec)
 
 
-def transpose(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
-    """The sparse matrix with rows given over columns 0..ncols-1, read
-    column by column: one row per column, over the row positions."""
-    out: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            out[c][i] = v
-    return out
-
-
 def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     ech = RationalEchelon()
     for r in rows:
@@ -155,11 +148,3 @@ def dependency_kernel(rows: dict[int, dict[int, Fraction]]) -> list[tuple[dict[i
         reduced[p] = row
     return [({last - c: v for c, v in row.items()}, row[p]) for p, row in reduced.items()]
 
-
-def sparse_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
-    """Exact kernel basis of the matrix whose rows are given (as sparse dicts
-    over columns 0..ncols-1), as Fractions: the dependencies among its
-    columns, one kernel vector per free column, 1 there and 0 at the other
-    free columns."""
-    return [{c: Fraction(v, den) for c, v in num.items()}
-            for num, den in dependency_kernel(dict(enumerate(transpose(rows, ncols))))]

@@ -12,7 +12,8 @@ counting) and the invariance predicates by all six k-generators back the
 tests of the closed-form catalog; no verify path uses them. The 5x5
 matrix products, brackets and combinations over Q(i), entry by entry in
 GaussRational, check the Gaussian integer evaluation of the commutator
-table."""
+table. A sparse transpose turns the dependencies among rows, the engine's
+one kernel, into a matrix kernel for the Fraction RREF to check."""
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,6 +118,16 @@ def mat_combination(mats, coeffs):
     out = tuple(tuple(GR0 for _ in range(5)) for _ in range(5))
     for g, c in coeffs:
         out = mat_sub(out, mat_scale(GaussRational(-c), mats[g]))
+    return out
+
+
+def transpose(rows: list[dict], ncols: int) -> list[dict]:
+    """The sparse matrix with rows given over columns 0..ncols-1, read
+    column by column: one row per column, over the row positions."""
+    out: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][i] = v
     return out
 
 

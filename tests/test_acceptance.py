@@ -263,8 +263,8 @@ def test_criterion_8_structural_properties(capsys, cat):
 
 def test_criterion_9_truncated_rank(capsys):
     rep = truncated_rank16_check(cap=6)
-    ok = rep.vector_count == 70 and rep.rank == 70 and rep.ok
+    ok = rep.total == 70 and rep.rank == 70 and rep.ok
     report(capsys, 9,
            "catalog stays rank 16 over invariant multiples through degree 6", ok)
-    assert rep.vector_count == 70
+    assert rep.total == 70
     assert rep.rank == 70

@@ -182,6 +182,29 @@ def test_eval_wedge_type_error_propagates():
         evaluate("H1 ^ E3", ambient="se")
 
 
+@pytest.mark.parametrize("argv, noun", [
+    (["x"], "the tensor algebra U(g) ot C(p)"),
+    (["--ambient", "se", "x"], "the graded algebra S(g) ot Lambda(p)"),
+    (["x ot 1"], "the enveloping algebra"),
+    (["sigma(x)"], "the symmetric algebra"),
+    (["tau(x)"], "the exterior algebra on p"),
+    (["1 ot x"], "the Clifford algebra"),
+    (["ad(x, D)"], "the Lie algebra"),
+], ids=["uc", "se", "u", "s", "ext", "c", "lie"])
+def test_an_unknown_name_is_refused_in_the_noun_of_its_realm(capsys, argv, noun):
+    # each call and slot reads its argument in one realm, named in the error
+    assert run_cli(capsys, "eval", *argv) == (2, "", f"error: unknown name 'x' in {noun}\n")
+
+
+@pytest.mark.parametrize("expr, result", [
+    ("ad(ad(E1, F1), d)", (0, "0\n", "")),
+    ("ad(ad(E3, F3), E3)", (0, "2 * (E3) ot (1)\n", "")),
+    ("ad(E3, d)", (2, "", "error: evaluation failed: element has p-components: E3\n")),
+], ids=["bracket-in-k", "bracket-of-p", "p-on-uc"])
+def test_ad_is_the_bracket_in_the_lie_algebra_and_only_k_acts_on_uc(capsys, expr, result):
+    assert run_cli(capsys, "eval", expr) == result
+
+
 def test_eval_tau_matches_clifford_product_minus_pairing(cat):
     # tau(x ^ y) = xy - <x, y> for p-vectors, so tau(E3 ^ F3) differs from
     # the Clifford product by the gram pairing of E3 with F3

@@ -20,6 +20,7 @@ from oracles import (
     s_monomial_element,
     st_product_vectors,
     symbol_ranks,
+    transpose,
     uc_rank,
 )
 from so41inv import cli, invariants, tensor_algebra, uea
@@ -41,7 +42,7 @@ from so41inv.invariants import (
     unpack,
     zero_weight_keys,
 )
-from so41inv.linalg import RationalEchelon, sparse_rank, transpose
+from so41inv.linalg import RationalEchelon, sparse_rank
 from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.sym_ext import T_ORDER, SEElement, ad_action_se, ad_on_key, build_st_catalog
 from so41inv.tensor_algebra import TensorAlgebra, catalog_for_sign
@@ -222,6 +223,17 @@ def test_independence_after_dims_eliminates_no_degree_again(monkeypatch, capsys,
     assert inserted == []
 
 
+def test_rank16_eliminates_no_degree_and_independence_each_degree_once(capsys, cold_caches):
+    # rank16 prints the freeness report without its per-degree comparison;
+    # independence then eliminates each of degrees 0-6 once
+    assert cli.main(["verify", "rank16"]) == 0
+    assert eliminated_degree.cache_info().misses == 0
+    assert cli.main(["verify", "independence"]) == 0
+    capsys.readouterr()
+    info = eliminated_degree.cache_info()
+    assert (info.misses, info.currsize) == (7, 7)
+
+
 @pytest.mark.parametrize("want_basis", [False, True])
 def test_a_changed_report_leaves_the_next_answer_as_it_was(cold_caches, want_basis):
     first = invariant_dimension(4, want_basis=want_basis)
@@ -302,8 +314,10 @@ def test_want_basis_returns_certified_invariants():
 
 
 def test_unknown_method_rejected():
-    # --method takes only values that name the one exact kernel; no --seed
-    for argv in (["--method", "modp"], ["--method", "float"], ["--seed", "0"]):
+    # --method takes only values that name the one exact kernel; no --seed,
+    # and no --ambient, which no suite reads
+    for argv in (["--method", "modp"], ["--method", "float"], ["--seed", "0"],
+                 ["--ambient", "se"]):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["verify", "dims", *argv])
         assert exc.value.code == 2, argv

@@ -7,14 +7,8 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionEchelon, rref_kernel
-from so41inv.linalg import (
-    RationalEchelon,
-    dependency_kernel,
-    sparse_kernel,
-    sparse_rank,
-    transpose,
-)
+from oracles import FractionEchelon, rref_kernel, transpose
+from so41inv.linalg import RationalEchelon, dependency_kernel, sparse_rank
 
 MAX_COLS = 8
 
@@ -70,21 +64,22 @@ def test_echelon_agrees_with_the_fraction_rref(data):
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.data())
 def test_kernel_equals_the_fraction_rref_kernel(data, draw):
+    # the kernel of the matrix is the dependencies among its columns, and
+    # the dependencies among its rows are the kernel of its transpose: both
+    # in int numerators over a positive denominator, whatever the order in
+    # which the vectors are inserted
     rows, ncols = data
-    kernel = sparse_kernel(rows, ncols)
-    assert kernel == rref_kernel(rows, ncols)
-    for vec in kernel:
-        assert all(isinstance(c, Fraction) for c in vec.values())
+    cols = transpose(rows, ncols)
+    for vectors, want in ((cols, rref_kernel(rows, ncols)),
+                          (rows, rref_kernel(cols, len(rows)))):
+        for order in (range(len(vectors)), draw.draw(st.permutations(range(len(vectors))))):
+            deps = dependency_kernel({t: vectors[t] for t in order})
+            assert all(den > 0 and all(type(v) is int for v in num.values())
+                       for num, den in deps)
+            assert [{t: Fraction(v, den) for t, v in num.items()} for num, den in deps] == want
+    for num, _ in dependency_kernel(dict(enumerate(cols))):
         for r in rows:
-            assert sum(v * vec.get(c, 0) for c, v in r.items()) == 0
-    # the dependencies among the rows are the kernel of the transpose, in
-    # int numerators over a positive denominator, whatever the order in
-    # which the rows are inserted
-    want = rref_kernel(transpose(rows, ncols), len(rows))
-    for order in (range(len(rows)), draw.draw(st.permutations(range(len(rows))))):
-        deps = dependency_kernel({t: rows[t] for t in order})
-        assert all(den > 0 and all(type(v) is int for v in num.values()) for num, den in deps)
-        assert [{t: Fraction(v, den) for t, v in num.items()} for num, den in deps] == want
+            assert sum(v * num.get(c, 0) for c, v in r.items()) == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,6 +123,6 @@ def test_rank_and_kernel_through_the_transpose(data):
     rows, ncols = data
     rank_t = sparse_rank(transpose(rows, ncols))
     assert sparse_rank(rows) == rank_t
-    assert len(sparse_kernel(rows, ncols)) == ncols - rank_t
+    assert len(dependency_kernel(dict(enumerate(transpose(rows, ncols))))) == ncols - rank_t
     assert transpose(transpose(rows, ncols), len(rows)) == rows
 

@@ -254,7 +254,7 @@ def test_uc_rank_is_the_exact_rank_over_q(cat, build, rank):
 
 def test_truncated_rank16():
     rep = truncated_rank16_check(cap=6)
-    assert rep.vector_count == 70
+    assert rep.total == 70
     assert rep.rank == 70
     assert rep.ok
 
