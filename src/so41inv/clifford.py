@@ -144,16 +144,6 @@ def ext_ad_on_mask(zg: Gen, mask: int) -> dict[int, int]:
     return {m: c for m, c in out.items() if c}
 
 
-def ext_k_action(z: LieElement, x: ExtElement) -> ExtElement:
-    require_in_k(z)
-    out: dict[int, int] = {}
-    for zg, zc in z.num.items():
-        for mask, c in x.num.items():
-            for m, cc in ext_ad_on_mask(zg, mask).items():
-                out[m] = out.get(m, 0) + cc * c * zc
-    return ExtElement._of(out, z.den * x.den)
-
-
 class CElement(BoundElement):
     """Element of C(p), bound to the algebra that owns its product table."""
 

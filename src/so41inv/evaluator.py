@@ -8,9 +8,13 @@ Lie algebra. Bare generator names mean the enveloping (or symmetric) slot;
 the Clifford/exterior slot is reached through 'ot', tau, or a wedge.
 
 Each realm is one Realm record in _REALMS: the noun its errors name, its
-generators, its identity for lifting scalars, and its ad action - the
-bracket in the Lie algebra, the adjoint action of g in U(g) and S(g), and
-of k alone in the other four realms. Scalars float through every realm and
+generators, and the scalar lift and ad action of its ambient. Every realm
+but the Lie algebra evaluates in an ambient: U(g), C(p) and U(g) tensor C(p)
+in ctx.algebra, S(g), Lambda(p) and S(g) tensor Lambda(p) in the graded
+model. Each ambient's ad lets all of g act on U(g) and S(g), and k alone
+where a Clifford or exterior part is present. So 'ot' and the wedge are
+products, and sigma, tau and rho are rho of an argument read in S(g),
+Lambda(p) or S(g) tensor Lambda(p). Scalars float through every realm and
 are lifted on demand. Engine errors surface as EvalError with the original
 as cause.
 """
@@ -22,23 +26,12 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._record import record
-from .clifford import ExtElement, ext_gen, ext_k_action
-from .elements import ZERO_EXP
 from .errors import EngineError, EvalError, ExprTypeError
 from .lie_core import LIE_ZERO, LieElement, bracket, lie_gen, require_in_k
 from .matrix_oracle import GEN_BY_NAME, Gen
 from .parser import BinOp, Call, Neg, Node, Num, Sym, parse
-from .sym_ext import SEElement, ad_action_se, build_st_catalog, se_gen
+from .sym_ext import ad_action_se, build_st_catalog, se_ext_gen, se_gen, se_one
 from .tensor_algebra import Catalog, TensorAlgebra, accepted_catalog
-from .uea import (
-    ad_action_s,
-    ad_action_u,
-    s_gen,
-    s_one,
-    symmetrize,
-    u_gen,
-    u_one,
-)
 
 AMBIENTS = ("uc", "se")
 
@@ -107,25 +100,36 @@ def _lie_scalar(ctx: EvalContext, q: Fraction) -> LieElement:
     raise EvalError("a nonzero scalar is not a Lie algebra element")
 
 
-# a U(g) ot C(p) or C(p) element carries its algebra
+# the scalar lift and ad action of each ambient, shared by its realms; a
+# U(g) ot C(p) element carries its algebra
+_UC = (lambda ctx, q: ctx.algebra.scalar(q), lambda z, x: x.algebra.ad_action(z, x))
+_SE = (lambda ctx, q: q * se_one(), ad_action_se)
+
 _REALMS = {
-    "uc": Realm("the tensor algebra U(g) ot C(p)", lambda ctx, g: ctx.algebra.u_gen(g),
-                lambda ctx, q: ctx.algebra.scalar(q), lambda z, x: x.algebra.ad_action(z, x),
+    "uc": Realm("the tensor algebra U(g) ot C(p)", lambda ctx, g: ctx.algebra.u_gen(g), *_UC,
                 names=lambda ctx: ctx.catalog.elements),
-    "se": Realm("the graded algebra S(g) ot Lambda(p)", lambda ctx, g: se_gen(g),
-                lambda ctx, q: SEElement({(ZERO_EXP, 0): q}), ad_action_se,
+    "se": Realm("the graded algebra S(g) ot Lambda(p)", lambda ctx, g: se_gen(g), *_SE,
                 names=lambda ctx: ctx.st.named),
-    "u": Realm("the enveloping algebra", lambda ctx, g: u_gen(g),
-               lambda ctx, q: q * u_one(), ad_action_u, k_only=False),
-    "s": Realm("the symmetric algebra", lambda ctx, g: s_gen(g),
-               lambda ctx, q: q * s_one(), ad_action_s, k_only=False),
-    # ext_gen raises DomainError off p
-    "ext": Realm("the exterior algebra on p", lambda ctx, g: ext_gen(g),
-                 lambda ctx, q: ExtElement({0: q}), ext_k_action),
-    "c": Realm("the Clifford algebra", lambda ctx, g: ctx.algebra.cl.gen(g),
-               lambda ctx, q: ctx.algebra.cl.scalar(q), lambda z, x: x.algebra.k_action(z, x)),
+    "u": Realm("the enveloping algebra", lambda ctx, g: ctx.algebra.u_gen(g), *_UC,
+               k_only=False),
+    "s": Realm("the symmetric algebra", lambda ctx, g: se_gen(g), *_SE, k_only=False),
+    # se_ext_gen and c_gen raise DomainError off p
+    "ext": Realm("the exterior algebra on p", lambda ctx, g: se_ext_gen(g), *_SE),
+    "c": Realm("the Clifford algebra", lambda ctx, g: ctx.algebra.c_gen(g), *_UC),
     "lie": Realm("the Lie algebra", lambda ctx, g: lie_gen(g), _lie_scalar, bracket,
                  k_only=False),
+}
+
+# the realms of the two sides of 'ot' in each ambient
+_OT_SIDES = {"uc": ("u", "c"), "se": ("s", "ext")}
+
+# sigma, tau and rho are each rho of an argument read in one realm: its
+# source realm, the realms its image lies in, and the refusal elsewhere
+_RHO_CALLS = {
+    "sigma": ("s", ("uc", "u"), "sigma produces an enveloping algebra element; "
+                                "it needs the uc ambient"),
+    "tau": ("ext", ("uc", "c"), "tau produces a Clifford element; it needs the uc ambient"),
+    "rho": ("se", ("uc",), "rho lands in the tensor algebra; it needs the uc ambient"),
 }
 
 
@@ -164,6 +168,8 @@ def _eval(node: Node, realm: str, ctx: EvalContext):
         return (r, -v)
 
     if isinstance(node, BinOp):
+        if node.op in _ARITHMETIC:
+            return _eval_chain(node, realm, ctx)
         return _eval_binop(node, realm, ctx)
 
     if isinstance(node, Call):
@@ -174,69 +180,54 @@ def _eval(node: Node, realm: str, ctx: EvalContext):
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
+_NO_LIE_PRODUCT = "the Lie algebra has no associative product; use ad(z, x) for brackets"
+
+
+def _eval_chain(node: BinOp, realm: str, ctx: EvalContext):
+    """A chain of + - * folded left to right in a loop: the printed form of
+    an element is one long sum, and recursing down its left spine would take
+    a stack frame per term."""
+    spine = []
+    while isinstance(node, BinOp) and node.op in _ARITHMETIC:
+        spine.append(node)
+        node = node.left
+    lp = _eval(node, realm, ctx)
+    for step in reversed(spine):
+        op, rp = step.op, _eval(step.right, realm, ctx)
+        if lp[0] == _SCALAR and rp[0] == _SCALAR:
+            lp = (_SCALAR, _ARITHMETIC[op](lp[1], rp[1]))
+        elif op != "*":
+            lp = (realm, _ARITHMETIC[op](_coerce(lp, realm, ctx), _coerce(rp, realm, ctx)))
+        elif realm == "lie" and _SCALAR not in (lp[0], rp[0]):
+            raise EvalError(_NO_LIE_PRODUCT)
+        else:
+            # scalar times element stays a plain scaling in any realm
+            lp = (realm, lp[1] * rp[1])
+    return lp
+
 
 def _eval_binop(node: BinOp, realm: str, ctx: EvalContext):
-    op = node.op
-
-    if op == "ot":
-        if realm == "uc":
-            left = _eval_in(node.left, "u", ctx)
-            right = _eval_in(node.right, "c", ctx)
-            return (realm, ctx.algebra.multiply(
-                ctx.algebra.from_u(left), ctx.algebra.from_c(right)))
-        if realm == "se":
-            left = _eval_in(node.left, "s", ctx)
-            right = _eval_in(node.right, "ext", ctx)
-            lse = SEElement._of({(exp, 0): c for exp, c in left.num.items()}, left.den)
-            rse = SEElement._of({(ZERO_EXP, m): c for m, c in right.num.items()}, right.den)
-            return (realm, lse * rse)
-        raise EvalError(f"'ot' cannot appear inside {_REALMS[realm].noun}")
-
-    if op == "^" and isinstance(node.right, Num):
+    # 'ot' is the product of its sides read in the two slots of the ambient,
+    # a wedge that of two exterior elements; '^' before a number is a power
+    if node.op == "ot":
+        if realm not in _OT_SIDES:
+            raise EvalError(f"'ot' cannot appear inside {_REALMS[realm].noun}")
+        left, right = _OT_SIDES[realm]
+    elif isinstance(node.right, Num):
         n = node.right.value
         if n.denominator != 1 or n < 0:
             raise EvalError(f"exponent {n} is not a nonnegative integer")
         r, v = _eval(node.left, realm, ctx)
         if r != _SCALAR and realm == "lie":
-            raise EvalError("the Lie algebra has no associative product; "
-                            "use ad(z, x) for brackets")
+            raise EvalError(_NO_LIE_PRODUCT)
         return (r, v ** int(n))
-
-    if op == "^":
-        if realm == "ext":
-            left = _eval_in(node.left, "ext", ctx)
-            right = _eval_in(node.right, "ext", ctx)
-            return (realm, left * right)
-        if realm == "se":
-            left = _eval_in(node.left, "ext", ctx)
-            right = _eval_in(node.right, "ext", ctx)
-            wedge = left * right
-            return (realm, SEElement._of(
-                {(ZERO_EXP, m): c for m, c in wedge.num.items()}, wedge.den))
+    elif realm in ("ext", "se"):
+        left = right = "ext"
+    else:
         raise EvalError(
             f"a wedge lives in the exterior algebra, not {_REALMS[realm].noun}; "
             "wrap it in tau(...) for the Clifford side")
-
-    lp = _eval(node.left, realm, ctx)
-    rp = _eval(node.right, realm, ctx)
-
-    if lp[0] == _SCALAR and rp[0] == _SCALAR:
-        return (_SCALAR, _ARITHMETIC[op](lp[1], rp[1]))
-
-    if op == "*":
-        # scalar times element stays a plain scaling in any realm
-        if lp[0] == _SCALAR:
-            return (rp[0], lp[1] * rp[1])
-        if rp[0] == _SCALAR:
-            return (lp[0], lp[1] * rp[1])
-        if realm == "lie":
-            raise EvalError("the Lie algebra has no associative product; "
-                            "use ad(z, x) for brackets")
-        return (realm, lp[1] * rp[1])
-
-    left = _coerce(lp, realm, ctx)
-    right = _coerce(rp, realm, ctx)
-    return (realm, _ARITHMETIC[op](left, right))
+    return (realm, _eval_in(node.left, left, ctx) * _eval_in(node.right, right, ctx))
 
 
 def _eval_call(node: Call, realm: str, ctx: EvalContext):
@@ -252,31 +243,9 @@ def _eval_call(node: Call, realm: str, ctx: EvalContext):
             return (_SCALAR, Fraction(0))
         return (realm, spec.ad(z, xv))
 
-    if fn == "sigma":
-        if realm not in ("uc", "u"):
-            raise EvalError("sigma produces an enveloping algebra element; "
-                            "it needs the uc ambient")
-        arg = _eval_in(node.args[0], "s", ctx)
-        out = symmetrize(arg)
-        if realm == "uc":
-            return (realm, ctx.algebra.from_u(out))
-        return (realm, out)
-
-    if fn == "tau":
-        if realm not in ("uc", "c"):
-            raise EvalError("tau produces a Clifford element; "
-                            "it needs the uc ambient")
-        arg = _eval_in(node.args[0], "ext", ctx)
-        out = ctx.algebra.cl.chevalley(arg)
-        if realm == "uc":
-            return (realm, ctx.algebra.from_c(out))
-        return (realm, out)
-
-    if fn == "rho":
-        if realm != "uc":
-            raise EvalError("rho lands in the tensor algebra; "
-                            "it needs the uc ambient")
-        arg = _eval_in(node.args[0], "se", ctx)
-        return (realm, ctx.algebra.rho(arg))
-
-    raise EvalError(f"unknown function {fn!r}")
+    if fn not in _RHO_CALLS:
+        raise EvalError(f"unknown function {fn!r}")
+    source, targets, refusal = _RHO_CALLS[fn]
+    if realm not in targets:
+        raise EvalError(refusal)
+    return (realm, ctx.algebra.rho(_eval_in(node.args[0], source, ctx)))

@@ -12,6 +12,10 @@ Grammar (EBNF):
 '^' followed by a number is a power instead (H1^2, as canonical text prints
 it). Unary minus on a factor is accepted as a convenience. Rationals are
 integer literals or integer/integer pairs like 3/4.
+
+Parentheses, calls, unary minus and 'ot'/'^' chains nest at most
+MAX_NESTING levels, as the parser and the evaluator recurse once a level;
+a + - * chain costs no level, so an element's printed form always parses.
 """
 from __future__ import annotations
 
@@ -25,6 +29,8 @@ CALL_NAMES = ("ad", "sigma", "tau", "rho")
 CALL_ARITY = {"ad": 2, "sigma": 1, "tau": 1, "rho": 1}
 
 P_GEN_NAMES = ("E3", "E4", "F3", "F4")
+
+MAX_NESTING = 100
 
 
 # -- AST -------------------------------------------------------------------------
@@ -104,6 +110,13 @@ class _Parser:
         self.src = src
         self.tokens = tokenize(src)
         self.i = 0
+        self.depth = 0
+
+    def enter(self, tok: Token) -> None:
+        """One level deeper, opened at tok."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -145,20 +158,18 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
+        outer = self.depth  # a minus and the steps of a chain close here
         if self.at_punct("-"):
-            self.advance()
-            return Neg(self.factor())
-        node = self.primary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "name" and tok.text == "ot":
-                self.advance()
-                node = BinOp("ot", node, self.primary())
-            elif tok.kind == "punct" and tok.text == "^":
-                self.advance()
-                node = BinOp("^", node, self.primary())
-            else:
-                return node
+            self.enter(self.advance())
+            node = Neg(self.factor())
+        else:
+            node = self.primary()
+            while (self.peek().kind, self.peek().text) in (("name", "ot"), ("punct", "^")):
+                tok = self.advance()
+                self.enter(tok)
+                node = BinOp(tok.text, node, self.primary())
+        self.depth = outer
+        return node
 
     def primary(self) -> Node:
         tok = self.peek()
@@ -174,12 +185,14 @@ class _Parser:
                 raise ParseError("'ot' is an operator, not a value", tok.pos)
             self.advance()
             if tok.text in CALL_NAMES:
+                self.enter(tok)
                 self.expect_punct("(")
                 args = [self.expr()]
                 while self.at_punct(","):
                     self.advance()
                     args.append(self.expr())
                 self.expect_punct(")")
+                self.depth -= 1
                 want = CALL_ARITY[tok.text]
                 if len(args) != want:
                     raise ParseError(
@@ -188,9 +201,10 @@ class _Parser:
                 return Call(tok.text, tuple(args))
             return Sym(tok.text)
         if self.at_punct("("):
-            self.advance()
+            self.enter(self.advance())
             node = self.expr()
             self.expect_punct(")")
+            self.depth -= 1
             return node
         raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
                          tok.pos)
@@ -204,53 +218,54 @@ def parse(src: str) -> Node:
 
 # -- wedge typing lint --------------------------------------------------------------
 
+# Each walk loops down the left spine of a chain and recurses only into
+# right operands, whose depth the nesting limit bounds, so a long sum costs
+# no recursion.
+
 def _scalar_node(node: Node) -> bool:
-    if isinstance(node, Num):
-        return True
+    while isinstance(node, BinOp) and node.op in ("+", "-", "*"):
+        if not _scalar_node(node.right):
+            return False
+        node = node.left
     if isinstance(node, Neg):
         return _scalar_node(node.operand)
-    if isinstance(node, BinOp) and node.op in ("+", "-", "*"):
-        return _scalar_node(node.left) and _scalar_node(node.right)
-    return False
+    return isinstance(node, Num)
 
 
 def _p_flavored(node: Node) -> bool:
     """True if the subexpression can only denote an element of the exterior
     algebra on p: p-generators and their sums, scalar multiples, and wedges."""
-    if isinstance(node, Sym):
-        return node.name in P_GEN_NAMES
+    while isinstance(node, BinOp) and node.op in ("+", "-", "*", "^"):
+        if node.op == "*" and _scalar_node(node.left):
+            return _p_flavored(node.right)
+        if not (node.op == "*" and _scalar_node(node.right) or _p_flavored(node.right)):
+            return False
+        node = node.left
     if isinstance(node, Neg):
         return _p_flavored(node.operand)
-    if isinstance(node, BinOp):
-        if node.op in ("+", "-", "^"):
-            return _p_flavored(node.left) and _p_flavored(node.right)
-        if node.op == "*":
-            if _scalar_node(node.left):
-                return _p_flavored(node.right)
-            if _scalar_node(node.right):
-                return _p_flavored(node.left)
-            return _p_flavored(node.left) and _p_flavored(node.right)
-    return False
+    return isinstance(node, Sym) and node.name in P_GEN_NAMES
 
 
 def _lint_wedges(node: Node) -> None:
     """Wedge is only defined on the p-part; reject things like H1 ^ E3 at
     parse time so the error carries the offending subexpression. A '^'
-    whose right side is a number is a power, not a wedge."""
-    if isinstance(node, BinOp):
-        if node.op == "^" and not isinstance(node.right, Num):
-            for side in (node.left, node.right):
-                if not _p_flavored(side):
-                    raise ExprTypeError(
-                        f"wedge operand {describe(side)} is not built from "
-                        f"p-generators {', '.join(P_GEN_NAMES)}")
-        _lint_wedges(node.left)
-        _lint_wedges(node.right)
-    elif isinstance(node, Neg):
-        _lint_wedges(node.operand)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _lint_wedges(a)
+    whose right side is a number is a power, not a wedge. Nodes are visited
+    left first, so the leftmost offending operand is the one reported."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BinOp):
+            if node.op == "^" and not isinstance(node.right, Num):
+                for side in (node.left, node.right):
+                    if not _p_flavored(side):
+                        raise ExprTypeError(
+                            f"wedge operand {describe(side)} is not built from "
+                            f"p-generators {', '.join(P_GEN_NAMES)}")
+            stack += (node.right, node.left)
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, Call):
+            stack.extend(reversed(node.args))
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "ot": 3, "^": 3}
@@ -272,8 +287,15 @@ def _render(node: Node, ctx: int) -> str:
     if isinstance(node, Call):
         return f"{node.fn}({', '.join(_render(a, 0) for a in node.args)})"
     if isinstance(node, BinOp):
-        p = _PREC[node.op]
-        # all binary operators associate to the left
-        text = f"{_render(node.left, p)} {node.op} {_render(node.right, p + 1)}"
-        return f"({text})" if p < ctx else text
+        # all binary operators associate to the left, so a left spine of
+        # operators as tight as their parent, a long sum say, needs no
+        # parentheses and is rendered in a loop
+        spine = [node]
+        while isinstance(spine[-1].left, BinOp) and \
+                _PREC[spine[-1].left.op] >= _PREC[spine[-1].op]:
+            spine.append(spine[-1].left)
+        text = _render(spine[-1].left, _PREC[spine[-1].op])
+        for step in reversed(spine):
+            text += f" {step.op} {_render(step.right, _PREC[step.op] + 1)}"
+        return f"({text})" if _PREC[node.op] < ctx else text
     raise TypeError(f"not an AST node: {node!r}")

@@ -84,7 +84,7 @@ def dumps_element(el) -> str:
 
 
 def dump_element(el, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_element(el))
 
 
@@ -161,5 +161,9 @@ def loads_element(text: str):
 
 
 def load_element(path: str):
-    with open(path) as fh:
-        return loads_element(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not an element file (byte {exc.start} is not UTF-8)", 1) from exc
+    return loads_element(text)

@@ -93,18 +93,19 @@ def se_one() -> SEElement:
     return SEElement._of({(ZERO_EXP, 0): 1})
 
 
-# ad of each k-generator on each exterior monomial, and on the symmetric
-# generators it does not commute with: (slot, (target slot, int coefficient)
-# pairs)
-_EXT_AD = {(z, mask): ext_ad_on_mask(z, mask) for z in K_GENS for mask in range(16)}
+# ad of each generator on the symmetric generators it does not commute with:
+# (slot, (target slot, int coefficient) pairs); and of each k-generator on
+# each exterior monomial
 _SLOT_AD = {z: tuple((slot, tuple((int(g), c) for g, c in bracket_gens(z, x)))
                      for slot, x in enumerate(_GENS) if bracket_gens(z, x))
-            for z in K_GENS}
+            for z in _GENS}
+_EXT_AD = {(z, mask): ext_ad_on_mask(z, mask) for z in K_GENS for mask in range(16)}
 
 
 def ad_on_key(zg: Gen, key: SEKey) -> dict[SEKey, int]:
-    """Derivation action of the k-generator zg on one monomial key, with int
-    coefficients (the structure constants are integral)."""
+    """Derivation action of the generator zg on one monomial key, with int
+    coefficients (the structure constants are integral); zg must lie in k
+    when the key has an exterior part."""
     exp, mask = key
     out: dict[SEKey, int] = {}
     for slot, pairs in _SLOT_AD[zg]:
@@ -117,15 +118,19 @@ def ad_on_key(zg: Gen, key: SEKey) -> dict[SEKey, int]:
             m[g] += 1
             k = (tuple(m), mask)
             out[k] = out.get(k, 0) + e * c
-    for m, c in _EXT_AD[zg, mask].items():
-        k = (exp, m)
-        out[k] = out.get(k, 0) + c
+    if mask:
+        for m, c in _EXT_AD[zg, mask].items():
+            k = (exp, m)
+            out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
 
 
 def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
-    """ad z on x: the int ad_on_key images summed over z.den * x.den."""
-    require_in_k(z)
+    """ad z on x: the int ad_on_key images summed over z.den * x.den. A z
+    outside k acts only on S(g) tensor 1, and is refused when x has an
+    exterior part."""
+    if any(mask for _, mask in x.num):
+        require_in_k(z)
     out: dict[SEKey, int] = {}
     for zg, zc in z.num.items():
         for key, c in x.num.items():

@@ -118,10 +118,12 @@ class TensorAlgebra:
         return UCElement._of(out, x.den * y.den * self.cl.table_den, self)
 
     def ad_action(self, z: LieElement, x: UCElement) -> UCElement:
-        """ad(z) x for z in k: z acts as z tensor 1 + 1 tensor alpha(z), that
-        is by the commutator [z, -] on the U-side and by the Clifford
-        derivation on the C-side, read from the memoized tables of both."""
-        require_in_k(z)
+        """ad(z) x: z acts as z tensor 1 + 1 tensor alpha(z), that is by the
+        commutator [z, -] on the U-side and by the Clifford derivation on the
+        C-side, read from the memoized tables of both. A z outside k acts
+        only on U(g) tensor 1, and is refused when x has a Clifford part."""
+        if any(mask for _, mask in x.num):
+            require_in_k(z)
         k_table, k_den = self.cl.k_table, self.cl.k_den
         out: dict[UCKey, int] = {}
         for zg, zc in z.num.items():

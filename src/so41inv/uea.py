@@ -39,7 +39,7 @@ from functools import cache
 from math import factorial, lcm
 
 from .elements import LinearElement, ZERO_EXP, exp_sort_key, fmt_exp
-from .lie_core import LieElement, bracket_gens
+from .lie_core import bracket_gens
 from .matrix_oracle import Gen
 
 Exp = tuple  # 10-tuple of nonnegative ints
@@ -205,10 +205,6 @@ def s_one() -> SElement:
     return SElement._of({ZERO_EXP: 1})
 
 
-def lie_to_u(x: LieElement) -> UElement:
-    return UElement._of({word_to_exp((g,)): c for g, c in x.num.items()}, x.den)
-
-
 @cache
 def _orderings_sum(exp: Exp) -> dict[Exp, int]:
     """P(exp): the straightened sum of every distinct ordering of the
@@ -247,25 +243,3 @@ def symmetrize(x: SElement) -> UElement:
             out[m] = out.get(m, 0) + f * cc
     return UElement._of(out, x.den * den)
 
-
-def ad_action_u(z: LieElement, x: UElement) -> UElement:
-    """ad(z) x = z x - x z in U(g), for z in the Lie algebra."""
-    zu = lie_to_u(z)
-    return zu * x - x * zu
-
-
-def ad_action_s(z: LieElement, x: SElement) -> SElement:
-    """The derivation extending ad(z) to the polynomial algebra."""
-    out: dict[Exp, int] = {}
-    for exp, c in x.num.items():
-        for slot, e in enumerate(exp):
-            if not e:
-                continue
-            for zg, zc in z.num.items():
-                for g, bc in bracket_gens(zg, Gen(slot)):
-                    m = list(exp)
-                    m[slot] -= 1
-                    m[g] += 1
-                    m = tuple(m)
-                    out[m] = out.get(m, 0) + c * e * zc * bc
-    return SElement._of(out, x.den * z.den)

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from so41inv.errors import NotStableError
-from so41inv.lie_core import bracket_gens, lie_gen
+from so41inv.lie_core import LieElement, bracket_gens, lie_gen
 from so41inv.linalg import RationalEchelon, sparse_rank
 from so41inv.matrix_oracle import GR0, GaussRational, Gen, K_GENS, P_GENS
 from so41inv.sym_ext import (
@@ -34,7 +34,7 @@ from so41inv.sym_ext import (
     s_monomials_up_to,
     se_one,
 )
-from so41inv.uea import SElement, UElement, ad_action_u, symmetrize, word_to_exp
+from so41inv.uea import SElement, UElement, symmetrize, word_to_exp
 
 
 class FractionEchelon:
@@ -289,8 +289,14 @@ def se_k_invariant(x: SEElement) -> bool:
     return all(ad_action_se(lie_gen(z), x).is_zero() for z in K_GENS)
 
 
+def lie_to_u(x: LieElement) -> UElement:
+    """The Lie algebra element x as an element of U(g)."""
+    return UElement._of({word_to_exp((g,)): c for g, c in x.num.items()}, x.den)
+
+
 def u_k_invariant(x: UElement) -> bool:
-    return all(ad_action_u(lie_gen(z), x).is_zero() for z in K_GENS)
+    """x commutes in U(g) with every k-generator."""
+    return all(z * x == x * z for z in (lie_to_u(lie_gen(g)) for g in K_GENS))
 
 
 # -- k-module decomposition ----------------------------------------------------

@@ -9,7 +9,8 @@ import random
 from fractions import Fraction
 
 from oracles import GAMMA, mat_mul, mat_scale, mat_sub, mat_transpose, matrix_bracket
-from so41inv.clifford import ExtElement, ext_k_action
+from so41inv.clifford import ExtElement
+from so41inv.elements import ZERO_EXP
 from so41inv.invariants import (
     independence_check,
     invariant_dimension,
@@ -26,6 +27,7 @@ from so41inv.matrix_oracle import (
     mat_trace,
     real_rank,
 )
+from so41inv.sym_ext import SEElement, ad_action_se
 from so41inv.tensor_algebra import (
     NAMED_ORDER,
     effective_checks,
@@ -34,8 +36,6 @@ from so41inv.tensor_algebra import (
 from so41inv.uea import (
     SElement,
     UElement,
-    ad_action_s,
-    ad_action_u,
     exp_degree,
     symmetrize,
     u_one,
@@ -211,27 +211,35 @@ def test_criterion_8_structural_properties(capsys, cat):
     failures = []
     rng = random.Random(411017)
 
-    # sigma: K-equivariance and the filtration property on random inputs
+    # rho intertwines the ad actions of S(g) tensor Lambda(p) and
+    # U(g) tensor C(p), by all of g on S(g) tensor 1 and by k elsewhere
+    def equivariant(z, x):
+        return alg.rho(ad_action_se(z, x)) == alg.ad_action(z, alg.rho(x))
+
+    # sigma: g-equivariance and the filtration property on random inputs
     for _ in range(40):
         exp = random_monomial(rng)
-        x = SElement({exp: Fraction(rng.randint(1, 5))})
-        sx = symmetrize(x)
-        for zg in K_GENS:
-            z = lie_gen(zg)
-            if symmetrize(ad_action_s(z, x)) != ad_action_u(z, sx):
+        c = Fraction(rng.randint(1, 5))
+        sx = symmetrize(SElement({exp: c}))
+        x = SEElement({(exp, 0): c})
+        if alg.rho(x) != alg.from_u(sx):
+            failures.append(f"sigma is not rho at {exp}")
+        for zg in Gen:
+            if not equivariant(lie_gen(zg), x):
                 failures.append(f"sigma equivariance at {exp} / {zg.name}")
         n = exp_degree(exp)
-        lead = UElement({exp: x.terms[exp]})
+        lead = UElement({exp: c})
         if (sx - lead).degree() >= n and n > 0:
             failures.append(f"sigma filtration at {exp}")
 
     # tau: K-equivariance and filtration against the Clifford word product
     for mask in range(16):
-        xt = ExtElement({mask: Fraction(1)})
-        tx = cl.chevalley(xt)
+        tx = cl.chevalley(ExtElement({mask: 1}))
+        x = SEElement({(ZERO_EXP, mask): 1})
+        if alg.rho(x) != alg.from_c(tx):
+            failures.append(f"tau is not rho at mask {mask}")
         for zg in K_GENS:
-            z = lie_gen(zg)
-            if cl.chevalley(ext_k_action(z, xt)) != cl.k_action(z, tx):
+            if not equivariant(lie_gen(zg), x):
                 failures.append(f"tau equivariance at mask {mask} / {zg.name}")
         word = tuple(i for i in range(4) if mask >> i & 1)
         prod = cl.element(cl.word_product(word))

@@ -11,12 +11,14 @@ from so41inv.clifford import (
     PForm,
     TOP_MASK,
     ext_gen,
-    ext_k_action,
     ext_wedge,
 )
+from so41inv.elements import ZERO_EXP
 from so41inv.errors import DomainError
 from so41inv.lie_core import bracket, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
+from so41inv.sym_ext import SEElement, ad_action_se
+from so41inv.tensor_algebra import TensorAlgebra
 
 
 @pytest.fixture(scope="module", params=[-1, 1], ids=["sign=-1", "sign=+1"])
@@ -131,14 +133,20 @@ def test_chevalley_filtration(algebra):
 
 
 def test_chevalley_k_equivariant(algebra):
+    # tau is rho on 1 tensor Lambda(p): k acts there by ad_on_key before tau
+    # and by the Clifford derivation after it
+    alg = TensorAlgebra(algebra.pform)
     rng = random.Random(31)
     for _ in range(10):
         x = ExtElement({rng.randrange(16): Fraction(rng.randint(-3, 3), 1)
                         for _ in range(3)})
+        xse = SEElement({(ZERO_EXP, m): c for m, c in x.terms.items()})
+        tx = algebra.chevalley(x)
+        assert alg.rho(xse) == alg.from_c(tx)
         for zg in K_GENS:
             z = lie_gen(zg)
-            assert algebra.k_action(z, algebra.chevalley(x)) \
-                == algebra.chevalley(ext_k_action(z, x))
+            assert alg.rho(ad_action_se(z, xse)) == alg.ad_action(z, alg.rho(xse)) \
+                == alg.from_c(algebra.k_action(z, tx))
 
 
 def test_k_action_is_a_derivation(algebra):

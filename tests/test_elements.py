@@ -13,17 +13,18 @@ from hypothesis import given, settings, strategies as st
 import so41inv
 from so41inv.clifford import ExtElement
 from so41inv.evaluator import evaluate
-from so41inv.lie_core import LieElement
+from so41inv.errors import DomainError
+from so41inv.lie_core import LieElement, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.serialization import dumps_element, loads_element
-from so41inv.sym_ext import SEElement
+from so41inv.sym_ext import SEElement, ad_action_se, se_ext_gen, se_gen
 from so41inv.tensor_algebra import (
     RELATION_VARIANTS,
     convention_algebra,
     derive_chain,
     relation_residuals,
 )
-from so41inv.uea import SElement, UElement, ad_action_s, ad_action_u, symmetrize, word_to_exp
+from so41inv.uea import SElement, UElement, symmetrize, word_to_exp
 
 ALG = convention_algebra("gram=trace/4 sign=-1")
 
@@ -154,11 +155,37 @@ k_combinations = st.dictionaries(st.sampled_from(K_GENS), coefficients,
                                  min_size=1, max_size=3).map(LieElement)
 
 
+# rho = sigma tensor tau intertwines the two ambient actions: k acts on all
+# of S(g) tensor Lambda(p) and U(g) tensor C(p), and all of g on S(g) tensor 1
+# and U(g) tensor 1, so sigma is g-equivariant
 @settings(max_examples=30, deadline=None)
-@given(k_combinations, term_dicts(exps, 3))
-def test_symmetrization_is_k_equivariant(z, terms):
-    x = SElement(terms)
-    assert symmetrize(ad_action_s(z, x)) == ad_action_u(z, symmetrize(x))
+@given(k_combinations, term_dicts(pairs, 3))
+def test_rho_is_k_equivariant(z, terms):
+    x = SEElement(terms)
+    assert ALG.rho(ad_action_se(z, x)) == ALG.ad_action(z, ALG.rho(x))
+
+
+@pytest.mark.parametrize("gen", list(Gen), ids=lambda g: g.name)
+@settings(max_examples=15, deadline=None)
+@given(terms=term_dicts(exps, 3))
+def test_sigma_is_g_equivariant(gen, terms):
+    x = SEElement({(exp, 0): c for exp, c in terms.items()})
+    z = lie_gen(gen)
+    assert ALG.rho(x) == ALG.from_u(symmetrize(SElement(terms)))
+    assert ALG.rho(ad_action_se(z, x)) == ALG.ad_action(z, ALG.rho(x))
+
+
+@pytest.mark.parametrize("x", [
+    se_ext_gen(Gen.F3), se_gen(Gen.H1) * se_ext_gen(Gen.F3), se_gen(Gen.H1) + se_ext_gen(Gen.F3),
+], ids=["p", "s-ot-p", "s-plus-p"])
+def test_only_k_acts_where_there_is_a_clifford_or_exterior_part(x):
+    z = lie_gen(Gen.E3)
+    for act, y in ((ad_action_se, x), (ALG.ad_action, ALG.rho(x))):
+        with pytest.raises(DomainError, match=r"^element has p-components: E3$"):
+            act(z, y)
+    # off that part, z acts
+    s = SEElement({key: c for key, c in x.terms.items() if not key[1]})
+    assert ALG.rho(ad_action_se(z, s)) == ALG.ad_action(z, ALG.rho(s))
 
 
 # -- round trips -------------------------------------------------------------------

@@ -106,6 +106,30 @@ def test_a_zero_denominator_is_a_parse_error():
     assert parse("0/7") == Num(Fraction(0))
 
 
+@pytest.mark.parametrize("src", ["h * h", "h * c", "c * c * D"])
+def test_the_text_of_a_long_element_parses_back(cat, src):
+    # 508, 1,074 and 2,689 terms: the sum is folded in a loop, not recursed
+    x = evaluate(src, catalog=cat)
+    assert len(x) > 500
+    assert evaluate(str(x), catalog=cat) == x
+
+
+@pytest.mark.parametrize("src, position", [
+    ("(" * 300 + "H1" + ")" * 300, 100),
+    ("-" * 300 + "H1", 100),
+    ("sigma(" * 300 + "H1" + ")" * 300, 600),
+    ("E3" + " ^ E4" * 300, 503),
+], ids=["parentheses", "minus", "calls", "wedges"])
+def test_deep_nesting_is_a_parse_error(capsys, src, position):
+    assert run_cli(capsys, "eval", "--", src) == (2, "", (
+        f"error: expression nests deeper than 100 levels (at position {position})\n"))
+
+
+def test_one_hundred_levels_of_nesting_parse():
+    assert evaluate("(" * 100 + "H1" + ")" * 100, ambient="se") == se_gen(Gen.H1)
+    assert evaluate("-" * 100 + "H1", ambient="se") == se_gen(Gen.H1)
+
+
 def test_unbalanced_parens():
     with pytest.raises(ParseError):
         parse("(a1 + a2")
@@ -338,6 +362,16 @@ def test_cli_load_reports_a_bad_file_as_an_error(capsys, tmp_path, cat):
         code, out, err = run_cli(capsys, "load", str(path))
         assert (code, out) == (2, ""), kind
         assert err.startswith("error: ") and message in err, kind
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error_at_line_one(capsys, tmp_path, cat):
+    path = tmp_path / "bytes.element"
+    path.write_bytes(b"\xff" + dumps_element(cat.elements["D"]).encode())
+    with pytest.raises(ParseError) as exc:
+        load_element(str(path))
+    assert exc.value.position == 1
+    assert run_cli(capsys, "load", str(path)) == (2, "", (
+        "error: not an element file (byte 0 is not UTF-8) (at position 1)\n"))
 
 
 def test_se_element_round_trip():
@@ -970,3 +1004,21 @@ def test_a_warm_process_emits_the_recorded_bases(capsys, monkeypatch, tmp_path, 
             got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert len(got) == 111
         assert got == want
+
+
+def _eval_realm_cases():
+    with open(os.path.join(DATA, "eval_realms.txt"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return [pytest.param(*line.split("|"), id=f"line{n}")
+            for n, line in enumerate(lines, 1) if not line.startswith("#")]
+
+
+# exit code, stdout and stderr of eval in every realm: ot and wedges in both
+# ambients, powers, ad by g in U(g) and S(g) and by k elsewhere, sigma, tau
+# and rho inside and outside their realms, and the noun of every error;
+# recorded while each sub-realm still had its own element type
+@pytest.mark.parametrize("ambient, expr, code, out, err", _eval_realm_cases())
+def test_eval_prints_what_the_recorded_realm_cases_printed(capsys, ambient, expr, code,
+                                                             out, err):
+    want = (int(code), out and out + "\n", err and err + "\n")
+    assert run_cli(capsys, "eval", "--ambient", ambient, "--", expr) == want

@@ -11,7 +11,7 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import FractionEchelon, st_product_vectors, uc_rank
+from oracles import FractionEchelon, lie_to_u, st_product_vectors, uc_rank
 from so41inv.clifford import PForm
 from so41inv.elements import mask_bits
 from so41inv.invariants import truncated_rank16_check
@@ -30,7 +30,7 @@ from so41inv.tensor_algebra import (
     relation_residuals,
     verify_relations,
 )
-from so41inv.uea import lie_to_u, pbw_pair_product, word_to_exp
+from so41inv.uea import pbw_pair_product, word_to_exp
 
 # frozen adjudication oracle: literal residual term counts per convention
 LITERAL_RESIDUALS = {

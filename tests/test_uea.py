@@ -13,7 +13,14 @@ from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import first_descent_straighten, mat_mul, mat_scale, mat_sub, u_k_invariant
+from oracles import (
+    first_descent_straighten,
+    lie_to_u,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    u_k_invariant,
+)
 from so41inv import uea
 from so41inv.lie_core import GEN_WEIGHTS, bracket, lie_gen
 from so41inv.matrix_oracle import (
@@ -24,12 +31,10 @@ from so41inv.matrix_oracle import (
     K_GENS,
     basis_matrices,
 )
+from so41inv.sym_ext import SEElement, ad_action_se
 from so41inv.uea import (
     SElement,
     UElement,
-    ad_action_s,
-    ad_action_u,
-    lie_to_u,
     s_gen,
     s_one,
     exp_to_word,
@@ -209,13 +214,17 @@ def test_symmetrize_is_linear():
     assert symmetrize(Fraction(3, 2) * x) == Fraction(3, 2) * symmetrize(x)
 
 
-def test_symmetrize_k_equivariant_random():
+def test_symmetrize_g_equivariant_random(cat):
+    # sigma is rho on S(g) tensor 1, where every generator of g acts
+    alg = cat.algebra
     rng = random.Random(79)
     for _ in range(10):
-        x = random_s(rng)
-        for zg in K_GENS:
+        s = random_s(rng)
+        x = SEElement._of({(exp, 0): c for exp, c in s.num.items()}, s.den)
+        assert alg.rho(x) == alg.from_u(symmetrize(s))
+        for zg in Gen:
             z = lie_gen(zg)
-            assert ad_action_u(z, symmetrize(x)) == symmetrize(ad_action_s(z, x))
+            assert alg.ad_action(z, alg.rho(x)) == alg.rho(ad_action_se(z, x))
 
 
 def test_symmetrize_filtration_identity():
@@ -230,14 +239,18 @@ def test_symmetrize_filtration_identity():
         assert all(sum(exp) < n for exp in diff.terms)
 
 
-def test_ad_is_a_derivation_on_u():
+def test_ad_is_a_derivation_on_u(cat):
+    # on U(g) tensor 1 every generator of g acts, by the commutator
+    alg = cat.algebra
     rng = random.Random(81)
     for _ in range(8):
-        x, y = random_u(rng, max_deg=2, terms=2), random_u(rng, max_deg=2, terms=2)
-        for zg in K_GENS:
+        x, y = (alg.from_u(random_u(rng, max_deg=2, terms=2)) for _ in range(2))
+        for zg in Gen:
             z = lie_gen(zg)
-            lhs = ad_action_u(z, x * y)
-            rhs = ad_action_u(z, x) * y + x * ad_action_u(z, y)
+            zu = alg.from_u(lie_to_u(z))
+            assert alg.ad_action(z, x) == zu * x - x * zu
+            lhs = alg.ad_action(z, x * y)
+            rhs = alg.ad_action(z, x) * y + x * alg.ad_action(z, y)
             assert lhs == rhs
 
 
