@@ -16,7 +16,8 @@ from itertools import permutations
 from math import lcm
 
 from ._record import record
-from .elements import BoundElement, LinearElement, fmt_mask, mask_bits, mask_sort_key
+from .elements import (BoundElement, LinearElement, accumulate, combine, fmt_mask, mask_bits,
+                       mask_sort_key)
 from .errors import DomainError, SolveError
 from .lie_core import LieElement, bracket_gens, require_in_k
 from .matrix_oracle import Gen, P_GENS, trace_form_gens
@@ -241,11 +242,7 @@ class CliffordAlgebra:
         inserts = self._insert_table
         acc = {0: 1}
         for b in word:
-            nxt: dict[int, int] = {}
-            for m, c in acc.items():
-                for m2, c2 in inserts[m, b].items():
-                    nxt[m2] = nxt.get(m2, 0) + c * c2
-            acc = nxt
+            acc = accumulate((inserts[m, b], c) for m, c in acc.items())
         q, n = self._form_den, len(word)
         return {m: c * q ** (top - (n - popcount(m)) // 2) for m, c in acc.items() if c}
 
@@ -256,13 +253,8 @@ class CliffordAlgebra:
 
     def multiply(self, x: CElement, y: CElement) -> CElement:
         table = self.table
-        out: dict[int, int] = {}
-        for ma, ca in x.num.items():
-            for mb, cb in y.num.items():
-                f = ca * cb
-                for m, c in table[(ma, mb)].items():
-                    out[m] = out.get(m, 0) + f * c
-        return CElement._of(out, x.den * y.den * self.table_den, self)
+        pairs = ((table[ma, mb], ca * cb) for ma, ca in x.num.items() for mb, cb in y.num.items())
+        return CElement._of(accumulate(pairs), x.den * y.den * self.table_den, self)
 
     def commutator(self, x: CElement, y: CElement) -> CElement:
         return self.multiply(x, y) - self.multiply(y, x)
@@ -274,20 +266,12 @@ class CliffordAlgebra:
         products of its bits in every order."""
         perms = list(permutations(mask_bits(mask)))
         share = 24 // len(perms)
-        acc: dict[int, int] = {}
-        for w in perms:
-            f = share * _perm_sign(w)
-            for m, c in self._word(w, 2).items():
-                acc[m] = acc.get(m, 0) + f * c
-        return acc
+        return accumulate((self._word(w, 2), share * _perm_sign(w)) for w in perms)
 
     def chevalley(self, x: ExtElement) -> CElement:
         """tau: Lambda(p) -> C(p), antisymmetrized products."""
-        out: dict[int, int] = {}
-        for mask, c in x.num.items():
-            for m, cc in self._tau_table[mask].items():
-                out[m] = out.get(m, 0) + c * cc
-        return CElement._of(out, x.den * self._tau_den, self)
+        pairs = ((self._tau_table[mask], c) for mask, c in x.num.items())
+        return CElement._of(accumulate(pairs), x.den * self._tau_den, self)
 
     # -- k-action and alpha ----------------------------------------------------
 
@@ -295,24 +279,16 @@ class CliffordAlgebra:
         """ad(zg) of one monomial over k_den: the derivation puts [zg, v_b]
         in the place of each factor v_b in turn."""
         bits = mask_bits(mask)
-        out: dict[int, int] = {}
-        for pos, b in enumerate(bits):
-            for g, c in bracket_gens(zg, P_GENS[b]):
-                word = bits[:pos] + (P_INDEX[g],) + bits[pos + 1:]
-                for m, cc in self._word(word, 2).items():
-                    out[m] = out.get(m, 0) + c * cc
-        return out
+        return accumulate((self._word(bits[:pos] + (P_INDEX[g],) + bits[pos + 1:], 2), c)
+                          for pos, b in enumerate(bits) for g, c in bracket_gens(zg, P_GENS[b]))
 
     def k_action(self, z: LieElement, x: CElement) -> CElement:
         """Derivation action of z in k on C(p)."""
         require_in_k(z)
-        out: dict[int, int] = {}
-        for zg, zc in z.num.items():
-            for mask, xc in x.num.items():
-                f = zc * xc
-                for m, c in self.k_table[(zg, mask)].items():
-                    out[m] = out.get(m, 0) + f * c
-        return CElement._of(out, z.den * x.den * self.k_den, self)
+        k_table = self.k_table
+        pairs = ((k_table[zg, mask], zc * xc)
+                 for zg, zc in z.num.items() for mask, xc in x.num.items())
+        return CElement._of(accumulate(pairs), z.den * x.den * self.k_den, self)
 
     def alpha(self, z: LieElement) -> CElement:
         """The element of the Chevalley image of the two-forms with
@@ -326,10 +302,8 @@ class CliffordAlgebra:
         bare mask monomials instead shifts each value by a scalar and breaks
         that."""
         require_in_k(z)
-        out = self.zero()
-        for g, c in z.num.items():
-            out = out + c * self._alpha_table[g]
-        return out / z.den
+        num, den = combine((self._alpha_table[g], c) for g, c in z.num.items())
+        return CElement._of(num, den * z.den, self)
 
     def _alpha_gen(self, zg: Gen) -> CElement:
         """alpha of a k-generator in closed form. From v w + w v = 2 phi(v, w),

@@ -4,11 +4,15 @@ text format they print to.
 Every algebra element in the package holds int numerators over one
 denominator, num: {key: int} and den: int, in normal form: den > 0, no zero
 numerator, and gcd(den, *numerators) == 1. The form is canonical, so == and
-hash compare it structurally. Products and actions sum int tables and hand
-the sums to one normalizing constructor; Fraction appears only at the edges
-(the `terms` view, canonical text, element files, parser literals).
-Subclasses choose the key type and the product. Canonical text is frozen so
-that printing and re-parsing round-trips exactly.
+hash compare it structurally. Sums, products and actions add f times int
+tables into one dict through accumulate (combine puts elements over the lcm
+of their denominators first) and hand the result to one normalizing
+constructor; signed_sum adds a whole run of elements that way in one pass.
+Fraction appears only where rationals come in (construction, scaling,
+parser literals) and in the `terms` view: canonical text and element files
+format each coefficient from its int numerator and the denominator
+(fmt_coeff). Subclasses choose the key type and the product. Canonical text
+is frozen so that printing and re-parsing round-trips exactly.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ ZERO_EXP = (0,) * 10
 def _normal_form(num: dict, den: int) -> tuple[dict, int]:
     """num / den in normal form: zero entries dropped, den made positive and
     coprime to the numerators. A key that cancels to 0 is simply dropped, so
-    kernels accumulate with out[k] = out.get(k, 0) + c and end here."""
+    accumulate leaves such entries in place and they end here."""
     num = {k: c for k, c in num.items() if c}
     if den != 1:
         g = gcd(den, *num.values())
@@ -33,6 +37,38 @@ def _normal_form(num: dict, den: int) -> tuple[dict, int]:
             num = {k: c // g for k, c in num.items()}
             den //= g
     return num, den
+
+
+def accumulate(pairs, out: dict | None = None) -> dict:
+    """Add f * terms into out (a new dict if None) for each pair (terms, f)
+    of an int dict and an int, and return it; entries that cancel stay 0."""
+    if out is None:
+        out = {}
+    get = out.get
+    for terms, f in pairs:
+        for k, c in terms.items():
+            out[k] = get(k, 0) + f * c
+    return out
+
+
+def combine(pairs) -> tuple[dict, int]:
+    """The sum of f * el over the pairs (el, f) of elements and ints, as int
+    numerators over the lcm of the denominators: (num, den), not normalized."""
+    pairs = list(pairs)
+    den = lcm(*(el.den for el, _ in pairs))
+    return accumulate((el.num, f * (den // el.den)) for el, f in pairs), den
+
+
+def signed_sum(run):
+    """The sum of sign * el over the pairs (el, sign) of a nonempty run, in
+    one pass; TypeError, as from +, unless every el is of the kind of the
+    first."""
+    first = run[0][0]
+    for el, sign in run[1:]:
+        if not first._compatible(el):
+            raise TypeError(f"unsupported operand type(s) for {'+' if sign > 0 else '-'}: "
+                            f"{type(first).__name__!r} and {type(el).__name__!r}")
+    return first._like(*combine(run))
 
 
 class LinearElement:
@@ -71,29 +107,15 @@ class LinearElement:
     def _compatible(self, other) -> bool:
         return type(other) is type(self)
 
-    def _combine(self, other, sign: int):
-        """self + sign * other over the lcm of the two denominators."""
-        a, b = self.den, other.den
-        if a == b:
-            out, fb = dict(self.num), sign
-        else:
-            d = lcm(a, b)
-            fa, fb = d // a, sign * (d // b)
-            out = {k: c * fa for k, c in self.num.items()}
-            a = d
-        for k, c in other.num.items():
-            out[k] = out.get(k, 0) + fb * c
-        return self._like(out, a)
-
     def __add__(self, other):
         if not self._compatible(other):
             return NotImplemented
-        return self._combine(other, 1)
+        return self._like(*combine(((self, 1), (other, 1))))
 
     def __sub__(self, other):
         if not self._compatible(other):
             return NotImplemented
-        return self._combine(other, -1)
+        return self._like(*combine(((self, 1), (other, -1))))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.num.items()}, self.den)
@@ -163,8 +185,8 @@ class LinearElement:
 
     def _text(self, sort_key, body) -> str:
         """Canonical text: terms in sort_key order, each key printed by body."""
-        terms = self.terms
-        return join_terms([(terms[k], body(k)) for k in sorted(terms, key=sort_key)])
+        num = self.num
+        return join_terms([(num[k], body(k)) for k in sorted(num, key=sort_key)], self.den)
 
 
 class BoundElement(LinearElement):
@@ -227,8 +249,15 @@ def fmt_mask(mask: int, sep: str) -> str:
     return f" {sep} ".join(bits) if bits else "1"
 
 
-def join_terms(pairs: list[tuple[Fraction, str]]) -> str:
-    """Render coefficient/body pairs as a sum in canonical text."""
+def fmt_coeff(n: int, den: int) -> str:
+    """The coefficient n / den as str(Fraction(n, den)) prints it."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def join_terms(pairs: list[tuple[int, str]], den: int) -> str:
+    """Render numerator/body pairs, each numerator over den > 0, as a sum in
+    canonical text."""
     if not pairs:
         return "0"
     out = []
@@ -236,11 +265,11 @@ def join_terms(pairs: list[tuple[Fraction, str]]) -> str:
         neg = c < 0
         mag = -c if neg else c
         if body == "1":
-            chunk = str(mag)
-        elif mag == 1:
+            chunk = fmt_coeff(mag, den)
+        elif mag == den:
             chunk = body
         else:
-            chunk = f"{mag} * {body}"
+            chunk = f"{fmt_coeff(mag, den)} * {body}"
         if idx == 0:
             out.append(("-" + chunk) if neg else chunk)
         else:

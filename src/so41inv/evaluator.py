@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._record import record
+from .elements import signed_sum
 from .errors import EngineError, EvalError, ExprTypeError
 from .lie_core import LIE_ZERO, LieElement, bracket, lie_gen, require_in_k
 from .matrix_oracle import GEN_BY_NAME, Gen
@@ -186,24 +187,29 @@ _NO_LIE_PRODUCT = "the Lie algebra has no associative product; use ad(z, x) for 
 def _eval_chain(node: BinOp, realm: str, ctx: EvalContext):
     """A chain of + - * folded left to right in a loop: the printed form of
     an element is one long sum, and recursing down its left spine would take
-    a stack frame per term."""
+    a stack frame per term. The + and - steps since the last * are kept as
+    (element, sign) pairs and summed in one pass before the next * and at
+    the end, so a sum costs time linear in its length."""
     spine = []
     while isinstance(node, BinOp) and node.op in _ARITHMETIC:
         spine.append(node)
         node = node.left
-    lp = _eval(node, realm, ctx)
+    lp, run = _eval(node, realm, ctx), []
     for step in reversed(spine):
         op, rp = step.op, _eval(step.right, realm, ctx)
-        if lp[0] == _SCALAR and rp[0] == _SCALAR:
+        if not run and lp[0] == _SCALAR and rp[0] == _SCALAR:
             lp = (_SCALAR, _ARITHMETIC[op](lp[1], rp[1]))
         elif op != "*":
-            lp = (realm, _ARITHMETIC[op](_coerce(lp, realm, ctx), _coerce(rp, realm, ctx)))
-        elif realm == "lie" and _SCALAR not in (lp[0], rp[0]):
-            raise EvalError(_NO_LIE_PRODUCT)
+            run = run or [(_coerce(lp, realm, ctx), 1)]
+            run.append((_coerce(rp, realm, ctx), 1 if op == "+" else -1))
         else:
+            if run:
+                lp, run = (realm, signed_sum(run)), []
+            if realm == "lie" and _SCALAR not in (lp[0], rp[0]):
+                raise EvalError(_NO_LIE_PRODUCT)
             # scalar times element stays a plain scaling in any realm
             lp = (realm, lp[1] * rp[1])
-    return lp
+    return (realm, signed_sum(run)) if run else lp
 
 
 def _eval_binop(node: BinOp, realm: str, ctx: EvalContext):

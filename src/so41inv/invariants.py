@@ -35,7 +35,7 @@ from math import comb, prod
 
 from ._record import record
 from .clifford import popcount
-from .elements import ZERO_EXP
+from .elements import ZERO_EXP, accumulate
 from .errors import InvarianceError
 from .lie_core import GEN_WEIGHTS
 from .linalg import dependency_kernel, sparse_rank
@@ -283,12 +283,7 @@ def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEEleme
 def _residual(num: dict[int, int], rows) -> dict:
     """The nonzero terms of the sum of c * rows[j] over the items (j, c) of
     num, in ints."""
-    out: dict = {}
-    get = out.get
-    for j, c in num.items():
-        for k, cc in rows[j].items():
-            out[k] = get(k, 0) + c * cc
-    return {k: c for k, c in out.items() if c}
+    return {k: c for k, c in accumulate((rows[j], c) for j, c in num.items()).items() if c}
 
 
 # -- freeness in every degree, from two point certificates ---------------------------

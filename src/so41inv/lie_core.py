@@ -114,10 +114,6 @@ def is_in_k(x: LieElement) -> bool:
     return all(g in K_GENS for g in x.num)
 
 
-def is_in_p(x: LieElement) -> bool:
-    return all(g in P_GENS for g in x.num)
-
-
 def require_in_k(x: LieElement) -> None:
     if not is_in_k(x):
         raise DomainError(f"element has p-components: {x!r}")
@@ -142,10 +138,6 @@ def _compute_weights() -> dict[Gen, tuple[int, int]]:
 GEN_WEIGHTS: dict[Gen, tuple[int, int]] = _compute_weights()
 
 
-def gen_weight(g: Gen) -> tuple[int, int]:
-    return GEN_WEIGHTS[g]
-
-
 @record(frozen=True)
 class CartanSplit:
     """The splitting g = (k1 + k2) + p with both k_i isomorphic to sl2."""
@@ -162,48 +154,6 @@ def default_cartan_split() -> CartanSplit:
         k2=(h1 - h2, lie_gen(Gen.E2), lie_gen(Gen.F2)),
         p=tuple(lie_gen(g) for g in P_GENS),
     )
-
-
-def sl2_triple_check(h: LieElement, e: LieElement, f: LieElement) -> list[str]:
-    """Relations of a standard sl2 triple; returns a list of violations."""
-    bad = []
-    if bracket(h, e) != 2 * e:
-        bad.append("[h,e] != 2e")
-    if bracket(h, f) != -2 * f:
-        bad.append("[h,f] != -2f")
-    if bracket(e, f) != h:
-        bad.append("[e,f] != h")
-    return bad
-
-
-def cartan_split_check() -> list[str]:
-    """Closure and structure checks for the default split."""
-    split = default_cartan_split()
-    bad = []
-    for label, triple in (("k1", split.k1), ("k2", split.k2)):
-        for msg in sl2_triple_check(*triple):
-            bad.append(f"{label}: {msg}")
-    for x in split.k1:
-        for y in split.k2:
-            if bracket(x, y):
-                bad.append(f"[k1, k2] != 0 on {x!r}, {y!r}")
-    for part, pred, label in (
-        (split.k1 + split.k2, is_in_k, "k"),
-        (split.p, is_in_p, "p"),
-    ):
-        for x in part:
-            if not pred(x):
-                bad.append(f"{x!r} not inside {label}")
-    # [k, p] in p and [p, p] in k
-    for kg in K_GENS:
-        for pg in P_GENS:
-            if not is_in_p(bracket(lie_gen(kg), lie_gen(pg))):
-                bad.append(f"[{kg.name},{pg.name}] leaves p")
-    for a in P_GENS:
-        for b in P_GENS:
-            if not is_in_k(bracket(lie_gen(a), lie_gen(b))):
-                bad.append(f"[{a.name},{b.name}] leaves k")
-    return bad
 
 
 def jacobi_check() -> list[str]:

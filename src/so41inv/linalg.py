@@ -107,9 +107,6 @@ class RationalEchelon:
         self.rows[piv] = res if g == 1 else {c: v // g for c, v in res.items()}
         return True
 
-    def contains(self, vec: dict[int, Fraction]) -> bool:
-        return not self._residual(vec)
-
 
 def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     ech = RationalEchelon()

@@ -257,9 +257,3 @@ def integer_real_rank(mats) -> int:
     That is twice the rank of the matrices over C, so 20 for the ten scaled
     basis matrices exactly when they are linearly independent over C."""
     return sparse_rank([r for m in mats for r in _coordinates(m)])
-
-
-def real_rank(mats) -> int:
-    """integer_real_rank of the matrices scaled to Gaussian integers (which
-    leaves the rank as it is)."""
-    return integer_real_rank(gaussian_integer_matrices(mats)[0])

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
-from .elements import pair_sort_key
+from .elements import fmt_coeff, pair_sort_key
 from .errors import ParseError
 from .matrix_oracle import Gen
 from .sym_ext import SEElement
@@ -74,12 +74,10 @@ def dumps_element(el) -> str:
         f"order-hash: {order_hash(algebra_id, sign, gram)}",
         f"terms: {len(el)}",
     ]
-    terms = el.terms
-    for key in sorted(terms, key=pair_sort_key):
-        exp, mask = key
-        coeff = terms[key]
-        lines.append(
-            f"{coeff} | {' '.join(str(e) for e in exp)} | {_mask_str(mask)}")
+    num, den = el.num, el.den
+    for exp, mask in sorted(num, key=pair_sort_key):
+        lines.append(f"{fmt_coeff(num[exp, mask], den)} | {' '.join(map(str, exp))} | "
+                     f"{_mask_str(mask)}")
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ from functools import cache, cached_property
 
 from ._record import record
 from .clifford import ext_ad_on_mask, ext_merge, popcount
-from .elements import LinearElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key
+from .elements import LinearElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, pair_sort_key
 from .errors import DomainError, InvarianceError
 from .lie_core import GEN_WEIGHTS, LieElement, bracket_gens, lie_gen, require_in_k
 from .matrix_oracle import Gen, K_GENS, P_GENS
@@ -131,13 +131,8 @@ def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
     exterior part."""
     if any(mask for _, mask in x.num):
         require_in_k(z)
-    out: dict[SEKey, int] = {}
-    for zg, zc in z.num.items():
-        for key, c in x.num.items():
-            f = zc * c
-            for k, cc in ad_on_key(zg, key).items():
-                out[k] = out.get(k, 0) + f * cc
-    return SEElement._of(out, z.den * x.den)
+    pairs = ((ad_on_key(zg, key), zc * c) for zg, zc in z.num.items() for key, c in x.num.items())
+    return SEElement._of(accumulate(pairs), z.den * x.den)
 
 
 # -- the invariant catalog ---------------------------------------------------

@@ -20,7 +20,7 @@ from math import lcm
 
 from ._record import record
 from .clifford import CliffordAlgebra, PForm, _OnDemand, popcount
-from .elements import BoundElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key
+from .elements import BoundElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key, signed_sum
 from .errors import DomainError, InvarianceError
 from .lie_core import LieElement, lie_gen, require_in_k
 from .matrix_oracle import Gen, K_GENS
@@ -28,6 +28,7 @@ from .sym_ext import SEElement, build_st_catalog
 from .uea import UElement, gen_commutator, pbw_pair_product, symmetrize_monomial
 
 UCKey = tuple  # (exp 10-tuple, mask int)
+_ONE_KEY = (ZERO_EXP, 0)
 
 
 class UCElement(BoundElement):
@@ -38,27 +39,29 @@ class UCElement(BoundElement):
     def degree(self) -> int:
         return max((sum(e) + popcount(m) for e, m in self.num), default=0)
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.algebra.scalar(other)
-        return super().__eq__(other)
+    def _lift(self, other):
+        """A scalar as that multiple of 1 here; anything else as it is."""
+        return self.algebra.scalar(other) if isinstance(other, (int, Fraction)) else other
 
-    __hash__ = BoundElement.__hash__
+    def __eq__(self, other):
+        return super().__eq__(self._lift(other))
+
+    def __hash__(self):
+        # a multiple of 1 equals its Fraction, so it hashes as that Fraction
+        if self.num.keys() <= {_ONE_KEY}:
+            return hash(Fraction(self.num.get(_ONE_KEY, 0), self.den))
+        return super().__hash__()
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.algebra.scalar(other)
-        return super().__add__(other)
+        return super().__add__(self._lift(other))
 
-    def __radd__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + other
-        return NotImplemented
+    __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.algebra.scalar(other)
-        return super().__sub__(other)
+        return super().__sub__(self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __str__(self):
         return self._text(pair_sort_key,
@@ -79,10 +82,10 @@ class TensorAlgebra:
         return UCElement._of({}, 1, self)
 
     def one(self) -> UCElement:
-        return UCElement._of({(ZERO_EXP, 0): 1}, 1, self)
+        return UCElement._of({_ONE_KEY: 1}, 1, self)
 
     def scalar(self, c) -> UCElement:
-        return UCElement({(ZERO_EXP, 0): c}, self)
+        return UCElement({_ONE_KEY: c}, self)
 
     def element(self, terms: dict) -> UCElement:
         return UCElement(terms, self)
@@ -194,10 +197,7 @@ class TensorAlgebra:
             (self.u_gen(Gen.H1) - self.u_gen(Gen.H2), self.alpha_uc(h1 - h2)),
             (self.u_gen(Gen.H1) + self.u_gen(Gen.H2), self.alpha_uc(h1 + h2)),
         ]
-        out = self.zero()
-        for u, a in pieces:
-            out = out + u * a
-        return out
+        return signed_sum([(u * a, 1) for u, a in pieces])
 
 
 @record
@@ -334,16 +334,6 @@ def _effective_variant(name: str) -> str:
 
 def _residual(t: _Terms, name: str, variant: str) -> UCElement:
     return getattr(t, name) - IDENTITIES[name, variant](t)
-
-
-def relation_residuals(cat: Catalog, variant: str = "literal") -> dict[str, UCElement]:
-    """Left minus right side of each identity in the suite; the six
-    identities with one form read the literal one under either variant."""
-    if variant not in RELATION_VARIANTS:
-        raise ValueError(f"unknown relation variant: {variant}")
-    t = _Terms(cat.elements)
-    return {name: _residual(t, name, variant if (name, variant) in IDENTITIES else "literal")
-            for name in RELATION_NAMES}
 
 
 @record

@@ -28,6 +28,10 @@ where P(x) is the straightened sum of all distinct orderings of x. P is a
 recursion over sub-multisets in plain ints, and
 sigma(x) = P(x) / (n! / prod x_g!) is P(x) over one denominator.
 
+Every sum above, of insertions, pair products or sigma of monomials, adds
+int tables into one dict through elements.accumulate (or combine, for
+elements over different denominators).
+
 Generator insertions, pair products, generator commutators, P and sigma
 of a monomial are pure functions of their arguments, each kept for the
 life of the process by functools.cache: cache_info() reports a table's
@@ -36,9 +40,9 @@ size and hits, and cache_clear() empties it. A cached dict is shared; do not mut
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, lcm
+from math import factorial
 
-from .elements import LinearElement, ZERO_EXP, exp_sort_key, fmt_exp
+from .elements import LinearElement, ZERO_EXP, accumulate, combine, exp_sort_key, fmt_exp
 from .lie_core import bracket_gens
 from .matrix_oracle import Gen
 
@@ -77,11 +81,9 @@ def _lowered(exp: Exp, s: int) -> Exp:
     return tuple(m)
 
 
-def _add_inserted(acc: dict[Exp, int], g: int, terms: dict[Exp, int], f: int = 1) -> None:
-    """acc += f * u_g * terms, in place."""
-    for m, c in terms.items():
-        for mm, cc in insert_gen(g, m).items():
-            acc[mm] = acc.get(mm, 0) + f * c * cc
+def _add_inserted(acc: dict[Exp, int], g: int, terms: dict[Exp, int], f: int = 1) -> dict:
+    """acc += f * u_g * terms, in place; returns acc."""
+    return accumulate(((insert_gen(g, m), f * c) for m, c in terms.items()), acc)
 
 
 def _nonzero(acc: dict[Exp, int]) -> dict[Exp, int]:
@@ -98,10 +100,8 @@ def insert_gen(g: int, exp: Exp) -> dict[Exp, int]:
         m[g] += 1
         return {tuple(m): 1}
     rest = _lowered(exp, s)
-    acc: dict[Exp, int] = {}
-    _add_inserted(acc, s, insert_gen(g, rest))
-    for h, c in bracket_gens(g, s):
-        _add_inserted(acc, int(h), {rest: 1}, c)
+    acc = _add_inserted({}, s, insert_gen(g, rest))
+    accumulate(((insert_gen(int(h), rest), c) for h, c in bracket_gens(g, s)), acc)
     return _nonzero(acc)
 
 
@@ -110,15 +110,8 @@ def _fold(word, exp: Exp) -> dict[Exp, int]:
     letters right to left."""
     acc = {exp: 1}
     for g in reversed(word):
-        nxt: dict[Exp, int] = {}
-        _add_inserted(nxt, int(g), acc)
-        acc = _nonzero(nxt)
+        acc = _nonzero(_add_inserted({}, int(g), acc))
     return acc
-
-
-def straighten_word(word) -> dict[Exp, int]:
-    """Expand the product of generators `word` over PBW monomials."""
-    return _fold(word, ZERO_EXP)
 
 
 @cache
@@ -135,11 +128,8 @@ def gen_commutator(g: int, exp: Exp) -> dict[Exp, int]:
         return {}
     s = _leading_slot(exp)
     rest = _lowered(exp, s)
-    acc: dict[Exp, int] = {}
-    for h, c in bracket_gens(g, s):
-        _add_inserted(acc, int(h), {rest: 1}, c)
-    _add_inserted(acc, s, gen_commutator(g, rest))
-    return _nonzero(acc)
+    acc = accumulate((insert_gen(int(h), rest), c) for h, c in bracket_gens(g, s))
+    return _nonzero(_add_inserted(acc, s, gen_commutator(g, rest)))
 
 
 class UElement(LinearElement):
@@ -148,13 +138,9 @@ class UElement(LinearElement):
     __slots__ = ()
 
     def _product(self, other):
-        out: dict[Exp, int] = {}
-        for mx, cx in self.num.items():
-            for my, cy in other.num.items():
-                f = cx * cy
-                for m, c in pbw_pair_product(mx, my).items():
-                    out[m] = out.get(m, 0) + f * c
-        return UElement._of(out, self.den * other.den)
+        pairs = ((pbw_pair_product(mx, my), cx * cy)
+                 for mx, cx in self.num.items() for my, cy in other.num.items())
+        return UElement._of(accumulate(pairs), self.den * other.den)
 
     def _one(self):
         return u_one()
@@ -212,13 +198,9 @@ def _orderings_sum(exp: Exp) -> dict[Exp, int]:
     if not any(exp):
         return {exp: 1}
     acc: dict[Exp, int] = {}
-    rest = list(exp)
     for g, e in enumerate(exp):
-        if not e:
-            continue
-        rest[g] -= 1
-        _add_inserted(acc, g, _orderings_sum(tuple(rest)))
-        rest[g] += 1
+        if e:
+            _add_inserted(acc, g, _orderings_sum(_lowered(exp, g)))
     return _nonzero(acc)
 
 
@@ -234,12 +216,6 @@ def symmetrize_monomial(exp: Exp) -> UElement:
 
 def symmetrize(x: SElement) -> UElement:
     """The symmetrization map sigma: S(g) -> U(g)."""
-    images = [(c, symmetrize_monomial(exp)) for exp, c in x.num.items()]
-    den = lcm(*(s.den for _, s in images))
-    out: dict[Exp, int] = {}
-    for c, s in images:
-        f = c * (den // s.den)
-        for m, cc in s.num.items():
-            out[m] = out.get(m, 0) + f * cc
-    return UElement._of(out, x.den * den)
+    num, den = combine((symmetrize_monomial(exp), c) for exp, c in x.num.items())
+    return UElement._of(num, x.den * den)
 

@@ -13,7 +13,13 @@ tests of the closed-form catalog; no verify path uses them. The 5x5
 matrix products, brackets and combinations over Q(i), entry by entry in
 GaussRational, check the Gaussian integer evaluation of the commutator
 table. A sparse transpose turns the dependencies among rows, the engine's
-one kernel, into a matrix kernel for the Fraction RREF to check."""
+one kernel, into a matrix kernel for the Fraction RREF to check.
+
+The rest are test-only entry points into the engine, which no verify path
+reads: the membership test of the sparse echelon, the real rank of any
+5x5 matrices, the straightening of a whole generator word, the residual
+of each identity under one variant, and the checks of the Cartan split and
+its sl2 triples."""
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,10 +27,28 @@ from functools import partial
 from itertools import combinations_with_replacement
 from math import comb
 
+from so41inv import uea
+from so41inv.elements import ZERO_EXP
 from so41inv.errors import NotStableError
-from so41inv.lie_core import LieElement, bracket_gens, lie_gen
+from so41inv.lie_core import (
+    GEN_WEIGHTS,
+    LieElement,
+    bracket,
+    bracket_gens,
+    default_cartan_split,
+    is_in_k,
+    lie_gen,
+)
 from so41inv.linalg import RationalEchelon, sparse_rank
-from so41inv.matrix_oracle import GR0, GaussRational, Gen, K_GENS, P_GENS
+from so41inv.matrix_oracle import (
+    GR0,
+    GaussRational,
+    Gen,
+    K_GENS,
+    P_GENS,
+    gaussian_integer_matrices,
+    integer_real_rank,
+)
 from so41inv.sym_ext import (
     SEElement,
     ad_action_se,
@@ -33,6 +57,13 @@ from so41inv.sym_ext import (
     key_weight,
     s_monomials_up_to,
     se_one,
+)
+from so41inv.tensor_algebra import (
+    IDENTITIES,
+    RELATION_NAMES,
+    RELATION_VARIANTS,
+    _residual,
+    _Terms,
 )
 from so41inv.uea import SElement, UElement, symmetrize, word_to_exp
 
@@ -86,6 +117,11 @@ class FractionEchelon:
         return not self.reduce(vec)
 
 
+def echelon_contains(ech: RationalEchelon, vec: dict) -> bool:
+    """Whether vec lies in the span of the rows of the engine's echelon."""
+    return not ech._residual(vec)
+
+
 # -- 5x5 matrices over Q(i), as tuples of GaussRational rows -------------------
 
 GAMMA = tuple(tuple(GaussRational(d if i == j else 0) for j in range(5))
@@ -119,6 +155,12 @@ def mat_combination(mats, coeffs):
     for g, c in coeffs:
         out = mat_sub(out, mat_scale(GaussRational(-c), mats[g]))
     return out
+
+
+def real_rank(mats) -> int:
+    """integer_real_rank of the matrices scaled to Gaussian integers (which
+    leaves the rank as it is)."""
+    return integer_real_rank(gaussian_integer_matrices(mats)[0])
 
 
 def transpose(rows: list[dict], ncols: int) -> list[dict]:
@@ -171,6 +213,12 @@ def graded_keys(n: int) -> list[tuple]:
             out.append((exp, mask))
     out.sort()
     return out
+
+
+def straighten_word(word) -> dict[tuple, int]:
+    """Expand the product of generators `word` over PBW monomials, through
+    the engine's generator insertions."""
+    return uea._fold(word, ZERO_EXP)
 
 
 def first_descent_straighten(word: tuple[int, ...], memo: dict) -> dict[tuple, int]:
@@ -299,6 +347,68 @@ def u_k_invariant(x: UElement) -> bool:
     return all(z * x == x * z for z in (lie_to_u(lie_gen(g)) for g in K_GENS))
 
 
+def relation_residuals(cat, variant: str = "literal") -> dict:
+    """Left minus right side of each identity in the suite; the six
+    identities with one form read the literal one under either variant."""
+    if variant not in RELATION_VARIANTS:
+        raise ValueError(f"unknown relation variant: {variant}")
+    t = _Terms(cat.elements)
+    return {name: _residual(t, name, variant if (name, variant) in IDENTITIES else "literal")
+            for name in RELATION_NAMES}
+
+
+# -- the Cartan split g = (k1 + k2) + p ------------------------------------------
+
+def gen_weight(g: Gen) -> tuple[int, int]:
+    return GEN_WEIGHTS[g]
+
+
+def is_in_p(x: LieElement) -> bool:
+    return all(g in P_GENS for g in x.num)
+
+
+def sl2_triple_check(h: LieElement, e: LieElement, f: LieElement) -> list[str]:
+    """Relations of a standard sl2 triple; returns a list of violations."""
+    bad = []
+    if bracket(h, e) != 2 * e:
+        bad.append("[h,e] != 2e")
+    if bracket(h, f) != -2 * f:
+        bad.append("[h,f] != -2f")
+    if bracket(e, f) != h:
+        bad.append("[e,f] != h")
+    return bad
+
+
+def cartan_split_check() -> list[str]:
+    """Closure and structure checks for the default split."""
+    split = default_cartan_split()
+    bad = []
+    for label, triple in (("k1", split.k1), ("k2", split.k2)):
+        for msg in sl2_triple_check(*triple):
+            bad.append(f"{label}: {msg}")
+    for x in split.k1:
+        for y in split.k2:
+            if bracket(x, y):
+                bad.append(f"[k1, k2] != 0 on {x!r}, {y!r}")
+    for part, pred, label in (
+        (split.k1 + split.k2, is_in_k, "k"),
+        (split.p, is_in_p, "p"),
+    ):
+        for x in part:
+            if not pred(x):
+                bad.append(f"{x!r} not inside {label}")
+    # [k, p] in p and [p, p] in k
+    for kg in K_GENS:
+        for pg in P_GENS:
+            if not is_in_p(bracket(lie_gen(kg), lie_gen(pg))):
+                bad.append(f"[{kg.name},{pg.name}] leaves p")
+    for a in P_GENS:
+        for b in P_GENS:
+            if not is_in_k(bracket(lie_gen(a), lie_gen(b))):
+                bad.append(f"[{a.name},{b.name}] leaves k")
+    return bad
+
+
 # -- k-module decomposition ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -350,7 +460,7 @@ def decompose_k_module(space: list[SEElement]) -> Counter:
             img = ad_action_se(zel, el)
             if img.is_zero():
                 continue
-            if not span.contains(coords(img)):
+            if not echelon_contains(span, coords(img)):
                 raise NotStableError(f"span not closed under ad({z.name})")
     # split the span basis into weight components; each basis vector may mix
     # weights, so project and re-collect

@@ -8,7 +8,15 @@ import itertools
 import random
 from fractions import Fraction
 
-from oracles import GAMMA, mat_mul, mat_scale, mat_sub, mat_transpose, matrix_bracket
+from oracles import (
+    GAMMA,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    mat_transpose,
+    matrix_bracket,
+    real_rank,
+)
 from so41inv.clifford import ExtElement
 from so41inv.elements import ZERO_EXP
 from so41inv.invariants import (
@@ -25,7 +33,6 @@ from so41inv.matrix_oracle import (
     P_GENS,
     basis_matrices,
     mat_trace,
-    real_rank,
 )
 from so41inv.sym_ext import SEElement, ad_action_se
 from so41inv.tensor_algebra import (

@@ -5,25 +5,24 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import so41inv
+from oracles import relation_residuals
+from so41inv import elements
 from so41inv.clifford import ExtElement
+from so41inv.elements import ZERO_EXP, accumulate, combine, signed_sum
 from so41inv.evaluator import evaluate
 from so41inv.errors import DomainError
 from so41inv.lie_core import LieElement, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.serialization import dumps_element, loads_element
 from so41inv.sym_ext import SEElement, ad_action_se, se_ext_gen, se_gen
-from so41inv.tensor_algebra import (
-    RELATION_VARIANTS,
-    convention_algebra,
-    derive_chain,
-    relation_residuals,
-)
+from so41inv.tensor_algebra import RELATION_VARIANTS, convention_algebra, derive_chain
 from so41inv.uea import SElement, UElement, symmetrize, word_to_exp
 
 ALG = convention_algebra("gram=trace/4 sign=-1")
@@ -101,6 +100,89 @@ def test_additive_group_and_scalar_laws(kind, data):
     assert x.scale(1) == x and x.scale(0).is_zero()
     if a:
         assert (x / a).scale(a) == x
+
+
+# -- sums ----------------------------------------------------------------------------
+
+def test_accumulate_adds_into_one_dict_and_combine_puts_elements_over_the_lcm():
+    out = {"a": 1}
+    assert accumulate([({"a": 2, "b": 1}, 3), ({"b": 3}, -1)], out) is out
+    assert out == {"a": 7, "b": 0}  # a cancelled entry stays until the normal form
+    e1 = word_to_exp((Gen.E1,))
+    x, y = UElement({ZERO_EXP: Fraction(1, 2)}), UElement({e1: Fraction(1, 3)})
+    assert combine([(x, 1), (y, -2)]) == ({ZERO_EXP: 3, e1: -4}, 6)
+    assert combine([]) == ({}, 1)
+
+
+@kinds
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_one_pass_sum_equals_the_left_fold(kind, data):
+    make, keys, _ = KINDS[kind]
+    run = data.draw(st.lists(st.tuples(term_dicts(keys).map(make), st.sampled_from((1, -1))),
+                             min_size=1, max_size=6))
+    first, sign = run[0]
+    fold = first if sign > 0 else -first
+    for el, sign in run[1:]:
+        fold = fold + el if sign > 0 else fold - el
+    total = signed_sum(run)
+    assert type(total) is type(fold) and total == fold and hash(total) == hash(fold)
+    assert_normal(total)
+
+
+def test_a_sum_that_mixes_kinds_raises_the_type_error_of_the_operator(cat):
+    u, s = UElement({ZERO_EXP: 1}), SElement({ZERO_EXP: 1})
+    with pytest.raises(TypeError) as op:
+        u - s
+    with pytest.raises(TypeError) as one_pass:
+        signed_sum([(u, 1), (u, 1), (s, -1)])
+    assert str(one_pass.value) == str(op.value)
+    assert str(op.value) == "unsupported operand type(s) for -: 'UElement' and 'SElement'"
+    # a catalog read into the algebra of another convention
+    other = convention_algebra("gram=trace sign=+1")
+    with pytest.raises(TypeError, match=r"for \+: 'UCElement' and 'UCElement'$"):
+        evaluate("E1 + 2 * H1 + a1", catalog=cat, algebra=other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficients, term_dicts(pairs))
+def test_a_scalar_uc_element_hashes_and_subtracts_as_its_fraction(q, terms):
+    for x in (ALG.scalar(q), ALG.element(terms), ALG.element(terms) + q):
+        if x == q:
+            assert hash(x) == hash(q)
+        assert q - x == -(x - q)
+        assert q + x == x + q
+    assert {ALG.scalar(q): 1}.get(q) == 1
+
+
+# Keys of one shape: two U(g) generators and two Clifford generators, so
+# every printed term '2 * (X * Y) ot (V * W)' costs the same to evaluate.
+SAME_SHAPE_KEYS = [(word_to_exp(w), mask) for w in combinations_with_replacement(range(10), 2)
+                   for mask in (3, 5, 6, 9, 10, 12)]
+
+
+def test_a_printed_sum_evaluates_in_time_linear_in_its_length(monkeypatch):
+    received = [0]
+    normal_form = elements._normal_form
+
+    def counted(num, den):
+        received[0] += len(num)
+        return normal_form(num, den)
+
+    monkeypatch.setattr(elements, "_normal_form", counted)
+
+    def cost(n):
+        x = ALG.element({key: 2 for key in SAME_SHAPE_KEYS[:n]})
+        text = str(x)
+        received[0] = 0
+        assert evaluate(text, algebra=ALG) == x
+        return received[0]
+
+    # the entries the normal form receives: folding term by term re-reads
+    # the whole sum so far at every + and costs about four times as much
+    # for twice the terms
+    small, large = cost(150), cost(300)
+    assert large <= 2 * small + 20
 
 
 def test_catalog_residuals_and_chain_hold_int_numerators_in_lowest_terms(cat):

@@ -5,23 +5,27 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mat_combination, mat_sub, matrix_bracket
+from oracles import (
+    cartan_split_check,
+    gen_weight,
+    is_in_p,
+    mat_combination,
+    mat_sub,
+    matrix_bracket,
+    sl2_triple_check,
+)
 from so41inv import cli, lie_core, matrix_oracle
 from so41inv.errors import DomainError
 from so41inv.lie_core import (
     GEN_WEIGHTS,
     bracket,
     bracket_gens,
-    cartan_split_check,
     certify_against_oracle,
     default_cartan_split,
-    gen_weight,
     is_in_k,
-    is_in_p,
     jacobi_check,
     lie_gen,
     require_in_k,
-    sl2_triple_check,
 )
 from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
 

@@ -9,7 +9,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import GAMMA, mat_combination, mat_mul, mat_scale, mat_transpose, matrix_bracket
+from oracles import (
+    GAMMA,
+    mat_combination,
+    mat_mul,
+    mat_scale,
+    mat_transpose,
+    matrix_bracket,
+    real_rank,
+)
 from so41inv.lie_core import bracket_gens
 from so41inv.matrix_oracle import (
     GaussRational,
@@ -19,7 +27,6 @@ from so41inv.matrix_oracle import (
     basis_matrices,
     is_so41_member,
     mat_trace,
-    real_rank,
     trace_form_gens,
 )
 

@@ -19,6 +19,7 @@ from oracles import (
     mat_mul,
     mat_scale,
     mat_sub,
+    straighten_word,
     u_k_invariant,
 )
 from so41inv import uea
@@ -40,7 +41,6 @@ from so41inv.uea import (
     exp_to_word,
     gen_commutator,
     pbw_pair_product,
-    straighten_word,
     symmetrize,
     symmetrize_monomial,
     u_gen,
