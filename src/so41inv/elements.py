@@ -13,13 +13,19 @@ parser literals) and in the `terms` view: canonical text and element files
 format each coefficient from its int numerator and the denominator
 (fmt_coeff). Subclasses choose the key type and the product. Canonical text
 is frozen so that printing and re-parsing round-trips exactly.
+
+Every term of canonical text and of an element file is printed from string
+tables built once at import: the ten generator names (GEN_NAMES) and, for
+each of the 16 p-masks, its sort key, its Clifford and exterior monomial
+text and its file field (MASK_FIELDS). Keys sort by one flat tuple,
+pair_sort_key: (degree, exponent degree, exponents, mask degree, mask bits).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrix_oracle import Gen
+from .matrix_oracle import Gen, P_GENS
 
 ZERO_EXP = (0,) * 10
 
@@ -225,28 +231,32 @@ class BoundElement(LinearElement):
 
 
 # -- canonical text ---------------------------------------------------------
+# The string tables of the module docstring. A mask's sort key is (degree,
+# bits), and its file field has '1' where E3, E4, F3, F4 occur, in that order.
 
-def fmt_exp(exp: tuple) -> str:
-    """PBW / symmetric monomial, e.g. 'H1^2 * E3'; identity prints as '1'."""
-    bits = []
-    for i, e in enumerate(exp):
-        if e == 1:
-            bits.append(Gen(i).name)
-        elif e:
-            bits.append(f"{Gen(i).name}^{e}")
-    return " * ".join(bits) if bits else "1"
+GEN_NAMES = tuple(g.name for g in Gen)
 
 
 def mask_bits(mask: int) -> tuple[int, ...]:
     return tuple(b for b in range(4) if mask >> b & 1)
 
 
+_MASK_SORT_KEYS = tuple((len(mask_bits(m)), mask_bits(m)) for m in range(16))
+_MASK_TEXTS = {sep: tuple(f" {sep} ".join(P_GENS[b].name for b in mask_bits(m)) or "1"
+                          for m in range(16))
+               for sep in "*^"}
+MASK_FIELDS = tuple("".join("1" if m >> b & 1 else "0" for b in range(4)) for m in range(16))
+
+
+def fmt_exp(exp: tuple) -> str:
+    """PBW / symmetric monomial, e.g. 'H1^2 * E3'; identity prints as '1'."""
+    return " * ".join([GEN_NAMES[i] if e == 1 else f"{GEN_NAMES[i]}^{e}"
+                       for i, e in enumerate(exp) if e]) or "1"
+
+
 def fmt_mask(mask: int, sep: str) -> str:
     """Clifford ('*') or exterior ('^') monomial over the p-generators."""
-    from .matrix_oracle import P_GENS
-
-    bits = [P_GENS[b].name for b in mask_bits(mask)]
-    return f" {sep} ".join(bits) if bits else "1"
+    return _MASK_TEXTS[sep][mask]
 
 
 def fmt_coeff(n: int, den: int) -> str:
@@ -282,10 +292,15 @@ def exp_sort_key(exp: tuple) -> tuple:
 
 
 def mask_sort_key(mask: int) -> tuple:
-    return (bin(mask).count("1"), mask_bits(mask))
+    """(degree, bits): masks by degree, then by their generators in order."""
+    return _MASK_SORT_KEYS[mask]
 
 
 def pair_sort_key(key: tuple) -> tuple:
+    """(total degree, exponent degree, exponents, mask degree, mask bits):
+    graded, then by the exponents as exp_sort_key orders them, then by the
+    mask as mask_sort_key orders it."""
     exp, mask = key
-    deg = sum(exp) + bin(mask).count("1")
-    return (deg, exp_sort_key(exp), mask_sort_key(mask))
+    n = sum(exp)
+    pc, bits = _MASK_SORT_KEYS[mask]
+    return (n + pc, n, exp, pc, bits)

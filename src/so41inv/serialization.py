@@ -14,8 +14,11 @@ Layout:
 One term per line: exact rational coefficient, the ten PBW exponents in
 basis order H1 H2 E1 E2 F1 F2 E3 E4 F3 F4, and the Clifford (or exterior)
 mask as four characters over E3 E4 F3 F4, '1' where the generator occurs.
-Terms are sorted graded-lexicographically, so dump(load(text)) == text
-byte for byte. The order-hash pins the basis order and normalization the
+Terms are sorted graded-lexicographically (elements.pair_sort_key), so
+dump(load(text)) == text byte for byte. Each row is one format of the
+coefficient, the ten exponents and the mask's field from
+elements.MASK_FIELDS; the reader maps the field back through the inverse
+table, so any other four characters are a bad mask field. The order-hash pins the basis order and normalization the
 coefficients refer to; a file written under a different convention fails
 loudly instead of reading back wrong numbers.
 """
@@ -24,14 +27,13 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
-from .elements import fmt_coeff, pair_sort_key
+from .elements import GEN_NAMES, MASK_FIELDS, fmt_coeff, pair_sort_key
 from .errors import ParseError
-from .matrix_oracle import Gen
 from .sym_ext import SEElement
 
 MAGIC = "so41inv-element v1"
 
-BASIS_ORDER = " ".join(g.name for g in Gen)
+BASIS_ORDER = " ".join(GEN_NAMES)
 P_ORDER = "E3 E4 F3 F4"
 
 _GRAMS = ("trace", "trace/4")
@@ -54,14 +56,8 @@ def _header_of(el) -> tuple[str, int, str]:
     raise TypeError(f"cannot serialize {type(el).__name__}")
 
 
-def _mask_str(mask: int) -> str:
-    return "".join("1" if mask >> b & 1 else "0" for b in range(4))
-
-
-def _mask_of(text: str, lineno: int) -> int:
-    if len(text) != 4 or any(ch not in "01" for ch in text):
-        raise ParseError(f"bad mask field {text!r}", lineno)
-    return sum(1 << b for b, ch in enumerate(text) if ch == "1")
+_EXP_FMT = " ".join(["%d"] * 10)
+_MASK_OF_FIELD = {field: mask for mask, field in enumerate(MASK_FIELDS)}
 
 
 def dumps_element(el) -> str:
@@ -75,9 +71,8 @@ def dumps_element(el) -> str:
         f"terms: {len(el)}",
     ]
     num, den = el.num, el.den
-    for exp, mask in sorted(num, key=pair_sort_key):
-        lines.append(f"{fmt_coeff(num[exp, mask], den)} | {' '.join(map(str, exp))} | "
-                     f"{_mask_str(mask)}")
+    lines += [f"{fmt_coeff(num[key], den)} | {_EXP_FMT % key[0]} | {MASK_FIELDS[key[1]]}"
+              for key in sorted(num, key=pair_sort_key)]
     return "\n".join(lines) + "\n"
 
 
@@ -135,13 +130,15 @@ def loads_element(text: str):
                              lineno + 1)
         try:
             coeff = Fraction(parts[0])
-            exp = tuple(int(tok) for tok in parts[1].split())
+            exp = tuple(map(int, parts[1].split()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad term field: {exc}", lineno + 1) from exc
         if len(exp) != 10 or any(e < 0 for e in exp):
             raise ParseError("exponent field needs ten nonnegative integers",
                              lineno + 1)
-        mask = _mask_of(parts[2], lineno + 1)
+        mask = _MASK_OF_FIELD.get(parts[2])
+        if mask is None:
+            raise ParseError(f"bad mask field {parts[2]!r}", lineno + 1)
         key = (exp, mask)
         if key in terms:
             raise ParseError("duplicate term key", lineno + 1)

@@ -35,12 +35,15 @@ elements over different denominators).
 Generator insertions, pair products, generator commutators, P and sigma
 of a monomial are pure functions of their arguments, each kept for the
 life of the process by functools.cache: cache_info() reports a table's
-size and hits, and cache_clear() empties it. A cached dict is shared; do not mutate.
+size and hits, and cache_clear() empties it. The cached tables are shared,
+so they are handed out read-only (types.MappingProxyType): a caller that
+writes to one gets a TypeError instead of corrupting every later result.
 """
 from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from types import MappingProxyType
 
 from .elements import LinearElement, ZERO_EXP, accumulate, combine, exp_sort_key, fmt_exp
 from .lie_core import bracket_gens
@@ -90,19 +93,23 @@ def _nonzero(acc: dict[Exp, int]) -> dict[Exp, int]:
     return {m: c for m, c in acc.items() if c}
 
 
+def _frozen(acc: dict[Exp, int]) -> MappingProxyType:
+    """The nonzero entries of acc, as a read-only table for a cache."""
+    return MappingProxyType(_nonzero(acc))
+
+
 @cache
-def insert_gen(g: int, exp: Exp) -> dict[Exp, int]:
-    """u_g x^exp over PBW monomials, in int coefficients (shared through the
-    cache; do not mutate)."""
+def insert_gen(g: int, exp: Exp) -> MappingProxyType:
+    """u_g x^exp over PBW monomials, in int coefficients."""
     s = _leading_slot(exp)
     if g <= s:
         m = list(exp)
         m[g] += 1
-        return {tuple(m): 1}
+        return MappingProxyType({tuple(m): 1})
     rest = _lowered(exp, s)
     acc = _add_inserted({}, s, insert_gen(g, rest))
     accumulate(((insert_gen(int(h), rest), c) for h, c in bracket_gens(g, s)), acc)
-    return _nonzero(acc)
+    return _frozen(acc)
 
 
 def _fold(word, exp: Exp) -> dict[Exp, int]:
@@ -115,21 +122,21 @@ def _fold(word, exp: Exp) -> dict[Exp, int]:
 
 
 @cache
-def pbw_pair_product(x: Exp, y: Exp) -> dict[Exp, int]:
-    """Product of two PBW monomials, straightened. Shared dict; do not mutate."""
-    return _fold(exp_to_word(x), y)
+def pbw_pair_product(x: Exp, y: Exp) -> MappingProxyType:
+    """Product of two PBW monomials, straightened."""
+    return MappingProxyType(_fold(exp_to_word(x), y))
 
 
 @cache
-def gen_commutator(g: int, exp: Exp) -> dict[Exp, int]:
+def gen_commutator(g: int, exp: Exp) -> MappingProxyType:
     """[u_g, x^exp] = u_g x^exp - x^exp u_g over PBW monomials, in int
-    coefficients (shared through the cache; do not mutate)."""
+    coefficients."""
     if not any(exp):
-        return {}
+        return MappingProxyType({})
     s = _leading_slot(exp)
     rest = _lowered(exp, s)
     acc = accumulate((insert_gen(int(h), rest), c) for h, c in bracket_gens(g, s))
-    return _nonzero(_add_inserted(acc, s, gen_commutator(g, rest)))
+    return _frozen(_add_inserted(acc, s, gen_commutator(g, rest)))
 
 
 class UElement(LinearElement):
@@ -192,16 +199,16 @@ def s_one() -> SElement:
 
 
 @cache
-def _orderings_sum(exp: Exp) -> dict[Exp, int]:
+def _orderings_sum(exp: Exp) -> MappingProxyType:
     """P(exp): the straightened sum of every distinct ordering of the
-    monomial, in int coefficients (shared; do not mutate)."""
+    monomial, in int coefficients."""
     if not any(exp):
-        return {exp: 1}
+        return MappingProxyType({exp: 1})
     acc: dict[Exp, int] = {}
     for g, e in enumerate(exp):
         if e:
             _add_inserted(acc, g, _orderings_sum(_lowered(exp, g)))
-    return _nonzero(acc)
+    return _frozen(acc)
 
 
 @cache

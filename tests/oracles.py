@@ -19,7 +19,11 @@ The rest are test-only entry points into the engine, which no verify path
 reads: the membership test of the sparse echelon, the real rank of any
 5x5 matrices, the straightening of a whole generator word, the residual
 of each identity under one variant, and the checks of the Cartan split and
-its sl2 triples."""
+its sl2 triples.
+
+Last, the element formatter as it was before canonical text and element
+files were printed from per-generator and per-mask string tables: the
+reference the byte-for-byte property tests of the formatter compare with."""
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +32,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from so41inv import uea
-from so41inv.elements import ZERO_EXP
+from so41inv.clifford import CElement, ExtElement
+from so41inv.elements import ZERO_EXP, fmt_coeff, join_terms
 from so41inv.errors import NotStableError
 from so41inv.lie_core import (
     GEN_WEIGHTS,
@@ -49,6 +54,7 @@ from so41inv.matrix_oracle import (
     gaussian_integer_matrices,
     integer_real_rank,
 )
+from so41inv.serialization import MAGIC, _header_of, order_hash
 from so41inv.sym_ext import (
     SEElement,
     ad_action_se,
@@ -567,3 +573,81 @@ def harmonic_decomposition_check(n: int) -> HarmonicReport:
         and top_dim + lower_dim == space_dim
     )
     return HarmonicReport(n, space_dim, top_dim, lower_dim, ok)
+
+
+# -- the element formatter before the string tables --------------------------------
+# Canonical text and the term lines of element files as the package wrote them
+# term by term: generator names through the Gen enum, masks through their bit
+# tuples, and the nested sort key. `oracle_text` and `oracle_dumps` must print
+# what `str` and `serialization.dumps_element` print.
+
+def fmt_exp(exp: tuple) -> str:
+    """PBW / symmetric monomial, e.g. 'H1^2 * E3'; identity prints as '1'."""
+    bits = []
+    for i, e in enumerate(exp):
+        if e == 1:
+            bits.append(Gen(i).name)
+        elif e:
+            bits.append(f"{Gen(i).name}^{e}")
+    return " * ".join(bits) if bits else "1"
+
+
+def mask_bits(mask: int) -> tuple[int, ...]:
+    return tuple(b for b in range(4) if mask >> b & 1)
+
+
+def fmt_mask(mask: int, sep: str) -> str:
+    """Clifford ('*') or exterior ('^') monomial over the p-generators."""
+    bits = [P_GENS[b].name for b in mask_bits(mask)]
+    return f" {sep} ".join(bits) if bits else "1"
+
+
+def exp_sort_key(exp: tuple) -> tuple:
+    return (sum(exp), exp)
+
+
+def mask_sort_key(mask: int) -> tuple:
+    return (bin(mask).count("1"), mask_bits(mask))
+
+
+def pair_sort_key(key: tuple) -> tuple:
+    exp, mask = key
+    deg = sum(exp) + bin(mask).count("1")
+    return (deg, exp_sort_key(exp), mask_sort_key(mask))
+
+
+def _mask_str(mask: int) -> str:
+    return "".join("1" if mask >> b & 1 else "0" for b in range(4))
+
+
+def oracle_text(el) -> str:
+    """Canonical text of an element of U(g), S(g), Lambda(p), C(p),
+    S(g) tensor Lambda(p) or U(g) tensor C(p)."""
+    if isinstance(el, (UElement, SElement)):
+        sort_key, body = exp_sort_key, fmt_exp
+    elif isinstance(el, (ExtElement, CElement)):
+        sep = "^" if isinstance(el, ExtElement) else "*"
+        sort_key, body = mask_sort_key, lambda m: fmt_mask(m, sep)
+    else:
+        sep = "^" if isinstance(el, SEElement) else "*"
+        sort_key, body = pair_sort_key, lambda k: f"({fmt_exp(k[0])}) ot ({fmt_mask(k[1], sep)})"
+    num = el.num
+    return join_terms([(num[k], body(k)) for k in sorted(num, key=sort_key)], el.den)
+
+
+def oracle_dumps(el) -> str:
+    """The element file of an S(g) tensor Lambda(p) or U(g) tensor C(p) element."""
+    algebra_id, sign, gram = _header_of(el)
+    lines = [
+        MAGIC,
+        f"algebra: {algebra_id}",
+        f"sign: {sign}",
+        f"gram: {gram}",
+        f"order-hash: {order_hash(algebra_id, sign, gram)}",
+        f"terms: {len(el)}",
+    ]
+    num, den = el.num, el.den
+    for exp, mask in sorted(num, key=pair_sort_key):
+        lines.append(f"{fmt_coeff(num[exp, mask], den)} | {' '.join(map(str, exp))} | "
+                     f"{_mask_str(mask)}")
+    return "\n".join(lines) + "\n"

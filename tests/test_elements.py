@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import so41inv
-from oracles import relation_residuals
+import oracles
+from oracles import oracle_dumps, oracle_text, relation_residuals
 from so41inv import elements
 from so41inv.clifford import ExtElement
-from so41inv.elements import ZERO_EXP, accumulate, combine, signed_sum
+from so41inv.elements import (MASK_FIELDS, ZERO_EXP, accumulate, combine, exp_sort_key, fmt_mask,
+                              mask_sort_key, pair_sort_key, signed_sum)
 from so41inv.evaluator import evaluate
 from so41inv.errors import DomainError
 from so41inv.lie_core import LieElement, lie_gen
@@ -280,3 +282,60 @@ def test_text_and_file_round_trips(uc_terms, se_terms):
         text = dumps_element(x)
         back = loads_element(text)
         assert back == x and dumps_element(back) == text
+
+
+# -- the formatter against the term-by-term reference --------------------------------
+
+# exponents up to 12 in every slot, every mask, and coefficients of either
+# sign, integral or not; a drawn zero coefficient drops its term, and an
+# empty dict is the zero element
+wide_coefficients = st.one_of(st.integers(-40, 40),
+                              st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)))
+wide_exps = st.lists(st.integers(0, 12), min_size=10, max_size=10).map(tuple)
+sparse_exps = st.lists(st.sampled_from(list(Gen)), max_size=12).map(word_to_exp)
+any_exps = st.one_of(wide_exps, sparse_exps)
+any_pairs = st.tuples(any_exps, masks)
+
+# kind -> (constructor from a term dict, key strategy)
+FORMATTED = {
+    "u": (UElement, any_exps),
+    "s": (SElement, any_exps),
+    "ext": (ExtElement, masks),
+    "c": (ALG.cl.element, masks),
+    "se": (SEElement, any_pairs),
+    "uc": (ALG.element, any_pairs),
+}
+
+
+@pytest.mark.parametrize("kind", FORMATTED)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_text_and_element_files_equal_the_reference_byte_for_byte(kind, data):
+    make, keys = FORMATTED[kind]
+    x = make(data.draw(st.dictionaries(keys, wide_coefficients, max_size=12)))
+    assert str(x) == oracle_text(x)
+    if kind in ("se", "uc"):
+        assert dumps_element(x) == oracle_dumps(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(any_pairs, max_size=30))
+def test_the_flat_sort_keys_order_keys_as_the_nested_ones(keys):
+    assert sorted(keys, key=pair_sort_key) == sorted(keys, key=oracles.pair_sort_key)
+    exps_only = [exp for exp, _ in keys]
+    assert sorted(exps_only, key=exp_sort_key) == sorted(exps_only, key=oracles.exp_sort_key)
+
+
+def test_every_mask_prints_and_sorts_as_the_reference():
+    every = list(range(16))
+    for m in every:
+        assert mask_sort_key(m) == oracles.mask_sort_key(m)
+        assert MASK_FIELDS[m] == oracles._mask_str(m)
+        for sep in "*^":
+            assert fmt_mask(m, sep) == oracles.fmt_mask(m, sep)
+    # one element over all 16 masks, under each exponent shape
+    for exp in (ZERO_EXP, word_to_exp((Gen.H1, Gen.H1, Gen.F4)), (12,) * 10):
+        for x in (ALG.element({(exp, m): Fraction(2 * m - 15, 3) for m in every}),
+                  SEElement({(exp, m): 2 * m - 15 for m in every})):
+            assert str(x) == oracle_text(x)
+            assert dumps_element(x) == oracle_dumps(x)

@@ -355,6 +355,37 @@ def test_a_bad_header_number_names_its_own_line(cat, field, lineno):
     assert exc.value.position == lineno
 
 
+TEN_EXPONENTS = "exponent field needs ten nonnegative integers"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (2, "01x0", "bad mask field '01x0'"),
+    (2, "010", "bad mask field '010'"),
+    (2, "01010", "bad mask field '01010'"),
+    (1, "0 " * 9, TEN_EXPONENTS),
+    (1, "0 " * 11, TEN_EXPONENTS),
+    (1, "-1" + " 0" * 9, TEN_EXPONENTS),
+    (1, "a" + " 0" * 9, "bad term field: invalid literal for int() with base 10: 'a'"),
+], ids=["mask-x", "mask-3", "mask-5", "exp-9", "exp-11", "exp-negative", "exp-letter"])
+def test_a_bad_term_field_names_the_line_of_its_term(cat, field, value, message):
+    lines = dumps_element(cat.elements["h"]).splitlines()
+    parts = lines[-1].split(" | ")
+    parts[field] = value
+    lines[-1] = " | ".join(parts)
+    with pytest.raises(ParseError) as exc:
+        loads_element("\n".join(lines) + "\n")
+    assert str(exc.value) == f"{message} (at position {len(lines)})"
+    assert exc.value.position == len(lines)
+
+
+def test_a_term_field_is_read_without_its_surrounding_spaces(cat):
+    # each field of a term line is stripped, so a trailing space after the
+    # mask is no error
+    el = cat.elements["h"]
+    text = dumps_element(el)
+    assert loads_element(text.replace("\n", " \n")) == el
+
+
 def test_cli_load_reports_a_bad_file_as_an_error(capsys, tmp_path, cat):
     for kind, (body, message) in bad_element_files(dumps_element(cat.elements["h"])).items():
         path = tmp_path / f"{kind}.element"
@@ -1011,6 +1042,22 @@ def _eval_realm_cases():
         lines = fh.read().splitlines()
     return [pytest.param(*line.split("|"), id=f"line{n}")
             for n, line in enumerate(lines, 1) if not line.startswith("#")]
+
+
+def _eval_long_cases():
+    with open(os.path.join(DATA, "eval_long_sha256.txt"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cases = [line.split("|") for line in lines if not line.startswith("#")]
+    return [pytest.param(*case, id=f"{case[0]}:{case[1]}") for case in cases]
+
+
+# the whole canonical text of three long elements, byte for byte
+@pytest.mark.parametrize("ambient, expr, size, digest", _eval_long_cases())
+def test_eval_of_a_long_element_prints_the_recorded_bytes(capsys, ambient, expr, size, digest):
+    code, out, err = run_cli(capsys, "eval", "--ambient", ambient, "--", expr)
+    assert (code, err) == (0, "")
+    text = out.encode()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (int(size), digest)
 
 
 # exit code, stdout and stderr of eval in every realm: ot and wedges in both

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
@@ -23,6 +24,7 @@ from oracles import (
     u_k_invariant,
 )
 from so41inv import uea
+from so41inv.elements import ZERO_EXP
 from so41inv.lie_core import GEN_WEIGHTS, bracket, lie_gen
 from so41inv.matrix_oracle import (
     GR0,
@@ -205,6 +207,36 @@ def test_straightening_and_orderings_memos_hold_only_ints():
     values += [straighten_word(w) for n in range(4) for w in product(range(10), repeat=n)]
     for terms in values:
         assert terms and all(type(c) is int for c in terms.values())
+
+
+def test_every_memoized_table_is_read_only():
+    # the four straightening memos hand the same table to every caller, so
+    # a write must raise rather than change what later calls return
+    exp = word_to_exp((Gen.H1, Gen.E3, Gen.F3))
+    calls = [
+        lambda: uea.insert_gen(Gen.H1, exp),
+        lambda: uea.insert_gen(Gen.F4, exp),
+        lambda: uea.pbw_pair_product(exp, exp),
+        lambda: uea.gen_commutator(Gen.E1, exp),
+        lambda: uea.gen_commutator(Gen.E1, ZERO_EXP),
+        lambda: uea._orderings_sum(exp),
+        lambda: uea._orderings_sum(ZERO_EXP),
+    ]
+    def assign(table):
+        table[exp] = 7
+
+    def delete(table):
+        del table[exp]
+
+    for call in calls:
+        table = call()
+        want = dict(table)
+        for write in (assign, delete):
+            with pytest.raises(TypeError, match="mappingproxy"):
+                write(table)
+        for method in ("clear", "pop", "update", "setdefault"):
+            assert not hasattr(table, method)
+        assert call() is table and dict(table) == want
 
 
 def test_symmetrize_is_linear():
