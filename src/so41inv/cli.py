@@ -56,12 +56,13 @@ def _catalog_for(args):
 
 def suite_table(rep: Reporter, args) -> None:
     from .lie_core import certify_against_oracle
-    from .matrix_oracle import Gen, basis_matrices, is_so41_member, mat_trace
+    from .matrix_oracle import Gen, basis_matrices, gauss_text, is_so41_member, mat_trace
     mats = basis_matrices()
     for g in Gen:
         m = mats[g]
         trace = mat_trace(m)
-        rep.check(f"MATRIX {g.name} membership trace={trace}", is_so41_member(m) and not trace)
+        rep.check(f"MATRIX {g.name} membership trace={gauss_text(*trace, m.scale)}",
+                  is_so41_member(m) and trace == (0, 0))
     mismatches = certify_against_oracle()
     bad_pairs = set()
     for msg in mismatches:

@@ -2,20 +2,17 @@
 
 The table is the single source of truth for every symbolic computation in
 the package; certify_against_oracle() proves it agrees with brackets of the
-explicit 5x5 matrices by evaluating every entry there, in Gaussian
-integers. Weights are taken with respect to (ad H1, ad H2), which act
-diagonally on the basis.
+explicit 5x5 matrices by evaluating every entry there, in the Gaussian
+integers the basis matrices are kept in. Weights are taken with respect to
+(ad H1, ad H2), which act diagonally on the basis.
 """
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 from . import matrix_oracle
 from ._record import record
 from .elements import LinearElement
 from .errors import DomainError
-from .matrix_oracle import GaussRational, Gen, K_GENS, P_GENS
+from .matrix_oracle import Gen, K_GENS, P_GENS, gauss_text
 
 # Unordered commutator table, keys (a, b) with a < b in basis order.
 # Values are tuples of (generator, integer coefficient).
@@ -172,35 +169,27 @@ def jacobi_check() -> list[str]:
 
 def certify_against_oracle() -> list[str]:
     """Evaluate every table entry in the 5x5 matrices, in Gaussian integers:
-    the ten M_g are scaled by the lcm D of their entry denominators, and
-    [a, b] passes when the bracket of the scaled M_a and M_b, which is
-    D^2 [M_a, M_b], equals D^2 times the table's combination of the M_g (both
-    sides also times the lcm of the combination's coefficient denominators,
-    so the comparison is in ints). That settles the entry because the ten M_g
-    are linearly independent over C, which is proved on every call from the
-    same int coordinates (real rank 20); if they are not, every pair fails
-    and names the rank. Returns one mismatch description per failing pair,
-    starting "[A,B]: " and naming the nonzero entries of [M_a, M_b] minus the
-    claim as Gaussian rationals (empty = certified). Nothing is cached."""
-    basis = matrix_oracle.basis_matrices()
-    scaled, d = matrix_oracle.gaussian_integer_matrices(basis.values())
-    rank = matrix_oracle.integer_real_rank(scaled)
+    [a, b] passes when [M_a, M_b] minus the table's combination of the M_g,
+    computed in ints over one scale from the int entries of the basis
+    (matrix_oracle.bracket_residual), is zero. That settles the entry
+    because the ten M_g are linearly independent over C, which is proved on
+    every call from the same int coordinates (real rank 20); if they are
+    not, every pair fails and names the rank. Returns one mismatch
+    description per failing pair, starting "[A,B]: " and naming the nonzero
+    entries of [M_a, M_b] minus the claim as Gaussian rationals (empty =
+    certified). Nothing is cached."""
+    mats = matrix_oracle.basis_matrices()
+    rank = matrix_oracle.integer_real_rank(mats.values())
     pairs = [(a, b) for a in Gen for b in Gen if a < b]
     if rank != 20:
         return [f"[{a.name},{b.name}]: the basis coordinates have rank {rank}, "
                 "not 20, so no bracket is certified" for a, b in pairs]
-    mats = dict(zip(basis, scaled))
     mismatches = []
     for a, b in pairs:
-        coeffs = bracket_gens(a, b)
-        den = lcm(*(c.denominator for _, c in coeffs))
-        residual = matrix_oracle.int_combination((
-            (matrix_oracle.int_bracket(mats[a], mats[b]), den),
-            *((mats[g], -int(c * den) * d) for g, c in coeffs)))
+        residual, scale = matrix_oracle.bracket_residual(
+            mats[a], mats[b], [(mats[g], c) for g, c in bracket_gens(a, b)])
         if residual:
-            scale = den * d * d  # back to the entries of [M_a, M_b] minus the claim
-            nonzero = [f"({i + 1},{j + 1})="
-                       f"{GaussRational(Fraction(re, scale), Fraction(im, scale))!r}"
+            nonzero = [f"({i + 1},{j + 1})={gauss_text(re, im, scale)}"
                        for (i, j), (re, im) in sorted(residual.items())]
             mismatches.append(f"[{a.name},{b.name}]: matrix bracket minus table "
                               f"is nonzero at {' '.join(nonzero)}")

@@ -6,16 +6,18 @@ independence of the 5x5 basis matrices), where vectors are dictionaries
 keyed by ordered column keys. It is fraction-free: rows are scaled to Python
 ints once, eliminated by gcd-primitive integer combinations (in the spirit of
 Bareiss, Math. Comp. 1968), and each kernel vector comes back as int
-numerators over one denominator. The one kernel, dependency_kernel, is read
-from the linear dependencies among rows: each row carries a tag column of
-its own, so the tags left on a row whose own columns reduce to zero are a
-dependency. The kernel of a matrix is the dependencies among its columns,
-so a caller holding the columns (as the invariant dimensions do) passes
-them as the rows.
+numerators over one denominator. Each step clears the leading column of the
+residual, taken off a heap of its columns rather than found by a scan. The
+one kernel, dependency_kernel, is read from the linear dependencies among
+rows: each row carries a tag column of its own, so the tags left on a row
+whose own columns reduce to zero are a dependency. The kernel of a matrix
+is the dependencies among its columns, so a caller holding the columns (as
+the invariant dimensions do) passes them as the rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -70,12 +72,20 @@ class RationalEchelon:
         """Integer multiple of vec minus a combination of the stored rows,
         whose leading column is not a pivot; empty iff vec is in the span.
         The elimination step of _eliminate, inlined: this loop is where the
-        graded dimensions spend their time."""
+        graded dimensions spend their time. The leading column comes off a
+        heap of the columns of res, the same column min(res) would give: a
+        column cleared to 0 stays on the heap and is skipped when it comes
+        up, and a column filled in is pushed. A step touches only columns
+        from its own on, so a cleared pivot column never comes back."""
         res = _int_row(vec)
         rows = self.rows
         get = res.get
-        while res:
-            col = min(res)
+        heap = list(res)
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            if col not in res:
+                continue
             prow = rows.get(col)
             if prow is None:
                 break
@@ -88,7 +98,12 @@ class RationalEchelon:
                     get = res.get
                 a //= g
             for c, v in prow.items():
-                nv = get(c, 0) - a * v
+                old = get(c)
+                if old is None:
+                    res[c] = -a * v
+                    heappush(heap, c)
+                    continue
+                nv = old - a * v
                 if nv:
                     res[c] = nv
                 else:

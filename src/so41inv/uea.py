@@ -35,9 +35,10 @@ elements over different denominators).
 Generator insertions, pair products, generator commutators, P and sigma
 of a monomial are pure functions of their arguments, each kept for the
 life of the process by functools.cache: cache_info() reports a table's
-size and hits, and cache_clear() empties it. The cached tables are shared,
-so they are handed out read-only (types.MappingProxyType): a caller that
-writes to one gets a TypeError instead of corrupting every later result.
+size and hits, and cache_clear() empties it. The cached tables, and the
+numerators of a cached sigma of a monomial, are shared, so they are handed
+out read-only (types.MappingProxyType): a caller that writes to one gets a
+TypeError instead of corrupting every later result.
 """
 from __future__ import annotations
 
@@ -214,11 +215,13 @@ def _orderings_sum(exp: Exp) -> MappingProxyType:
 @cache
 def symmetrize_monomial(exp: Exp) -> UElement:
     """sigma of a single symmetric monomial: P(exp) over the number of
-    distinct orderings (shared through the cache)."""
+    distinct orderings, shared through the cache, so its num is read-only."""
     orderings = factorial(sum(exp))
     for e in exp:
         orderings //= factorial(e)
-    return UElement._of(_orderings_sum(exp), orderings)
+    el = UElement._of(_orderings_sum(exp), orderings)
+    el.num = MappingProxyType(el.num)
+    return el
 
 
 def symmetrize(x: SElement) -> UElement:

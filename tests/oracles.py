@@ -10,9 +10,14 @@ degree as its cross-check, and a Fraction determinant checks the rank of
 its certificate A. The k-module decomposition (weights plus highest weight
 counting) and the invariance predicates by all six k-generators back the
 tests of the closed-form catalog; no verify path uses them. The 5x5
-matrix products, brackets and combinations over Q(i), entry by entry in
-GaussRational, check the Gaussian integer evaluation of the commutator
-table. A sparse transpose turns the dependencies among rows, the engine's
+matrices over Q(i), entry by entry in GaussRational (pairs of Fractions):
+the ten basis matrices built from the realization's entries, their
+products, brackets, combinations, traces and membership, a Fraction
+echelon for their rank, and from these the whole stdout of `verify table`,
+check the package's basis and its Gaussian integer arithmetic; converters
+carry matrices between the two forms. A min-scan echelon, which finds each
+pivot as min over the whole residual, checks the heap the engine finds it
+with. A sparse transpose turns the dependencies among rows, the engine's
 one kernel, into a matrix kernel for the Fraction RREF to check.
 
 The rest are test-only entry points into the engine, which no verify path
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd, lcm
 
 from so41inv import uea
 from so41inv.clifford import CElement, ExtElement
@@ -44,14 +49,14 @@ from so41inv.lie_core import (
     is_in_k,
     lie_gen,
 )
-from so41inv.linalg import RationalEchelon, sparse_rank
+from so41inv.linalg import RationalEchelon, _int_row, sparse_rank
 from so41inv.matrix_oracle import (
-    GR0,
-    GaussRational,
+    GaussMatrix,
     Gen,
     K_GENS,
     P_GENS,
-    gaussian_integer_matrices,
+    basis_matrices,
+    gauss_matrix,
     integer_real_rank,
 )
 from so41inv.serialization import MAGIC, _header_of, order_hash
@@ -128,7 +133,157 @@ def echelon_contains(ech: RationalEchelon, vec: dict) -> bool:
     return not ech._residual(vec)
 
 
+class MinScanEchelon(RationalEchelon):
+    """The engine's echelon with each pivot found by min over the whole
+    residual at every step, instead of off a heap."""
+
+    def _residual(self, vec: dict) -> dict[int, int]:
+        res = _int_row(vec)
+        while res:
+            col = min(res)
+            prow = self.rows.get(col)
+            if prow is None:
+                break
+            g = gcd(res[col], prow[col])
+            f, fp = prow[col] // g, res[col] // g
+            res = {c: v * f for c, v in res.items()}
+            for c, v in prow.items():
+                res[c] = res.get(c, 0) - fp * v
+            res = {c: v for c, v in res.items() if v}
+        return res
+
+
 # -- 5x5 matrices over Q(i), as tuples of GaussRational rows -------------------
+
+class GaussRational:
+    """An element of Q(i), kept as a pair of Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        # the arithmetic below passes Fractions, which need no new object
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
+
+    def __add__(self, other):
+        return GaussRational(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return GaussRational(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return GaussRational(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return GaussRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, GaussRational):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __repr__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+
+GR0 = GaussRational(0)
+GR1 = GaussRational(1)
+GRI = GaussRational(0, 1)
+HALF = GaussRational(Fraction(1, 2))
+
+
+def _build(entries: list[tuple[int, int, GaussRational]], scale: GaussRational = GR1) -> tuple:
+    """Matrix from 1-indexed (i, j, value) entries, times an overall scale."""
+    m = [[GR0 for _ in range(5)] for _ in range(5)]
+    for i, j, v in entries:
+        m[i - 1][j - 1] = m[i - 1][j - 1] + scale * v
+    return tuple(tuple(row) for row in m)
+
+
+def reference_basis() -> dict:
+    """The ten basis matrices in GaussRational, built from the entries of
+    the realization: the reference for matrix_oracle.basis_matrices."""
+    return {
+        Gen.H1: _build([(1, 2, GRI), (2, 1, -GRI)]),
+        Gen.H2: _build([(3, 4, GRI), (4, 3, -GRI)]),
+        Gen.E1: _build(
+            [
+                (1, 3, GR1), (2, 4, -GR1), (2, 3, -GRI), (1, 4, -GRI),
+                (3, 1, -GR1), (4, 2, GR1), (3, 2, GRI), (4, 1, GRI),
+            ],
+            HALF,
+        ),
+        Gen.F1: _build(
+            [
+                (1, 3, GR1), (2, 4, -GR1), (2, 3, GRI), (1, 4, GRI),
+                (3, 1, -GR1), (4, 2, GR1), (3, 2, -GRI), (4, 1, -GRI),
+            ],
+            -HALF,
+        ),
+        Gen.E2: _build(
+            [
+                (1, 3, GR1), (2, 4, GR1), (2, 3, -GRI), (1, 4, GRI),
+                (3, 1, -GR1), (4, 2, -GR1), (3, 2, GRI), (4, 1, -GRI),
+            ],
+            HALF,
+        ),
+        Gen.F2: _build(
+            [
+                (1, 3, GR1), (2, 4, GR1), (2, 3, GRI), (1, 4, -GRI),
+                (3, 1, -GR1), (4, 2, -GR1), (3, 2, -GRI), (4, 1, GRI),
+            ],
+            -HALF,
+        ),
+        Gen.E3: _build([(1, 5, GR1), (2, 5, -GRI), (5, 1, GR1), (5, 2, -GRI)]),
+        Gen.F3: _build([(1, 5, GR1), (2, 5, GRI), (5, 1, GR1), (5, 2, GRI)]),
+        Gen.E4: _build([(3, 5, GR1), (4, 5, -GRI), (5, 3, GR1), (5, 4, -GRI)]),
+        Gen.F4: _build([(3, 5, GR1), (4, 5, GRI), (5, 3, GR1), (5, 4, GRI)]),
+    }
+
+
+def gaussian_integer_matrices(mats) -> tuple[list[GaussMatrix], int]:
+    """Each GaussRational matrix as a GaussMatrix over D, and D: the lcm of
+    the denominators of all their entries, so every scaled entry is an int."""
+    mats = list(mats)
+    d = lcm(*(x.denominator for m in mats for row in m for z in row for x in (z.re, z.im)))
+    return [gauss_matrix({(i, j): (int(z.re * d), int(z.im * d))
+                          for i, row in enumerate(m) for j, z in enumerate(row)}, d)
+            for m in mats], d
+
+
+def integer_basis(mats: dict) -> dict:
+    """A {generator: GaussRational matrix} dict as GaussMatrix over one D,
+    the form matrix_oracle.basis_matrices hands out."""
+    return dict(zip(mats, gaussian_integer_matrices(mats.values())[0]))
+
+
+def rational_matrix(m: GaussMatrix) -> tuple:
+    """A GaussMatrix as a 5-tuple of 5-tuples of GaussRational."""
+    out = [[GR0 for _ in range(5)] for _ in range(5)]
+    for i, row in enumerate(m.rows):
+        for j, re, im in row:
+            out[i][j] = GaussRational(Fraction(re, m.scale), Fraction(im, m.scale))
+    return tuple(tuple(row) for row in out)
+
+
+def rational_basis() -> dict:
+    """matrix_oracle.basis_matrices() in GaussRational, in a new dict."""
+    return {g: rational_matrix(m) for g, m in basis_matrices().items()}
+
 
 GAMMA = tuple(tuple(GaussRational(d if i == j else 0) for j in range(5))
               for i, d in enumerate((1, 1, 1, 1, -1)))
@@ -167,6 +322,67 @@ def real_rank(mats) -> int:
     """integer_real_rank of the matrices scaled to Gaussian integers (which
     leaves the rank as it is)."""
     return integer_real_rank(gaussian_integer_matrices(mats)[0])
+
+
+def rational_trace(m) -> GaussRational:
+    return sum((m[i][i] for i in range(5)), GR0)
+
+
+def rational_member(m) -> bool:
+    """m^T = -gamma m gamma and tr(m) = 0, as whole matrices."""
+    return (mat_transpose(m) == mat_scale(GaussRational(-1), mat_mul(GAMMA, mat_mul(m, GAMMA)))
+            and not rational_trace(m))
+
+
+def fraction_real_rank(mats) -> int:
+    """Rank over Q of the real coordinates of each matrix and of i times
+    it, in a Fraction echelon: twice the rank over C."""
+    ech = FractionEchelon()
+    for m in mats:
+        for z_of in (lambda z: z, lambda z: GRI * z):
+            coords = {}
+            for k, z in enumerate(z_of(z) for row in m for z in row):
+                coords[k], coords[25 + k] = z.re, z.im
+            ech.insert(coords)
+    return ech.rank
+
+
+def rational_mismatch(mats: dict, a: Gen, b: Gen) -> str | None:
+    """The mismatch text for [a, b] read off GaussRational matrices: the
+    nonzero entries of [M_a, M_b] minus the table's combination, or None."""
+    residual = mat_sub(matrix_bracket(mats[a], mats[b]),
+                       mat_combination(mats, bracket_gens(a, b)))
+    nonzero = [f"({i},{j})={z!r}" for i, row in enumerate(residual, 1)
+               for j, z in enumerate(row, 1) if z]
+    if not nonzero:
+        return None
+    return f"[{a.name},{b.name}]: matrix bracket minus table is nonzero at {' '.join(nonzero)}"
+
+
+def table_stdout(mats: dict) -> str:
+    """The stdout of `verify table` on the GaussRational basis mats, every
+    check computed in GaussRational and the rank in a Fraction echelon."""
+    lines, failures = [], 0
+    for g in Gen:
+        ok = rational_member(mats[g])
+        failures += not ok
+        lines.append(f"MATRIX {g.name} membership trace={rational_trace(mats[g])!r} "
+                     f"{'PASS' if ok else 'FAIL'}")
+    pairs = [(a, b) for a in Gen for b in Gen if a < b]
+    rank = fraction_real_rank(mats.values())
+    if rank != 20:
+        bad = {(a, b): f"[{a.name},{b.name}]: the basis coordinates have rank {rank}, "
+                       "not 20, so no bracket is certified" for a, b in pairs}
+    else:
+        bad = {(a, b): rational_mismatch(mats, a, b) for a, b in pairs}
+        bad = {pair: text for pair, text in bad.items() if text}
+    lines += [f"# {text}" for text in bad.values()]
+    lines += [f"TABLE [{a.name},{b.name}] {'FAIL' if (a, b) in bad else 'PASS'}"
+              for a, b in pairs]
+    failures += len(bad)
+    lines.append(f"TABLE SUMMARY {len(pairs) - len(bad)}/{len(pairs)}")
+    lines.append(f"VERIFY table checks=55 failures={failures} {'FAIL' if failures else 'PASS'}")
+    return "".join(f"{ln}\n" for ln in lines)
 
 
 def transpose(rows: list[dict], ncols: int) -> list[dict]:

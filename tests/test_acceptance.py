@@ -10,11 +10,14 @@ from fractions import Fraction
 
 from oracles import (
     GAMMA,
+    GaussRational,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_transpose,
     matrix_bracket,
+    rational_basis,
+    rational_trace,
     real_rank,
 )
 from so41inv.clifford import ExtElement
@@ -26,14 +29,7 @@ from so41inv.invariants import (
     truncated_rank16_check,
 )
 from so41inv.lie_core import bracket, bracket_gens, lie_gen
-from so41inv.matrix_oracle import (
-    GaussRational,
-    Gen,
-    K_GENS,
-    P_GENS,
-    basis_matrices,
-    mat_trace,
-)
+from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
 from so41inv.sym_ext import SEElement, ad_action_se
 from so41inv.tensor_algebra import (
     NAMED_ORDER,
@@ -70,7 +66,7 @@ def random_u(rng: random.Random, max_degree: int = 4) -> UElement:
 
 
 def test_criterion_1_commutator_table(capsys, cat):
-    mats = basis_matrices()
+    mats = rational_basis()
     failures = []
 
     minus_one = GaussRational(-1, 0)
@@ -78,7 +74,7 @@ def test_criterion_1_commutator_table(capsys, cat):
         want = mat_scale(minus_one, mat_mul(GAMMA, mat_mul(m, GAMMA)))
         if mat_transpose(m) != want:
             failures.append(f"{m_name.name}: transpose condition")
-        if mat_trace(m):
+        if rational_trace(m):
             failures.append(f"{m_name.name}: nonzero trace")
 
     # the ten matrices are independent over C, so a bracket equal to the

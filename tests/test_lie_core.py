@@ -1,18 +1,25 @@
 """Abstract Lie layer: table vs oracle, Jacobi, the Cartan split, weights."""
-import pytest
+import contextlib
+import io
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    GaussRational,
     cartan_split_check,
     gen_weight,
+    integer_basis,
     is_in_p,
     mat_combination,
-    mat_sub,
-    matrix_bracket,
+    rational_basis,
+    rational_mismatch,
+    reference_basis,
     sl2_triple_check,
+    table_stdout,
 )
 from so41inv import cli, lie_core, matrix_oracle
 from so41inv.errors import DomainError
@@ -40,14 +47,7 @@ PAIRS = [(a, b) for a in Gen for b in Gen if a < b]
 def gauss_rational_mismatch(a: Gen, b: Gen) -> str | None:
     """The mismatch text for [a, b] read off the GaussRational matrices: the
     nonzero entries of [M_a, M_b] minus the table's combination, or None."""
-    mats = matrix_oracle.basis_matrices()
-    residual = mat_sub(matrix_bracket(mats[a], mats[b]),
-                       mat_combination(mats, bracket_gens(a, b)))
-    nonzero = [f"({i},{j})={z!r}" for i, row in enumerate(residual, 1)
-               for j, z in enumerate(row, 1) if z]
-    if not nonzero:
-        return None
-    return f"[{a.name},{b.name}]: matrix bracket minus table is nonzero at {' '.join(nonzero)}"
+    return rational_mismatch(rational_basis(), a, b)
 
 
 def test_dropping_the_h2_term_of_e1_f1_names_its_two_entries(monkeypatch):
@@ -73,9 +73,9 @@ def test_a_tampered_table_entry_is_the_one_mismatch(pair, g, c):
 def dependent_basis() -> dict:
     # F4 replaced by 3/2 E3 - H1: still in so(4,1), but the ten matrices
     # span only nine complex dimensions, so no table entry is settled
-    mats = dict(matrix_oracle.basis_matrices())
+    mats = rational_basis()
     mats[Gen.F4] = mat_combination(mats, ((Gen.E3, Fraction(3, 2)), (Gen.H1, -1)))
-    return mats
+    return integer_basis(mats)
 
 
 def assert_every_pair_fails(capsys) -> None:
@@ -106,6 +106,31 @@ def test_a_dependent_basis_after_a_warm_table_run_fails_every_pair(monkeypatch, 
     mats = dependent_basis()
     monkeypatch.setattr(matrix_oracle, "basis_matrices", lambda: mats)
     assert_every_pair_fails(capsys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Gen)), st.integers(0, 4), st.integers(0, 4),
+       st.builds(GaussRational, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                 st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))).filter(bool))
+def test_a_tampered_basis_entry_prints_as_the_reference_path(g, i, j, z):
+    # one entry of one basis matrix moved by z: the MATRIX, TABLE and
+    # "# [A,B]: ..." lines are those computed in GaussRational throughout
+    mats = reference_basis()
+    m = [list(row) for row in mats[g]]
+    m[i][j] = m[i][j] + z
+    mats[g] = tuple(map(tuple, m))
+    tampered = integer_basis(mats)
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(matrix_oracle, "basis_matrices", lambda: tampered)
+        assert cli.main(["verify", "table"]) == 1
+    assert out.getvalue() == table_stdout(mats)
+    assert f"MATRIX {g.name} membership trace=" in out.getvalue()
+
+
+def test_the_untouched_basis_prints_the_golden_as_the_reference_path(capsys):
+    assert cli.main(["verify", "table"]) == 0
+    assert capsys.readouterr().out == table_stdout(reference_basis())
 
 
 def test_jacobi_all_triples():

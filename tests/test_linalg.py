@@ -1,13 +1,15 @@
 """The fraction-free echelon against an independent Fraction RREF oracle, on
 random sparse rational rows with zero rows, duplicates and rational
-multiples planted among them."""
+multiples planted among them; and its heap pivot against a min scan, on
+the image tables of the graded dimensions."""
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionEchelon, echelon_contains, rref_kernel, transpose
+from oracles import FractionEchelon, MinScanEchelon, echelon_contains, rref_kernel, transpose
+from so41inv.invariants import image_table, zero_weight_keys
 from so41inv.linalg import RationalEchelon, dependency_kernel, sparse_rank
 
 MAX_COLS = 8
@@ -125,4 +127,23 @@ def test_rank_and_kernel_through_the_transpose(data):
     assert sparse_rank(rows) == rank_t
     assert len(dependency_kernel(dict(enumerate(transpose(rows, ncols))))) == ncols - rank_t
     assert transpose(transpose(rows, ncols), len(rows)) == rows
+
+
+def test_the_heap_pivot_stores_the_rows_of_a_min_scan():
+    # the rows of the rank path (table last key first) at degrees 0-9, and
+    # of the kernel path (each row with its tag column) at degrees 0-7: the
+    # same rows, in the same order, as when each pivot is min(residual)
+    for n in range(10):
+        cols = zero_weight_keys(n)
+        table, _ = image_table(cols)
+        last = len(cols) - 1
+        top = 1 + max((max(r) for r in table if r), default=-1)
+        runs = [table[::-1]]
+        if n <= 7:
+            runs.append([{**table[t], top + last - t: 1} for t in range(last, -1, -1)])
+        for rows in runs:
+            ech, ref = RationalEchelon(), MinScanEchelon()
+            for r in rows:
+                assert ech.insert(r) == ref.insert(r)
+            assert list(ech.rows.items()) == list(ref.rows.items()), n
 

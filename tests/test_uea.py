@@ -15,25 +15,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    GR0,
+    GR1,
+    GaussRational,
     first_descent_straighten,
     lie_to_u,
     mat_mul,
     mat_scale,
     mat_sub,
+    rational_basis,
     straighten_word,
     u_k_invariant,
 )
 from so41inv import uea
 from so41inv.elements import ZERO_EXP
 from so41inv.lie_core import GEN_WEIGHTS, bracket, lie_gen
-from so41inv.matrix_oracle import (
-    GR0,
-    GR1,
-    GaussRational,
-    Gen,
-    K_GENS,
-    basis_matrices,
-)
+from so41inv.matrix_oracle import Gen, K_GENS, basis_matrices
 from so41inv.sym_ext import SEElement, ad_action_se
 from so41inv.uea import (
     SElement,
@@ -92,12 +89,13 @@ def test_straighten_swap_lowers_degree_by_bracket():
 
 
 IDENTITY5 = tuple(tuple(GR1 if i == j else GR0 for j in range(5)) for i in range(5))
+BASIS = rational_basis()
 
 
 def word_matrix(word):
     out = IDENTITY5
     for g in word:
-        out = mat_mul(out, basis_matrices()[Gen(g)])
+        out = mat_mul(out, BASIS[Gen(g)])
     return out
 
 
@@ -237,6 +235,36 @@ def test_every_memoized_table_is_read_only():
         for method in ("clear", "pop", "update", "setdefault"):
             assert not hasattr(table, method)
         assert call() is table and dict(table) == want
+
+
+def test_the_basis_matrices_are_read_only(cold_caches):
+    # one mapping of ten matrices serves the whole process: neither it nor
+    # a matrix in it can be written to
+    mats = basis_matrices()
+    want = dict(mats)
+    with pytest.raises(TypeError, match="mappingproxy"):
+        mats[Gen.H1] = None
+    with pytest.raises(TypeError, match="mappingproxy"):
+        del mats[Gen.H1]
+    h1 = mats[Gen.H1]
+    with pytest.raises(TypeError):
+        h1.rows[0] = ()
+    with pytest.raises(TypeError):
+        h1.rows[0][0] = (1, 0, 0)
+    assert basis_matrices() is mats and dict(basis_matrices()) == want
+
+
+def test_a_cached_sigma_of_a_monomial_is_read_only(cold_caches):
+    # every caller shares the one element of the cache: a write to its
+    # numerators raises instead of changing every later symmetrization
+    e = word_to_exp((Gen.E1, Gen.F1))
+    want = str(symmetrize(s_gen(Gen.E1) * s_gen(Gen.F1)))
+    assert want == "-1/2 * H2 - 1/2 * H1 + E1 * F1"
+    with pytest.raises(TypeError, match="mappingproxy"):
+        symmetrize_monomial(e).num[e] = 99
+    assert str(symmetrize(s_gen(Gen.E1) * s_gen(Gen.F1))) == want
+    assert symmetrize_monomial(e) is symmetrize_monomial(e)
+    assert symmetrize_monomial.cache_info().hits >= 1
 
 
 def test_symmetrize_is_linear():
