@@ -15,17 +15,22 @@ One term per line: exact rational coefficient, the ten PBW exponents in
 basis order H1 H2 E1 E2 F1 F2 E3 E4 F3 F4, and the Clifford (or exterior)
 mask as four characters over E3 E4 F3 F4, '1' where the generator occurs.
 Terms are sorted graded-lexicographically (elements.pair_sort_key), so
-dump(load(text)) == text byte for byte. Each row is one format of the
-coefficient, the ten exponents and the mask's field from
-elements.MASK_FIELDS; the reader maps the field back through the inverse
-table, so any other four characters are a bad mask field. The order-hash pins the basis order and normalization the
-coefficients refer to; a file written under a different convention fails
-loudly instead of reading back wrong numbers.
+dump(load(text)) == text byte for byte. A row is the formatted
+coefficient followed by a text built once per monomial key and process
+(_row_of, a functools.cache that also holds the key's pair_sort_key): the
+ten exponents and the mask's field from elements.MASK_FIELDS. The reader
+maps the field back through the inverse table, so any other four
+characters are a bad mask field. dump_element writes the UTF-8 bytes in
+binary, so lines end in '\\n' on every platform. The order-hash pins the
+basis order and normalization the coefficients refer to; a file written
+under a different convention fails loudly instead of reading back wrong
+numbers.
 """
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import cache
 
 from .elements import GEN_NAMES, MASK_FIELDS, fmt_coeff, pair_sort_key
 from .errors import ParseError
@@ -60,6 +65,14 @@ _EXP_FMT = " ".join(["%d"] * 10)
 _MASK_OF_FIELD = {field: mask for mask, field in enumerate(MASK_FIELDS)}
 
 
+@cache
+def _row_of(key: tuple) -> tuple[tuple, str]:
+    """The sort key of a monomial key and the text of its row after the
+    coefficient, built once per key a process writes."""
+    exp, mask = key
+    return pair_sort_key(key), f" | {_EXP_FMT % exp} | {MASK_FIELDS[mask]}"
+
+
 def dumps_element(el) -> str:
     algebra_id, sign, gram = _header_of(el)
     lines = [
@@ -70,15 +83,18 @@ def dumps_element(el) -> str:
         f"order-hash: {order_hash(algebra_id, sign, gram)}",
         f"terms: {len(el)}",
     ]
-    num, den = el.num, el.den
-    lines += [f"{fmt_coeff(num[key], den)} | {_EXP_FMT % key[0]} | {MASK_FIELDS[key[1]]}"
-              for key in sorted(num, key=pair_sort_key)]
+    den = el.den
+    # sort keys are distinct, so the sort never compares the row texts
+    rows = sorted([_row_of(key) + (c,) for key, c in el.num.items()])
+    lines += [f"{c}{tail}" if den == 1 else f"{fmt_coeff(c, den)}{tail}"
+              for _, tail, c in rows]
     return "\n".join(lines) + "\n"
 
 
 def dump_element(el, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_element(el))
+    # binary, so every line ends in a bare newline on every platform
+    with open(path, "wb") as fh:
+        fh.write(dumps_element(el).encode())
 
 
 def _expect(lines: list[str], lineno: int, prefix: str) -> str:

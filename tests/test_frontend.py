@@ -10,13 +10,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import package_caches
+from so41inv.elements import pair_sort_key
 from so41inv.errors import EvalError, ExprTypeError, ParseError
 from so41inv.evaluator import evaluate
 from so41inv.matrix_oracle import Gen
 from so41inv.parser import BinOp, Call, Num, Sym, describe, parse
 from so41inv.serialization import dump_element, dumps_element, load_element, loads_element
 from so41inv.sym_ext import se_gen
-from so41inv import cli, tensor_algebra
+from so41inv import cli, serialization, tensor_algebra
 from so41inv.tensor_algebra import TensorAlgebra
 
 
@@ -274,16 +275,58 @@ def test_round_trip_every_se_catalog_element(st):
         assert back == el, name
 
 
-def test_dump_is_deterministic(cat):
-    a = dumps_element(cat.elements["h"])
-    b = dumps_element(cat.elements["h"])
-    assert a == b
+def test_dump_is_deterministic(cat, st):
+    # each row comes from a per-key table; a dump made with the table empty
+    # and one made with it full print the same bytes, for every named element
+    elements = [*cat.elements.values(), *st.named.values()]
+    assert len(elements) == 13 + 12
+    cold = []
+    for el in elements:
+        serialization._row_of.cache_clear()
+        cold.append(dumps_element(el))
+    for el in elements:
+        dumps_element(el)
+    keys = {key for el in elements for key in el.num}
+    assert serialization._row_of.cache_info().currsize == len(keys)
+    assert [dumps_element(el) for el in elements] == cold
 
 
 def test_file_round_trip(tmp_path, cat):
     path = tmp_path / "dk.element"
     dump_element(cat.elements["Dk"], str(path))
     assert load_element(str(path)) == cat.elements["Dk"]
+
+
+def test_a_dump_over_a_longer_file_leaves_only_its_own_bytes(tmp_path, cat):
+    # the second write truncates the file before writing its own bytes
+    path = str(tmp_path / "x.element")
+    long, short = (dumps_element(cat.elements[name]).encode() for name in ("h", "Dk"))
+    assert len(long) > len(short)
+    dump_element(cat.elements["h"], path)
+    dump_element(cat.elements["Dk"], path)
+    with open(path, "rb") as fh:
+        assert fh.read() == short
+
+
+@pytest.mark.parametrize("spelling", ["+3", "-0", "6/8", "1.5", "1e3", "3 / 4", "1/0"])
+def test_a_term_coefficient_reads_as_a_fraction_reads_it(cat, spelling):
+    # each spelling loads to the element a Fraction coefficient gives, or
+    # fails with the message of Fraction's error on the line of the term
+    h = cat.elements["h"]
+    key = sorted(h.num, key=pair_sort_key)[1]
+    lines = dumps_element(h).splitlines()
+    lines[7] = spelling + lines[7][lines[7].index(" | "):]
+    text = "\n".join(lines) + "\n"
+    try:
+        coeff = Fraction(spelling)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ParseError) as err:
+            loads_element(text)
+        assert str(err.value) == f"bad term field: {exc} (at position 8)"
+        return
+    terms = h.terms
+    terms[key] = coeff
+    assert loads_element(text) == type(h)(terms, h.algebra)
 
 
 def test_tampered_magic_rejected(cat):
@@ -655,6 +698,15 @@ def test_cli_dump_unknown_name(capsys, tmp_path):
     assert "unknown element" in err
 
 
+@pytest.mark.parametrize("where", ["missing/x.element", "."])
+def test_cli_dump_to_an_unwritable_path_fails_as_a_text_open_does(capsys, tmp_path, where):
+    path = str(tmp_path / where)
+    with pytest.raises(OSError) as exc:
+        open(path, "w")
+    code, out, err = run_cli(capsys, "dump", "h", "--out", path)
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
 def test_cli_load_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "load", str(tmp_path / "missing.element"))
     assert code == 2
@@ -813,6 +865,7 @@ PROCESS_CACHES = {
     "invariants.eliminated_degree",
     "invariants.freeness_certificate",
     "matrix_oracle.basis_matrices",
+    "serialization._row_of",
     "sym_ext.build_st_catalog",
     "tensor_algebra.adjudicate_convention",
     "tensor_algebra.convention_algebra",
