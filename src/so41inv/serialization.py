@@ -19,12 +19,16 @@ dump(load(text)) == text byte for byte. A row is the formatted
 coefficient followed by a text built once per monomial key and process
 (_row_of, a functools.cache that also holds the key's pair_sort_key): the
 ten exponents and the mask's field from elements.MASK_FIELDS. The reader
-maps the field back through the inverse table, so any other four
-characters are a bad mask field. dump_element writes the UTF-8 bytes in
-binary, so lines end in '\\n' on every platform. The order-hash pins the
-basis order and normalization the coefficients refer to; a file written
-under a different convention fails loudly instead of reading back wrong
-numbers.
+reads each coefficient with Fraction, once per distinct text (_coeff_of),
+and each exponent and mask field pair once per distinct pair (_key_of),
+mapping the mask field back through the inverse table, so any other four
+characters are a bad mask field. Neither caches an error: a bad field
+fails with the same text and line on every read. dump_element writes the
+UTF-8 bytes in binary, so lines end in '\\n' on every platform. The
+order-hash pins the basis order and normalization the coefficients refer
+to; a file written under a different convention fails loudly instead of
+reading back wrong numbers. It is a sha256 of the header fields, computed
+once per header (order_hash is a functools.cache).
 """
 from __future__ import annotations
 
@@ -44,6 +48,7 @@ P_ORDER = "E3 E4 F3 F4"
 _GRAMS = ("trace", "trace/4")
 
 
+@cache
 def order_hash(algebra_id: str, sign: int, gram: str) -> str:
     seed = f"{algebra_id}|{sign}|{gram}|{BASIS_ORDER}|{P_ORDER}"
     return hashlib.sha256(seed.encode()).hexdigest()[:16]
@@ -106,6 +111,28 @@ def _expect(lines: list[str], lineno: int, prefix: str) -> str:
     return line[len(prefix):].strip()
 
 
+@cache
+def _coeff_of(text: str) -> Fraction:
+    """A term's coefficient, read by Fraction once per distinct text."""
+    return Fraction(text)
+
+
+@cache
+def _key_of(exp_field: str, mask_field: str) -> tuple:
+    """The monomial key of a term's exponent and mask fields, read once per
+    distinct pair; ValueError with the ParseError text for a bad field."""
+    try:
+        exp = tuple(map(int, exp_field.split()))
+    except ValueError as exc:
+        raise ValueError(f"bad term field: {exc}") from exc
+    if len(exp) != 10 or any(e < 0 for e in exp):
+        raise ValueError("exponent field needs ten nonnegative integers")
+    mask = _MASK_OF_FIELD.get(mask_field)
+    if mask is None:
+        raise ValueError(f"bad mask field {mask_field!r}")
+    return exp, mask
+
+
 def _header_int(text: str, lineno: int) -> int:
     try:
         return int(text)
@@ -145,17 +172,13 @@ def loads_element(text: str):
             raise ParseError("term line needs 'coeff | exponents | mask'",
                              lineno + 1)
         try:
-            coeff = Fraction(parts[0])
-            exp = tuple(map(int, parts[1].split()))
+            coeff = _coeff_of(parts[0])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad term field: {exc}", lineno + 1) from exc
-        if len(exp) != 10 or any(e < 0 for e in exp):
-            raise ParseError("exponent field needs ten nonnegative integers",
-                             lineno + 1)
-        mask = _MASK_OF_FIELD.get(parts[2])
-        if mask is None:
-            raise ParseError(f"bad mask field {parts[2]!r}", lineno + 1)
-        key = (exp, mask)
+        try:
+            key = _key_of(parts[1], parts[2])
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno + 1) from exc
         if key in terms:
             raise ParseError("duplicate term key", lineno + 1)
         if coeff:

@@ -9,8 +9,9 @@ normalization of the form that satisfies the whole suite, after ruling out
 each one the j identity refutes without building its catalog.
 convention_algebra() builds each label's algebra once per process, and
 adjudicate_convention() runs once (both through functools.cache); the
-algebra keeps its catalog and the rho image of each named element, and the
-catalog its identity checks and its generator chain.
+algebra keeps its catalog, the rho image of each named element, the
+product of each pair of monomial keys and the action of each generator on
+each key, and the catalog its identity checks and its generator chain.
 """
 from __future__ import annotations
 
@@ -69,12 +70,17 @@ class UCElement(BoundElement):
 
 
 class TensorAlgebra:
-    """U(g) tensor C(p) for a fixed Clifford normalization."""
+    """U(g) tensor C(p) for a fixed Clifford normalization. Products and
+    k-actions read rows of (key, int) pairs, filled on first read and kept
+    as long as the algebra, like the Clifford tables: _products[kx][ky] and
+    _actions[zg][key]."""
 
     def __init__(self, pform: PForm):
         self.pform = pform
         self.cl = CliffordAlgebra(pform)
         self._named = _OnDemand(lambda name: self.rho(build_st_catalog().named[name]))
+        self._products = _OnDemand(lambda kx: _OnDemand(lambda ky: self._product_row(kx, ky)))
+        self._actions = _OnDemand(lambda zg: _OnDemand(lambda key: self._action_row(zg, key)))
 
     # -- constructors ---------------------------------------------------------
 
@@ -106,40 +112,54 @@ class TensorAlgebra:
 
     # -- product and action ----------------------------------------------------
 
+    def _product_row(self, kx: UCKey, ky: UCKey) -> tuple:
+        """The monomial kx times the monomial ky over cl.table_den: the PBW
+        pair product crossed with the Clifford product of the masks."""
+        (eu, mu), (ev, mv) = kx, ky
+        cprod = self.cl.table[mu, mv].items()
+        return tuple(((ee, mm), a * bc) for ee, a in pbw_pair_product(eu, ev).items()
+                     for mm, bc in cprod if bc)
+
+    def _action_row(self, zg: Gen, key: UCKey) -> tuple:
+        """ad(zg) of the monomial key over cl.k_den: the commutator on the
+        U-side plus the Clifford derivation on the C-side."""
+        exp, mask = key
+        k_den = self.cl.k_den
+        out = {(ee, mask): a * k_den for ee, a in gen_commutator(zg, exp).items()}
+        for m, b in self.cl.k_table[zg, mask].items():
+            out[exp, m] = out.get((exp, m), 0) + b
+        return tuple((k, c) for k, c in out.items() if c)
+
     def multiply(self, x: UCElement, y: UCElement) -> UCElement:
-        cl_table = self.cl.table
+        """x y, one row of the algebra's product table per pair of terms."""
+        products = self._products
         out: dict[UCKey, int] = {}
-        for (eu, mu), cu in x.num.items():
-            for (ev, mv), cv in y.num.items():
+        get = out.get
+        for kx, cu in x.num.items():
+            row_of = products[kx]
+            for ky, cv in y.num.items():
                 f = cu * cv
-                cprod = cl_table[(mu, mv)]
-                for ee, a in pbw_pair_product(eu, ev).items():
-                    fa = f * a
-                    for mm, bc in cprod.items():
-                        k = (ee, mm)
-                        out[k] = out.get(k, 0) + fa * bc
+                for k, a in row_of[ky]:
+                    out[k] = get(k, 0) + f * a
         return UCElement._of(out, x.den * y.den * self.cl.table_den, self)
 
     def ad_action(self, z: LieElement, x: UCElement) -> UCElement:
         """ad(z) x: z acts as z tensor 1 + 1 tensor alpha(z), that is by the
         commutator [z, -] on the U-side and by the Clifford derivation on the
-        C-side, read from the memoized tables of both. A z outside k acts
-        only on U(g) tensor 1, and is refused when x has a Clifford part."""
+        C-side, one row of the algebra's action table per pair of terms. A z
+        outside k acts only on U(g) tensor 1, and is refused when x has a
+        Clifford part."""
         if any(mask for _, mask in x.num):
             require_in_k(z)
-        k_table, k_den = self.cl.k_table, self.cl.k_den
         out: dict[UCKey, int] = {}
+        get = out.get
         for zg, zc in z.num.items():
-            for (exp, mask), xc in x.num.items():
+            row_of = self._actions[zg]
+            for key, xc in x.num.items():
                 f = zc * xc
-                fu = f * k_den
-                for ee, a in gen_commutator(zg, exp).items():
-                    k = (ee, mask)
-                    out[k] = out.get(k, 0) + fu * a
-                for m, b in k_table[(zg, mask)].items():
-                    k = (exp, m)
-                    out[k] = out.get(k, 0) + f * b
-        return UCElement._of(out, z.den * x.den * k_den, self)
+                for k, a in row_of[key]:
+                    out[k] = get(k, 0) + f * a
+        return UCElement._of(out, z.den * x.den * self.cl.k_den, self)
 
     @cached_property
     def catalog(self) -> Catalog:

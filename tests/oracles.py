@@ -26,9 +26,14 @@ reads: the membership test of the sparse echelon, the real rank of any
 of each identity under one variant, and the checks of the Cartan split and
 its sl2 triples.
 
-Last, the element formatter as it was before canonical text and element
+Then the element formatter as it was before canonical text and element
 files were printed from per-generator and per-mask string tables: the
-reference the byte-for-byte property tests of the formatter compare with."""
+reference the byte-for-byte property tests of the formatter compare with.
+
+Last, the product and the k-action of U(g) tensor C(p) as they were
+before the algebra kept a product row per pair of monomial keys and an
+action row per generator and key: term by term, reading the PBW memos
+and the Clifford tables in the inner loop."""
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,10 +78,12 @@ from so41inv.tensor_algebra import (
     IDENTITIES,
     RELATION_NAMES,
     RELATION_VARIANTS,
+    UCElement,
     _residual,
     _Terms,
 )
-from so41inv.uea import SElement, UElement, symmetrize, word_to_exp
+from so41inv.uea import (SElement, UElement, gen_commutator, pbw_pair_product, symmetrize,
+                         word_to_exp)
 
 
 class FractionEchelon:
@@ -867,3 +874,40 @@ def oracle_dumps(el) -> str:
         lines.append(f"{fmt_coeff(num[exp, mask], den)} | {' '.join(map(str, exp))} | "
                      f"{_mask_str(mask)}")
     return "\n".join(lines) + "\n"
+
+
+# -- the product and k-action before the per-algebra rows ------------------------------
+# `TensorAlgebra.multiply` and `ad_action` must give what these give.
+
+def term_by_term_multiply(alg, x, y):
+    """x y, each term pair's PBW product crossed with its Clifford product."""
+    cl_table = alg.cl.table
+    out = {}
+    for (eu, mu), cu in x.num.items():
+        for (ev, mv), cv in y.num.items():
+            f = cu * cv
+            cprod = cl_table[(mu, mv)]
+            for ee, a in pbw_pair_product(eu, ev).items():
+                fa = f * a
+                for mm, bc in cprod.items():
+                    k = (ee, mm)
+                    out[k] = out.get(k, 0) + fa * bc
+    return UCElement._of(out, x.den * y.den * alg.cl.table_den, alg)
+
+
+def term_by_term_ad_action(alg, z, x):
+    """ad(z) x for z in k: the commutator on the U-side, times k_den, plus
+    the Clifford derivation on the C-side."""
+    k_table, k_den = alg.cl.k_table, alg.cl.k_den
+    out = {}
+    for zg, zc in z.num.items():
+        for (exp, mask), xc in x.num.items():
+            f = zc * xc
+            fu = f * k_den
+            for ee, a in gen_commutator(zg, exp).items():
+                k = (ee, mask)
+                out[k] = out.get(k, 0) + fu * a
+            for m, b in k_table[(zg, mask)].items():
+                k = (exp, m)
+                out[k] = out.get(k, 0) + f * b
+    return UCElement._of(out, z.den * x.den * k_den, alg)

@@ -6,14 +6,15 @@ once with this engine and frozen; they double as a regression oracle for
 the whole adjudication pipeline."""
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import FractionEchelon, lie_to_u, relation_residuals, st_product_vectors, uc_rank
+from oracles import (FractionEchelon, lie_to_u, relation_residuals, st_product_vectors,
+                     term_by_term_ad_action, term_by_term_multiply, uc_rank)
 from so41inv.clifford import PForm
-from so41inv.elements import mask_bits
+from so41inv.elements import mask_bits, pair_sort_key
 from so41inv.invariants import truncated_rank16_check
 from so41inv.lie_core import LieElement, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS
@@ -23,6 +24,7 @@ from so41inv.tensor_algebra import (
     NAMED_ORDER,
     RELATION_NAMES,
     TensorAlgebra,
+    accepted_catalog,
     convention_pform,
     effective_checks,
     generator_chain_check,
@@ -342,6 +344,39 @@ def test_multiply_is_associative(label, x, y, z):
     alg = algebra_for(label)
     x, y, z = alg.element(x), alg.element(y), alg.element(z)
     assert (x * y) * z == x * (y * z)
+
+
+@cache
+def catalog_keys() -> list:
+    """Every monomial key of the accepted catalog's elements."""
+    return sorted({k for el in accepted_catalog().elements.values() for k in el.num},
+                  key=pair_sort_key)
+
+
+@labels
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_product_and_action_rows_give_the_term_by_term_results(label, data):
+    # int combinations of catalog keys: the product and the ad of each
+    # k-generator, from the rows of a used algebra and of a fresh one (its
+    # tables empty), against the term-by-term oracle; k_den and table_den
+    # are 1 under the four conventions and 9 and 81 under trace*2/3
+    terms = st.dictionaries(st.sampled_from(catalog_keys()), st.integers(-9, 9).filter(bool),
+                            min_size=1, max_size=5)
+    x, y = data.draw(terms), data.draw(terms)
+    zs = [lie_gen(g) for g in K_GENS]
+
+    def results(alg, multiply, ad_action):
+        ex, ey = alg.element(x), alg.element(y)
+        return [(el.num, el.den) for el in
+                [multiply(ex, ey), *(ad_action(z, ex) for z in zs)]]
+
+    used = algebra_for(label)
+    fresh = TensorAlgebra(used.pform)
+    assert not fresh._products and not fresh._actions
+    want = results(used, partial(term_by_term_multiply, used), partial(term_by_term_ad_action, used))
+    for alg in (used, used, fresh):  # the used algebra on first and on second read
+        assert results(alg, alg.multiply, alg.ad_action) == want
 
 
 def test_mutating_a_returned_product_leaves_later_calls_intact(cat):
