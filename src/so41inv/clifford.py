@@ -2,11 +2,16 @@
 quadratic elements alpha(z) that implement the k-action by commutators.
 
 Monomials are bitmasks over the p-basis (E3, E4, F3, F4) = bits (0, 1, 2, 3);
-mask products are precomputed from the defining relation
+mask products are straightened, on first read, from the defining relation
     v w + w v = 2 phi(v, w) . 1,
 where phi = sign * gram is the effective symmetric form. Both the gram matrix
 (the trace form, possibly rescaled) and the sign are explicit data because the
 identity suite adjudicates between normalization conventions at run time.
+
+Lambda(p), the associated graded of C(p), shares one sign rule and one
+derivation with it: a word of distinct bits wedges to the sign that sorts it
+(_perm_sign, as in tau) times its mask (WEDGE, built at import), and ad z puts
+[z, v] in the place of each factor v, words C(p) straightens and Lambda(p) wedges.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import lcm
+from types import MappingProxyType
 
 from ._record import record
 from .elements import (BoundElement, LinearElement, accumulate, combine, fmt_mask, mask_bits,
@@ -78,11 +84,10 @@ class ExtElement(LinearElement):
         out: dict[int, int] = {}
         for ma, ca in self.num.items():
             for mb, cb in other.num.items():
-                merged = ext_merge(ma, mb)
-                if merged is None:
-                    continue
-                sgn, m = merged
-                out[m] = out.get(m, 0) + sgn * ca * cb
+                wedge = WEDGE.get((ma, mb))
+                if wedge:
+                    sgn, m = wedge
+                    out[m] = out.get(m, 0) + sgn * ca * cb
         return ExtElement._of(out, self.den * other.den)
 
     def _one(self):
@@ -95,19 +100,15 @@ class ExtElement(LinearElement):
         return self._text(mask_sort_key, lambda m: fmt_mask(m, "^"))
 
 
-def ext_merge(ma: int, mb: int) -> tuple[int, int] | None:
-    """Wedge of two mask monomials: (sign, mask), or None if they overlap."""
-    if ma & mb:
-        return None
-    sign = 1
-    bits_b = mask_bits(mb)
-    for b in bits_b:
-        # count bits of ma above b (each transposition to move b leftwards)
-        higher = popcount(ma >> (b + 1))
-        if higher & 1:
-            sign = -sign
-        ma |= 1 << b
-    return sign, ma
+def _perm_sign(word: tuple[int, ...]) -> int:
+    """The sign of the permutation that sorts a word of distinct bits."""
+    inversions = sum(a > b for i, a in enumerate(word) for b in word[i + 1:])
+    return -1 if inversions & 1 else 1
+
+
+# (sign, mask) of ma ^ mb, for each pair of disjoint masks
+WEDGE = MappingProxyType({(ma, mb): (_perm_sign(mask_bits(ma) + mask_bits(mb)), ma | mb)
+                          for ma in range(16) for mb in range(16) if not ma & mb})
 
 
 def ext_gen(g: Gen) -> ExtElement:
@@ -123,25 +124,25 @@ def ext_wedge(*gens: Gen) -> ExtElement:
     return out
 
 
+def derivation_words(zg: Gen, mask: int):
+    """The words of ad(zg) on one monomial, as (word of bits, int
+    coefficient) pairs: [zg, v_b] in the place of each factor v_b in turn."""
+    bits = mask_bits(mask)
+    for pos, b in enumerate(bits):
+        for g, c in bracket_gens(zg, P_GENS[b]):
+            if g not in P_INDEX:
+                raise DomainError(f"[{zg.name},{P_GENS[b].name}] leaves p")
+            yield bits[:pos] + (P_INDEX[g],) + bits[pos + 1:], c
+
+
 def ext_ad_on_mask(zg: Gen, mask: int) -> dict[int, int]:
     """Derivation action of a k-generator on a single exterior monomial, with
     int coefficients (the structure constants are integral)."""
     out: dict[int, int] = {}
-    for b in mask_bits(mask):
-        for g, c in bracket_gens(zg, P_GENS[b]):
-            if g not in P_INDEX:
-                raise DomainError(f"[{zg.name},{P_GENS[b].name}] leaves p")
-            rest = mask & ~(1 << b)
-            merged = ext_merge(1 << P_INDEX[g], rest)
-            if merged is None:
-                continue
-            sgn, m = merged
-            # the replaced factor sits where b sat: moving the new generator
-            # into position costs the bits of `rest` below b
-            below = popcount(rest & ((1 << b) - 1))
-            # ext_merge built (new ^ rest) with new in front; (-1)^below puts
-            # it back at b's slot
-            out[m] = out.get(m, 0) + c * sgn * (-1) ** below
+    for word, c in derivation_words(zg, mask):
+        m = sum(1 << b for b in word)
+        if popcount(m) == len(word):  # no bit repeats
+            out[m] = out.get(m, 0) + _perm_sign(word) * c
     return {m: c for m, c in out.items() if c}
 
 
@@ -276,11 +277,9 @@ class CliffordAlgebra:
     # -- k-action and alpha ----------------------------------------------------
 
     def _k_action_monomial(self, zg: Gen, mask: int) -> dict[int, int]:
-        """ad(zg) of one monomial over k_den: the derivation puts [zg, v_b]
-        in the place of each factor v_b in turn."""
-        bits = mask_bits(mask)
-        return accumulate((self._word(bits[:pos] + (P_INDEX[g],) + bits[pos + 1:], 2), c)
-                          for pos, b in enumerate(bits) for g, c in bracket_gens(zg, P_GENS[b]))
+        """ad(zg) of one monomial over k_den: its derivation words,
+        straightened."""
+        return accumulate((self._word(word, 2), c) for word, c in derivation_words(zg, mask))
 
     def k_action(self, z: LieElement, x: CElement) -> CElement:
         """Derivation action of z in k on C(p)."""
@@ -339,16 +338,6 @@ class _OnDemand(dict):
     def __missing__(self, key):
         value = self[key] = self._fill(key)
         return value
-
-
-def _perm_sign(word: tuple[int, ...]) -> int:
-    sgn = 1
-    n = len(word)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if word[i] > word[j]:
-                sgn = -sgn
-    return sgn
 
 
 def _det(m: tuple) -> int:

@@ -138,35 +138,6 @@ def zero_weight_keys(n: int) -> list[int]:
     return out
 
 
-# The ad action of each k-generator on packed keys, from sym_ext's int
-# tables: for each slot it moves, (shift, ((delta, coefficient), ...)), an
-# exponent e there sending the key to e * coefficient times key + delta;
-# and for each mask the (delta, coefficient) pairs of its exterior image.
-def _moves(z: Gen) -> tuple[tuple, tuple]:
-    slots = tuple((_shift(slot), tuple(((1 << _shift(g)) - (1 << _shift(slot)), c)
-                                       for g, c in pairs))
-                  for slot, pairs in _SLOT_AD[z])
-    ext = tuple(tuple((m - mask, c) for m, c in _EXT_AD[z, mask].items()) for mask in range(16))
-    return slots, ext
-
-
-_MOVES = {z: _moves(z) for z in K_GENS}
-
-
-def packed_image(z: Gen, key: int) -> dict[int, int]:
-    """ad z on one packed key, with int coefficients: ad_on_key, packed."""
-    slots, ext = _MOVES[z]
-    out: dict[int, int] = {}
-    for shift, pairs in slots:
-        e = key >> shift & 255
-        if e:
-            for delta, c in pairs:
-                out[key + delta] = out.get(key + delta, 0) + e * c
-    for delta, c in ext[key & 15]:
-        out[key + delta] = out.get(key + delta, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
 # k is sl2 + sl2 through the commuting triples (E1, F1, H1+H2) and
 # (E2, F2, H1-H2). In a finite-dimensional sl2-module a weight-0 vector
 # killed by e spans a trivial submodule, so a weight-(0,0) vector killed by
@@ -176,18 +147,38 @@ def packed_image(z: Gen, key: int) -> dict[int, int]:
 # row space and the same reduced echelon form, which is what makes the
 # emitted kernel bases identical to the six-generator ones.
 RAISING = (Gen.E1, Gen.E2)
+# the four generators the kernel certificate reads from image_rows
+OTHERS = tuple(z for z in K_GENS if z not in RAISING)
 
-# The moves of ad E1 and ad E2 together, onto the targets (target key,
-# generator) packed as 2 * target key + (generator is E2). Both move each
-# weight by a nonzero root, so no move maps a slot or a mask to itself, and
-# the moves of one key land on distinct targets.
-_RAISING_SLOTS: dict[int, list[tuple[int, int]]] = {}
-_RAISING_EXT: list[list[tuple[int, int]]] = [[] for _ in range(16)]
-for _bit, _z in enumerate(RAISING):
-    for _s, _pairs in _MOVES[_z][0]:
-        _RAISING_SLOTS.setdefault(_s, []).extend((2 * d + _bit, c) for d, c in _pairs)
-    for _mask, _pairs in enumerate(_MOVES[_z][1]):
-        _RAISING_EXT[_mask].extend((2 * d + _bit, c) for d, c in _pairs)
+
+def image_rows(gens: tuple[Gen, ...], keys: list[int]) -> list[dict[int, int]]:
+    """ad z on each packed key for each k-generator z in gens, one row per
+    key with int coefficients, onto the targets 8 * target key + place of z
+    in K_GENS, which sort as the pairs (target key, generator). A move adds
+    a fixed delta to the key, its coefficient times the exponent of its slot;
+    moves that meet are summed (ad H1 and ad H2 fix every key), so an entry
+    may be 0."""
+    slots: dict[int, list[tuple[int, int]]] = {}
+    ext: list[list[tuple[int, int]]] = [[] for _ in range(16)]
+    for z in gens:
+        place = K_GENS.index(z)
+        for slot, pairs in _SLOT_AD[z]:
+            slots.setdefault(_shift(slot), []).extend(
+                (8 * ((1 << _shift(g)) - (1 << _shift(slot))) + place, c) for g, c in pairs)
+        for mask in range(16):
+            ext[mask].extend((8 * (m - mask) + place, c) for m, c in _EXT_AD[z, mask])
+    rows = []
+    for key in keys:
+        key8 = 8 * key
+        # the exterior moves of one key land on distinct targets
+        row = {key8 + d: c for d, c in ext[key & 15]}
+        for shift, pairs in slots.items():
+            e = key >> shift & 255
+            if e:
+                for d, c in pairs:
+                    row[key8 + d] = row.get(key8 + d, 0) + e * c
+        rows.append(row)
+    return rows
 
 
 def image_table(keys: list[int]) -> tuple[list[dict[int, int]], list[Gen]]:
@@ -196,21 +187,11 @@ def image_table(keys: list[int]) -> tuple[list[dict[int, int]], list[Gen]]:
     number the targets in ascending order, which is the order of the pairs
     (target key, generator); returns the rows and the generator of each
     column."""
-    slots = list(_RAISING_SLOTS.items())
-    images = []
-    for key in keys:
-        key2 = 2 * key
-        row = {key2 + d: c for d, c in _RAISING_EXT[key & 15]}
-        for shift, pairs in slots:
-            e = key >> shift & 255
-            if e:
-                for d, c in pairs:
-                    row[key2 + d] = e * c
-        images.append(row)
+    images = image_rows(RAISING, keys)
     targets = sorted(set().union(*images))
     number = {t: i for i, t in enumerate(targets)}
     return ([{number[t]: c for t, c in row.items()} for row in images],
-            [RAISING[t & 1] for t in targets])
+            [K_GENS[t & 7] for t in targets])
 
 
 # -- per-degree reports ------------------------------------------------------------
@@ -250,8 +231,8 @@ def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEEleme
     (dimension, block size, certified kernel basis or None). The kernel of M
     is the dependencies among the table rows, inserted last key first like
     the rank. The basis vectors are certified against E1 and E2 from the
-    table and the other four generators from the packed image of each key
-    in a kernel vector, computed once per degree; an InvarianceError
+    table and the other four generators from the image rows of the keys in
+    a kernel vector, computed once per degree; an InvarianceError
     propagates and nothing is cached."""
     cols = zero_weight_keys(n)
     table, gens = image_table(cols)
@@ -259,19 +240,21 @@ def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEEleme
         # rank M = rank of the table; last key first runs ~3x faster than first key first at n=8
         return len(cols) - sparse_rank(table[::-1]), len(cols), None
     kernel = dependency_kernel({j: table[j] for j in range(len(cols) - 1, -1, -1)})
-    # E1 and E2 read the table (residual keys are its columns), the other
-    # four generators the packed image of each key in a kernel vector
-    support = set().union(*(num for num, _ in kernel))
-    images = [(None, table)]
-    images += [(z, {j: packed_image(z, cols[j]) for j in support})
-               for z in K_GENS if z not in RAISING]
+    # E1 and E2 read the table, and a failure names the generator of the
+    # first residual column; the other four generators read the image rows
+    # of the keys in a kernel vector, and a failure names the first of them
+    support = sorted(set().union(*(num for num, _ in kernel)))
+    others = dict(zip(support, image_rows(OTHERS, [cols[j] for j in support])))
     for i, (num, _) in enumerate(kernel):
-        for z, rows in images:
-            res = _residual(num, rows)
-            if res:
-                name = (gens[min(res)] if z is None else z).name
-                raise InvarianceError(f"degree-{n} kernel vector {i}", name,
-                                      f"{len(res)} residual terms")
+        res = _residual(num, table)
+        if res:
+            z, count = gens[min(res)], len(res)
+        else:
+            places = [t & 7 for t in _residual(num, others)]
+            if not places:
+                continue
+            z, count = K_GENS[min(places)], places.count(min(places))
+        raise InvarianceError(f"degree-{n} kernel vector {i}", z.name, f"{count} residual terms")
     # one key object per monomial, and the terms of each vector in key
     # order, which the element file's sort then finds as one run
     keys = {j: unpack(cols[j]) for j in support}

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
+from types import MappingProxyType
 
 from ._record import record
-from .clifford import ext_ad_on_mask, ext_merge, popcount
+from .clifford import WEDGE, ext_ad_on_mask, popcount
 from .elements import LinearElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, pair_sort_key
 from .errors import DomainError, InvarianceError
 from .lie_core import GEN_WEIGHTS, LieElement, bracket_gens, lie_gen, require_in_k
@@ -29,12 +30,11 @@ class SEElement(LinearElement):
         out: dict[SEKey, int] = {}
         for (ea, ma), ca in self.num.items():
             for (eb, mb), cb in other.num.items():
-                merged = ext_merge(ma, mb)
-                if merged is None:
-                    continue
-                sgn, m = merged
-                k = (tuple(x + y for x, y in zip(ea, eb)), m)
-                out[k] = out.get(k, 0) + sgn * ca * cb
+                wedge = WEDGE.get((ma, mb))
+                if wedge:
+                    sgn, m = wedge
+                    k = (tuple(x + y for x, y in zip(ea, eb)), m)
+                    out[k] = out.get(k, 0) + sgn * ca * cb
         return SEElement._of(out, self.den * other.den)
 
     def _one(self):
@@ -95,11 +95,12 @@ def se_one() -> SEElement:
 
 # ad of each generator on the symmetric generators it does not commute with:
 # (slot, (target slot, int coefficient) pairs); and of each k-generator on
-# each exterior monomial
-_SLOT_AD = {z: tuple((slot, tuple((int(g), c) for g, c in bracket_gens(z, x)))
-                     for slot, x in enumerate(_GENS) if bracket_gens(z, x))
-            for z in _GENS}
-_EXT_AD = {(z, mask): ext_ad_on_mask(z, mask) for z in K_GENS for mask in range(16)}
+# each exterior monomial: (target mask, int coefficient) pairs; read-only
+_SLOT_AD = MappingProxyType({z: tuple((slot, tuple((int(g), c) for g, c in bracket_gens(z, x)))
+                                      for slot, x in enumerate(_GENS) if bracket_gens(z, x))
+                             for z in _GENS})
+_EXT_AD = MappingProxyType({(z, mask): tuple(ext_ad_on_mask(z, mask).items())
+                            for z in K_GENS for mask in range(16)})
 
 
 def ad_on_key(zg: Gen, key: SEKey) -> dict[SEKey, int]:
@@ -119,7 +120,9 @@ def ad_on_key(zg: Gen, key: SEKey) -> dict[SEKey, int]:
             k = (tuple(m), mask)
             out[k] = out.get(k, 0) + e * c
     if mask:
-        for m, c in _EXT_AD[zg, mask].items():
+        if zg not in K_GENS:
+            raise DomainError(f"{zg.name} is not in k, and the key has an exterior part")
+        for m, c in _EXT_AD[zg, mask]:
             k = (exp, m)
             out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}

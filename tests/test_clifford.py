@@ -6,19 +6,22 @@ from fractions import Fraction
 import pytest
 
 from so41inv.clifford import (
+    WEDGE,
     CliffordAlgebra,
     ExtElement,
     PForm,
     TOP_MASK,
+    ext_ad_on_mask,
     ext_gen,
     ext_wedge,
+    popcount,
 )
 from so41inv.elements import ZERO_EXP
 from so41inv.errors import DomainError
 from so41inv.lie_core import bracket, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
 from so41inv.sym_ext import SEElement, ad_action_se
-from so41inv.tensor_algebra import TensorAlgebra
+from so41inv.tensor_algebra import CONVENTION_LABELS, TensorAlgebra, convention_pform
 
 
 @pytest.fixture(scope="module", params=[-1, 1], ids=["sign=-1", "sign=+1"])
@@ -97,6 +100,50 @@ def test_ext_wedge_associative_exhaustive():
                 assert xy * z == x * (y * z)
 
 
+@pytest.mark.parametrize("label", CONVENTION_LABELS)
+def test_wedge_is_the_top_degree_part_of_the_clifford_product(label):
+    # an independent oracle for WEDGE, under every convention: the straightened
+    # Clifford product ma * mb is ma ^ mb plus terms of lower degree, and
+    # overlapping masks have no part of degree |ma| + |mb|
+    alg = CliffordAlgebra(convention_pform(label))
+    for ma in range(16):
+        for mb in range(16):
+            degree = popcount(ma) + popcount(mb)
+            top = {m: Fraction(c, alg.table_den) for m, c in alg.table[ma, mb].items()
+                   if c and popcount(m) == degree}
+            if ma & mb:
+                assert (ma, mb) not in WEDGE and top == {}
+                assert (ExtElement({ma: 1}) * ExtElement({mb: 1})).is_zero()
+                continue
+            sign, mask = WEDGE[ma, mb]
+            assert top == {mask: sign}, (ma, mb)
+            assert ExtElement({ma: 1}) * ExtElement({mb: 1}) == ExtElement({mask: sign})
+    assert len(WEDGE) == 3 ** 4  # each bit in ma, in mb or in neither
+
+
+def test_wedge_is_graded_commutative():
+    # ma ^ mb = (-1)^(|ma| |mb|) mb ^ ma
+    for (ma, mb), (sign, mask) in WEDGE.items():
+        assert WEDGE[mb, ma] == ((-1) ** (popcount(ma) * popcount(mb)) * sign, mask)
+
+
+def _ext_ad(zg, x: ExtElement) -> ExtElement:
+    out = ExtElement({})
+    for mask, c in x.terms.items():
+        out = out + c * ExtElement(ext_ad_on_mask(zg, mask))
+    return out
+
+
+def test_ext_ad_on_mask_is_a_derivation_of_the_wedge():
+    # ad z (x ^ y) = ad z (x) ^ y + x ^ ad z (y) for every k-generator and
+    # every pair of masks, the disjoint pairs read from WEDGE
+    monos = [ExtElement({m: 1}) for m in range(16)]
+    for zg in K_GENS:
+        for x in monos:
+            for y in monos:
+                assert _ext_ad(zg, x * y) == _ext_ad(zg, x) * y + x * _ext_ad(zg, y), (zg, x, y)
+
+
 def test_ext_gen_rejects_k():
     with pytest.raises(DomainError):
         ext_gen(Gen.H1)
@@ -158,6 +205,18 @@ def test_k_action_is_a_derivation(algebra):
             lhs = algebra.k_action(z, x * y)
             rhs = algebra.k_action(z, x) * y + x * algebra.k_action(z, y)
             assert lhs == rhs
+
+
+def test_k_table_is_a_derivation_of_the_clifford_table(algebra):
+    # ad z (x y) = ad z (x) y + x ad z (y) on every pair of monomials, through
+    # the k_table and the product table
+    monos = [algebra.element({m: 1}) for m in range(16)]
+    for zg in K_GENS:
+        z = lie_gen(zg)
+        ad = [algebra.k_action(z, x) for x in monos]
+        for a, x in enumerate(monos):
+            for b, y in enumerate(monos):
+                assert algebra.k_action(z, x * y) == ad[a] * y + x * ad[b], (zg, a, b)
 
 
 def test_alpha_defining_property_all_24_pairs(algebra):

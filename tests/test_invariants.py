@@ -15,6 +15,7 @@ from oracles import (
     FractionEchelon,
     filtered_zero_weight_keys,
     fraction_det,
+    graded_keys,
     pack,
     rref_kernel,
     s_monomial_element,
@@ -31,10 +32,10 @@ from so41inv.invariants import (
     T_POINT,
     eliminated_degree,
     freeness_certificate,
+    image_rows,
     image_table,
     independence_check,
     invariant_dimension,
-    packed_image,
     predicted_dimension,
     product_counts,
     t_count,
@@ -131,13 +132,18 @@ def test_zero_weight_keys_equal_the_filtered_keys(n):
 
 @pytest.mark.parametrize("n", range(7))
 def test_packed_images_equal_ad_on_key(n):
-    # every k-generator on every zero-weight key, and the image table built
-    # from ad_on_key: targets (packed target key, generator) numbered in
-    # sorted order
+    # every k-generator on every zero-weight key and, for n <= 3, on every
+    # key of any weight, whose ad H1 and ad H2 images are the key times its
+    # weight, summed over the moves that meet on it: one row per key from
+    # image_rows, split by the place of the generator in K_GENS; and the
+    # image table built from ad_on_key: targets (packed target key,
+    # generator) numbered in sorted order
     keys = zero_weight_keys(n)
-    for key in keys:
-        for z in K_GENS:
-            image = {unpack(k): c for k, c in packed_image(z, key).items()}
+    every = keys + ([pack(key) for key in graded_keys(n)] if n <= 3 else [])
+    for key, row in zip(every, image_rows(K_GENS, every)):
+        assert all(t & 7 < len(K_GENS) for t in row)
+        for place, z in enumerate(K_GENS):
+            image = {unpack(t >> 3): c for t, c in row.items() if c and t & 7 == place}
             assert image == ad_on_key(z, unpack(key)), (z, unpack(key))
     images = [{(pack(t), int(z)): c for z in invariants.RAISING
                for t, c in ad_on_key(z, unpack(key)).items()} for key in keys]
@@ -196,6 +202,22 @@ def test_dropping_the_e2_images_fails_the_count_and_the_certificate(monkeypatch,
     with pytest.raises(InvarianceError) as exc:
         invariant_dimension(4, want_basis=True)
     assert exc.value.generator == "F2"
+
+
+def test_a_certificate_failing_several_generators_names_the_first_in_k(monkeypatch, cold_caches):
+    # with no image in the table every key is a kernel vector, the first key
+    # first: ad H1 and ad H2 kill it, and ad F1 and ad F2 both move it, so
+    # the certificate names F1, first in K_GENS, with the count of its own
+    # residual terms
+    true_table = invariants.image_table
+    monkeypatch.setattr(invariants, "image_table",
+                        lambda keys: ([{} for _ in keys], true_table(keys)[1]))
+    with pytest.raises(InvarianceError) as exc:
+        invariant_dimension(2, want_basis=True)
+    key = unpack(zero_weight_keys(2)[0])
+    assert [len(ad_on_key(z, key)) for z in K_GENS if z not in invariants.RAISING] == [0, 0, 1, 1]
+    assert exc.value.generator == "F1"
+    assert str(exc.value) == "degree-2 kernel vector 0 is not invariant under ad(F1): 1 residual terms"
 
 
 # -- one elimination per degree per process -----------------------------------------

@@ -11,8 +11,10 @@ from oracles import (
     harmonic_decomposition_check,
     se_k_invariant,
 )
-from so41inv.clifford import ext_ad_on_mask
-from so41inv.errors import NotStableError
+from so41inv import sym_ext
+from so41inv.clifford import WEDGE, ext_ad_on_mask
+from so41inv.elements import ZERO_EXP
+from so41inv.errors import DomainError, NotStableError
 from so41inv.lie_core import bracket_gens, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
 from so41inv.sym_ext import (
@@ -198,6 +200,29 @@ def test_ad_on_key_and_ext_ad_on_mask_return_ints():
             assert all(type(c) is int for c in ext_ad_on_mask(z, mask).values())
         for key in LOW_DEGREE_KEYS:
             assert all(type(c) is int and c for c in ad_on_key(z, key).values())
+
+
+def test_ad_on_key_refuses_a_generator_outside_k_on_an_exterior_part():
+    # outside k a generator acts on S(g) tensor 1 only, as in ad_action_se
+    with pytest.raises(DomainError):
+        ad_on_key(Gen.E3, (ZERO_EXP, 1))
+    with pytest.raises(DomainError):
+        ad_action_se(lie_gen(Gen.E3), se_ext_gen(Gen.E3))
+    unit = [tuple(int(g == x) for x in Gen) for g in Gen]
+    assert ad_on_key(Gen.E3, (unit[Gen.F4], 0)) == \
+        {(unit[g], 0): c for g, c in bracket_gens(Gen.E3, Gen.F4)}
+
+
+def test_import_time_tables_are_read_only():
+    # the wedge and k-action tables are shared by every caller: a write to
+    # the table raises, and its entries are tuples
+    for table, key in ((WEDGE, (1, 2)), (sym_ext._SLOT_AD, Gen.H1),
+                       (sym_ext._EXT_AD, (Gen.H1, 1))):
+        with pytest.raises(TypeError):
+            table[key] = ()
+        with pytest.raises(TypeError):
+            del table[key]
+        assert all(type(value) is tuple for value in table.values())
 
 
 def _ad(z, vec: dict) -> dict:
