@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from ._record import record
 from .elements import (BoundElement, LinearElement, accumulate, combine, fmt_mask, mask_bits,
-                       mask_sort_key)
+                       mask_sort_key, nonzero_row)
 from .errors import DomainError, SolveError
 from .lie_core import LieElement, bracket_gens, require_in_k
 from .matrix_oracle import Gen, P_GENS, trace_form_gens
@@ -159,7 +159,7 @@ class CElement(BoundElement):
 
 
 class CliffordAlgebra:
-    """C(p) for a given PForm, with precomputed monomial products, the
+    """C(p) for a given PForm, with tables of monomial products, the
     Chevalley map, and the alpha embedding of k into degree-two elements.
 
     The form is held as int numerators over one denominator, phi = P / q
@@ -169,14 +169,16 @@ class CliffordAlgebra:
     straightening runs with P in place of phi, in ints, and a term of degree
     n - 2k is then put over q^top by the factor q^(top - k). The monomial
     products, the k-action on monomials and tau of monomials are each one
-    int table over one denominator: table[(ma, mb)][m] / table_den is the
-    coefficient of m in ma * mb, k_table[(zg, mask)][m] / k_den that of m in
-    ad(zg) mask, and _tau_table[mask][m] / _tau_den that of m in tau(mask).
-    Each entry is straightened on first read, so a convention that is read
+    table of rows (read-only tuples of (mask, int) pairs, no zero entry) over
+    one denominator: an entry (m, c) of table[ma, mb] says that m has the
+    coefficient c / table_den in ma * mb, of k_table[zg, mask] c / k_den in
+    ad(zg) mask, and of _tau_table[mask] c / _tau_den in tau(mask). Each
+    entry is straightened on first read, so a convention that is read
     only in a few products pays only for those. The insertion of one
-    generator into a monomial (_insert_table) and alpha of each k-generator
-    (_alpha_table) are kept the same way. Every table is an _OnDemand dict
-    of the algebra, so it lives exactly as long as the algebra."""
+    generator into a monomial (_insert_table, rows over q) and alpha of each
+    k-generator (_alpha_table) are kept the same way. Every table is an
+    _OnDemand dict of the algebra, so it lives exactly as long as the
+    algebra."""
 
     def __init__(self, pform: PForm):
         q = lcm(*(v.denominator for row in pform.gram for v in row))
@@ -219,38 +221,35 @@ class CliffordAlgebra:
 
     # -- multiplication ------------------------------------------------------
 
-    def _insert_gen(self, mask: int, b: int) -> dict[int, int]:
+    def _insert_gen(self, mask: int, b: int) -> tuple:
         """(monomial mask) * (generator bit b), straightened to mask basis,
-        with P in place of phi; read through _insert_table[mask, b]."""
+        with P in place of phi, as a row; read through _insert_table[mask, b]."""
         bits = mask_bits(mask)
         if not bits or bits[-1] < b:
-            return {mask | (1 << b): 1}
+            return ((mask | (1 << b), 1),)
         x = bits[-1]
         rest = mask & ~(1 << x)
         if x == b:
-            return {rest: self._form[b][b]}
-        # x > b: x b = 2 phi(x, b) - b x
-        res = {rest: 2 * self._form[x][b]}
-        for m, c in self._insert_table[rest, b].items():
-            # every monomial here has top bit < x, so appending x is free
-            nm = m | (1 << x)
-            res[nm] = res.get(nm, 0) - c
-        return res
+            return nonzero_row({rest: self._form[b][b]})
+        # x > b: x b = 2 phi(x, b) - b x; every monomial of rest * b has top
+        # bit < x, so appending x is free and gives a mask other than rest
+        return nonzero_row({rest: 2 * self._form[x][b]}) + tuple(
+            (m | (1 << x), -c) for m, c in self._insert_table[rest, b])
 
-    def _word(self, word: tuple[int, ...], top: int) -> dict[int, int]:
-        """Product of generator bits taken left to right, as ints over
-        q^top (top >= len(word) // 2)."""
+    def _word(self, word: tuple[int, ...], top: int) -> tuple:
+        """Product of generator bits taken left to right, as a row of ints
+        over q^top (top >= len(word) // 2)."""
         inserts = self._insert_table
         acc = {0: 1}
         for b in word:
             acc = accumulate((inserts[m, b], c) for m, c in acc.items())
         q, n = self._form_den, len(word)
-        return {m: c * q ** (top - (n - popcount(m)) // 2) for m, c in acc.items() if c}
+        return tuple((m, c * q ** (top - (n - popcount(m)) // 2)) for m, c in acc.items() if c)
 
     def word_product(self, word: tuple[int, ...]) -> CElement:
         """Product of generator bits taken left to right."""
         top = len(word) // 2
-        return CElement._of(self._word(word, top), self._form_den ** top, self)
+        return CElement._of(dict(self._word(word, top)), self._form_den ** top, self)
 
     def multiply(self, x: CElement, y: CElement) -> CElement:
         table = self.table
@@ -262,12 +261,12 @@ class CliffordAlgebra:
 
     # -- Chevalley map -------------------------------------------------------
 
-    def _tau_monomial(self, mask: int) -> dict[int, int]:
-        """tau of one monomial over _tau_den: the signed average of the
-        products of its bits in every order."""
+    def _tau_monomial(self, mask: int) -> tuple:
+        """tau of one monomial over _tau_den, as a row: the signed average of
+        the products of its bits in every order."""
         perms = list(permutations(mask_bits(mask)))
         share = 24 // len(perms)
-        return accumulate((self._word(w, 2), share * _perm_sign(w)) for w in perms)
+        return nonzero_row(accumulate((self._word(w, 2), share * _perm_sign(w)) for w in perms))
 
     def chevalley(self, x: ExtElement) -> CElement:
         """tau: Lambda(p) -> C(p), antisymmetrized products."""
@@ -276,10 +275,11 @@ class CliffordAlgebra:
 
     # -- k-action and alpha ----------------------------------------------------
 
-    def _k_action_monomial(self, zg: Gen, mask: int) -> dict[int, int]:
-        """ad(zg) of one monomial over k_den: its derivation words,
+    def _k_action_monomial(self, zg: Gen, mask: int) -> tuple:
+        """ad(zg) of one monomial over k_den, as a row: its derivation words,
         straightened."""
-        return accumulate((self._word(word, 2), c) for word, c in derivation_words(zg, mask))
+        return nonzero_row(accumulate((self._word(word, 2), c)
+                                      for word, c in derivation_words(zg, mask)))
 
     def k_action(self, z: LieElement, x: CElement) -> CElement:
         """Derivation action of z in k on C(p)."""

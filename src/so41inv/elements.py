@@ -4,10 +4,14 @@ text format they print to.
 Every algebra element in the package holds int numerators over one
 denominator, num: {key: int} and den: int, in normal form: den > 0, no zero
 numerator, and gcd(den, *numerators) == 1. The form is canonical, so == and
-hash compare it structurally. Sums, products and actions add f times int
-tables into one dict through accumulate (combine puts elements over the lcm
-of their denominators first) and hand the result to one normalizing
-constructor; signed_sum adds a whole run of elements that way in one pass.
+hash compare it structurally. A row is a tuple of (key, int) pairs with no
+zero entry; the memo tables of products and actions in U(g), C(p) and
+U(g) tensor C(p) hold rows, so a shared row is read-only by its type. Sums,
+products and actions add f times rows (or the items of an element's num)
+into one dict through accumulate (combine puts elements over the lcm of
+their denominators first) and hand the result to one normalizing
+constructor, or to nonzero_row when the sum is itself a cached row;
+signed_sum adds a whole run of elements that way in one pass.
 Fraction appears only where rationals come in (construction, scaling,
 parser literals) and in the `terms` view: canonical text and element files
 format each coefficient from its int numerator and the denominator
@@ -46,15 +50,21 @@ def _normal_form(num: dict, den: int) -> tuple[dict, int]:
 
 
 def accumulate(pairs, out: dict | None = None) -> dict:
-    """Add f * terms into out (a new dict if None) for each pair (terms, f)
-    of an int dict and an int, and return it; entries that cancel stay 0."""
+    """Add f * row into out (a new dict if None) for each pair (row, f) of an
+    iterable of (key, int) pairs and an int, and return it; entries that
+    cancel stay 0."""
     if out is None:
         out = {}
     get = out.get
-    for terms, f in pairs:
-        for k, c in terms.items():
+    for row, f in pairs:
+        for k, c in row:
             out[k] = get(k, 0) + f * c
     return out
+
+
+def nonzero_row(acc: dict) -> tuple:
+    """The nonzero entries of an accumulator dict, as a row."""
+    return tuple((k, c) for k, c in acc.items() if c)
 
 
 def combine(pairs) -> tuple[dict, int]:
@@ -62,7 +72,7 @@ def combine(pairs) -> tuple[dict, int]:
     numerators over the lcm of the denominators: (num, den), not normalized."""
     pairs = list(pairs)
     den = lcm(*(el.den for el, _ in pairs))
-    return accumulate((el.num, f * (den // el.den)) for el, f in pairs), den
+    return accumulate((el.num.items(), f * (den // el.den)) for el, f in pairs), den
 
 
 def signed_sum(run):

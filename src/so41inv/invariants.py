@@ -266,7 +266,7 @@ def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEEleme
 def _residual(num: dict[int, int], rows) -> dict:
     """The nonzero terms of the sum of c * rows[j] over the items (j, c) of
     num, in ints."""
-    return {k: c for k, c in accumulate((rows[j], c) for j, c in num.items()).items() if c}
+    return {k: c for k, c in accumulate((rows[j].items(), c) for j, c in num.items()).items() if c}
 
 
 # -- freeness in every degree, from two point certificates ---------------------------

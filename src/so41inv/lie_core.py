@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import matrix_oracle
 from ._record import record
-from .elements import LinearElement
+from .elements import LinearElement, accumulate
 from .errors import DomainError
 from .matrix_oracle import Gen, K_GENS, P_GENS, gauss_text
 
@@ -98,13 +98,8 @@ LIE_ZERO = LieElement()
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
-    out: dict[Gen, int] = {}
-    for a, ca in x.num.items():
-        for b, cb in y.num.items():
-            f = ca * cb
-            for g, c in bracket_gens(a, b):
-                out[g] = out.get(g, 0) + f * c
-    return LieElement._of(out, x.den * y.den)
+    pairs = ((bracket_gens(a, b), ca * cb) for a, ca in x.num.items() for b, cb in y.num.items())
+    return LieElement._of(accumulate(pairs), x.den * y.den)
 
 
 def is_in_k(x: LieElement) -> bool:

@@ -134,7 +134,8 @@ def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
     exterior part."""
     if any(mask for _, mask in x.num):
         require_in_k(z)
-    pairs = ((ad_on_key(zg, key), zc * c) for zg, zc in z.num.items() for key, c in x.num.items())
+    pairs = ((ad_on_key(zg, key).items(), zc * c)
+             for zg, zc in z.num.items() for key, c in x.num.items())
     return SEElement._of(accumulate(pairs), z.den * x.den)
 
 

@@ -21,7 +21,8 @@ from math import lcm
 
 from ._record import record
 from .clifford import CliffordAlgebra, PForm, _OnDemand, popcount
-from .elements import BoundElement, ZERO_EXP, fmt_exp, fmt_mask, pair_sort_key, signed_sum
+from .elements import (BoundElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, nonzero_row,
+                       pair_sort_key, signed_sum)
 from .errors import DomainError, InvarianceError
 from .lie_core import LieElement, lie_gen, require_in_k
 from .matrix_oracle import Gen, K_GENS
@@ -30,6 +31,23 @@ from .uea import UElement, gen_commutator, pbw_pair_product, symmetrize_monomial
 
 UCKey = tuple  # (exp 10-tuple, mask int)
 _ONE_KEY = (ZERO_EXP, 0)
+
+
+def _tensor(u_row, c_row):
+    """The U(g) row tensor the C(p) row: ((e, m), a * b) for each entry
+    (e, a) of u_row and (m, b) of c_row."""
+    for e, a in u_row:
+        for m, b in c_row:
+            yield (e, m), a * b
+
+
+def _row_pairs(tables, left, right):
+    """(tables[a][b], ca * cb) for each term (a, ca) of left and (b, cb) of
+    right, reading tables[a] once per term of left."""
+    for a, ca in left:
+        rows = tables[a]
+        for b, cb in right:
+            yield rows[b], ca * cb
 
 
 class UCElement(BoundElement):
@@ -71,9 +89,9 @@ class UCElement(BoundElement):
 
 class TensorAlgebra:
     """U(g) tensor C(p) for a fixed Clifford normalization. Products and
-    k-actions read rows of (key, int) pairs, filled on first read and kept
-    as long as the algebra, like the Clifford tables: _products[kx][ky] and
-    _actions[zg][key]."""
+    k-actions read rows, tuples of (key, int) pairs, filled on first read and
+    kept as long as the algebra, like the Clifford tables: _products[kx][ky]
+    and _actions[zg][key]."""
 
     def __init__(self, pform: PForm):
         self.pform = pform
@@ -114,34 +132,23 @@ class TensorAlgebra:
 
     def _product_row(self, kx: UCKey, ky: UCKey) -> tuple:
         """The monomial kx times the monomial ky over cl.table_den: the PBW
-        pair product crossed with the Clifford product of the masks."""
+        pair product tensor the Clifford product of the masks."""
         (eu, mu), (ev, mv) = kx, ky
-        cprod = self.cl.table[mu, mv].items()
-        return tuple(((ee, mm), a * bc) for ee, a in pbw_pair_product(eu, ev).items()
-                     for mm, bc in cprod if bc)
+        return tuple(_tensor(pbw_pair_product(eu, ev), self.cl.table[mu, mv]))
 
     def _action_row(self, zg: Gen, key: UCKey) -> tuple:
-        """ad(zg) of the monomial key over cl.k_den: the commutator on the
-        U-side plus the Clifford derivation on the C-side."""
+        """ad(zg) of the monomial key over cl.k_den, by the Leibniz rule: the
+        commutator on the U-side tensor the mask, plus the exponent tensor
+        the Clifford derivation on the C-side."""
         exp, mask = key
-        k_den = self.cl.k_den
-        out = {(ee, mask): a * k_den for ee, a in gen_commutator(zg, exp).items()}
-        for m, b in self.cl.k_table[zg, mask].items():
-            out[exp, m] = out.get((exp, m), 0) + b
-        return tuple((k, c) for k, c in out.items() if c)
+        commutator = _tensor(gen_commutator(zg, exp), ((mask, 1),))
+        derivation = _tensor(((exp, 1),), self.cl.k_table[zg, mask])
+        return nonzero_row(accumulate(((commutator, self.cl.k_den), (derivation, 1))))
 
     def multiply(self, x: UCElement, y: UCElement) -> UCElement:
         """x y, one row of the algebra's product table per pair of terms."""
-        products = self._products
-        out: dict[UCKey, int] = {}
-        get = out.get
-        for kx, cu in x.num.items():
-            row_of = products[kx]
-            for ky, cv in y.num.items():
-                f = cu * cv
-                for k, a in row_of[ky]:
-                    out[k] = get(k, 0) + f * a
-        return UCElement._of(out, x.den * y.den * self.cl.table_den, self)
+        pairs = _row_pairs(self._products, x.num.items(), y.num.items())
+        return UCElement._of(accumulate(pairs), x.den * y.den * self.cl.table_den, self)
 
     def ad_action(self, z: LieElement, x: UCElement) -> UCElement:
         """ad(z) x: z acts as z tensor 1 + 1 tensor alpha(z), that is by the
@@ -151,15 +158,8 @@ class TensorAlgebra:
         Clifford part."""
         if any(mask for _, mask in x.num):
             require_in_k(z)
-        out: dict[UCKey, int] = {}
-        get = out.get
-        for zg, zc in z.num.items():
-            row_of = self._actions[zg]
-            for key, xc in x.num.items():
-                f = zc * xc
-                for k, a in row_of[key]:
-                    out[k] = get(k, 0) + f * a
-        return UCElement._of(out, z.den * x.den * self.cl.k_den, self)
+        pairs = _row_pairs(self._actions, z.num.items(), x.num.items())
+        return UCElement._of(accumulate(pairs), z.den * x.den * self.cl.k_den, self)
 
     @cached_property
     def catalog(self) -> Catalog:
@@ -173,18 +173,10 @@ class TensorAlgebra:
     def rho(self, x: SEElement) -> UCElement:
         """sigma tensor tau, mapping the supercommutative model here."""
         tau = self.cl._tau_table
-        images = [(mask, c, symmetrize_monomial(exp)) for (exp, mask), c in x.num.items()]
-        den = lcm(*(s.den for _, _, s in images))
-        out: dict[UCKey, int] = {}
-        for mask, c, s in images:
-            f = c * (den // s.den)
-            tm = tau[mask]
-            for ee, a in s.num.items():
-                fa = f * a
-                for mm, bc in tm.items():
-                    k = (ee, mm)
-                    out[k] = out.get(k, 0) + fa * bc
-        return UCElement._of(out, x.den * den * self.cl._tau_den, self)
+        images = [(symmetrize_monomial(exp), tau[mask], c) for (exp, mask), c in x.num.items()]
+        den = lcm(*(s.den for s, _, _ in images))
+        pairs = ((_tensor(s.num.items(), t), c * (den // s.den)) for s, t, c in images)
+        return UCElement._of(accumulate(pairs), x.den * den * self.cl._tau_den, self)
 
     def rho_named(self, name: str) -> UCElement:
         """rho of the named closed-form invariant, computed once per algebra:

@@ -29,16 +29,17 @@ recursion over sub-multisets in plain ints, and
 sigma(x) = P(x) / (n! / prod x_g!) is P(x) over one denominator.
 
 Every sum above, of insertions, pair products or sigma of monomials, adds
-int tables into one dict through elements.accumulate (or combine, for
+int rows into one dict through elements.accumulate (or combine, for
 elements over different denominators).
 
 Generator insertions, pair products, generator commutators, P and sigma
 of a monomial are pure functions of their arguments, each kept for the
 life of the process by functools.cache: cache_info() reports a table's
-size and hits, and cache_clear() empties it. The cached tables, and the
-numerators of a cached sigma of a monomial, are shared, so they are handed
-out read-only (types.MappingProxyType): a caller that writes to one gets a
-TypeError instead of corrupting every later result.
+size and hits, and cache_clear() empties it. The first four return rows,
+tuples of (PBW monomial, int) pairs with no zero entry, and a cached sigma
+of a monomial holds its numerators in a types.MappingProxyType. Every
+caller shares them, so they are read-only: a caller that writes to one
+gets a TypeError instead of corrupting every later result.
 """
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ from functools import cache
 from math import factorial
 from types import MappingProxyType
 
-from .elements import LinearElement, ZERO_EXP, accumulate, combine, exp_sort_key, fmt_exp
+from .elements import (LinearElement, ZERO_EXP, accumulate, combine, exp_sort_key, fmt_exp,
+                       nonzero_row)
 from .lie_core import bracket_gens
 from .matrix_oracle import Gen
 
@@ -85,59 +87,49 @@ def _lowered(exp: Exp, s: int) -> Exp:
     return tuple(m)
 
 
-def _add_inserted(acc: dict[Exp, int], g: int, terms: dict[Exp, int], f: int = 1) -> dict:
-    """acc += f * u_g * terms, in place; returns acc."""
-    return accumulate(((insert_gen(g, m), f * c) for m, c in terms.items()), acc)
-
-
-def _nonzero(acc: dict[Exp, int]) -> dict[Exp, int]:
-    return {m: c for m, c in acc.items() if c}
-
-
-def _frozen(acc: dict[Exp, int]) -> MappingProxyType:
-    """The nonzero entries of acc, as a read-only table for a cache."""
-    return MappingProxyType(_nonzero(acc))
+def _add_inserted(acc: dict[Exp, int], g: int, row, f: int = 1) -> dict:
+    """acc += f * u_g * row, in place; returns acc."""
+    return accumulate(((insert_gen(g, m), f * c) for m, c in row), acc)
 
 
 @cache
-def insert_gen(g: int, exp: Exp) -> MappingProxyType:
-    """u_g x^exp over PBW monomials, in int coefficients."""
+def insert_gen(g: int, exp: Exp) -> tuple:
+    """u_g x^exp over PBW monomials, as a row."""
     s = _leading_slot(exp)
     if g <= s:
         m = list(exp)
         m[g] += 1
-        return MappingProxyType({tuple(m): 1})
+        return ((tuple(m), 1),)
     rest = _lowered(exp, s)
     acc = _add_inserted({}, s, insert_gen(g, rest))
     accumulate(((insert_gen(int(h), rest), c) for h, c in bracket_gens(g, s)), acc)
-    return _frozen(acc)
+    return nonzero_row(acc)
 
 
-def _fold(word, exp: Exp) -> dict[Exp, int]:
+def _fold(word, exp: Exp) -> tuple:
     """The product of the generators `word` times x^exp, inserting the
-    letters right to left."""
-    acc = {exp: 1}
+    letters right to left, as a row."""
+    row = ((exp, 1),)
     for g in reversed(word):
-        acc = _nonzero(_add_inserted({}, int(g), acc))
-    return acc
+        row = nonzero_row(_add_inserted({}, int(g), row))
+    return row
 
 
 @cache
-def pbw_pair_product(x: Exp, y: Exp) -> MappingProxyType:
-    """Product of two PBW monomials, straightened."""
-    return MappingProxyType(_fold(exp_to_word(x), y))
+def pbw_pair_product(x: Exp, y: Exp) -> tuple:
+    """Product of two PBW monomials, straightened, as a row."""
+    return _fold(exp_to_word(x), y)
 
 
 @cache
-def gen_commutator(g: int, exp: Exp) -> MappingProxyType:
-    """[u_g, x^exp] = u_g x^exp - x^exp u_g over PBW monomials, in int
-    coefficients."""
+def gen_commutator(g: int, exp: Exp) -> tuple:
+    """[u_g, x^exp] = u_g x^exp - x^exp u_g over PBW monomials, as a row."""
     if not any(exp):
-        return MappingProxyType({})
+        return ()
     s = _leading_slot(exp)
     rest = _lowered(exp, s)
     acc = accumulate((insert_gen(int(h), rest), c) for h, c in bracket_gens(g, s))
-    return _frozen(_add_inserted(acc, s, gen_commutator(g, rest)))
+    return nonzero_row(_add_inserted(acc, s, gen_commutator(g, rest)))
 
 
 class UElement(LinearElement):
@@ -200,16 +192,16 @@ def s_one() -> SElement:
 
 
 @cache
-def _orderings_sum(exp: Exp) -> MappingProxyType:
+def _orderings_sum(exp: Exp) -> tuple:
     """P(exp): the straightened sum of every distinct ordering of the
-    monomial, in int coefficients."""
+    monomial, as a row."""
     if not any(exp):
-        return MappingProxyType({exp: 1})
+        return ((exp, 1),)
     acc: dict[Exp, int] = {}
     for g, e in enumerate(exp):
         if e:
             _add_inserted(acc, g, _orderings_sum(_lowered(exp, g)))
-    return _frozen(acc)
+    return nonzero_row(acc)
 
 
 @cache
@@ -219,7 +211,7 @@ def symmetrize_monomial(exp: Exp) -> UElement:
     orderings = factorial(sum(exp))
     for e in exp:
         orderings //= factorial(e)
-    el = UElement._of(_orderings_sum(exp), orderings)
+    el = UElement._of(dict(_orderings_sum(exp)), orderings)
     el.num = MappingProxyType(el.num)
     return el
 

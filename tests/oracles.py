@@ -446,8 +446,8 @@ def graded_keys(n: int) -> list[tuple]:
 
 def straighten_word(word) -> dict[tuple, int]:
     """Expand the product of generators `word` over PBW monomials, through
-    the engine's generator insertions."""
-    return uea._fold(word, ZERO_EXP)
+    the engine's generator insertions, as a dict."""
+    return dict(uea._fold(word, ZERO_EXP))
 
 
 def first_descent_straighten(word: tuple[int, ...], memo: dict) -> dict[tuple, int]:
@@ -887,9 +887,9 @@ def term_by_term_multiply(alg, x, y):
         for (ev, mv), cv in y.num.items():
             f = cu * cv
             cprod = cl_table[(mu, mv)]
-            for ee, a in pbw_pair_product(eu, ev).items():
+            for ee, a in pbw_pair_product(eu, ev):
                 fa = f * a
-                for mm, bc in cprod.items():
+                for mm, bc in cprod:
                     k = (ee, mm)
                     out[k] = out.get(k, 0) + fa * bc
     return UCElement._of(out, x.den * y.den * alg.cl.table_den, alg)
@@ -904,10 +904,10 @@ def term_by_term_ad_action(alg, z, x):
         for (exp, mask), xc in x.num.items():
             f = zc * xc
             fu = f * k_den
-            for ee, a in gen_commutator(zg, exp).items():
+            for ee, a in gen_commutator(zg, exp):
                 k = (ee, mask)
                 out[k] = out.get(k, 0) + fu * a
-            for m, b in k_table[(zg, mask)].items():
+            for m, b in k_table[(zg, mask)]:
                 k = (exp, m)
                 out[k] = out.get(k, 0) + f * b
     return UCElement._of(out, z.den * x.den * k_den, alg)

@@ -55,7 +55,7 @@ def test_product_and_k_action_tables_hold_only_ints(algebra):
                         (algebra.k_table, [(zg, m) for zg in K_GENS for m in range(16)])):
         entries = [table[key] for key in keys]
         assert len(table) == len(keys)
-        assert all(type(c) is int for terms in entries for c in terms.values())
+        assert all(type(c) is int for row in entries for _, c in row)
 
 
 def test_tables_fill_only_the_entries_read():
@@ -64,6 +64,42 @@ def test_tables_fill_only_the_entries_read():
     v = alg.gen(P_GENS[0])
     assert v * v == alg.scalar(alg.pform.phi(0, 0))
     assert list(alg.table) == [(1, 1)]
+
+
+@pytest.mark.parametrize("sign", [-1, 1], ids=["sign=-1", "sign=+1"])
+def test_every_cached_row_is_read_only(sign):
+    # every product reads the same row of a shared table, so a write to an
+    # entry of the four Clifford tables or of the U(g) (x) C(p) product and
+    # action rows must raise rather than change what later products print
+    alg = TensorAlgebra(PForm.from_trace_form(sign=sign, scale=Fraction(1, 4)))
+    cl, e1 = alg.cl, lie_gen(Gen.E1)
+    x = alg.u_gen(Gen.F1) * alg.c_gen(Gen.E3)
+    y = alg.u_gen(Gen.E3) * alg.c_gen(Gen.F3)
+    calls = [
+        lambda: cl.gen(Gen.E3) * cl.gen(Gen.F3),
+        lambda: cl.k_action(e1, cl.gen(Gen.F3) * cl.gen(Gen.F4)),
+        lambda: cl.chevalley(ext_wedge(Gen.E3, Gen.F3, Gen.F4)),
+        lambda: x * y,
+        lambda: alg.ad_action(e1, x * y),
+    ]
+    want = [str(call()) for call in calls]
+    tables = [cl.table, cl.k_table, cl._tau_table, cl._insert_table,
+              *alg._products.values(), *alg._actions.values()]
+    assert all(tables) and (1, 4) in cl.table
+
+    def assign(row):
+        row[0] = 999
+
+    def delete(row):
+        del row[0]
+
+    for table in tables:
+        for row in table.values():
+            for write in (assign, delete):
+                with pytest.raises(TypeError):
+                    write(row)
+            assert type(row) is tuple and all(type(c) is int and c for _, c in row)
+    assert [str(call()) for call in calls] == want
 
 
 def test_associativity_all_monomial_triples(algebra):
@@ -109,7 +145,7 @@ def test_wedge_is_the_top_degree_part_of_the_clifford_product(label):
     for ma in range(16):
         for mb in range(16):
             degree = popcount(ma) + popcount(mb)
-            top = {m: Fraction(c, alg.table_den) for m, c in alg.table[ma, mb].items()
+            top = {m: Fraction(c, alg.table_den) for m, c in alg.table[ma, mb]
                    if c and popcount(m) == degree}
             if ma & mb:
                 assert (ma, mb) not in WEDGE and top == {}

@@ -17,7 +17,7 @@ from oracles import oracle_dumps, oracle_text, relation_residuals
 from so41inv import elements
 from so41inv.clifford import ExtElement
 from so41inv.elements import (MASK_FIELDS, ZERO_EXP, accumulate, combine, exp_sort_key, fmt_mask,
-                              mask_sort_key, pair_sort_key, signed_sum)
+                              mask_sort_key, nonzero_row, pair_sort_key, signed_sum)
 from so41inv.evaluator import evaluate
 from so41inv.errors import DomainError
 from so41inv.lie_core import LieElement, lie_gen
@@ -108,8 +108,9 @@ def test_additive_group_and_scalar_laws(kind, data):
 
 def test_accumulate_adds_into_one_dict_and_combine_puts_elements_over_the_lcm():
     out = {"a": 1}
-    assert accumulate([({"a": 2, "b": 1}, 3), ({"b": 3}, -1)], out) is out
+    assert accumulate([((("a", 2), ("b", 1)), 3), ((("b", 3),), -1)], out) is out
     assert out == {"a": 7, "b": 0}  # a cancelled entry stays until the normal form
+    assert nonzero_row(out) == (("a", 7),)
     e1 = word_to_exp((Gen.E1,))
     x, y = UElement({ZERO_EXP: Fraction(1, 2)}), UElement({e1: Fraction(1, 3)})
     assert combine([(x, 1), (y, -2)]) == ({ZERO_EXP: 3, e1: -4}, 6)

@@ -1020,8 +1020,10 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     (["verify", "table"], "verify_table.stdout", 0),
     (["verify", "relations", "--sign", "+1"], "verify_relations_sign_plus.stdout", 1),
     (["verify", "invariance"], "verify_invariance.stdout", 0),
+    (["verify", "chain", "--sign", "+1"], "verify_chain_sign_plus.stdout", 1),
+    (["verify", "chain", "--sign", "-1"], "verify_chain_sign_minus.stdout", 0),
 ], ids=["all", "independence-8", "rank16+1", "rank16-1", "table", "relations+1",
-        "invariance"])
+        "invariance", "chain+1", "chain-1"])
 def test_cli_output_matches_the_recorded_golden(argv, golden, code):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)

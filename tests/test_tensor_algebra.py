@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (FractionEchelon, lie_to_u, relation_residuals, st_product_vectors,
                      term_by_term_ad_action, term_by_term_multiply, uc_rank)
-from so41inv.clifford import PForm
+from so41inv.clifford import ExtElement, PForm
 from so41inv.elements import mask_bits, pair_sort_key
 from so41inv.invariants import truncated_rank16_check
 from so41inv.lie_core import LieElement, lie_gen
@@ -31,7 +31,7 @@ from so41inv.tensor_algebra import (
     refuted_by_j,
     verify_relations,
 )
-from so41inv.uea import pbw_pair_product, word_to_exp
+from so41inv.uea import SElement, pbw_pair_product, symmetrize, word_to_exp
 
 # frozen adjudication oracle: literal residual term counts per convention
 LITERAL_RESIDUALS = {
@@ -296,7 +296,7 @@ def fraction_multiply(alg: TensorAlgebra, x, y):
         for (ev, mv), cv in y.terms.items():
             f = cu * cv
             cprod = alg.cl.word_product(mask_bits(mu) + mask_bits(mv)).terms
-            for ee, a in pbw_pair_product(eu, ev).items():
+            for ee, a in pbw_pair_product(eu, ev):
                 for mm, bc in cprod.items():
                     k = (ee, mm)
                     nc = out.get(k, Fraction(0)) + f * a * bc
@@ -344,6 +344,26 @@ def test_multiply_is_associative(label, x, y, z):
     alg = algebra_for(label)
     x, y, z = alg.element(x), alg.element(y), alg.element(z)
     assert (x * y) * z == x * (y * z)
+
+
+@labels
+@settings(max_examples=20, deadline=None)
+@given(terms=st.dictionaries(
+    st.tuples(st.lists(st.sampled_from(list(Gen)), min_size=1, max_size=3).map(word_to_exp),
+              st.integers(1, 15)),
+    coefficients, min_size=1, max_size=4))
+def test_rho_of_mixed_keys_is_sigma_times_tau(label, terms):
+    # keys with both an S(g) and a Lambda(p) part, against rho = sigma (x) tau
+    # one term at a time: sigma(s) (x) 1 times 1 (x) tau(t), each from its own
+    # map; words of one to three letters, repeated or not, give sigma(s)
+    # different denominators, which rho must put over their lcm
+    alg = algebra_for(label)
+    want = alg.zero()
+    for (exp, mask), c in terms.items():
+        s = alg.from_u(symmetrize(SElement({exp: 1})))
+        t = alg.from_c(alg.cl.chevalley(ExtElement({mask: 1})))
+        want = want + c * (s * t)
+    assert alg.rho(SEElement(terms)) == want
 
 
 @cache

@@ -120,12 +120,12 @@ def test_gen_commutator_is_the_difference_of_the_pair_products(exp):
     for g in K_GENS:
         gen = word_to_exp((g,))
         want = dict(pbw_pair_product(gen, exp))
-        for m, c in pbw_pair_product(exp, gen).items():
+        for m, c in pbw_pair_product(exp, gen):
             want[m] = want.get(m, 0) - c
-        assert gen_commutator(g, exp) == {m: c for m, c in want.items() if c}
+        assert dict(gen_commutator(g, exp)) == {m: c for m, c in want.items() if c}
     for i, h in enumerate((Gen.H1, Gen.H2)):
         weight = sum(e * GEN_WEIGHTS[g][i] for g, e in zip(Gen, exp))
-        assert gen_commutator(h, exp) == ({exp: weight} if weight else {})
+        assert dict(gen_commutator(h, exp)) == ({exp: weight} if weight else {})
 
 
 def test_insertion_agrees_with_first_descent_on_every_short_word():
@@ -204,12 +204,25 @@ def test_straightening_and_orderings_memos_hold_only_ints():
     values.append(uea.gen_commutator(Gen.E1, exp))
     values += [straighten_word(w) for n in range(4) for w in product(range(10), repeat=n)]
     for terms in values:
-        assert terms and all(type(c) is int for c in terms.values())
+        assert terms and all(type(c) is int for c in dict(terms).values())
+
+
+def test_the_straightening_memos_hold_rows():
+    # one row format: a tuple of (PBW monomial, int) pairs, each monomial
+    # once, with no zero entry
+    exp = word_to_exp((Gen.H1, Gen.E3, Gen.F3, Gen.F3))
+    rows = [uea._orderings_sum(sub) for sub in product(*(range(e + 1) for e in exp))]
+    rows += [uea.insert_gen(g, exp) for g in range(10)]
+    rows += [uea.pbw_pair_product(exp, exp), uea.gen_commutator(Gen.E1, exp),
+             uea.gen_commutator(Gen.H1, exp), uea.gen_commutator(Gen.E1, ZERO_EXP)]
+    for row in rows:
+        assert type(row) is tuple and len({m for m, _ in row}) == len(row)
+        assert all(type(m) is tuple and len(m) == 10 and type(c) is int and c for m, c in row)
 
 
 def test_every_memoized_table_is_read_only():
-    # the four straightening memos hand the same table to every caller, so
-    # a write must raise rather than change what later calls return
+    # the four straightening memos hand the same row to every caller, so a
+    # write must raise rather than change what later calls return
     exp = word_to_exp((Gen.H1, Gen.E3, Gen.F3))
     calls = [
         lambda: uea.insert_gen(Gen.H1, exp),
@@ -230,7 +243,7 @@ def test_every_memoized_table_is_read_only():
         table = call()
         want = dict(table)
         for write in (assign, delete):
-            with pytest.raises(TypeError, match="mappingproxy"):
+            with pytest.raises(TypeError, match="'tuple' object"):
                 write(table)
         for method in ("clear", "pop", "update", "setdefault"):
             assert not hasattr(table, method)
