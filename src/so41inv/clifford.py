@@ -329,15 +329,22 @@ class CliffordAlgebra:
 
 
 class _OnDemand(dict):
-    """A table whose entry for a key is computed by fill(key) on first read."""
+    """A table whose entry for a key is computed by fill(key) on first read.
+    That read is its only write: every other write raises TypeError."""
 
     def __init__(self, fill):
         super().__init__()
         self._fill = fill
 
     def __missing__(self, key):
-        value = self[key] = self._fill(key)
+        value = self._fill(key)
+        dict.__setitem__(self, key, value)
         return value
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a table filled on read cannot be written")
+
+    __setitem__ = __delitem__ = update = pop = popitem = clear = setdefault = __ior__ = _refuse
 
 
 def _det(m: tuple) -> int:

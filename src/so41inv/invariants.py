@@ -155,16 +155,20 @@ def image_rows(gens: tuple[Gen, ...], keys: list[int]) -> list[dict[int, int]]:
     """ad z on each packed key for each k-generator z in gens, one row per
     key with int coefficients, onto the targets 8 * target key + place of z
     in K_GENS, which sort as the pairs (target key, generator). A move adds
-    a fixed delta to the key, its coefficient times the exponent of its slot;
-    moves that meet are summed (ad H1 and ad H2 fix every key), so an entry
-    may be 0."""
-    slots: dict[int, list[tuple[int, int]]] = {}
+    a fixed delta to the key, its coefficient times the exponent of its slot.
+    Moves that change the key never meet and are assigned; only the moves of
+    ad H1 and ad H2 fix it, and those are summed, so such an entry may be 0."""
+    slots: dict[int, tuple[list, list]] = {}  # shift: (moves, fixes)
     ext: list[list[tuple[int, int]]] = [[] for _ in range(16)]
     for z in gens:
         place = K_GENS.index(z)
         for slot, pairs in _SLOT_AD[z]:
-            slots.setdefault(_shift(slot), []).extend(
-                (8 * ((1 << _shift(g)) - (1 << _shift(slot))) + place, c) for g, c in pairs)
+            moves, fixes = slots.setdefault(_shift(slot), ([], []))
+            for g, c in pairs:
+                if g == slot:
+                    fixes.append((place, c))
+                else:
+                    moves.append((8 * ((1 << _shift(g)) - (1 << _shift(slot))) + place, c))
         for mask in range(16):
             ext[mask].extend((8 * (m - mask) + place, c) for m, c in _EXT_AD[z, mask])
     rows = []
@@ -172,10 +176,12 @@ def image_rows(gens: tuple[Gen, ...], keys: list[int]) -> list[dict[int, int]]:
         key8 = 8 * key
         # the exterior moves of one key land on distinct targets
         row = {key8 + d: c for d, c in ext[key & 15]}
-        for shift, pairs in slots.items():
+        for shift, (moves, fixes) in slots.items():
             e = key >> shift & 255
             if e:
-                for d, c in pairs:
+                for d, c in moves:
+                    row[key8 + d] = e * c
+                for d, c in fixes:
                     row[key8 + d] = row.get(key8 + d, 0) + e * c
         rows.append(row)
     return rows

@@ -16,6 +16,9 @@ integer literals or integer/integer pairs like 3/4.
 Parentheses, calls, unary minus and 'ot'/'^' chains nest at most
 MAX_NESTING levels, as the parser and the evaluator recurse once a level;
 a + - * chain costs no level, so an element's printed form always parses.
+
+The text is read in one regex pass into plain (kind, text, position)
+tuples, and the recursive descent reads those.
 """
 from __future__ import annotations
 
@@ -68,38 +71,23 @@ Node = Num | Sym | Neg | BinOp | Call
 
 # -- tokenizer -------------------------------------------------------------------
 
+# Whitespace matches no alternative, so finditer skips it; 'bad' is any other
+# character that starts no token.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<punct>[-+*^(),]))"
+    r"(?P<number>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<punct>[-+*^(),])|(?P<bad>\S)"
 )
 
 
-@record(frozen=True)
-class Token:
-    kind: str  # number | name | punct | end
-    text: str
-    pos: int
-
-
-def tokenize(src: str) -> list[Token]:
+def tokenize(src: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) tokens of src, kind one of number, name
+    and punct, closed by ("end", "", len(src))."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.end() == pos:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(src) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("number"):
-            tokens.append(Token("number", m.group("number"), m.start("number")))
-        elif m.group("name"):
-            tokens.append(Token("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(Token("punct", m.group("punct"), m.start("punct")))
-        pos = m.end()
-    tokens.append(Token("end", "", len(src)))
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+        tokens.append((m.lastgroup, m[0], m.start()))
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
@@ -107,107 +95,97 @@ def tokenize(src: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = tokenize(src)
         self.i = 0
         self.depth = 0
 
-    def enter(self, tok: Token) -> None:
-        """One level deeper, opened at tok."""
+    def enter(self, pos: int) -> None:
+        """One level deeper, opened at pos."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", pos)
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def next_text(self) -> str:
+        """The text of the next token. Only a punct token spells punctuation
+        and only a name spells 'ot', so the text alone tells them apart."""
+        return self.tokens[self.i][1]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.pos)
-        return self.advance()
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+    def expect_punct(self, text: str) -> None:
+        _, got, pos = self.advance()
+        if got != text:
+            raise ParseError(f"expected {text!r}", pos)
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
         return node
 
     def expr(self) -> Node:
         node = self.term()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
+        while self.next_text() in ("+", "-"):
+            node = BinOp(self.advance()[1], node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.factor()
-        while self.at_punct("*"):
-            self.advance()
+        while self.next_text() == "*":
+            self.i += 1
             node = BinOp("*", node, self.factor())
         return node
 
     def factor(self) -> Node:
         outer = self.depth  # a minus and the steps of a chain close here
-        if self.at_punct("-"):
-            self.enter(self.advance())
+        if self.next_text() == "-":
+            self.enter(self.advance()[2])
             node = Neg(self.factor())
         else:
             node = self.primary()
-            while (self.peek().kind, self.peek().text) in (("name", "ot"), ("punct", "^")):
-                tok = self.advance()
-                self.enter(tok)
-                node = BinOp(tok.text, node, self.primary())
+            while self.next_text() in ("ot", "^"):
+                _, op, pos = self.advance()
+                self.enter(pos)
+                node = BinOp(op, node, self.primary())
         self.depth = outer
         return node
 
     def primary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            text = tok.text.replace(" ", "")
-            _, slash, den = text.partition("/")
+        kind, text, pos = self.advance()
+        if kind == "number":
+            value = text.replace(" ", "")
+            _, slash, den = value.partition("/")
             if slash and not int(den):
-                raise ParseError(f"zero denominator in {tok.text!r}", tok.pos)
-            return Num(Fraction(text))
-        if tok.kind == "name":
-            if tok.text == "ot":
-                raise ParseError("'ot' is an operator, not a value", tok.pos)
-            self.advance()
-            if tok.text in CALL_NAMES:
-                self.enter(tok)
-                self.expect_punct("(")
-                args = [self.expr()]
-                while self.at_punct(","):
-                    self.advance()
-                    args.append(self.expr())
-                self.expect_punct(")")
-                self.depth -= 1
-                want = CALL_ARITY[tok.text]
-                if len(args) != want:
-                    raise ParseError(
-                        f"{tok.text} takes {want} argument(s), got {len(args)}",
-                        tok.pos)
-                return Call(tok.text, tuple(args))
-            return Sym(tok.text)
-        if self.at_punct("("):
-            self.enter(self.advance())
+                raise ParseError(f"zero denominator in {text!r}", pos)
+            return Num(Fraction(value))
+        if kind == "name":
+            if text == "ot":
+                raise ParseError("'ot' is an operator, not a value", pos)
+            if text not in CALL_NAMES:
+                return Sym(text)
+            self.enter(pos)
+            self.expect_punct("(")
+            args = [self.expr()]
+            while self.next_text() == ",":
+                self.i += 1
+                args.append(self.expr())
+            self.expect_punct(")")
+            self.depth -= 1
+            want = CALL_ARITY[text]
+            if len(args) != want:
+                raise ParseError(f"{text} takes {want} argument(s), got {len(args)}", pos)
+            return Call(text, tuple(args))
+        if text == "(":
+            self.enter(pos)
             node = self.expr()
             self.expect_punct(")")
             self.depth -= 1
             return node
-        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
-                         tok.pos)
+        raise ParseError(f"expected a value, found {text or 'end of input'!r}", pos)
 
 
 def parse(src: str) -> Node:

@@ -70,7 +70,8 @@ def test_tables_fill_only_the_entries_read():
 def test_every_cached_row_is_read_only(sign):
     # every product reads the same row of a shared table, so a write to an
     # entry of the four Clifford tables or of the U(g) (x) C(p) product and
-    # action rows must raise rather than change what later products print
+    # action rows, or to any of those tables itself, must raise rather than
+    # change what later products print
     alg = TensorAlgebra(PForm.from_trace_form(sign=sign, scale=Fraction(1, 4)))
     cl, e1 = alg.cl, lie_gen(Gen.E1)
     x = alg.u_gen(Gen.F1) * alg.c_gen(Gen.E3)
@@ -79,13 +80,36 @@ def test_every_cached_row_is_read_only(sign):
         lambda: cl.gen(Gen.E3) * cl.gen(Gen.F3),
         lambda: cl.k_action(e1, cl.gen(Gen.F3) * cl.gen(Gen.F4)),
         lambda: cl.chevalley(ext_wedge(Gen.E3, Gen.F3, Gen.F4)),
+        lambda: cl.alpha(e1),
         lambda: x * y,
         lambda: alg.ad_action(e1, x * y),
+        lambda: alg.rho_named("D"),
     ]
     want = [str(call()) for call in calls]
     tables = [cl.table, cl.k_table, cl._tau_table, cl._insert_table,
               *alg._products.values(), *alg._actions.values()]
     assert all(tables) and (1, 4) in cl.table
+
+    bogus = ((0, 999),)
+    table_writes = [
+        lambda t, k: t.__setitem__(k, bogus),
+        lambda t, k: t.__delitem__(k),
+        lambda t, k: t.update({k: bogus}),
+        lambda t, k: t.pop(k),
+        lambda t, k: t.popitem(),
+        lambda t, k: t.clear(),
+        lambda t, k: t.setdefault(k, bogus),
+    ]
+    for table in (cl.table, cl.k_table, cl._tau_table, cl._insert_table, cl._alpha_table,
+                  alg._named, alg._products, alg._actions,
+                  next(iter(alg._products.values())), next(iter(alg._actions.values()))):
+        key, size = next(iter(table)), len(table)
+        for write in table_writes:
+            with pytest.raises(TypeError):
+                write(table, key)
+        with pytest.raises(TypeError):
+            table |= {key: bogus}
+        assert len(table) == size and table[key] is not bogus
 
     def assign(row):
         row[0] = 999

@@ -138,6 +138,48 @@ def test_unbalanced_parens():
         parse("a1)")
 
 
+@pytest.mark.parametrize("src, message, position", [
+    ("$", "unexpected character '$'", 0),
+    ("   $", "unexpected character '$'", 3),
+    ("a1 + @", "unexpected character '@'", 5),
+    ("a1 * é", "unexpected character 'é'", 5),
+    ("é", "unexpected character 'é'", 0),
+    ("a1 +\n\t$", "unexpected character '$'", 6),
+    ("1/", "unexpected character '/'", 1),
+    ("a1 b $", "unexpected character '$'", 5),  # the whole text is read first
+    ("ad E1", "expected '('", 3),
+    ("sigma", "expected '('", 5),
+    ("ad(E1, D", "expected ')'", 8),
+    ("(a1 + a2", "expected ')'", 8),
+    ("a1 + ", "expected a value, found 'end of input'", 5),
+    ("sigma(", "expected a value, found 'end of input'", 6),
+    ("H1 ^", "expected a value, found 'end of input'", 4),
+    ("a1 + )", "expected a value, found ')'", 5),
+    ("()", "expected a value, found ')'", 1),
+    ("a1 b", "unexpected trailing input 'b'", 3),
+    ("a1)", "unexpected trailing input ')'", 2),
+    ("ad(E1, D) ,", "unexpected trailing input ','", 10),
+    ("3 / 00", "zero denominator in '3 / 00'", 0),
+    ("a1 + 3 / 00", "zero denominator in '3 / 00'", 5),
+    ("1/0", "zero denominator in '1/0'", 0),
+    ("ot", "'ot' is an operator, not a value", 0),
+    ("E1 ot ot", "'ot' is an operator, not a value", 6),
+    ("ad(E1)", "ad takes 2 argument(s), got 1", 0),
+    ("a1 + ad(E1, D, F1)", "ad takes 2 argument(s), got 3", 5),
+    ("sigma(E1, F1)", "sigma takes 1 argument(s), got 2", 0),
+    ("tau(E3, F3)", "tau takes 1 argument(s), got 2", 0),
+    ("rho(D, D)", "rho takes 1 argument(s), got 2", 0),
+    ("", "expected a value, found 'end of input'", 0),
+    ("   ", "expected a value, found 'end of input'", 3),
+    (" \t\n", "expected a value, found 'end of input'", 3),
+])
+def test_every_parse_error_keeps_its_text_and_position(src, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (str(exc.value), exc.value.position) == (
+        f"{message} (at position {position})", position)
+
+
 # -- evaluator ---------------------------------------------------------------------
 
 def test_eval_ad_kills_invariants(cat):
