@@ -45,56 +45,4 @@ def __dir__():
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Catalog",
-    "CliffordAlgebra",
-    "DomainError",
-    "EngineError",
-    "EvalError",
-    "ExprTypeError",
-    "ExtElement",
-    "Gen",
-    "InvarianceError",
-    "K_GENS",
-    "LieElement",
-    "NotStableError",
-    "P_GENS",
-    "PForm",
-    "ParseError",
-    "PrimeDisagreement",
-    "SEElement",
-    "SElement",
-    "SolveError",
-    "SpanError",
-    "TensorAlgebra",
-    "UCElement",
-    "UElement",
-    "accepted_catalog",
-    "adjudicate_convention",
-    "bracket",
-    "build_st_catalog",
-    "catalog_for_sign",
-    "certify_against_oracle",
-    "default_cartan_split",
-    "dump_element",
-    "dumps_element",
-    "evaluate",
-    "ext_gen",
-    "ext_wedge",
-    "generator_chain_check",
-    "independence_check",
-    "invariant_dimension",
-    "jacobi_check",
-    "lie_gen",
-    "load_element",
-    "loads_element",
-    "parse",
-    "predicted_dimension",
-    "s_gen",
-    "se_gen",
-    "se_wedge",
-    "symmetrize",
-    "truncated_rank16_check",
-    "u_gen",
-    "verify_relations",
-]
+__all__ = sorted(_MODULE_OF)

@@ -9,9 +9,11 @@ where phi = sign * gram is the effective symmetric form. Both the gram matrix
 identity suite adjudicates between normalization conventions at run time.
 
 Lambda(p), the associated graded of C(p), shares one sign rule and one
-derivation with it: a word of distinct bits wedges to the sign that sorts it
-(_perm_sign, as in tau) times its mask (WEDGE, built at import), and ad z puts
-[z, v] in the place of each factor v, words C(p) straightens and Lambda(p) wedges.
+derivation with it, and reads rows as C(p) does: wedge_word turns a word of
+bits into the row of its mask times the sign that sorts it (_perm_sign, as in
+tau), or () when a bit repeats; WEDGE holds that row for each pair of masks,
+built at import; and ad z puts [z, v] in the place of each factor v, words
+C(p) straightens and Lambda(p) wedges.
 """
 from __future__ import annotations
 
@@ -81,14 +83,9 @@ class ExtElement(LinearElement):
     __slots__ = ()
 
     def _product(self, other):
-        out: dict[int, int] = {}
-        for ma, ca in self.num.items():
-            for mb, cb in other.num.items():
-                wedge = WEDGE.get((ma, mb))
-                if wedge:
-                    sgn, m = wedge
-                    out[m] = out.get(m, 0) + sgn * ca * cb
-        return ExtElement._of(out, self.den * other.den)
+        pairs = ((WEDGE[ma, mb], ca * cb)
+                 for ma, ca in self.num.items() for mb, cb in other.num.items())
+        return ExtElement._of(accumulate(pairs), self.den * other.den)
 
     def _one(self):
         return ExtElement._of({0: 1})
@@ -106,9 +103,16 @@ def _perm_sign(word: tuple[int, ...]) -> int:
     return -1 if inversions & 1 else 1
 
 
-# (sign, mask) of ma ^ mb, for each pair of disjoint masks
-WEDGE = MappingProxyType({(ma, mb): (_perm_sign(mask_bits(ma) + mask_bits(mb)), ma | mb)
-                          for ma in range(16) for mb in range(16) if not ma & mb})
+def wedge_word(word: tuple[int, ...]) -> tuple:
+    """The wedge of a word of generator bits, as a row: its mask with the
+    sign that sorts the word, or () when a bit repeats."""
+    mask = sum(1 << b for b in word)
+    return ((mask, _perm_sign(word)),) if popcount(mask) == len(word) else ()
+
+
+# the row of ma ^ mb, for each pair of masks: () when they meet
+WEDGE = MappingProxyType({(ma, mb): wedge_word(mask_bits(ma) + mask_bits(mb))
+                          for ma in range(16) for mb in range(16)})
 
 
 def ext_gen(g: Gen) -> ExtElement:
@@ -135,15 +139,11 @@ def derivation_words(zg: Gen, mask: int):
             yield bits[:pos] + (P_INDEX[g],) + bits[pos + 1:], c
 
 
-def ext_ad_on_mask(zg: Gen, mask: int) -> dict[int, int]:
-    """Derivation action of a k-generator on a single exterior monomial, with
-    int coefficients (the structure constants are integral)."""
-    out: dict[int, int] = {}
-    for word, c in derivation_words(zg, mask):
-        m = sum(1 << b for b in word)
-        if popcount(m) == len(word):  # no bit repeats
-            out[m] = out.get(m, 0) + _perm_sign(word) * c
-    return {m: c for m, c in out.items() if c}
+def ext_ad_on_mask(zg: Gen, mask: int) -> tuple:
+    """Derivation action of a k-generator on a single exterior monomial, as a
+    row of ints (the structure constants are integral): its derivation words,
+    wedged."""
+    return nonzero_row(accumulate((wedge_word(word), c) for word, c in derivation_words(zg, mask)))
 
 
 class CElement(BoundElement):

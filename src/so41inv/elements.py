@@ -6,12 +6,17 @@ denominator, num: {key: int} and den: int, in normal form: den > 0, no zero
 numerator, and gcd(den, *numerators) == 1. The form is canonical, so == and
 hash compare it structurally. A row is a tuple of (key, int) pairs with no
 zero entry; the memo tables of products and actions in U(g), C(p) and
-U(g) tensor C(p) hold rows, so a shared row is read-only by its type. Sums,
-products and actions add f times rows (or the items of an element's num)
-into one dict through accumulate (combine puts elements over the lcm of
-their denominators first) and hand the result to one normalizing
-constructor, or to nonzero_row when the sum is itself a cached row;
-signed_sum adds a whole run of elements that way in one pass.
+U(g) tensor C(p) hold rows, and so do the wedge and k-action tables of the
+graded algebras Lambda(p) and S(g) tensor Lambda(p), so a shared row is
+read-only by its type. Sums, products and actions, graded or not, add f
+times rows (or the items of an element's num) into one dict through
+accumulate (combine puts elements over the lcm of their denominators
+first) and hand the result to one normalizing constructor, or to
+nonzero_row when the sum is itself a cached row; signed_sum adds a whole
+run of elements that way in one pass. A monomial of a tensor product
+algebra is a pair of keys, and a row of it is a row of the left factor
+tensor a row of the right one (tensor), in U(g) tensor C(p) and in
+S(g) tensor Lambda(p) alike.
 Fraction appears only where rationals come in (construction, scaling,
 parser literals) and in the `terms` view: canonical text and element files
 format each coefficient from its int numerator and the denominator
@@ -60,6 +65,14 @@ def accumulate(pairs, out: dict | None = None) -> dict:
         for k, c in row:
             out[k] = get(k, 0) + f * c
     return out
+
+
+def tensor(left, right):
+    """The left row tensor the right row: ((a, b), ca * cb) for each entry
+    (a, ca) of left and (b, cb) of right."""
+    for a, ca in left:
+        for b, cb in right:
+            yield (a, b), ca * cb
 
 
 def nonzero_row(acc: dict) -> tuple:

@@ -300,21 +300,18 @@ S_NAMES = ("a1", "a2", "b", "c")
 def _partials_at(el: SEElement, point: tuple[int, ...]) -> dict[int, int]:
     """The partial derivative of a polynomial (mask 0) by each slot, at point,
     times el.den."""
-    row: dict[int, int] = {}
-    for (exp, _), c in el.num.items():
+    def partials(exp):
         for slot, e in enumerate(exp):
             if e:
-                lowered = exp[:slot] + (e - 1,) + exp[slot + 1:]
-                row[slot] = row.get(slot, 0) + c * e * prod(map(pow, point, lowered))
-    return row
+                yield slot, e * prod(map(pow, point, exp[:slot] + (e - 1,) + exp[slot + 1:]))
+
+    return accumulate((partials(exp), c) for (exp, _), c in el.num.items())
 
 
 def _masks_at(el: SEElement, point: tuple[int, ...]) -> dict[int, int]:
     """The coefficient of each exterior mask, at point, times el.den."""
-    row: dict[int, int] = {}
-    for (exp, mask), c in el.num.items():
-        row[mask] = row.get(mask, 0) + c * prod(map(pow, point, exp))
-    return row
+    return accumulate((((mask, prod(map(pow, point, exp))),), c)
+                      for (exp, mask), c in el.num.items())
 
 
 @record(frozen=True)

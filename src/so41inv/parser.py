@@ -157,7 +157,7 @@ class _Parser:
     def primary(self) -> Node:
         kind, text, pos = self.advance()
         if kind == "number":
-            value = text.replace(" ", "")
+            value = "".join(text.split())  # the pattern allows any whitespace around /
             _, slash, den = value.partition("/")
             if slash and not int(den):
                 raise ParseError(f"zero denominator in {text!r}", pos)

@@ -2,17 +2,22 @@
 
 Keys are pairs (exponent 10-tuple, p-mask). This is where the invariant
 catalog lives in closed form, where the S.T basis data is assembled, and
-where the k-action on monomial keys is tabulated.
+where the k-action on monomial keys is tabulated. The model reads rows as
+U(g) tensor C(p) does: a product of two keys is the summed exponents tensor
+the WEDGE row of the masks, ad_on_key gives the k-action on one key as a
+row, and accumulate sums both.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import add
 from types import MappingProxyType
 
 from ._record import record
 from .clifford import WEDGE, ext_ad_on_mask, popcount
-from .elements import LinearElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, pair_sort_key
+from .elements import (LinearElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, pair_sort_key,
+                       tensor)
 from .errors import DomainError, InvarianceError
 from .lie_core import GEN_WEIGHTS, LieElement, bracket_gens, lie_gen, require_in_k
 from .matrix_oracle import Gen, K_GENS, P_GENS
@@ -27,15 +32,11 @@ class SEElement(LinearElement):
     __slots__ = ()
 
     def _product(self, other):
-        out: dict[SEKey, int] = {}
-        for (ea, ma), ca in self.num.items():
-            for (eb, mb), cb in other.num.items():
-                wedge = WEDGE.get((ma, mb))
-                if wedge:
-                    sgn, m = wedge
-                    k = (tuple(x + y for x, y in zip(ea, eb)), m)
-                    out[k] = out.get(k, 0) + sgn * ca * cb
-        return SEElement._of(out, self.den * other.den)
+        """The product of the exponents tensor the wedge of the masks, for
+        each pair of terms."""
+        pairs = ((tensor(((tuple(map(add, ea, eb)), 1),), WEDGE[ma, mb]), ca * cb)
+                 for (ea, ma), ca in self.num.items() for (eb, mb), cb in other.num.items())
+        return SEElement._of(accumulate(pairs), self.den * other.den)
 
     def _one(self):
         return se_one()
@@ -99,42 +100,51 @@ def se_one() -> SEElement:
 _SLOT_AD = MappingProxyType({z: tuple((slot, tuple((int(g), c) for g, c in bracket_gens(z, x)))
                                       for slot, x in enumerate(_GENS) if bracket_gens(z, x))
                              for z in _GENS})
-_EXT_AD = MappingProxyType({(z, mask): tuple(ext_ad_on_mask(z, mask).items())
+_EXT_AD = MappingProxyType({(z, mask): ext_ad_on_mask(z, mask)
                             for z in K_GENS for mask in range(16)})
 
 
-def ad_on_key(zg: Gen, key: SEKey) -> dict[SEKey, int]:
-    """Derivation action of the generator zg on one monomial key, with int
-    coefficients (the structure constants are integral); zg must lie in k
-    when the key has an exterior part."""
+def ad_on_key(zg: Gen, key: SEKey) -> tuple:
+    """Derivation action of the generator zg on one monomial key, as a row
+    of ints (the structure constants are integral); zg must lie in k when
+    the key has an exterior part. A move that sends a slot or the mask to
+    another one changes the key, and no two such moves meet; the moves that
+    fix the key (those of ad H1 and ad H2) are summed into its one entry."""
     exp, mask = key
-    out: dict[SEKey, int] = {}
+    row = []
+    fixed = 0
     for slot, pairs in _SLOT_AD[zg]:
         e = exp[slot]
         if not e:
             continue
         for g, c in pairs:
-            m = list(exp)
-            m[slot] -= 1
-            m[g] += 1
-            k = (tuple(m), mask)
-            out[k] = out.get(k, 0) + e * c
+            if g == slot:
+                fixed += e * c
+            else:
+                m = list(exp)
+                m[slot] -= 1
+                m[g] += 1
+                row.append(((tuple(m), mask), e * c))
     if mask:
         if zg not in K_GENS:
             raise DomainError(f"{zg.name} is not in k, and the key has an exterior part")
         for m, c in _EXT_AD[zg, mask]:
-            k = (exp, m)
-            out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
+            if m == mask:
+                fixed += c
+            else:
+                row.append(((exp, m), c))
+    if fixed:
+        row.append((key, fixed))
+    return tuple(row)
 
 
 def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
-    """ad z on x: the int ad_on_key images summed over z.den * x.den. A z
+    """ad z on x: the int ad_on_key rows summed over z.den * x.den. A z
     outside k acts only on S(g) tensor 1, and is refused when x has an
     exterior part."""
     if any(mask for _, mask in x.num):
         require_in_k(z)
-    pairs = ((ad_on_key(zg, key).items(), zc * c)
+    pairs = ((ad_on_key(zg, key), zc * c)
              for zg, zc in z.num.items() for key, c in x.num.items())
     return SEElement._of(accumulate(pairs), z.den * x.den)
 

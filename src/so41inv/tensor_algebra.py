@@ -22,7 +22,7 @@ from math import lcm
 from ._record import record
 from .clifford import CliffordAlgebra, PForm, _OnDemand, popcount
 from .elements import (BoundElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, nonzero_row,
-                       pair_sort_key, signed_sum)
+                       pair_sort_key, signed_sum, tensor)
 from .errors import DomainError, InvarianceError
 from .lie_core import LieElement, lie_gen, require_in_k
 from .matrix_oracle import Gen, K_GENS
@@ -31,14 +31,6 @@ from .uea import UElement, gen_commutator, pbw_pair_product, symmetrize_monomial
 
 UCKey = tuple  # (exp 10-tuple, mask int)
 _ONE_KEY = (ZERO_EXP, 0)
-
-
-def _tensor(u_row, c_row):
-    """The U(g) row tensor the C(p) row: ((e, m), a * b) for each entry
-    (e, a) of u_row and (m, b) of c_row."""
-    for e, a in u_row:
-        for m, b in c_row:
-            yield (e, m), a * b
 
 
 def _row_pairs(tables, left, right):
@@ -134,15 +126,15 @@ class TensorAlgebra:
         """The monomial kx times the monomial ky over cl.table_den: the PBW
         pair product tensor the Clifford product of the masks."""
         (eu, mu), (ev, mv) = kx, ky
-        return tuple(_tensor(pbw_pair_product(eu, ev), self.cl.table[mu, mv]))
+        return tuple(tensor(pbw_pair_product(eu, ev), self.cl.table[mu, mv]))
 
     def _action_row(self, zg: Gen, key: UCKey) -> tuple:
         """ad(zg) of the monomial key over cl.k_den, by the Leibniz rule: the
         commutator on the U-side tensor the mask, plus the exponent tensor
         the Clifford derivation on the C-side."""
         exp, mask = key
-        commutator = _tensor(gen_commutator(zg, exp), ((mask, 1),))
-        derivation = _tensor(((exp, 1),), self.cl.k_table[zg, mask])
+        commutator = tensor(gen_commutator(zg, exp), ((mask, 1),))
+        derivation = tensor(((exp, 1),), self.cl.k_table[zg, mask])
         return nonzero_row(accumulate(((commutator, self.cl.k_den), (derivation, 1))))
 
     def multiply(self, x: UCElement, y: UCElement) -> UCElement:
@@ -175,7 +167,7 @@ class TensorAlgebra:
         tau = self.cl._tau_table
         images = [(symmetrize_monomial(exp), tau[mask], c) for (exp, mask), c in x.num.items()]
         den = lcm(*(s.den for s, _, _ in images))
-        pairs = ((_tensor(s.num.items(), t), c * (den // s.den)) for s, t, c in images)
+        pairs = ((tensor(s.num.items(), t), c * (den // s.den)) for s, t, c in images)
         return UCElement._of(accumulate(pairs), x.den * den * self.cl._tau_den, self)
 
     def rho_named(self, name: str) -> UCElement:

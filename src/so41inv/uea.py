@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from operator import add
 from types import MappingProxyType
 
 from .elements import (LinearElement, ZERO_EXP, accumulate, combine, exp_sort_key, fmt_exp,
@@ -158,12 +159,9 @@ class SElement(LinearElement):
     __slots__ = ()
 
     def _product(self, other):
-        out: dict[Exp, int] = {}
-        for mx, cx in self.num.items():
-            for my, cy in other.num.items():
-                m = tuple(a + b for a, b in zip(mx, my))
-                out[m] = out.get(m, 0) + cx * cy
-        return SElement._of(out, self.den * other.den)
+        pairs = ((((tuple(map(add, mx, my)), 1),), cx * cy)
+                 for mx, cx in self.num.items() for my, cy in other.num.items())
+        return SElement._of(accumulate(pairs), self.den * other.den)
 
     def _one(self):
         return s_one()

@@ -107,6 +107,16 @@ def test_a_zero_denominator_is_a_parse_error():
     assert parse("0/7") == Num(Fraction(0))
 
 
+def test_a_number_may_have_any_whitespace_around_its_slash():
+    # the tokenizer reads a tab or a newline around '/' as part of the
+    # number, so the value and the zero-denominator check must drop them too
+    assert parse("3\t/4") == parse("3 /\n4") == parse("3/4") == Num(Fraction(3, 4))
+    with pytest.raises(ParseError) as exc:
+        parse("a1 + 3\t/ 00")
+    assert (str(exc.value), exc.value.position) == (
+        "zero denominator in '3\\t/ 00' (at position 5)", 5)
+
+
 @pytest.mark.parametrize("src", ["h * h", "h * c", "c * c * D"])
 def test_the_text_of_a_long_element_parses_back(cat, src):
     # 508, 1,074 and 2,689 terms: the sum is folded in a loop, not recursed
@@ -660,6 +670,20 @@ def test_the_command_line_reads_each_function_when_it_runs(capsys, monkeypatch, 
     assert calls == [cat]
 
 
+# the public names of the package, the contract that __all__ must keep
+PUBLIC_NAMES = {
+    "Catalog", "CliffordAlgebra", "DomainError", "EngineError", "EvalError", "ExprTypeError",
+    "ExtElement", "Gen", "InvarianceError", "K_GENS", "LieElement", "NotStableError",
+    "P_GENS", "PForm", "ParseError", "PrimeDisagreement", "SEElement", "SElement",
+    "SolveError", "SpanError", "TensorAlgebra", "UCElement", "UElement", "accepted_catalog",
+    "adjudicate_convention", "bracket", "build_st_catalog", "catalog_for_sign",
+    "certify_against_oracle", "default_cartan_split", "dump_element", "dumps_element",
+    "evaluate", "ext_gen", "ext_wedge", "generator_chain_check", "independence_check",
+    "invariant_dimension", "jacobi_check", "lie_gen", "load_element", "loads_element",
+    "parse", "predicted_dimension", "s_gen", "se_gen", "se_wedge", "symmetrize",
+    "truncated_rank16_check", "u_gen", "verify_relations",
+}
+
 # Checks the package's public names in a fresh process, where no module of
 # the package is loaded until a name is read.
 PUBLIC_SURFACE = """
@@ -679,7 +703,7 @@ for name in ("nonexistent", "record", "dataclass", "import_module"):
     except AttributeError:
         continue
     raise AssertionError(name)
-print(len(so41inv.__all__))
+print(*so41inv.__all__)
 """
 
 
@@ -689,7 +713,8 @@ def test_the_lazy_package_binds_every_public_name():
     run = subprocess.run([sys.executable, "-c", PUBLIC_SURFACE], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["51"]
+    names = run.stdout.split()
+    assert names == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 51
 
 
 def test_cli_verify_dims_emit_basis(capsys, tmp_path):

@@ -4,6 +4,8 @@ import pytest
 from collections import Counter
 from itertools import combinations_with_replacement
 
+from hypothesis import given, settings, strategies as hs
+
 from oracles import (
     KModuleLabel,
     decompose_k_module,
@@ -12,7 +14,7 @@ from oracles import (
     se_k_invariant,
 )
 from so41inv import sym_ext
-from so41inv.clifford import WEDGE, ext_ad_on_mask
+from so41inv.clifford import WEDGE, ExtElement, ext_ad_on_mask, popcount
 from so41inv.elements import ZERO_EXP
 from so41inv.errors import DomainError, NotStableError
 from so41inv.lie_core import bracket_gens, lie_gen
@@ -25,9 +27,11 @@ from so41inv.sym_ext import (
     key_weight,
     se_ext_gen,
     se_gen,
+    se_one,
     se_wedge,
     T_ORDER,
 )
+from so41inv.uea import SElement
 
 
 def test_catalog_builds_and_certifies(st):
@@ -195,11 +199,12 @@ LOW_DEGREE_KEYS = [key for n in range(4) for key in graded_keys(n)]
 
 
 def test_ad_on_key_and_ext_ad_on_mask_return_ints():
+    # rows: int coefficients, none of them 0, on distinct keys
     for z in K_GENS:
-        for mask in range(16):
-            assert all(type(c) is int for c in ext_ad_on_mask(z, mask).values())
-        for key in LOW_DEGREE_KEYS:
-            assert all(type(c) is int and c for c in ad_on_key(z, key).values())
+        for row in [ext_ad_on_mask(z, mask) for mask in range(16)] + \
+                [ad_on_key(z, key) for key in LOW_DEGREE_KEYS]:
+            assert type(row) is tuple and all(type(c) is int and c for _, c in row)
+            assert len(dict(row)) == len(row)
 
 
 def test_ad_on_key_refuses_a_generator_outside_k_on_an_exterior_part():
@@ -209,7 +214,7 @@ def test_ad_on_key_refuses_a_generator_outside_k_on_an_exterior_part():
     with pytest.raises(DomainError):
         ad_action_se(lie_gen(Gen.E3), se_ext_gen(Gen.E3))
     unit = [tuple(int(g == x) for x in Gen) for g in Gen]
-    assert ad_on_key(Gen.E3, (unit[Gen.F4], 0)) == \
+    assert dict(ad_on_key(Gen.E3, (unit[Gen.F4], 0))) == \
         {(unit[g], 0): c for g, c in bracket_gens(Gen.E3, Gen.F4)}
 
 
@@ -223,12 +228,16 @@ def test_import_time_tables_are_read_only():
         with pytest.raises(TypeError):
             del table[key]
         assert all(type(value) is tuple for value in table.values())
+    # a WEDGE or _EXT_AD row holds (mask, int) pairs
+    for table in (WEDGE, sym_ext._EXT_AD):
+        for row in table.values():
+            assert all(type(m) is int and 0 <= m < 16 and type(c) is int for m, c in row)
 
 
 def _ad(z, vec: dict) -> dict:
     out = {}
     for key, c in vec.items():
-        for k, cc in ad_on_key(z, key).items():
+        for k, cc in ad_on_key(z, key):
             out[k] = out.get(k, 0) + c * cc
     return {k: c for k, c in out.items() if c}
 
@@ -250,3 +259,53 @@ def test_ad_on_key_is_a_representation_of_k():
                 lhs = _combine((1, _ad(z1, _ad(z2, unit))), (-1, _ad(z2, _ad(z1, unit))))
                 rhs = _combine(*((c, _ad(g, unit)) for g, c in bracket_gens(z1, z2)))
                 assert lhs == rhs, (z1.name, z2.name, key)
+
+
+# -- the three graded products against each other ------------------------------
+# S(g) and Lambda(p) sit in S(g) tensor Lambda(p) as the keys of mask 0 and of
+# exponent 0, so their products must agree with its product there; and its
+# product must be associative and graded-commutative. Small exponents and a
+# few terms with rational coefficients keep each example cheap.
+
+_exps = hs.lists(hs.integers(0, 2), min_size=10, max_size=10).map(tuple)
+_coeffs = hs.fractions(min_value=-3, max_value=3, max_denominator=4)
+_s_elements = hs.dictionaries(_exps, _coeffs, max_size=4).map(SElement)
+_ext_elements = hs.dictionaries(hs.integers(0, 15), _coeffs, max_size=5).map(ExtElement)
+_se_elements = hs.dictionaries(hs.tuples(_exps, hs.integers(0, 15)), _coeffs,
+                               max_size=4).map(SEElement)
+
+
+def _from_s(x: SElement) -> SEElement:
+    return SEElement({(exp, 0): c for exp, c in x.terms.items()})
+
+
+def _from_ext(x: ExtElement) -> SEElement:
+    return SEElement({(ZERO_EXP, mask): c for mask, c in x.terms.items()})
+
+
+def _parity_parts(x: SEElement) -> tuple[SEElement, SEElement]:
+    """The parts of x of even and of odd exterior degree."""
+    return tuple(SEElement({k: c for k, c in x.terms.items() if popcount(k[1]) % 2 == odd})
+                 for odd in (0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_s_elements, _s_elements)
+def test_s_products_equal_se_products_on_mask_zero_keys(x, y):
+    assert _from_s(x * y) == _from_s(x) * _from_s(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ext_elements, _ext_elements)
+def test_ext_products_equal_se_products_on_exponent_zero_keys(x, y):
+    assert _from_ext(x * y) == _from_ext(x) * _from_ext(y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_se_elements, _se_elements, _se_elements)
+def test_se_product_is_associative_and_graded_commutative(x, y, z):
+    assert (x * y) * z == x * (y * z)
+    for px, a in enumerate(_parity_parts(x)):
+        for py, b in enumerate(_parity_parts(y)):
+            assert a * b == (-1) ** (px * py) * (b * a)
+    assert x * se_one() == se_one() * x == x
