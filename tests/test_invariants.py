@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,6 +20,7 @@ from oracles import (
     pack,
     rref_kernel,
     s_monomial_element,
+    s_monomials_up_to,
     st_product_vectors,
     symbol_ranks,
     transpose,
@@ -56,6 +58,29 @@ def test_t_count_values():
 
 def test_predicted_dimensions():
     assert [predicted_dimension(n) for n in range(8)] == [1, 0, 4, 4, 13, 16, 32, 40]
+    assert predicted_dimension(-1) == 0
+
+
+def test_ambient_dim_is_the_binomial_count(monkeypatch):
+    # dim of degree n in S(g) tensor Lambda(p): k of the four p-vectors
+    # wedged with a monomial of degree n - k in the ten slots; no kernel is
+    # eliminated to read it
+    monkeypatch.setattr(invariants, "eliminated_degree", lambda n, want_basis: (0, 0, None))
+    for n in range(41):
+        want = sum(comb(4, k) * comb(n - k + 9, 9) for k in range(min(4, n) + 1))
+        assert invariant_dimension(n).ambient_dim == want, n
+
+
+@pytest.mark.parametrize("cap", range(13))
+def test_product_counts_enumerate_the_pairs(cap, st):
+    # every pair (s, t) with s a monomial in a1, a2, b, c, counted by degree
+    counts = dict.fromkeys(range(cap + 1), 0)
+    for q in s_monomials_up_to(cap):
+        s_deg = sum(e * st.named[name].degree() for e, name in zip(q, ("a1", "a2", "b", "c")))
+        for t_deg in st.t_degrees.values():
+            if s_deg + t_deg <= cap:
+                counts[s_deg + t_deg] += 1
+    assert product_counts(cap) == counts
 
 
 def test_character_count_matches_prediction(character_counts):
