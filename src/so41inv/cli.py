@@ -204,6 +204,14 @@ def _degree_cap(text: str) -> int:
     return cap
 
 
+def _emit_dir(text: str) -> str:
+    """An --emit-basis value: a nonempty directory name (an empty one writes
+    nothing)."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return text
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line grammar, built once per process (parse_args leaves
@@ -229,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--method", choices=("exact", "auto"), default="auto",
                     help="kernel arithmetic for dims; both values run the "
                          "one exact kernel over Q")
-    pv.add_argument("--emit-basis", metavar="DIR", default=None,
+    pv.add_argument("--emit-basis", metavar="DIR", type=_emit_dir, default=None,
                     help="write exact kernel bases as element files here")
 
     pe = sub.add_parser("eval", help="evaluate an expression")

@@ -591,6 +591,16 @@ def test_cli_rejects_a_negative_degree_cap(capsys, suite, cap):
     assert f"argument --max-degree: must be nonnegative, got {cap}" in out.err
 
 
+def test_cli_rejects_an_empty_emit_basis_dir(capsys):
+    # an empty DIR would run the suite and write no file
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "dims", "--max-degree", "2", "--emit-basis", ""])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --emit-basis: must name a directory, got ''" in out.err
+
+
 def test_cli_verify_dims_exact_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "dims", "--max-degree", "3",
                            "--method", "exact")
