@@ -4,21 +4,23 @@ The adjoint action of k preserves the grading and the Cartan weights, so
 the invariants of degree n are the weight-(0,0) vectors killed by ad E1 and
 ad E2: one exact sparse kernel over Q per degree, with no modular or
 floating-point arithmetic anywhere. The weight-(0,0) keys are enumerated
-directly, packed into one int each, and one image table per degree holds
-the ad E1 and ad E2 images of each key with int entries: the transpose of
-the raising matrix M. The dimension is the number of keys minus the rank
-of the table, ranked by the fraction-free echelon in ints; a kernel basis
-is the dependencies among the table rows, certified against all six
-k-generators on packed keys, also in ints, before its keys are unpacked
-into elements. Each degree's result is memoized once per
+directly, packed into one int each, and the ad E1 and ad E2 images of each
+key, one row per key with int entries labelled by their packed targets,
+are the transpose of the raising matrix M. The dimension is the number of
+keys minus the rank of those rows, ranked by the fraction-free echelon in
+ints; a kernel basis is the dependencies among the same rows, certified
+against all six k-generators at once on packed keys, also in ints, before
+its keys are unpacked into elements. Each degree's result is memoized once per
 process and path (a rank, or a kernel with its certified basis) by one
 functools.cache holding only immutable values, and every call builds a
 fresh report from it; cache_clear() puts the process back in its cold state.
 
 The expected values come from an independent counting oracle: the invariant
 algebra is a free module over the polynomial invariants of k with a known
-count of module generators per degree, which turns the dimension h(n) into
-a short convolution.
+count of module generators per degree, so h(n) is a coefficient of the
+Hilbert series P(t) / ((1 - t^2)^3 (1 - t^4)), P listing the degrees of the
+module generators. One expansion of such a series serves every graded
+count here: h(n), the products s.t per degree, and the ambient dimension.
 
 Freeness is proved on symbols for every degree by two point certificates,
 each one rank under the same exact echelon: the sixteen module generators
@@ -31,7 +33,7 @@ when first read, eliminates degrees.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import comb, prod
+from math import prod
 
 from ._record import record
 from .clifford import popcount
@@ -47,7 +49,6 @@ from .sym_ext import (
     SEElement,
     build_st_catalog,
     key_weight,
-    s_monomials_up_to,
 )
 
 SEKey = tuple[tuple[int, ...], int]
@@ -55,21 +56,32 @@ SEKey = tuple[tuple[int, ...], int]
 
 # -- counting oracle -----------------------------------------------------------
 
-# Number of module generators of each degree over the three quadratic
-# polynomial invariants of k: one in degree 0 (the identity), one in degree 2,
-# and four in every degree from 3 on.
-def t_count(n: int) -> int:
-    if n < 0:
-        return 0
-    if n >= 3:
-        return 4
-    return {0: 1, 1: 0, 2: 1}[n]
+# The degrees of the sixteen module generators and of the four polynomial
+# invariants a1, a2, b, c, typed here so that the prediction does not read
+# the catalog it checks.
+T_DEGREES = (0, 2, 3, 3, 3, 3, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6)
+S_DEGREES = (2, 2, 2, 4)
+
+
+def _series(tops, bottoms, cap: int) -> list[int]:
+    """The coefficients of t^0 .. t^cap in the sum of t^d over d in tops
+    divided by the product of (1 - t^d) over d in bottoms: each factor
+    1 / (1 - t^d) is a prefix sum with step d."""
+    out = [0] * (cap + 1)
+    for d in tops:
+        if d <= cap:
+            out[d] += 1
+    for d in bottoms:
+        for n in range(d, cap + 1):
+            out[n] += out[n - d]
+    return out
 
 
 def predicted_dimension(n: int) -> int:
-    """h(n) = sum over m of C(m+2, 2) * t(n - 2m): monomials in the three
-    degree-2 polynomial invariants times module generators."""
-    return sum(comb(m + 2, 2) * t_count(n - 2 * m) for m in range(n // 2 + 1))
+    """h(n), the coefficient of t^n in the sum of t^d over T_DEGREES divided
+    by the product of (1 - t^d) over S_DEGREES: monomials in the polynomial
+    invariants times module generators. 0 below degree 0."""
+    return _series(T_DEGREES, S_DEGREES, n)[n] if n >= 0 else 0
 
 
 # -- the zero-weight block, on packed keys -------------------------------------
@@ -147,8 +159,6 @@ def zero_weight_keys(n: int) -> list[int]:
 # row space and the same reduced echelon form, which is what makes the
 # emitted kernel bases identical to the six-generator ones.
 RAISING = (Gen.E1, Gen.E2)
-# the four generators the kernel certificate reads from image_rows
-OTHERS = tuple(z for z in K_GENS if z not in RAISING)
 
 
 def image_rows(gens: tuple[Gen, ...], keys: list[int]) -> list[dict[int, int]]:
@@ -187,19 +197,6 @@ def image_rows(gens: tuple[Gen, ...], keys: list[int]) -> list[dict[int, int]]:
     return rows
 
 
-def image_table(keys: list[int]) -> tuple[list[dict[int, int]], list[Gen]]:
-    """The transpose of M on the span of the packed keys: one row per key,
-    holding its ad E1 and ad E2 images with int coefficients. The columns
-    number the targets in ascending order, which is the order of the pairs
-    (target key, generator); returns the rows and the generator of each
-    column."""
-    images = image_rows(RAISING, keys)
-    targets = sorted(set().union(*images))
-    number = {t: i for i, t in enumerate(targets)}
-    return ([{number[t]: c for t, c in row.items()} for row in images],
-            [K_GENS[t & 7] for t in targets])
-
-
 # -- per-degree reports ------------------------------------------------------------
 
 @record
@@ -218,7 +215,7 @@ class DegreeReport:
 
 def invariant_dimension(n: int, want_basis: bool = False) -> DegreeReport:
     """Dimension of the degree-n K-invariants of S(g) tensor Lambda(p): the
-    block size minus the rank of M, both read from one image table. With
+    block size minus the rank of M, read from the raising image rows. With
     want_basis the kernel basis of M comes back too, each vector certified
     against all six k-generators in ints. The elimination runs once per
     process for each degree and path (eliminated_degree); every call gets a
@@ -226,7 +223,8 @@ def invariant_dimension(n: int, want_basis: bool = False) -> DegreeReport:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     dim, block, basis = eliminated_degree(n, bool(want_basis))
-    ambient = sum(comb(4, k) * comb(n - k + 9, 9) for k in range(min(4, n) + 1))
+    # the exterior masks by degree over one 1 / (1 - t) per slot
+    ambient = _series([popcount(m) for m in range(16)], (1,) * 10, n)[n]
     return DegreeReport(n, dim, predicted_dimension(n), ambient, block,
                         None if basis is None else list(basis))
 
@@ -234,33 +232,28 @@ def invariant_dimension(n: int, want_basis: bool = False) -> DegreeReport:
 @cache
 def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEElement, ...] | None]:
     """The exact elimination of degree n >= 0, once per process and path:
-    (dimension, block size, certified kernel basis or None). The kernel of M
-    is the dependencies among the table rows, inserted last key first like
-    the rank. The basis vectors are certified against E1 and E2 from the
-    table and the other four generators from the image rows of the keys in
-    a kernel vector, computed once per degree; an InvarianceError
-    propagates and nothing is cached."""
+    (dimension, block size, certified kernel basis or None). The rows are the
+    raising images of the block keys, with the packed targets as column
+    labels: the echelon reads only the order of its columns. The kernel of
+    M is the dependencies among those rows, inserted last key first like
+    the rank. The basis vectors are certified against all six generators
+    from one image row per key in a kernel vector, computed once per
+    degree; a failure names the first failing generator in K_GENS. An
+    InvarianceError propagates and nothing is cached."""
     cols = zero_weight_keys(n)
-    table, gens = image_table(cols)
+    rows = image_rows(RAISING, cols)
     if not want_basis:
-        # rank M = rank of the table; last key first runs ~3x faster than first key first at n=8
-        return len(cols) - sparse_rank(table[::-1]), len(cols), None
-    kernel = dependency_kernel({j: table[j] for j in range(len(cols) - 1, -1, -1)})
-    # E1 and E2 read the table, and a failure names the generator of the
-    # first residual column; the other four generators read the image rows
-    # of the keys in a kernel vector, and a failure names the first of them
+        # rank M = rank of its transpose; last key first runs ~3x faster than first key first at n=8
+        return len(cols) - sparse_rank(rows[::-1]), len(cols), None
+    kernel = dependency_kernel({j: rows[j] for j in range(len(cols) - 1, -1, -1)})
     support = sorted(set().union(*(num for num, _ in kernel)))
-    others = dict(zip(support, image_rows(OTHERS, [cols[j] for j in support])))
+    images = dict(zip(support, image_rows(K_GENS, [cols[j] for j in support])))
     for i, (num, _) in enumerate(kernel):
-        res = _residual(num, table)
-        if res:
-            z, count = gens[min(res)], len(res)
-        else:
-            places = [t & 7 for t in _residual(num, others)]
-            if not places:
-                continue
-            z, count = K_GENS[min(places)], places.count(min(places))
-        raise InvarianceError(f"degree-{n} kernel vector {i}", z.name, f"{count} residual terms")
+        places = [t & 7 for t in _residual(num, images)]
+        if places:
+            first = min(places)
+            raise InvarianceError(f"degree-{n} kernel vector {i}", K_GENS[first].name,
+                                  f"{places.count(first)} residual terms")
     # one key object per monomial, and the terms of each vector in key
     # order, which the element file's sort then finds as one run
     keys = {j: unpack(cols[j]) for j in support}
@@ -351,15 +344,11 @@ def freeness_certificate() -> FreenessCertificate:
 def product_counts(cap: int) -> dict[int, int]:
     """For each degree n <= cap, the number of pairs (s, t) of degree n, s a
     monomial in a1, a2, b, c and t one of the sixteen module generators:
-    the products s.t are counted by degree, not formed."""
-    t_degrees = build_st_catalog().t_degrees.values()
-    counts = dict.fromkeys(range(cap + 1), 0)
-    for q in s_monomials_up_to(cap):
-        s_deg = 2 * (q[0] + q[1] + q[2]) + 4 * q[3]
-        for t_deg in t_degrees:
-            if s_deg + t_deg <= cap:
-                counts[s_deg + t_deg] += 1
-    return counts
+    the products s.t are counted by degree, not formed, as the coefficients
+    of the catalog's t degrees over one 1 / (1 - t^d) per s generator."""
+    st = build_st_catalog()
+    s_degrees = [st.named[name].degree() for name in S_NAMES]
+    return dict(enumerate(_series(st.t_degrees.values(), s_degrees, cap)))
 
 
 @record

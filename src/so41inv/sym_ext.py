@@ -342,18 +342,3 @@ def build_st_catalog() -> STCatalog:
     }
     _certify(named)
     return STCatalog(named=named)
-
-
-def s_monomials_up_to(cap: int) -> list[tuple[int, int, int, int]]:
-    """Exponent tuples (n1, n2, n3, n4) for a1 a2 b c with degree
-    2(n1+n2+n3) + 4 n4 <= cap, in a deterministic order."""
-    out = []
-    for n4 in range(cap // 4 + 1):
-        for n1 in range(cap // 2 + 1):
-            for n2 in range(cap // 2 + 1):
-                for n3 in range(cap // 2 + 1):
-                    if 2 * (n1 + n2 + n3) + 4 * n4 <= cap:
-                        out.append((n1, n2, n3, n4))
-    out.sort(key=lambda q: (2 * (q[0] + q[1] + q[2]) + 4 * q[3], q))
-    return out
-

@@ -71,7 +71,6 @@ from so41inv.sym_ext import (
     build_b,
     build_st_catalog,
     key_weight,
-    s_monomials_up_to,
     se_one,
 )
 from so41inv.tensor_algebra import (
@@ -484,6 +483,20 @@ def pack(key: tuple) -> int:
         assert 0 <= e < 256
         out = out * 256 + e
     return out * 16 + mask
+
+
+def s_monomials_up_to(cap: int) -> list[tuple[int, int, int, int]]:
+    """Exponent tuples (n1, n2, n3, n4) for a1 a2 b c with degree
+    2(n1+n2+n3) + 4 n4 <= cap, in a deterministic order."""
+    out = []
+    for n4 in range(cap // 4 + 1):
+        for n1 in range(cap // 2 + 1):
+            for n2 in range(cap // 2 + 1):
+                for n3 in range(cap // 2 + 1):
+                    if 2 * (n1 + n2 + n3) + 4 * n4 <= cap:
+                        out.append((n1, n2, n3, n4))
+    out.sort(key=lambda q: (2 * (q[0] + q[1] + q[2]) + 4 * q[3], q))
+    return out
 
 
 def s_monomial_element(cat, q: tuple[int, int, int, int]) -> SEElement:

@@ -1,5 +1,5 @@
 """Invariant dimension counts: closed-form prediction, exact kernels from
-the image table of the raising operators, the Weyl character count as an
+the image rows of the raising operators, the Weyl character count as an
 independent oracle, the kernel basis certification, and the freeness
 certificate, with the symbols it proves independent formed and ranked
 directly and compared with the U(g) tensor C(p) products they stand for."""
@@ -31,16 +31,16 @@ from so41inv.clifford import CliffordAlgebra
 from so41inv.errors import InvarianceError
 from so41inv.invariants import (
     JACOBIAN_POINT,
+    S_DEGREES,
+    T_DEGREES,
     T_POINT,
     eliminated_degree,
     freeness_certificate,
     image_rows,
-    image_table,
     independence_check,
     invariant_dimension,
     predicted_dimension,
     product_counts,
-    t_count,
     truncated_rank16_check,
     unpack,
     zero_weight_keys,
@@ -51,9 +51,14 @@ from so41inv.sym_ext import T_ORDER, SEElement, ad_action_se, ad_on_key, build_s
 from so41inv.tensor_algebra import TensorAlgebra, catalog_for_sign
 
 
-def test_t_count_values():
-    assert [t_count(n) for n in range(8)] == [1, 0, 1, 4, 4, 4, 4, 4]
-    assert t_count(-1) == 0
+def test_t_degrees_are_the_catalog_t_degrees(st):
+    # the prediction types the degrees of the sixteen module generators
+    # rather than reading the catalog; they are the catalog's
+    assert T_DEGREES == tuple(sorted(st.t_degrees.values()))
+
+
+def test_s_degrees_are_the_degrees_of_a1_a2_b_c(st):
+    assert S_DEGREES == tuple(st.named[name].degree() for name in ("a1", "a2", "b", "c"))
 
 
 def test_predicted_dimensions():
@@ -106,12 +111,14 @@ def test_exact_block_sizes():
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_shuffled_raising_rows_have_the_predicted_corank(n, seed):
-    # the exact rank of the integral raising rows (the image table read
-    # column-wise) in a seeded order: rank deficient, and the block size
-    # minus that rank is the predicted dimension
+    # the exact rank of the integral raising rows (the raising images read
+    # column-wise, their packed targets numbered in order) in a seeded
+    # order: rank deficient, and the block size minus that rank is the
+    # predicted dimension
     cols = zero_weight_keys(n)
-    table, gens = image_table(cols)
-    rows = transpose(table, len(gens))
+    images = image_rows(invariants.RAISING, cols)
+    number = {t: i for i, t in enumerate(sorted(set().union(*images)))}
+    rows = transpose([{number[t]: c for t, c in row.items()} for row in images], len(number))
     random.Random(seed).shuffle(rows)
     assert all(c.denominator == 1 for row in rows for c in row.values())
     exact = sparse_rank(rows)
@@ -161,8 +168,8 @@ def test_packed_images_equal_ad_on_key(n):
     # key of any weight, whose ad H1 and ad H2 images are the key times its
     # weight, summed over the moves that meet on it: one row per key from
     # image_rows, split by the place of the generator in K_GENS; and the
-    # image table built from ad_on_key: targets (packed target key,
-    # generator) numbered in sorted order
+    # raising rows that the rank and the kernel read, built from ad_on_key on
+    # the targets 8 * packed target key + place of the generator
     keys = zero_weight_keys(n)
     every = keys + ([pack(key) for key in graded_keys(n)] if n <= 3 else [])
     for key, row in zip(every, image_rows(K_GENS, every)):
@@ -170,12 +177,9 @@ def test_packed_images_equal_ad_on_key(n):
         for place, z in enumerate(K_GENS):
             image = {unpack(t >> 3): c for t, c in row.items() if c and t & 7 == place}
             assert image == dict(ad_on_key(z, unpack(key))), (z, unpack(key))
-    images = [{(pack(t), int(z)): c for z in invariants.RAISING
-               for t, c in ad_on_key(z, unpack(key))} for key in keys]
-    targets = sorted(set().union(*images))
-    number = {t: i for i, t in enumerate(targets)}
-    want = [{number[t]: c for t, c in row.items()} for row in images]
-    assert image_table(keys) == (want, [z for _, z in targets])
+    want = [{8 * pack(t) + K_GENS.index(z): c for z in invariants.RAISING
+             for t, c in ad_on_key(z, unpack(key))} for key in keys]
+    assert image_rows(invariants.RAISING, keys) == want
 
 
 def test_packed_keys_hold_degrees_up_to_255():
@@ -213,36 +217,29 @@ def test_dims_ranks_each_block_through_its_transpose(monkeypatch, capsys, cold_c
 
 
 def test_dropping_the_e2_images_fails_the_count_and_the_certificate(monkeypatch, cold_caches):
-    # with ad E2 gone from the table the kernel is that of ad E1 alone: the
-    # count exceeds h(4), and the six-generator certificate rejects the
-    # basis, through the four generators it does not read from the table
-    true_table = invariants.image_table
-
-    def without_e2(keys):
-        rows, gens = true_table(keys)
-        return [{r: c for r, c in row.items() if gens[r] != Gen.E2} for row in rows], gens
-
-    monkeypatch.setattr(invariants, "image_table", without_e2)
-    assert not invariant_dimension(4).ok
+    # with ad E2 gone from the raising rows the kernel is that of ad E1
+    # alone: the count exceeds h(4), and the six-generator certificate
+    # rejects the basis, naming E2, the generator the rows left out
+    monkeypatch.setattr(invariants, "RAISING", (Gen.E1,))
+    rep = invariant_dimension(4)
+    assert (rep.dimension, rep.expected) == (38, 13) and not rep.ok
     with pytest.raises(InvarianceError) as exc:
         invariant_dimension(4, want_basis=True)
-    assert exc.value.generator == "F2"
+    assert exc.value.generator == "E2"
 
 
 def test_a_certificate_failing_several_generators_names_the_first_in_k(monkeypatch, cold_caches):
-    # with no image in the table every key is a kernel vector, the first key
-    # first: ad H1 and ad H2 kill it, and ad F1 and ad F2 both move it, so
-    # the certificate names F1, first in K_GENS, with the count of its own
-    # residual terms
-    true_table = invariants.image_table
-    monkeypatch.setattr(invariants, "image_table",
-                        lambda keys: ([{} for _ in keys], true_table(keys)[1]))
+    # with no raising generator every key is a kernel vector, the first key
+    # first: ad H1 and ad H2 kill it, and ad E1, E2, F1 and F2 all move it,
+    # so the certificate names E1, first in K_GENS, with the count of its
+    # own residual terms
+    monkeypatch.setattr(invariants, "RAISING", ())
     with pytest.raises(InvarianceError) as exc:
         invariant_dimension(2, want_basis=True)
     key = unpack(zero_weight_keys(2)[0])
-    assert [len(ad_on_key(z, key)) for z in K_GENS if z not in invariants.RAISING] == [0, 0, 1, 1]
-    assert exc.value.generator == "F1"
-    assert str(exc.value) == "degree-2 kernel vector 0 is not invariant under ad(F1): 1 residual terms"
+    assert [len(ad_on_key(z, key)) for z in K_GENS] == [0, 0, 1, 1, 1, 1]
+    assert exc.value.generator == "E1"
+    assert str(exc.value) == "degree-2 kernel vector 0 is not invariant under ad(E1): 1 residual terms"
 
 
 # -- one elimination per degree per process -----------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import FractionEchelon, MinScanEchelon, echelon_contains, rref_kernel, transpose
-from so41inv.invariants import image_table, zero_weight_keys
+from so41inv.invariants import RAISING, image_rows, zero_weight_keys
 from so41inv.linalg import RationalEchelon, dependency_kernel, sparse_rank
 
 MAX_COLS = 8
@@ -130,12 +130,13 @@ def test_rank_and_kernel_through_the_transpose(data):
 
 
 def test_the_heap_pivot_stores_the_rows_of_a_min_scan():
-    # the rows of the rank path (table last key first) at degrees 0-9, and
-    # of the kernel path (each row with its tag column) at degrees 0-7: the
-    # same rows, in the same order, as when each pivot is min(residual)
+    # the rows of the rank path (raising rows last key first) at degrees
+    # 0-9, and of the kernel path (each row with its tag column) at degrees
+    # 0-7: the same rows, in the same order, as when each pivot is
+    # min(residual)
     for n in range(10):
         cols = zero_weight_keys(n)
-        table, _ = image_table(cols)
+        table = image_rows(RAISING, cols)
         last = len(cols) - 1
         top = 1 + max((max(r) for r in table if r), default=-1)
         runs = [table[::-1]]
