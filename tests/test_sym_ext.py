@@ -88,8 +88,23 @@ def test_a_failed_t_certificate_names_the_product(monkeypatch, cold_caches):
 
     cat = sym_ext.build_st_catalog()
     monkeypatch.setitem(cat.named, "g", cat.named["g"] + se_gen(Gen.E3))
-    with pytest.raises(InvarianceError, match="Dg"):
+    with pytest.raises(InvarianceError) as exc:
         cat.t_elements
+    assert str(exc.value) == "Dg is not invariant under ad(H1): 4 residual terms"
+
+
+def test_a_failed_named_certificate_names_the_element_and_generator(monkeypatch, cold_caches):
+    # E1 F1 has weight zero, so ad H1 and ad H2 kill it and ad E1 is the
+    # first generator of K_GENS to leave a residual
+    from so41inv import sym_ext
+    from so41inv.errors import InvarianceError
+
+    build_g = sym_ext.build_g
+    monkeypatch.setattr(sym_ext, "build_g", lambda: build_g() + se_gen(Gen.E1) * se_gen(Gen.F1))
+    with pytest.raises(InvarianceError) as exc:
+        sym_ext.build_st_catalog()
+    assert str(exc.value) == "g is not invariant under ad(E1): 2 residual terms"
+    assert (exc.value.element, exc.value.generator) == ("g", "E1")
 
 
 def test_catalog_elements_all_invariant(st):

@@ -15,6 +15,7 @@ from oracles import (FractionEchelon, lie_to_u, relation_residuals, st_product_v
                      term_by_term_ad_action, term_by_term_multiply, uc_rank)
 from so41inv.clifford import ExtElement, PForm
 from so41inv.elements import mask_bits, pair_sort_key
+from so41inv.errors import InvarianceError
 from so41inv.invariants import truncated_rank16_check
 from so41inv.lie_core import LieElement, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS
@@ -25,6 +26,7 @@ from so41inv.tensor_algebra import (
     RELATION_NAMES,
     TensorAlgebra,
     accepted_catalog,
+    build_catalog,
     convention_pform,
     effective_checks,
     generator_chain_check,
@@ -91,6 +93,25 @@ def test_catalog_invariance_78_checks(cat):
             assert alg.ad_action(lie_gen(z), el).is_zero(), (name, z.name)
             count += 1
     assert count == 78
+
+
+def test_the_invariance_certificate_is_keyed_by_name_then_generator(cat):
+    assert list(cat.invariance) == \
+        [(name, z) for name in NAMED_ORDER + ("Dk",) for z in K_GENS]
+    assert set(cat.invariance.values()) == {0}
+
+
+def test_a_failed_rho_certificate_names_the_image_and_generator():
+    # a fresh algebra whose rho(e) carries the weight-zero E1 F1: ad H1 and
+    # ad H2 kill it, ad E1 leaves the residual
+    alg = TensorAlgebra(convention_pform("gram=trace/4 sign=-1"))
+    rho_named = alg.rho_named
+    alg.rho_named = lambda name: rho_named(name) + (
+        alg.u_gen(Gen.E1) * alg.u_gen(Gen.F1) if name == "e" else 0)
+    with pytest.raises(InvarianceError) as exc:
+        build_catalog(alg)
+    assert str(exc.value) == "rho(e) is not invariant under ad(E1): 3 residual terms"
+    assert (exc.value.element, exc.value.generator) == ("rho(e)", "E1")
 
 
 def test_effective_suite_all_zero(cat):
