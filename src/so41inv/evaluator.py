@@ -14,9 +14,15 @@ in ctx.algebra, S(g), Lambda(p) and S(g) tensor Lambda(p) in the graded
 model. Each ambient's ad lets all of g act on U(g) and S(g), and k alone
 where a Clifford or exterior part is present. So 'ot' and the wedge are
 products, and sigma, tau and rho are rho of an argument read in S(g),
-Lambda(p) or S(g) tensor Lambda(p). Scalars float through every realm and
-are lifted on demand. Engine errors surface as EvalError with the original
-as cause.
+Lambda(p) or S(g) tensor Lambda(p).
+
+The algebra is the evaluator's one handle on a convention: ctx.algebra is
+the algebra given, or else the adjudicated catalog's, and the catalog
+names read algebra.catalog, built only when an expression reads one. A
+scalar is a Fraction, and no element is one, so every value is plain and
+its type says whether it is a scalar: scalars float through every realm
+and are lifted (_lift) only where an element is needed. Engine errors
+surface as EvalError with the original as cause.
 """
 from __future__ import annotations
 
@@ -32,51 +38,38 @@ from .lie_core import LIE_ZERO, LieElement, bracket, lie_gen, require_in_k
 from .matrix_oracle import GEN_BY_NAME, Gen
 from .parser import BinOp, Call, Neg, Node, Num, Sym, parse
 from .sym_ext import ad_action_se, build_st_catalog, se_ext_gen, se_gen, se_one
-from .tensor_algebra import Catalog, TensorAlgebra, accepted_catalog
+from .tensor_algebra import TensorAlgebra, accepted_catalog
 
 AMBIENTS = ("uc", "se")
 
-_SCALAR = "scalar"
-
 
 class EvalContext:
-    """The ambient realm, the U(g) tensor C(p) algebra and the catalogs, each
-    resolved on first use. Without a catalog or an algebra, both are the
-    adjudicated ones; given an algebra, its catalog is built only when an
-    expression reads a catalog name."""
+    """The ambient realm and the U(g) tensor C(p) algebra: the one given, or
+    else the adjudicated catalog's, resolved on first use."""
 
-    def __init__(self, ambient: str = "uc", catalog: Catalog | None = None,
-                 algebra: TensorAlgebra | None = None):
+    def __init__(self, ambient: str = "uc", algebra: TensorAlgebra | None = None):
         if ambient not in AMBIENTS:
             raise ValueError(f"unknown ambient algebra: {ambient}")
         self.ambient = ambient
-        self._algebra = algebra
-        if catalog is not None:
-            self.catalog = catalog
-
-    @cached_property
-    def catalog(self) -> Catalog:
-        return accepted_catalog() if self._algebra is None else self._algebra.catalog
+        if algebra is not None:
+            self.algebra = algebra
 
     @cached_property
     def algebra(self) -> TensorAlgebra:
-        return self.catalog.algebra if self._algebra is None else self._algebra
-
-    st = cached_property(lambda self: build_st_catalog())
+        return accepted_catalog().algebra
 
 
-def evaluate(src: str | Node, ambient: str = "uc",
-             catalog: Catalog | None = None, algebra: TensorAlgebra | None = None):
+def evaluate(src: str | Node, ambient: str = "uc", algebra: TensorAlgebra | None = None):
     """Parse (if needed) and evaluate; returns a UCElement or SEElement."""
     node = parse(src) if isinstance(src, str) else src
-    ctx = EvalContext(ambient, catalog, algebra)
+    ctx = EvalContext(ambient, algebra)
     try:
-        pair = _eval(node, ctx.ambient, ctx)
+        value = _eval(node, ctx.ambient, ctx)
     except (EvalError, ExprTypeError):
         raise
     except EngineError as exc:
         raise EvalError(f"evaluation failed: {exc}") from exc
-    return _coerce(pair, ctx.ambient, ctx)
+    return _lift(value, ctx.ambient, ctx)
 
 
 # -- realm plumbing ----------------------------------------------------------------
@@ -108,9 +101,9 @@ _SE = (lambda ctx, q: q * se_one(), ad_action_se)
 
 _REALMS = {
     "uc": Realm("the tensor algebra U(g) ot C(p)", lambda ctx, g: ctx.algebra.u_gen(g), *_UC,
-                names=lambda ctx: ctx.catalog.elements),
+                names=lambda ctx: ctx.algebra.catalog.elements),
     "se": Realm("the graded algebra S(g) ot Lambda(p)", lambda ctx, g: se_gen(g), *_SE,
-                names=lambda ctx: ctx.st.named),
+                names=lambda ctx: build_st_catalog().named),
     "u": Realm("the enveloping algebra", lambda ctx, g: ctx.algebra.u_gen(g), *_UC,
                k_only=False),
     "s": Realm("the symmetric algebra", lambda ctx, g: se_gen(g), *_SE, k_only=False),
@@ -134,14 +127,14 @@ _RHO_CALLS = {
 }
 
 
-def _coerce(pair, realm: str, ctx: EvalContext):
-    r, v = pair
-    return _REALMS[realm].lift(ctx, v) if r == _SCALAR else v
+def _lift(v, realm: str, ctx: EvalContext):
+    """v as an element of realm: a scalar, a Fraction, lifted into it."""
+    return _REALMS[realm].lift(ctx, v) if isinstance(v, Fraction) else v
 
 
 def _eval_in(node: Node, realm: str, ctx: EvalContext):
     """The value of node as an element of realm, a scalar lifted into it."""
-    return _coerce(_eval(node, realm, ctx), realm, ctx)
+    return _lift(_eval(node, realm, ctx), realm, ctx)
 
 
 def _resolve_name(name: str, realm: str, ctx: EvalContext):
@@ -158,15 +151,15 @@ def _resolve_name(name: str, realm: str, ctx: EvalContext):
 # -- node dispatch -----------------------------------------------------------------
 
 def _eval(node: Node, realm: str, ctx: EvalContext):
+    """The value of node read in realm: an element of it, or a Fraction."""
     if isinstance(node, Num):
-        return (_SCALAR, node.value)
+        return node.value
 
     if isinstance(node, Sym):
-        return (realm, _resolve_name(node.name, realm, ctx))
+        return _resolve_name(node.name, realm, ctx)
 
     if isinstance(node, Neg):
-        r, v = _eval(node.operand, realm, ctx)
-        return (r, -v)
+        return -_eval(node.operand, realm, ctx)
 
     if isinstance(node, BinOp):
         if node.op in _ARITHMETIC:
@@ -194,22 +187,22 @@ def _eval_chain(node: BinOp, realm: str, ctx: EvalContext):
     while isinstance(node, BinOp) and node.op in _ARITHMETIC:
         spine.append(node)
         node = node.left
-    lp, run = _eval(node, realm, ctx), []
+    left, run = _eval(node, realm, ctx), []
     for step in reversed(spine):
-        op, rp = step.op, _eval(step.right, realm, ctx)
-        if not run and lp[0] == _SCALAR and rp[0] == _SCALAR:
-            lp = (_SCALAR, _ARITHMETIC[op](lp[1], rp[1]))
+        op, right = step.op, _eval(step.right, realm, ctx)
+        if not run and isinstance(left, Fraction) and isinstance(right, Fraction):
+            left = _ARITHMETIC[op](left, right)
         elif op != "*":
-            run = run or [(_coerce(lp, realm, ctx), 1)]
-            run.append((_coerce(rp, realm, ctx), 1 if op == "+" else -1))
+            run = run or [(_lift(left, realm, ctx), 1)]
+            run.append((_lift(right, realm, ctx), 1 if op == "+" else -1))
         else:
             if run:
-                lp, run = (realm, signed_sum(run)), []
-            if realm == "lie" and _SCALAR not in (lp[0], rp[0]):
+                left, run = signed_sum(run), []
+            if realm == "lie" and Fraction not in (type(left), type(right)):
                 raise EvalError(_NO_LIE_PRODUCT)
             # scalar times element stays a plain scaling in any realm
-            lp = (realm, lp[1] * rp[1])
-    return (realm, signed_sum(run)) if run else lp
+            left = left * right
+    return signed_sum(run) if run else left
 
 
 def _eval_binop(node: BinOp, realm: str, ctx: EvalContext):
@@ -223,17 +216,17 @@ def _eval_binop(node: BinOp, realm: str, ctx: EvalContext):
         n = node.right.value
         if n.denominator != 1 or n < 0:
             raise EvalError(f"exponent {n} is not a nonnegative integer")
-        r, v = _eval(node.left, realm, ctx)
-        if r != _SCALAR and realm == "lie":
+        v = _eval(node.left, realm, ctx)
+        if realm == "lie" and not isinstance(v, Fraction):
             raise EvalError(_NO_LIE_PRODUCT)
-        return (r, v ** int(n))
+        return v ** int(n)
     elif realm in ("ext", "se"):
         left = right = "ext"
     else:
         raise EvalError(
             f"a wedge lives in the exterior algebra, not {_REALMS[realm].noun}; "
             "wrap it in tau(...) for the Clifford side")
-    return (realm, _eval_in(node.left, left, ctx) * _eval_in(node.right, right, ctx))
+    return _eval_in(node.left, left, ctx) * _eval_in(node.right, right, ctx)
 
 
 def _eval_call(node: Call, realm: str, ctx: EvalContext):
@@ -244,14 +237,12 @@ def _eval_call(node: Call, realm: str, ctx: EvalContext):
         spec = _REALMS[realm]
         if spec.k_only:
             require_in_k(z)
-        xr, xv = _eval(node.args[1], realm, ctx)
-        if xr == _SCALAR:
-            return (_SCALAR, Fraction(0))
-        return (realm, spec.ad(z, xv))
+        x = _eval(node.args[1], realm, ctx)
+        return Fraction(0) if isinstance(x, Fraction) else spec.ad(z, x)
 
     if fn not in _RHO_CALLS:
         raise EvalError(f"unknown function {fn!r}")
     source, targets, refusal = _RHO_CALLS[fn]
     if realm not in targets:
         raise EvalError(refusal)
-    return (realm, ctx.algebra.rho(_eval_in(node.args[0], source, ctx)))
+    return ctx.algebra.rho(_eval_in(node.args[0], source, ctx))

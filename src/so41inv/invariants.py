@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from math import prod
+from types import MappingProxyType
 
 from ._record import record
 from .clifford import popcount
@@ -255,10 +256,13 @@ def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEEleme
             raise InvarianceError(f"degree-{n} kernel vector {i}", K_GENS[first].name,
                                   f"{places.count(first)} residual terms")
     # one key object per monomial, and the terms of each vector in key
-    # order, which the element file's sort then finds as one run
+    # order, which the element file's sort then finds as one run; every
+    # later call shares the vectors, so their numerators are read-only
     keys = {j: unpack(cols[j]) for j in support}
     basis = tuple(SEElement._of({keys[j]: c for j, c in sorted(num.items())}, den)
                   for num, den in kernel)
+    for el in basis:
+        el.num = MappingProxyType(el.num)
     return len(basis), len(cols), basis
 
 

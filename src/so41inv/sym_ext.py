@@ -5,7 +5,9 @@ catalog lives in closed form, where the S.T basis data is assembled, and
 where the k-action on monomial keys is tabulated. The model reads rows as
 U(g) tensor C(p) does: a product of two keys is the summed exponents tensor
 the WEDGE row of the masks, ad_on_key gives the k-action on one key as a
-row, and accumulate sums both.
+row, and accumulate sums both. certify_invariance is the one K-invariance
+certificate of both catalogs: it runs here on the named elements and the
+T-products, and in tensor_algebra.build_catalog on their rho images.
 """
 from __future__ import annotations
 
@@ -290,13 +292,19 @@ T_ORDER = ("1", "D", "d", "e", "f", "g", "h", "i", "j",
            "Dd", "De", "Df", "Dg", "fg", "Dh", "dg")
 
 
-def _certify(elements: dict[str, SEElement]) -> None:
-    """Raise InvarianceError unless every k-generator kills every element."""
+def certify_invariance(ad, elements: dict, label: str = "{}") -> dict[tuple[str, Gen], int]:
+    """The residual term count of ad(lie_gen(z), el) per (name, z), for each
+    element by name and each z in K_GENS, in that order; ad is the action of
+    the ambient (ad_action_se, or TensorAlgebra.ad_action for the rho
+    images). InvarianceError at the first nonzero count, naming the element
+    label.format(name)."""
+    counts = {}
     for name, el in elements.items():
         for z in K_GENS:
-            res = ad_action_se(lie_gen(z), el)
-            if not res.is_zero():
-                raise InvarianceError(name, z.name, f"{len(res)} residual terms")
+            n = counts[name, z] = len(ad(lie_gen(z), el))
+            if n:
+                raise InvarianceError(label.format(name), z.name, f"{n} residual terms")
+    return counts
 
 
 @record
@@ -314,7 +322,7 @@ class STCatalog:
         t: dict[str, SEElement] = {"1": se_one()}
         for name in T_ORDER[1:]:
             t[name] = named[name] if name in named else named[name[0]] * named[name[1]]
-        _certify({name: el for name, el in t.items() if name not in named})
+        certify_invariance(ad_action_se, {name: el for name, el in t.items() if name not in named})
         return t
 
     @cached_property
@@ -340,5 +348,5 @@ def build_st_catalog() -> STCatalog:
         "i": build_i(),
         "j": build_j(),
     }
-    _certify(named)
+    certify_invariance(ad_action_se, named)
     return STCatalog(named=named)

@@ -2,7 +2,8 @@
 
 Everything downstream of the Clifford normalization question lives here. A
 TensorAlgebra is parametrized by a PForm; build_catalog() maps the closed
-form invariants over via rho = sigma tensor tau and certifies K-invariance;
+form invariants over via rho = sigma tensor tau and certifies K-invariance
+with the certificate of S(g) tensor Lambda(p), sym_ext.certify_invariance;
 verify_relations() evaluates the identity table IDENTITIES relating the
 catalog elements; adjudicate_convention() accepts the first candidate
 normalization of the form that satisfies the whole suite, after ruling out
@@ -26,7 +27,7 @@ from .elements import (BoundElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, no
 from .errors import DomainError, InvarianceError
 from .lie_core import LieElement, lie_gen, require_in_k
 from .matrix_oracle import Gen, K_GENS
-from .sym_ext import SEElement, build_st_catalog
+from .sym_ext import SEElement, build_st_catalog, certify_invariance
 from .uea import UElement, gen_commutator, pbw_pair_product, symmetrize_monomial
 
 UCKey = tuple  # (exp 10-tuple, mask int)
@@ -241,32 +242,21 @@ NAMED_ORDER = ("a1", "a2", "b", "c", "D", "d", "e", "f", "g", "h", "i", "j")
 
 
 def build_catalog(alg: TensorAlgebra) -> Catalog:
-    """Map the closed-form catalog through rho and certify K-invariance.
+    """Map the closed-form catalog through rho and certify K-invariance with
+    sym_ext.certify_invariance, the certificate of S(g) tensor Lambda(p).
 
-    The k-Dirac element is built under both readings of its third summand;
-    whichever is invariant wins (they never both are). InvarianceError if any
-    catalog element fails certification.
+    The k-Dirac element is built under one reading of its third summand at a
+    time, until one is invariant (they never both are). InvarianceError if
+    any catalog element fails certification.
     """
-    elements: dict[str, UCElement] = {}
-    invariance: dict[tuple[str, Gen], int] = {}
-    for name in NAMED_ORDER:
-        el = alg.rho_named(name)
-        for z in K_GENS:
-            res = alg.ad_action(lie_gen(z), el)
-            invariance[name, z] = len(res)
-            if not res.is_zero():
-                raise InvarianceError(f"rho({name})", z.name, f"{len(res)} residual terms")
-        elements[name] = el
-    dk_reading = None
-    for reading in ("literal", "paired"):
-        cand = alg.k_dirac(reading)
-        if alg.is_invariant(cand):  # every residual is empty
-            dk_reading = reading
-            elements["Dk"] = cand
-            invariance.update((("Dk", z), 0) for z in K_GENS)
-            break
-    if dk_reading is None:
+    elements = {name: alg.rho_named(name) for name in NAMED_ORDER}
+    invariance = certify_invariance(alg.ad_action, elements, "rho({})")
+    candidates = ((reading, alg.k_dirac(reading)) for reading in ("literal", "paired"))
+    found = next((pair for pair in candidates if alg.is_invariant(pair[1])), None)
+    if found is None:
         raise InvarianceError("Dk", "k", "no invariant reading of the third summand")
+    dk_reading, elements["Dk"] = found
+    invariance.update((("Dk", z), 0) for z in K_GENS)
     return Catalog(algebra=alg, elements=elements, dk_reading=dk_reading,
                    invariance=invariance)
 
@@ -340,7 +330,7 @@ def _residual(t: _Terms, name: str, variant: str) -> UCElement:
     return getattr(t, name) - IDENTITIES[name, variant](t)
 
 
-@record
+@record(frozen=True)
 class RelationCheck:
     name: str
     variant: str

@@ -141,10 +141,11 @@ def test_a_sum_that_mixes_kinds_raises_the_type_error_of_the_operator(cat):
         signed_sum([(u, 1), (u, 1), (s, -1)])
     assert str(one_pass.value) == str(op.value)
     assert str(op.value) == "unsupported operand type(s) for -: 'UElement' and 'SElement'"
-    # a catalog read into the algebra of another convention
+    # a run that mixes the algebras of two conventions
     other = convention_algebra("gram=trace sign=+1")
+    run = [(other.u_gen(Gen.E1), 1), (2 * other.u_gen(Gen.H1), 1), (cat.elements["a1"], 1)]
     with pytest.raises(TypeError, match=r"for \+: 'UCElement' and 'UCElement'$"):
-        evaluate("E1 + 2 * H1 + a1", catalog=cat, algebra=other)
+        signed_sum(run)
 
 
 @settings(max_examples=40, deadline=None)

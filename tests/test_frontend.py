@@ -120,9 +120,9 @@ def test_a_number_may_have_any_whitespace_around_its_slash():
 @pytest.mark.parametrize("src", ["h * h", "h * c", "c * c * D"])
 def test_the_text_of_a_long_element_parses_back(cat, src):
     # 508, 1,074 and 2,689 terms: the sum is folded in a loop, not recursed
-    x = evaluate(src, catalog=cat)
+    x = evaluate(src, algebra=cat.algebra)
     assert len(x) > 500
-    assert evaluate(str(x), catalog=cat) == x
+    assert evaluate(str(x), algebra=cat.algebra) == x
 
 
 @pytest.mark.parametrize("src, position", [
@@ -194,13 +194,13 @@ def test_every_parse_error_keeps_its_text_and_position(src, message, position):
 
 def test_eval_ad_kills_invariants(cat):
     for name in ("D", "i", "c", "Dk"):
-        out = evaluate(f"ad(E1, {name})", ambient="uc", catalog=cat)
+        out = evaluate(f"ad(E1, {name})", ambient="uc", algebra=cat.algebra)
         assert out.is_zero(), name
 
 
 def test_eval_commutator_of_i_with_dirac(cat):
-    lhs = evaluate("rho(i) * D - D * rho(i)", ambient="uc", catalog=cat)
-    rhs = evaluate("2 * rho(j)", ambient="uc", catalog=cat)
+    lhs = evaluate("rho(i) * D - D * rho(i)", ambient="uc", algebra=cat.algebra)
+    rhs = evaluate("2 * rho(j)", ambient="uc", algebra=cat.algebra)
     assert lhs == rhs
 
 
@@ -208,7 +208,7 @@ def test_eval_symmetrization(cat):
     from so41inv.matrix_oracle import Gen
     from so41inv.uea import u_gen
 
-    out = evaluate("sigma(E1 * F1)", ambient="uc", catalog=cat)
+    out = evaluate("sigma(E1 * F1)", ambient="uc", algebra=cat.algebra)
     alg = cat.algebra
     e1f1 = u_gen(Gen.E1) * u_gen(Gen.F1)
     h = u_gen(Gen.H1) + u_gen(Gen.H2)
@@ -288,10 +288,10 @@ def test_eval_tau_matches_clifford_product_minus_pairing(cat):
     from so41inv.clifford import P_INDEX
     from so41inv.matrix_oracle import Gen
 
-    tau = evaluate("tau(E3 ^ F3)", ambient="uc", catalog=cat)
-    prod = evaluate("(1 ot E3) * (1 ot F3)", ambient="uc", catalog=cat)
+    tau = evaluate("tau(E3 ^ F3)", ambient="uc", algebra=cat.algebra)
+    prod = evaluate("(1 ot E3) * (1 ot F3)", ambient="uc", algebra=cat.algebra)
     pairing = cat.algebra.pform.phi(P_INDEX[Gen.E3], P_INDEX[Gen.F3])
-    assert prod - tau == evaluate(str(pairing), ambient="uc", catalog=cat)
+    assert prod - tau == evaluate(str(pairing), ambient="uc", algebra=cat.algebra)
 
 
 # -- element files -------------------------------------------------------------------
@@ -310,7 +310,7 @@ def test_caret_with_a_number_is_a_power():
 def test_round_trip_every_uc_catalog_element(cat):
     # canonical text, then the element file
     for name, el in cat.elements.items():
-        assert evaluate(str(el), catalog=cat) == el, name
+        assert evaluate(str(el), algebra=cat.algebra) == el, name
     for name, el in cat.elements.items():
         text = dumps_element(el)
         back = loads_element(text)
@@ -727,6 +727,15 @@ def test_the_lazy_package_binds_every_public_name():
     assert names == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 51
 
 
+def test_the_readme_library_block_runs():
+    # the python block under '## Library' in README.md, run as a reader would
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md, ## Library", "exec"), {})
+
+
 def test_cli_verify_dims_emit_basis(capsys, tmp_path):
     out_dir = tmp_path / "basis"
     code, out, _ = run_cli(capsys, "verify", "dims", "--max-degree", "2",
@@ -1038,6 +1047,9 @@ def test_the_chain_is_derived_once_per_catalog(capsys, monkeypatch, cold_caches)
     assert len(cat.chain) == 8 and derived == [cat]
     with pytest.raises(AttributeError):
         cat.chain[0].ok = False
+    # so are the cached identity checks that verify relations prints
+    with pytest.raises(AttributeError):
+        cat.checks[0].ok = False
 
 
 def test_the_parser_is_built_once_per_process(capsys, tmp_path, cold_caches):

@@ -282,13 +282,21 @@ def test_rank16_eliminates_no_degree_and_independence_each_degree_once(capsys, c
 def test_a_changed_report_leaves_the_next_answer_as_it_was(cold_caches, want_basis):
     first = invariant_dimension(4, want_basis=want_basis)
     basis = None if first.basis is None else list(first.basis)
+    nums = None if basis is None else [dict(v.num) for v in basis]
     first.dimension += 1
     if want_basis:
+        # the vectors are the cached ones, so their numerators are read-only
+        vector = first.basis[0]
+        with pytest.raises(TypeError):
+            vector.num[next(iter(vector.num))] = 0
+        with pytest.raises(AttributeError):
+            vector.num.clear()
         first.basis.pop()
         first.basis[0] = first.basis[1]
     first.basis = []
     again = invariant_dimension(4, want_basis=want_basis)
     assert (again.dimension, again.block_dim, again.basis) == (13, 118, basis)
+    assert nums is None or [dict(v.num) for v in again.basis] == nums
     assert again.ok
 
 
