@@ -23,7 +23,7 @@ from itertools import permutations
 from math import lcm
 from types import MappingProxyType
 
-from ._record import record
+from ._record import record, refuse
 from .elements import (BoundElement, LinearElement, accumulate, combine, fmt_mask, mask_bits,
                        mask_sort_key, nonzero_row)
 from .errors import DomainError, SolveError
@@ -44,7 +44,7 @@ def _trace_gram() -> tuple:
     return tuple(tuple(trace_form_gens(a, b) for b in P_GENS) for a in P_GENS)
 
 
-@record(frozen=True)
+@record
 class PForm:
     """Symmetric bilinear form on p together with the Clifford sign."""
 
@@ -180,25 +180,25 @@ class CliffordAlgebra:
     _OnDemand dict of the algebra, so it lives exactly as long as the
     algebra."""
 
+    __setattr__ = __delattr__ = refuse
+
     def __init__(self, pform: PForm):
         q = lcm(*(v.denominator for row in pform.gram for v in row))
-        self._form = tuple(tuple(pform.sign * v.numerator * (q // v.denominator) for v in row)
-                          for row in pform.gram)
-        self._form_den = q
+        form = tuple(tuple(pform.sign * v.numerator * (q // v.denominator) for v in row)
+                     for row in pform.gram)
         # the form must be nondegenerate for alpha to exist
-        self._adjugate = _adjugate(self._form)
-        self._form_det = sum(self._form[0][k] * self._adjugate[k][0] for k in range(4))
-        if not self._form_det:
+        adjugate = _adjugate(form)
+        det = sum(form[0][k] * adjugate[k][0] for k in range(4))
+        if not det:
             raise ValueError("gram matrix is degenerate")
-        self.pform = pform
-        self._insert_table = _OnDemand(lambda key: self._insert_gen(*key))
-        self.table_den = q ** 4  # two masks meet in at most four contractions
-        self.table = _OnDemand(lambda key: self._word(mask_bits(key[0]) + mask_bits(key[1]), 4))
-        self.k_den = q ** 2
-        self.k_table = _OnDemand(lambda key: self._k_action_monomial(*key))
-        self._tau_den = 24 * q ** 2
-        self._tau_table = _OnDemand(self._tau_monomial)
-        self._alpha_table = _OnDemand(self._alpha_gen)
+        vars(self).update(
+            pform=pform, _form=form, _form_den=q, _adjugate=adjugate, _form_det=det,
+            # two masks meet in at most four contractions
+            table_den=q ** 4, k_den=q ** 2, _tau_den=24 * q ** 2,
+            _insert_table=_OnDemand(lambda key: self._insert_gen(*key)),
+            table=_OnDemand(lambda key: self._word(mask_bits(key[0]) + mask_bits(key[1]), 4)),
+            k_table=_OnDemand(lambda key: self._k_action_monomial(*key)),
+            _tau_table=_OnDemand(self._tau_monomial), _alpha_table=_OnDemand(self._alpha_gen))
 
     # -- construction --------------------------------------------------------
 
@@ -332,9 +332,11 @@ class _OnDemand(dict):
     """A table whose entry for a key is computed by fill(key) on first read.
     That read is its only write: every other write raises TypeError."""
 
+    __setattr__ = __delattr__ = refuse
+
     def __init__(self, fill):
         super().__init__()
-        self._fill = fill
+        vars(self)["_fill"] = fill
 
     def __missing__(self, key):
         value = self._fill(key)
@@ -355,11 +357,11 @@ def _det(m: tuple) -> int:
                for j in range(len(m)) if m[0][j])
 
 
-def _adjugate(m: tuple) -> list[list[int]]:
+def _adjugate(m: tuple) -> tuple:
     """adj(m), with adj(m) m = det(m) I, in ints."""
     n = len(m)
 
     def minor(r: int, c: int) -> tuple:
         return tuple(row[:c] + row[c + 1:] for i, row in enumerate(m) if i != r)
 
-    return [[(-1) ** (i + j) * _det(minor(j, i)) for j in range(n)] for i in range(n)]
+    return tuple(tuple((-1) ** (i + j) * _det(minor(j, i)) for j in range(n)) for i in range(n))

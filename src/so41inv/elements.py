@@ -4,19 +4,20 @@ text format they print to.
 Every algebra element in the package holds int numerators over one
 denominator, num: {key: int} and den: int, in normal form: den > 0, no zero
 numerator, and gcd(den, *numerators) == 1. The form is canonical, so == and
-hash compare it structurally. A row is a tuple of (key, int) pairs with no
-zero entry; the memo tables of products and actions in U(g), C(p) and
-U(g) tensor C(p) hold rows, and so do the wedge and k-action tables of the
-graded algebras Lambda(p) and S(g) tensor Lambda(p), so a shared row is
-read-only by its type. Sums, products and actions, graded or not, add f
-times rows (or the items of an element's num) into one dict through
-accumulate (combine puts elements over the lcm of their denominators
-first) and hand the result to one normalizing constructor, or to
-nonzero_row when the sum is itself a cached row; signed_sum adds a whole
-run of elements that way in one pass. A monomial of a tensor product
-algebra is a pair of keys, and a row of it is a row of the left factor
-tensor a row of the right one (tensor), in U(g) tensor C(p) and in
-S(g) tensor Lambda(p) alike.
+hash compare it structurally. An element is read-only by its type: num is a
+types.MappingProxyType, and num, den and algebra refuse a rebind (only the
+constructors bind them, through the slot descriptors). A row is a tuple of
+(key, int) pairs with no zero entry; the memo tables of products and actions
+in U(g), C(p) and U(g) tensor C(p) hold rows, and so do the wedge and
+k-action tables of the graded algebras Lambda(p) and S(g) tensor Lambda(p),
+so a shared row is read-only by its type. Sums, products and actions, graded
+or not, add f times rows (or the items of an element's num) into one dict
+through accumulate (combine puts elements over the lcm of their denominators
+first) and hand the result to one normalizing constructor, or to nonzero_row
+when the sum is itself a cached row; signed_sum adds a whole run of elements
+that way in one pass. A monomial of a tensor product algebra is a pair of
+keys, and a row of it is a row of the left factor tensor a row of the right
+one (tensor), in U(g) tensor C(p) and in S(g) tensor Lambda(p) alike.
 Fraction appears only where rationals come in (construction, scaling,
 parser literals) and in the `terms` view: canonical text and element files
 format each coefficient from its int numerator and the denominator
@@ -33,16 +34,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
+from ._record import refuse
 from .matrix_oracle import Gen, P_GENS
 
 ZERO_EXP = (0,) * 10
 
 
-def _normal_form(num: dict, den: int) -> tuple[dict, int]:
-    """num / den in normal form: zero entries dropped, den made positive and
-    coprime to the numerators. A key that cancels to 0 is simply dropped, so
-    accumulate leaves such entries in place and they end here."""
+def _normal_form(el, num: dict, den: int) -> None:
+    """Bind num / den to the new element el in normal form, num read-only:
+    zero entries dropped, den made positive and coprime to the numerators. A
+    key that cancels to 0 is simply dropped, so accumulate leaves such
+    entries in place and they end here."""
     num = {k: c for k, c in num.items() if c}
     if den != 1:
         g = gcd(den, *num.values())
@@ -51,7 +55,8 @@ def _normal_form(num: dict, den: int) -> tuple[dict, int]:
         if g != 1:
             num = {k: c // g for k, c in num.items()}
             den //= g
-    return num, den
+    _set_num(el, MappingProxyType(num))
+    _set_den(el, den)
 
 
 def accumulate(pairs, out: dict | None = None) -> dict:
@@ -104,6 +109,7 @@ class LinearElement:
     """Base class: a finite rational combination of monomial keys."""
 
     __slots__ = ("num", "den")
+    __setattr__ = __delattr__ = refuse
 
     def __init__(self, terms=None):
         """From a {key: coefficient} dict of ints, Fractions or anything
@@ -111,14 +117,13 @@ class LinearElement:
         items = [(k, c if isinstance(c, (int, Fraction)) else Fraction(c))
                  for k, c in terms.items()] if terms else []
         den = lcm(*(c.denominator for _, c in items))
-        self.num, self.den = _normal_form(
-            {k: c.numerator * (den // c.denominator) for k, c in items}, den)
+        _normal_form(self, {k: c.numerator * (den // c.denominator) for k, c in items}, den)
 
     @classmethod
     def _of(cls, num: dict, den: int = 1):
         """The element num / den of this class, brought to normal form."""
         el = object.__new__(cls)
-        el.num, el.den = _normal_form(num, den)
+        _normal_form(el, num, den)
         return el
 
     def _like(self, num: dict, den: int = 1):
@@ -229,12 +234,12 @@ class BoundElement(LinearElement):
         super().__init__(terms)
         if algebra is None:
             raise ValueError(f"{type(self).__name__} requires its algebra")
-        self.algebra = algebra
+        _set_algebra(self, algebra)
 
     @classmethod
     def _of(cls, num: dict, den: int = 1, algebra=None):
         el = super()._of(num, den)
-        el.algebra = algebra
+        _set_algebra(el, algebra)
         return el
 
     def _like(self, num: dict, den: int = 1):
@@ -251,6 +256,11 @@ class BoundElement(LinearElement):
 
     def __hash__(self):
         return hash((frozenset(self.num.items()), self.den, self.algebra.pform))
+
+
+# the constructors' one way to bind the slots, which refuse every other write
+_set_num, _set_den, _set_algebra = (LinearElement.num.__set__, LinearElement.den.__set__,
+                                    BoundElement.algebra.__set__)
 
 
 # -- canonical text ---------------------------------------------------------

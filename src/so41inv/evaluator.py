@@ -50,13 +50,11 @@ class EvalContext:
     def __init__(self, ambient: str = "uc", algebra: TensorAlgebra | None = None):
         if ambient not in AMBIENTS:
             raise ValueError(f"unknown ambient algebra: {ambient}")
-        self.ambient = ambient
-        if algebra is not None:
-            self.algebra = algebra
+        self.ambient, self._given = ambient, algebra
 
     @cached_property
     def algebra(self) -> TensorAlgebra:
-        return accepted_catalog().algebra
+        return self._given or accepted_catalog().algebra
 
 
 def evaluate(src: str | Node, ambient: str = "uc", algebra: TensorAlgebra | None = None):
@@ -74,7 +72,7 @@ def evaluate(src: str | Node, ambient: str = "uc", algebra: TensorAlgebra | None
 
 # -- realm plumbing ----------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class Realm:
     """One realm: its noun in error messages, its element for a generator,
     its multiple of the identity for a scalar, ad z on its elements (only z

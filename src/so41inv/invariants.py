@@ -12,8 +12,9 @@ ints; a kernel basis is the dependencies among the same rows, certified
 against all six k-generators at once on packed keys, also in ints, before
 its keys are unpacked into elements. Each degree's result is memoized once per
 process and path (a rank, or a kernel with its certified basis) by one
-functools.cache holding only immutable values, and every call builds a
-fresh report from it; cache_clear() puts the process back in its cold state.
+functools.cache holding ints and a tuple of elements, all read-only by their
+type, and every call builds a fresh report from it; cache_clear() puts the
+process back in its cold state.
 
 The expected values come from an independent counting oracle: the invariant
 algebra is a free module over the polynomial invariants of k with a known
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from math import prod
-from types import MappingProxyType
 
 from ._record import record
 from .clifford import popcount
@@ -256,13 +256,10 @@ def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEEleme
             raise InvarianceError(f"degree-{n} kernel vector {i}", K_GENS[first].name,
                                   f"{places.count(first)} residual terms")
     # one key object per monomial, and the terms of each vector in key
-    # order, which the element file's sort then finds as one run; every
-    # later call shares the vectors, so their numerators are read-only
+    # order, which the element file's sort then finds as one run
     keys = {j: unpack(cols[j]) for j in support}
     basis = tuple(SEElement._of({keys[j]: c for j, c in sorted(num.items())}, den)
                   for num, den in kernel)
-    for el in basis:
-        el.num = MappingProxyType(el.num)
     return len(basis), len(cols), basis
 
 
@@ -311,7 +308,7 @@ def _masks_at(el: SEElement, point: tuple[int, ...]) -> dict[int, int]:
                       for (exp, mask), c in el.num.items())
 
 
-@record(frozen=True)
+@record
 class FreenessCertificate:
     t_rank: int  # rank of the 16 x 16 mask coefficients of the t at T_POINT
     jacobian_rank: int  # rank of the 4 x 10 Jacobian of a1, a2, b, c at JACOBIAN_POINT

@@ -130,7 +130,7 @@ def _compute_weights() -> dict[Gen, tuple[int, int]]:
 GEN_WEIGHTS: dict[Gen, tuple[int, int]] = _compute_weights()
 
 
-@record(frozen=True)
+@record
 class CartanSplit:
     """The splitting g = (k1 + k2) + p with both k_i isomorphic to sl2."""
 

@@ -38,29 +38,29 @@ MAX_NESTING = 100
 
 # -- AST -------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class Num:
     value: Fraction
 
 
-@record(frozen=True)
+@record
 class Sym:
     name: str
 
 
-@record(frozen=True)
+@record
 class Neg:
     operand: "Node"
 
 
-@record(frozen=True)
+@record
 class BinOp:
     op: str  # one of + - * ot ^
     left: "Node"
     right: "Node"
 
 
-@record(frozen=True)
+@record
 class Call:
     fn: str
     args: tuple["Node", ...]

@@ -314,20 +314,20 @@ class STCatalog:
     the ones that are not named elements ("1" and the seven products) are
     certified then; only the freeness checks read them."""
 
-    named: dict[str, SEElement]
+    named: MappingProxyType[str, SEElement]
 
     @cached_property
-    def t_elements(self) -> dict[str, SEElement]:
+    def t_elements(self) -> MappingProxyType[str, SEElement]:
         named = self.named
         t: dict[str, SEElement] = {"1": se_one()}
         for name in T_ORDER[1:]:
             t[name] = named[name] if name in named else named[name[0]] * named[name[1]]
         certify_invariance(ad_action_se, {name: el for name, el in t.items() if name not in named})
-        return t
+        return MappingProxyType(t)
 
     @cached_property
-    def t_degrees(self) -> dict[str, int]:
-        return {name: el.degree() for name, el in self.t_elements.items()}
+    def t_degrees(self) -> MappingProxyType[str, int]:
+        return MappingProxyType({name: el.degree() for name, el in self.t_elements.items()})
 
 
 @cache
@@ -349,4 +349,4 @@ def build_st_catalog() -> STCatalog:
         "j": build_j(),
     }
     certify_invariance(ad_action_se, named)
-    return STCatalog(named=named)
+    return STCatalog(named=MappingProxyType(named))

@@ -19,8 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
+from types import MappingProxyType
 
-from ._record import record
+from ._record import record, refuse
 from .clifford import CliffordAlgebra, PForm, _OnDemand, popcount
 from .elements import (BoundElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, nonzero_row,
                        pair_sort_key, signed_sum, tensor)
@@ -86,12 +87,15 @@ class TensorAlgebra:
     kept as long as the algebra, like the Clifford tables: _products[kx][ky]
     and _actions[zg][key]."""
 
+    __setattr__ = __delattr__ = refuse
+
     def __init__(self, pform: PForm):
-        self.pform = pform
-        self.cl = CliffordAlgebra(pform)
-        self._named = _OnDemand(lambda name: self.rho(build_st_catalog().named[name]))
-        self._products = _OnDemand(lambda kx: _OnDemand(lambda ky: self._product_row(kx, ky)))
-        self._actions = _OnDemand(lambda zg: _OnDemand(lambda key: self._action_row(zg, key)))
+        vars(self).update(
+            pform=pform,
+            cl=CliffordAlgebra(pform),
+            _named=_OnDemand(lambda name: self.rho(build_st_catalog().named[name])),
+            _products=_OnDemand(lambda kx: _OnDemand(lambda ky: self._product_row(kx, ky))),
+            _actions=_OnDemand(lambda zg: _OnDemand(lambda key: self._action_row(zg, key))))
 
     # -- constructors ---------------------------------------------------------
 
@@ -217,12 +221,12 @@ class Catalog:
     """
 
     algebra: TensorAlgebra
-    elements: dict[str, UCElement]
+    elements: MappingProxyType[str, UCElement]
     dk_reading: str
-    invariance: dict[tuple[str, Gen], int]
+    invariance: MappingProxyType[tuple[str, Gen], int]
 
     @cached_property
-    def checks(self) -> list[RelationCheck]:
+    def checks(self) -> tuple[RelationCheck, ...]:
         """The identity suite on this catalog, run once."""
         return verify_relations(self)
 
@@ -231,11 +235,9 @@ class Catalog:
         """The generator chain on this catalog, derived and compared once:
         each element derive_chain rebuilds against the catalog's."""
         derived = derive_chain(self)
-        steps = []
-        for name in RELATION_NAMES:
-            diff = derived[name] - self.elements[name]
-            steps.append(ChainStep(name=name, residual_terms=len(diff), ok=diff.is_zero()))
-        return tuple(steps)
+        diffs = ((name, derived[name] - self.elements[name]) for name in RELATION_NAMES)
+        return tuple(ChainStep(name=name, residual_terms=len(d), ok=d.is_zero())
+                     for name, d in diffs)
 
 
 NAMED_ORDER = ("a1", "a2", "b", "c", "D", "d", "e", "f", "g", "h", "i", "j")
@@ -257,8 +259,8 @@ def build_catalog(alg: TensorAlgebra) -> Catalog:
         raise InvarianceError("Dk", "k", "no invariant reading of the third summand")
     dk_reading, elements["Dk"] = found
     invariance.update((("Dk", z), 0) for z in K_GENS)
-    return Catalog(algebra=alg, elements=elements, dk_reading=dk_reading,
-                   invariance=invariance)
+    return Catalog(algebra=alg, elements=MappingProxyType(elements), dk_reading=dk_reading,
+                   invariance=MappingProxyType(invariance))
 
 
 # -- the identity suite ----------------------------------------------------------
@@ -272,8 +274,6 @@ RELATION_NAMES = ("b", "d", "e", "j", "f", "g", "h", "c")
 # by exact invariant combinations (literal h minus regrouped h is
 # 9/16 (f - g - D); literal c minus regrouped c is 3/2 b - a1 - a2, up to
 # sign), and only one of them can hold.
-RELATION_VARIANTS = ("literal", "regrouped")
-
 
 _HALF, _QUARTER, _THREEHALF = Fraction(1, 2), Fraction(1, 4), Fraction(3, 2)
 
@@ -330,7 +330,7 @@ def _residual(t: _Terms, name: str, variant: str) -> UCElement:
     return getattr(t, name) - IDENTITIES[name, variant](t)
 
 
-@record(frozen=True)
+@record
 class RelationCheck:
     name: str
     variant: str
@@ -338,15 +338,15 @@ class RelationCheck:
     ok: bool
 
 
-def verify_relations(cat: Catalog) -> list[RelationCheck]:
+def verify_relations(cat: Catalog) -> tuple[RelationCheck, ...]:
     """Every identity of the table, in its order, each product computed once."""
     t = _Terms(cat.elements)
     residuals = {key: _residual(t, *key) for key in IDENTITIES}
-    return [RelationCheck(name=name, variant=variant, residual_terms=len(r), ok=r.is_zero())
-            for (name, variant), r in residuals.items()]
+    return tuple(RelationCheck(name=name, variant=variant, residual_terms=len(r), ok=r.is_zero())
+                 for (name, variant), r in residuals.items())
 
 
-def effective_checks(checks: list[RelationCheck]) -> list[RelationCheck]:
+def effective_checks(checks) -> list[RelationCheck]:
     """One check per relation: the literal form for the six unambiguous
     identities, the regrouped form for h and c."""
     pick = {ch.name: ch for ch in checks if ch.variant == _effective_variant(ch.name)}
@@ -377,23 +377,22 @@ def convention_algebra(label: str) -> TensorAlgebra:
 
 @record
 class ConventionReport:
-    """One convention's outcome: whether its catalog built, why not, and its
-    identity checks. Read from convention_algebra(label).catalog on first
-    use, so a convention that adjudication refuted is built only if asked."""
+    """One convention's outcome: whether its catalog built, and its identity
+    checks. Read from convention_algebra(label).catalog on first use, so a
+    convention that adjudication refuted is built only if asked."""
 
     label: str
 
     @cached_property
-    def _outcome(self) -> tuple[bool, str, list[RelationCheck]]:
+    def _outcome(self) -> tuple[bool, tuple[RelationCheck, ...]]:
         try:
             cat = convention_algebra(self.label).catalog
-        except InvarianceError as exc:
-            return False, str(exc), []
-        return True, "", cat.checks
+        except InvarianceError:
+            return False, ()
+        return True, cat.checks
 
     built = property(lambda self: self._outcome[0])
-    failure = property(lambda self: self._outcome[1])
-    checks = property(lambda self: self._outcome[2])
+    checks = property(lambda self: self._outcome[1])
 
     @property
     def effective_pass(self) -> bool:
@@ -404,9 +403,8 @@ class ConventionReport:
 
 @record
 class Adjudication:
-    reports: list[ConventionReport]
+    reports: tuple[ConventionReport, ...]
     accepted: str | None
-    catalog: Catalog | None  # catalog under the accepted convention
 
 
 def refuted_by_j(label: str) -> bool:
@@ -424,19 +422,18 @@ def adjudicate_convention() -> Adjudication:
     """Accept the first candidate Clifford normalization where the whole
     identity suite passes. A convention the j identity refutes is not
     built; its report is filled in when read. Run once per process."""
-    reports = [ConventionReport(label) for label in CONVENTION_LABELS]
+    reports = tuple(ConventionReport(label) for label in CONVENTION_LABELS)
     accepted = next((r.label for r in reports
                      if not refuted_by_j(r.label) and r.effective_pass), None)
-    return Adjudication(
-        reports=reports, accepted=accepted,
-        catalog=None if accepted is None else convention_algebra(accepted).catalog)
+    return Adjudication(reports=reports, accepted=accepted)
 
 
 def accepted_catalog() -> Catalog:
-    adj = adjudicate_convention()
-    if adj.catalog is None:
+    """The catalog under the accepted convention."""
+    accepted = adjudicate_convention().accepted
+    if accepted is None:
         raise DomainError("no Clifford normalization satisfies the identity suite")
-    return adj.catalog
+    return convention_algebra(accepted).catalog
 
 
 def algebra_for_sign(sign: int) -> TensorAlgebra:
@@ -453,7 +450,7 @@ def catalog_for_sign(sign: int) -> Catalog:
 
 # -- generator theorem -----------------------------------------------------------
 
-@record(frozen=True)
+@record
 class ChainStep:
     name: str
     residual_terms: int

@@ -36,17 +36,16 @@ Generator insertions, pair products, generator commutators, P and sigma
 of a monomial are pure functions of their arguments, each kept for the
 life of the process by functools.cache: cache_info() reports a table's
 size and hits, and cache_clear() empties it. The first four return rows,
-tuples of (PBW monomial, int) pairs with no zero entry, and a cached sigma
-of a monomial holds its numerators in a types.MappingProxyType. Every
-caller shares them, so they are read-only: a caller that writes to one
-gets a TypeError instead of corrupting every later result.
+tuples of (PBW monomial, int) pairs with no zero entry, and sigma of a
+monomial an element. Every caller shares them, and both are read-only by
+their type (see elements): a caller that writes to one gets an error
+instead of corrupting every later result.
 """
 from __future__ import annotations
 
 from functools import cache
 from math import factorial
 from operator import add
-from types import MappingProxyType
 
 from .elements import (LinearElement, ZERO_EXP, accumulate, combine, exp_sort_key, fmt_exp,
                        nonzero_row)
@@ -205,13 +204,11 @@ def _orderings_sum(exp: Exp) -> tuple:
 @cache
 def symmetrize_monomial(exp: Exp) -> UElement:
     """sigma of a single symmetric monomial: P(exp) over the number of
-    distinct orderings, shared through the cache, so its num is read-only."""
+    distinct orderings."""
     orderings = factorial(sum(exp))
     for e in exp:
         orderings //= factorial(e)
-    el = UElement._of(dict(_orderings_sum(exp)), orderings)
-    el.num = MappingProxyType(el.num)
-    return el
+    return UElement._of(dict(_orderings_sum(exp)), orderings)
 
 
 def symmetrize(x: SElement) -> UElement:

@@ -76,7 +76,6 @@ from so41inv.sym_ext import (
 from so41inv.tensor_algebra import (
     IDENTITIES,
     RELATION_NAMES,
-    RELATION_VARIANTS,
     UCElement,
     _residual,
     _Terms,
@@ -592,7 +591,7 @@ def u_k_invariant(x: UElement) -> bool:
 def relation_residuals(cat, variant: str = "literal") -> dict:
     """Left minus right side of each identity in the suite; the six
     identities with one form read the literal one under either variant."""
-    if variant not in RELATION_VARIANTS:
+    if variant not in {v for _, v in IDENTITIES}:
         raise ValueError(f"unknown relation variant: {variant}")
     t = _Terms(cat.elements)
     return {name: _residual(t, name, variant if (name, variant) in IDENTITIES else "literal")

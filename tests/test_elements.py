@@ -24,7 +24,7 @@ from so41inv.lie_core import LieElement, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.serialization import dumps_element, loads_element
 from so41inv.sym_ext import SEElement, ad_action_se, se_ext_gen, se_gen
-from so41inv.tensor_algebra import RELATION_VARIANTS, convention_algebra, derive_chain
+from so41inv.tensor_algebra import convention_algebra, derive_chain
 from so41inv.uea import SElement, UElement, symmetrize, word_to_exp
 
 ALG = convention_algebra("gram=trace/4 sign=-1")
@@ -169,9 +169,9 @@ def test_a_printed_sum_evaluates_in_time_linear_in_its_length(monkeypatch):
     received = [0]
     normal_form = elements._normal_form
 
-    def counted(num, den):
+    def counted(el, num, den):
         received[0] += len(num)
-        return normal_form(num, den)
+        normal_form(el, num, den)
 
     monkeypatch.setattr(elements, "_normal_form", counted)
 
@@ -191,7 +191,7 @@ def test_a_printed_sum_evaluates_in_time_linear_in_its_length(monkeypatch):
 
 def test_catalog_residuals_and_chain_hold_int_numerators_in_lowest_terms(cat):
     elements = list(cat.elements.values()) + list(derive_chain(cat).values())
-    for variant in RELATION_VARIANTS:
+    for variant in ("literal", "regrouped"):
         elements += relation_residuals(cat, variant).values()
     assert any(el.den > 1 for el in elements)
     for el in elements:

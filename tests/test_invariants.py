@@ -30,6 +30,7 @@ from so41inv import cli, invariants, tensor_algebra, uea
 from so41inv.clifford import CliffordAlgebra
 from so41inv.errors import InvarianceError
 from so41inv.invariants import (
+    DegreeReport,
     JACOBIAN_POINT,
     S_DEGREES,
     T_DEGREES,
@@ -283,17 +284,23 @@ def test_a_changed_report_leaves_the_next_answer_as_it_was(cold_caches, want_bas
     first = invariant_dimension(4, want_basis=want_basis)
     basis = None if first.basis is None else list(first.basis)
     nums = None if basis is None else [dict(v.num) for v in basis]
-    first.dimension += 1
+    # the report is a record, so it refuses every rebind
+    with pytest.raises(AttributeError):
+        first.dimension += 1
+    with pytest.raises(AttributeError):
+        first.basis = []
     if want_basis:
-        # the vectors are the cached ones, so their numerators are read-only
+        # the vectors are the cached ones, read-only by their type
         vector = first.basis[0]
         with pytest.raises(TypeError):
             vector.num[next(iter(vector.num))] = 0
         with pytest.raises(AttributeError):
             vector.num.clear()
+        with pytest.raises(AttributeError):
+            vector.den = 7
+        # the list is the report's own
         first.basis.pop()
         first.basis[0] = first.basis[1]
-    first.basis = []
     again = invariant_dimension(4, want_basis=want_basis)
     assert (again.dimension, again.block_dim, again.basis) == (13, 118, basis)
     assert nums is None or [dict(v.num) for v in again.basis] == nums
@@ -421,7 +428,8 @@ def test_independence_counts_against_the_exact_kernel(monkeypatch):
     def off_by_one_at_four(n, **kw):
         rep = true_dimension(n, **kw)
         if n == 4:
-            rep.dimension += 1
+            return DegreeReport(rep.degree, rep.dimension + 1, rep.expected, rep.ambient_dim,
+                                rep.block_dim, rep.basis)
         return rep
 
     monkeypatch.setattr(invariants, "invariant_dimension", off_by_one_at_four)
@@ -526,7 +534,8 @@ def duplicate_a_t(st, monkeypatch):
 
 
 def c_as_a1_squared(st, monkeypatch):
-    monkeypatch.setitem(st.named, "c", st.named["a1"] * st.named["a1"])
+    named = {**st.named, "c": st.named["a1"] * st.named["a1"]}
+    monkeypatch.setitem(vars(st), "named", named)
 
 
 @pytest.mark.parametrize("mutate, ranks, message", [

@@ -27,6 +27,7 @@ from so41inv.tensor_algebra import (
     TensorAlgebra,
     accepted_catalog,
     build_catalog,
+    convention_algebra,
     convention_pform,
     effective_checks,
     generator_chain_check,
@@ -74,7 +75,7 @@ def test_frozen_residual_tables(adjudication):
 def test_dk_paired_reading_is_the_invariant_one(adjudication):
     for r in adjudication.reports:
         assert r.built
-    assert adjudication.catalog.dk_reading == "paired"
+    assert convention_algebra(adjudication.accepted).catalog.dk_reading == "paired"
 
 
 def test_dk_literal_reading_is_not_invariant(cat):
@@ -104,10 +105,12 @@ def test_the_invariance_certificate_is_keyed_by_name_then_generator(cat):
 def test_a_failed_rho_certificate_names_the_image_and_generator():
     # a fresh algebra whose rho(e) carries the weight-zero E1 F1: ad H1 and
     # ad H2 kill it, ad E1 leaves the residual
-    alg = TensorAlgebra(convention_pform("gram=trace/4 sign=-1"))
-    rho_named = alg.rho_named
-    alg.rho_named = lambda name: rho_named(name) + (
-        alg.u_gen(Gen.E1) * alg.u_gen(Gen.F1) if name == "e" else 0)
+    class Tampered(TensorAlgebra):
+        def rho_named(self, name):
+            return super().rho_named(name) + (
+                self.u_gen(Gen.E1) * self.u_gen(Gen.F1) if name == "e" else 0)
+
+    alg = Tampered(convention_pform("gram=trace/4 sign=-1"))
     with pytest.raises(InvarianceError) as exc:
         build_catalog(alg)
     assert str(exc.value) == "rho(e) is not invariant under ad(E1): 3 residual terms"
@@ -421,7 +424,7 @@ def test_product_and_action_rows_give_the_term_by_term_results(label, data):
 
 
 def test_mutating_a_returned_product_leaves_later_calls_intact(cat):
-    # both kernels read shared memo tables; their results must be fresh dicts
+    # both kernels read shared memo tables; every result refuses a write
     alg = cat.algebra
     e1 = lie_gen(Gen.E1)
     x = alg.u_gen(Gen.F1) * alg.c_gen(Gen.E3)
@@ -438,7 +441,10 @@ def test_mutating_a_returned_product_leaves_later_calls_intact(cat):
         first = call()
         want = dict(first.num)
         assert want
-        for k in list(first.num):
-            first.num[k] += 1
-        first.num[(None, None)] = 7
+        with pytest.raises(TypeError):
+            first.num[next(iter(first.num))] += 1
+        with pytest.raises(TypeError):
+            first.num[(None, None)] = 7
+        with pytest.raises(AttributeError):
+            first.den = 5
         assert call().num == want
