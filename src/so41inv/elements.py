@@ -6,23 +6,23 @@ denominator, num: {key: int} and den: int, in normal form: den > 0, no zero
 numerator, and gcd(den, *numerators) == 1. The form is canonical, so == and
 hash compare it structurally. An element is read-only by its type: num is a
 types.MappingProxyType, and num, den and algebra refuse a rebind (only the
-constructors bind them, through the slot descriptors). A row is a tuple of
-(key, int) pairs with no zero entry; the memo tables of products and actions
-in U(g), C(p) and U(g) tensor C(p) hold rows, and so do the wedge and
-k-action tables of the graded algebras Lambda(p) and S(g) tensor Lambda(p),
-so a shared row is read-only by its type. Sums, products and actions, graded
-or not, add f times rows (or the items of an element's num) into one dict
-through accumulate (combine puts elements over the lcm of their denominators
-first) and hand the result to one normalizing constructor, or to nonzero_row
-when the sum is itself a cached row; signed_sum adds a whole run of elements
-that way in one pass. A monomial of a tensor product algebra is a pair of
-keys, and a row of it is a row of the left factor tensor a row of the right
-one (tensor), in U(g) tensor C(p) and in S(g) tensor Lambda(p) alike.
-Fraction appears only where rationals come in (construction, scaling,
-parser literals) and in the `terms` view: canonical text and element files
-format each coefficient from its int numerator and the denominator
-(fmt_coeff). Subclasses choose the key type and the product. Canonical text
-is frozen so that printing and re-parsing round-trips exactly.
+constructors bind them). A coefficient or scalar is an int or a Fraction, and
+no element is a scalar: construction, scale, * and / raise TypeError for any
+other value, + and - take no number, and no element equals one; an algebra
+lifts a scalar as a multiple of its one(). A row is a tuple of (key, int)
+pairs with no zero entry; the memo tables of products and actions in U(g),
+C(p), U(g) tensor C(p), Lambda(p) and S(g) tensor Lambda(p) hold rows, so a
+shared row is read-only by its type. Sums, products and actions add f times
+rows (or the items of an element's num) into one dict through accumulate (or
+combine, over the lcm of the denominators) and hand the result to one
+normalizing constructor, or to nonzero_row when the sum is itself a cached
+row; signed_sum adds a whole run of elements that way in one pass. A monomial
+of a tensor product algebra is a pair of keys, and a row of it is a row of the
+left factor tensor a row of the right one (tensor). Fraction appears only
+where rationals come in (construction, scaling, parser literals) and in the
+`terms` view: canonical text and element files format each coefficient from
+its int numerator and the denominator (fmt_coeff). Subclasses choose the key
+type and the product. Canonical text re-parses to the element it printed.
 
 Every term of canonical text and of an element file is printed from string
 tables built once at import: the ten generator names (GEN_NAMES) and, for
@@ -105,6 +105,13 @@ def signed_sum(run):
     return first._like(*combine(run))
 
 
+def _scalar(c):
+    """c, if it is an int or a Fraction; TypeError for any other value."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"a coefficient is an int or a Fraction, not {type(c).__name__!r}")
+    return c
+
+
 class LinearElement:
     """Base class: a finite rational combination of monomial keys."""
 
@@ -112,10 +119,8 @@ class LinearElement:
     __setattr__ = __delattr__ = refuse
 
     def __init__(self, terms=None):
-        """From a {key: coefficient} dict of ints, Fractions or anything
-        Fraction() reads."""
-        items = [(k, c if isinstance(c, (int, Fraction)) else Fraction(c))
-                 for k, c in terms.items()] if terms else []
+        """From a {key: coefficient} dict of ints and Fractions."""
+        items = [(k, _scalar(c)) for k, c in terms.items()] if terms else []
         den = lcm(*(c.denominator for _, c in items))
         _normal_form(self, {k: c.numerator * (den // c.denominator) for k, c in items}, den)
 
@@ -155,9 +160,7 @@ class LinearElement:
         return self._like({k: -c for k, c in self.num.items()}, self.den)
 
     def scale(self, c):
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        n = c.numerator
+        n = _scalar(c).numerator
         return self._like({k: v * n for k, v in self.num.items()}, self.den * c.denominator)
 
     def __mul__(self, other):
@@ -173,13 +176,11 @@ class LinearElement:
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division of an element by zero")
-            d = other.denominator
-            return self._like({k: v * d for k, v in self.num.items()},
-                              self.den * other.numerator)
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division of an element by zero")
+        return self.scale(Fraction(other.denominator, other.numerator))
 
     def _product(self, other):
         raise TypeError(f"{type(self).__name__} does not define a product")

@@ -244,7 +244,9 @@ def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEEleme
     cols = zero_weight_keys(n)
     rows = image_rows(RAISING, cols)
     if not want_basis:
-        # rank M = rank of its transpose; last key first runs ~3x faster than first key first at n=8
+        # rank M = rank of its transpose; last key first runs ~3x faster than first key first at n=8.
+        # Its own path: rank / dependency_kernel took 0.033 / 0.053 s at n=7, 0.19 / 0.25 s at n=9,
+        # 0.33 / 0.44 s at n=10, 0.78 / 1.15 s at n=11 (in process, min of 3, 2 vCPU, Python 3.11.7).
         return len(cols) - sparse_rank(rows[::-1]), len(cols), None
     kernel = dependency_kernel({j: rows[j] for j in range(len(cols) - 1, -1, -1)})
     support = sorted(set().union(*(num for num, _ in kernel)))

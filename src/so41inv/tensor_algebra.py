@@ -1,21 +1,22 @@
 """U(g) tensor C(p): the noncommutative home of the invariant catalog.
 
 Everything downstream of the Clifford normalization question lives here. A
-TensorAlgebra is parametrized by a PForm; build_catalog() maps the closed
-form invariants over via rho = sigma tensor tau and certifies K-invariance
+TensorAlgebra is parametrized by a PForm, and a scalar is one of its elements
+only as a multiple of one(). build_catalog() maps the closed form invariants
+over via rho = sigma tensor tau and certifies K-invariance, Dk's included,
 with the certificate of S(g) tensor Lambda(p), sym_ext.certify_invariance;
-verify_relations() evaluates the identity table IDENTITIES relating the
-catalog elements; adjudicate_convention() accepts the first candidate
-normalization of the form that satisfies the whole suite, after ruling out
-each one the j identity refutes without building its catalog.
-convention_algebra() builds each label's algebra once per process, and
-adjudicate_convention() runs once (both through functools.cache); the
-algebra keeps its catalog, the rho image of each named element, the
-product of each pair of monomial keys and the action of each generator on
-each key, and the catalog its identity checks and its generator chain.
+verify_relations() evaluates the identity table IDENTITIES;
+adjudicate_convention() accepts the first candidate normalization of the form
+that satisfies the whole suite, after ruling out each one the j identity
+refutes without building its catalog. convention_algebra() builds each label's
+algebra once per process, and adjudicate_convention() runs once (both through
+functools.cache); the algebra keeps its catalog, the rho image of each named
+element, the product of each pair of keys and the action of each generator on
+each key, and the catalog its identity checks and generator chain.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
@@ -27,7 +28,7 @@ from .elements import (BoundElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, no
                        pair_sort_key, signed_sum, tensor)
 from .errors import DomainError, InvarianceError
 from .lie_core import LieElement, lie_gen, require_in_k
-from .matrix_oracle import Gen, K_GENS
+from .matrix_oracle import Gen
 from .sym_ext import SEElement, build_st_catalog, certify_invariance
 from .uea import UElement, gen_commutator, pbw_pair_product, symmetrize_monomial
 
@@ -51,30 +52,6 @@ class UCElement(BoundElement):
 
     def degree(self) -> int:
         return max((sum(e) + popcount(m) for e, m in self.num), default=0)
-
-    def _lift(self, other):
-        """A scalar as that multiple of 1 here; anything else as it is."""
-        return self.algebra.scalar(other) if isinstance(other, (int, Fraction)) else other
-
-    def __eq__(self, other):
-        return super().__eq__(self._lift(other))
-
-    def __hash__(self):
-        # a multiple of 1 equals its Fraction, so it hashes as that Fraction
-        if self.num.keys() <= {_ONE_KEY}:
-            return hash(Fraction(self.num.get(_ONE_KEY, 0), self.den))
-        return super().__hash__()
-
-    def __add__(self, other):
-        return super().__add__(self._lift(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return super().__sub__(self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __str__(self):
         return self._text(pair_sort_key,
@@ -162,9 +139,6 @@ class TensorAlgebra:
     def catalog(self) -> Catalog:
         return build_catalog(self)
 
-    def is_invariant(self, x: UCElement) -> bool:
-        return all(self.ad_action(lie_gen(z), x).is_zero() for z in K_GENS)
-
     # -- rho ---------------------------------------------------------------------
 
     def rho(self, x: SEElement) -> UCElement:
@@ -248,17 +222,19 @@ def build_catalog(alg: TensorAlgebra) -> Catalog:
     sym_ext.certify_invariance, the certificate of S(g) tensor Lambda(p).
 
     The k-Dirac element is built under one reading of its third summand at a
-    time, until one is invariant (they never both are). InvarianceError if
-    any catalog element fails certification.
+    time, until one passes the same certificate (they never both do); its
+    counts join the others. InvarianceError if any catalog element fails
+    certification.
     """
     elements = {name: alg.rho_named(name) for name in NAMED_ORDER}
     invariance = certify_invariance(alg.ad_action, elements, "rho({})")
-    candidates = ((reading, alg.k_dirac(reading)) for reading in ("literal", "paired"))
-    found = next((pair for pair in candidates if alg.is_invariant(pair[1])), None)
-    if found is None:
+    for dk_reading in ("literal", "paired"):
+        elements["Dk"] = alg.k_dirac(dk_reading)
+        with suppress(InvarianceError):
+            invariance.update(certify_invariance(alg.ad_action, {"Dk": elements["Dk"]}))
+            break
+    else:
         raise InvarianceError("Dk", "k", "no invariant reading of the third summand")
-    dk_reading, elements["Dk"] = found
-    invariance.update((("Dk", z), 0) for z in K_GENS)
     return Catalog(algebra=alg, elements=MappingProxyType(elements), dk_reading=dk_reading,
                    invariance=MappingProxyType(invariance))
 
@@ -302,7 +278,7 @@ class _Terms:
                 + (self.a1 * e + e * self.a1)
                 - _HALF * (g * D - D * g)
                 + _HALF * (f * D - D * f)
-                + (4 * self.b + 5) * (d - e))
+                + (4 * self.b + 5 * self.b.algebra.one()) * (d - e))
 
 
 # The right-hand side of each identity, by (name, variant): the literal forms
@@ -364,6 +340,9 @@ CONVENTION_LABELS = (
 
 
 def convention_pform(label: str) -> PForm:
+    """The form a label of CONVENTION_LABELS names; ValueError for any other."""
+    if label not in CONVENTION_LABELS:
+        raise ValueError(f"unknown convention label: {label!r}")
     scale = Fraction(1, 4) if "trace/4" in label else Fraction(1)
     sign = 1 if "sign=+1" in label else -1
     return PForm.from_trace_form(sign=sign, scale=scale)

@@ -1,6 +1,7 @@
 """The element representation: int numerators over one positive denominator
 in lowest terms, the laws of the linear structure, and the round trips
 through canonical text and element files."""
+import operator
 import os
 import subprocess
 import sys
@@ -148,15 +149,44 @@ def test_a_sum_that_mixes_kinds_raises_the_type_error_of_the_operator(cat):
         signed_sum(run)
 
 
-@settings(max_examples=40, deadline=None)
-@given(coefficients, term_dicts(pairs))
-def test_a_scalar_uc_element_hashes_and_subtracts_as_its_fraction(q, terms):
-    for x in (ALG.scalar(q), ALG.element(terms), ALG.element(terms) + q):
-        if x == q:
-            assert hash(x) == hash(q)
-        assert q - x == -(x - q)
-        assert q + x == x + q
-    assert {ALG.scalar(q): 1}.get(q) == 1
+# -- the one scalar rule: a coefficient is an int or a Fraction, and no
+# element is a scalar -----------------------------------------------------------
+
+@kinds
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_coefficient_is_an_int_or_a_fraction(kind, data):
+    make, keys, _ = KINDS[kind]
+    key = data.draw(keys)
+    x = make({key: 1})
+    for c in (0.5, "1/2"):  # both read by Fraction(), neither taken
+        with pytest.raises(TypeError, match="a coefficient is an int or a Fraction, not"):
+            make({key: c})
+        with pytest.raises(TypeError, match="a coefficient is an int or a Fraction, not"):
+            x.scale(c)
+
+
+@kinds
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), q=coefficients)
+def test_no_element_is_a_scalar(kind, data, q):
+    make, keys, has_product = KINDS[kind]
+    x = make(data.draw(term_dicts(keys)))
+    for y in (x, make({})) + ((x ** 0, (x ** 0).scale(q)) if has_product else ()):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(y, q)
+            with pytest.raises(TypeError):
+                op(q, y)
+        assert y != q and q != y and not y == q
+
+
+@settings(max_examples=20, deadline=None)
+@given(coefficients)
+def test_a_multiple_of_one_is_not_its_fraction(q):
+    # the one lift of a scalar into the algebra is explicit
+    x = ALG.scalar(q)
+    assert x == ALG.one().scale(q) and x != q and {x: 1}.get(q) is None
 
 
 # Keys of one shape: two U(g) generators and two Clifford generators, so

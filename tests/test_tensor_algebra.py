@@ -5,6 +5,7 @@ against Fraction oracles. The residual-count tables below were computed
 once with this engine and frozen; they double as a regression oracle for
 the whole adjudication pipeline."""
 import random
+import re
 from fractions import Fraction
 from functools import cache, partial
 
@@ -13,13 +14,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (FractionEchelon, lie_to_u, relation_residuals, st_product_vectors,
                      term_by_term_ad_action, term_by_term_multiply, uc_rank)
+from so41inv import tensor_algebra
 from so41inv.clifford import ExtElement, PForm
 from so41inv.elements import mask_bits, pair_sort_key
 from so41inv.errors import InvarianceError
 from so41inv.invariants import truncated_rank16_check
 from so41inv.lie_core import LieElement, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS
-from so41inv.sym_ext import SEElement, ad_action_se, se_gen
+from so41inv.sym_ext import SEElement, ad_action_se, certify_invariance, se_gen
 from so41inv.tensor_algebra import (
     CONVENTION_LABELS,
     NAMED_ORDER,
@@ -80,9 +82,33 @@ def test_dk_paired_reading_is_the_invariant_one(adjudication):
 
 def test_dk_literal_reading_is_not_invariant(cat):
     alg = cat.algebra
-    literal = alg.k_dirac("literal")
-    assert not alg.is_invariant(literal)
-    assert alg.is_invariant(alg.k_dirac("paired"))
+    with pytest.raises(InvarianceError) as exc:
+        certify_invariance(alg.ad_action, {"Dk": alg.k_dirac("literal")})
+    assert str(exc.value) == "Dk is not invariant under ad(H2): 1 residual terms"
+    assert certify_invariance(alg.ad_action, {"Dk": alg.k_dirac("paired")}) == \
+        {("Dk", z): 0 for z in K_GENS}
+
+
+def test_build_catalog_certifies_each_dk_reading_with_the_one_certificate(cat, monkeypatch):
+    certified = []
+
+    def recorded(ad, elements, label="{}"):
+        certified.append([label.format(name) for name in elements])
+        return certify_invariance(ad, elements, label)
+
+    monkeypatch.setattr(tensor_algebra, "certify_invariance", recorded)
+    rebuilt = build_catalog(cat.algebra)
+    # the literal reading is tried and refused, then the paired one passes
+    assert certified == [[f"rho({name})" for name in NAMED_ORDER], ["Dk"], ["Dk"]]
+    assert (rebuilt.dk_reading, rebuilt.elements, rebuilt.invariance) == \
+        (cat.dk_reading, cat.elements, cat.invariance)
+
+
+@pytest.mark.parametrize("label", ["bogus", "gram=trace*2/3 sign=-1", "gram=trace sign=+1 ",
+                                   "gram=trace/4 sign=0", "sign=+1 gram=trace/4"])
+def test_convention_pform_refuses_an_unknown_label(label):
+    with pytest.raises(ValueError, match=f"^unknown convention label: {re.escape(repr(label))}$"):
+        convention_pform(label)
 
 
 def test_catalog_invariance_78_checks(cat):
@@ -107,8 +133,8 @@ def test_a_failed_rho_certificate_names_the_image_and_generator():
     # ad H2 kill it, ad E1 leaves the residual
     class Tampered(TensorAlgebra):
         def rho_named(self, name):
-            return super().rho_named(name) + (
-                self.u_gen(Gen.E1) * self.u_gen(Gen.F1) if name == "e" else 0)
+            image = super().rho_named(name)
+            return image + self.u_gen(Gen.E1) * self.u_gen(Gen.F1) if name == "e" else image
 
     alg = Tampered(convention_pform("gram=trace/4 sign=-1"))
     with pytest.raises(InvarianceError) as exc:
