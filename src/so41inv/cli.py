@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from functools import cache
 
-from .errors import EngineError
+from .errors import EngineError, InvarianceError
 
 # Each suite and command imports the modules it runs when it runs, so a cold
 # process loads no more of the package than its command needs.
@@ -74,17 +75,16 @@ def suite_table(rep: Reporter, args) -> None:
 
 
 def suite_relations(rep: Reporter, args) -> None:
-    from .tensor_algebra import adjudicate_convention, effective_checks
-    if args.sign == "auto":
-        adj = adjudicate_convention()
-        if adj.accepted is None:
-            # no convention satisfies the suite: report residuals everywhere
-            for report in adj.reports:
-                for ch in report.checks:
-                    rep.check(
-                        f"RELATION {ch.name}[{ch.variant},{report.label}] "
-                        f"residual_terms={ch.residual_terms}", ch.ok)
-            return
+    from .tensor_algebra import (CONVENTION_LABELS, adjudicate_convention, convention_algebra,
+                                 effective_checks)
+    if args.sign == "auto" and adjudicate_convention().accepted is None:
+        # no convention passes: the residuals of each one whose catalog builds
+        for label in CONVENTION_LABELS:
+            with suppress(InvarianceError):
+                for ch in convention_algebra(label).catalog.checks:
+                    rep.check(f"RELATION {ch.name}[{ch.variant},{label}] "
+                              f"residual_terms={ch.residual_terms}", ch.ok)
+        return
     cat = _catalog_for(args)
     checks = cat.checks  # run once per convention, shared with adjudication
     sign = cat.algebra.pform.sign

@@ -27,11 +27,12 @@ from fractions import Fraction
 
 from ._record import record
 from .errors import ExprTypeError, ParseError
+from .matrix_oracle import P_GENS
 
 CALL_NAMES = ("ad", "sigma", "tau", "rho")
 CALL_ARITY = {"ad": 2, "sigma": 1, "tau": 1, "rho": 1}
 
-P_GEN_NAMES = ("E3", "E4", "F3", "F4")
+P_GEN_NAMES = tuple(g.name for g in P_GENS)
 
 MAX_NESTING = 100
 

@@ -38,12 +38,13 @@ from functools import cache
 
 from .elements import GEN_NAMES, MASK_FIELDS, fmt_coeff, pair_sort_key
 from .errors import ParseError
+from .matrix_oracle import P_GENS
 from .sym_ext import SEElement
 
 MAGIC = "so41inv-element v1"
 
 BASIS_ORDER = " ".join(GEN_NAMES)
-P_ORDER = "E3 E4 F3 F4"
+P_ORDER = " ".join(g.name for g in P_GENS)
 
 _GRAMS = ("trace", "trace/4")
 

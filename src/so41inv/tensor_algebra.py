@@ -7,12 +7,13 @@ over via rho = sigma tensor tau and certifies K-invariance, Dk's included,
 with the certificate of S(g) tensor Lambda(p), sym_ext.certify_invariance;
 verify_relations() evaluates the identity table IDENTITIES;
 adjudicate_convention() accepts the first candidate normalization of the form
-that satisfies the whole suite, after ruling out each one the j identity
-refutes without building its catalog. convention_algebra() builds each label's
-algebra once per process, and adjudicate_convention() runs once (both through
-functools.cache); the algebra keeps its catalog, the rho image of each named
-element, the product of each pair of keys and the action of each generator on
-each key, and the catalog its identity checks and generator chain.
+whose catalog passes the whole suite (Catalog.passes), after ruling out each
+one the j identity refutes without building its catalog. convention_algebra()
+builds each label's algebra once per process, and adjudicate_convention() runs
+once (both through functools.cache); the algebra keeps its catalog, the rho
+image of each named element, the product of each pair of keys and the action
+of each generator on each key, and the catalog its identity checks and
+generator chain.
 """
 from __future__ import annotations
 
@@ -213,6 +214,11 @@ class Catalog:
         return tuple(ChainStep(name=name, residual_terms=len(d), ok=d.is_zero())
                      for name, d in diffs)
 
+    @property
+    def passes(self) -> bool:
+        """Every identity holds, the regrouped forms standing in for h and c."""
+        return all(ch.ok for ch in effective_checks(self.checks))
+
 
 NAMED_ORDER = ("a1", "a2", "b", "c", "D", "d", "e", "f", "g", "h", "i", "j")
 
@@ -355,34 +361,7 @@ def convention_algebra(label: str) -> TensorAlgebra:
 
 
 @record
-class ConventionReport:
-    """One convention's outcome: whether its catalog built, and its identity
-    checks. Read from convention_algebra(label).catalog on first use, so a
-    convention that adjudication refuted is built only if asked."""
-
-    label: str
-
-    @cached_property
-    def _outcome(self) -> tuple[bool, tuple[RelationCheck, ...]]:
-        try:
-            cat = convention_algebra(self.label).catalog
-        except InvarianceError:
-            return False, ()
-        return True, cat.checks
-
-    built = property(lambda self: self._outcome[0])
-    checks = property(lambda self: self._outcome[1])
-
-    @property
-    def effective_pass(self) -> bool:
-        """Passes with the regrouped forms standing in for h and c."""
-        eff = effective_checks(self.checks)
-        return self.built and len(eff) == len(RELATION_NAMES) and all(c.ok for c in eff)
-
-
-@record
 class Adjudication:
-    reports: tuple[ConventionReport, ...]
     accepted: str | None
 
 
@@ -398,13 +377,15 @@ def refuted_by_j(label: str) -> bool:
 
 @cache
 def adjudicate_convention() -> Adjudication:
-    """Accept the first candidate Clifford normalization where the whole
-    identity suite passes. A convention the j identity refutes is not
-    built; its report is filled in when read. Run once per process."""
-    reports = tuple(ConventionReport(label) for label in CONVENTION_LABELS)
-    accepted = next((r.label for r in reports
-                     if not refuted_by_j(r.label) and r.effective_pass), None)
-    return Adjudication(reports=reports, accepted=accepted)
+    """Accept the first candidate Clifford normalization whose catalog builds
+    and passes the whole identity suite. A convention the j identity refutes
+    is not built, and one whose catalog fails certification is passed over.
+    Run once per process."""
+    for label in CONVENTION_LABELS:
+        with suppress(InvarianceError):
+            if not refuted_by_j(label) and convention_algebra(label).catalog.passes:
+                return Adjudication(accepted=label)
+    return Adjudication(accepted=None)
 
 
 def accepted_catalog() -> Catalog:
@@ -416,9 +397,9 @@ def accepted_catalog() -> Catalog:
 
 
 def algebra_for_sign(sign: int) -> TensorAlgebra:
-    """The algebra with the Clifford sign forced, keeping the adjudicated
-    normalization of the form (the two options exposed on the command line
-    besides 'auto')."""
+    """The algebra with the Clifford sign forced (the two options exposed on
+    the command line besides 'auto'). Either sign keeps the quarter trace
+    form, gram=trace/4, the one adjudication accepts."""
     return convention_algebra(f"gram=trace/4 sign={sign:+d}")
 
 

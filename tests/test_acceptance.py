@@ -33,6 +33,7 @@ from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
 from so41inv.sym_ext import SEElement, ad_action_se
 from so41inv.tensor_algebra import (
     NAMED_ORDER,
+    convention_algebra,
     effective_checks,
     generator_chain_check,
 )
@@ -158,13 +159,13 @@ def test_criterion_4_identity_suite(capsys, adjudication):
     accepted = adjudication.accepted
     ok = accepted == "gram=trace/4 sign=-1"
 
-    rep = next(r for r in adjudication.reports if r.label == accepted)
-    eff = effective_checks(rep.checks)
+    checks = convention_algebra(accepted).catalog.checks
+    eff = effective_checks(checks)
     ok = ok and len(eff) == 8 and all(c.residual_terms == 0 for c in eff)
 
     # the two relations whose printed grouping differs from the regrouped
     # form that vanishes; their literal residual counts are a reported finding
-    lit = {c.name: c.residual_terms for c in rep.checks if c.variant == "literal"}
+    lit = {c.name: c.residual_terms for c in checks if c.variant == "literal"}
     finding = f"literal residuals h={lit['h']} c={lit['c']}"
     ok = ok and lit["h"] == 16 and lit["c"] == 8
     ok = ok and all(lit[n] == 0 for n in ("b", "d", "e", "j", "f", "g"))
