@@ -24,8 +24,8 @@ from math import lcm
 from types import MappingProxyType
 
 from ._record import record, refuse
-from .elements import (BoundElement, LinearElement, accumulate, combine, fmt_mask, mask_bits,
-                       mask_sort_key, nonzero_row)
+from .elements import (BoundElement, LinearElement, accumulate, bilinear, combine, fmt_mask,
+                       mask_bits, mask_sort_key, nonzero_row)
 from .errors import DomainError, SolveError
 from .lie_core import LieElement, bracket_gens, require_in_k
 from .matrix_oracle import Gen, P_GENS, trace_form_gens
@@ -83,9 +83,8 @@ class ExtElement(LinearElement):
     __slots__ = ()
 
     def _product(self, other):
-        pairs = ((WEDGE[ma, mb], ca * cb)
-                 for ma, ca in self.num.items() for mb, cb in other.num.items())
-        return ExtElement._of(accumulate(pairs), self.den * other.den)
+        num = bilinear(lambda ma, mb: WEDGE[ma, mb], self.num, other.num)
+        return ExtElement._of(num, self.den * other.den)
 
     def _one(self):
         return ExtElement._of({0: 1})
@@ -170,15 +169,16 @@ class CliffordAlgebra:
     n - 2k is then put over q^top by the factor q^(top - k). The monomial
     products, the k-action on monomials and tau of monomials are each one
     table of rows (read-only tuples of (mask, int) pairs, no zero entry) over
-    one denominator: an entry (m, c) of table[ma, mb] says that m has the
-    coefficient c / table_den in ma * mb, of k_table[zg, mask] c / k_den in
-    ad(zg) mask, and of _tau_table[mask] c / _tau_den in tau(mask). Each
+    one denominator: an entry (m, c) of table(ma, mb) says that m has the
+    coefficient c / table_den in ma * mb, of k_table(zg, mask) c / k_den in
+    ad(zg) mask, and of _tau_table(mask) c / _tau_den in tau(mask). Each
     entry is straightened on first read, so a convention that is read
     only in a few products pays only for those. The insertion of one
     generator into a monomial (_insert_table, rows over q) and alpha of each
-    k-generator (_alpha_table) are kept the same way. Every table is an
-    _OnDemand dict of the algebra, so it lives exactly as long as the
-    algebra."""
+    k-generator (_alpha_table) are kept the same way. Every table is a
+    functools.cache of its fill, built with the algebra, so it lives
+    exactly as long as the algebra, has no write API, and reports its size
+    and hits through cache_info()."""
 
     __setattr__ = __delattr__ = refuse
 
@@ -195,10 +195,10 @@ class CliffordAlgebra:
             pform=pform, _form=form, _form_den=q, _adjugate=adjugate, _form_det=det,
             # two masks meet in at most four contractions
             table_den=q ** 4, k_den=q ** 2, _tau_den=24 * q ** 2,
-            _insert_table=_OnDemand(lambda key: self._insert_gen(*key)),
-            table=_OnDemand(lambda key: self._word(mask_bits(key[0]) + mask_bits(key[1]), 4)),
-            k_table=_OnDemand(lambda key: self._k_action_monomial(*key)),
-            _tau_table=_OnDemand(self._tau_monomial), _alpha_table=_OnDemand(self._alpha_gen))
+            _insert_table=cache(self._insert_gen),
+            table=cache(lambda ma, mb: self._word(mask_bits(ma) + mask_bits(mb), 4)),
+            k_table=cache(self._k_action_monomial),
+            _tau_table=cache(self._tau_monomial), _alpha_table=cache(self._alpha_gen))
 
     # -- construction --------------------------------------------------------
 
@@ -223,7 +223,7 @@ class CliffordAlgebra:
 
     def _insert_gen(self, mask: int, b: int) -> tuple:
         """(monomial mask) * (generator bit b), straightened to mask basis,
-        with P in place of phi, as a row; read through _insert_table[mask, b]."""
+        with P in place of phi, as a row; read through _insert_table(mask, b)."""
         bits = mask_bits(mask)
         if not bits or bits[-1] < b:
             return ((mask | (1 << b), 1),)
@@ -234,7 +234,7 @@ class CliffordAlgebra:
         # x > b: x b = 2 phi(x, b) - b x; every monomial of rest * b has top
         # bit < x, so appending x is free and gives a mask other than rest
         return nonzero_row({rest: 2 * self._form[x][b]}) + tuple(
-            (m | (1 << x), -c) for m, c in self._insert_table[rest, b])
+            (m | (1 << x), -c) for m, c in self._insert_table(rest, b))
 
     def _word(self, word: tuple[int, ...], top: int) -> tuple:
         """Product of generator bits taken left to right, as a row of ints
@@ -242,7 +242,7 @@ class CliffordAlgebra:
         inserts = self._insert_table
         acc = {0: 1}
         for b in word:
-            acc = accumulate((inserts[m, b], c) for m, c in acc.items())
+            acc = accumulate((inserts(m, b), c) for m, c in acc.items())
         q, n = self._form_den, len(word)
         return tuple((m, c * q ** (top - (n - popcount(m)) // 2)) for m, c in acc.items() if c)
 
@@ -252,9 +252,8 @@ class CliffordAlgebra:
         return CElement._of(dict(self._word(word, top)), self._form_den ** top, self)
 
     def multiply(self, x: CElement, y: CElement) -> CElement:
-        table = self.table
-        pairs = ((table[ma, mb], ca * cb) for ma, ca in x.num.items() for mb, cb in y.num.items())
-        return CElement._of(accumulate(pairs), x.den * y.den * self.table_den, self)
+        num = bilinear(self.table, x.num, y.num)
+        return CElement._of(num, x.den * y.den * self.table_den, self)
 
     def commutator(self, x: CElement, y: CElement) -> CElement:
         return self.multiply(x, y) - self.multiply(y, x)
@@ -270,7 +269,7 @@ class CliffordAlgebra:
 
     def chevalley(self, x: ExtElement) -> CElement:
         """tau: Lambda(p) -> C(p), antisymmetrized products."""
-        pairs = ((self._tau_table[mask], c) for mask, c in x.num.items())
+        pairs = ((self._tau_table(mask), c) for mask, c in x.num.items())
         return CElement._of(accumulate(pairs), x.den * self._tau_den, self)
 
     # -- k-action and alpha ----------------------------------------------------
@@ -284,10 +283,7 @@ class CliffordAlgebra:
     def k_action(self, z: LieElement, x: CElement) -> CElement:
         """Derivation action of z in k on C(p)."""
         require_in_k(z)
-        k_table = self.k_table
-        pairs = ((k_table[zg, mask], zc * xc)
-                 for zg, zc in z.num.items() for mask, xc in x.num.items())
-        return CElement._of(accumulate(pairs), z.den * x.den * self.k_den, self)
+        return CElement._of(bilinear(self.k_table, z.num, x.num), z.den * x.den * self.k_den, self)
 
     def alpha(self, z: LieElement) -> CElement:
         """The element of the Chevalley image of the two-forms with
@@ -301,7 +297,7 @@ class CliffordAlgebra:
         bare mask monomials instead shifts each value by a scalar and breaks
         that."""
         require_in_k(z)
-        num, den = combine((self._alpha_table[g], c) for g, c in z.num.items())
+        num, den = combine((self._alpha_table(g), c) for g, c in z.num.items())
         return CElement._of(num, den * z.den, self)
 
     def _alpha_gen(self, zg: Gen) -> CElement:
@@ -311,7 +307,7 @@ class CliffordAlgebra:
         ad zg, whose matrix is A, iff L = A Phi^-1 / 2 = q A adj(P) / (2 det P),
         which is antisymmetric iff ad zg is skew for the form. In the
         Chevalley image, tau(v_i ^ v_j) = v_i v_j - phi_ij. Read through
-        _alpha_table[zg]."""
+        _alpha_table(zg)."""
         ad = [[0] * 4 for _ in range(4)]  # ad[i][k]: v_i in [zg, v_k]
         for k, v in enumerate(P_GENS):
             for g, c in bracket_gens(zg, v):
@@ -326,27 +322,6 @@ class CliffordAlgebra:
                 num[1 << i | 1 << j] = self._form_den * m[i][j]
                 num[0] -= m[i][j] * self._form[i][j]
         return CElement._of(num, 2 * self._form_det, self)
-
-
-class _OnDemand(dict):
-    """A table whose entry for a key is computed by fill(key) on first read.
-    That read is its only write: every other write raises TypeError."""
-
-    __setattr__ = __delattr__ = refuse
-
-    def __init__(self, fill):
-        super().__init__()
-        vars(self)["_fill"] = fill
-
-    def __missing__(self, key):
-        value = self._fill(key)
-        dict.__setitem__(self, key, value)
-        return value
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a table filled on read cannot be written")
-
-    __setitem__ = __delitem__ = update = pop = popitem = clear = setdefault = __ior__ = _refuse
 
 
 def _det(m: tuple) -> int:

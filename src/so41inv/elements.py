@@ -12,11 +12,13 @@ other value, + and - take no number, and no element equals one; an algebra
 lifts a scalar as a multiple of its one(). A row is a tuple of (key, int)
 pairs with no zero entry; the memo tables of products and actions in U(g),
 C(p), U(g) tensor C(p), Lambda(p) and S(g) tensor Lambda(p) hold rows, so a
-shared row is read-only by its type. Sums, products and actions add f times
-rows (or the items of an element's num) into one dict through accumulate (or
-combine, over the lcm of the denominators) and hand the result to one
-normalizing constructor, or to nonzero_row when the sum is itself a cached
-row; signed_sum adds a whole run of elements that way in one pass. A monomial
+shared row is read-only by its type. Sums add f times rows (or the items of
+an element's num) into one dict through accumulate (or combine, over the lcm
+of the denominators); every product and action of two elements adds
+ca * cb times row(a, b) for each pair of terms through bilinear, the row
+read from its kind's table or rule. Each hands the result to one normalizing
+constructor, or to nonzero_row when the sum is itself a cached row;
+signed_sum adds a whole run of elements that way in one pass. A monomial
 of a tensor product algebra is a pair of keys, and a row of it is a row of the
 left factor tensor a row of the right one (tensor). Fraction appears only
 where rationals come in (construction, scaling, parser literals) and in the
@@ -69,6 +71,22 @@ def accumulate(pairs, out: dict | None = None) -> dict:
     for row, f in pairs:
         for k, c in row:
             out[k] = get(k, 0) + f * c
+    return out
+
+
+def bilinear(row, left, right) -> dict:
+    """Add ca * cb * row(a, b) into one new dict for each term (a, ca) of
+    the numerator mapping left and (b, cb) of right, and return it; entries
+    that cancel stay 0. Every product and action of two elements is this
+    loop with its own row."""
+    out = {}
+    get = out.get
+    right = right.items()
+    for a, ca in left.items():
+        for b, cb in right:
+            f = ca * cb
+            for k, c in row(a, b):
+                out[k] = get(k, 0) + f * c
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import matrix_oracle
 from ._record import record
-from .elements import LinearElement, accumulate
+from .elements import LinearElement, bilinear
 from .errors import DomainError
 from .matrix_oracle import Gen, K_GENS, P_GENS, gauss_text
 
@@ -98,8 +98,7 @@ LIE_ZERO = LieElement()
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
-    pairs = ((bracket_gens(a, b), ca * cb) for a, ca in x.num.items() for b, cb in y.num.items())
-    return LieElement._of(accumulate(pairs), x.den * y.den)
+    return LieElement._of(bilinear(bracket_gens, x.num, y.num), x.den * y.den)
 
 
 def is_in_k(x: LieElement) -> bool:

@@ -5,9 +5,10 @@ catalog lives in closed form, where the S.T basis data is assembled, and
 where the k-action on monomial keys is tabulated. The model reads rows as
 U(g) tensor C(p) does: a product of two keys is the summed exponents tensor
 the WEDGE row of the masks, ad_on_key gives the k-action on one key as a
-row, and accumulate sums both. certify_invariance is the one K-invariance
-certificate of both catalogs: it runs here on the named elements and the
-T-products, and in tensor_algebra.build_catalog on their rho images.
+row, and elements.bilinear sums both over the pairs of terms.
+certify_invariance is the one K-invariance certificate of both catalogs: it
+runs here on the named elements and the T-products, and in
+tensor_algebra.build_catalog on their rho images.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from types import MappingProxyType
 
 from ._record import record
 from .clifford import WEDGE, ext_ad_on_mask, popcount
-from .elements import (LinearElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, pair_sort_key,
+from .elements import (LinearElement, ZERO_EXP, bilinear, fmt_exp, fmt_mask, pair_sort_key,
                        tensor)
 from .errors import DomainError, InvarianceError
 from .lie_core import GEN_WEIGHTS, LieElement, bracket_gens, lie_gen, require_in_k
@@ -36,9 +37,9 @@ class SEElement(LinearElement):
     def _product(self, other):
         """The product of the exponents tensor the wedge of the masks, for
         each pair of terms."""
-        pairs = ((tensor(((tuple(map(add, ea, eb)), 1),), WEDGE[ma, mb]), ca * cb)
-                 for (ea, ma), ca in self.num.items() for (eb, mb), cb in other.num.items())
-        return SEElement._of(accumulate(pairs), self.den * other.den)
+        num = bilinear(lambda ka, kb: tensor(((tuple(map(add, ka[0], kb[0])), 1),),
+                                             WEDGE[ka[1], kb[1]]), self.num, other.num)
+        return SEElement._of(num, self.den * other.den)
 
     def _one(self):
         return se_one()
@@ -146,9 +147,7 @@ def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
     exterior part."""
     if any(mask for _, mask in x.num):
         require_in_k(z)
-    pairs = ((ad_on_key(zg, key), zc * c)
-             for zg, zc in z.num.items() for key, c in x.num.items())
-    return SEElement._of(accumulate(pairs), z.den * x.den)
+    return SEElement._of(bilinear(ad_on_key, z.num, x.num), z.den * x.den)
 
 
 # -- the invariant catalog ---------------------------------------------------

@@ -10,10 +10,10 @@ adjudicate_convention() accepts the first candidate normalization of the form
 whose catalog passes the whole suite (Catalog.passes), after ruling out each
 one the j identity refutes without building its catalog. convention_algebra()
 builds each label's algebra once per process, and adjudicate_convention() runs
-once (both through functools.cache); the algebra keeps its catalog, the rho
-image of each named element, the product of each pair of keys and the action
-of each generator on each key, and the catalog its identity checks and
-generator chain.
+once (both through functools.cache); the algebra keeps its catalog, and a
+functools.cache of its own for the rho image of each named element, the
+product of each pair of keys and the action of each generator on each key;
+the catalog keeps its identity checks and generator chain.
 """
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ from math import lcm
 from types import MappingProxyType
 
 from ._record import record, refuse
-from .clifford import CliffordAlgebra, PForm, _OnDemand, popcount
-from .elements import (BoundElement, ZERO_EXP, accumulate, fmt_exp, fmt_mask, nonzero_row,
-                       pair_sort_key, signed_sum, tensor)
+from .clifford import CliffordAlgebra, PForm, popcount
+from .elements import (BoundElement, ZERO_EXP, accumulate, bilinear, fmt_exp, fmt_mask,
+                       nonzero_row, pair_sort_key, signed_sum, tensor)
 from .errors import DomainError, InvarianceError
 from .lie_core import LieElement, lie_gen, require_in_k
 from .matrix_oracle import Gen
@@ -35,15 +35,6 @@ from .uea import UElement, gen_commutator, pbw_pair_product, symmetrize_monomial
 
 UCKey = tuple  # (exp 10-tuple, mask int)
 _ONE_KEY = (ZERO_EXP, 0)
-
-
-def _row_pairs(tables, left, right):
-    """(tables[a][b], ca * cb) for each term (a, ca) of left and (b, cb) of
-    right, reading tables[a] once per term of left."""
-    for a, ca in left:
-        rows = tables[a]
-        for b, cb in right:
-            yield rows[b], ca * cb
 
 
 class UCElement(BoundElement):
@@ -62,8 +53,8 @@ class UCElement(BoundElement):
 class TensorAlgebra:
     """U(g) tensor C(p) for a fixed Clifford normalization. Products and
     k-actions read rows, tuples of (key, int) pairs, filled on first read and
-    kept as long as the algebra, like the Clifford tables: _products[kx][ky]
-    and _actions[zg][key]."""
+    kept as long as the algebra in a functools.cache, like the Clifford
+    tables: _products(kx, ky) and _actions(zg, key)."""
 
     __setattr__ = __delattr__ = refuse
 
@@ -71,9 +62,8 @@ class TensorAlgebra:
         vars(self).update(
             pform=pform,
             cl=CliffordAlgebra(pform),
-            _named=_OnDemand(lambda name: self.rho(build_st_catalog().named[name])),
-            _products=_OnDemand(lambda kx: _OnDemand(lambda ky: self._product_row(kx, ky))),
-            _actions=_OnDemand(lambda zg: _OnDemand(lambda key: self._action_row(zg, key))))
+            _named=cache(lambda name: self.rho(build_st_catalog().named[name])),
+            _products=cache(self._product_row), _actions=cache(self._action_row))
 
     # -- constructors ---------------------------------------------------------
 
@@ -109,7 +99,7 @@ class TensorAlgebra:
         """The monomial kx times the monomial ky over cl.table_den: the PBW
         pair product tensor the Clifford product of the masks."""
         (eu, mu), (ev, mv) = kx, ky
-        return tuple(tensor(pbw_pair_product(eu, ev), self.cl.table[mu, mv]))
+        return tuple(tensor(pbw_pair_product(eu, ev), self.cl.table(mu, mv)))
 
     def _action_row(self, zg: Gen, key: UCKey) -> tuple:
         """ad(zg) of the monomial key over cl.k_den, by the Leibniz rule: the
@@ -117,13 +107,13 @@ class TensorAlgebra:
         the Clifford derivation on the C-side."""
         exp, mask = key
         commutator = tensor(gen_commutator(zg, exp), ((mask, 1),))
-        derivation = tensor(((exp, 1),), self.cl.k_table[zg, mask])
+        derivation = tensor(((exp, 1),), self.cl.k_table(zg, mask))
         return nonzero_row(accumulate(((commutator, self.cl.k_den), (derivation, 1))))
 
     def multiply(self, x: UCElement, y: UCElement) -> UCElement:
         """x y, one row of the algebra's product table per pair of terms."""
-        pairs = _row_pairs(self._products, x.num.items(), y.num.items())
-        return UCElement._of(accumulate(pairs), x.den * y.den * self.cl.table_den, self)
+        num = bilinear(self._products, x.num, y.num)
+        return UCElement._of(num, x.den * y.den * self.cl.table_den, self)
 
     def ad_action(self, z: LieElement, x: UCElement) -> UCElement:
         """ad(z) x: z acts as z tensor 1 + 1 tensor alpha(z), that is by the
@@ -133,8 +123,8 @@ class TensorAlgebra:
         Clifford part."""
         if any(mask for _, mask in x.num):
             require_in_k(z)
-        pairs = _row_pairs(self._actions, z.num.items(), x.num.items())
-        return UCElement._of(accumulate(pairs), z.den * x.den * self.cl.k_den, self)
+        num = bilinear(self._actions, z.num, x.num)
+        return UCElement._of(num, z.den * x.den * self.cl.k_den, self)
 
     @cached_property
     def catalog(self) -> Catalog:
@@ -145,7 +135,7 @@ class TensorAlgebra:
     def rho(self, x: SEElement) -> UCElement:
         """sigma tensor tau, mapping the supercommutative model here."""
         tau = self.cl._tau_table
-        images = [(symmetrize_monomial(exp), tau[mask], c) for (exp, mask), c in x.num.items()]
+        images = [(symmetrize_monomial(exp), tau(mask), c) for (exp, mask), c in x.num.items()]
         den = lcm(*(s.den for s, _, _ in images))
         pairs = ((tensor(s.num.items(), t), c * (den // s.den)) for s, t, c in images)
         return UCElement._of(accumulate(pairs), x.den * den * self.cl._tau_den, self)
@@ -153,7 +143,7 @@ class TensorAlgebra:
     def rho_named(self, name: str) -> UCElement:
         """rho of the named closed-form invariant, computed once per algebra:
         the j refutation and build_catalog read the same images."""
-        return self._named[name]
+        return self._named(name)
 
     def alpha_uc(self, z: LieElement) -> UCElement:
         return self.from_c(self.cl.alpha(z))

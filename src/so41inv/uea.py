@@ -30,7 +30,8 @@ sigma(x) = P(x) / (n! / prod x_g!) is P(x) over one denominator.
 
 Every sum above, of insertions, pair products or sigma of monomials, adds
 int rows into one dict through elements.accumulate (or combine, for
-elements over different denominators).
+elements over different denominators); the product of two elements sums
+the pair products of their terms through elements.bilinear.
 
 Generator insertions, pair products, generator commutators, P and sigma
 of a monomial are pure functions of their arguments, each kept for the
@@ -47,8 +48,8 @@ from functools import cache
 from math import factorial
 from operator import add
 
-from .elements import (LinearElement, ZERO_EXP, accumulate, combine, exp_sort_key, fmt_exp,
-                       nonzero_row)
+from .elements import (LinearElement, ZERO_EXP, accumulate, bilinear, combine, exp_sort_key,
+                       fmt_exp, nonzero_row)
 from .lie_core import bracket_gens
 from .matrix_oracle import Gen
 
@@ -138,9 +139,7 @@ class UElement(LinearElement):
     __slots__ = ()
 
     def _product(self, other):
-        pairs = ((pbw_pair_product(mx, my), cx * cy)
-                 for mx, cx in self.num.items() for my, cy in other.num.items())
-        return UElement._of(accumulate(pairs), self.den * other.den)
+        return UElement._of(bilinear(pbw_pair_product, self.num, other.num), self.den * other.den)
 
     def _one(self):
         return u_one()
@@ -158,9 +157,8 @@ class SElement(LinearElement):
     __slots__ = ()
 
     def _product(self, other):
-        pairs = ((((tuple(map(add, mx, my)), 1),), cx * cy)
-                 for mx, cx in self.num.items() for my, cy in other.num.items())
-        return SElement._of(accumulate(pairs), self.den * other.den)
+        num = bilinear(lambda x, y: ((tuple(map(add, x, y)), 1),), self.num, other.num)
+        return SElement._of(num, self.den * other.den)
 
     def _one(self):
         return s_one()

@@ -898,7 +898,7 @@ def term_by_term_multiply(alg, x, y):
     for (eu, mu), cu in x.num.items():
         for (ev, mv), cv in y.num.items():
             f = cu * cv
-            cprod = cl_table[(mu, mv)]
+            cprod = cl_table(mu, mv)
             for ee, a in pbw_pair_product(eu, ev):
                 fa = f * a
                 for mm, bc in cprod:
@@ -919,7 +919,7 @@ def term_by_term_ad_action(alg, z, x):
             for ee, a in gen_commutator(zg, exp):
                 k = (ee, mask)
                 out[k] = out.get(k, 0) + fu * a
-            for m, b in k_table[(zg, mask)]:
+            for m, b in k_table(zg, mask):
                 k = (exp, m)
                 out[k] = out.get(k, 0) + f * b
     return UCElement._of(out, z.den * x.den * k_den, alg)

@@ -48,22 +48,33 @@ def test_generator_relations(algebra):
             assert va * vb + vb * va == want
 
 
+TABLE_MUTATORS = ("__setitem__", "__delitem__", "__ior__", "update", "pop", "popitem", "clear",
+                  "setdefault")
+
+
 def test_product_and_k_action_tables_hold_only_ints(algebra):
     # the tables fill on first read: read every entry
     assert type(algebra.table_den) is int and type(algebra.k_den) is int
     for table, keys in ((algebra.table, [(ma, mb) for ma in range(16) for mb in range(16)]),
                         (algebra.k_table, [(zg, m) for zg in K_GENS for m in range(16)])):
-        entries = [table[key] for key in keys]
-        assert len(table) == len(keys)
+        entries = [table(*key) for key in keys]
+        assert table.cache_info().currsize == len(keys)
         assert all(type(c) is int for row in entries for _, c in row)
+        assert not [name for name in TABLE_MUTATORS if hasattr(table, name)]
 
 
 def test_tables_fill_only_the_entries_read():
     alg = CliffordAlgebra(PForm.from_trace_form(sign=-1, scale=Fraction(1, 4)))
-    assert (len(alg.table), len(alg.k_table), len(alg._tau_table)) == (0, 0, 0)
+    tables = (alg.table, alg.k_table, alg._tau_table, alg._insert_table, alg._alpha_table)
+    assert [t.cache_info().currsize for t in tables] == [0] * 5
     v = alg.gen(P_GENS[0])
     assert v * v == alg.scalar(alg.pform.phi(0, 0))
-    assert list(alg.table) == [(1, 1)]
+    # only (1, 1) filled: one miss, then a re-read is a hit
+    assert alg.table.cache_info()[:2] == (0, 1) and alg.table.cache_info().currsize == 1
+    alg.table(1, 1)
+    assert alg.table.cache_info()[:2] == (1, 1) and alg.table.cache_info().currsize == 1
+    assert [t.cache_info().currsize for t in (alg.k_table, alg._tau_table, alg._alpha_table)] \
+        == [0, 0, 0]
 
 
 @pytest.mark.parametrize("sign", [-1, 1], ids=["sign=-1", "sign=+1"])
@@ -86,30 +97,34 @@ def test_every_cached_row_is_read_only(sign):
         lambda: alg.rho_named("D"),
     ]
     want = [str(call()) for call in calls]
-    tables = [cl.table, cl.k_table, cl._tau_table, cl._insert_table,
-              *alg._products.values(), *alg._actions.values()]
-    assert all(tables) and (1, 4) in cl.table
+    # the calls filled every table, and read E3 * F3 from cl.table
+    hits = cl.table.cache_info().hits
+    cl.table(1, 4)
+    assert cl.table.cache_info().hits == hits + 1
+    kx, ky, key = next(iter(x.num)), next(iter(y.num)), next(iter((x * y).num))
+    read = {cl.table: (1, 4), cl.k_table: (Gen.E1, 12), cl._tau_table: (13,),
+            cl._insert_table: (1, 2), cl._alpha_table: (Gen.E1,), alg._named: ("D",),
+            alg._products: (kx, ky), alg._actions: (Gen.E1, key)}
 
     bogus = ((0, 999),)
-    table_writes = [
-        lambda t, k: t.__setitem__(k, bogus),
-        lambda t, k: t.__delitem__(k),
-        lambda t, k: t.update({k: bogus}),
-        lambda t, k: t.pop(k),
-        lambda t, k: t.popitem(),
-        lambda t, k: t.clear(),
-        lambda t, k: t.setdefault(k, bogus),
-    ]
-    for table in (cl.table, cl.k_table, cl._tau_table, cl._insert_table, cl._alpha_table,
-                  alg._named, alg._products, alg._actions,
-                  next(iter(alg._products.values())), next(iter(alg._actions.values()))):
-        key, size = next(iter(table)), len(table)
-        for write in table_writes:
+
+    def set_item(t, k):
+        t[k] = bogus
+
+    def del_item(t, k):
+        del t[k]
+
+    def merge(t, k):
+        t |= {k: bogus}
+
+    for table, k in read.items():
+        assert table.cache_info().currsize
+        assert not [name for name in TABLE_MUTATORS if hasattr(table, name)]
+        size = table.cache_info().currsize
+        for write in (set_item, del_item, merge):
             with pytest.raises(TypeError):
-                write(table, key)
-        with pytest.raises(TypeError):
-            table |= {key: bogus}
-        assert len(table) == size and table[key] is not bogus
+                write(table, k)
+        assert table.cache_info().currsize == size and table(*k) is not bogus
 
     def assign(row):
         row[0] = 999
@@ -117,8 +132,16 @@ def test_every_cached_row_is_read_only(sign):
     def delete(row):
         del row[0]
 
-    for table in tables:
-        for row in table.values():
+    # every row the calls read, and more: each Clifford table over its whole
+    # domain, the product and action rows over the keys of x, y and x y
+    domains = {cl.table: [(ma, mb) for ma in range(16) for mb in range(16)],
+               cl.k_table: [(zg, m) for zg in K_GENS for m in range(16)],
+               cl._tau_table: [(m,) for m in range(16)],
+               cl._insert_table: [(m, b) for m in range(16) for b in range(4)],
+               alg._products: [(a, b) for a in x.num for b in (*y.num, *(x * y).num)],
+               alg._actions: [(zg, k) for zg in K_GENS for k in (*x.num, *(x * y).num)]}
+    for table, keys in domains.items():
+        for row in (table(*k) for k in keys):
             for write in (assign, delete):
                 with pytest.raises(TypeError):
                     write(row)
@@ -169,7 +192,7 @@ def test_wedge_is_the_top_degree_part_of_the_clifford_product(label):
     for ma in range(16):
         for mb in range(16):
             degree = popcount(ma) + popcount(mb)
-            top = {m: Fraction(c, alg.table_den) for m, c in alg.table[ma, mb]
+            top = {m: Fraction(c, alg.table_den) for m, c in alg.table(ma, mb)
                    if c and popcount(m) == degree}
             if ma & mb:
                 assert WEDGE[ma, mb] == () and top == {}

@@ -872,7 +872,26 @@ def test_cli_relations_reuse_the_refutation_images(capsys, monkeypatch, cold_cac
     code, out, _ = run_cli(capsys, "verify", "relations")
     assert code == 0
     assert len(calls) == 21
-    assert len(tensor_algebra.accepted_catalog().algebra._named) == 12
+    assert tensor_algebra.accepted_catalog().algebra._named.cache_info().currsize == 12
+
+
+def test_cold_relations_report_the_fills_and_hits_of_every_algebra_table(capsys, cold_caches):
+    # every per-algebra table is a functools.cache: after a cold verify
+    # relations, its misses are the entries filled and its hits the reads
+    # that found one; the refuted conventions filled 32 product rows each
+    code, _, _ = run_cli(capsys, "verify", "relations")
+    assert code == 0
+    accepted = tensor_algebra.adjudicate_convention().accepted
+    alg = tensor_algebra.convention_algebra(accepted)
+    assert [tuple(t.cache_info()[:2]) for t in (alg._products, alg._actions, alg._named)] \
+        == [(379, 825), (404, 572), (3, 12)]
+    cl = alg.cl
+    assert [t.cache_info().misses for t in (cl.table, cl.k_table, cl._tau_table,
+                                            cl._insert_table, cl._alpha_table)] \
+        == [127, 96, 16, 59, 6]
+    for label in tensor_algebra.CONVENTION_LABELS:
+        if label != accepted:
+            assert tensor_algebra.convention_algebra(label)._products.cache_info().misses == 32
 
 
 def test_cli_relations_without_an_accepted_convention_reports_every_residual(

@@ -1,8 +1,8 @@
 """Nothing a process cache shares is writable. Every record refuses
 assignment, every element refuses a write to its numerators and a rebind of
-num, den and algebra, the algebras refuse a rebind, and the catalog
-mappings and the _OnDemand tables refuse item writes. So no caller can
-change what a later caller reads."""
+num, den and algebra, the algebras refuse a rebind, the catalog mappings
+refuse item writes, and every row a per-algebra table hands out is a tuple.
+So no caller can change what a later caller reads."""
 import operator
 import os
 from collections.abc import Mapping
@@ -12,11 +12,11 @@ import pytest
 
 from conftest import package_caches
 from so41inv import cli
-from so41inv.elements import ZERO_EXP
+from so41inv.elements import ZERO_EXP, pair_sort_key
 from so41inv.invariants import invariant_dimension
-from so41inv.matrix_oracle import Gen
+from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.sym_ext import build_st_catalog
-from so41inv.tensor_algebra import CONVENTION_LABELS, accepted_catalog
+from so41inv.tensor_algebra import CONVENTION_LABELS, accepted_catalog, convention_algebra
 from so41inv.uea import symmetrize_monomial, word_to_exp
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -86,6 +86,27 @@ def cache_calls() -> dict[str, list[tuple]]:
     }
 
 
+def table_reads() -> list:
+    """The walk stops at a function, so at every per-algebra table: each
+    table read over its whole domain, for every convention (the Clifford
+    monomial products, k-action, tau, insertion and alpha), and the U(g)
+    (x) C(p) product and action rows on keys of the accepted catalog."""
+    keys = sorted({k for el in accepted_catalog().elements.values() for k in el.num},
+                  key=pair_sort_key)
+    reads = []
+    for label in CONVENTION_LABELS:
+        alg = convention_algebra(label)
+        cl = alg.cl
+        reads += [cl.table(ma, mb) for ma in range(16) for mb in range(16)]
+        reads += [cl.k_table(zg, m) for zg in K_GENS for m in range(16)]
+        reads += [cl._tau_table(m) for m in range(16)]
+        reads += [cl._insert_table(m, b) for m in range(16) for b in range(4)]
+        reads += [cl._alpha_table(zg) for zg in K_GENS]
+        reads += [alg._products(a, b) for a in keys[:12] for b in keys[:12]]
+        reads += [alg._actions(zg, k) for zg in K_GENS for k in keys]
+    return reads
+
+
 def reachable(roots):
     """Every value reachable from roots through the items of tuples and
     mappings and the attributes of every other object, each once, except
@@ -121,7 +142,7 @@ def test_every_value_a_cache_holds_refuses_every_write(capsys, cold_caches):
     calls = cache_calls()
     assert set(calls) | {"cli.build_parser"} == set(package_caches())
     roots = [fn(*args) for name, fn in package_caches().items() if name in calls
-             for args in calls[name]]
+             for args in calls[name]] + table_reads()
     kinds = set()
     for value in reachable(roots):
         kinds.add(type(value).__name__)
@@ -139,7 +160,7 @@ def test_every_value_a_cache_holds_refuses_every_write(capsys, cold_caches):
                 with pytest.raises(AttributeError):
                     delattr(value, name)
     # the walk reached every kind of shared value
-    assert {"TensorAlgebra", "CliffordAlgebra", "_OnDemand", "Catalog", "STCatalog",
+    assert {"TensorAlgebra", "CliffordAlgebra", "Catalog", "STCatalog",
             "Adjudication", "RelationCheck", "ChainStep", "PForm",
             "FreenessCertificate", "UCElement", "CElement", "SEElement", "UElement",
             "mappingproxy", "GaussMatrix"} <= kinds

@@ -452,7 +452,7 @@ def test_product_and_action_rows_give_the_term_by_term_results(label, data):
 
     used = algebra_for(label)
     fresh = TensorAlgebra(used.pform)
-    assert not fresh._products and not fresh._actions
+    assert fresh._products.cache_info().currsize == fresh._actions.cache_info().currsize == 0
     want = results(used, partial(term_by_term_multiply, used), partial(term_by_term_ad_action, used))
     for alg in (used, used, fresh):  # the used algebra on first and on second read
         assert results(alg, alg.multiply, alg.ad_action) == want
