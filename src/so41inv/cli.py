@@ -56,22 +56,17 @@ def _catalog_for(args):
 # -- suites ----------------------------------------------------------------------
 
 def suite_table(rep: Reporter, args) -> None:
-    from .lie_core import certify_against_oracle
-    from .matrix_oracle import Gen, basis_matrices, gauss_text, is_so41_member, mat_trace
-    mats = basis_matrices()
-    for g in Gen:
-        m = mats[g]
-        trace = mat_trace(m)
-        rep.check(f"MATRIX {g.name} membership trace={gauss_text(*trace, m.scale)}",
-                  is_so41_member(m) and trace == (0, 0))
-    mismatches = certify_against_oracle()
-    for msg in mismatches:
-        rep.line(f"# {msg}")
-    bad_pairs = {msg.split(":", 1)[0] for msg in mismatches}
-    pairs = [f"[{a.name},{b.name}]" for a in Gen for b in Gen if a < b]
-    for pair in pairs:
-        rep.check(f"TABLE {pair}", pair not in bad_pairs)
-    rep.line(f"TABLE SUMMARY {len(set(pairs) - bad_pairs)}/{len(pairs)}")
+    from .lie_core import table_certificate
+    cert = table_certificate()  # proved on first use, once per process
+    for g, member, trace in cert.matrices:
+        rep.check(f"MATRIX {g.name} membership trace={trace}", member)
+    for _, mismatch in cert.pairs:
+        if mismatch:
+            rep.line(f"# {mismatch}")
+    for label, mismatch in cert.pairs:
+        rep.check(f"TABLE {label}", mismatch is None)
+    passed = sum(mismatch is None for _, mismatch in cert.pairs)
+    rep.line(f"TABLE SUMMARY {passed}/{len(cert.pairs)}")
 
 
 def suite_relations(rep: Reporter, args) -> None:

@@ -34,11 +34,13 @@ pair_sort_key: (degree, exponent degree, exponents, mask degree, mask bits).
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
 from ._record import refuse
+from .errors import EngineError
 from .matrix_oracle import Gen, P_GENS
 
 ZERO_EXP = (0,) * 10
@@ -312,9 +314,14 @@ def fmt_mask(mask: int, sep: str) -> str:
 
 
 def fmt_coeff(n: int, den: int) -> str:
-    """The coefficient n / den as str(Fraction(n, den)) prints it."""
+    """The coefficient n / den as str(Fraction(n, den)) prints it; an
+    EngineError if a part has more digits than Python turns into text."""
     g = gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
+    try:
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+    except ValueError:
+        raise EngineError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                          "digits, too many to print") from None
 
 
 def join_terms(pairs: list[tuple[int, str]], den: int) -> str:

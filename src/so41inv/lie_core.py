@@ -1,22 +1,29 @@
 """Abstract so(5, C) given by its frozen commutator table.
 
 The table is the single source of truth for every symbolic computation in
-the package; certify_against_oracle() proves it agrees with brackets of the
+the package, and read-only, as are the weights read off it. The table
+certificate (table_certificate) proves it agrees with brackets of the
 explicit 5x5 matrices by evaluating every entry there, in the Gaussian
-integers the basis matrices are kept in. Weights are taken with respect to
+integers the basis matrices are kept in, together with the membership and
+trace of each matrix; it is proved on first use, once per process, like
+every other certificate of the package. Weights are taken with respect to
 (ad H1, ad H2), which act diagonally on the basis.
 """
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations
+from types import MappingProxyType
+
 from . import matrix_oracle
 from ._record import record
-from .elements import LinearElement, bilinear
+from .elements import LinearElement, bilinear, fmt_coeff
 from .errors import DomainError
-from .matrix_oracle import Gen, K_GENS, P_GENS, gauss_text
+from .matrix_oracle import Gen, K_GENS, P_GENS, gauss_text, is_so41_member, mat_trace
 
 # Unordered commutator table, keys (a, b) with a < b in basis order.
 # Values are tuples of (generator, integer coefficient).
-_T: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {
+_T: MappingProxyType[tuple[int, int], tuple[tuple[int, int], ...]] = MappingProxyType({
     (Gen.H1, Gen.H2): (),
     (Gen.H1, Gen.E1): ((Gen.E1, 1),),
     (Gen.H1, Gen.E2): ((Gen.E2, 1),),
@@ -62,7 +69,7 @@ _T: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {
     (Gen.E4, Gen.F3): ((Gen.F2, 2),),
     (Gen.E4, Gen.F4): ((Gen.H2, 2),),
     (Gen.F3, Gen.F4): ((Gen.F1, -2),),
-}
+})
 
 
 def bracket_gens(a: Gen, b: Gen) -> tuple[tuple[Gen, int], ...]:
@@ -85,9 +92,9 @@ class LieElement(LinearElement):
     def __repr__(self):
         if not self.num:
             return "0"
-        terms = self.terms
-        return " + ".join(f"{terms[g]}*{g.name}" if terms[g] != 1 else g.name
-                          for g in sorted(terms))
+        num, den = self.num, self.den
+        return " + ".join(f"{fmt_coeff(num[g], den)}*{g.name}" if num[g] != den else g.name
+                          for g in sorted(num))
 
 
 def lie_gen(g: Gen) -> LieElement:
@@ -110,7 +117,7 @@ def require_in_k(x: LieElement) -> None:
         raise DomainError(f"element has p-components: {x!r}")
 
 
-def _compute_weights() -> dict[Gen, tuple[int, int]]:
+def _compute_weights() -> MappingProxyType[Gen, tuple[int, int]]:
     w = {}
     for g in Gen:
         pair = []
@@ -123,10 +130,10 @@ def _compute_weights() -> dict[Gen, tuple[int, int]]:
             else:
                 raise DomainError(f"(ad {h.name}) is not diagonal on {g.name}")
         w[g] = tuple(pair)
-    return w
+    return MappingProxyType(w)
 
 
-GEN_WEIGHTS: dict[Gen, tuple[int, int]] = _compute_weights()
+GEN_WEIGHTS = _compute_weights()
 
 
 @record
@@ -161,30 +168,56 @@ def jacobi_check() -> list[str]:
     return bad
 
 
-def certify_against_oracle() -> list[str]:
-    """Evaluate every table entry in the 5x5 matrices, in Gaussian integers:
-    [a, b] passes when [M_a, M_b] minus the table's combination of the M_g,
-    computed in ints over one scale from the int entries of the basis
-    (matrix_oracle.bracket_residual), is zero. That settles the entry
-    because the ten M_g are linearly independent over C, which is proved on
-    every call from the same int coordinates (real rank 20); if they are
-    not, every pair fails and names the rank. Returns one mismatch
-    description per failing pair, starting "[A,B]: " and naming the nonzero
-    entries of [M_a, M_b] minus the claim as Gaussian rationals (empty =
-    certified). Nothing is cached."""
+@record
+class TableCertificate:
+    """The verdict of verify table. matrices holds (generator, membership
+    bit, trace text) for each basis matrix, rank the real rank of their
+    coordinates, and pairs ("[A,B]", mismatch) for each pair a < b, the
+    mismatch None when the table entry is certified."""
+
+    matrices: tuple[tuple[Gen, bool, str], ...]
+    rank: int
+    pairs: tuple[tuple[str, str | None], ...]
+
+
+def _bracket_mismatch(mats, a: Gen, b: Gen) -> str | None:
+    """The nonzero entries of [M_a, M_b] minus the table's combination of
+    the M_g as Gaussian rationals, or None when there are none."""
+    residual, scale = matrix_oracle.bracket_residual(
+        mats[a], mats[b], [(mats[g], c) for g, c in bracket_gens(a, b)])
+    if not residual:
+        return None
+    return "matrix bracket minus table is nonzero at " + " ".join(
+        f"({i + 1},{j + 1})={gauss_text(re, im, scale)}"
+        for (i, j), (re, im) in sorted(residual.items()))
+
+
+@cache
+def table_certificate() -> TableCertificate:
+    """Prove the table against the 5x5 matrices, in Gaussian integers, on
+    first use and once per process. Each matrix must be a traceless member
+    of so(4,1) (is_so41_member). [a, b] is certified when [M_a, M_b] minus
+    the table's combination of the M_g, computed in ints over one scale
+    from the int entries of the basis (matrix_oracle.bracket_residual), is
+    zero. That settles the entry because the ten M_g are linearly
+    independent over C, which the same int coordinates prove (real rank
+    20); if they are not, every pair fails and its mismatch names the rank.
+    A mismatch starts "[A,B]: " and names the nonzero entries of
+    [M_a, M_b] minus the claim."""
     mats = matrix_oracle.basis_matrices()
+    matrices = tuple((g, is_so41_member(mats[g]), gauss_text(*mat_trace(mats[g]), mats[g].scale))
+                     for g in Gen)
     rank = matrix_oracle.integer_real_rank(mats.values())
-    pairs = [(a, b) for a in Gen for b in Gen if a < b]
-    if rank != 20:
-        return [f"[{a.name},{b.name}]: the basis coordinates have rank {rank}, "
-                "not 20, so no bracket is certified" for a, b in pairs]
-    mismatches = []
-    for a, b in pairs:
-        residual, scale = matrix_oracle.bracket_residual(
-            mats[a], mats[b], [(mats[g], c) for g, c in bracket_gens(a, b)])
-        if residual:
-            nonzero = [f"({i + 1},{j + 1})={gauss_text(re, im, scale)}"
-                       for (i, j), (re, im) in sorted(residual.items())]
-            mismatches.append(f"[{a.name},{b.name}]: matrix bracket minus table "
-                              f"is nonzero at {' '.join(nonzero)}")
-    return mismatches
+    pairs = []
+    for a, b in combinations(Gen, 2):
+        label = f"[{a.name},{b.name}]"
+        detail = (f"the basis coordinates have rank {rank}, not 20, so no bracket is "
+                  "certified" if rank != 20 else _bracket_mismatch(mats, a, b))
+        pairs.append((label, None if detail is None else f"{label}: {detail}"))
+    return TableCertificate(matrices, rank, tuple(pairs))
+
+
+def certify_against_oracle() -> list[str]:
+    """The mismatch of each failing pair of the table certificate, in a new
+    list (empty = certified); see table_certificate."""
+    return [mismatch for _, mismatch in table_certificate().pairs if mismatch]

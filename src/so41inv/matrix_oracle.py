@@ -13,7 +13,8 @@ product meets each entry x_ik of its left factor with row k of its right
 factor.
 
 The abstract commutator table used everywhere else in the package is
-certified by evaluating each entry here (lie_core.certify_against_oracle):
+certified by evaluating each entry here, once per process
+(lie_core.table_certificate, which certify_against_oracle reads):
 bracket_residual gives [M_a, M_b] minus the table's combination of basis
 matrices, in ints over one scale. That settles the entry because the rank of
 the same int coordinates proves the ten matrices linearly independent over C

@@ -23,6 +23,7 @@ tuples, and the recursive descent reads those.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from ._record import record
@@ -159,10 +160,13 @@ class _Parser:
         kind, text, pos = self.advance()
         if kind == "number":
             value = "".join(text.split())  # the pattern allows any whitespace around /
-            _, slash, den = value.partition("/")
-            if slash and not int(den):
-                raise ParseError(f"zero denominator in {text!r}", pos)
-            return Num(Fraction(value))
+            try:
+                return Num(Fraction(value))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {text!r}", pos) from None
+            except ValueError:  # the pattern leaves only a part too long for int()
+                raise ParseError(f"number has more than {sys.get_int_max_str_digits()} "
+                                 "digits", pos) from None
         if kind == "name":
             if text == "ot":
                 raise ParseError("'ot' is an operator, not a value", pos)

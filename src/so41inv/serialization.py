@@ -92,8 +92,7 @@ def dumps_element(el) -> str:
     den = el.den
     # sort keys are distinct, so the sort never compares the row texts
     rows = sorted([_row_of(key) + (c,) for key, c in el.num.items()])
-    lines += [f"{c}{tail}" if den == 1 else f"{fmt_coeff(c, den)}{tail}"
-              for _, tail, c in rows]
+    lines += [f"{fmt_coeff(c, den)}{tail}" for _, tail, c in rows]
     return "\n".join(lines) + "\n"
 
 

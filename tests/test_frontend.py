@@ -6,17 +6,18 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from conftest import package_caches
-from so41inv.elements import pair_sort_key
-from so41inv.errors import EvalError, ExprTypeError, ParseError
+from so41inv.elements import ZERO_EXP, pair_sort_key
+from so41inv.errors import EngineError, EvalError, ExprTypeError, ParseError
 from so41inv.evaluator import evaluate
 from so41inv.matrix_oracle import Gen
 from so41inv.parser import BinOp, Call, Num, Sym, describe, parse
 from so41inv.serialization import dump_element, dumps_element, load_element, loads_element
-from so41inv.sym_ext import se_gen
+from so41inv.sym_ext import SEElement, se_gen
 from so41inv import cli, serialization, tensor_algebra
 from so41inv.tensor_algebra import TensorAlgebra
 
@@ -540,12 +541,13 @@ def test_cli_verify_table(capsys):
     assert out.strip().splitlines()[-1].endswith("PASS")
 
 
-def test_cli_verify_table_names_a_tampered_entry(capsys, monkeypatch):
+def test_cli_verify_table_names_a_tampered_entry(capsys, monkeypatch, cold_caches):
     from so41inv import lie_core
     from so41inv.matrix_oracle import Gen
 
     # [E1, F1] = H1 + H2; drop the H2 term
-    monkeypatch.setitem(lie_core._T, (Gen.E1, Gen.F1), ((Gen.H1, 1),))
+    monkeypatch.setattr(lie_core, "_T", MappingProxyType({**lie_core._T,
+                                                          (Gen.E1, Gen.F1): ((Gen.H1, 1),)}))
     mismatches = lie_core.certify_against_oracle()
     assert len(mismatches) == 1 and mismatches[0].startswith("[E1,F1]: ")
     code, out, _ = run_cli(capsys, "verify", "table")
@@ -768,6 +770,30 @@ def test_cli_eval_parse_error_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("expr", ["2^100000", "ad(2^100000 * E3, d)"])
+def test_eval_of_a_power_too_long_to_print_is_an_error(capsys, expr):
+    # 2^100000 has 30,103 digits, past the int-to-text limit of 4,300: as
+    # the result, or in the message naming a z outside k
+    code, out, err = run_cli(capsys, "eval", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("a coefficient has more than 4300 digits, too many to print\n")
+
+
+def test_eval_of_a_literal_too_long_to_read_is_a_parse_error(capsys):
+    with pytest.raises(ParseError) as exc:
+        parse("E1 + " + "7" * 5000)
+    assert exc.value.position == 5
+    code, out, err = run_cli(capsys, "eval", "7" * 5000 + " * E1")
+    assert (code, out) == (2, "")
+    assert err == "error: number has more than 4300 digits (at position 0)\n"
+
+
+def test_an_element_file_of_a_coefficient_too_long_to_print_is_an_error():
+    with pytest.raises(EngineError, match="more than 4300 digits"):
+        dumps_element(SEElement({(ZERO_EXP, 0): 10 ** 5000}))
+
+
 def test_fresh_eval_of_a_zero_denominator_exits_two():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -987,6 +1013,7 @@ PROCESS_CACHES = {
     "clifford._trace_gram",
     "invariants.eliminated_degree",
     "invariants.freeness_certificate",
+    "lie_core.table_certificate",
     "matrix_oracle.basis_matrices",
     "serialization._coeff_of",
     "serialization._key_of",
@@ -1017,8 +1044,9 @@ def test_every_process_memo_is_a_functools_cache():
 
 def test_clearing_the_caches_never_changes_a_result(capsys, tmp_path, cold_caches):
     path = tmp_path / "h.element"
-    argvs = (["verify", "relations"], ["verify", "chain"], ["dump", "h", "--out", str(path)],
-             ["load", str(path)], ["verify", "independence", "--max-degree", "6"])
+    argvs = (["verify", "table"], ["verify", "relations"], ["verify", "chain"],
+             ["dump", "h", "--out", str(path)], ["load", str(path)],
+             ["verify", "independence", "--max-degree", "6"])
 
     def run_all():
         runs = [run_cli(capsys, *argv) for argv in argvs]
@@ -1031,7 +1059,7 @@ def test_clearing_the_caches_never_changes_a_result(capsys, tmp_path, cold_cache
     again = run_all()
     assert all(fn.cache_info().currsize for fn in package_caches().values())
     assert cold == warm == again
-    assert [code for code, _, _ in again[0]] == [0, 0, 0, 0, 0]
+    assert [code for code, _, _ in again[0]] == [0, 0, 0, 0, 0, 0]
 
 
 def test_warm_table_and_chain_runs_print_what_the_first_run_printed(capsys, cold_caches):
@@ -1043,6 +1071,16 @@ def test_warm_table_and_chain_runs_print_what_the_first_run_printed(capsys, cold
         assert first[0] == 0
     assert first[1].count("CHAIN ") == 8
     assert run_cli(capsys, "verify", "table") == (0, table, "")
+
+
+def test_verify_all_proves_the_table_once_per_process(capsys, cold_caches):
+    from so41inv import lie_core
+    with open(os.path.join(DATA, "verify_all.stdout")) as fh:
+        golden = fh.read()
+    for _ in range(2):
+        assert run_cli(capsys, "verify", "all") == (0, golden, "")
+    info = lie_core.table_certificate.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 def test_the_chain_is_derived_once_per_catalog(capsys, monkeypatch, cold_caches):

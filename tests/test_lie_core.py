@@ -2,6 +2,7 @@
 import contextlib
 import io
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -41,6 +42,35 @@ def test_table_certifies_against_matrix_oracle():
     assert certify_against_oracle() == []
 
 
+def test_each_call_hands_out_a_new_list_of_mismatches(cold_caches):
+    mismatches = certify_against_oracle()
+    mismatches.append("[H1,H2]: appended by a caller")
+    assert certify_against_oracle() == []
+    assert lie_core.table_certificate.cache_info().misses == 1
+
+
+def test_the_table_certificate_refuses_assignment():
+    cert = lie_core.table_certificate()
+    assert cert.rank == 20 and len(cert.matrices) == 10 and len(cert.pairs) == 45
+    with pytest.raises(AttributeError):
+        cert.rank = 18
+    with pytest.raises(AttributeError):
+        cert.pairs = ()
+    assert lie_core.table_certificate() == cert and cert.rank == 20
+
+
+@pytest.mark.parametrize("table, key", [("_T", (Gen.E1, Gen.F1)), ("GEN_WEIGHTS", Gen.E1)],
+                         ids=["table", "weights"])
+def test_the_structure_constants_refuse_an_item_write(table, key):
+    mapping = getattr(lie_core, table)
+    before = dict(mapping)
+    with pytest.raises(TypeError):
+        mapping[key] = ()
+    with pytest.raises(TypeError):
+        del mapping[key]
+    assert dict(getattr(lie_core, table)) == before
+
+
 PAIRS = [(a, b) for a in Gen for b in Gen if a < b]
 
 
@@ -50,8 +80,13 @@ def gauss_rational_mismatch(a: Gen, b: Gen) -> str | None:
     return rational_mismatch(rational_basis(), a, b)
 
 
-def test_dropping_the_h2_term_of_e1_f1_names_its_two_entries(monkeypatch):
-    monkeypatch.setitem(lie_core._T, (Gen.E1, Gen.F1), ((Gen.H1, 1),))
+def tampered_table(pair, value) -> MappingProxyType:
+    """The commutator table with the entry of pair replaced by value."""
+    return MappingProxyType({**lie_core._T, pair: value})
+
+
+def test_dropping_the_h2_term_of_e1_f1_names_its_two_entries(monkeypatch, cold_caches):
+    monkeypatch.setattr(lie_core, "_T", tampered_table((Gen.E1, Gen.F1), ((Gen.H1, 1),)))
     assert certify_against_oracle() == [
         "[E1,F1]: matrix bracket minus table is nonzero at (3,4)=1i (4,3)=-1i"]
 
@@ -61,10 +96,14 @@ def test_dropping_the_h2_term_of_e1_f1_names_its_two_entries(monkeypatch):
        st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3)))
 def test_a_tampered_table_entry_is_the_one_mismatch(pair, g, c):
     a, b = pair
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(lie_core._T, pair, lie_core._T[pair] + ((g, c),))
-        mismatches = certify_against_oracle()
-        want = gauss_rational_mismatch(a, b)
+    lie_core.table_certificate.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lie_core, "_T", tampered_table(pair, lie_core._T[pair] + ((g, c),)))
+            mismatches = certify_against_oracle()
+            want = gauss_rational_mismatch(a, b)
+    finally:
+        lie_core.table_certificate.cache_clear()
     assert mismatches == [want]
     assert mismatches[0].startswith(f"[{a.name},{b.name}]: ")
     assert "nonzero at (" in mismatches[0]
@@ -87,7 +126,7 @@ def assert_every_pair_fails(capsys) -> None:
     assert "TABLE SUMMARY 0/45" in out
 
 
-def test_a_dependent_basis_certifies_no_bracket(monkeypatch, capsys):
+def test_a_dependent_basis_certifies_no_bracket(monkeypatch, capsys, cold_caches):
     mats = dependent_basis()
     monkeypatch.setattr(matrix_oracle, "basis_matrices", lambda: mats)
     mismatches = certify_against_oracle()
@@ -99,12 +138,18 @@ def test_a_dependent_basis_certifies_no_bracket(monkeypatch, capsys):
 
 def test_a_dependent_basis_after_a_warm_table_run_fails_every_pair(monkeypatch, capsys,
                                                                    cold_caches):
-    # no verdict of the passing runs is kept: the next run proves the rank anew
+    # warm runs read one verdict, and after cache_clear() the dependent
+    # basis fails every pair
     for _ in range(2):
         assert cli.main(["verify", "table"]) == 0
     assert capsys.readouterr().out.endswith("VERIFY table checks=55 failures=0 PASS\n")
+    info = lie_core.table_certificate.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     mats = dependent_basis()
     monkeypatch.setattr(matrix_oracle, "basis_matrices", lambda: mats)
+    assert cli.main(["verify", "table"]) == 0  # the verdict proved on the first run
+    capsys.readouterr()
+    lie_core.table_certificate.cache_clear()
     assert_every_pair_fails(capsys)
 
 
@@ -121,9 +166,13 @@ def test_a_tampered_basis_entry_prints_as_the_reference_path(g, i, j, z):
     mats[g] = tuple(map(tuple, m))
     tampered = integer_basis(mats)
     out = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(matrix_oracle, "basis_matrices", lambda: tampered)
-        assert cli.main(["verify", "table"]) == 1
+    lie_core.table_certificate.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.setattr(matrix_oracle, "basis_matrices", lambda: tampered)
+            assert cli.main(["verify", "table"]) == 1
+    finally:
+        lie_core.table_certificate.cache_clear()
     assert out.getvalue() == table_stdout(mats)
     assert f"MATRIX {g.name} membership trace=" in out.getvalue()
 

@@ -1,8 +1,9 @@
 """Nothing a process cache shares is writable. Every record refuses
 assignment, every element refuses a write to its numerators and a rebind of
 num, den and algebra, the algebras refuse a rebind, the catalog mappings
-refuse item writes, and every row a per-algebra table hands out is a tuple.
-So no caller can change what a later caller reads."""
+and the structure constants (the commutator table and the weights) refuse
+item writes, and every row a per-algebra table hands out is a tuple. So no
+caller can change what a later caller reads."""
 import operator
 import os
 from collections.abc import Mapping
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import package_caches
-from so41inv import cli
+from so41inv import cli, lie_core
 from so41inv.elements import ZERO_EXP, pair_sort_key
 from so41inv.invariants import invariant_dimension
 from so41inv.matrix_oracle import Gen, K_GENS
@@ -70,6 +71,7 @@ def cache_calls() -> dict[str, list[tuple]]:
         "clifford._trace_gram": [()],
         "invariants.eliminated_degree": [(n, b) for n in range(6) for b in (False, True)],
         "invariants.freeness_certificate": [()],
+        "lie_core.table_certificate": [()],
         "matrix_oracle.basis_matrices": [()],
         "serialization._coeff_of": [("-3/4",)],
         "serialization._key_of": [(" ".join(map(str, key[0])), "1010")],
@@ -142,7 +144,7 @@ def test_every_value_a_cache_holds_refuses_every_write(capsys, cold_caches):
     calls = cache_calls()
     assert set(calls) | {"cli.build_parser"} == set(package_caches())
     roots = [fn(*args) for name, fn in package_caches().items() if name in calls
-             for args in calls[name]] + table_reads()
+             for args in calls[name]] + table_reads() + [lie_core._T, lie_core.GEN_WEIGHTS]
     kinds = set()
     for value in reachable(roots):
         kinds.add(type(value).__name__)
@@ -161,8 +163,8 @@ def test_every_value_a_cache_holds_refuses_every_write(capsys, cold_caches):
                     delattr(value, name)
     # the walk reached every kind of shared value
     assert {"TensorAlgebra", "CliffordAlgebra", "Catalog", "STCatalog",
-            "Adjudication", "RelationCheck", "ChainStep", "PForm",
-            "FreenessCertificate", "UCElement", "CElement", "SEElement", "UElement",
+            "Adjudication", "RelationCheck", "ChainStep", "PForm", "FreenessCertificate",
+            "TableCertificate", "UCElement", "CElement", "SEElement", "UElement",
             "mappingproxy", "GaussMatrix"} <= kinds
     assert cli.main(["verify", "all"]) == 0
     assert capsys.readouterr().out == golden
