@@ -38,9 +38,8 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-@cache
 def _trace_gram() -> tuple:
-    """Gram matrix of the trace form on p, computed once per process."""
+    """Gram matrix of the trace form on p."""
     return tuple(tuple(trace_form_gens(a, b) for b in P_GENS) for a in P_GENS)
 
 
@@ -174,11 +173,11 @@ class CliffordAlgebra:
     ad(zg) mask, and of _tau_table(mask) c / _tau_den in tau(mask). Each
     entry is straightened on first read, so a convention that is read
     only in a few products pays only for those. The insertion of one
-    generator into a monomial (_insert_table, rows over q) and alpha of each
-    k-generator (_alpha_table) are kept the same way. Every table is a
-    functools.cache of its fill, built with the algebra, so it lives
-    exactly as long as the algebra, has no write API, and reports its size
-    and hits through cache_info()."""
+    generator into a monomial (_insert_table, rows over q) is kept the same
+    way. Every table is a functools.cache of its fill, built with the
+    algebra, so it lives exactly as long as the algebra, has no write API,
+    and reports its size and hits through cache_info(). alpha of a
+    k-generator is solved in closed form on each call (_alpha_gen)."""
 
     __setattr__ = __delattr__ = refuse
 
@@ -198,7 +197,7 @@ class CliffordAlgebra:
             _insert_table=cache(self._insert_gen),
             table=cache(lambda ma, mb: self._word(mask_bits(ma) + mask_bits(mb), 4)),
             k_table=cache(self._k_action_monomial),
-            _tau_table=cache(self._tau_monomial), _alpha_table=cache(self._alpha_gen))
+            _tau_table=cache(self._tau_monomial))
 
     # -- construction --------------------------------------------------------
 
@@ -297,7 +296,7 @@ class CliffordAlgebra:
         bare mask monomials instead shifts each value by a scalar and breaks
         that."""
         require_in_k(z)
-        num, den = combine((self._alpha_table(g), c) for g, c in z.num.items())
+        num, den = combine((self._alpha_gen(g), c) for g, c in z.num.items())
         return CElement._of(num, den * z.den, self)
 
     def _alpha_gen(self, zg: Gen) -> CElement:
@@ -306,8 +305,7 @@ class CliffordAlgebra:
         L_ij v_i v_j, with L antisymmetric, acts on p by 2 L Phi. It equals
         ad zg, whose matrix is A, iff L = A Phi^-1 / 2 = q A adj(P) / (2 det P),
         which is antisymmetric iff ad zg is skew for the form. In the
-        Chevalley image, tau(v_i ^ v_j) = v_i v_j - phi_ij. Read through
-        _alpha_table(zg)."""
+        Chevalley image, tau(v_i ^ v_j) = v_i v_j - phi_ij."""
         ad = [[0] * 4 for _ in range(4)]  # ad[i][k]: v_i in [zg, v_k]
         for k, v in enumerate(P_GENS):
             for g, c in bracket_gens(zg, v):

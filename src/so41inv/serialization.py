@@ -27,8 +27,10 @@ fails with the same text and line on every read. dump_element writes the
 UTF-8 bytes in binary, so lines end in '\\n' on every platform. The
 order-hash pins the basis order and normalization the coefficients refer
 to; a file written under a different convention fails loudly instead of
-reading back wrong numbers. It is a sha256 of the header fields, computed
-once per header (order_hash is a functools.cache).
+reading back wrong numbers. It is a sha256 of the header fields. A uc
+element is written only when its form is the form of the convention
+algebra its label names, the algebra the reader rebuilds; any other form
+raises ValueError.
 """
 from __future__ import annotations
 
@@ -49,7 +51,6 @@ P_ORDER = " ".join(g.name for g in P_GENS)
 _GRAMS = ("trace", "trace/4")
 
 
-@cache
 def order_hash(algebra_id: str, sign: int, gram: str) -> str:
     seed = f"{algebra_id}|{sign}|{gram}|{BASIS_ORDER}|{P_ORDER}"
     return hashlib.sha256(seed.encode()).hexdigest()[:16]
@@ -58,11 +59,13 @@ def order_hash(algebra_id: str, sign: int, gram: str) -> str:
 def _header_of(el) -> tuple[str, int, str]:
     if isinstance(el, SEElement):
         return "se", 0, "none"
-    # U(g) tensor C(p) is imported for its elements only, so se files are
+    # U(g) tensor C(p) is imported only for a uc element, so se files are
     # written and read without it
-    from .tensor_algebra import UCElement
+    from .tensor_algebra import UCElement, convention_algebra
     if isinstance(el, UCElement):
         pform = el.algebra.pform
+        if convention_algebra(pform.describe()).pform != pform:
+            raise ValueError(f"{pform.describe()!r} labels a form that is not its convention's")
         return "uc", pform.sign, pform.label
     raise TypeError(f"cannot serialize {type(el).__name__}")
 

@@ -152,8 +152,7 @@ def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
 
 # -- the invariant catalog ---------------------------------------------------
 
-def _s(g: Gen) -> SEElement:
-    return se_gen(g)
+_s = se_gen
 
 
 def build_a1() -> SEElement:

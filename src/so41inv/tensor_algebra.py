@@ -11,9 +11,9 @@ whose catalog passes the whole suite (Catalog.passes), after ruling out each
 one the j identity refutes without building its catalog. convention_algebra()
 builds each label's algebra once per process, and adjudicate_convention() runs
 once (both through functools.cache); the algebra keeps its catalog, and a
-functools.cache of its own for the rho image of each named element, the
-product of each pair of keys and the action of each generator on each key;
-the catalog keeps its identity checks and generator chain.
+functools.cache of its own for the product of each pair of keys and the
+action of each generator on each key; the catalog keeps its identity checks
+and generator chain.
 """
 from __future__ import annotations
 
@@ -62,7 +62,6 @@ class TensorAlgebra:
         vars(self).update(
             pform=pform,
             cl=CliffordAlgebra(pform),
-            _named=cache(lambda name: self.rho(build_st_catalog().named[name])),
             _products=cache(self._product_row), _actions=cache(self._action_row))
 
     # -- constructors ---------------------------------------------------------
@@ -141,9 +140,8 @@ class TensorAlgebra:
         return UCElement._of(accumulate(pairs), x.den * den * self.cl._tau_den, self)
 
     def rho_named(self, name: str) -> UCElement:
-        """rho of the named closed-form invariant, computed once per algebra:
-        the j refutation and build_catalog read the same images."""
-        return self._named(name)
+        """rho of the named closed-form invariant."""
+        return self.rho(build_st_catalog().named[name])
 
     def alpha_uc(self, z: LieElement) -> UCElement:
         return self.from_c(self.cl.alpha(z))

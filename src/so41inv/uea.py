@@ -33,14 +33,15 @@ int rows into one dict through elements.accumulate (or combine, for
 elements over different denominators); the product of two elements sums
 the pair products of their terms through elements.bilinear.
 
-Generator insertions, pair products, generator commutators, P and sigma
-of a monomial are pure functions of their arguments, each kept for the
-life of the process by functools.cache: cache_info() reports a table's
-size and hits, and cache_clear() empties it. The first four return rows,
-tuples of (PBW monomial, int) pairs with no zero entry, and sigma of a
-monomial an element. Every caller shares them, and both are read-only by
-their type (see elements): a caller that writes to one gets an error
-instead of corrupting every later result.
+Generator insertions, pair products, generator commutators and P are pure
+functions of their arguments, each kept for the life of the process by
+functools.cache: cache_info() reports a table's size and hits, and
+cache_clear() empties it. Each returns a row, a tuple of (PBW monomial,
+int) pairs with no zero entry. Every caller shares it, and a tuple is
+read-only: a caller that writes to one gets an error instead of
+corrupting every later result. sigma of a monomial puts the kept P over
+its denominator on each call, a few microseconds, so it keeps no table
+of its own.
 """
 from __future__ import annotations
 
@@ -88,9 +89,9 @@ def _lowered(exp: Exp, s: int) -> Exp:
     return tuple(m)
 
 
-def _add_inserted(acc: dict[Exp, int], g: int, row, f: int = 1) -> dict:
-    """acc += f * u_g * row, in place; returns acc."""
-    return accumulate(((insert_gen(g, m), f * c) for m, c in row), acc)
+def _add_inserted(acc: dict[Exp, int], g: int, row) -> dict:
+    """acc += u_g * row, in place; returns acc."""
+    return accumulate(((insert_gen(g, m), c) for m, c in row), acc)
 
 
 @cache
@@ -199,7 +200,6 @@ def _orderings_sum(exp: Exp) -> tuple:
     return nonzero_row(acc)
 
 
-@cache
 def symmetrize_monomial(exp: Exp) -> UElement:
     """sigma of a single symmetric monomial: P(exp) over the number of
     distinct orderings."""

@@ -65,16 +65,15 @@ def test_product_and_k_action_tables_hold_only_ints(algebra):
 
 def test_tables_fill_only_the_entries_read():
     alg = CliffordAlgebra(PForm.from_trace_form(sign=-1, scale=Fraction(1, 4)))
-    tables = (alg.table, alg.k_table, alg._tau_table, alg._insert_table, alg._alpha_table)
-    assert [t.cache_info().currsize for t in tables] == [0] * 5
+    tables = (alg.table, alg.k_table, alg._tau_table, alg._insert_table)
+    assert [t.cache_info().currsize for t in tables] == [0] * 4
     v = alg.gen(P_GENS[0])
     assert v * v == alg.scalar(alg.pform.phi(0, 0))
     # only (1, 1) filled: one miss, then a re-read is a hit
     assert alg.table.cache_info()[:2] == (0, 1) and alg.table.cache_info().currsize == 1
     alg.table(1, 1)
     assert alg.table.cache_info()[:2] == (1, 1) and alg.table.cache_info().currsize == 1
-    assert [t.cache_info().currsize for t in (alg.k_table, alg._tau_table, alg._alpha_table)] \
-        == [0, 0, 0]
+    assert [t.cache_info().currsize for t in (alg.k_table, alg._tau_table)] == [0, 0]
 
 
 @pytest.mark.parametrize("sign", [-1, 1], ids=["sign=-1", "sign=+1"])
@@ -103,8 +102,7 @@ def test_every_cached_row_is_read_only(sign):
     assert cl.table.cache_info().hits == hits + 1
     kx, ky, key = next(iter(x.num)), next(iter(y.num)), next(iter((x * y).num))
     read = {cl.table: (1, 4), cl.k_table: (Gen.E1, 12), cl._tau_table: (13,),
-            cl._insert_table: (1, 2), cl._alpha_table: (Gen.E1,), alg._named: ("D",),
-            alg._products: (kx, ky), alg._actions: (Gen.E1, key)}
+            cl._insert_table: (1, 2), alg._products: (kx, ky), alg._actions: (Gen.E1, key)}
 
     bogus = ((0, 999),)
 

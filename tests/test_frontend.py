@@ -19,7 +19,8 @@ from so41inv.parser import BinOp, Call, Num, Sym, describe, parse
 from so41inv.serialization import dump_element, dumps_element, load_element, loads_element
 from so41inv.sym_ext import SEElement, se_gen
 from so41inv import cli, serialization, tensor_algebra
-from so41inv.tensor_algebra import TensorAlgebra
+from so41inv.clifford import PForm
+from so41inv.tensor_algebra import TensorAlgebra, convention_pform
 
 
 # -- parser ------------------------------------------------------------------------
@@ -409,6 +410,31 @@ def test_tampered_order_hash_rejected(cat):
     lines[idx] = "order-hash: 0000000000000000"
     with pytest.raises(ParseError):
         loads_element("\n".join(lines) + "\n")
+
+
+def test_an_element_of_a_form_no_convention_names_is_not_written():
+    # its label, trace*2/3, is no convention label, so no reader could build
+    # its algebra back
+    alg = TensorAlgebra(PForm.from_trace_form(sign=-1, scale=Fraction(2, 3)))
+    assert alg.pform.label == "trace*2/3"
+    with pytest.raises(ValueError, match="unknown convention label: 'gram=trace\\*2/3 sign=-1'"):
+        dumps_element(alg.c_gen(Gen.E3) * alg.c_gen(Gen.F3))
+
+
+def test_an_element_of_a_form_under_another_forms_label_is_not_written():
+    # twice the quarter trace form, labelled trace/4: its file would read back
+    # into the convention algebra as another element, with no error
+    quarter = convention_pform("gram=trace/4 sign=-1")
+    double = PForm(gram=tuple(tuple(2 * v for v in row) for row in quarter.gram), sign=-1,
+                   label="trace/4")
+    alg = TensorAlgebra(double)
+    with pytest.raises(ValueError, match="'gram=trace/4 sign=-1' labels a form that is not"):
+        dumps_element(alg.c_gen(Gen.E3) * alg.c_gen(Gen.F3))
+    # the convention's own form is written from any algebra built on it
+    fresh = TensorAlgebra(quarter)
+    y = fresh.c_gen(Gen.E3) * fresh.c_gen(Gen.F3)
+    back = loads_element(dumps_element(y))
+    assert str(back) == str(y) and dumps_element(back) == dumps_element(y)
 
 
 def test_tampered_term_count_rejected(cat):
@@ -883,10 +909,10 @@ def test_cli_relations_run_once_per_built_convention(capsys, monkeypatch, cold_c
     assert len(calls) == len(built) == 4
 
 
-def test_cli_relations_reuse_the_refutation_images(capsys, monkeypatch, cold_caches):
-    # a fresh --sign auto process forms rho(i), rho(D) and rho(j) once per
-    # convention for the j refutation; the accepted catalog reuses its three
-    # and maps only the other nine names: 4 * 3 + 9 calls, not 4 * 3 + 12
+def test_cold_relations_make_24_rho_calls(capsys, monkeypatch, cold_caches):
+    # a fresh --sign auto process forms rho(i), rho(D) and rho(j) for the j
+    # refutation of each convention, and the accepted catalog maps all
+    # twelve names again: 4 * 3 + 12 calls
     calls = []
     rho = TensorAlgebra.rho
 
@@ -897,8 +923,7 @@ def test_cli_relations_reuse_the_refutation_images(capsys, monkeypatch, cold_cac
     monkeypatch.setattr(TensorAlgebra, "rho", counted_rho)
     code, out, _ = run_cli(capsys, "verify", "relations")
     assert code == 0
-    assert len(calls) == 21
-    assert tensor_algebra.accepted_catalog().algebra._named.cache_info().currsize == 12
+    assert len(calls) == 24
 
 
 def test_cold_relations_report_the_fills_and_hits_of_every_algebra_table(capsys, cold_caches):
@@ -909,12 +934,11 @@ def test_cold_relations_report_the_fills_and_hits_of_every_algebra_table(capsys,
     assert code == 0
     accepted = tensor_algebra.adjudicate_convention().accepted
     alg = tensor_algebra.convention_algebra(accepted)
-    assert [tuple(t.cache_info()[:2]) for t in (alg._products, alg._actions, alg._named)] \
-        == [(379, 825), (404, 572), (3, 12)]
+    assert [tuple(t.cache_info()[:2]) for t in (alg._products, alg._actions)] \
+        == [(379, 825), (404, 572)]
     cl = alg.cl
-    assert [t.cache_info().misses for t in (cl.table, cl.k_table, cl._tau_table,
-                                            cl._insert_table, cl._alpha_table)] \
-        == [127, 96, 16, 59, 6]
+    assert [t.cache_info().misses
+            for t in (cl.table, cl.k_table, cl._tau_table, cl._insert_table)] == [127, 96, 16, 59]
     for label in tensor_algebra.CONVENTION_LABELS:
         if label != accepted:
             assert tensor_algebra.convention_algebra(label)._products.cache_info().misses == 32
@@ -986,11 +1010,13 @@ def test_a_second_catalog_or_uc_load_builds_no_algebra(monkeypatch, tmp_path, ca
     tensor_algebra.catalog_for_sign(+1)
     assert built == []
 
-    # a load builds the algebra of its convention, and no catalog
-    cold_caches()
-    monkeypatch.setattr(tensor_algebra, "build_catalog", None)
+    # a load builds the algebra of its convention, and no catalog (the dump
+    # reads that algebra too, so it is written before the caches are emptied)
     path = tmp_path / "h.element"
     dump_element(cat.elements["h"], str(path))
+    cold_caches()
+    built.clear()
+    monkeypatch.setattr(tensor_algebra, "build_catalog", None)
     assert load_element(str(path)) == cat.elements["h"]
     assert built == [cat.algebra.pform]
     assert load_element(str(path)) == cat.elements["h"]
@@ -1010,7 +1036,6 @@ def test_loaded_elements_equal_the_catalog_elements(cat):
 
 PROCESS_CACHES = {
     "cli.build_parser",
-    "clifford._trace_gram",
     "invariants.eliminated_degree",
     "invariants.freeness_certificate",
     "lie_core.table_certificate",
@@ -1018,7 +1043,6 @@ PROCESS_CACHES = {
     "serialization._coeff_of",
     "serialization._key_of",
     "serialization._row_of",
-    "serialization.order_hash",
     "sym_ext.build_st_catalog",
     "tensor_algebra.adjudicate_convention",
     "tensor_algebra.convention_algebra",
@@ -1026,8 +1050,11 @@ PROCESS_CACHES = {
     "uea.gen_commutator",
     "uea.insert_gen",
     "uea.pbw_pair_product",
-    "uea.symmetrize_monomial",
 }
+
+# Each per-algebra table, by its path from the TensorAlgebra.
+ALGEBRA_TABLES = {"_products", "_actions", "cl._insert_table", "cl.table", "cl.k_table",
+                  "cl._tau_table"}
 
 
 def test_every_process_memo_is_a_functools_cache():
@@ -1042,15 +1069,25 @@ def test_every_process_memo_is_a_functools_cache():
             assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), name
 
 
+def test_every_per_algebra_memo_is_one_of_six_tables(cat):
+    # the memos an algebra keeps are exactly these caches, a fresh algebra's
+    # as the accepted one's after its catalog is built
+    for alg in (cat.algebra, TensorAlgebra(cat.algebra.pform)):
+        found = {f"{prefix}{name}" for prefix, owner in (("", alg), ("cl.", alg.cl))
+                 for name, value in vars(owner).items() if hasattr(value, "cache_info")}
+        assert found == ALGEBRA_TABLES
+
+
 def test_clearing_the_caches_never_changes_a_result(capsys, tmp_path, cold_caches):
-    path = tmp_path / "h.element"
+    path, se_path = tmp_path / "h.element", tmp_path / "se.h.element"
     argvs = (["verify", "table"], ["verify", "relations"], ["verify", "chain"],
-             ["dump", "h", "--out", str(path)], ["load", str(path)],
+             ["eval", "ad(E1, d * f)"], ["dump", "h", "--out", str(path)], ["load", str(path)],
+             ["dump", "h", "--ambient", "se", "--out", str(se_path)], ["load", str(se_path)],
              ["verify", "independence", "--max-degree", "6"])
 
     def run_all():
         runs = [run_cli(capsys, *argv) for argv in argvs]
-        return runs, path.read_bytes()
+        return runs, path.read_bytes(), se_path.read_bytes()
 
     cold = run_all()
     warm = run_all()
@@ -1059,7 +1096,7 @@ def test_clearing_the_caches_never_changes_a_result(capsys, tmp_path, cold_cache
     again = run_all()
     assert all(fn.cache_info().currsize for fn in package_caches().values())
     assert cold == warm == again
-    assert [code for code, _, _ in again[0]] == [0, 0, 0, 0, 0, 0]
+    assert [code for code, _, _ in again[0]] == [0] * 9
 
 
 def test_warm_table_and_chain_runs_print_what_the_first_run_printed(capsys, cold_caches):

@@ -34,8 +34,8 @@ def snapshot(value) -> object:
     return str(value)
 
 
-# Each write a caller could make to a shared value, the error it must raise,
-# and what a later call reads.
+# Each write a caller could make to a value the engine hands out, the error
+# it must raise, and what a later call reads.
 WRITES = {
     "basis-den": (lambda: setattr(invariant_dimension(2, True).basis[0], "den", 7),
                   AttributeError, lambda: invariant_dimension(2, True).basis),
@@ -63,12 +63,11 @@ def test_a_write_to_a_shared_value_raises_and_changes_nothing(cold_caches, write
 def cache_calls() -> dict[str, list[tuple]]:
     """Arguments for each package cache but the command-line parser, which
     is argparse's own object: the catalogs of every convention, the kernel
-    bases of degrees 0-5, and the U(g) rows and sigma of every monomial of
-    the closed-form catalog."""
+    bases of degrees 0-5, and the U(g) rows of every monomial of the
+    closed-form catalog."""
     exps = sorted({exp for el in build_st_catalog().named.values() for exp, _ in el.num})
     key = (ZERO_EXP, 5)
     return {
-        "clifford._trace_gram": [()],
         "invariants.eliminated_degree": [(n, b) for n in range(6) for b in (False, True)],
         "invariants.freeness_certificate": [()],
         "lie_core.table_certificate": [()],
@@ -76,7 +75,6 @@ def cache_calls() -> dict[str, list[tuple]]:
         "serialization._coeff_of": [("-3/4",)],
         "serialization._key_of": [(" ".join(map(str, key[0])), "1010")],
         "serialization._row_of": [(key,)],
-        "serialization.order_hash": [("uc", -1, "trace/4"), ("se", 0, "none")],
         "sym_ext.build_st_catalog": [()],
         "tensor_algebra.adjudicate_convention": [()],
         "tensor_algebra.convention_algebra": [(label,) for label in CONVENTION_LABELS],
@@ -84,14 +82,13 @@ def cache_calls() -> dict[str, list[tuple]]:
         "uea.gen_commutator": [(g, exp) for g in range(10) for exp in exps],
         "uea.insert_gen": [(g, exp) for g in range(10) for exp in exps],
         "uea.pbw_pair_product": [(a, b) for a in exps[:12] for b in exps[:12]],
-        "uea.symmetrize_monomial": [(exp,) for exp in exps],
     }
 
 
 def table_reads() -> list:
     """The walk stops at a function, so at every per-algebra table: each
     table read over its whole domain, for every convention (the Clifford
-    monomial products, k-action, tau, insertion and alpha), and the U(g)
+    monomial products, k-action, tau and insertion), and the U(g)
     (x) C(p) product and action rows on keys of the accepted catalog."""
     keys = sorted({k for el in accepted_catalog().elements.values() for k in el.num},
                   key=pair_sort_key)
@@ -103,7 +100,6 @@ def table_reads() -> list:
         reads += [cl.k_table(zg, m) for zg in K_GENS for m in range(16)]
         reads += [cl._tau_table(m) for m in range(16)]
         reads += [cl._insert_table(m, b) for m in range(16) for b in range(4)]
-        reads += [cl._alpha_table(zg) for zg in K_GENS]
         reads += [alg._products(a, b) for a in keys[:12] for b in keys[:12]]
         reads += [alg._actions(zg, k) for zg in K_GENS for k in keys]
     return reads
@@ -164,7 +160,8 @@ def test_every_value_a_cache_holds_refuses_every_write(capsys, cold_caches):
     # the walk reached every kind of shared value
     assert {"TensorAlgebra", "CliffordAlgebra", "Catalog", "STCatalog",
             "Adjudication", "RelationCheck", "ChainStep", "PForm", "FreenessCertificate",
-            "TableCertificate", "UCElement", "CElement", "SEElement", "UElement",
-            "mappingproxy", "GaussMatrix"} <= kinds
+            "TableCertificate", "UCElement", "SEElement", "mappingproxy", "GaussMatrix"} <= kinds
+    # and no cache hands out an element of U(g) or of C(p) alone
+    assert not {"UElement", "CElement"} & kinds
     assert cli.main(["verify", "all"]) == 0
     assert capsys.readouterr().out == golden
