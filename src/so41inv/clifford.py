@@ -24,8 +24,8 @@ from math import lcm
 from types import MappingProxyType
 
 from ._record import record, refuse
-from .elements import (BoundElement, LinearElement, accumulate, bilinear, combine, fmt_mask,
-                       mask_bits, mask_sort_key, nonzero_row)
+from .elements import (BoundElement, LinearElement, _scalar, accumulate, bilinear, combine,
+                       fmt_mask, mask_bits, mask_sort_key, nonzero_row)
 from .errors import DomainError, SolveError
 from .lie_core import LieElement, bracket_gens, require_in_k
 from .matrix_oracle import Gen, P_GENS, trace_form_gens
@@ -47,16 +47,18 @@ def _trace_gram() -> tuple:
 class PForm:
     """Symmetric bilinear form on p together with the Clifford sign."""
 
-    gram: tuple  # 4x4 tuple of tuples of Fraction
+    gram: tuple  # 4x4 tuple of tuples of int or Fraction
     sign: int = 1
     label: str = "custom"
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        if len(self.gram) != 4 or any(len(row) != 4 for row in self.gram):
+            raise ValueError("gram matrix must be 4 x 4")
         for i in range(4):
             for j in range(4):
-                if self.gram[i][j] != self.gram[j][i]:
+                if _scalar(self.gram[i][j]) != self.gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
 
     def phi(self, i: int, j: int) -> Fraction:

@@ -1,20 +1,20 @@
 """The supercommutative model S(g) tensor Lambda(p).
 
 Keys are pairs (exponent 10-tuple, p-mask). This is where the invariant
-catalog lives in closed form, where the S.T basis data is assembled, and
-where the k-action on monomial keys is tabulated. The model reads rows as
-U(g) tensor C(p) does: a product of two keys is the summed exponents tensor
-the WEDGE row of the masks, ad_on_key gives the k-action on one key as a
-row, and elements.bilinear sums both over the pairs of terms.
-certify_invariance is the one K-invariance certificate of both catalogs: it
-runs here on the named elements and the T-products, and in
-tensor_algebra.build_catalog on their rho images.
+catalog lives in closed form, each element typed once in closed_forms(),
+where the S.T basis data is assembled, and where the k-action on monomial
+keys is tabulated. The model reads rows as U(g) tensor C(p) does: a product
+of two keys is the summed exponents tensor the WEDGE row of the masks,
+ad_on_key gives the k-action on one key as a row, and elements.bilinear sums
+both over the pairs of terms. certify_invariance is the one K-invariance
+certificate of both catalogs: it runs here on the named elements and the
+T-products, and in tensor_algebra.build_catalog on their rho images.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
-from operator import add
+from functools import cache, cached_property, reduce
+from operator import add, mul
 from types import MappingProxyType
 
 from ._record import record
@@ -87,10 +87,7 @@ def se_ext_gen(g: Gen) -> SEElement:
 
 
 def se_wedge(*gens: Gen) -> SEElement:
-    out = se_one()
-    for g in gens:
-        out = out * se_ext_gen(g)
-    return out
+    return reduce(mul, map(se_ext_gen, gens), se_one())
 
 
 def se_one() -> SEElement:
@@ -152,138 +149,75 @@ def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
 
 # -- the invariant catalog ---------------------------------------------------
 
-_s = se_gen
-
-
-def build_a1() -> SEElement:
-    h = _s(Gen.H1) + _s(Gen.H2)
-    return h * h + 4 * _s(Gen.E1) * _s(Gen.F1)
-
-
-def build_a2() -> SEElement:
-    h = _s(Gen.H1) - _s(Gen.H2)
-    return h * h + 4 * _s(Gen.E2) * _s(Gen.F2)
-
-
-def build_b() -> SEElement:
-    return _s(Gen.E3) * _s(Gen.F3) + _s(Gen.E4) * _s(Gen.F4)
-
-
-def build_dirac() -> SEElement:
-    return (
-        _s(Gen.E3) * se_ext_gen(Gen.F3)
-        + _s(Gen.E4) * se_ext_gen(Gen.F4)
-        + _s(Gen.F3) * se_ext_gen(Gen.E3)
-        + _s(Gen.F4) * se_ext_gen(Gen.E4)
-    )
-
-
-def build_c() -> SEElement:
-    H1, H2 = _s(Gen.H1), _s(Gen.H2)
-    E1, E2, F1, F2 = _s(Gen.E1), _s(Gen.E2), _s(Gen.F1), _s(Gen.F2)
-    E3, E4, F3, F4 = _s(Gen.E3), _s(Gen.E4), _s(Gen.F3), _s(Gen.F4)
-    return (
-        2 * (E1 * E2 * F3 ** 2 - E1 * F2 * F4 ** 2 + F1 * F2 * E3 ** 2 - F1 * E2 * E4 ** 2)
-        - 2 * (H1 - H2) * (E1 * F3 * F4 + F1 * E3 * E4)
-        - 2 * (H1 + H2) * (F2 * E3 * F4 + E2 * F3 * E4)
-        - (H1 - H2) * (H1 + H2) * (E3 * F3 - E4 * F4)
-    )
-
-
-def build_d() -> SEElement:
-    H = _s(Gen.H1) + _s(Gen.H2)
-    return (
-        2 * _s(Gen.E1) * se_wedge(Gen.F3, Gen.F4)
-        - H * (se_wedge(Gen.E3, Gen.F3) + se_wedge(Gen.E4, Gen.F4))
-        - 2 * _s(Gen.F1) * se_wedge(Gen.E3, Gen.E4)
-    )
-
-
-def build_e() -> SEElement:
-    H = _s(Gen.H1) - _s(Gen.H2)
-    return (
-        2 * _s(Gen.E2) * se_wedge(Gen.E4, Gen.F3)
-        + H * (se_wedge(Gen.E3, Gen.F3) - se_wedge(Gen.E4, Gen.F4))
-        + 2 * _s(Gen.F2) * se_wedge(Gen.E3, Gen.F4)
-    )
-
-
-def build_f() -> SEElement:
-    Hp = _s(Gen.H1) + _s(Gen.H2)
-    E1, F1 = _s(Gen.E1), _s(Gen.F1)
-    E3, E4, F3, F4 = _s(Gen.E3), _s(Gen.E4), _s(Gen.F3), _s(Gen.F4)
-    return (
-        2 * (E1 * F3 * se_ext_gen(Gen.F4) - E1 * F4 * se_ext_gen(Gen.F3))
-        - Hp * (
-            E3 * se_ext_gen(Gen.F3)
-            + E4 * se_ext_gen(Gen.F4)
-            - F3 * se_ext_gen(Gen.E3)
-            - F4 * se_ext_gen(Gen.E4)
-        )
-        - 2 * (F1 * E3 * se_ext_gen(Gen.E4) - F1 * E4 * se_ext_gen(Gen.E3))
-    )
-
-
-def build_g() -> SEElement:
-    Hm = _s(Gen.H1) - _s(Gen.H2)
-    E2, F2 = _s(Gen.E2), _s(Gen.F2)
-    E3, E4, F3, F4 = _s(Gen.E3), _s(Gen.E4), _s(Gen.F3), _s(Gen.F4)
-    return (
-        -2 * (E2 * F3 * se_ext_gen(Gen.E4) - E2 * E4 * se_ext_gen(Gen.F3))
-        + Hm * (
-            E3 * se_ext_gen(Gen.F3)
-            - E4 * se_ext_gen(Gen.F4)
-            - F3 * se_ext_gen(Gen.E3)
-            + F4 * se_ext_gen(Gen.E4)
-        )
-        + 2 * (F2 * E3 * se_ext_gen(Gen.F4) - F2 * F4 * se_ext_gen(Gen.E3))
-    )
-
-
-def build_h() -> SEElement:
-    H1, H2 = _s(Gen.H1), _s(Gen.H2)
+def closed_forms() -> dict[str, SEElement]:
+    """The twelve closed-form invariants by name, in catalog order, built afresh."""
+    H1, H2, E1, E2, F1, F2, E3, E4, F3, F4 = map(se_gen, Gen)
+    xE3, xE4, xF3, xF4 = map(se_ext_gen, P_GENS)
     Hp, Hm = H1 + H2, H1 - H2
-    E1, E2, F1, F2 = _s(Gen.E1), _s(Gen.E2), _s(Gen.F1), _s(Gen.F2)
-    E3, E4, F3, F4 = _s(Gen.E3), _s(Gen.E4), _s(Gen.F3), _s(Gen.F4)
-    return (
-        2 * (
-            E1 * E2 * F3 * se_ext_gen(Gen.F3)
-            - E1 * F2 * F4 * se_ext_gen(Gen.F4)
-            + F1 * F2 * E3 * se_ext_gen(Gen.E3)
-            - F1 * E2 * E4 * se_ext_gen(Gen.E4)
-        )
-        - Hm * (
-            E1 * F3 * se_ext_gen(Gen.F4)
-            + E1 * F4 * se_ext_gen(Gen.F3)
-            + F1 * E3 * se_ext_gen(Gen.E4)
-            + F1 * E4 * se_ext_gen(Gen.E3)
-        )
-        - Hp * (
-            F2 * E3 * se_ext_gen(Gen.F4)
-            + F2 * F4 * se_ext_gen(Gen.E3)
-            + E2 * F3 * se_ext_gen(Gen.E4)
-            + E2 * E4 * se_ext_gen(Gen.F3)
-        )
-        - Fraction(1, 2) * Hm * Hp * (
-            E3 * se_ext_gen(Gen.F3)
-            + F3 * se_ext_gen(Gen.E3)
-            - E4 * se_ext_gen(Gen.F4)
-            - F4 * se_ext_gen(Gen.E4)
-        )
-    )
-
-
-def build_i() -> SEElement:
-    return se_wedge(Gen.E3, Gen.E4, Gen.F3, Gen.F4)
-
-
-def build_j() -> SEElement:
-    return (
-        _s(Gen.E3) * se_wedge(Gen.E4, Gen.F3, Gen.F4)
-        - _s(Gen.E4) * se_wedge(Gen.E3, Gen.F3, Gen.F4)
-        + _s(Gen.F3) * se_wedge(Gen.E3, Gen.E4, Gen.F4)
-        - _s(Gen.F4) * se_wedge(Gen.E3, Gen.E4, Gen.F3)
-    )
+    return {
+        "a1": Hp * Hp + 4 * E1 * F1,
+        "a2": Hm * Hm + 4 * E2 * F2,
+        "b": E3 * F3 + E4 * F4,
+        "c": 2 * (E1 * E2 * F3 ** 2 - E1 * F2 * F4 ** 2 + F1 * F2 * E3 ** 2 - F1 * E2 * E4 ** 2)
+             - 2 * (H1 - H2) * (E1 * F3 * F4 + F1 * E3 * E4)
+             - 2 * (H1 + H2) * (F2 * E3 * F4 + E2 * F3 * E4)
+             - (H1 - H2) * (H1 + H2) * (E3 * F3 - E4 * F4),
+        "D": E3 * xF3
+             + E4 * xF4
+             + F3 * xE3
+             + F4 * xE4,
+        "d": 2 * E1 * xF3 * xF4
+             - Hp * (xE3 * xF3 + xE4 * xF4)
+             - 2 * F1 * xE3 * xE4,
+        "e": 2 * E2 * xE4 * xF3
+             + Hm * (xE3 * xF3 - xE4 * xF4)
+             + 2 * F2 * xE3 * xF4,
+        "f": 2 * (E1 * F3 * xF4 - E1 * F4 * xF3)
+             - Hp * (
+                 E3 * xF3
+                 + E4 * xF4
+                 - F3 * xE3
+                 - F4 * xE4
+             )
+             - 2 * (F1 * E3 * xE4 - F1 * E4 * xE3),
+        "g": -2 * (E2 * F3 * xE4 - E2 * E4 * xF3)
+             + Hm * (
+                 E3 * xF3
+                 - E4 * xF4
+                 - F3 * xE3
+                 + F4 * xE4
+             )
+             + 2 * (F2 * E3 * xF4 - F2 * F4 * xE3),
+        "h": 2 * (
+                 E1 * E2 * F3 * xF3
+                 - E1 * F2 * F4 * xF4
+                 + F1 * F2 * E3 * xE3
+                 - F1 * E2 * E4 * xE4
+             )
+             - Hm * (
+                 E1 * F3 * xF4
+                 + E1 * F4 * xF3
+                 + F1 * E3 * xE4
+                 + F1 * E4 * xE3
+             )
+             - Hp * (
+                 F2 * E3 * xF4
+                 + F2 * F4 * xE3
+                 + E2 * F3 * xE4
+                 + E2 * E4 * xF3
+             )
+             - Fraction(1, 2) * Hm * Hp * (
+                 E3 * xF3
+                 + F3 * xE3
+                 - E4 * xF4
+                 - F4 * xE4
+             ),
+        "i": xE3 * xE4 * xF3 * xF4,
+        "j": E3 * xE4 * xF3 * xF4
+             - E4 * xE3 * xF3 * xF4
+             + F3 * xE3 * xE4 * xF4
+             - F4 * xE3 * xE4 * xF3,
+    }
 
 
 T_ORDER = ("1", "D", "d", "e", "f", "g", "h", "i", "j",
@@ -330,21 +264,8 @@ class STCatalog:
 
 @cache
 def build_st_catalog() -> STCatalog:
-    """Build and certify the named elements, once per process; every one
-    must be K-invariant."""
-    named = {
-        "a1": build_a1(),
-        "a2": build_a2(),
-        "b": build_b(),
-        "c": build_c(),
-        "D": build_dirac(),
-        "d": build_d(),
-        "e": build_e(),
-        "f": build_f(),
-        "g": build_g(),
-        "h": build_h(),
-        "i": build_i(),
-        "j": build_j(),
-    }
+    """Build the named elements with closed_forms() and certify them, once
+    per process; every one must be K-invariant."""
+    named = closed_forms()
     certify_invariance(ad_action_se, named)
     return STCatalog(named=MappingProxyType(named))

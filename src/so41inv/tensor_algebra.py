@@ -208,9 +208,6 @@ class Catalog:
         return all(ch.ok for ch in effective_checks(self.checks))
 
 
-NAMED_ORDER = ("a1", "a2", "b", "c", "D", "d", "e", "f", "g", "h", "i", "j")
-
-
 def build_catalog(alg: TensorAlgebra) -> Catalog:
     """Map the closed-form catalog through rho and certify K-invariance with
     sym_ext.certify_invariance, the certificate of S(g) tensor Lambda(p).
@@ -220,7 +217,7 @@ def build_catalog(alg: TensorAlgebra) -> Catalog:
     counts join the others. InvarianceError if any catalog element fails
     certification.
     """
-    elements = {name: alg.rho_named(name) for name in NAMED_ORDER}
+    elements = {name: alg.rho_named(name) for name in build_st_catalog().named}
     invariance = certify_invariance(alg.ad_action, elements, "rho({})")
     for dk_reading in ("literal", "paired"):
         elements["Dk"] = alg.k_dirac(dk_reading)

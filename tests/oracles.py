@@ -68,7 +68,6 @@ from so41inv.serialization import MAGIC, _header_of, order_hash
 from so41inv.sym_ext import (
     SEElement,
     ad_action_se,
-    build_b,
     build_st_catalog,
     key_weight,
     se_one,
@@ -299,8 +298,11 @@ def mat_sub(a, b):
 
 
 def mat_mul(a, b):
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(5)), GR0)
-                       for j in range(5)) for i in range(5))
+    """The product, each entry summed over the pairs of nonzero factors only:
+    the terms it skips are exact zeros."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum((x * y for x, y in zip(row, col) if x and y), GR0) for col in cols)
+                 for row in a)
 
 
 def mat_scale(c: GaussRational, a):
@@ -797,7 +799,7 @@ def harmonic_decomposition_check(n: int) -> HarmonicReport:
         frontier = nxt
     top_dim = span.rank
     # now add b * S^(n-2)(p) and check the sum fills the space
-    b = build_b()
+    b = build_st_catalog().named["b"]
     lower = [b * m for m in p_monomials(n - 2)] if n >= 2 else []
     lower_dim = comb(n + 1, 3) if n >= 2 else 0
     for el in lower:

@@ -30,9 +30,8 @@ from so41inv.invariants import (
 )
 from so41inv.lie_core import bracket, bracket_gens, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS, P_GENS
-from so41inv.sym_ext import SEElement, ad_action_se
+from so41inv.sym_ext import SEElement, ad_action_se, build_st_catalog
 from so41inv.tensor_algebra import (
-    NAMED_ORDER,
     convention_algebra,
     effective_checks,
     generator_chain_check,
@@ -143,7 +142,7 @@ def test_criterion_3_invariance(capsys, cat):
     alg = cat.algebra
     failures = []
     checks = 0
-    for name in NAMED_ORDER + ("Dk",):
+    for name in (*build_st_catalog().named, "Dk"):
         el = cat.elements[name]
         for z in K_GENS:
             checks += 1

@@ -352,6 +352,20 @@ def test_degenerate_form_is_rejected():
         CliffordAlgebra(PForm(gram=zero_gram, sign=1, label="zero"))
 
 
+# each gram is refused by PForm itself, before any algebra is built; a float
+# entry by the one scalar rule
+@pytest.mark.parametrize("gram, error, message", [
+    (((1,),), ValueError, "gram matrix must be 4 x 4"),
+    (tuple(tuple(int(i == j) for j in range(5)) for i in range(5)), ValueError,
+     "gram matrix must be 4 x 4"),
+    (tuple(tuple(float(v) for v in row) for row in PForm.from_trace_form().gram), TypeError,
+     "a coefficient is an int or a Fraction, not 'float'"),
+], ids=["1x1", "5x5-identity", "float-trace"])
+def test_pform_refuses_a_malformed_gram(gram, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        PForm(gram)
+
+
 def test_pform_is_a_validated_immutable_value():
     gram = PForm.from_trace_form().gram
     form = PForm(gram)

@@ -1218,18 +1218,18 @@ def test_cli_output_matches_the_recorded_golden(argv, golden, code):
 
 
 
-# Dumps every catalog name under one ambient and loads it back, each through
-# the command line in one fresh process, and prints per name the sha256 of
-# the element file and of the element text that load printed.
+# Dumps every catalog name under one ambient and sign and loads it back, each
+# through the command line in one fresh process, and prints per name the
+# sha256 of the element file and of the element text that load printed.
 DUMP_AND_LOAD = """
 import contextlib, hashlib, io, os, sys
 from so41inv import cli
-ambient, out = sys.argv[1:]
+ambient, sign, out = sys.argv[1:]
 for name in ("a1", "a2", "b", "c", "D", "Dk", "d", "e", "f", "g", "h", "i", "j"):
     path = os.path.join(out, f"{ambient}.{name}.element")
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(["dump", name, "--ambient", ambient, "--out", path])
+        code = cli.main(["dump", name, "--ambient", ambient, "--sign", sign, "--out", path])
     if code:
         print(ambient, name, "exit", code)
         continue
@@ -1243,17 +1243,21 @@ for name in ("a1", "a2", "b", "c", "D", "Dk", "d", "e", "f", "g", "h", "i", "j")
 """
 
 
-# element files and load output of every named element, recorded before
-# adjudication refuted conventions by the j identity; S(g) tensor Lambda(p)
-# has no Dk
-@pytest.mark.parametrize("ambient", ["uc", "se"])
-def test_dumped_elements_match_the_recorded_golden(ambient, tmp_path):
+# element files and load output of every named element, adjudicated and
+# under --sign +1, recorded before adjudication refuted conventions by the j
+# identity; S(g) tensor Lambda(p) has no Dk
+@pytest.mark.parametrize("ambient, sign, golden", [
+    ("uc", "auto", "dump_sha256.txt"),
+    ("se", "auto", "dump_sha256.txt"),
+    ("uc", "+1", "dump_sha256_sign_plus.txt"),
+], ids=["uc", "se", "uc+1"])
+def test_dumped_elements_match_the_recorded_golden(ambient, sign, golden, tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", DUMP_AND_LOAD, ambient, str(tmp_path)],
+    run = subprocess.run([sys.executable, "-c", DUMP_AND_LOAD, ambient, sign, str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    with open(os.path.join(DATA, "dump_sha256.txt")) as fh:
+    with open(os.path.join(DATA, golden)) as fh:
         want = [ln for ln in fh.read().splitlines() if ln.startswith(ambient + " ")]
     if ambient == "se":
         want.insert(5, "se Dk exit 2")

@@ -15,13 +15,11 @@ from conftest import package_caches
 from so41inv import cli, lie_core
 from so41inv.elements import ZERO_EXP, pair_sort_key
 from so41inv.invariants import invariant_dimension
-from so41inv.matrix_oracle import Gen, K_GENS
+from so41inv.matrix_oracle import K_GENS
 from so41inv.sym_ext import build_st_catalog
 from so41inv.tensor_algebra import CONVENTION_LABELS, accepted_catalog, convention_algebra
-from so41inv.uea import symmetrize_monomial, word_to_exp
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-E1F1 = word_to_exp((Gen.E1, Gen.F1))
 
 
 def snapshot(value) -> object:
@@ -39,9 +37,9 @@ def snapshot(value) -> object:
 WRITES = {
     "basis-den": (lambda: setattr(invariant_dimension(2, True).basis[0], "den", 7),
                   AttributeError, lambda: invariant_dimension(2, True).basis),
-    "sigma-den": (lambda: setattr(symmetrize_monomial(E1F1), "den", 5),
-                  AttributeError, lambda: symmetrize_monomial(E1F1)),
-    "rho-num": (lambda: accepted_catalog().algebra.rho_named("D").num.clear(),
+    "st-den": (lambda: setattr(build_st_catalog().named["b"], "den", 5),
+               AttributeError, lambda: build_st_catalog().named["b"]),
+    "rho-num": (lambda: accepted_catalog().elements["D"].num.clear(),
                 AttributeError, lambda: accepted_catalog().elements["D"]),
     "catalog-elements": (lambda: operator.setitem(accepted_catalog().elements, "D",
                                                   accepted_catalog().elements["a1"]),

@@ -13,7 +13,7 @@ from oracles import (
     harmonic_decomposition_check,
     se_k_invariant,
 )
-from so41inv import sym_ext
+from so41inv import cli, sym_ext
 from so41inv.clifford import WEDGE, ExtElement, ext_ad_on_mask, popcount
 from so41inv.elements import ZERO_EXP
 from so41inv.errors import DomainError, NotStableError
@@ -37,6 +37,37 @@ from so41inv.uea import SElement
 def test_catalog_builds_and_certifies(st):
     assert set(st.t_elements) == set(T_ORDER)
     assert len(st.t_elements) == 16
+
+
+# (k-degree, p-degree, exterior degree) of each closed form, in catalog order
+TRIGRADES = {"a1": (2, 0, 0), "a2": (2, 0, 0), "b": (0, 2, 0), "c": (2, 2, 0),
+             "D": (0, 1, 1), "d": (1, 0, 2), "e": (1, 0, 2), "f": (1, 1, 1),
+             "g": (1, 1, 1), "h": (2, 1, 1), "i": (0, 0, 4), "j": (0, 1, 3)}
+
+
+def test_each_closed_form_is_homogeneous_in_the_three_gradings(st):
+    forms = sym_ext.closed_forms()
+    assert list(forms) == list(st.named) == list(TRIGRADES)
+    for name, el in forms.items():
+        assert el == st.named[name], name
+        grades = {(sum(exp[g] for g in K_GENS), sum(exp[g] for g in P_GENS), popcount(mask))
+                  for exp, mask in el.num}
+        assert grades == {TRIGRADES[name]}, name
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["verify", "table"], 0),
+    (["verify", "dims", "--max-degree", "7"], 0),
+    (["verify", "invariance"], 1),
+], ids=["table", "dims-7", "invariance"])
+def test_a_cold_command_builds_the_closed_forms_only_if_it_reads_the_catalog(
+        monkeypatch, capsys, cold_caches, argv, calls):
+    made = []
+    forms = sym_ext.closed_forms
+    monkeypatch.setattr(sym_ext, "closed_forms", lambda: made.append(1) or forms())
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(made) == calls
 
 
 def test_catalog_certifies_each_distinct_element_once(monkeypatch, cold_caches):
@@ -99,8 +130,9 @@ def test_a_failed_named_certificate_names_the_element_and_generator(monkeypatch,
     from so41inv import sym_ext
     from so41inv.errors import InvarianceError
 
-    build_g = sym_ext.build_g
-    monkeypatch.setattr(sym_ext, "build_g", lambda: build_g() + se_gen(Gen.E1) * se_gen(Gen.F1))
+    forms = sym_ext.closed_forms()
+    tampered = {**forms, "g": forms["g"] + se_gen(Gen.E1) * se_gen(Gen.F1)}
+    monkeypatch.setattr(sym_ext, "closed_forms", lambda: tampered)
     with pytest.raises(InvarianceError) as exc:
         sym_ext.build_st_catalog()
     assert str(exc.value) == "g is not invariant under ad(E1): 2 residual terms"

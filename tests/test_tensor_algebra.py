@@ -21,10 +21,9 @@ from so41inv.errors import InvarianceError
 from so41inv.invariants import truncated_rank16_check
 from so41inv.lie_core import LieElement, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS
-from so41inv.sym_ext import SEElement, ad_action_se, certify_invariance, se_gen
+from so41inv.sym_ext import SEElement, ad_action_se, build_st_catalog, certify_invariance, se_gen
 from so41inv.tensor_algebra import (
     CONVENTION_LABELS,
-    NAMED_ORDER,
     RELATION_NAMES,
     TensorAlgebra,
     accepted_catalog,
@@ -108,7 +107,7 @@ def test_build_catalog_certifies_each_dk_reading_with_the_one_certificate(cat, m
     monkeypatch.setattr(tensor_algebra, "certify_invariance", recorded)
     rebuilt = build_catalog(cat.algebra)
     # the literal reading is tried and refused, then the paired one passes
-    assert certified == [[f"rho({name})" for name in NAMED_ORDER], ["Dk"], ["Dk"]]
+    assert certified == [[f"rho({name})" for name in build_st_catalog().named], ["Dk"], ["Dk"]]
     assert (rebuilt.dk_reading, rebuilt.elements, rebuilt.invariance) == \
         (cat.dk_reading, cat.elements, cat.invariance)
 
@@ -123,7 +122,7 @@ def test_convention_pform_refuses_an_unknown_label(label):
 def test_catalog_invariance_78_checks(cat):
     alg = cat.algebra
     count = 0
-    for name in NAMED_ORDER + ("Dk",):
+    for name in (*build_st_catalog().named, "Dk"):
         el = cat.elements[name]
         for z in K_GENS:
             assert alg.ad_action(lie_gen(z), el).is_zero(), (name, z.name)
@@ -133,7 +132,7 @@ def test_catalog_invariance_78_checks(cat):
 
 def test_the_invariance_certificate_is_keyed_by_name_then_generator(cat):
     assert list(cat.invariance) == \
-        [(name, z) for name in NAMED_ORDER + ("Dk",) for z in K_GENS]
+        [(name, z) for name in (*build_st_catalog().named, "Dk") for z in K_GENS]
     assert set(cat.invariance.values()) == {0}
 
 
