@@ -1,11 +1,5 @@
-"""Command line front end.
-
-Subcommands:
-
-    verify {table|relations|invariance|dims|independence|chain|rank16|all}
-    eval EXPR
-    dump NAME --out PATH
-    load PATH
+"""Command line front end: the commands verify, eval, dump and load, read by
+one grammar, GRAMMAR (`so41inv --help` and `so41inv <command> --help` print it).
 
 All reports are line-oriented plain text, one line per check, ending in
 PASS or FAIL; the process exits 0 exactly when every check passed. Nothing
@@ -13,11 +7,10 @@ here is randomized, and every kernel and rank verdict is exact over Q.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import suppress
-from functools import cache
+from types import MappingProxyType, SimpleNamespace
 
 from .errors import EngineError, InvarianceError
 
@@ -185,9 +178,9 @@ def _degree_cap(text: str) -> int:
     try:
         cap = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {cap}")
+        raise ValueError(f"must be nonnegative, got {cap}")
     return cap
 
 
@@ -195,50 +188,104 @@ def _emit_dir(text: str) -> str:
     """An --emit-basis value: a nonempty directory name (an empty one writes
     nothing)."""
     if not text:
-        raise argparse.ArgumentTypeError("must name a directory, got ''")
+        raise ValueError("must name a directory, got ''")
     return text
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line grammar, built once per process (parse_args leaves
-    the parser as it is)."""
-    top = argparse.ArgumentParser(
-        prog="so41inv",
-        description="Exact verification engine for the invariant catalog of "
-                    "U(so(5,C)) tensor C(p).")
-    sub = top.add_subparsers(dest="command", required=True)
+_SIGN = ("--sign", "auto", ("+1", "-1", "auto"), False,
+         "Clifford sign convention (default: adjudicated)")
+_AMBIENT = ("--ambient", "uc", ("uc", "se"), False, "ambient algebra for expressions and names")
 
-    def common(p, ambient=True):
-        p.add_argument("--sign", choices=("+1", "-1", "auto"), default="auto",
-                       help="Clifford sign convention (default: adjudicated)")
-        if ambient:  # no suite reads an ambient
-            p.add_argument("--ambient", choices=("uc", "se"), default="uc",
-                           help="ambient algebra for expressions and names")
+# The command line grammar by command, "" for so41inv itself: its help and its
+# arguments, each (flag, default, choices or a converter that raises ValueError,
+# required, help), the first its one positional. A name is its flag, "_" for "-".
+GRAMMAR = MappingProxyType({
+    "": ("Exact verification engine for the invariant catalog of U(so(5,C)) tensor C(p).",
+         (("command", None, ("verify", "eval", "dump", "load"), True, ""),)),
+    "verify": ("run a verification suite", (
+        ("suite", None, (*SUITES, "all"), True, ""), _SIGN,  # no suite reads an ambient
+        ("--max-degree", None, _degree_cap, False, "degree cap for dims/independence/rank16"),
+        ("--method", "auto", ("exact", "auto"), False,
+         "kernel arithmetic for dims; both values run the one exact kernel over Q"),
+        ("--emit-basis", None, _emit_dir, False, "write exact kernel bases as element files here"))),
+    "eval": ("evaluate an expression", (("expr", None, str, True, ""), _SIGN, _AMBIENT)),
+    "dump": ("serialize a named catalog element", (("name", None, str, True, ""),
+             ("--out", None, str, True, "element file to write (required)"), _SIGN, _AMBIENT)),
+    "load": ("load an element file and print it", (("path", None, str, True, ""),)),
+})
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    common(pv, ambient=False)
-    pv.add_argument("--max-degree", type=_degree_cap, default=None,
-                    help="degree cap for dims/independence/rank16")
-    pv.add_argument("--method", choices=("exact", "auto"), default="auto",
-                    help="kernel arithmetic for dims; both values run the "
-                         "one exact kernel over Q")
-    pv.add_argument("--emit-basis", metavar="DIR", type=_emit_dir, default=None,
-                    help="write exact kernel bases as element files here")
 
-    pe = sub.add_parser("eval", help="evaluate an expression")
-    pe.add_argument("expr")
-    common(pe)
+def _exit(command: str, error=None):
+    """Exit 0 after the help of a command, or 2 after its usage and the error on stderr."""
+    def metavar(flag: str, check) -> str:
+        return "{" + ",".join(check) + "}" if isinstance(check, tuple) else flag.lstrip("-").upper()
+    about, ((flag, _, check, _, _), *options) = GRAMMAR[command]
+    prog = f"so41inv {command}".rstrip()
+    usage = f"usage: {prog} [-h] {metavar(flag, check)} {'[options]' if command else '...'}"
+    if error is not None:
+        print(usage, f"{prog}: error: {error}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+    rows = [(f"{flag} {metavar(flag, check)}", text) for flag, _, check, _, text in options]
+    rows += [(name, GRAMMAR[name][0]) for name in GRAMMAR if name and not command]
+    print(usage, "", about, "", *(f"  {a:<26}{b}" for a, b in rows), sep="\n")
+    raise SystemExit(0)
 
-    pd = sub.add_parser("dump", help="serialize a named catalog element")
-    pd.add_argument("name")
-    pd.add_argument("--out", required=True)
-    common(pd)
 
-    pl = sub.add_parser("load", help="load an element file and print it")
-    pl.add_argument("path")
-    return top
+def _convert(command: str, flag: str, check, text: str):
+    """The value of an argument: its converter's, or its text if a choice."""
+    try:
+        if callable(check):
+            return check(text)
+        if text not in check:
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, check))})")
+        return text
+    except ValueError as exc:
+        _exit(command, f"argument {flag}: {exc}")
+
+
+def _option(command: str, arg: str):
+    """None for a positional, else the option arg names (None for help) and its =value or None:
+    a flag or the unique prefix of a long one, unless arg is a negative number or has a space."""
+    if len(arg) < 2 or arg[0] != "-" or arg == "--":
+        return None
+    flag, eq, value = arg.partition("=")
+    options = {"-h": None, "--help": None, **{opt[0]: opt for opt in GRAMMAR[command][1][1:]}}
+    hits = [f for f in options if f == flag or flag[:2] == "--" and f.startswith(flag)]
+    if len(hits) > 1:
+        _exit(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return options[hits[0]], value if eq else None
+    whole, dot, frac = arg[1:].partition(".")
+    if " " in arg or (whole == "" or whole.isdecimal()) and (frac if dot else whole).isdecimal():
+        return None
+    _exit(command, f"unrecognized arguments: {arg}")
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The arguments of argv (sys.argv[1:] if None) by GRAMMAR: --flag value or --flag=value, --
+    to end the options, the last of a repeated option, and -h or --help. A usage error exits 2."""
+    rest, command, given, ended = iter(sys.argv[1:] if argv is None else argv), "", {}, False
+    for arg in rest:
+        if arg == "--" and command and not ended:
+            ended = True
+            continue
+        option = None if ended else _option(command, arg)
+        row, value = option or (GRAMMAR[command][1][0], arg)
+        if row is None:
+            _exit(command, None if value is None else f"argument --help: ignored {value!r}")
+        if option is None and row[0] in given:
+            _exit(command, f"unrecognized arguments: {arg}")
+        if value is None:
+            value = next(rest, "--")
+            if value == "--" or _option(command, value):
+                _exit(command, f"argument {row[0]}: expected one argument")
+        given[row[0]] = _convert(command, row[0], row[2], value)
+        command = command or given.pop(row[0])  # so41inv's positional: the command
+    rows = GRAMMAR[command][1]
+    if missing := [row[0] for row in rows if row[3] and row[0] not in given]:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{
+        row[0].lstrip("-").replace("-", "_"): given.get(row[0], row[1]) for row in rows})
 
 
 def cmd_verify(args) -> int:
@@ -291,7 +338,7 @@ COMMANDS = {"verify": cmd_verify, "eval": cmd_eval, "dump": cmd_dump, "load": cm
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except (EngineError, OSError) as exc:

@@ -33,7 +33,13 @@ reference the byte-for-byte property tests of the formatter compare with.
 Last, the product and the k-action of U(g) tensor C(p) as they were
 before the algebra kept a product row per pair of monomial keys and an
 action row per generator and key: term by term, reading the PBW memos
-and the Clifford tables in the inner loop."""
+and the Clifford tables in the inner loop.
+
+Last of all, the command line parser as it was before the package read its
+grammar itself: argparse, with the --max-degree and --emit-basis types of
+that version, the reference the parity tests of `cli.parse_args` compare
+with."""
+import argparse
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +48,7 @@ from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 
 from so41inv import uea
+from so41inv.cli import SUITES
 from so41inv.clifford import CElement, ExtElement
 from so41inv.elements import ZERO_EXP, fmt_coeff, join_terms
 from so41inv.errors import NotStableError
@@ -925,3 +932,65 @@ def term_by_term_ad_action(alg, z, x):
                 k = (exp, m)
                 out[k] = out.get(k, 0) + f * b
     return UCElement._of(out, z.den * x.den * k_den, alg)
+
+
+# -- the command line parser before the package read its grammar itself -------------
+# `cli.parse_args` must read each command line as this parser does.
+
+def _degree_cap(text: str) -> int:
+    """A --max-degree value: a nonnegative int (a negative cap checks nothing)."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {cap}")
+    return cap
+
+
+def _emit_dir(text: str) -> str:
+    """An --emit-basis value: a nonempty directory name (an empty one writes
+    nothing)."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return text
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line grammar, a new parser on each call."""
+    top = argparse.ArgumentParser(
+        prog="so41inv",
+        description="Exact verification engine for the invariant catalog of "
+                    "U(so(5,C)) tensor C(p).")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def common(p, ambient=True):
+        p.add_argument("--sign", choices=("+1", "-1", "auto"), default="auto",
+                       help="Clifford sign convention (default: adjudicated)")
+        if ambient:  # no suite reads an ambient
+            p.add_argument("--ambient", choices=("uc", "se"), default="uc",
+                           help="ambient algebra for expressions and names")
+
+    pv = sub.add_parser("verify", help="run a verification suite")
+    pv.add_argument("suite", choices=tuple(SUITES) + ("all",))
+    common(pv, ambient=False)
+    pv.add_argument("--max-degree", type=_degree_cap, default=None,
+                    help="degree cap for dims/independence/rank16")
+    pv.add_argument("--method", choices=("exact", "auto"), default="auto",
+                    help="kernel arithmetic for dims; both values run the "
+                         "one exact kernel over Q")
+    pv.add_argument("--emit-basis", metavar="DIR", type=_emit_dir, default=None,
+                    help="write exact kernel bases as element files here")
+
+    pe = sub.add_parser("eval", help="evaluate an expression")
+    pe.add_argument("expr")
+    common(pe)
+
+    pd = sub.add_parser("dump", help="serialize a named catalog element")
+    pd.add_argument("name")
+    pd.add_argument("--out", required=True)
+    common(pd)
+
+    pl = sub.add_parser("load", help="load an element file and print it")
+    pl.add_argument("path")
+    return top

@@ -672,7 +672,7 @@ def test_importing_the_command_line_loads_only_its_front_end():
     loaded = fresh_imports()
     assert {m for m in loaded if m.startswith("so41inv")} == {
         "so41inv", "so41inv.cli", "so41inv.errors"}
-    assert not loaded & {"dataclasses", "inspect", "hashlib"}
+    assert not loaded & {"dataclasses", "inspect", "hashlib", "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("argv, unloaded", [
@@ -1035,7 +1035,6 @@ def test_loaded_elements_equal_the_catalog_elements(cat):
 # -- the process caches ----------------------------------------------------------------
 
 PROCESS_CACHES = {
-    "cli.build_parser",
     "invariants.eliminated_degree",
     "invariants.freeness_certificate",
     "lie_core.table_certificate",
@@ -1144,15 +1143,6 @@ def test_the_chain_is_derived_once_per_catalog(capsys, monkeypatch, cold_caches)
     # so are the cached identity checks that verify relations prints
     with pytest.raises(AttributeError):
         cat.checks[0].ok = False
-
-
-def test_the_parser_is_built_once_per_process(capsys, tmp_path, cold_caches):
-    for argv in (["verify", "table"], ["eval", "E1"], ["load", str(tmp_path / "missing")],
-                 ["verify", "dims", "--max-degree", "1"]):
-        run_cli(capsys, *argv)
-    assert cli.build_parser.cache_info().misses == 1
-    # a parse leaves no value behind for the next one
-    assert cli.build_parser().parse_args(["verify", "dims"]).max_degree is None
 
 
 # Runs the command line in a fresh process and reports on stderr how many

@@ -378,7 +378,7 @@ def test_unknown_method_rejected():
     for argv in (["--method", "modp"], ["--method", "float"], ["--seed", "0"],
                  ["--ambient", "se"]):
         with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(["verify", "dims", *argv])
+            cli.parse_args(["verify", "dims", *argv])
         assert exc.value.code == 2, argv
 
 

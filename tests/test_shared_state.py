@@ -3,7 +3,10 @@ assignment, every element refuses a write to its numerators and a rebind of
 num, den and algebra, the algebras refuse a rebind, the catalog mappings
 and the structure constants (the commutator table and the weights) refuse
 item writes, and every row a per-algebra table hands out is a tuple. So no
-caller can change what a later caller reads."""
+caller can change what a later caller reads. The command line grammar, which
+every parse reads, refuses writes as well."""
+import contextlib
+import io
 import operator
 import os
 from collections.abc import Mapping
@@ -32,6 +35,21 @@ def snapshot(value) -> object:
     return str(value)
 
 
+def dims_degrees() -> list[str]:
+    """The degree field of each DIM line `verify dims` prints at its default
+    cap, 7: degree=0 ... degree=7, which a write to the grammar must keep."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "dims"]) == 0
+    return [line.split()[1] for line in out.getvalue().splitlines() if line.startswith("DIM ")]
+
+
+def set_default(command: str, flag: str, value) -> None:
+    """Rebind the default of one option of a command in the grammar."""
+    row = next(row for row in cli.GRAMMAR[command][1] if row[0] == flag)
+    row[1] = value
+
+
 # Each write a caller could make to a value the engine hands out, the error
 # it must raise, and what a later call reads.
 WRITES = {
@@ -47,6 +65,9 @@ WRITES = {
     "st-named": (lambda: operator.setitem(build_st_catalog().named, "a1",
                                           build_st_catalog().named["a2"]),
                  TypeError, lambda: build_st_catalog().named),
+    "grammar-default": (lambda: set_default("verify", "--max-degree", 0), TypeError, dims_degrees),
+    "grammar-command": (lambda: operator.setitem(cli.GRAMMAR, "verify", cli.GRAMMAR["load"]),
+                        TypeError, dims_degrees),
 }
 
 
@@ -59,10 +80,9 @@ def test_a_write_to_a_shared_value_raises_and_changes_nothing(cold_caches, write
 
 
 def cache_calls() -> dict[str, list[tuple]]:
-    """Arguments for each package cache but the command-line parser, which
-    is argparse's own object: the catalogs of every convention, the kernel
-    bases of degrees 0-5, and the U(g) rows of every monomial of the
-    closed-form catalog."""
+    """Arguments for each package cache: the catalogs of every convention,
+    the kernel bases of degrees 0-5, and the U(g) rows of every monomial of
+    the closed-form catalog."""
     exps = sorted({exp for el in build_st_catalog().named.values() for exp, _ in el.num})
     key = (ZERO_EXP, 5)
     return {
@@ -136,7 +156,7 @@ def test_every_value_a_cache_holds_refuses_every_write(capsys, cold_caches):
     assert cli.main(["verify", "all"]) == 0
     assert capsys.readouterr().out == golden
     calls = cache_calls()
-    assert set(calls) | {"cli.build_parser"} == set(package_caches())
+    assert set(calls) == set(package_caches())
     roots = [fn(*args) for name, fn in package_caches().items() if name in calls
              for args in calls[name]] + table_reads() + [lie_core._T, lie_core.GEN_WEIGHTS]
     kinds = set()

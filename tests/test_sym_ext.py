@@ -7,10 +7,13 @@ from itertools import combinations_with_replacement
 from hypothesis import given, settings, strategies as hs
 
 from oracles import (
+    GaussRational,
     KModuleLabel,
     decompose_k_module,
     graded_keys,
     harmonic_decomposition_check,
+    mat_scale,
+    rational_basis,
     se_k_invariant,
 )
 from so41inv import cli, sym_ext
@@ -356,3 +359,77 @@ def test_se_product_is_associative_and_graded_commutative(x, y, z):
         for py, b in enumerate(_parity_parts(y)):
             assert a * b == (-1) ** (px * py) * (b * a)
     assert x * se_one() == se_one() * x == x
+
+
+# -- theta, the swap of the two sl2 factors -----------------------------------------------
+# theta = Ad diag(1, 1, 1, -1, -1) lies in the other component of
+# S(O(4) x O(1)): it normalizes K, so it maps K-invariants to K-invariants.
+# It is derived here from the 5 x 5 matrices alone.
+
+THETA_DIAG = (1, 1, 1, -1, -1)
+THETA = {Gen.H1: (Gen.H1, 1), Gen.H2: (Gen.H2, -1), Gen.E1: (Gen.E2, 1), Gen.E2: (Gen.E1, 1),
+         Gen.F1: (Gen.F2, 1), Gen.F2: (Gen.F1, 1), Gen.E3: (Gen.E3, -1), Gen.F3: (Gen.F3, -1),
+         Gen.E4: (Gen.F4, -1), Gen.F4: (Gen.E4, -1)}
+# the image of each closed form: (name, sign)
+THETA_IMAGES = {"a1": ("a2", 1), "a2": ("a1", 1), "b": ("b", 1), "c": ("c", 1), "D": ("D", 1),
+                "d": ("e", -1), "e": ("d", -1), "f": ("g", -1), "g": ("f", -1), "h": ("h", 1),
+                "i": ("i", -1), "j": ("j", -1)}
+
+
+def theta_on_generators() -> dict:
+    """Each generator's image under conjugation by diag(1, 1, 1, -1, -1), as
+    (generator, sign): the one basis matrix, up to sign, that it equals."""
+    mats = rational_basis()
+    image = {}
+    for g, m in mats.items():
+        conj = tuple(tuple(x if THETA_DIAG[i] == THETA_DIAG[j] else -x for j, x in enumerate(row))
+                     for i, row in enumerate(m))
+        hits = [(h, s) for h, n in mats.items() for s in (1, -1)
+                if conj == mat_scale(GaussRational(s), n)]
+        assert len(hits) == 1, g
+        image[g] = hits[0]
+    return image
+
+
+def theta_key(theta: dict, key: tuple) -> tuple:
+    """theta of one key of S(g) tensor Lambda(p), as (key, sign): the
+    exponents permuted and signed, and the images of the exterior factors,
+    in the bit order of the mask, wedged through WEDGE."""
+    exp, mask = key
+    out, sign, m = [0] * 10, 1, 0
+    for g, e in zip(Gen, exp):
+        h, s = theta[g]
+        out[h] += e
+        sign *= s ** e
+    for bit, g in enumerate(P_GENS):
+        if mask >> bit & 1:
+            h, s = theta[g]
+            (m, c), = WEDGE[m, 1 << P_GENS.index(h)]
+            sign *= s * c
+    return (tuple(out), m), sign
+
+
+def theta_se(theta: dict, x: SEElement) -> SEElement:
+    images = {key: theta_key(theta, key) for key in x.terms}
+    return SEElement({images[key][0]: images[key][1] * c for key, c in x.terms.items()})
+
+
+def test_theta_of_the_matrices_is_the_swap_of_the_sl2_factors():
+    assert theta_on_generators() == THETA
+
+
+def test_theta_preserves_the_bracket():
+    theta = theta_on_generators()
+    for a in Gen:
+        for b in Gen:
+            (ta, sa), (tb, sb) = theta[a], theta[b]
+            image = sorted((theta[g][0], theta[g][1] * c) for g, c in bracket_gens(a, b))
+            assert image == sorted((g, sa * sb * c) for g, c in bracket_gens(ta, tb)), (a, b)
+
+
+def test_theta_maps_each_closed_form_to_its_partner(st):
+    # a1 <-> a2, d <-> -e, f <-> -g, i -> -i, j -> -j; b, c, D and h fixed
+    theta = theta_on_generators()
+    assert set(THETA_IMAGES) == set(st.named)
+    for name, (image, sign) in THETA_IMAGES.items():
+        assert theta_se(theta, st.named[name]) == sign * st.named[image], name

@@ -31,7 +31,7 @@ from so41inv import uea
 from so41inv.elements import ZERO_EXP
 from so41inv.lie_core import GEN_WEIGHTS, bracket, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS, basis_matrices
-from so41inv.sym_ext import SEElement, ad_action_se
+from so41inv.sym_ext import SEElement, ad_action_se, build_st_catalog
 from so41inv.uea import (
     SElement,
     UElement,
@@ -337,3 +337,55 @@ def test_s_product_is_commutative():
     x, y = random_s(rng), random_s(rng)
     assert x * y == y * x
     assert s_one() * x == x
+
+
+# -- the Casimirs of so(5) on C^5, against the matrices ----------------------------------
+
+IDENTITY = tuple(tuple(GR1 if i == j else GR0 for j in range(5)) for i in range(5))
+
+
+def on_c5(x: UElement) -> tuple:
+    """The matrix of x on C^5: each PBW monomial the product of the basis
+    matrices in Gen order, no straightening needed."""
+    mats = rational_basis()
+    total = tuple(tuple(GR0 for _ in range(5)) for _ in range(5))
+    for exp, c in x.terms.items():
+        m = IDENTITY
+        for g, e in zip(Gen, exp):
+            for _ in range(e):
+                m = mat_mul(m, mats[g])
+        total = mat_sub(total, mat_scale(GaussRational(-c), m))
+    return total
+
+
+def scalar_on_c5(x: SElement) -> GaussRational | None:
+    """The scalar sigma(x) acts by on C^5, or None if it is not a scalar."""
+    m = on_c5(symmetrize(x))
+    return m[0][0] if m == mat_scale(m[0][0], IDENTITY) else None
+
+
+def mask_zero_parts() -> dict[str, SElement]:
+    """The mask-0 part of each closed form, in S(g)."""
+    return {name: SElement({exp: q for (exp, mask), q in el.terms.items() if mask == 0})
+            for name, el in build_st_catalog().named.items()}
+
+
+def casimirs(s: dict[str, SElement]) -> tuple[SElement, SElement]:
+    """Omega2 = a1/2 + a2/2 + b and Omega4 = c - a1 a2/2 - b^2/2."""
+    a1, a2, b, half = s["a1"], s["a2"], s["b"], Fraction(1, 2)
+    return half * a1 + half * a2 + b, s["c"] - half * a1 * a2 - half * b * b
+
+
+def test_the_casimirs_act_on_c5_by_their_scalars():
+    omega2, omega4 = casimirs(mask_zero_parts())
+    assert scalar_on_c5(omega2) == GaussRational(4)
+    assert scalar_on_c5(omega4) == GaussRational(-10)
+
+
+def test_c_alone_and_a_tampered_c_are_not_scalar_on_c5():
+    # c is K-invariant, not central; one changed coefficient of c makes
+    # Omega4 leave the centre
+    s = mask_zero_parts()
+    assert scalar_on_c5(s["c"]) is None
+    tampered = dict(s, c=s["c"] + SElement({max(s["c"].terms): 1}))
+    assert scalar_on_c5(casimirs(tampered)[1]) is None
