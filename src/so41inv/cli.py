@@ -215,6 +215,11 @@ GRAMMAR = MappingProxyType({
 })
 
 
+# Each command's options by flag, from GRAMMAR: -h and --help (None) and the rows of its flags.
+_OPTIONS = MappingProxyType({command: MappingProxyType({"-h": None, "--help": None, **{
+    row[0]: row for row in rows[1:]}}) for command, (_, rows) in GRAMMAR.items()})
+
+
 def _exit(command: str, error=None):
     """Exit 0 after the help of a command, or 2 after its usage and the error on stderr."""
     def metavar(flag: str, check) -> str:
@@ -249,8 +254,9 @@ def _option(command: str, arg: str):
     if len(arg) < 2 or arg[0] != "-" or arg == "--":
         return None
     flag, eq, value = arg.partition("=")
-    options = {"-h": None, "--help": None, **{opt[0]: opt for opt in GRAMMAR[command][1][1:]}}
-    hits = [f for f in options if f == flag or flag[:2] == "--" and f.startswith(flag)]
+    options = _OPTIONS[command]
+    hits = [flag] if flag in options else [f for f in options
+                                           if flag[:2] == "--" and f.startswith(flag)]
     if len(hits) > 1:
         _exit(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
     if hits:

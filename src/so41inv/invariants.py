@@ -347,10 +347,10 @@ def freeness_certificate() -> FreenessCertificate:
 def product_counts(cap: int) -> dict[int, int]:
     """For each degree n <= cap, the number of pairs (s, t) of degree n, s a
     monomial in a1, a2, b, c and t one of the sixteen module generators:
-    the products s.t are counted by degree, not formed, as the coefficients
-    of the catalog's t degrees over one 1 / (1 - t^d) per s generator."""
+    counted by degree, not formed, as the coefficients of the catalog's kept
+    t degrees over one 1 / (1 - t^d) per kept degree of a1, a2, b and c."""
     st = build_st_catalog()
-    s_degrees = [st.named[name].degree() for name in S_NAMES]
+    s_degrees = [st.named_degrees[name] for name in S_NAMES]
     return dict(enumerate(_series(st.t_degrees.values(), s_degrees, cap)))
 
 
@@ -371,10 +371,10 @@ class FreenessReport:
 
     @cached_property
     def per_degree(self) -> dict[int, tuple[int, int]]:
-        """degree -> (product count, h(n)): the exact kernel dimensions,
-        eliminated on first read."""
-        return {n: (count, invariant_dimension(n).dimension)
-                for n, count in self.counts.items()}
+        """degree -> (product count, h(n)): the exact kernel dimensions, on
+        first read, as the rank path of eliminated_degree keeps them (the
+        dimension invariant_dimension(n) reports, with no report built)."""
+        return {n: (count, eliminated_degree(n, False)[0]) for n, count in self.counts.items()}
 
     @property
     def ok(self) -> bool:

@@ -241,10 +241,10 @@ def certify_invariance(ad, elements: dict, label: str = "{}") -> dict[tuple[str,
 
 @record
 class STCatalog:
-    """The named invariants, certified when the catalog is built. The
-    sixteen T-elements and their degrees are built on first read, and only
-    the ones that are not named elements ("1" and the seven products) are
-    certified then; only the freeness checks read them."""
+    """The named invariants, certified when the catalog is built. Their
+    degrees, and the sixteen T-elements and their degrees, are built on first
+    read, and only the T-elements that are not named elements ("1" and the
+    seven products) are certified then; only the freeness checks read them."""
 
     named: MappingProxyType[str, SEElement]
 
@@ -256,6 +256,10 @@ class STCatalog:
             t[name] = named[name] if name in named else named[name[0]] * named[name[1]]
         certify_invariance(ad_action_se, {name: el for name, el in t.items() if name not in named})
         return MappingProxyType(t)
+
+    @cached_property
+    def named_degrees(self) -> MappingProxyType[str, int]:
+        return MappingProxyType({name: el.degree() for name, el in self.named.items()})
 
     @cached_property
     def t_degrees(self) -> MappingProxyType[str, int]:

@@ -421,22 +421,45 @@ def test_symbols_of_the_uc_products(cat, st, sign):
 
 
 def test_independence_counts_against_the_exact_kernel(monkeypatch):
-    # the expected count per degree is the kernel dimension, not the
-    # closed-form prediction that the kernels are checked against
-    true_dimension = invariants.invariant_dimension
+    # the expected count per degree is the kernel dimension the elimination
+    # keeps, not the closed-form prediction that the kernels are checked against
+    true_elimination = invariants.eliminated_degree
 
-    def off_by_one_at_four(n, **kw):
-        rep = true_dimension(n, **kw)
-        if n == 4:
-            return DegreeReport(rep.degree, rep.dimension + 1, rep.expected, rep.ambient_dim,
-                                rep.block_dim, rep.basis)
-        return rep
+    def off_by_one_at_four(n, want_basis):
+        dim, block, basis = true_elimination(n, want_basis)
+        return (dim + 1 if n == 4 and not want_basis else dim), block, basis
 
-    monkeypatch.setattr(invariants, "invariant_dimension", off_by_one_at_four)
+    monkeypatch.setattr(invariants, "eliminated_degree", off_by_one_at_four)
     rep = independence_check(cap=5)
     assert rep.per_degree[4] == (13, 14)
     assert rep.rank == rep.total == 38
     assert not rep.ok
+
+
+def test_a_warm_freeness_report_expands_one_series_and_builds_no_degree_report(
+        monkeypatch, capsys):
+    # the product counts are the one series; each dimension is read from the
+    # kept elimination, not from a DegreeReport and its two series
+    argv = ["verify", "independence", "--max-degree", "6"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    series, reports = [], []
+    true_series, true_report = invariants._series, DegreeReport
+    monkeypatch.setattr(invariants, "_series",
+                        lambda *args: series.append(args) or true_series(*args))
+    monkeypatch.setattr(invariants, "DegreeReport",
+                        lambda *args, **kw: reports.append(args) or true_report(*args, **kw))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert (len(series), len(reports)) == (1, 0)
+
+
+def test_the_freeness_report_reads_the_reported_dimensions():
+    for cap in range(9):
+        rep = independence_check(cap)
+        assert list(rep.counts) == list(range(cap + 1)), cap
+        assert rep.per_degree == {n: (count, invariant_dimension(n).dimension)
+                                  for n, count in rep.counts.items()}, cap
 
 
 def test_freeness_checks_build_no_clifford_algebra(monkeypatch, capsys):

@@ -3,8 +3,8 @@ assignment, every element refuses a write to its numerators and a rebind of
 num, den and algebra, the algebras refuse a rebind, the catalog mappings
 and the structure constants (the commutator table and the weights) refuse
 item writes, and every row a per-algebra table hands out is a tuple. So no
-caller can change what a later caller reads. The command line grammar, which
-every parse reads, refuses writes as well."""
+caller can change what a later caller reads. The command line grammar and
+its option tables, which every parse reads, refuse writes as well."""
 import contextlib
 import io
 import operator
@@ -35,13 +35,25 @@ def snapshot(value) -> object:
     return str(value)
 
 
-def dims_degrees() -> list[str]:
-    """The degree field of each DIM line `verify dims` prints at its default
-    cap, 7: degree=0 ... degree=7, which a write to the grammar must keep."""
+def printed(*argv: str) -> list[str]:
+    """The lines a command that passes prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["verify", "dims"]) == 0
-    return [line.split()[1] for line in out.getvalue().splitlines() if line.startswith("DIM ")]
+        assert cli.main(list(argv)) == 0
+    return out.getvalue().splitlines()
+
+
+def dims_degrees(*flags: str) -> list[str]:
+    """The degree field of each DIM line `verify dims` prints at its default
+    cap, 7, or with flags that keep it: degree=0 ... degree=7, which a write
+    to the grammar must keep."""
+    return [line.split()[1] for line in printed("verify", "dims", *flags)
+            if line.startswith("DIM ")]
+
+
+def independence_lines() -> list[str]:
+    """The INDEPENDENCE lines `verify independence` prints at its default cap, 6."""
+    return [line for line in printed("verify", "independence") if line.startswith("INDEPENDENCE ")]
 
 
 def set_default(command: str, flag: str, value) -> None:
@@ -65,9 +77,13 @@ WRITES = {
     "st-named": (lambda: operator.setitem(build_st_catalog().named, "a1",
                                           build_st_catalog().named["a2"]),
                  TypeError, lambda: build_st_catalog().named),
+    "st-degrees": (lambda: operator.setitem(build_st_catalog().named_degrees, "c", 2),
+                   TypeError, independence_lines),
     "grammar-default": (lambda: set_default("verify", "--max-degree", 0), TypeError, dims_degrees),
     "grammar-command": (lambda: operator.setitem(cli.GRAMMAR, "verify", cli.GRAMMAR["load"]),
                         TypeError, dims_degrees),
+    "option-table": (lambda: operator.setitem(cli._OPTIONS["verify"], "--max-degree", None),
+                     TypeError, lambda: dims_degrees("--max-degree", "7")),
 }
 
 
