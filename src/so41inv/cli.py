@@ -128,10 +128,13 @@ def suite_dims(rep: Reporter, args) -> None:
 
 
 def _freeness(rep: Reporter, args, per_degree: bool):
-    """The freeness report at the degree cap (default 6) and its rank as
-    printed, after the per-degree lines if asked and the failed certificates."""
-    from .invariants import independence_check
-    r = independence_check(args.max_degree if args.max_degree is not None else 6)
+    """The command's freeness report at the degree cap (default 6), built by its first
+    reader, and its rank as printed, after the per-degree lines if asked and the failed
+    certificates."""
+    if args.freeness is None:
+        from .invariants import independence_check
+        args.freeness = independence_check(args.max_degree if args.max_degree is not None else 6)
+    r = args.freeness
     if per_degree:
         for n, (got, want) in sorted(r.per_degree.items()):
             rep.check(f"INDEPENDENCE degree={n} products={got} expected={want}",
@@ -296,6 +299,7 @@ def parse_args(argv=None) -> SimpleNamespace:
 
 def cmd_verify(args) -> int:
     rep = Reporter()
+    args.freeness = None  # one freeness report for the independence and rank16 suites
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     for name in suites:
         SUITES[name](rep, args)

@@ -18,13 +18,22 @@ of the denominators); every product and action of two elements adds
 ca * cb times row(a, b) for each pair of terms through bilinear, the row
 read from its kind's table or rule. Each hands the result to one normalizing
 constructor, or to nonzero_row when the sum is itself a cached row;
-signed_sum adds a whole run of elements that way in one pass. A monomial
-of a tensor product algebra is a pair of keys, and a row of it is a row of the
-left factor tensor a row of the right one (tensor). Fraction appears only
-where rationals come in (construction, scaling, parser literals) and in the
-`terms` view: canonical text and element files format each coefficient from
-its int numerator and the denominator (fmt_coeff). Subclasses choose the key
-type and the product. Canonical text re-parses to the element it printed.
+signed_sum adds a whole run of elements that way in one pass. Fraction
+appears only where rationals come in (construction, scaling, parser
+literals) and in the `terms` view: canonical text and element files format
+each coefficient from its int numerator and the denominator (fmt_coeff).
+Subclasses choose the key type and the product. Canonical text re-parses to
+the element it printed.
+
+A monomial key of U(g), S(g), S(g) tensor Lambda(p) and U(g) tensor C(p) is
+one int, packed here only: the ten exponents as bytes, H1 most significant,
+above the p-mask in the low 4 bits. A U(g) or S(g) key has mask 0 and a
+C(p) or Lambda(p) key is its mask, so a tensor key is the OR of its factors'
+keys (tensor). An exponent is raised by adding its UNIT, lowered by
+subtracting it, and the leading slot is read off bit_length. An exponent
+past MAX_EXPONENT raises DomainError, never a carry into the next slot, so
+keys compare as their (exponent tuple, mask) pairs. The constructors and
+`terms` read and write those pairs (each kind's _key_in and _key_out).
 
 Every term of canonical text and of an element file is printed from string
 tables built once at import: the ten generator names (GEN_NAMES) and, for
@@ -40,10 +49,59 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from ._record import refuse
-from .errors import EngineError
+from .errors import DomainError, EngineError
 from .matrix_oracle import Gen, P_GENS
 
-ZERO_EXP = (0,) * 10
+# -- the packed monomial key (see the module docstring) ----------------------
+
+MAX_EXPONENT = 255
+SHIFTS = tuple(4 + 8 * (9 - slot) for slot in range(10))
+UNIT = tuple(1 << shift for shift in SHIFTS)
+_CARRIES = sum(UNIT) << 8  # the bit above each exponent field
+
+
+def pack(exp, mask: int = 0) -> int:
+    """The key of an exponent 10-tuple and a mask; DomainError past the bound."""
+    if len(exp) != 10:
+        raise ValueError(f"a monomial has ten exponents, not {len(exp)}")
+    try:
+        return int.from_bytes(bytes(exp), "big") << 4 | mask
+    except ValueError:
+        raise DomainError(f"a monomial key holds exponents from 0 to {MAX_EXPONENT}") from None
+
+
+def exponents(key: int) -> bytes:
+    """The ten exponents of a key, H1 first."""
+    return (key >> 4).to_bytes(10, "big")
+
+
+def unpack(key: int) -> tuple[tuple[int, ...], int]:
+    """The (exponent tuple, mask) view of a key."""
+    return tuple(exponents(key)), key & 15
+
+
+# the views of the packed kinds, as (_key_in, _key_out): U(g) and S(g) read
+# exponent tuples, S(g) tensor Lambda(p) and U(g) tensor C(p) the pairs
+EXP_VIEW = staticmethod(pack), staticmethod(lambda key: tuple(exponents(key)))
+PAIR_VIEW = staticmethod(lambda pair: pack(*pair)), staticmethod(unpack)
+
+
+def key_degree(key: int) -> int:
+    return sum(exponents(key)) + _MASK_SORT_KEYS[key & 15][0]
+
+
+def leading_slot(key: int) -> int:
+    """The first generator with a nonzero exponent; 10 for the monomial 1."""
+    return 9 - ((key >> 4).bit_length() - 1) // 8
+
+
+def add_exponents(a: int, b: int) -> int:
+    """The key of mask 0 (or of a's mask) with the exponents of a and b
+    summed, b of mask 0; DomainError where a sum passes MAX_EXPONENT."""
+    out = a + b
+    if (out ^ a ^ b) & _CARRIES:
+        raise DomainError(f"an exponent is past {MAX_EXPONENT}, the bound of a monomial key")
+    return out
 
 
 def _normal_form(el, num: dict, den: int) -> None:
@@ -93,11 +151,11 @@ def bilinear(row, left, right) -> dict:
 
 
 def tensor(left, right):
-    """The left row tensor the right row: ((a, b), ca * cb) for each entry
-    (a, ca) of left and (b, cb) of right."""
+    """The left row tensor the right row, one of them keyed by masks:
+    (a | b, ca * cb) for each entry (a, ca) of left and (b, cb) of right."""
     for a, ca in left:
         for b, cb in right:
-            yield (a, b), ca * cb
+            yield a | b, ca * cb
 
 
 def nonzero_row(acc: dict) -> tuple:
@@ -111,6 +169,13 @@ def combine(pairs) -> tuple[dict, int]:
     pairs = list(pairs)
     den = lcm(*(el.den for el, _ in pairs))
     return accumulate((el.num.items(), f * (den // el.den)) for el, f in pairs), den
+
+
+def over_lcm(terms: dict) -> tuple[dict, int]:
+    """The coefficients of a {key: int or Fraction} dict as int numerators
+    over the lcm of their denominators: (num, den), not normalized."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 def signed_sum(run):
@@ -138,11 +203,14 @@ class LinearElement:
     __slots__ = ("num", "den")
     __setattr__ = __delattr__ = refuse
 
+    # the key of a key as terms views it, and back (EXP_VIEW, PAIR_VIEW)
+    _key_in = _key_out = staticmethod(lambda key: key)
+
     def __init__(self, terms=None):
-        """From a {key: coefficient} dict of ints and Fractions."""
-        items = [(k, _scalar(c)) for k, c in terms.items()] if terms else []
-        den = lcm(*(c.denominator for _, c in items))
-        _normal_form(self, {k: c.numerator * (den // c.denominator) for k, c in items}, den)
+        """From a {key: coefficient} dict of ints and Fractions, keys as in `terms`."""
+        key_in = self._key_in
+        _normal_form(self, *over_lcm({key_in(k): _scalar(c) for k, c in terms.items()}
+                                     if terms else {}))
 
     @classmethod
     def _of(cls, num: dict, den: int = 1):
@@ -157,9 +225,9 @@ class LinearElement:
 
     @property
     def terms(self) -> dict:
-        """The coefficients as Fractions, in a fresh dict (the I/O view)."""
-        den = self.den
-        return {k: Fraction(c, den) for k, c in self.num.items()}
+        """The coefficients as Fractions by viewed key, in a fresh dict (the I/O view)."""
+        den, key_out = self.den, self._key_out
+        return {key_out(k): Fraction(c, den) for k, c in self.num.items()}
 
     # -- linear structure ---------------------------------------------------
 
@@ -302,10 +370,10 @@ _MASK_TEXTS = {sep: tuple(f" {sep} ".join(P_GENS[b].name for b in mask_bits(m)) 
 MASK_FIELDS = tuple("".join("1" if m >> b & 1 else "0" for b in range(4)) for m in range(16))
 
 
-def fmt_exp(exp: tuple) -> str:
-    """PBW / symmetric monomial, e.g. 'H1^2 * E3'; identity prints as '1'."""
+def fmt_exp(key: int) -> str:
+    """The PBW / symmetric monomial of a key, e.g. 'H1^2 * E3'; identity prints as '1'."""
     return " * ".join([GEN_NAMES[i] if e == 1 else f"{GEN_NAMES[i]}^{e}"
-                       for i, e in enumerate(exp) if e]) or "1"
+                       for i, e in enumerate(exponents(key)) if e]) or "1"
 
 
 def fmt_mask(mask: int, sep: str) -> str:
@@ -346,8 +414,9 @@ def join_terms(pairs: list[tuple[int, str]], den: int) -> str:
     return "".join(out)
 
 
-def exp_sort_key(exp: tuple) -> tuple:
-    return (sum(exp), exp)
+def exp_sort_key(key: int) -> tuple:
+    """(degree, exponents) of a key of mask 0."""
+    return (sum(exponents(key)), key)
 
 
 def mask_sort_key(mask: int) -> tuple:
@@ -355,11 +424,10 @@ def mask_sort_key(mask: int) -> tuple:
     return _MASK_SORT_KEYS[mask]
 
 
-def pair_sort_key(key: tuple) -> tuple:
+def pair_sort_key(key: int) -> tuple:
     """(total degree, exponent degree, exponents, mask degree, mask bits):
     graded, then by the exponents as exp_sort_key orders them, then by the
     mask as mask_sort_key orders it."""
-    exp, mask = key
-    n = sum(exp)
-    pc, bits = _MASK_SORT_KEYS[mask]
-    return (n + pc, n, exp, pc, bits)
+    n = sum(exponents(key))
+    pc, bits = _MASK_SORT_KEYS[key & 15]
+    return (n + pc, n, key >> 4, pc, bits)

@@ -4,13 +4,13 @@ The adjoint action of k preserves the grading and the Cartan weights, so
 the invariants of degree n are the weight-(0,0) vectors killed by ad E1 and
 ad E2: one exact sparse kernel over Q per degree, with no modular or
 floating-point arithmetic anywhere. The weight-(0,0) keys are enumerated
-directly, packed into one int each, and the ad E1 and ad E2 images of each
-key, one row per key with int entries labelled by their packed targets,
-are the transpose of the raising matrix M. The dimension is the number of
-keys minus the rank of those rows, ranked by the fraction-free echelon in
-ints; a kernel basis is the dependencies among the same rows, certified
-against all six k-generators at once on packed keys, also in ints, before
-its keys are unpacked into elements. Each degree's result is memoized once per
+directly as the packed keys of elements, and the ad E1 and ad E2 images of
+each key, one row per key with int entries labelled by their targets, are
+the transpose of the raising matrix M. The dimension is the number of keys
+minus the rank of those rows, ranked by the fraction-free echelon in ints;
+a kernel basis is the dependencies among the same rows, certified against
+all six k-generators at once, also in ints, and its elements are built on
+the same keys, with nothing unpacked. Each degree's result is memoized once per
 process and path (a rank, or a kernel with its certified basis) by one
 functools.cache holding ints and a tuple of elements, all read-only by their
 type, and every call builds a fresh report from it; cache_clear() puts the
@@ -21,7 +21,8 @@ algebra is a free module over the polynomial invariants of k with a known
 count of module generators per degree, so h(n) is a coefficient of the
 Hilbert series P(t) / ((1 - t^2)^3 (1 - t^4)), P listing the degrees of the
 module generators. One expansion of such a series serves every graded
-count here: h(n), the products s.t per degree, and the ambient dimension.
+count here: h(n) and the products s.t per degree; the ambient dimension is
+a closed-form sum of binomials.
 
 Freeness is proved on symbols for every degree by two point certificates,
 each one rank under the same exact echelon: the sixteen module generators
@@ -34,11 +35,11 @@ when first read, eliminates degrees.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import prod
+from math import comb, prod
 
 from ._record import record
 from .clifford import popcount
-from .elements import ZERO_EXP, accumulate
+from .elements import MAX_EXPONENT, SHIFTS, UNIT, accumulate, exponents
 from .errors import InvarianceError
 from .lie_core import GEN_WEIGHTS
 from .linalg import dependency_kernel, sparse_rank
@@ -51,9 +52,6 @@ from .sym_ext import (
     build_st_catalog,
     key_weight,
 )
-
-SEKey = tuple[tuple[int, ...], int]
-
 
 # -- counting oracle -----------------------------------------------------------
 
@@ -85,30 +83,25 @@ def predicted_dimension(n: int) -> int:
     return _series(T_DEGREES, S_DEGREES, n)[n] if n >= 0 else 0
 
 
+def ambient_dimension(n: int) -> int:
+    """The dimension of degree n of S(g) tensor Lambda(p): over the k
+    exterior generators of a mask, C(4, k) masks, the monomials of degree
+    n - k in ten symmetric generators."""
+    return sum(comb(4, k) * comb(n - k + 9, 9) for k in range(min(4, n) + 1))
+
+
 # -- the zero-weight block, on packed keys -------------------------------------
 
-# Inside this module a key (exp, mask) is one int: the ten exponents as
-# bytes, H1 most significant, over the mask in the low 4 bits. An exponent
-# is at most the degree, so up to degree 255 the int order is the sorted
-# (exp, mask) order, and the ad image of a key is the key plus a fixed delta
-# per move, times the exponent read off its byte.
-MAX_PACKED_DEGREE = 255
-
-
-def _shift(slot: int) -> int:
-    return 4 + 8 * (9 - slot)
-
-
-def unpack(key: int) -> SEKey:
-    """The (exp, mask) key of a packed key."""
-    return tuple((key >> 4).to_bytes(10, "big")), key & 15
-
+# The keys are those of elements. An exponent is at most the degree, so up
+# to degree MAX_EXPONENT the int order is the sorted (exp, mask) order, and
+# the ad image of a key is the key plus a fixed delta per move, times the
+# exponent read off its byte.
 
 _WEIGHTS = [GEN_WEIGHTS[g] for g in Gen]
 # the (degree, mask) of the exterior monomials of each weight, masks ascending
 _MASKS: dict[tuple[int, int], list[tuple[int, int]]] = {}
 for _mask in range(16):
-    _MASKS.setdefault(key_weight((ZERO_EXP, _mask)), []).append((popcount(_mask), _mask))
+    _MASKS.setdefault(key_weight(_mask), []).append((popcount(_mask), _mask))
 # the most one unit of degree moves |w1| + |w2| from each slot on, the
 # exterior masks (slot 10) included: 2 while a k-root is left, then 1
 _REACH = [max(abs(a) + abs(b) for a, b in _WEIGHTS[slot:] + [GEN_WEIGHTS[v] for v in P_GENS])
@@ -125,8 +118,8 @@ def zero_weight_keys(n: int) -> list[int]:
     degree left cannot bring the weight back to zero (a unit of degree moves
     |w1| + |w2| by at most _REACH of its slot), and the ascending masks of
     the weight left, of at most the degree left, close each exponent."""
-    if n > MAX_PACKED_DEGREE:
-        raise ValueError(f"packed keys hold degrees up to {MAX_PACKED_DEGREE}")
+    if n > MAX_EXPONENT:
+        raise ValueError(f"packed keys hold degrees up to {MAX_EXPONENT}")
     tails: list[list[int]] = [[] for _ in range(n + 1)]  # by degree
 
     def walk(slot: int, left: int, w1: int, w2: int, key: int) -> None:
@@ -138,7 +131,7 @@ def zero_weight_keys(n: int) -> list[int]:
                     tails[n - left + degree].append(key | mask)
             return
         a, b = _WEIGHTS[slot]
-        step = 1 << _shift(slot)
+        step = UNIT[slot]
         for e in range(left + 1):
             walk(slot + 1, left - e, w1 + a * e, w2 + b * e, key + e * step)
 
@@ -146,7 +139,7 @@ def zero_weight_keys(n: int) -> list[int]:
     out: list[int] = []
     for a in range(n + 1):
         for b in range(n - a + 1):
-            head = a << _shift(0) | b << _shift(1)
+            head = a * UNIT[0] + b * UNIT[1]
             out.extend([head + t for t in tails[n - a - b]])
     return out
 
@@ -174,12 +167,12 @@ def image_rows(gens: tuple[Gen, ...], keys: list[int]) -> list[dict[int, int]]:
     for z in gens:
         place = K_GENS.index(z)
         for slot, pairs in _SLOT_AD[z]:
-            moves, fixes = slots.setdefault(_shift(slot), ([], []))
+            moves, fixes = slots.setdefault(SHIFTS[slot], ([], []))
             for g, c in pairs:
                 if g == slot:
                     fixes.append((place, c))
                 else:
-                    moves.append((8 * ((1 << _shift(g)) - (1 << _shift(slot))) + place, c))
+                    moves.append((8 * (UNIT[g] - UNIT[slot]) + place, c))
         for mask in range(16):
             ext[mask].extend((8 * (m - mask) + place, c) for m, c in _EXT_AD[z, mask])
     rows = []
@@ -224,9 +217,7 @@ def invariant_dimension(n: int, want_basis: bool = False) -> DegreeReport:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     dim, block, basis = eliminated_degree(n, bool(want_basis))
-    # the exterior masks by degree over one 1 / (1 - t) per slot
-    ambient = _series([popcount(m) for m in range(16)], (1,) * 10, n)[n]
-    return DegreeReport(n, dim, predicted_dimension(n), ambient, block,
+    return DegreeReport(n, dim, predicted_dimension(n), ambient_dimension(n), block,
                         None if basis is None else list(basis))
 
 
@@ -257,10 +248,9 @@ def eliminated_degree(n: int, want_basis: bool) -> tuple[int, int, tuple[SEEleme
             first = min(places)
             raise InvarianceError(f"degree-{n} kernel vector {i}", K_GENS[first].name,
                                   f"{places.count(first)} residual terms")
-    # one key object per monomial, and the terms of each vector in key
-    # order, which the element file's sort then finds as one run
-    keys = {j: unpack(cols[j]) for j in support}
-    basis = tuple(SEElement._of({keys[j]: c for j, c in sorted(num.items())}, den)
+    # the terms of each vector in key order, which the element file's sort
+    # then finds as one run
+    basis = tuple(SEElement._of({cols[j]: c for j, c in sorted(num.items())}, den)
                   for num, den in kernel)
     return len(basis), len(cols), basis
 
@@ -296,18 +286,18 @@ S_NAMES = ("a1", "a2", "b", "c")
 def _partials_at(el: SEElement, point: tuple[int, ...]) -> dict[int, int]:
     """The partial derivative of a polynomial (mask 0) by each slot, at point,
     times el.den."""
-    def partials(exp):
-        for slot, e in enumerate(exp):
+    def partials(key):
+        for slot, e in enumerate(exponents(key)):
             if e:
-                yield slot, e * prod(map(pow, point, exp[:slot] + (e - 1,) + exp[slot + 1:]))
+                yield slot, e * prod(map(pow, point, exponents(key - UNIT[slot])))
 
-    return accumulate((partials(exp), c) for (exp, _), c in el.num.items())
+    return accumulate((partials(key), c) for key, c in el.num.items())
 
 
 def _masks_at(el: SEElement, point: tuple[int, ...]) -> dict[int, int]:
     """The coefficient of each exterior mask, at point, times el.den."""
-    return accumulate((((mask, prod(map(pow, point, exp))),), c)
-                      for (exp, mask), c in el.num.items())
+    return accumulate((((key & 15, prod(map(pow, point, exponents(key)))),), c)
+                      for key, c in el.num.items())
 
 
 @record

@@ -38,8 +38,8 @@ import hashlib
 from fractions import Fraction
 from functools import cache
 
-from .elements import GEN_NAMES, MASK_FIELDS, fmt_coeff, pair_sort_key
-from .errors import ParseError
+from .elements import GEN_NAMES, MASK_FIELDS, fmt_coeff, over_lcm, pack, pair_sort_key, unpack
+from .errors import DomainError, ParseError
 from .matrix_oracle import P_GENS
 from .sym_ext import SEElement
 
@@ -75,10 +75,10 @@ _MASK_OF_FIELD = {field: mask for mask, field in enumerate(MASK_FIELDS)}
 
 
 @cache
-def _row_of(key: tuple) -> tuple[tuple, str]:
+def _row_of(key: int) -> tuple[tuple, str]:
     """The sort key of a monomial key and the text of its row after the
     coefficient, built once per key a process writes."""
-    exp, mask = key
+    exp, mask = unpack(key)
     return pair_sort_key(key), f" | {_EXP_FMT % exp} | {MASK_FIELDS[mask]}"
 
 
@@ -121,7 +121,7 @@ def _coeff_of(text: str) -> Fraction:
 
 
 @cache
-def _key_of(exp_field: str, mask_field: str) -> tuple:
+def _key_of(exp_field: str, mask_field: str) -> int:
     """The monomial key of a term's exponent and mask fields, read once per
     distinct pair; ValueError with the ParseError text for a bad field."""
     try:
@@ -133,7 +133,10 @@ def _key_of(exp_field: str, mask_field: str) -> tuple:
     mask = _MASK_OF_FIELD.get(mask_field)
     if mask is None:
         raise ValueError(f"bad mask field {mask_field!r}")
-    return exp, mask
+    try:
+        return pack(exp, mask)
+    except DomainError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _header_int(text: str, lineno: int) -> int:
@@ -188,13 +191,13 @@ def loads_element(text: str):
             terms[key] = coeff
 
     if algebra_id == "se":
-        return SEElement(terms)
+        return SEElement._of(*over_lcm(terms))
     if gram not in _GRAMS:
         raise ParseError(f"unknown gram label {gram!r}", 4)
     if sign not in (1, -1):
         raise ParseError(f"bad sign {sign} for a uc element", 3)
     from .tensor_algebra import UCElement, convention_algebra
-    return UCElement(terms, convention_algebra(f"gram={gram} sign={sign:+d}"))
+    return UCElement._of(*over_lcm(terms), convention_algebra(f"gram={gram} sign={sign:+d}"))
 
 
 def load_element(path: str):

@@ -1,11 +1,14 @@
 """The supercommutative model S(g) tensor Lambda(p).
 
-Keys are pairs (exponent 10-tuple, p-mask). This is where the invariant
+Keys are packed ints (elements): the exponents as bytes above the p-mask,
+viewed by the constructor and `terms` as (exponent 10-tuple, p-mask) pairs.
+This is where the invariant
 catalog lives in closed form, each element typed once in closed_forms(),
 where the S.T basis data is assembled, and where the k-action on monomial
 keys is tabulated. The model reads rows as U(g) tensor C(p) does: a product
 of two keys is the summed exponents tensor the WEDGE row of the masks,
-ad_on_key gives the k-action on one key as a row, and elements.bilinear sums
+ad_on_key gives the k-action on one key as a row, each move the key plus a
+fixed delta, and elements.bilinear sums
 both over the pairs of terms. certify_invariance is the one K-invariance
 certificate of both catalogs: it runs here on the named elements and the
 T-products, and in tensor_algebra.build_catalog on their rho images.
@@ -14,53 +17,52 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from operator import add, mul
+from operator import mul
 from types import MappingProxyType
 
 from ._record import record
-from .clifford import WEDGE, ext_ad_on_mask, popcount
-from .elements import (LinearElement, ZERO_EXP, bilinear, fmt_exp, fmt_mask, pair_sort_key,
-                       tensor)
+from .clifford import WEDGE, ext_ad_on_mask
+from .elements import (PAIR_VIEW, UNIT, LinearElement, add_exponents, bilinear, exponents,
+                       fmt_exp, fmt_mask, key_degree, pair_sort_key)
 from .errors import DomainError, InvarianceError
 from .lie_core import GEN_WEIGHTS, LieElement, bracket_gens, lie_gen, require_in_k
 from .matrix_oracle import Gen, K_GENS, P_GENS
 
-SEKey = tuple  # (exp 10-tuple, mask int)
+SEKey = int  # packed: the exponents above the mask
 _GENS = tuple(Gen)
+
+
+def _product_row(ka: SEKey, kb: SEKey) -> list:
+    """The summed exponents tensor the WEDGE row of the masks."""
+    exp = add_exponents(ka & -16, kb & -16)
+    return [(exp | m, c) for m, c in WEDGE[ka & 15, kb & 15]]
 
 
 class SEElement(LinearElement):
     """Element of S(g) tensor Lambda(p)."""
 
     __slots__ = ()
+    _key_in, _key_out = PAIR_VIEW
 
     def _product(self, other):
         """The product of the exponents tensor the wedge of the masks, for
         each pair of terms."""
-        num = bilinear(lambda ka, kb: tensor(((tuple(map(add, ka[0], kb[0])), 1),),
-                                             WEDGE[ka[1], kb[1]]), self.num, other.num)
-        return SEElement._of(num, self.den * other.den)
+        return SEElement._of(bilinear(_product_row, self.num, other.num), self.den * other.den)
 
     def _one(self):
         return se_one()
 
     def degree(self) -> int:
-        return max((key_degree(k) for k in self.num), default=0)
+        return max(map(key_degree, self.num), default=0)
 
     def __str__(self):
-        return self._text(pair_sort_key,
-                          lambda k: f"({fmt_exp(k[0])}) ot ({fmt_mask(k[1], '^')})")
-
-
-def key_degree(key: SEKey) -> int:
-    exp, mask = key
-    return sum(exp) + popcount(mask)
+        return self._text(pair_sort_key, lambda k: f"({fmt_exp(k)}) ot ({fmt_mask(k & 15, '^')})")
 
 
 def key_weight(key: SEKey) -> tuple[int, int]:
-    exp, mask = key
+    mask = key & 15
     w1 = w2 = 0
-    for g, e in enumerate(exp):
+    for g, e in enumerate(exponents(key)):
         if e:
             a, b = GEN_WEIGHTS[Gen(g)]
             w1 += a * e
@@ -74,16 +76,14 @@ def key_weight(key: SEKey) -> tuple[int, int]:
 
 
 def se_gen(g: Gen) -> SEElement:
-    exp = [0] * 10
-    exp[g] = 1
-    return SEElement._of({(tuple(exp), 0): 1})
+    return SEElement._of({UNIT[g]: 1})
 
 
 def se_ext_gen(g: Gen) -> SEElement:
     if g not in P_GENS:
         raise DomainError(f"{g.name} is not a p-generator")
     bit = P_GENS.index(g)
-    return SEElement._of({(ZERO_EXP, 1 << bit): 1})
+    return SEElement._of({1 << bit: 1})
 
 
 def se_wedge(*gens: Gen) -> SEElement:
@@ -91,7 +91,7 @@ def se_wedge(*gens: Gen) -> SEElement:
 
 
 def se_one() -> SEElement:
-    return SEElement._of({(ZERO_EXP, 0): 1})
+    return SEElement._of({0: 1})
 
 
 # ad of each generator on the symmetric generators it does not commute with:
@@ -108,23 +108,21 @@ def ad_on_key(zg: Gen, key: SEKey) -> tuple:
     """Derivation action of the generator zg on one monomial key, as a row
     of ints (the structure constants are integral); zg must lie in k when
     the key has an exterior part. A move that sends a slot or the mask to
-    another one changes the key, and no two such moves meet; the moves that
-    fix the key (those of ad H1 and ad H2) are summed into its one entry."""
-    exp, mask = key
+    another one adds a fixed delta to the key, and no two such moves meet;
+    the moves that fix the key (those of ad H1 and ad H2) are summed into
+    its one entry."""
+    exps, mask = exponents(key), key & 15
     row = []
     fixed = 0
     for slot, pairs in _SLOT_AD[zg]:
-        e = exp[slot]
+        e = exps[slot]
         if not e:
             continue
         for g, c in pairs:
             if g == slot:
                 fixed += e * c
             else:
-                m = list(exp)
-                m[slot] -= 1
-                m[g] += 1
-                row.append(((tuple(m), mask), e * c))
+                row.append((add_exponents(key - UNIT[slot], UNIT[g]), e * c))
     if mask:
         if zg not in K_GENS:
             raise DomainError(f"{zg.name} is not in k, and the key has an exterior part")
@@ -132,7 +130,7 @@ def ad_on_key(zg: Gen, key: SEKey) -> tuple:
             if m == mask:
                 fixed += c
             else:
-                row.append(((exp, m), c))
+                row.append((key - mask + m, c))
     if fixed:
         row.append((key, fixed))
     return tuple(row)
@@ -142,7 +140,7 @@ def ad_action_se(z: LieElement, x: SEElement) -> SEElement:
     """ad z on x: the int ad_on_key rows summed over z.den * x.den. A z
     outside k acts only on S(g) tensor 1, and is refused when x has an
     exterior part."""
-    if any(mask for _, mask in x.num):
+    if any(key & 15 for key in x.num):
         require_in_k(z)
     return SEElement._of(bilinear(ad_on_key, z.num, x.num), z.den * x.den)
 

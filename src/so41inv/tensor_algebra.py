@@ -24,37 +24,38 @@ from math import lcm
 from types import MappingProxyType
 
 from ._record import record, refuse
-from .clifford import CliffordAlgebra, PForm, popcount
-from .elements import (BoundElement, ZERO_EXP, accumulate, bilinear, fmt_exp, fmt_mask,
-                       nonzero_row, pair_sort_key, signed_sum, tensor)
+from .clifford import CliffordAlgebra, PForm
+from .elements import (PAIR_VIEW, UNIT, BoundElement, accumulate, bilinear, fmt_exp,
+                       fmt_mask, key_degree, nonzero_row, pair_sort_key, signed_sum, tensor)
 from .errors import DomainError, InvarianceError
 from .lie_core import LieElement, lie_gen, require_in_k
 from .matrix_oracle import Gen
 from .sym_ext import SEElement, build_st_catalog, certify_invariance
 from .uea import UElement, gen_commutator, pbw_pair_product, symmetrize_monomial
 
-UCKey = tuple  # (exp 10-tuple, mask int)
-_ONE_KEY = (ZERO_EXP, 0)
+UCKey = int  # packed: a PBW monomial OR a Clifford mask
 
 
 class UCElement(BoundElement):
     """Element of U(g) tensor C(p), bound to its TensorAlgebra."""
 
     __slots__ = ()
+    _key_in, _key_out = PAIR_VIEW
 
     def degree(self) -> int:
-        return max((sum(e) + popcount(m) for e, m in self.num), default=0)
+        return max(map(key_degree, self.num), default=0)
 
     def __str__(self):
-        return self._text(pair_sort_key,
-                          lambda k: f"({fmt_exp(k[0])}) ot ({fmt_mask(k[1], '*')})")
+        return self._text(pair_sort_key, lambda k: f"({fmt_exp(k)}) ot ({fmt_mask(k & 15, '*')})")
 
 
 class TensorAlgebra:
     """U(g) tensor C(p) for a fixed Clifford normalization. Products and
     k-actions read rows, tuples of (key, int) pairs, filled on first read and
     kept as long as the algebra in a functools.cache, like the Clifford
-    tables: _products(kx, ky) and _actions(zg, key)."""
+    tables: _products(kx, ky) and _actions(zg, key). A U(g) key has mask 0
+    and a C(p) key is a mask, so from_u and from_c keep the keys, and a row
+    ORs the keys of a U(g) row with the masks of a C(p) row."""
 
     __setattr__ = __delattr__ = refuse
 
@@ -70,24 +71,22 @@ class TensorAlgebra:
         return UCElement._of({}, 1, self)
 
     def one(self) -> UCElement:
-        return UCElement._of({_ONE_KEY: 1}, 1, self)
+        return UCElement._of({0: 1}, 1, self)
 
     def scalar(self, c) -> UCElement:
-        return UCElement({_ONE_KEY: c}, self)
+        return self.one().scale(c)
 
     def element(self, terms: dict) -> UCElement:
         return UCElement(terms, self)
 
     def from_u(self, x: UElement) -> UCElement:
-        return UCElement._of({(exp, 0): c for exp, c in x.num.items()}, x.den, self)
+        """x of U(g) (or of C(p), as from_c) in U(g) tensor C(p), its keys as they are."""
+        return UCElement._of(x.num, x.den, self)
 
-    def from_c(self, x) -> UCElement:
-        return UCElement._of({(ZERO_EXP, m): c for m, c in x.num.items()}, x.den, self)
+    from_c = from_u
 
     def u_gen(self, g: Gen) -> UCElement:
-        exp = [0] * 10
-        exp[g] = 1
-        return UCElement._of({(tuple(exp), 0): 1}, 1, self)
+        return UCElement._of({UNIT[g]: 1}, 1, self)
 
     def c_gen(self, g: Gen) -> UCElement:
         return self.from_c(self.cl.gen(g))
@@ -97,14 +96,13 @@ class TensorAlgebra:
     def _product_row(self, kx: UCKey, ky: UCKey) -> tuple:
         """The monomial kx times the monomial ky over cl.table_den: the PBW
         pair product tensor the Clifford product of the masks."""
-        (eu, mu), (ev, mv) = kx, ky
-        return tuple(tensor(pbw_pair_product(eu, ev), self.cl.table(mu, mv)))
+        return tuple(tensor(pbw_pair_product(kx & -16, ky & -16), self.cl.table(kx & 15, ky & 15)))
 
     def _action_row(self, zg: Gen, key: UCKey) -> tuple:
         """ad(zg) of the monomial key over cl.k_den, by the Leibniz rule: the
         commutator on the U-side tensor the mask, plus the exponent tensor
         the Clifford derivation on the C-side."""
-        exp, mask = key
+        exp, mask = key & -16, key & 15
         commutator = tensor(gen_commutator(zg, exp), ((mask, 1),))
         derivation = tensor(((exp, 1),), self.cl.k_table(zg, mask))
         return nonzero_row(accumulate(((commutator, self.cl.k_den), (derivation, 1))))
@@ -120,7 +118,7 @@ class TensorAlgebra:
         C-side, one row of the algebra's action table per pair of terms. A z
         outside k acts only on U(g) tensor 1, and is refused when x has a
         Clifford part."""
-        if any(mask for _, mask in x.num):
+        if any(key & 15 for key in x.num):
             require_in_k(z)
         num = bilinear(self._actions, z.num, x.num)
         return UCElement._of(num, z.den * x.den * self.cl.k_den, self)
@@ -134,7 +132,7 @@ class TensorAlgebra:
     def rho(self, x: SEElement) -> UCElement:
         """sigma tensor tau, mapping the supercommutative model here."""
         tau = self.cl._tau_table
-        images = [(symmetrize_monomial(exp), tau(mask), c) for (exp, mask), c in x.num.items()]
+        images = [(symmetrize_monomial(key & -16), tau(key & 15), c) for key, c in x.num.items()]
         den = lcm(*(s.den for s, _, _ in images))
         pairs = ((tensor(s.num.items(), t), c * (den // s.den)) for s, t, c in images)
         return UCElement._of(accumulate(pairs), x.den * den * self.cl._tau_den, self)

@@ -1,7 +1,9 @@
 """U(g) in PBW normal form, S(g), and the symmetrization map between them.
 
-A PBW monomial is a 10-tuple of exponents in the frozen generator order
-H1 < H2 < E1 < E2 < F1 < F2 < E3 < E4 < F3 < F4. Every product is built by
+A PBW monomial is a packed key of mask 0 (elements): ten exponents, one
+byte each, in the frozen generator order H1 < H2 < E1 < E2 < F1 < F2 <
+E3 < E4 < F3 < F4, H1 most significant. A step below adds or subtracts a
+UNIT and reads the leading slot off bit_length. Every product is built by
 inserting one generator at a time into a PBW monomial. Write x^e = x_s y
 with s the leading slot of e (its first nonzero exponent). Then
 
@@ -17,7 +19,8 @@ generator is the derivation rule on the leading letter,
     [u_g, x_s y] = [u_g, x_s] y + x_s [u_g, y],
 
 so it needs insertions only, no pair products. The structure constants are
-integers, so every straightened product has int coefficients.
+integers, so every straightened product has int coefficients. A raise past
+the exponent bound 255 is a DomainError, never a carry into the next slot.
 
 Symmetrization averages a monomial x = x_1 ... x_n over its distinct
 orderings. Grouping the orderings by their first letter gives
@@ -47,46 +50,18 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from operator import add
 
-from .elements import (LinearElement, ZERO_EXP, accumulate, bilinear, combine, exp_sort_key,
-                       fmt_exp, nonzero_row)
+from .elements import (EXP_VIEW, SHIFTS, UNIT, LinearElement, accumulate, add_exponents, bilinear,
+                       combine, exp_sort_key, exponents, fmt_exp, key_degree, leading_slot,
+                       nonzero_row)
 from .lie_core import bracket_gens
 from .matrix_oracle import Gen
 
-Exp = tuple  # 10-tuple of nonnegative ints
-
-
-def exp_degree(exp: Exp) -> int:
-    return sum(exp)
+Exp = int  # a packed key of mask 0
 
 
 def exp_to_word(exp: Exp) -> tuple[int, ...]:
-    word = []
-    for g, e in enumerate(exp):
-        word.extend([g] * e)
-    return tuple(word)
-
-
-def word_to_exp(word) -> Exp:
-    exp = [0] * 10
-    for g in word:
-        exp[g] += 1
-    return tuple(exp)
-
-
-def _leading_slot(exp: Exp) -> int:
-    """The first generator with a nonzero exponent; 10 for the monomial 1."""
-    for g, e in enumerate(exp):
-        if e:
-            return g
-    return 10
-
-
-def _lowered(exp: Exp, s: int) -> Exp:
-    m = list(exp)
-    m[s] -= 1
-    return tuple(m)
+    return tuple(g for g, e in enumerate(exponents(exp)) for _ in range(e))
 
 
 def _add_inserted(acc: dict[Exp, int], g: int, row) -> dict:
@@ -97,12 +72,10 @@ def _add_inserted(acc: dict[Exp, int], g: int, row) -> dict:
 @cache
 def insert_gen(g: int, exp: Exp) -> tuple:
     """u_g x^exp over PBW monomials, as a row."""
-    s = _leading_slot(exp)
+    s = leading_slot(exp)
     if g <= s:
-        m = list(exp)
-        m[g] += 1
-        return ((tuple(m), 1),)
-    rest = _lowered(exp, s)
+        return ((add_exponents(exp, UNIT[g]), 1),)
+    rest = exp - UNIT[s]
     acc = _add_inserted({}, s, insert_gen(g, rest))
     accumulate(((insert_gen(int(h), rest), c) for h, c in bracket_gens(g, s)), acc)
     return nonzero_row(acc)
@@ -126,18 +99,20 @@ def pbw_pair_product(x: Exp, y: Exp) -> tuple:
 @cache
 def gen_commutator(g: int, exp: Exp) -> tuple:
     """[u_g, x^exp] = u_g x^exp - x^exp u_g over PBW monomials, as a row."""
-    if not any(exp):
+    if not exp:
         return ()
-    s = _leading_slot(exp)
-    rest = _lowered(exp, s)
+    s = leading_slot(exp)
+    rest = exp - UNIT[s]
     acc = accumulate((insert_gen(int(h), rest), c) for h, c in bracket_gens(g, s))
     return nonzero_row(_add_inserted(acc, s, gen_commutator(g, rest)))
 
 
 class UElement(LinearElement):
-    """Element of U(g) in PBW normal form: {exponent tuple: coefficient}."""
+    """Element of U(g) in PBW normal form: {PBW monomial: coefficient},
+    viewed as {exponent tuple: coefficient}."""
 
     __slots__ = ()
+    _key_in, _key_out = EXP_VIEW
 
     def _product(self, other):
         return UElement._of(bilinear(pbw_pair_product, self.num, other.num), self.den * other.den)
@@ -146,65 +121,66 @@ class UElement(LinearElement):
         return u_one()
 
     def degree(self) -> int:
-        return max((exp_degree(m) for m in self.num), default=0)
+        return max(map(key_degree, self.num), default=0)
 
     def __str__(self):
         return self._text(exp_sort_key, fmt_exp)
 
 
 class SElement(LinearElement):
-    """Element of the polynomial algebra S(g), same key shape as UElement."""
+    """Element of the polynomial algebra S(g), same keys as UElement."""
 
     __slots__ = ()
+    _key_in, _key_out = EXP_VIEW
 
     def _product(self, other):
-        num = bilinear(lambda x, y: ((tuple(map(add, x, y)), 1),), self.num, other.num)
+        num = bilinear(lambda x, y: ((add_exponents(x, y), 1),), self.num, other.num)
         return SElement._of(num, self.den * other.den)
 
     def _one(self):
         return s_one()
 
     def degree(self) -> int:
-        return max((exp_degree(m) for m in self.num), default=0)
+        return max(map(key_degree, self.num), default=0)
 
     def __str__(self):
         return self._text(exp_sort_key, fmt_exp)
 
 
 def u_gen(g: Gen) -> UElement:
-    return UElement._of({word_to_exp((g,)): 1})
+    return UElement._of({UNIT[g]: 1})
 
 
 def s_gen(g: Gen) -> SElement:
-    return SElement._of({word_to_exp((g,)): 1})
+    return SElement._of({UNIT[g]: 1})
 
 
 def u_one() -> UElement:
-    return UElement._of({ZERO_EXP: 1})
+    return UElement._of({0: 1})
 
 
 def s_one() -> SElement:
-    return SElement._of({ZERO_EXP: 1})
+    return SElement._of({0: 1})
 
 
 @cache
 def _orderings_sum(exp: Exp) -> tuple:
     """P(exp): the straightened sum of every distinct ordering of the
     monomial, as a row."""
-    if not any(exp):
+    if not exp:
         return ((exp, 1),)
     acc: dict[Exp, int] = {}
-    for g, e in enumerate(exp):
-        if e:
-            _add_inserted(acc, g, _orderings_sum(_lowered(exp, g)))
+    for g, shift in enumerate(SHIFTS):
+        if exp >> shift & 255:
+            _add_inserted(acc, g, _orderings_sum(exp - UNIT[g]))
     return nonzero_row(acc)
 
 
 def symmetrize_monomial(exp: Exp) -> UElement:
     """sigma of a single symmetric monomial: P(exp) over the number of
     distinct orderings."""
-    orderings = factorial(sum(exp))
-    for e in exp:
+    orderings = factorial(key_degree(exp))
+    for e in exponents(exp):
         orderings //= factorial(e)
     return UElement._of(dict(_orderings_sum(exp)), orderings)
 

@@ -1,7 +1,8 @@
 """Test-only reference implementations. A Fraction echelon kept fully
 reduced on every insert, the zero-weight block found by filtering every
 monomial key of a degree and keys packed digit by digit share no code with
-the engine paths they check.
+the engine paths they check. A packed key is read back here by decode, its
+own to_bytes of the int, never by the engine's unpack.
 The textbook first-descent rewriting of a generator word checks the
 straightening by generator insertion. The products sigma(s) rho(t) in
 U(g) tensor C(p) are the objects whose symbols the freeness certificate
@@ -50,7 +51,7 @@ from math import comb, gcd, lcm
 from so41inv import uea
 from so41inv.cli import SUITES
 from so41inv.clifford import CElement, ExtElement
-from so41inv.elements import ZERO_EXP, fmt_coeff, join_terms
+from so41inv.elements import fmt_coeff, join_terms
 from so41inv.errors import NotStableError
 from so41inv.lie_core import (
     GEN_WEIGHTS,
@@ -86,8 +87,31 @@ from so41inv.tensor_algebra import (
     _residual,
     _Terms,
 )
-from so41inv.uea import (SElement, UElement, gen_commutator, pbw_pair_product, symmetrize,
-                         word_to_exp)
+from so41inv.uea import SElement, UElement, gen_commutator, pbw_pair_product, symmetrize
+
+# -- monomial keys, read here without the engine's codec -----------------------
+
+ZERO_EXP = (0,) * 10
+
+
+def word_to_exp(word) -> tuple:
+    """The exponent tuple of a word of generators."""
+    return tuple(sum(1 for g in word if g == slot) for slot in range(10))
+
+
+def decode(key: int) -> tuple:
+    """The (exponent tuple, mask) pair of a packed key: its bytes above the low 4 bits."""
+    return tuple((key >> 4).to_bytes(10, "big")), key & 15
+
+
+def decode_exp(key: int) -> tuple:
+    """The exponent tuple of a packed key."""
+    return decode(key)[0]
+
+
+def exp_key(exp: tuple) -> int:
+    """The packed key of mask 0 of an exponent tuple, a PBW monomial."""
+    return pack((exp, 0))
 
 
 class FractionEchelon:
@@ -453,8 +477,8 @@ def graded_keys(n: int) -> list[tuple]:
 
 def straighten_word(word) -> dict[tuple, int]:
     """Expand the product of generators `word` over PBW monomials, through
-    the engine's generator insertions, as a dict."""
-    return dict(uea._fold(word, ZERO_EXP))
+    the engine's generator insertions, as a dict by exponent tuples."""
+    return {decode_exp(k): c for k, c in uea._fold(word, 0)}
 
 
 def first_descent_straighten(word: tuple[int, ...], memo: dict) -> dict[tuple, int]:
@@ -479,12 +503,13 @@ def first_descent_straighten(word: tuple[int, ...], memo: dict) -> dict[tuple, i
 
 
 def filtered_zero_weight_keys(n: int) -> list[tuple]:
-    return [key for key in graded_keys(n) if key_weight(key) == (0, 0)]
+    return [key for key in graded_keys(n) if key_weight(pack(key)) == (0, 0)]
 
 
 def pack(key: tuple) -> int:
-    """The packed key that invariants.unpack reads: the ten exponents as
-    base-256 digits, H1 most significant, then the mask as the low 4 bits."""
+    """The packed key of an (exponent tuple, mask) pair, as the engine keys
+    its monomials: the ten exponents as base-256 digits, H1 most
+    significant, then the mask as the low 4 bits."""
     exp, mask = key
     out = 0
     for e in exp:
@@ -589,7 +614,7 @@ def se_k_invariant(x: SEElement) -> bool:
 
 def lie_to_u(x: LieElement) -> UElement:
     """The Lie algebra element x as an element of U(g)."""
-    return UElement._of({word_to_exp((g,)): c for g, c in x.num.items()}, x.den)
+    return UElement._of({exp_key(word_to_exp((g,))): c for g, c in x.num.items()}, x.den)
 
 
 def u_k_invariant(x: UElement) -> bool:
@@ -867,15 +892,17 @@ def _mask_str(mask: int) -> str:
 def oracle_text(el) -> str:
     """Canonical text of an element of U(g), S(g), Lambda(p), C(p),
     S(g) tensor Lambda(p) or U(g) tensor C(p)."""
+    num = el.num
     if isinstance(el, (UElement, SElement)):
         sort_key, body = exp_sort_key, fmt_exp
+        num = {decode_exp(k): c for k, c in num.items()}
     elif isinstance(el, (ExtElement, CElement)):
         sep = "^" if isinstance(el, ExtElement) else "*"
         sort_key, body = mask_sort_key, lambda m: fmt_mask(m, sep)
     else:
         sep = "^" if isinstance(el, SEElement) else "*"
         sort_key, body = pair_sort_key, lambda k: f"({fmt_exp(k[0])}) ot ({fmt_mask(k[1], sep)})"
-    num = el.num
+        num = {decode(k): c for k, c in num.items()}
     return join_terms([(num[k], body(k)) for k in sorted(num, key=sort_key)], el.den)
 
 
@@ -890,7 +917,7 @@ def oracle_dumps(el) -> str:
         f"order-hash: {order_hash(algebra_id, sign, gram)}",
         f"terms: {len(el)}",
     ]
-    num, den = el.num, el.den
+    num, den = {decode(k): c for k, c in el.num.items()}, el.den
     for exp, mask in sorted(num, key=pair_sort_key):
         lines.append(f"{fmt_coeff(num[exp, mask], den)} | {' '.join(map(str, exp))} | "
                      f"{_mask_str(mask)}")
@@ -898,22 +925,24 @@ def oracle_dumps(el) -> str:
 
 
 # -- the product and k-action before the per-algebra rows ------------------------------
-# `TensorAlgebra.multiply` and `ad_action` must give what these give.
+# `TensorAlgebra.multiply` and `ad_action` must give what these give. Each
+# key is taken apart into its (exponent tuple, mask) pair and put back.
 
 def term_by_term_multiply(alg, x, y):
     """x y, each term pair's PBW product crossed with its Clifford product."""
     cl_table = alg.cl.table
     out = {}
-    for (eu, mu), cu in x.num.items():
-        for (ev, mv), cv in y.num.items():
+    for (eu, mu), cu in ((decode(k), c) for k, c in x.num.items()):
+        for (ev, mv), cv in ((decode(k), c) for k, c in y.num.items()):
             f = cu * cv
             cprod = cl_table(mu, mv)
-            for ee, a in pbw_pair_product(eu, ev):
+            for ee, a in pbw_pair_product(exp_key(eu), exp_key(ev)):
                 fa = f * a
                 for mm, bc in cprod:
-                    k = (ee, mm)
+                    k = (decode_exp(ee), mm)
                     out[k] = out.get(k, 0) + fa * bc
-    return UCElement._of(out, x.den * y.den * alg.cl.table_den, alg)
+    return UCElement._of({pack(k): c for k, c in out.items()}, x.den * y.den * alg.cl.table_den,
+                         alg)
 
 
 def term_by_term_ad_action(alg, z, x):
@@ -922,16 +951,16 @@ def term_by_term_ad_action(alg, z, x):
     k_table, k_den = alg.cl.k_table, alg.cl.k_den
     out = {}
     for zg, zc in z.num.items():
-        for (exp, mask), xc in x.num.items():
+        for (exp, mask), xc in ((decode(k), c) for k, c in x.num.items()):
             f = zc * xc
             fu = f * k_den
-            for ee, a in gen_commutator(zg, exp):
-                k = (ee, mask)
+            for ee, a in gen_commutator(zg, exp_key(exp)):
+                k = (decode_exp(ee), mask)
                 out[k] = out.get(k, 0) + fu * a
             for m, b in k_table(zg, mask):
                 k = (exp, m)
                 out[k] = out.get(k, 0) + f * b
-    return UCElement._of(out, z.den * x.den * k_den, alg)
+    return UCElement._of({pack(k): c for k, c in out.items()}, z.den * x.den * k_den, alg)
 
 
 # -- the command line parser before the package read its grammar itself -------------

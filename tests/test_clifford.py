@@ -16,7 +16,7 @@ from so41inv.clifford import (
     ext_wedge,
     popcount,
 )
-from so41inv.elements import ZERO_EXP
+from oracles import ZERO_EXP
 from so41inv.errors import DomainError
 from so41inv.lie_core import bracket, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS, P_GENS

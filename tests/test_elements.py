@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import so41inv
 import oracles
-from oracles import oracle_dumps, oracle_text, relation_residuals
+from oracles import ZERO_EXP, oracle_dumps, oracle_text, relation_residuals, word_to_exp
 from so41inv import elements
 from so41inv.clifford import ExtElement
-from so41inv.elements import (MASK_FIELDS, ZERO_EXP, accumulate, combine, exp_sort_key, fmt_mask,
+from so41inv.elements import (MASK_FIELDS, accumulate, combine, exp_sort_key, fmt_mask,
                               mask_sort_key, nonzero_row, pair_sort_key, signed_sum)
 from so41inv.evaluator import evaluate
 from so41inv.errors import DomainError
@@ -26,7 +26,7 @@ from so41inv.matrix_oracle import Gen, K_GENS
 from so41inv.serialization import dumps_element, loads_element
 from so41inv.sym_ext import SEElement, ad_action_se, se_ext_gen, se_gen
 from so41inv.tensor_algebra import convention_algebra, derive_chain
-from so41inv.uea import SElement, UElement, symmetrize, word_to_exp
+from so41inv.uea import SElement, UElement, symmetrize
 
 ALG = convention_algebra("gram=trace/4 sign=-1")
 
@@ -114,7 +114,8 @@ def test_accumulate_adds_into_one_dict_and_combine_puts_elements_over_the_lcm():
     assert nonzero_row(out) == (("a", 7),)
     e1 = word_to_exp((Gen.E1,))
     x, y = UElement({ZERO_EXP: Fraction(1, 2)}), UElement({e1: Fraction(1, 3)})
-    assert combine([(x, 1), (y, -2)]) == ({ZERO_EXP: 3, e1: -4}, 6)
+    num, den = combine([(x, 1), (y, -2)])
+    assert ({oracles.decode_exp(k): c for k, c in num.items()}, den) == ({ZERO_EXP: 3, e1: -4}, 6)
     assert combine([]) == ({}, 1)
 
 
@@ -327,6 +328,8 @@ wide_exps = st.lists(st.integers(0, 12), min_size=10, max_size=10).map(tuple)
 sparse_exps = st.lists(st.sampled_from(list(Gen)), max_size=12).map(word_to_exp)
 any_exps = st.one_of(wide_exps, sparse_exps)
 any_pairs = st.tuples(any_exps, masks)
+# every exponent up to the bound of a packed key
+byte_exps = st.lists(st.integers(0, 255), min_size=10, max_size=10).map(tuple)
 
 # kind -> (constructor from a term dict, key strategy)
 FORMATTED = {
@@ -351,11 +354,16 @@ def test_canonical_text_and_element_files_equal_the_reference_byte_for_byte(kind
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(any_pairs, max_size=30))
+@given(st.lists(st.one_of(any_pairs, st.tuples(byte_exps, masks)), max_size=30))
 def test_the_flat_sort_keys_order_keys_as_the_nested_ones(keys):
-    assert sorted(keys, key=pair_sort_key) == sorted(keys, key=oracles.pair_sort_key)
+    # the engine's sort keys of the packed keys order them as the nested
+    # tuple sort keys order their (exponent tuple, mask) pairs
+    pack = oracles.pack
+    assert sorted(map(pack, keys), key=pair_sort_key) == \
+        [pack(k) for k in sorted(keys, key=oracles.pair_sort_key)]
     exps_only = [exp for exp, _ in keys]
-    assert sorted(exps_only, key=exp_sort_key) == sorted(exps_only, key=oracles.exp_sort_key)
+    assert sorted((oracles.exp_key(e) for e in exps_only), key=exp_sort_key) == \
+        [oracles.exp_key(e) for e in sorted(exps_only, key=oracles.exp_sort_key)]
 
 
 def test_every_mask_prints_and_sorts_as_the_reference():
@@ -371,3 +379,85 @@ def test_every_mask_prints_and_sorts_as_the_reference():
                   SEElement({(exp, m): 2 * m - 15 for m in every})):
             assert str(x) == oracle_text(x)
             assert dumps_element(x) == oracle_dumps(x)
+
+
+# -- the packed monomial key ---------------------------------------------------------------
+
+TOP = (255,) + (0,) * 9  # H1^255
+
+
+@settings(max_examples=200, deadline=None)
+@given(byte_exps, masks)
+def test_a_packed_key_unpacks_to_its_exponents_and_its_mask(exp, mask):
+    # decoded here by the test's own to_bytes and packed digit by digit
+    key = elements.pack(exp, mask)
+    assert elements.unpack(key) == oracles.decode(key) == (exp, mask)
+    assert key == oracles.pack((exp, mask))
+    assert elements.key_degree(key) == sum(exp) + bin(mask).count("1")
+    assert elements.leading_slot(key) == next((g for g, e in enumerate(exp) if e), 10)
+
+
+def test_the_extreme_keys_round_trip_and_one_past_the_bound_is_refused():
+    for exp in (ZERO_EXP, TOP, (255,) * 10):
+        for mask in (0, 15):
+            assert oracles.decode(elements.pack(exp, mask)) == (exp, mask)
+    for exp in ((256,) + (0,) * 9, (0,) * 9 + (-1,)):
+        with pytest.raises(DomainError, match="255"):
+            elements.pack(exp)
+
+
+def tuple_se_product(x: SEElement, y: SEElement) -> SEElement:
+    """x y on the tuple view: the exponents added slot by slot and the masks
+    wedged, with the sign of the permutation that sorts their bits."""
+    out = {}
+    for (ea, ma), ca in x.terms.items():
+        for (eb, mb), cb in y.terms.items():
+            if not ma & mb:
+                word = oracles.mask_bits(ma) + oracles.mask_bits(mb)
+                sign = (-1) ** sum(a > b for i, a in enumerate(word) for b in word[i + 1:])
+                key = (tuple(map(operator.add, ea, eb)), ma | mb)
+                out[key] = out.get(key, 0) + sign * ca * cb
+    return SEElement(out)
+
+
+# exponents near 0, near the middle and near the bound, so that some sums pass it
+near_bound_exps = st.lists(st.one_of(st.integers(0, 2), st.integers(126, 130),
+                                     st.integers(253, 255)),
+                           min_size=10, max_size=10).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_dicts(st.tuples(near_bound_exps, masks), 3),
+       term_dicts(st.tuples(near_bound_exps, masks), 3))
+def test_the_packed_se_product_is_the_tuple_product_or_refuses_the_bound(a, b):
+    x, y = SEElement(a), SEElement(b)
+    past = any(ea + eb > 255 for (xa, _) in x.terms for (xb, _) in y.terms
+               for ea, eb in zip(xa, xb))
+    if past:
+        with pytest.raises(DomainError, match="255"):
+            x * y
+    else:
+        assert x * y == tuple_se_product(x, y)
+
+
+def test_an_exponent_past_255_raises_domain_error_in_every_packed_kind():
+    h1 = (1,) + (0,) * 9
+    e2_f4 = (0, 0, 0, 1) + (0,) * 5 + (1,)
+    top_e2_f4 = (0, 0, 0, 255) + (0,) * 5 + (1,)
+    for make, view in ((UElement, lambda e: e), (SElement, lambda e: e),
+                       (SEElement, lambda e: (e, 0)), (ALG.element, lambda e: (e, 0))):
+        x, g = make({view(TOP): 1}), make({view(h1): 1})
+        for product in (lambda: x * g, lambda: g * x, lambda: g ** 256):
+            with pytest.raises(DomainError, match="past 255"):
+                product()
+        assert (g ** 255).terms == {view(TOP): 1}
+        with pytest.raises(DomainError, match="255"):
+            make({view((256,) + (0,) * 9): 1})
+        # a product of exponents short of the bound in every slot holds
+        assert (make({view(e2_f4): 1}) * make({view((254,) + (0,) * 9): 1})).terms
+    # [E3, F4] = 2 E2 raises E2^255 F4 past the bound in both ambients
+    z = lie_gen(Gen.E3)
+    with pytest.raises(DomainError, match="past 255"):
+        ad_action_se(z, SEElement({(top_e2_f4, 0): 1}))
+    with pytest.raises(DomainError, match="past 255"):
+        ALG.ad_action(z, ALG.element({(top_e2_f4, 0): 1}))

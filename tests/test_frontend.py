@@ -11,7 +11,8 @@ from types import MappingProxyType
 import pytest
 
 from conftest import package_caches
-from so41inv.elements import ZERO_EXP, pair_sort_key
+from oracles import ZERO_EXP, decode
+from so41inv.elements import pair_sort_key
 from so41inv.errors import EngineError, EvalError, ExprTypeError, ParseError
 from so41inv.evaluator import evaluate
 from so41inv.matrix_oracle import Gen
@@ -376,7 +377,7 @@ def test_a_term_coefficient_reads_as_a_fraction_reads_it(cat, spelling):
     # fails with the message of Fraction's error on the line of the term,
     # on its first read and again on a second
     h = cat.elements["h"]
-    key = sorted(h.num, key=pair_sort_key)[1]
+    key = decode(sorted(h.num, key=pair_sort_key)[1])
     lines = dumps_element(h).splitlines()
     lines[7] = spelling + lines[7][lines[7].index(" | "):]
     text = "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ import pytest
 
 from oracles import (
     FractionEchelon,
+    decode,
     filtered_zero_weight_keys,
     fraction_det,
     graded_keys,
@@ -43,7 +44,6 @@ from so41inv.invariants import (
     predicted_dimension,
     product_counts,
     truncated_rank16_check,
-    unpack,
     zero_weight_keys,
 )
 from so41inv.linalg import RationalEchelon, sparse_rank
@@ -145,7 +145,7 @@ def test_raising_kernel_equals_six_generator_kernel(n):
     rows: dict = {}
     for z in K_GENS:
         for j, key in enumerate(cols):
-            for tkey, c in ad_on_key(z, key):
+            for tkey, c in ad_on_key(z, pack(key)):
                 rows.setdefault((int(z), tkey), {})[j] = c
     reference = [SEElement({cols[j]: c for j, c in vec.items()})
                  for vec in rref_kernel([rows[k] for k in sorted(rows)], len(cols))]
@@ -158,7 +158,7 @@ def test_zero_weight_keys_equal_the_filtered_keys(n):
     # them, and the int order of the packed keys is their sorted order
     keys = filtered_zero_weight_keys(n)
     packed = zero_weight_keys(n)
-    assert [unpack(key) for key in packed] == keys
+    assert [decode(key) for key in packed] == keys
     assert [pack(key) for key in keys] == packed == sorted(packed)
     assert len(set(packed)) == len(packed)
 
@@ -176,15 +176,15 @@ def test_packed_images_equal_ad_on_key(n):
     for key, row in zip(every, image_rows(K_GENS, every)):
         assert all(t & 7 < len(K_GENS) for t in row)
         for place, z in enumerate(K_GENS):
-            image = {unpack(t >> 3): c for t, c in row.items() if c and t & 7 == place}
-            assert image == dict(ad_on_key(z, unpack(key))), (z, unpack(key))
-    want = [{8 * pack(t) + K_GENS.index(z): c for z in invariants.RAISING
-             for t, c in ad_on_key(z, unpack(key))} for key in keys]
+            image = {decode(t >> 3): c for t, c in row.items() if c and t & 7 == place}
+            assert image == {decode(t): c for t, c in ad_on_key(z, key)}, (z, decode(key))
+    want = [{8 * t + K_GENS.index(z): c for z in invariants.RAISING
+             for t, c in ad_on_key(z, key)} for key in keys]
     assert image_rows(invariants.RAISING, keys) == want
 
 
 def test_packed_keys_hold_degrees_up_to_255():
-    assert unpack(pack(((255,) * 10, 15))) == ((255,) * 10, 15)
+    assert decode(pack(((255,) * 10, 15))) == ((255,) * 10, 15)
     with pytest.raises(ValueError):
         zero_weight_keys(256)
 
@@ -237,7 +237,7 @@ def test_a_certificate_failing_several_generators_names_the_first_in_k(monkeypat
     monkeypatch.setattr(invariants, "RAISING", ())
     with pytest.raises(InvarianceError) as exc:
         invariant_dimension(2, want_basis=True)
-    key = unpack(zero_weight_keys(2)[0])
+    key = zero_weight_keys(2)[0]
     assert [len(ad_on_key(z, key)) for z in K_GENS] == [0, 0, 1, 1, 1, 1]
     assert exc.value.generator == "E1"
     assert str(exc.value) == "degree-2 kernel vector 0 is not invariant under ad(E1): 1 residual terms"
@@ -367,7 +367,7 @@ def test_want_basis_returns_certified_invariants():
     assert len(rep.basis) == 13
     for vec in rep.basis:
         assert not vec.is_zero()
-        assert all(key_weight(k) == (0, 0) for k in vec.terms)
+        assert all(key_weight(k) == (0, 0) for k in vec.num)
         for z in K_GENS:
             assert ad_action_se(lie_gen(z), vec).is_zero()
 
@@ -452,6 +452,43 @@ def test_a_warm_freeness_report_expands_one_series_and_builds_no_degree_report(
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == first
     assert (len(series), len(reports)) == (1, 0)
+
+
+def test_a_warm_verify_all_builds_one_freeness_report(monkeypatch, capsys):
+    # the independence and rank16 suites of one command share its report
+    with open(os.path.join(os.path.dirname(__file__), "data", "verify_all.stdout")) as fh:
+        golden = fh.read()
+    assert cli.main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == golden
+    calls = []
+    true_check = invariants.independence_check
+    monkeypatch.setattr(invariants, "independence_check",
+                        lambda cap: calls.append(cap) or true_check(cap))
+    assert cli.main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == golden
+    assert calls == [6]
+
+
+def test_the_ambient_dimension_is_the_expanded_series():
+    # C(4, k) exterior masks of degree k times the monomials of degree n - k
+    # in ten symmetric generators, against the series of the masks by degree
+    # over one 1 / (1 - t) per slot
+    series = invariants._series([bin(m).count("1") for m in range(16)], (1,) * 10, 40)
+    assert [invariants.ambient_dimension(n) for n in range(41)] == series
+
+
+def test_a_warm_dims_run_expands_one_series_per_degree(monkeypatch, capsys):
+    # h(n) is the one series of each degree; the ambient count is a closed form
+    argv = ["verify", "dims", "--max-degree", "7"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    series = []
+    true_series = invariants._series
+    monkeypatch.setattr(invariants, "_series",
+                        lambda *args: series.append(args) or true_series(*args))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(series) == 8
 
 
 def test_the_freeness_report_reads_the_reported_dimensions():

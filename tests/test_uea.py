@@ -15,6 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    decode_exp,
+    exp_key,
+    word_to_exp,
     GR0,
     GR1,
     GaussRational,
@@ -28,7 +31,6 @@ from oracles import (
     u_k_invariant,
 )
 from so41inv import uea
-from so41inv.elements import ZERO_EXP
 from so41inv.lie_core import GEN_WEIGHTS, bracket, lie_gen
 from so41inv.matrix_oracle import Gen, K_GENS, basis_matrices
 from so41inv.sym_ext import SEElement, ad_action_se, build_st_catalog
@@ -44,7 +46,6 @@ from so41inv.uea import (
     symmetrize_monomial,
     u_gen,
     u_one,
-    word_to_exp,
 )
 
 
@@ -100,7 +101,7 @@ def word_matrix(word):
 
 
 gen_words = st.lists(st.sampled_from(list(Gen)), max_size=5).map(tuple)
-pbw_monomials = st.lists(st.sampled_from(list(Gen)), max_size=5).map(word_to_exp)
+pbw_monomials = st.lists(st.sampled_from(list(Gen)), max_size=5).map(word_to_exp).map(exp_key)
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,7 +111,7 @@ def test_straightened_word_acts_as_the_product_of_its_matrices(word):
     # maps to the product of the word's matrices
     got = mat_sub(IDENTITY5, IDENTITY5)
     for exp, c in straighten_word(word).items():
-        got = mat_sub(got, mat_scale(GaussRational(-c), word_matrix(exp_to_word(exp))))
+        got = mat_sub(got, mat_scale(GaussRational(-c), word_matrix(exp_to_word(exp_key(exp)))))
     assert got == word_matrix(word)
 
 
@@ -118,13 +119,13 @@ def test_straightened_word_acts_as_the_product_of_its_matrices(word):
 @given(pbw_monomials)
 def test_gen_commutator_is_the_difference_of_the_pair_products(exp):
     for g in K_GENS:
-        gen = word_to_exp((g,))
+        gen = exp_key(word_to_exp((g,)))
         want = dict(pbw_pair_product(gen, exp))
         for m, c in pbw_pair_product(exp, gen):
             want[m] = want.get(m, 0) - c
         assert dict(gen_commutator(g, exp)) == {m: c for m, c in want.items() if c}
     for i, h in enumerate((Gen.H1, Gen.H2)):
-        weight = sum(e * GEN_WEIGHTS[g][i] for g, e in zip(Gen, exp))
+        weight = sum(e * GEN_WEIGHTS[g][i] for g, e in zip(Gen, decode_exp(exp)))
         assert dict(gen_commutator(h, exp)) == ({exp: weight} if weight else {})
 
 
@@ -188,7 +189,7 @@ def test_symmetrize_monomial_is_the_average_over_distinct_orderings(word):
             prod = prod * u_gen(g)
         acc = acc + prod
     want = Fraction(1, len(orderings)) * acc
-    assert UElement(symmetrize_monomial(word_to_exp(word))) == want
+    assert UElement(symmetrize_monomial(exp_key(word_to_exp(word)))) == want
 
 
 def test_straightening_and_orderings_memos_hold_only_ints():
@@ -197,9 +198,11 @@ def test_straightening_and_orderings_memos_hold_only_ints():
     # products of a square, a generator commutator, and every word of
     # length at most 3
     exp = word_to_exp((Gen.H1, Gen.E3, Gen.F3, Gen.F3))
+    subs = [exp_key(sub) for sub in product(*(range(e + 1) for e in exp))]
+    exp = exp_key(exp)
     x = u_gen(Gen.F4) * u_gen(Gen.E3)
     assert symmetrize_monomial(exp).terms and (x * x).terms
-    values = [uea._orderings_sum(sub) for sub in product(*(range(e + 1) for e in exp))]
+    values = [uea._orderings_sum(sub) for sub in subs]
     values += [uea.pbw_pair_product(a, b) for a in x.num for b in x.num]
     values.append(uea.gen_commutator(Gen.E1, exp))
     values += [straighten_word(w) for n in range(4) for w in product(range(10), repeat=n)]
@@ -209,35 +212,38 @@ def test_straightening_and_orderings_memos_hold_only_ints():
 
 def test_the_straightening_memos_hold_rows():
     # one row format: a tuple of (PBW monomial, int) pairs, each monomial
-    # once, with no zero entry
+    # once, with no zero entry, and each monomial a packed key of mask 0
     exp = word_to_exp((Gen.H1, Gen.E3, Gen.F3, Gen.F3))
-    rows = [uea._orderings_sum(sub) for sub in product(*(range(e + 1) for e in exp))]
+    rows = [uea._orderings_sum(exp_key(sub)) for sub in product(*(range(e + 1) for e in exp))]
+    exp = exp_key(exp)
     rows += [uea.insert_gen(g, exp) for g in range(10)]
     rows += [uea.pbw_pair_product(exp, exp), uea.gen_commutator(Gen.E1, exp),
-             uea.gen_commutator(Gen.H1, exp), uea.gen_commutator(Gen.E1, ZERO_EXP)]
+             uea.gen_commutator(Gen.H1, exp), uea.gen_commutator(Gen.E1, 0)]
     for row in rows:
         assert type(row) is tuple and len({m for m, _ in row}) == len(row)
-        assert all(type(m) is tuple and len(m) == 10 and type(c) is int and c for m, c in row)
+        assert all(type(m) is int and exp_key(decode_exp(m)) == m and type(c) is int and c
+                   for m, c in row)
 
 
 def test_every_memoized_table_is_read_only():
     # the four straightening memos hand the same row to every caller, so a
     # write must raise rather than change what later calls return
-    exp = word_to_exp((Gen.H1, Gen.E3, Gen.F3))
+    exp = exp_key(word_to_exp((Gen.H1, Gen.E3, Gen.F3)))
     calls = [
         lambda: uea.insert_gen(Gen.H1, exp),
         lambda: uea.insert_gen(Gen.F4, exp),
         lambda: uea.pbw_pair_product(exp, exp),
         lambda: uea.gen_commutator(Gen.E1, exp),
-        lambda: uea.gen_commutator(Gen.E1, ZERO_EXP),
+        lambda: uea.gen_commutator(Gen.E1, 0),
         lambda: uea._orderings_sum(exp),
-        lambda: uea._orderings_sum(ZERO_EXP),
+        lambda: uea._orderings_sum(0),
     ]
+    # at the key of the monomial 1: a packed key
     def assign(table):
-        table[exp] = 7
+        table[0] = 7
 
     def delete(table):
-        del table[exp]
+        del table[0]
 
     for call in calls:
         table = call()
@@ -270,7 +276,7 @@ def test_the_basis_matrices_are_read_only(cold_caches):
 def test_sigma_of_a_monomial_is_read_only(cold_caches):
     # a write to its numerators raises, and every later symmetrization, read
     # from the shared ordering sums, is unchanged
-    e = word_to_exp((Gen.E1, Gen.F1))
+    e = exp_key(word_to_exp((Gen.E1, Gen.F1)))
     want = str(symmetrize(s_gen(Gen.E1) * s_gen(Gen.F1)))
     assert want == "-1/2 * H2 - 1/2 * H1 + E1 * F1"
     with pytest.raises(TypeError, match="mappingproxy"):
@@ -291,7 +297,8 @@ def test_symmetrize_g_equivariant_random(cat):
     rng = random.Random(79)
     for _ in range(10):
         s = random_s(rng)
-        x = SEElement._of({(exp, 0): c for exp, c in s.num.items()}, s.den)
+        # an S(g) key is the S(g) tensor Lambda(p) key of mask 0
+        x = SEElement._of(dict(s.num), s.den)
         assert alg.rho(x) == alg.from_u(symmetrize(s))
         for zg in Gen:
             z = lie_gen(zg)
